@@ -29,10 +29,14 @@ let grow t =
   Array.blit t.heap 0 h 0 t.size;
   t.heap <- h
 
-let push t time payload =
+let reserve_seq t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
+
+let push_seq t time seq payload =
   if t.size >= Array.length t.heap then grow t;
-  let e = { time; seq = t.next_seq; payload } in
-  t.next_seq <- t.next_seq + 1;
+  let e = { time; seq; payload } in
   let i = ref t.size in
   t.size <- t.size + 1;
   t.heap.(!i) <- e;
@@ -48,6 +52,8 @@ let push t time payload =
     end
     else continue := false
   done
+
+let push t time payload = push_seq t time (reserve_seq t) payload
 
 let sift_down t =
   let i = ref 0 in

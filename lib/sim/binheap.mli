@@ -16,6 +16,17 @@ val is_empty : 'a t -> bool
 val length : 'a t -> int
 val push : 'a t -> Time.t -> 'a -> unit
 
+(** [reserve_seq t] consumes the next tie-break sequence number, exactly
+    as a [push] would, without queueing anything. *)
+val reserve_seq : 'a t -> int
+
+(** [push_seq t time seq payload] queues [payload] under the key
+    [(time, seq)], where [seq] came from {!reserve_seq} on this queue and
+    is used once. Provided the key is not before the last popped one, the
+    event pops exactly where a [push] made at reservation time would have:
+    this is how a deferred event keeps its place among same-time events. *)
+val push_seq : 'a t -> Time.t -> int -> 'a -> unit
+
 (** Earliest (time, event), or [None] if empty. *)
 val pop : 'a t -> (Time.t * 'a) option
 

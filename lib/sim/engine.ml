@@ -33,11 +33,20 @@ let trace t = t.trace
 let set_trace t tr = t.trace <- tr
 let metrics t = t.metrics
 
-let schedule t at f =
+let check_future t at =
   if at < t.clock then
     invalid_arg
-      (Format.asprintf "Engine.schedule: time %a is before now %a" Time.pp at Time.pp t.clock);
+      (Format.asprintf "Engine.schedule: time %a is before now %a" Time.pp at Time.pp t.clock)
+
+let schedule t at f =
+  check_future t at;
   Event_queue.push t.queue at f
+
+let reserve_seq t = Event_queue.reserve_seq t.queue
+
+let schedule_seq t at seq f =
+  check_future t at;
+  Event_queue.push_seq t.queue at seq f
 
 let schedule_after t delta f = schedule t (Time.add t.clock delta) f
 

@@ -36,6 +36,18 @@ val schedule : t -> Time.t -> (unit -> unit) -> unit
 (** [schedule_after t delta f] runs [f] at [now t + delta]. *)
 val schedule_after : t -> Time.t -> (unit -> unit) -> unit
 
+(** [reserve_seq t] takes the tie-break slot a [schedule] made now would
+    get, without scheduling anything. *)
+val reserve_seq : t -> int
+
+(** [schedule_seq t at seq f] runs [f] at [at] in the place among
+    same-time events that the reservation [seq] (from {!reserve_seq})
+    holds. Scheduling later under an earlier reservation is how
+    {!Timer} defers an event without changing execution order. [at] must
+    not be in the past, and the key [(at, seq)] must not be before the
+    event now executing. *)
+val schedule_seq : t -> Time.t -> int -> (unit -> unit) -> unit
+
 (** Execute the single earliest event. Returns [false] when no events
     remain. *)
 val step : t -> bool

@@ -18,6 +18,15 @@ let push t time payload =
   | W q -> Timing_wheel.push q time payload
   | H q -> Binheap.push q time payload
 
+let reserve_seq = function
+  | W q -> Timing_wheel.reserve_seq q
+  | H q -> Binheap.reserve_seq q
+
+let push_seq t time seq payload =
+  match t with
+  | W q -> Timing_wheel.push_seq q time seq payload
+  | H q -> Binheap.push_seq q time seq payload
+
 let pop = function W q -> Timing_wheel.pop q | H q -> Binheap.pop q
 
 let pop_if_before t horizon ~default =

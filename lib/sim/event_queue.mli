@@ -25,6 +25,14 @@ val is_empty : 'a t -> bool
 val length : 'a t -> int
 val push : 'a t -> Time.t -> 'a -> unit
 
+(** [reserve_seq t] consumes the next tie-break sequence number without
+    queueing anything; [push_seq t time seq payload] later queues an event
+    under that [(time, seq)] key, and it pops exactly where a [push] made
+    at reservation time would have. See {!Binheap.push_seq}. *)
+val reserve_seq : 'a t -> int
+
+val push_seq : 'a t -> Time.t -> int -> 'a -> unit
+
 (** Earliest (time, event), or [None] if empty. *)
 val pop : 'a t -> (Time.t * 'a) option
 

@@ -268,14 +268,27 @@ let transfer_in_window t =
 
 (* --- public operations --- *)
 
-let push t time payload =
+let reserve_seq t =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  (* An empty queue re-anchors the window, so a burst of activity far from
-     the current base still runs through the wheel, not the heap. *)
-  if t.wheel_count = 0 && t.heap_size = 0 then t.base <- time;
+  seq
+
+(* An empty queue re-anchors the window, so a burst of activity far from
+   the current base still runs through the wheel, not the heap. *)
+let anchor t time = if t.wheel_count = 0 && t.heap_size = 0 then t.base <- time
+
+let push t time payload =
+  let seq = reserve_seq t in
+  anchor t time;
   let c = alloc_cell t time seq payload in
   if in_window t time then slot_append t (time land mask) c else heap_push t c
+
+(* A reserved seq can be older than cells already in its slot, so it is
+   merged by [seq] like a cell migrating in from the heap. *)
+let push_seq t time seq payload =
+  anchor t time;
+  let c = alloc_cell t time seq payload in
+  if in_window t time then slot_insert_sorted t c else heap_push t c
 
 (* Detach and return the earliest cell if its time is <= horizon, else
    [t.nil]. The caller owns the returned cell and must free it. *)

@@ -16,6 +16,14 @@ val is_empty : 'a t -> bool
 val length : 'a t -> int
 val push : 'a t -> Time.t -> 'a -> unit
 
+(** See {!Binheap.reserve_seq}. *)
+val reserve_seq : 'a t -> int
+
+(** See {!Binheap.push_seq}. Inside the wheel window the cell is merged
+    into its slot by [seq], like a cell migrating in from the overflow
+    heap — including into the slot currently being drained. *)
+val push_seq : 'a t -> Time.t -> int -> 'a -> unit
+
 (** Earliest (time, event), or [None] if empty. *)
 val pop : 'a t -> (Time.t * 'a) option
 

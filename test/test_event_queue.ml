@@ -111,9 +111,48 @@ let test_window_boundary () =
   let heap = build Sim.Event_queue.Binheap in
   Alcotest.(check (list (pair int int))) "wheel = binheap across window boundary" heap wheel
 
+(* A push under a reserved seq pops exactly where a push made at
+   reservation time would have: ahead of same-time events pushed after the
+   reservation, in the slot being drained, across the window edge, and
+   after a wait in the overflow heap. *)
+let test_reserved_seq_placement () =
+  List.iter
+    (fun (name, impl) ->
+      let q = Sim.Event_queue.create ~impl () in
+      let pop () =
+        match Sim.Event_queue.pop q with Some (_, v) -> v | None -> Alcotest.fail "empty"
+      in
+      let edge = 10 + 16_384 and far = 1_000_000 in
+      Sim.Event_queue.push q 10 "a";
+      let r_slot = Sim.Event_queue.reserve_seq q in
+      Sim.Event_queue.push q 10 "b";
+      let r_edge = Sim.Event_queue.reserve_seq q in
+      let r_far = Sim.Event_queue.reserve_seq q in
+      Sim.Event_queue.push q 10 "c";
+      Sim.Event_queue.push q edge "edge";
+      Sim.Event_queue.push q (edge - 1) "last-slot";
+      Sim.Event_queue.push q far "far";
+      Alcotest.(check string) (name ^ ": first") "a" (pop ());
+      (* The window now starts at 10: the slot being drained still holds b, c. *)
+      Sim.Event_queue.push_seq q 10 r_slot "slot";
+      Sim.Event_queue.push_seq q edge r_edge "edge-reserved";
+      Sim.Event_queue.push_seq q far r_far "far-reserved";
+      (* Bring the window up to [far - 5]: the far cells must merge by seq
+         with a same-time cell pushed straight into the wheel. *)
+      Sim.Event_queue.push q (far - 5) "near-far";
+      let rest = List.init 7 (fun _ -> pop ()) in
+      Sim.Event_queue.push q far "far-late";
+      let rest = rest @ List.map snd (drain q) in
+      Alcotest.(check (list string))
+        (name ^ ": reserved placement")
+        [ "slot"; "b"; "c"; "last-slot"; "edge-reserved"; "edge"; "near-far";
+          "far-reserved"; "far"; "far-late" ]
+        rest)
+    impls
+
 (* Random push/pop interleavings: the wheel must agree with the binheap
-   oracle event-for-event, including tie order and interleaved pops that
-   advance the window mid-stream. *)
+   oracle event-for-event, including tie order, interleaved pops that
+   advance the window mid-stream, and pushes under reserved seqs. *)
 let test_equivalence_qcheck =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"wheel matches binheap on random interleavings" ~count:200
@@ -126,20 +165,31 @@ let test_equivalence_qcheck =
                 (* push far out (overflow heap) *)
                 map (fun t -> `Push t) (int_range 16_000 200_000);
                 return `Pop;
+                return `Reserve;
+                (* push under the oldest outstanding reservation: into the
+                   slot being drained, across the window edge, or out into
+                   the overflow heap *)
+                map
+                  (fun t -> `Push_reserved t)
+                  (oneof [ return 0; int_range 16_380 16_390; int_range 16_000 200_000 ]);
               ]))
        (fun ops ->
          let run impl =
            let q = Sim.Event_queue.create ~impl () in
            let log = ref [] in
+           let reserved = Queue.create () in
            (* Times are relative to the last popped time so pushes stay
               valid (an engine never schedules in the past) while still
               straddling the window. *)
+           let now () = if Sim.Event_queue.is_empty q then 0 else Sim.Event_queue.last_time q in
            List.iteri
              (fun i op ->
                match op with
-               | `Push dt ->
-                   let now = if Sim.Event_queue.is_empty q then 0 else Sim.Event_queue.last_time q in
-                   Sim.Event_queue.push q (now + dt) i
+               | `Push dt -> Sim.Event_queue.push q (now () + dt) i
+               | `Reserve -> Queue.push (Sim.Event_queue.reserve_seq q) reserved
+               | `Push_reserved dt ->
+                   if not (Queue.is_empty reserved) then
+                     Sim.Event_queue.push_seq q (now () + dt) (Queue.pop reserved) i
                | `Pop -> (
                    match Sim.Event_queue.pop q with
                    | Some (t, v) -> log := (t, v) :: !log
@@ -165,6 +215,25 @@ let test_cross_impl_trace_identity () =
   check_int "same event count" b.events w.events;
   Alcotest.(check (list string)) "no invariant violations" [] w.violations
 
+(* Closed-loop echo: 3 client hosts, one session each to a fourth host,
+   8 requests in flight per session. *)
+let closed_loop_echo () =
+  let cluster = Transport.Cluster.cx4 ~nodes:4 () in
+  let d =
+    Experiments.Harness.deploy ~seed:7L cluster ~threads_per_host:1
+      ~register:(Experiments.Harness.register_echo ~resp_size:32)
+  in
+  let drivers =
+    Array.init 3 (fun h ->
+        let rpc = d.rpcs.(h).(0) in
+        let sessions = [| Experiments.Harness.connect d rpc ~remote_host:3 ~remote_rpc_id:0 |] in
+        Experiments.Harness.make_driver
+          ~rng:(Sim.Rng.split (Sim.Engine.rng (Erpc.Fabric.engine d.fabric)))
+          ~rpc ~sessions ~window:8 ~req_size:1024 ())
+  in
+  Array.iter Experiments.Harness.start_driver drivers;
+  d
+
 (* Allocation budget: the pooled datapath plus the wheel's cell free-list
    keep steady-state cost near 6 minor-heap words per event (closures for
    RPC continuations, timer records); the budget of 8 leaves headroom for
@@ -172,22 +241,7 @@ let test_cross_impl_trace_identity () =
    boxing blows well past this. *)
 let test_allocation_budget () =
   let run () =
-    let cluster = Transport.Cluster.cx4 ~nodes:4 () in
-    let d =
-      Experiments.Harness.deploy ~seed:7L cluster ~threads_per_host:1
-        ~register:(Experiments.Harness.register_echo ~resp_size:32)
-    in
-    let drivers =
-      Array.init 3 (fun h ->
-          let rpc = d.rpcs.(h).(0) in
-          let sessions =
-            [| Experiments.Harness.connect d rpc ~remote_host:3 ~remote_rpc_id:0 |]
-          in
-          Experiments.Harness.make_driver
-            ~rng:(Sim.Rng.split (Sim.Engine.rng (Erpc.Fabric.engine d.fabric)))
-            ~rpc ~sessions ~window:8 ~req_size:1024 ())
-    in
-    Array.iter Experiments.Harness.start_driver drivers;
+    let d = closed_loop_echo () in
     Experiments.Harness.run_ms d 2.0;
     Sim.Engine.events_processed (Erpc.Fabric.engine d.fabric)
   in
@@ -200,6 +254,31 @@ let test_allocation_budget () =
   let per_event = words /. float_of_int events in
   if per_event > 8. then
     Alcotest.failf "allocation budget blown: %.1f minor words/event (budget 8)" per_event
+
+(* Queue depth must not grow with the number of completed requests. Every
+   request arms a 5 ms RTO timer and re-arms it on each response packet;
+   the run lasts past [rto_ns], so a timer that queued one event per arm
+   would hold about two pending events per completed request here. *)
+let test_queue_depth_bounded () =
+  let d = closed_loop_echo () in
+  let engine = Erpc.Fabric.engine d.fabric in
+  let peak = ref 0 in
+  let rec sample () =
+    peak := max !peak (Sim.Engine.pending engine);
+    Sim.Engine.schedule_after engine 1_000 sample
+  in
+  sample ();
+  Experiments.Harness.run_ms d 6.0;
+  let completed = Experiments.Harness.total_completed d in
+  let sessions = 3 and window = (Erpc.Fabric.config d.fabric).req_window in
+  Alcotest.(check bool)
+    (Printf.sprintf "ran well past rto_ns (%d completed)" completed)
+    true
+    (completed > 40 * sessions * window);
+  (* Measured peak: 49 pending events over 17 272 completed requests. *)
+  if !peak > 4 * sessions * window then
+    Alcotest.failf "queue depth %d exceeds 4 x sessions x req_window = %d" !peak
+      (4 * sessions * window)
 
 (* The wheel-occupancy gauge (partition load-imbalance observability):
    it must track how many wheel slots hold pending events and drain back
@@ -220,7 +299,9 @@ let suite =
     Alcotest.test_case "clear semantics" `Quick test_clear;
     Alcotest.test_case "pop_if_before" `Quick test_pop_if_before;
     Alcotest.test_case "wheel window boundary" `Quick test_window_boundary;
+    Alcotest.test_case "reserved seq placement" `Quick test_reserved_seq_placement;
     test_equivalence_qcheck;
     Alcotest.test_case "cross-impl trace identity" `Quick test_cross_impl_trace_identity;
     Alcotest.test_case "allocation budget" `Quick test_allocation_budget;
+    Alcotest.test_case "queue depth bounded" `Quick test_queue_depth_bounded;
   ]

@@ -239,6 +239,173 @@ let test_timer_deadline () =
   Alcotest.check_raises "deadline of unarmed" (Invalid_argument "Timer.deadline: timer not armed")
     (fun () -> ignore (Sim.Timer.deadline t))
 
+let test_timer_arm_past_raises () =
+  let e = Sim.Engine.create () in
+  let fired = ref 0 in
+  let t = Sim.Timer.create e ~callback:(fun () -> incr fired) in
+  Sim.Engine.schedule e 100 (fun () -> ());
+  Sim.Engine.run e;
+  Alcotest.check_raises "past arm" (Invalid_argument "Timer.arm: time 50 ns is before now 100 ns")
+    (fun () -> Sim.Timer.arm t 50);
+  check_bool "still unarmed" false (Sim.Timer.is_armed t);
+  Sim.Timer.arm t 150;
+  Sim.Engine.run e;
+  check_int "later arm still fires" 1 !fired
+
+(* The RTO pattern: every re-arm moves the deadline later. The timer keeps
+   a single queued event and fires once, at the last deadline. *)
+let test_timer_lazy_rearm_one_event () =
+  let e = Sim.Engine.create () in
+  let fired_at = ref [] in
+  let t = Sim.Timer.create e ~callback:(fun () -> fired_at := Sim.Engine.now e :: !fired_at) in
+  for i = 0 to 99 do
+    Sim.Engine.schedule e (i * 10) (fun () ->
+        Sim.Timer.arm_after t 5_000;
+        check_int "one queued event" 1 (Sim.Timer.queued t);
+        if i mod 7 = 3 then Sim.Timer.disarm t)
+  done;
+  Sim.Engine.run e;
+  Alcotest.(check (list int)) "fires once at the last deadline" [ 5_990 ] !fired_at;
+  check_int "queue drained" 0 (Sim.Timer.queued t);
+  check_int "one event per arm interval, not per arm" 102 (Sim.Engine.events_processed e)
+
+(* Model test: the lazy timer against a generation-per-arm oracle that
+   queues one event per arm and ignores the stale ones. Random arm /
+   arm_after / disarm scripts over several timers, with earlier-deadline
+   re-arms, same-instant re-arms, re-arms made from inside callbacks, and
+   unrelated events at colliding timestamps, must produce the same global
+   [(time, tag)] execution log. *)
+
+module Ref_timer = struct
+  type t = {
+    engine : Sim.Engine.t;
+    callback : unit -> unit;
+    mutable generation : int;
+    mutable armed : bool;
+  }
+
+  let create engine ~callback = { engine; callback; generation = 0; armed = false }
+
+  let arm t at =
+    t.generation <- t.generation + 1;
+    t.armed <- true;
+    let gen = t.generation in
+    Sim.Engine.schedule t.engine at (fun () ->
+        if t.armed && t.generation = gen then begin
+          t.armed <- false;
+          t.callback ()
+        end)
+
+  let disarm t =
+    t.armed <- false;
+    t.generation <- t.generation + 1
+end
+
+type timer_op =
+  | Arm of int * int (* timer, deadline - now *)
+  | Arm_after of int * int
+  | Disarm of int
+  | Noise of int * int (* tag, delay of an unrelated event *)
+
+let n_model_timers = 3
+
+(* [actions]: op batches run by unrelated events at fixed times.
+   [reactions.(k)]: op batches run from inside timer [k]'s callback, the
+   i-th batch on its i-th fire. *)
+let timer_script_gen =
+  let open QCheck2.Gen in
+  let timer = int_range 0 (n_model_timers - 1) and delay = int_range 0 40 in
+  let op =
+    frequency
+      [
+        (3, map2 (fun k d -> Arm (k, d)) timer delay);
+        (2, map2 (fun k d -> Arm_after (k, d)) timer delay);
+        (1, map (fun k -> Disarm k) timer);
+        (2, map2 (fun tag d -> Noise (tag, d)) (int_range 0 999) delay);
+      ]
+  in
+  let batch = list_size (int_range 1 4) op in
+  pair
+    (list_size (int_range 1 25) (pair (int_range 0 60) batch))
+    (array_repeat n_model_timers (list_size (int_range 0 3) (list_size (int_range 0 2) op)))
+
+(* Run a script and return its execution log. With [~lazy_:true] the
+   timers are [Sim.Timer]s and every logged event also checks the queue
+   bound: a timer holds at most one event, plus one per re-arm to an
+   earlier deadline made since its queue was last empty. *)
+let run_timer_script ~lazy_ (actions, reactions) =
+  let e = Sim.Engine.create ~seed:1L () in
+  let log = ref [] in
+  let bound_ok = ref true in
+  let lazy_timers = ref [||] in
+  let lowered = Array.make n_model_timers 0 in
+  let last_deadline = Array.make n_model_timers max_int in
+  let check_bound () =
+    Array.iteri
+      (fun k t -> if Sim.Timer.queued t > 1 + lowered.(k) then bound_ok := false)
+      !lazy_timers
+  in
+  let record tag =
+    log := (Sim.Engine.now e, tag) :: !log;
+    check_bound ()
+  in
+  let exec = ref (fun _ -> ()) in
+  let fires = Array.make n_model_timers 0 in
+  let callback k () =
+    record (Printf.sprintf "timer %d" k);
+    let i = fires.(k) in
+    fires.(k) <- i + 1;
+    match List.nth_opt reactions.(k) i with Some ops -> List.iter !exec ops | None -> ()
+  in
+  let arm, arm_after, disarm =
+    if lazy_ then begin
+      let ts = Array.init n_model_timers (fun k -> Sim.Timer.create e ~callback:(callback k)) in
+      lazy_timers := ts;
+      let note_arm k at =
+        if Sim.Timer.queued ts.(k) = 0 then lowered.(k) <- 0;
+        if at < last_deadline.(k) then lowered.(k) <- lowered.(k) + 1;
+        last_deadline.(k) <- at
+      in
+      ( (fun k at ->
+          note_arm k at;
+          Sim.Timer.arm ts.(k) at),
+        (fun k d ->
+          note_arm k (Sim.Engine.now e + d);
+          Sim.Timer.arm_after ts.(k) d),
+        fun k -> Sim.Timer.disarm ts.(k) )
+    end
+    else begin
+      let ts = Array.init n_model_timers (fun k -> Ref_timer.create e ~callback:(callback k)) in
+      ( (fun k at -> Ref_timer.arm ts.(k) at),
+        (fun k d -> Ref_timer.arm ts.(k) (Sim.Engine.now e + d)),
+        fun k -> Ref_timer.disarm ts.(k) )
+    end
+  in
+  (exec :=
+     function
+     | Arm (k, d) -> arm k (Sim.Engine.now e + d)
+     | Arm_after (k, d) -> arm_after k d
+     | Disarm k -> disarm k
+     | Noise (tag, d) ->
+         Sim.Engine.schedule_after e d (fun () -> record (Printf.sprintf "noise %d" tag)));
+  List.iteri
+    (fun i (at, ops) ->
+      Sim.Engine.schedule e at (fun () ->
+          record (Printf.sprintf "action %d" i);
+          List.iter !exec ops))
+    actions;
+  Sim.Engine.run e;
+  let drained = Array.for_all (fun t -> Sim.Timer.queued t = 0) !lazy_timers in
+  (List.rev !log, !bound_ok && drained)
+
+let test_timer_model_qcheck =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"lazy timer matches generation-per-arm oracle" ~count:500
+       timer_script_gen (fun script ->
+         let expected, _ = run_timer_script ~lazy_:false script in
+         let got, bound_ok = run_timer_script ~lazy_:true script in
+         got = expected && bound_ok))
+
 (* {2 Cpu} *)
 
 let test_cpu_charges_extend () =
@@ -292,6 +459,9 @@ let suite =
     Alcotest.test_case "timer disarm" `Quick test_timer_disarm;
     Alcotest.test_case "timer disarm+rearm" `Quick test_timer_disarm_then_rearm;
     Alcotest.test_case "timer deadline" `Quick test_timer_deadline;
+    Alcotest.test_case "timer arm in the past" `Quick test_timer_arm_past_raises;
+    Alcotest.test_case "timer lazy re-arm" `Quick test_timer_lazy_rearm_one_event;
+    test_timer_model_qcheck;
     Alcotest.test_case "cpu charges serialize" `Quick test_cpu_charges_extend;
     Alcotest.test_case "cpu idle gap" `Quick test_cpu_idle_gap;
     Alcotest.test_case "cpu utilization" `Quick test_cpu_utilization;
