@@ -374,13 +374,15 @@ let micro () =
   let open Bechamel in
   let event_queue_kernel =
     let rng = Sim.Rng.create 1L in
-    let q = Sim.Event_queue.create () in
+    let q = Sim.Timing_wheel.create () in
     Staged.stage (fun () ->
+        (* Like the engine, never push before the last popped time. *)
+        let now = Sim.Timing_wheel.last_time q in
         for i = 0 to 63 do
-          Sim.Event_queue.push q (Sim.Rng.int rng 1_000_000) i
+          Sim.Timing_wheel.push q (now + Sim.Rng.int rng 1_000_000) i
         done;
         for _ = 0 to 63 do
-          ignore (Sim.Event_queue.pop q)
+          ignore (Sim.Timing_wheel.pop q)
         done)
   in
   let wheel_kernel =

@@ -676,22 +676,9 @@ let trace_cmd =
 
 (* bench-sim *)
 let bench_sim_cmd =
-  let run workloads impls out seed rerun =
-    let impls =
-      List.map
-        (fun s ->
-          match Experiments.Bench_sim.impl_of_name s with
-          | Some i -> i
-          | None -> failwith (Printf.sprintf "unknown impl %S (wheel|binheap)" s))
-        impls
-    in
+  let run workloads out seed rerun =
     let rows =
-      List.concat_map
-        (fun workload ->
-          List.map
-            (fun impl -> Experiments.Bench_sim.run_one ~workload ~impl ~seed)
-            impls)
-        workloads
+      List.map (fun workload -> Experiments.Bench_sim.run_one ~workload ~seed) workloads
     in
     (* --rerun determinism gate (same idiom as shm-bench/cluster-load):
        run every row a second time and require identical end-state
@@ -701,38 +688,18 @@ let bench_sim_cmd =
       else
         List.filter_map
           (fun (r : Experiments.Bench_sim.row) ->
-            let impl =
-              Option.get (Experiments.Bench_sim.impl_of_name r.impl)
-            in
-            let r2 =
-              Experiments.Bench_sim.run_one ~workload:r.workload ~impl ~seed
-            in
+            let r2 = Experiments.Bench_sim.run_one ~workload:r.workload ~seed in
             if r2.digest = r.digest then None
             else
               Some
-                (Printf.sprintf "%s/%s: rerun digest %s <> %s" r.workload r.impl
-                   r2.digest r.digest))
+                (Printf.sprintf "%s: rerun digest %s <> %s" r.workload r2.digest r.digest))
           rows
     in
     List.iter
       (fun (r : Experiments.Bench_sim.row) ->
-        Printf.printf "%-10s %-8s %8.3f s  %9d events  %10.0f ev/s  %6.1f words/ev\n"
-          r.workload r.impl r.wall_s r.events r.events_per_sec r.minor_words_per_event)
+        Printf.printf "%-10s %8.3f s  %9d events  %10.0f ev/s  %6.1f words/ev\n"
+          r.workload r.wall_s r.events r.events_per_sec r.minor_words_per_event)
       rows;
-    (* Speedup summary per workload (production wheel vs binheap baseline). *)
-    List.iter
-      (fun w ->
-        let find impl =
-          List.find_opt
-            (fun (r : Experiments.Bench_sim.row) -> r.workload = w && r.impl = impl)
-            rows
-        in
-        match (find "wheel", find "binheap") with
-        | Some wh, Some bh when bh.events_per_sec > 0. ->
-            Printf.printf "%-10s wheel/binheap speedup: %.2fx\n" w
-              (wh.events_per_sec /. bh.events_per_sec)
-        | _ -> ())
-      workloads;
     (match out with
     | None -> ()
     | Some file ->
@@ -753,12 +720,6 @@ let bench_sim_cmd =
       & opt (list string) Experiments.Bench_sim.workload_names
       & info [ "workloads" ] ~docv:"W,.." ~doc:"Workloads to run (incast|rate|bandwidth|chaos).")
   in
-  let impls =
-    Arg.(
-      value
-      & opt (list string) [ "binheap"; "wheel" ]
-      & info [ "impls" ] ~docv:"I,.." ~doc:"Event-queue implementations (wheel|binheap).")
-  in
   let out =
     Arg.(
       value
@@ -775,8 +736,8 @@ let bench_sim_cmd =
   in
   Cmd.v
     (Cmd.info "bench-sim"
-       ~doc:"Simulator throughput: events/s and allocation per event, wheel vs binheap")
-    Term.(const run $ workloads $ impls $ out $ seed_arg $ rerun)
+       ~doc:"Simulator throughput: events/s and allocation per event")
+    Term.(const run $ workloads $ out $ seed_arg $ rerun)
 
 (* par-bench *)
 let par_bench_cmd =

@@ -3,29 +3,16 @@
 
    Unlike the paper experiments (which measure *simulated* metrics —
    Gbps, Mrps, RTTs), this bench measures the simulator itself: CPU
-   seconds, events per wall-clock second, and minor-heap words per event.
-   Each workload runs under both event-queue implementations
-   ({!Sim.Event_queue.Wheel}, the production timing wheel, and
-   {!Sim.Event_queue.Binheap}, the pre-overhaul boxed binary heap kept as
-   baseline); both execute identical event sequences, so the simulated
-   results agree and any delta is pure scheduler cost. *)
+   seconds, events per wall-clock second, and minor-heap words per event. *)
 
 type row = {
   workload : string;
-  impl : string;  (* "wheel" | "binheap" *)
   wall_s : float;
   events : int;
   events_per_sec : float;
   minor_words_per_event : float;
   digest : string;  (* deterministic run fingerprint, for the --rerun gate *)
 }
-
-let impl_name = function Sim.Event_queue.Wheel -> "wheel" | Sim.Event_queue.Binheap -> "binheap"
-
-let impl_of_name = function
-  | "wheel" -> Some Sim.Event_queue.Wheel
-  | "binheap" -> Some Sim.Event_queue.Binheap
-  | _ -> None
 
 (* {2 Workloads}
 
@@ -131,15 +118,12 @@ let workload_names = List.map fst workloads
 
 (* {2 Measurement} *)
 
-let run_one ~workload ~impl ~seed =
+let run_one ~workload ~seed =
   let f =
     match List.assoc_opt workload workloads with
     | Some f -> f
     | None -> invalid_arg (Printf.sprintf "Bench_sim.run_one: unknown workload %S" workload)
   in
-  Sim.Event_queue.set_default_impl impl;
-  Fun.protect ~finally:(fun () -> Sim.Event_queue.set_default_impl Sim.Event_queue.Wheel)
-  @@ fun () ->
   Gc.full_major ();
   let w0 = Gc.minor_words () in
   let t0 = Sys.time () in
@@ -148,26 +132,17 @@ let run_one ~workload ~impl ~seed =
   let words = Gc.minor_words () -. w0 in
   {
     workload;
-    impl = impl_name impl;
     wall_s;
     events;
     events_per_sec = (if wall_s > 0. then float_of_int events /. wall_s else 0.);
     minor_words_per_event = (if events > 0 then words /. float_of_int events else 0.);
-    digest =
-      Digest.to_hex
-        (Digest.string (Printf.sprintf "%s/%s:%s" workload (impl_name impl) fingerprint));
+    digest = Digest.to_hex (Digest.string (Printf.sprintf "%s:%s" workload fingerprint));
   }
-
-let run_all ?(seed = 42L) ?(impls = [ Sim.Event_queue.Binheap; Sim.Event_queue.Wheel ]) () =
-  List.concat_map
-    (fun (workload, _) -> List.map (fun impl -> run_one ~workload ~impl ~seed) impls)
-    workloads
 
 let row_json r =
   Obs.Json.Obj
     [
       ("workload", Obs.Json.Str r.workload);
-      ("impl", Obs.Json.Str r.impl);
       ("wall_s", Obs.Json.Float r.wall_s);
       ("events", Obs.Json.Int r.events);
       ("events_per_sec", Obs.Json.Float r.events_per_sec);

@@ -3,15 +3,10 @@
     Measures the simulator itself rather than the simulated system: CPU
     seconds, events per wall-clock second, and minor-heap words allocated
     per event, over a set of fixed-seed workloads (incast, small-RPC
-    rate, bandwidth, chaos). Each workload runs under both event-queue
-    implementations — the production {!Sim.Event_queue.Wheel} and the
-    pre-overhaul {!Sim.Event_queue.Binheap} baseline — which execute
-    identical event sequences, so any difference is pure scheduler and
-    allocation cost. *)
+    rate, bandwidth, chaos). *)
 
 type row = {
   workload : string;
-  impl : string;  (** ["wheel"] or ["binheap"] *)
   wall_s : float;  (** CPU seconds ([Sys.time]) for the whole run *)
   events : int;  (** simulator events executed *)
   events_per_sec : float;
@@ -24,18 +19,11 @@ type row = {
           [bench-sim --rerun] gate asserts this. *)
 }
 
-val impl_name : Sim.Event_queue.impl -> string
-val impl_of_name : string -> Sim.Event_queue.impl option
-
 (** Names accepted by [run_one]'s [~workload]. *)
 val workload_names : string list
 
-(** Run one workload under one event-queue implementation. Resets the
-    default implementation back to [Wheel] afterwards. *)
-val run_one : workload:string -> impl:Sim.Event_queue.impl -> seed:int64 -> row
-
-(** All workloads under all [impls] (default: binheap then wheel). *)
-val run_all : ?seed:int64 -> ?impls:Sim.Event_queue.impl list -> unit -> row list
+(** Run one workload. *)
+val run_one : workload:string -> seed:int64 -> row
 
 (** The BENCH_*.json document for a list of rows
     (benchmark ["sim_events"]). *)

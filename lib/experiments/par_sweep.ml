@@ -4,8 +4,7 @@
 
    This is the embarrassingly-parallel tier of the PDES work: each task
    builds its own engine, cluster and trace, so tasks share no mutable
-   state (the one cross-run global, [Sim.Event_queue.default_impl], is
-   only read; [Obs.Trace.disabled] is never written). A shared atomic
+   state ([Obs.Trace.disabled] is shared but never written). A shared atomic
    cursor deals tasks to workers, results land at their own index, and
    the caller receives them in task order — so reports and digests are
    identical to a sequential run, just computed on more cores. *)

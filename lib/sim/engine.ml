@@ -1,5 +1,5 @@
 type t = {
-  queue : (unit -> unit) Event_queue.t;
+  queue : (unit -> unit) Timing_wheel.t;
   mutable clock : Time.t;
   master_rng : Rng.t;
   mutable executed : int;
@@ -7,10 +7,10 @@ type t = {
   metrics : Obs.Metrics.t;
 }
 
-let create ?(seed = 42L) ?queue_impl () =
+let create ?(seed = 42L) () =
   let t =
     {
-      queue = Event_queue.create ?impl:queue_impl ();
+      queue = Timing_wheel.create ();
       clock = Time.zero;
       master_rng = Rng.create seed;
       executed = 0;
@@ -18,13 +18,16 @@ let create ?(seed = 42L) ?queue_impl () =
       metrics = Obs.Metrics.create ();
     }
   in
-  (* Queue-shape gauges: pending event count plus the wheel's occupied-slot
-     load factor. Sampled per engine, so on a partitioned run each
+  (* Queue-shape gauges: pending event count, the wheel's occupied-slot
+     load factor, and how many events wait in the overflow heap instead of
+     the wheel. Sampled per engine, so on a partitioned run each
      partition's registry exposes its own load — imbalance is observable. *)
   Obs.Metrics.gauge t.metrics ~name:"sim.queue_depth" (fun () ->
-      float_of_int (Event_queue.length t.queue));
+      float_of_int (Timing_wheel.length t.queue));
   Obs.Metrics.gauge t.metrics ~name:"sim.wheel_occupancy" (fun () ->
-      float_of_int (Event_queue.occupied_slots t.queue));
+      float_of_int (Timing_wheel.occupied_slots t.queue));
+  Obs.Metrics.gauge t.metrics ~name:"sim.queue_overflow" (fun () ->
+      float_of_int (Timing_wheel.overflow_length t.queue));
   t
 
 let now t = t.clock
@@ -40,13 +43,13 @@ let check_future t at =
 
 let schedule t at f =
   check_future t at;
-  Event_queue.push t.queue at f
+  Timing_wheel.push t.queue at f
 
-let reserve_seq t = Event_queue.reserve_seq t.queue
+let reserve_seq t = Timing_wheel.reserve_seq t.queue
 
 let schedule_seq t at seq f =
   check_future t at;
-  Event_queue.push_seq t.queue at seq f
+  Timing_wheel.push_seq t.queue at seq f
 
 let schedule_after t delta f = schedule t (Time.add t.clock delta) f
 
@@ -60,10 +63,10 @@ let advance_clock t at =
          Time.pp t.clock);
   t.clock <- at
 
-let next_event_time t = Event_queue.peek_time t.queue
+let next_event_time t = Timing_wheel.peek_time t.queue
 
 let step t =
-  match Event_queue.pop t.queue with
+  match Timing_wheel.pop t.queue with
   | None -> false
   | Some (at, f) ->
       t.clock <- at;
@@ -80,10 +83,10 @@ let run_until t horizon =
   let q = t.queue in
   let continue = ref true in
   while !continue do
-    let f = Event_queue.pop_if_before q horizon ~default:null_event in
+    let f = Timing_wheel.pop_if_before q horizon ~default:null_event in
     if f == null_event then continue := false
     else begin
-      t.clock <- Event_queue.last_time q;
+      t.clock <- Timing_wheel.last_time q;
       t.executed <- t.executed + 1;
       f ()
     end
@@ -94,14 +97,14 @@ let run t =
   let q = t.queue in
   let continue = ref true in
   while !continue do
-    let f = Event_queue.pop_if_before q max_int ~default:null_event in
+    let f = Timing_wheel.pop_if_before q max_int ~default:null_event in
     if f == null_event then continue := false
     else begin
-      t.clock <- Event_queue.last_time q;
+      t.clock <- Timing_wheel.last_time q;
       t.executed <- t.executed + 1;
       f ()
     end
   done
 
 let events_processed t = t.executed
-let pending t = Event_queue.length t.queue
+let pending t = Timing_wheel.length t.queue

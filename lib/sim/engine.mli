@@ -7,10 +7,8 @@
 
 type t
 
-(** [queue_impl] selects the event-queue implementation (defaults to the
-    current {!Event_queue.set_default_impl} setting); both implementations
-    execute identical event sequences. *)
-val create : ?seed:int64 -> ?queue_impl:Event_queue.impl -> unit -> t
+(** The event queue is a {!Timing_wheel}. *)
+val create : ?seed:int64 -> unit -> t
 
 (** Current simulated time. *)
 val now : t -> Time.t

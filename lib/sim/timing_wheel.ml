@@ -6,16 +6,19 @@
    cell stored in the wheel has a timestamp inside the window, so slot
    index [time land mask] is injective on timestamps and every cell in a
    slot shares the same timestamp — a slot's list is kept in [seq] order,
-   which makes same-time FIFO exact. [base] only ever advances to the
-   timestamp of a popped event (the global minimum), which keeps the
-   window invariant without ever re-hashing live cells.
+   which makes same-time FIFO exact. [base] is always a popped timestamp
+   (the global minimum at the time), which keeps the window invariant
+   without ever re-hashing live cells, and means a push at or after the
+   last popped time — every engine push — never lands behind the window.
 
-   Events that land outside the window — far-future timers, or
-   behind-the-window pushes (the engine never makes these, but the
-   structure stays a general priority queue) — go to the overflow heap,
-   ordered by (time, seq). On every pop, heap entries that have come into
-   the window migrate to the wheel, merged into their slot by [seq], so
-   FIFO ties hold across the boundary too.
+   Events beyond the window go to the overflow heap, ordered by
+   (time, seq). On every pop, heap entries that have come into the window
+   migrate to the wheel, merged into their slot by [seq], so FIFO ties
+   hold across the boundary too. When the wheel is empty, the window
+   jumps to the heap's minimum as that event pops. A push behind the
+   window (earlier than the last pop; the engine never makes one) also
+   waits in the heap and pops ahead of the whole wheel, so the structure
+   stays a general priority queue.
 
    Occupancy is tracked by a three-level bitmap (32 slots per word), so
    finding the next non-empty slot is a handful of shifts even when the
@@ -70,6 +73,7 @@ let create () =
 
 let is_empty t = t.wheel_count = 0 && t.heap_size = 0
 let length t = t.wheel_count + t.heap_size
+let overflow_length t = t.heap_size
 let last_time t = t.last
 
 (* Count of set bits in a word holding a 32-bit occupancy mask. *)
@@ -273,20 +277,14 @@ let reserve_seq t =
   t.next_seq <- seq + 1;
   seq
 
-(* An empty queue re-anchors the window, so a burst of activity far from
-   the current base still runs through the wheel, not the heap. *)
-let anchor t time = if t.wheel_count = 0 && t.heap_size = 0 then t.base <- time
-
 let push t time payload =
   let seq = reserve_seq t in
-  anchor t time;
   let c = alloc_cell t time seq payload in
   if in_window t time then slot_append t (time land mask) c else heap_push t c
 
 (* A reserved seq can be older than cells already in its slot, so it is
    merged by [seq] like a cell migrating in from the heap. *)
 let push_seq t time seq payload =
-  anchor t time;
   let c = alloc_cell t time seq payload in
   if in_window t time then slot_insert_sorted t c else heap_push t c
 

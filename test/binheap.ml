@@ -1,25 +1,27 @@
-type 'a entry = { time : Time.t; seq : int; payload : 'a }
+(* Binary min-heap of timestamped events: the oracle for the engine's
+   [Sim.Timing_wheel]. Ties on the timestamp pop in [seq] order, so for
+   the same pushes it pops exactly the sequence the wheel must pop. It is
+   the simplest correct scheduler, with no window, no migration and no
+   slot merging to get wrong. *)
+
+type 'a entry = { time : int; seq : int; payload : 'a }
 
 type 'a t = {
   mutable heap : 'a entry array; (* entries beyond [size] are [nil] *)
   mutable size : int;
   mutable next_seq : int;
-  mutable last : Time.t;
+  mutable last : int;
 }
 
-(* Shared inert entry used to pad the backing array. Its payload is never
-   read: every slot below [size] holds a real entry. Padding with a single
-   sentinel (rather than a live entry, as the old implementation did) is
-   what keeps popped closures from being pinned against GC. *)
+(* Inert entry padding the backing array; its payload is never read. *)
 let nil : 'a entry = { time = min_int; seq = min_int; payload = Obj.magic 0 }
 
 let initial_capacity = 64
 
 let create () =
-  { heap = Array.make initial_capacity nil; size = 0; next_seq = 0; last = Time.zero }
+  { heap = Array.make initial_capacity nil; size = 0; next_seq = 0; last = 0 }
 
 let is_empty t = t.size = 0
-let length t = t.size
 let last_time t = t.last
 
 let entry_before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
@@ -72,8 +74,6 @@ let sift_down t =
     else continue := false
   done
 
-(* Remove the root. The vacated tail slot is reset to [nil] so the dead
-   entry (and the closure it boxes) is garbage immediately. *)
 let remove_top t =
   t.size <- t.size - 1;
   if t.size > 0 then begin
@@ -91,22 +91,3 @@ let pop t =
     t.last <- top.time;
     Some (top.time, top.payload)
   end
-
-let pop_if_before t horizon ~default =
-  if t.size = 0 then default
-  else begin
-    let top = t.heap.(0) in
-    if top.time > horizon then default
-    else begin
-      remove_top t;
-      t.last <- top.time;
-      top.payload
-    end
-  end
-
-let peek_time t = if t.size = 0 then None else Some t.heap.(0).time
-
-let clear t =
-  Array.fill t.heap 0 t.size nil;
-  t.size <- 0;
-  t.next_seq <- 0

@@ -1,95 +1,101 @@
-(* Tests for the engine's event queue: the production timing wheel
-   checked against the legacy binary heap as an oracle. Both must pop
-   the exact same sequence for the same pushes — that equivalence is
-   what makes [Sim.Event_queue.set_default_impl] trace-invariant. *)
+(* Tests for the engine's event queue: the timing wheel, checked against
+   a binary heap ([Binheap], local to the tests) as an oracle. Both must
+   pop the exact same sequence for the same pushes. *)
+
+module Q = Sim.Timing_wheel
 
 let check_int = Alcotest.(check int)
 
-let impls = [ ("wheel", Sim.Event_queue.Wheel); ("binheap", Sim.Event_queue.Binheap) ]
-
 (* Drain a queue into a [(time, payload) list]. *)
-let drain q =
+let drain_with pop q =
   let rec go acc =
-    match Sim.Event_queue.pop q with
+    match pop q with
     | None -> List.rev acc
     | Some (t, v) -> go ((t, v) :: acc)
   in
   go []
 
+let drain q = drain_with Q.pop q
+
+(* What the tests drive on both the wheel and the oracle. *)
+module type QUEUE = sig
+  type 'a t
+
+  val create : unit -> 'a t
+  val is_empty : 'a t -> bool
+  val push : 'a t -> int -> 'a -> unit
+  val reserve_seq : 'a t -> int
+  val push_seq : 'a t -> int -> int -> 'a -> unit
+  val pop : 'a t -> (int * 'a) option
+  val last_time : 'a t -> int
+end
+
 let test_same_time_fifo () =
-  List.iter
-    (fun (name, impl) ->
-      let q = Sim.Event_queue.create ~impl () in
-      (* Three bursts at the same timestamp, interleaved with other times:
-         ties must pop in push order. *)
-      for i = 0 to 99 do
-        Sim.Event_queue.push q 500 (1_000 + i);
-        Sim.Event_queue.push q 100 (2_000 + i);
-        Sim.Event_queue.push q 500 (1_100 + i)
-      done;
-      let got = drain q in
-      let at t = List.filter_map (fun (t', v) -> if t = t' then Some v else None) got in
-      let expect_500 =
-        List.concat_map (fun i -> [ 1_000 + i; 1_100 + i ]) (List.init 100 Fun.id)
-      in
-      Alcotest.(check (list int)) (name ^ ": t=100 FIFO") (List.init 100 (fun i -> 2_000 + i)) (at 100);
-      Alcotest.(check (list int)) (name ^ ": t=500 FIFO") expect_500 (at 500);
-      check_int (name ^ ": drained") 300 (List.length got))
-    impls
+  let q = Q.create () in
+  (* Three bursts at the same timestamp, interleaved with other times:
+     ties must pop in push order. *)
+  for i = 0 to 99 do
+    Q.push q 500 (1_000 + i);
+    Q.push q 100 (2_000 + i);
+    Q.push q 500 (1_100 + i)
+  done;
+  let got = drain q in
+  let at t = List.filter_map (fun (t', v) -> if t = t' then Some v else None) got in
+  let expect_500 =
+    List.concat_map (fun i -> [ 1_000 + i; 1_100 + i ]) (List.init 100 Fun.id)
+  in
+  Alcotest.(check (list int)) "t=100 FIFO" (List.init 100 (fun i -> 2_000 + i)) (at 100);
+  Alcotest.(check (list int)) "t=500 FIFO" expect_500 (at 500);
+  check_int "drained" 300 (List.length got)
 
 let test_clear () =
-  List.iter
-    (fun (name, impl) ->
-      let q = Sim.Event_queue.create ~impl () in
-      for i = 0 to 50 do
-        Sim.Event_queue.push q (i * 7) i;
-        (* Some far beyond the wheel window, to land in the overflow heap. *)
-        Sim.Event_queue.push q ((i * 7) + 1_000_000) i
-      done;
-      Sim.Event_queue.clear q;
-      Alcotest.(check bool) (name ^ ": empty after clear") true (Sim.Event_queue.is_empty q);
-      check_int (name ^ ": length 0") 0 (Sim.Event_queue.length q);
-      Alcotest.(check bool) (name ^ ": no pop") true (Sim.Event_queue.pop q = None);
-      (* The queue must be fully usable after clear. *)
-      Sim.Event_queue.push q 9 1;
-      Sim.Event_queue.push q 3 2;
-      Alcotest.(check (list (pair int int))) (name ^ ": reusable") [ (3, 2); (9, 1) ] (drain q))
-    impls
+  let q = Q.create () in
+  for i = 0 to 50 do
+    Q.push q (i * 7) i;
+    (* Some far beyond the wheel window, to land in the overflow heap. *)
+    Q.push q ((i * 7) + 1_000_000) i
+  done;
+  Q.clear q;
+  Alcotest.(check bool) "empty after clear" true (Q.is_empty q);
+  check_int "length 0" 0 (Q.length q);
+  check_int "overflow 0" 0 (Q.overflow_length q);
+  Alcotest.(check bool) "no pop" true (Q.pop q = None);
+  (* The queue must be fully usable after clear. *)
+  Q.push q 9 1;
+  Q.push q 3 2;
+  Alcotest.(check (list (pair int int))) "reusable" [ (3, 2); (9, 1) ] (drain q)
 
 let test_pop_if_before () =
-  List.iter
-    (fun (name, impl) ->
-      let q = Sim.Event_queue.create ~impl () in
-      Sim.Event_queue.push q 10 "a";
-      Sim.Event_queue.push q 20 "b";
-      Sim.Event_queue.push q 20 "b2";
-      Sim.Event_queue.push q 30 "c";
-      let check_str = Alcotest.(check string) in
-      (* Horizon below the minimum: nothing pops, queue untouched. *)
-      check_str (name ^ ": too early") "none" (Sim.Event_queue.pop_if_before q 9 ~default:"none");
-      check_int (name ^ ": untouched") 4 (Sim.Event_queue.length q);
-      check_str (name ^ ": at min") "a" (Sim.Event_queue.pop_if_before q 10 ~default:"none");
-      check_int (name ^ ": last_time") 10 (Sim.Event_queue.last_time q);
-      (* Ties under the horizon pop in push order. *)
-      check_str (name ^ ": tie 1") "b" (Sim.Event_queue.pop_if_before q 25 ~default:"none");
-      check_str (name ^ ": tie 2") "b2" (Sim.Event_queue.pop_if_before q 25 ~default:"none");
-      check_str (name ^ ": above horizon") "none" (Sim.Event_queue.pop_if_before q 25 ~default:"none");
-      check_str (name ^ ": final") "c" (Sim.Event_queue.pop_if_before q 1_000_000 ~default:"none");
-      Alcotest.(check bool) (name ^ ": drained") true (Sim.Event_queue.is_empty q))
-    impls
+  let q = Q.create () in
+  Q.push q 10 "a";
+  Q.push q 20 "b";
+  Q.push q 20 "b2";
+  Q.push q 30 "c";
+  let check_str = Alcotest.(check string) in
+  (* Horizon below the minimum: nothing pops, queue untouched. *)
+  check_str "too early" "none" (Q.pop_if_before q 9 ~default:"none");
+  check_int "untouched" 4 (Q.length q);
+  check_str "at min" "a" (Q.pop_if_before q 10 ~default:"none");
+  check_int "last_time" 10 (Q.last_time q);
+  (* Ties under the horizon pop in push order. *)
+  check_str "tie 1" "b" (Q.pop_if_before q 25 ~default:"none");
+  check_str "tie 2" "b2" (Q.pop_if_before q 25 ~default:"none");
+  check_str "above horizon" "none" (Q.pop_if_before q 25 ~default:"none");
+  check_str "final" "c" (Q.pop_if_before q 1_000_000 ~default:"none");
+  Alcotest.(check bool) "drained" true (Q.is_empty q)
 
 let test_window_boundary () =
   (* The wheel covers a 16384 ns window past the last popped time; events
      beyond it sit in an overflow heap and migrate in as the window
      advances. Straddle the boundary repeatedly and check order (and
      same-time FIFO across the wheel/heap seam) against the binheap. *)
-  let build impl =
-    let q = Sim.Event_queue.create ~impl () in
+  let build (module M : QUEUE) =
+    let q = M.create () in
     let boundary = 16_384 in
     List.iteri
       (fun i off ->
-        Sim.Event_queue.push q off (2 * i);
-        Sim.Event_queue.push q off ((2 * i) + 1))
+        M.push q off (2 * i);
+        M.push q off ((2 * i) + 1))
       [
         boundary - 1; boundary; boundary + 1; 0; boundary * 3; 1;
         boundary - 1; boundary * 2; boundary; 5; (boundary * 2) + 1; boundary * 10;
@@ -98,17 +104,17 @@ let test_window_boundary () =
        push more events behind and beyond the new window. *)
     let popped = ref [] in
     for _ = 1 to 6 do
-      match Sim.Event_queue.pop q with
+      match M.pop q with
       | Some (t, v) -> popped := (t, v) :: !popped
       | None -> Alcotest.fail "queue exhausted early"
     done;
     List.iteri
-      (fun i off -> Sim.Event_queue.push q off (100 + i))
+      (fun i off -> M.push q off (100 + i))
       [ 2; boundary + 2; (boundary * 4) + 7; 3; boundary * 4 ];
-    List.rev_append !popped (drain q)
+    List.rev_append !popped (drain_with M.pop q)
   in
-  let wheel = build Sim.Event_queue.Wheel in
-  let heap = build Sim.Event_queue.Binheap in
+  let wheel = build (module Q) in
+  let heap = build (module Binheap) in
   Alcotest.(check (list (pair int int))) "wheel = binheap across window boundary" heap wheel
 
 (* A push under a reserved seq pops exactly where a push made at
@@ -116,39 +122,34 @@ let test_window_boundary () =
    reservation, in the slot being drained, across the window edge, and
    after a wait in the overflow heap. *)
 let test_reserved_seq_placement () =
-  List.iter
-    (fun (name, impl) ->
-      let q = Sim.Event_queue.create ~impl () in
-      let pop () =
-        match Sim.Event_queue.pop q with Some (_, v) -> v | None -> Alcotest.fail "empty"
-      in
-      let edge = 10 + 16_384 and far = 1_000_000 in
-      Sim.Event_queue.push q 10 "a";
-      let r_slot = Sim.Event_queue.reserve_seq q in
-      Sim.Event_queue.push q 10 "b";
-      let r_edge = Sim.Event_queue.reserve_seq q in
-      let r_far = Sim.Event_queue.reserve_seq q in
-      Sim.Event_queue.push q 10 "c";
-      Sim.Event_queue.push q edge "edge";
-      Sim.Event_queue.push q (edge - 1) "last-slot";
-      Sim.Event_queue.push q far "far";
-      Alcotest.(check string) (name ^ ": first") "a" (pop ());
-      (* The window now starts at 10: the slot being drained still holds b, c. *)
-      Sim.Event_queue.push_seq q 10 r_slot "slot";
-      Sim.Event_queue.push_seq q edge r_edge "edge-reserved";
-      Sim.Event_queue.push_seq q far r_far "far-reserved";
-      (* Bring the window up to [far - 5]: the far cells must merge by seq
-         with a same-time cell pushed straight into the wheel. *)
-      Sim.Event_queue.push q (far - 5) "near-far";
-      let rest = List.init 7 (fun _ -> pop ()) in
-      Sim.Event_queue.push q far "far-late";
-      let rest = rest @ List.map snd (drain q) in
-      Alcotest.(check (list string))
-        (name ^ ": reserved placement")
-        [ "slot"; "b"; "c"; "last-slot"; "edge-reserved"; "edge"; "near-far";
-          "far-reserved"; "far"; "far-late" ]
-        rest)
-    impls
+  let q = Q.create () in
+  let pop () = match Q.pop q with Some (_, v) -> v | None -> Alcotest.fail "empty" in
+  let edge = 10 + 16_384 and far = 1_000_000 in
+  Q.push q 10 "a";
+  let r_slot = Q.reserve_seq q in
+  Q.push q 10 "b";
+  let r_edge = Q.reserve_seq q in
+  let r_far = Q.reserve_seq q in
+  Q.push q 10 "c";
+  Q.push q edge "edge";
+  Q.push q (edge - 1) "last-slot";
+  Q.push q far "far";
+  Alcotest.(check string) "first" "a" (pop ());
+  (* The window now starts at 10: the slot being drained still holds b, c. *)
+  Q.push_seq q 10 r_slot "slot";
+  Q.push_seq q edge r_edge "edge-reserved";
+  Q.push_seq q far r_far "far-reserved";
+  (* Bring the window up to [far - 5]: the far cells must merge by seq
+     with a same-time cell pushed straight into the wheel. *)
+  Q.push q (far - 5) "near-far";
+  let rest = List.init 7 (fun _ -> pop ()) in
+  Q.push q far "far-late";
+  let rest = rest @ List.map snd (drain q) in
+  Alcotest.(check (list string))
+    "reserved placement"
+    [ "slot"; "b"; "c"; "last-slot"; "edge-reserved"; "edge"; "near-far";
+      "far-reserved"; "far"; "far-late" ]
+    rest
 
 (* Random push/pop interleavings: the wheel must agree with the binheap
    oracle event-for-event, including tie order, interleaved pops that
@@ -172,48 +173,82 @@ let test_equivalence_qcheck =
                 map
                   (fun t -> `Push_reserved t)
                   (oneof [ return 0; int_range 16_380 16_390; int_range 16_000 200_000 ]);
+                (* drain, then one far push onto the idle queue followed by
+                   near ones: an RTO armed before a burst of packet events *)
+                map2
+                  (fun far near -> `Drain_far (far, near))
+                  (int_range 20_000 10_000_000)
+                  (list_size (int_range 1 20) (int_range 0 10_000));
               ]))
        (fun ops ->
-         let run impl =
-           let q = Sim.Event_queue.create ~impl () in
+         let run (module M : QUEUE) =
+           let q = M.create () in
            let log = ref [] in
            let reserved = Queue.create () in
+           let pop () =
+             match M.pop q with
+             | Some (t, v) -> log := (t, v) :: !log
+             | None -> log := (-1, -1) :: !log
+           in
            (* Times are relative to the last popped time so pushes stay
               valid (an engine never schedules in the past) while still
               straddling the window. *)
-           let now () = if Sim.Event_queue.is_empty q then 0 else Sim.Event_queue.last_time q in
+           let now () = if M.is_empty q then 0 else M.last_time q in
            List.iteri
              (fun i op ->
                match op with
-               | `Push dt -> Sim.Event_queue.push q (now () + dt) i
-               | `Reserve -> Queue.push (Sim.Event_queue.reserve_seq q) reserved
+               | `Push dt -> M.push q (now () + dt) i
+               | `Reserve -> Queue.push (M.reserve_seq q) reserved
                | `Push_reserved dt ->
                    if not (Queue.is_empty reserved) then
-                     Sim.Event_queue.push_seq q (now () + dt) (Queue.pop reserved) i
-               | `Pop -> (
-                   match Sim.Event_queue.pop q with
-                   | Some (t, v) -> log := (t, v) :: !log
-                   | None -> log := (-1, -1) :: !log))
+                     M.push_seq q (now () + dt) (Queue.pop reserved) i
+               | `Pop -> pop ()
+               | `Drain_far (far, near) ->
+                   while not (M.is_empty q) do
+                     pop ()
+                   done;
+                   let t0 = M.last_time q in
+                   M.push q (t0 + far) i;
+                   List.iteri (fun k dt -> M.push q (t0 + dt) ((i * 100) + k)) near)
              ops;
-           List.rev_append !log (drain q)
+           List.rev_append !log (drain_with M.pop q)
          in
-         run Sim.Event_queue.Wheel = run Sim.Event_queue.Binheap))
+         run (module Q) = run (module Binheap)))
+
+(* After an idle gap the first push can be a far one: eRPC arms a
+   millisecond-scale RTO before the request's packets exist. Only that event may wait in the
+   overflow heap: the near events pushed after it must use the wheel,
+   whose window stays at the clock rather than jumping to the far event. *)
+let test_far_push_on_idle_queue () =
+  let e = Sim.Engine.create ~seed:1L () in
+  let overflow () = Obs.Metrics.max_gauge (Sim.Engine.metrics e) ~name:"sim.queue_overflow" in
+  let fired = ref 0 in
+  let tick () = incr fired in
+  Sim.Engine.schedule e 100_000 tick;
+  Sim.Engine.run e;
+  check_int "queue idle" 0 (Sim.Engine.pending e);
+  Sim.Engine.schedule e 6_000_000 tick;
+  for i = 0 to 99 do
+    Sim.Engine.schedule e (100_000 + (i * 100)) tick
+  done;
+  Alcotest.(check (float 1e-9)) "only the far event overflows" 1.0 (overflow ());
+  Sim.Engine.run e;
+  check_int "all fired" 102 !fired;
+  Alcotest.(check (float 1e-9)) "overflow drains" 0.0 (overflow ())
 
 (* {2 Whole-simulator properties} *)
 
-(* The two implementations must produce byte-identical traces on a full
-   chaos run — same events, same order, same simulated results. *)
-let test_cross_impl_trace_identity () =
-  let run impl =
-    Sim.Event_queue.set_default_impl impl;
-    Fun.protect ~finally:(fun () -> Sim.Event_queue.set_default_impl Sim.Event_queue.Wheel)
-    @@ fun () -> Experiments.Chaos.run_one ~seed:4242L ()
-  in
-  let w = run Sim.Event_queue.Wheel in
-  let b = run Sim.Event_queue.Binheap in
-  Alcotest.(check string) "trace identical across impls" b.Experiments.Chaos.trace w.trace;
-  check_int "same event count" b.events w.events;
-  Alcotest.(check (list string)) "no invariant violations" [] w.violations
+(* Event order on a full chaos run is pinned by its trace digest, captured
+   when the engine could still run on the binheap oracle and shown
+   byte-identical between the two. A scheduler change that reorders any
+   event — same-time ties included — changes this digest. *)
+let test_chaos_golden_digest () =
+  let r = Experiments.Chaos.run_one ~seed:4242L () in
+  Alcotest.(check string)
+    "trace digest" "a1553404991d49dd9e4aed4d746357cd"
+    (Digest.to_hex (Digest.string r.Experiments.Chaos.trace));
+  check_int "event count" 4011 r.events;
+  Alcotest.(check (list string)) "no invariant violations" [] r.violations
 
 (* Closed-loop echo: 3 client hosts, one session each to a fourth host,
    8 requests in flight per session. *)
@@ -301,7 +336,8 @@ let suite =
     Alcotest.test_case "wheel window boundary" `Quick test_window_boundary;
     Alcotest.test_case "reserved seq placement" `Quick test_reserved_seq_placement;
     test_equivalence_qcheck;
-    Alcotest.test_case "cross-impl trace identity" `Quick test_cross_impl_trace_identity;
+    Alcotest.test_case "far push on idle queue" `Quick test_far_push_on_idle_queue;
+    Alcotest.test_case "chaos golden digest" `Quick test_chaos_golden_digest;
     Alcotest.test_case "allocation budget" `Quick test_allocation_budget;
     Alcotest.test_case "queue depth bounded" `Quick test_queue_depth_bounded;
   ]

@@ -79,39 +79,39 @@ let test_rng_bernoulli () =
 (* {2 Event queue} *)
 
 let test_event_queue_ordering () =
-  let q = Sim.Event_queue.create () in
+  let q = Sim.Timing_wheel.create () in
   let rng = Sim.Rng.create 8L in
   for i = 0 to 999 do
-    Sim.Event_queue.push q (Sim.Rng.int rng 10_000) i
+    Sim.Timing_wheel.push q (Sim.Rng.int rng 10_000) i
   done;
-  check_int "length" 1_000 (Sim.Event_queue.length q);
+  check_int "length" 1_000 (Sim.Timing_wheel.length q);
   let last = ref min_int in
   for _ = 1 to 1_000 do
-    match Sim.Event_queue.pop q with
+    match Sim.Timing_wheel.pop q with
     | None -> Alcotest.fail "queue exhausted early"
     | Some (t, _) ->
         check_bool "non-decreasing" true (t >= !last);
         last := t
   done;
-  check_bool "empty at end" true (Sim.Event_queue.is_empty q)
+  check_bool "empty at end" true (Sim.Timing_wheel.is_empty q)
 
 let test_event_queue_fifo_ties () =
-  let q = Sim.Event_queue.create () in
+  let q = Sim.Timing_wheel.create () in
   for i = 0 to 99 do
-    Sim.Event_queue.push q 42 i
+    Sim.Timing_wheel.push q 42 i
   done;
   for i = 0 to 99 do
-    match Sim.Event_queue.pop q with
+    match Sim.Timing_wheel.pop q with
     | Some (42, v) -> check_int "insertion order among ties" i v
     | _ -> Alcotest.fail "wrong pop"
   done
 
 let test_event_queue_peek () =
-  let q = Sim.Event_queue.create () in
-  check_bool "peek empty" true (Sim.Event_queue.peek_time q = None);
-  Sim.Event_queue.push q 5 ();
-  Sim.Event_queue.push q 3 ();
-  check_bool "peek min" true (Sim.Event_queue.peek_time q = Some 3)
+  let q = Sim.Timing_wheel.create () in
+  check_bool "peek empty" true (Sim.Timing_wheel.peek_time q = None);
+  Sim.Timing_wheel.push q 5 ();
+  Sim.Timing_wheel.push q 3 ();
+  check_bool "peek min" true (Sim.Timing_wheel.peek_time q = Some 3)
 
 let test_event_queue_interleaved () =
   (* Property: popping after interleaved pushes still yields sorted order. *)
@@ -119,18 +119,18 @@ let test_event_queue_interleaved () =
     QCheck2.Test.make ~name:"event_queue sorted under interleaving" ~count:200
       QCheck2.Gen.(list_size (int_range 1 200) (int_range 0 1_000_000))
       (fun times ->
-        let q = Sim.Event_queue.create () in
+        let q = Sim.Timing_wheel.create () in
         let popped = ref [] in
         List.iteri
           (fun i t ->
-            Sim.Event_queue.push q t i;
+            Sim.Timing_wheel.push q t i;
             if i mod 3 = 2 then
-              match Sim.Event_queue.pop q with
+              match Sim.Timing_wheel.pop q with
               | Some (t, _) -> popped := t :: !popped
               | None -> ())
           times;
         let rec drain () =
-          match Sim.Event_queue.pop q with
+          match Sim.Timing_wheel.pop q with
           | Some (t, _) ->
               popped := t :: !popped;
               drain ()
