@@ -13,7 +13,7 @@ type t = {
   host : int;
   handlers : (int, handler_mode * handler) Hashtbl.t;
   workers : worker array;
-  rx_routes : (int, Netsim.Packet.t -> unit) Hashtbl.t;
+  mutable rx_routes : (Netsim.Packet.t -> unit) option array;  (* by Rpc id *)
   mutable dead : bool;
 }
 
@@ -32,7 +32,7 @@ let create fabric ~host ?(num_workers = 1) () =
               running = false;
               inflight = 0;
             });
-      rx_routes = Hashtbl.create 8;
+      rx_routes = [||];
       dead = false;
     }
   in
@@ -40,8 +40,8 @@ let create fabric ~host ?(num_workers = 1) () =
       if t.dead then Netsim.Packet.free pkt
       else
         match pkt.Netsim.Packet.body with
-        | Wire.Pkt { dst_rpc; _ } -> (
-            match Hashtbl.find_opt t.rx_routes dst_rpc with
+        | Wire.Pkt { dst_rpc; _ } when dst_rpc >= 0 && dst_rpc < Array.length t.rx_routes -> (
+            match t.rx_routes.(dst_rpc) with
             | Some rx -> rx pkt
             | None -> Netsim.Packet.free pkt)
         | _ -> Netsim.Packet.free pkt);
@@ -61,9 +61,16 @@ let register_handler t ~req_type ~mode handler =
 let handler t req_type = Hashtbl.find_opt t.handlers req_type
 
 let register_rx t ~rpc_id ~rx =
-  if Hashtbl.mem t.rx_routes rpc_id then
+  if rpc_id < 0 then invalid_arg (Printf.sprintf "Nexus.register_rx: negative Rpc id %d" rpc_id);
+  let n = Array.length t.rx_routes in
+  if rpc_id >= n then begin
+    let routes = Array.make (Int.max (rpc_id + 1) (2 * n)) None in
+    Array.blit t.rx_routes 0 routes 0 n;
+    t.rx_routes <- routes
+  end;
+  if Option.is_some t.rx_routes.(rpc_id) then
     invalid_arg (Printf.sprintf "Nexus.register_rx: Rpc id %d already exists on host %d" rpc_id t.host);
-  Hashtbl.replace t.rx_routes rpc_id rx
+  t.rx_routes.(rpc_id) <- Some rx
 
 let rec drain_worker t w =
   match Queue.take_opt w.jobs with

@@ -28,7 +28,10 @@ val handler : t -> int -> (handler_mode * handler) option
 
 (** {2 Internal interfaces used by Rpc} *)
 
-(** Route packets with [dst_rpc = rpc_id] to [rx]. *)
+(** Route packets with [dst_rpc = rpc_id] to [rx]. Routes live in an
+    array indexed by Rpc id (one small id per thread), so per-packet
+    dispatch does no hashing. Packets for an unregistered id are freed.
+    Registering an id twice raises. *)
 val register_rx : t -> rpc_id:int -> rx:(Netsim.Packet.t -> unit) -> unit
 
 (** Run [job] on the least-loaded worker thread. The job receives the

@@ -415,7 +415,7 @@ and client_rx t sess slot hdr data off len ~ecn =
                   if hdr.msg_size > Msgbuf.max_size args.resp then
                     invalid_arg "eRPC: response larger than client's response msgbuf";
                   Msgbuf.unsafe_set_size args.resp hdr.msg_size;
-                  cli.n_resp_pkts <- max 1 ((hdr.msg_size + t.cfg.mtu - 1) / t.cfg.mtu)
+                  cli.n_resp_pkts <- Int.max 1 ((hdr.msg_size + t.cfg.mtu - 1) / t.cfg.mtu)
                 end;
                 (* Copy response data into the client's response msgbuf
                    (§3.1); this copy is a real CPU cost (§6.4). *)
@@ -501,7 +501,7 @@ and send_resp_pkt t sess slot ~pkt_num ~ecn_echo =
       let mtu = t.cfg.mtu in
       let len =
         let off = pkt_num * mtu in
-        if off >= msg_size then 0 else min mtu (msg_size - off)
+        if off >= msg_size then 0 else Int.min mtu (msg_size - off)
       in
       let payload =
         Some (Msgbuf.unsafe_bytes resp, Msgbuf.unsafe_offset resp + (pkt_num * mtu), len)
@@ -528,7 +528,7 @@ and begin_new_request t sess slot hdr =
   srv.req_buf <- None;
   srv.handler_done <- false;
   srv.num_rx <- 0;
-  srv.n_req_pkts <- max 1 ((hdr.Pkthdr.msg_size + t.cfg.mtu - 1) / t.cfg.mtu);
+  srv.n_req_pkts <- Int.max 1 ((hdr.Pkthdr.msg_size + t.cfg.mtu - 1) / t.cfg.mtu);
   slot.req_num <- hdr.req_num;
   slot.busy <- true;
   ignore sess
@@ -547,7 +547,7 @@ and server_rx t sess slot hdr data off len ~ecn =
              re-acks everything received so far. *)
           if p < srv.n_req_pkts - 1 then begin
             let ack =
-              if t.cfg.opts.cumulative_crs then min (srv.num_rx - 1) (srv.n_req_pkts - 2)
+              if t.cfg.opts.cumulative_crs then Int.min (srv.num_rx - 1) (srv.n_req_pkts - 2)
               else p
             in
             send_cr t sess slot ~pkt_num:ack ~req_type:hdr.req_type ~ecn_echo:ecn

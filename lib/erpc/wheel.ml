@@ -19,9 +19,9 @@ let create ~slot_ns ~num_slots =
 let horizon_ns t = t.slot_ns * (t.num_slots - 1)
 
 let insert t ~now ~at x =
-  let at = max at now in
-  let at = min at (now + horizon_ns t) in
-  let abs_slot = max (at / t.slot_ns) t.cursor_slot in
+  let at = Int.max at now in
+  let at = Int.min at (now + horizon_ns t) in
+  let abs_slot = Int.max (at / t.slot_ns) t.cursor_slot in
   Queue.add x t.slots.(abs_slot mod t.num_slots);
   t.pending <- t.pending + 1
 

@@ -157,9 +157,14 @@ let deliver t host_id pkt =
 
 let unattached_rx _pkt = invalid_arg "Network: packet delivered to unattached host"
 
+(* Flight time of a link that feeds a switch: the cable plus the switch's
+   cut-through latency, so the arrival event is the switch traversal and
+   calls {!Switch.forward} directly. *)
+let feed_delay_ns cfg = cfg.cable_ns + cfg.switch_latency_ns
+
 (* Builds one ToR with [host_ids] below it. Returns the per-host record
    list. Downlink egress ports deliver to hosts; host TX ports feed the
-   ToR's ingress. *)
+   ToR. *)
 let build_tor t_ref engine cfg ~name ~tor_index ~host_ids switch =
   List.map
     (fun host_id ->
@@ -176,8 +181,8 @@ let build_tor t_ref engine cfg ~name ~tor_index ~host_ids switch =
       let tx_port =
         Port.create engine
           ~name:(Printf.sprintf "h%d->%s" host_id name)
-          ~rate_gbps:cfg.link_gbps ~extra_delay_ns:cfg.cable_ns
-          ~sink:(fun pkt -> Switch.receive switch pkt)
+          ~rate_gbps:cfg.link_gbps ~extra_delay_ns:(feed_delay_ns cfg)
+          ~sink:(fun pkt -> Switch.forward switch pkt)
           ()
       in
       (host_id, { rx = unattached_rx; tx_port; tor = switch; tor_downlink = downlink_idx; tor_index }))
@@ -191,8 +196,8 @@ let create engine cfg =
          match cfg.topology with
          | Single_switch { hosts = n } ->
              let sw =
-               Switch.create engine ~name:"sw0" ~latency_ns:cfg.switch_latency_ns
-                 ~buffer_bytes:cfg.switch_buffer_bytes ~alpha:cfg.buffer_alpha
+               Switch.create engine ~name:"sw0" ~buffer_bytes:cfg.switch_buffer_bytes
+                 ~alpha:cfg.buffer_alpha
              in
              let host_ids = List.init n Fun.id in
              let assoc = build_tor t engine cfg ~name:"sw0" ~tor_index:0 ~host_ids sw in
@@ -205,15 +210,13 @@ let create engine cfg =
                Array.init spines (fun s ->
                    Switch.create engine
                      ~name:(Printf.sprintf "spine%d" s)
-                     ~latency_ns:cfg.switch_latency_ns ~buffer_bytes:cfg.switch_buffer_bytes
-                     ~alpha:cfg.buffer_alpha)
+                     ~buffer_bytes:cfg.switch_buffer_bytes ~alpha:cfg.buffer_alpha)
              in
              let tor_switches =
                Array.init tors (fun i ->
                    Switch.create engine
                      ~name:(Printf.sprintf "tor%d" i)
-                     ~latency_ns:cfg.switch_latency_ns ~buffer_bytes:cfg.switch_buffer_bytes
-                     ~alpha:cfg.buffer_alpha)
+                     ~buffer_bytes:cfg.switch_buffer_bytes ~alpha:cfg.buffer_alpha)
              in
              let assoc = ref [] in
              Array.iteri
@@ -232,17 +235,17 @@ let create engine cfg =
                        let p =
                          Port.create engine
                            ~name:(Printf.sprintf "tor%d-up%d" i u)
-                           ~rate_gbps:uplink_gbps ~extra_delay_ns:cfg.cable_ns
+                           ~rate_gbps:uplink_gbps ~extra_delay_ns:(feed_delay_ns cfg)
                            ~pool:(Switch.pool tor) ?ecn:cfg.ecn ~lossless:cfg.lossless
-                           ~sink:(fun pkt -> Switch.receive spine pkt)
+                           ~sink:(fun pkt -> Switch.forward spine pkt)
                            ()
                        in
                        let down =
                          Port.create engine
                            ~name:(Printf.sprintf "%s->tor%d.%d" (Switch.name spine) i u)
-                           ~rate_gbps:uplink_gbps ~extra_delay_ns:cfg.cable_ns
+                           ~rate_gbps:uplink_gbps ~extra_delay_ns:(feed_delay_ns cfg)
                            ~pool:(Switch.pool spine) ?ecn:cfg.ecn ~lossless:cfg.lossless
-                           ~sink:(fun pkt -> Switch.receive tor pkt)
+                           ~sink:(fun pkt -> Switch.forward tor pkt)
                            ()
                        in
                        spine_downlinks.(si) := Switch.add_port spine down :: !(spine_downlinks.(si));

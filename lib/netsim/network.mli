@@ -25,7 +25,9 @@ type config = {
   topology : topology;
   link_gbps : float;  (** host-to-ToR link rate *)
   cable_ns : int;  (** per-hop propagation delay *)
-  switch_latency_ns : int;  (** cut-through port-to-port latency *)
+  switch_latency_ns : int;
+      (** cut-through port-to-port latency, added to the flight time of
+          every link that feeds a switch *)
   switch_buffer_bytes : int;
   buffer_alpha : float;  (** dynamic-threshold alpha *)
   ecn : Port.ecn_config option;

@@ -2,7 +2,8 @@
 
     A port serializes packets at the link rate and delivers each to [sink]
     after serialization plus [extra_delay_ns] (propagation + fixed
-    receiver-side latency). If the port is backed by a {!Buffer_pool},
+    receiver-side latency, such as the cut-through latency of the switch
+    a link feeds; see {!Switch}). If the port is backed by a {!Buffer_pool},
     dynamic-threshold admission applies and rejected packets are dropped;
     an unpooled port (host NIC TX) queues without bound — senders are
     expected to self-limit, which is exactly what eRPC's credit scheme

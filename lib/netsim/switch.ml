@@ -1,40 +1,24 @@
 type t = {
-  engine : Sim.Engine.t;
   name : string;
-  latency_ns : int;
   pool : Buffer_pool.t;
   mutable ports : Port.t array;
   mutable num_ports : int;
-  routes : (int, int array) Hashtbl.t;
-  (* Packets crossing the switching fabric, paired with their egress port
-     index. The transit latency is constant, so the preallocated [on_hop]
-     event pops in scheduling order — no per-packet closure. *)
-  transit : Packet.t Sim.Ring.t;
-  transit_port : int Sim.Ring.t;
-  mutable on_hop : unit -> unit;
+  (* Egress candidates by destination host; [no_route] where none is set. *)
+  mutable routes : int array array;
 }
 
-let hop t =
-  let pkt = Sim.Ring.take t.transit in
-  let pi = Sim.Ring.take t.transit_port in
-  ignore (Port.send t.ports.(pi) pkt)
+let no_route = [||]
 
-let create engine ~name ~latency_ns ~buffer_bytes ~alpha =
+let create engine ~name ~buffer_bytes ~alpha =
   let t =
     {
-      engine;
       name;
-      latency_ns;
       pool = Buffer_pool.create ~capacity_bytes:buffer_bytes ~alpha;
       ports = [||];
       num_ports = 0;
-      routes = Hashtbl.create 64;
-      transit = Sim.Ring.create ~capacity:64 ~dummy:Packet.nil ();
-      transit_port = Sim.Ring.create ~capacity:64 ~dummy:0 ();
-      on_hop = (fun () -> ());
+      routes = [||];
     }
   in
-  t.on_hop <- (fun () -> hop t);
   let m = Sim.Engine.metrics engine in
   let labels = [ ("switch", name) ] in
   Obs.Metrics.gauge m ~name:"switch.buffer_used" ~labels (fun () ->
@@ -63,19 +47,21 @@ let port t i =
 
 let num_ports t = t.num_ports
 
-let set_route t ~dst ~ports = Hashtbl.replace t.routes dst ports
+let set_route t ~dst ~ports =
+  if dst >= Array.length t.routes then begin
+    let routes = Array.make (Int.max (dst + 1) (2 * Array.length t.routes)) no_route in
+    Array.blit t.routes 0 routes 0 (Array.length t.routes);
+    t.routes <- routes
+  end;
+  t.routes.(dst) <- ports
 
-let receive t pkt =
-  match Hashtbl.find_opt t.routes pkt.Packet.dst with
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Switch %s: no route for host %d" t.name pkt.Packet.dst)
-  | Some candidates ->
-      let n = Array.length candidates in
-      let idx = if n = 1 then 0 else pkt.Packet.flow_hash mod n in
-      Sim.Ring.push t.transit pkt;
-      Sim.Ring.push t.transit_port candidates.(idx);
-      Sim.Engine.schedule_after t.engine t.latency_ns t.on_hop
+let forward t pkt =
+  let dst = pkt.Packet.dst in
+  let candidates = if dst >= 0 && dst < Array.length t.routes then t.routes.(dst) else no_route in
+  let n = Array.length candidates in
+  if n = 0 then invalid_arg (Printf.sprintf "Switch %s: no route for host %d" t.name dst);
+  let idx = if n = 1 then 0 else pkt.Packet.flow_hash mod n in
+  ignore (Port.send t.ports.(candidates.(idx)) pkt)
 
 let dropped_packets t =
   let total = ref 0 in

@@ -83,7 +83,7 @@ let on_network_rx t pkt =
      jitter may delay, never reorder. *)
   let jitter = if t.cfg.rx_jitter_ns > 0 then Sim.Rng.int t.rng (t.cfg.rx_jitter_ns + 1) else 0 in
   let now = Sim.Engine.now t.engine in
-  let at = max (now + t.cfg.rx_latency_ns + jitter) t.rx_last_delivery in
+  let at = Int.max (now + t.cfg.rx_latency_ns + jitter) t.rx_last_delivery in
   t.rx_last_delivery <- at;
   Sim.Ring.push t.rx_fly pkt;
   Sim.Engine.schedule t.engine at t.rx_done
@@ -171,7 +171,7 @@ let set_rx_notify t f = t.rx_notify <- f
 
 let replenish_rq t n =
   assert (n >= 0);
-  t.rq_available <- min t.cfg.rq_size (t.rq_available + n);
+  t.rq_available <- Int.min t.cfg.rq_size (t.rq_available + n);
   if t.cfg.multi_packet_rq then begin
     let total = t.replenish_partial + n in
     let posts = total / t.cfg.multi_packet_rq_stride in

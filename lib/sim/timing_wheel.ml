@@ -22,54 +22,79 @@
 
    Occupancy is tracked by a three-level bitmap (32 slots per word), so
    finding the next non-empty slot is a handful of shifts even when the
-   wheel is sparse. *)
+   wheel is sparse.
 
-type 'a cell = {
-  mutable time : Time.t;
-  mutable seq : int;
-  mutable payload : 'a;
-  mutable next : 'a cell; (* slot chain, heap padding, or free-list link *)
-}
+   Cells are stored as a struct of arrays: a cell is an int index into
+   the parallel [time], [seq] and [next] int arrays and the [payload]
+   array. Slot chains, the overflow heap and the free-list all hold cell
+   indices, so every link update is an int store, which needs no GC write
+   barrier; only storing a payload and clearing it on pop do. The arrays
+   double when the free-list runs dry and never shrink. *)
 
 let wheel_bits = 14
 let wheel_size = 1 lsl wheel_bits (* 16384 ns window *)
 let mask = wheel_size - 1
 let l0_words = wheel_size / 32 (* 512 *)
 let l1_words = l0_words / 32 (* 16 *)
+let initial_cells = 1024 (* most engines here never hold more pending events *)
+
+(* End of a chain, an empty slot, an empty free-list. *)
+let nil = -1
 
 type 'a t = {
-  nil : 'a cell; (* per-queue sentinel: end-of-chain, empty slot, heap pad *)
-  head : 'a cell array; (* slot chains, [seq]-ordered *)
-  tail : 'a cell array;
+  head : int array; (* slot chains, [seq]-ordered *)
+  tail : int array;
   l0 : int array; (* bit s land 31 of word s lsr 5: slot s occupied *)
   l1 : int array; (* bit w land 31 of word w lsr 5: l0.(w) <> 0 *)
   mutable l2 : int; (* bit w1: l1.(w1) <> 0 *)
   mutable base : Time.t; (* window start; advances to each popped time *)
   mutable wheel_count : int;
-  mutable heap : 'a cell array; (* overflow min-heap by (time, seq) *)
+  mutable heap : int array; (* overflow min-heap of cells by (time, seq) *)
   mutable heap_size : int;
-  mutable free : 'a cell; (* free-list through [next] *)
+  (* cell storage *)
+  mutable time : Time.t array;
+  mutable seq : int array;
+  mutable next : int array; (* slot chain or free-list link *)
+  mutable payload : 'a array;
+  mutable free : int;
   mutable next_seq : int;
   mutable last : Time.t;
 }
 
+(* Placeholder for an unused payload slot. An immediate, so the payload
+   array is never a flat float array and holds no stale pointer. *)
+let empty () : 'a = Obj.magic 0
+
+(* Thread cells [lo, hi) onto the free-list, lowest index first. *)
+let free_range t lo hi =
+  for c = hi - 1 downto lo do
+    t.next.(c) <- t.free;
+    t.free <- c
+  done
+
 let create () =
-  let rec nil = { time = min_int; seq = min_int; payload = Obj.magic 0; next = nil } in
-  {
-    nil;
-    head = Array.make wheel_size nil;
-    tail = Array.make wheel_size nil;
-    l0 = Array.make l0_words 0;
-    l1 = Array.make l1_words 0;
-    l2 = 0;
-    base = Time.zero;
-    wheel_count = 0;
-    heap = Array.make 64 nil;
-    heap_size = 0;
-    free = nil;
-    next_seq = 0;
-    last = Time.zero;
-  }
+  let t =
+    {
+      head = Array.make wheel_size nil;
+      tail = Array.make wheel_size nil;
+      l0 = Array.make l0_words 0;
+      l1 = Array.make l1_words 0;
+      l2 = 0;
+      base = Time.zero;
+      wheel_count = 0;
+      heap = Array.make initial_cells nil;
+      heap_size = 0;
+      time = Array.make initial_cells 0;
+      seq = Array.make initial_cells 0;
+      next = Array.make initial_cells nil;
+      payload = Array.make initial_cells (empty ());
+      free = nil;
+      next_seq = 0;
+      last = Time.zero;
+    }
+  in
+  free_range t 0 initial_cells;
+  t
 
 let is_empty t = t.wheel_count = 0 && t.heap_size = 0
 let length t = t.wheel_count + t.heap_size
@@ -92,21 +117,32 @@ let occupied_slots t =
   done;
   !n
 
+let grow_cells t =
+  let n = Array.length t.time in
+  let extend a fill =
+    let b = Array.make (2 * n) fill in
+    Array.blit a 0 b 0 n;
+    b
+  in
+  t.time <- extend t.time 0;
+  t.seq <- extend t.seq 0;
+  t.next <- extend t.next nil;
+  t.payload <- extend t.payload (empty ());
+  free_range t n (2 * n)
+
 let alloc_cell t time seq payload =
+  if t.free = nil then grow_cells t;
   let c = t.free in
-  if c != t.nil then begin
-    t.free <- c.next;
-    c.time <- time;
-    c.seq <- seq;
-    c.payload <- payload;
-    c.next <- t.nil;
-    c
-  end
-  else { time; seq; payload; next = t.nil }
+  t.free <- t.next.(c);
+  t.time.(c) <- time;
+  t.seq.(c) <- seq;
+  t.next.(c) <- nil;
+  t.payload.(c) <- payload;
+  c
 
 let free_cell t c =
-  c.payload <- Obj.magic 0;
-  c.next <- t.free;
+  t.payload.(c) <- empty ();
+  t.next.(c) <- t.free;
   t.free <- c
 
 (* --- occupancy bitmap --- *)
@@ -176,97 +212,99 @@ let wheel_min_slot t =
 
 (* --- overflow heap (cells, ordered by (time, seq)) --- *)
 
-let cell_before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
-let grow_heap t =
-  let h = Array.make (2 * Array.length t.heap) t.nil in
-  Array.blit t.heap 0 h 0 t.heap_size;
-  t.heap <- h
+let cell_before t a b =
+  let ta = t.time.(a) and tb = t.time.(b) in
+  ta < tb || (ta = tb && t.seq.(a) < t.seq.(b))
 
 let heap_push t c =
-  if t.heap_size >= Array.length t.heap then grow_heap t;
+  if t.heap_size >= Array.length t.heap then begin
+    let h = Array.make (2 * Array.length t.heap) nil in
+    Array.blit t.heap 0 h 0 t.heap_size;
+    t.heap <- h
+  end;
+  let heap = t.heap in
+  (* Sift the hole up from the end, then drop [c] into it. *)
   let i = ref t.heap_size in
   t.heap_size <- t.heap_size + 1;
-  t.heap.(!i) <- c;
   let continue = ref true in
   while !continue && !i > 0 do
     let parent = (!i - 1) / 2 in
-    if cell_before t.heap.(!i) t.heap.(parent) then begin
-      let tmp = t.heap.(parent) in
-      t.heap.(parent) <- t.heap.(!i);
-      t.heap.(!i) <- tmp;
+    if cell_before t c heap.(parent) then begin
+      heap.(!i) <- heap.(parent);
       i := parent
     end
     else continue := false
-  done
-
-let heap_sift_down t =
-  let i = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let smallest = ref !i in
-    if l < t.heap_size && cell_before t.heap.(l) t.heap.(!smallest) then smallest := l;
-    if r < t.heap_size && cell_before t.heap.(r) t.heap.(!smallest) then smallest := r;
-    if !smallest <> !i then begin
-      let tmp = t.heap.(!smallest) in
-      t.heap.(!smallest) <- t.heap.(!i);
-      t.heap.(!i) <- tmp;
-      i := !smallest
-    end
-    else continue := false
-  done
+  done;
+  heap.(!i) <- c
 
 let heap_remove_top t =
-  let top = t.heap.(0) in
-  t.heap_size <- t.heap_size - 1;
-  if t.heap_size > 0 then begin
-    t.heap.(0) <- t.heap.(t.heap_size);
-    t.heap.(t.heap_size) <- t.nil;
-    heap_sift_down t
-  end
-  else t.heap.(0) <- t.nil;
+  let heap = t.heap in
+  let top = heap.(0) in
+  let n = t.heap_size - 1 in
+  t.heap_size <- n;
+  if n > 0 then begin
+    (* Sift the last cell down from the root's hole. *)
+    let c = heap.(n) in
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= n then continue := false
+      else begin
+        let r = l + 1 in
+        let child = if r < n && cell_before t heap.(r) heap.(l) then r else l in
+        if cell_before t heap.(child) c then begin
+          heap.(!i) <- heap.(child);
+          i := child
+        end
+        else continue := false
+      end
+    done;
+    heap.(!i) <- c
+  end;
   top
 
 (* --- wheel slot insertion --- *)
 
 let slot_append t s c =
-  if t.head.(s) == t.nil then begin
+  let tl = t.tail.(s) in
+  if tl = nil then begin
     t.head.(s) <- c;
-    t.tail.(s) <- c;
     bit_set t s
   end
-  else begin
-    t.tail.(s).next <- c;
-    t.tail.(s) <- c
-  end;
+  else t.next.(tl) <- c;
+  t.tail.(s) <- c;
   t.wheel_count <- t.wheel_count + 1
 
 (* Heap-to-wheel migration must merge by [seq]: a cell that waited in the
    heap can carry a smaller seq than same-time cells pushed straight into
    the slot after the window advanced. *)
 let slot_insert_sorted t c =
-  let s = c.time land mask in
-  if t.head.(s) == t.nil || c.seq > t.tail.(s).seq then slot_append t s c
-  else if c.seq < t.head.(s).seq then begin
-    c.next <- t.head.(s);
-    t.head.(s) <- c;
-    t.wheel_count <- t.wheel_count + 1
-  end
+  let s = t.time.(c) land mask in
+  let h = t.head.(s) in
+  let sc = t.seq.(c) in
+  if h = nil || sc > t.seq.(t.tail.(s)) then slot_append t s c
   else begin
-    let p = ref t.head.(s) in
-    while c.seq > !p.next.seq do
-      p := !p.next
-    done;
-    c.next <- !p.next;
-    !p.next <- c;
+    if sc < t.seq.(h) then begin
+      t.next.(c) <- h;
+      t.head.(s) <- c
+    end
+    else begin
+      (* The tail's seq is larger, so the walk stops before the end. *)
+      let p = ref h in
+      while sc > t.seq.(t.next.(!p)) do
+        p := t.next.(!p)
+      done;
+      t.next.(c) <- t.next.(!p);
+      t.next.(!p) <- c
+    end;
     t.wheel_count <- t.wheel_count + 1
   end
 
 let in_window t time = time >= t.base && time - t.base < wheel_size
 
 let transfer_in_window t =
-  while t.heap_size > 0 && in_window t t.heap.(0).time do
+  while t.heap_size > 0 && in_window t t.time.(t.heap.(0)) do
     slot_insert_sorted t (heap_remove_top t)
   done
 
@@ -289,56 +327,59 @@ let push_seq t time seq payload =
   if in_window t time then slot_insert_sorted t c else heap_push t c
 
 (* Detach and return the earliest cell if its time is <= horizon, else
-   [t.nil]. The caller owns the returned cell and must free it. *)
+   [nil]. The caller owns the returned cell and must free it. *)
 let rec pop_cell_if_le t horizon =
-  if t.heap_size > 0 && t.heap.(0).time < t.base then begin
+  if t.heap_size > 0 && t.time.(t.heap.(0)) < t.base then begin
     (* A behind-the-window push: it beats anything in the wheel. *)
-    if t.heap.(0).time > horizon then t.nil else heap_remove_top t
+    if t.time.(t.heap.(0)) > horizon then nil else heap_remove_top t
   end
   else begin
     transfer_in_window t;
     if t.wheel_count > 0 then begin
       let s = wheel_min_slot t in
       let c = t.head.(s) in
-      if c.time > horizon then t.nil
+      let time = t.time.(c) in
+      if time > horizon then nil
       else begin
-        t.head.(s) <- c.next;
-        if c.next == t.nil then begin
-          t.tail.(s) <- t.nil;
+        let nx = t.next.(c) in
+        t.head.(s) <- nx;
+        if nx = nil then begin
+          t.tail.(s) <- nil;
           bit_clear t s
         end;
         t.wheel_count <- t.wheel_count - 1;
-        t.base <- c.time;
+        t.base <- time;
         c
       end
     end
     else if t.heap_size > 0 then begin
       (* Everything pending lies beyond the window: jump the window there. *)
-      if t.heap.(0).time > horizon then t.nil
+      let time = t.time.(t.heap.(0)) in
+      if time > horizon then nil
       else begin
-        t.base <- t.heap.(0).time;
+        t.base <- time;
         pop_cell_if_le t horizon
       end
     end
-    else t.nil
+    else nil
   end
 
 let pop_if_before t horizon ~default =
   let c = pop_cell_if_le t horizon in
-  if c == t.nil then default
+  if c = nil then default
   else begin
-    t.last <- c.time;
-    let payload = c.payload in
+    t.last <- t.time.(c);
+    let payload = t.payload.(c) in
     free_cell t c;
     payload
   end
 
 let pop t =
   let c = pop_cell_if_le t max_int in
-  if c == t.nil then None
+  if c = nil then None
   else begin
-    t.last <- c.time;
-    let time = c.time and payload = c.payload in
+    let time = t.time.(c) and payload = t.payload.(c) in
+    t.last <- time;
     free_cell t c;
     Some (time, payload)
   end
@@ -346,31 +387,24 @@ let pop t =
 let peek_time t =
   if is_empty t then None
   else begin
-    let hm = if t.heap_size > 0 then t.heap.(0).time else max_int in
-    let wm = if t.wheel_count > 0 then t.head.(wheel_min_slot t).time else max_int in
-    Some (min hm wm)
+    let hm = if t.heap_size > 0 then t.time.(t.heap.(0)) else max_int in
+    let wm = if t.wheel_count > 0 then t.time.(t.head.(wheel_min_slot t)) else max_int in
+    Some (Int.min hm wm)
   end
 
 let clear t =
-  if t.wheel_count > 0 then
-    for s = 0 to wheel_size - 1 do
-      let c = ref t.head.(s) in
-      while !c != t.nil do
-        let next = !c.next in
-        free_cell t !c;
-        c := next
-      done;
-      t.head.(s) <- t.nil;
-      t.tail.(s) <- t.nil
-    done;
+  if t.wheel_count > 0 then begin
+    Array.fill t.head 0 wheel_size nil;
+    Array.fill t.tail 0 wheel_size nil
+  end;
   Array.fill t.l0 0 l0_words 0;
   Array.fill t.l1 0 l1_words 0;
   t.l2 <- 0;
   t.wheel_count <- 0;
-  for i = 0 to t.heap_size - 1 do
-    free_cell t t.heap.(i);
-    t.heap.(i) <- t.nil
-  done;
   t.heap_size <- 0;
+  let n = Array.length t.time in
+  Array.fill t.payload 0 n (empty ());
+  t.free <- nil;
+  free_range t 0 n;
   t.base <- Time.zero;
   t.next_seq <- 0

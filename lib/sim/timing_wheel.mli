@@ -23,7 +23,20 @@
 
     Pushes behind the window are still correct (they wait in the heap and
     pop ahead of the wheel), so the structure is a general priority
-    queue; they are just slow. *)
+    queue; they are just slow.
+
+    Cells are a struct of arrays: a cell is an int index into parallel
+    [time], [seq] and [next] int arrays plus one payload array, and slot
+    heads and tails, the overflow heap and the free-list all hold ints.
+    The arrays start at 1024 cells (engines here peak at a few hundred
+    to about 1.5k pending events), double when the free-list runs dry
+    and never shrink. With boxed cells, a push plus pop made about nine
+    [caml_modify] write-barrier calls (free-list, payload, [next], head
+    and tail stores); now int stores need no barrier, and only the
+    payload store and its clear on pop go through it. A popped payload is
+    never retained. On its own this took [incast] from 17.2 to 15.1 host
+    us per op (medians of 5 alternating pairs, 4 won; 2-vCPU host,
+    [host_cores] = 2, seed 1729). *)
 
 type 'a t
 

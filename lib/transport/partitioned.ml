@@ -8,15 +8,14 @@
    source NIC + ToR cut-through + gateway uplink serialization inside the
    source partition, the inter-rack cable as the partition hop, then ToR
    cut-through + downlink serialization + cable inside the destination
-   partition. The inter-rack propagation delay is exactly the PDES
-   lookahead window — the physics that lets partitions run ahead of each
-   other.
+   partition. The inter-rack propagation delay is the PDES lookahead
+   window — the physics that lets partitions run ahead of each other.
 
    What crosses the domain boundary is an immutable {!Netsim.Packet.transfer}
    snapshot; each partition rehydrates arrivals from its own packet pool
-   (intrusive free-lists must stay domain-local) and injects them at its
-   ToR ingress, so arrivals traverse the standard switch/downlink/fault
-   pipeline of the receiving partition. *)
+   (intrusive free-lists must stay domain-local) and hands them to its
+   ToR's {!Netsim.Switch.forward}, so arrivals traverse the standard
+   switch/downlink/fault pipeline of the receiving partition. *)
 
 type t = {
   group : Netsim.Packet.transfer Sim.Partition.t;
@@ -62,6 +61,7 @@ let create ?seed ?(config = Netsim.Network.default_config)
   in
   let pools = Array.init racks (fun _ -> Netsim.Packet.create_pool ()) in
   let t = { group; nets; pools; racks; hosts_per_rack; inter_rack_ns } in
+  let switch_ns = config.Netsim.Network.switch_latency_ns in
   for p = 0 to racks - 1 do
     let engine = Sim.Partition.engine group p in
     let sw =
@@ -72,8 +72,11 @@ let create ?seed ?(config = Netsim.Network.default_config)
     for q = 0 to racks - 1 do
       if q <> p then begin
         (* Gateway sink fires after uplink serialization; the inter-rack
-           cable is modeled as the partition hop itself, so the arrival
-           timestamp meets the lookahead bound with equality. *)
+           cable is modeled as the partition hop itself. Like every link
+           that feeds a switch, the hop also carries the destination
+           ToR's cut-through latency, so the message timestamp lies that
+           far past the lookahead bound and its delivery is the switch
+           traversal. *)
         let gw =
           Netsim.Port.create engine
             ~name:(Printf.sprintf "gw%d->%d" p q)
@@ -81,7 +84,7 @@ let create ?seed ?(config = Netsim.Network.default_config)
             ~pool:(Netsim.Switch.pool sw) ?ecn:config.Netsim.Network.ecn
             ~lossless:config.Netsim.Network.lossless
             ~sink:(fun pkt ->
-              let ts = Sim.Engine.now engine + inter_rack_ns in
+              let ts = Sim.Engine.now engine + inter_rack_ns + switch_ns in
               Sim.Partition.send group ~src:p ~dst:q ~ts
                 (Netsim.Packet.to_transfer pkt);
               Netsim.Packet.free pkt)
@@ -96,7 +99,7 @@ let create ?seed ?(config = Netsim.Network.default_config)
       end
     done;
     Sim.Partition.on_receive group p (fun ~ts:_ ~src:_ x ->
-        Netsim.Switch.receive sw (Netsim.Packet.of_transfer pools.(p) x))
+        Netsim.Switch.forward sw (Netsim.Packet.of_transfer pools.(p) x))
   done;
   t
 

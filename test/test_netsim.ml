@@ -94,7 +94,7 @@ let test_port_queue_delay () =
 
 let test_switch_routes_by_destination () =
   let e = Sim.Engine.create () in
-  let sw = Netsim.Switch.create e ~name:"sw" ~latency_ns:300 ~buffer_bytes:1_000_000 ~alpha:8.0 in
+  let sw = Netsim.Switch.create e ~name:"sw" ~buffer_bytes:1_000_000 ~alpha:8.0 in
   let got = Array.make 2 0 in
   let add_port i =
     let p =
@@ -108,22 +108,22 @@ let test_switch_routes_by_destination () =
   let p0 = add_port 0 and p1 = add_port 1 in
   Netsim.Switch.set_route sw ~dst:10 ~ports:[| p0 |];
   Netsim.Switch.set_route sw ~dst:11 ~ports:[| p1 |];
-  Netsim.Switch.receive sw (mk_pkt ~src:0 ~dst:10 ());
-  Netsim.Switch.receive sw (mk_pkt ~src:0 ~dst:11 ());
-  Netsim.Switch.receive sw (mk_pkt ~src:0 ~dst:11 ());
+  Netsim.Switch.forward sw (mk_pkt ~src:0 ~dst:10 ());
+  Netsim.Switch.forward sw (mk_pkt ~src:0 ~dst:11 ());
+  Netsim.Switch.forward sw (mk_pkt ~src:0 ~dst:11 ());
   Sim.Engine.run e;
   check_int "port0" 1 got.(0);
   check_int "port1" 2 got.(1)
 
 let test_switch_no_route_raises () =
   let e = Sim.Engine.create () in
-  let sw = Netsim.Switch.create e ~name:"sw" ~latency_ns:0 ~buffer_bytes:1_000 ~alpha:1.0 in
+  let sw = Netsim.Switch.create e ~name:"sw" ~buffer_bytes:1_000 ~alpha:1.0 in
   Alcotest.check_raises "no route" (Invalid_argument "Switch sw: no route for host 5") (fun () ->
-      Netsim.Switch.receive sw (mk_pkt ~src:0 ~dst:5 ()))
+      Netsim.Switch.forward sw (mk_pkt ~src:0 ~dst:5 ()))
 
 let test_switch_ecmp_spreads_flows () =
   let e = Sim.Engine.create () in
-  let sw = Netsim.Switch.create e ~name:"sw" ~latency_ns:0 ~buffer_bytes:10_000_000 ~alpha:8.0 in
+  let sw = Netsim.Switch.create e ~name:"sw" ~buffer_bytes:10_000_000 ~alpha:8.0 in
   let counts = Array.make 4 0 in
   let ports =
     Array.init 4 (fun i ->
@@ -138,7 +138,7 @@ let test_switch_ecmp_spreads_flows () =
   Netsim.Switch.set_route sw ~dst:1 ~ports;
   (* 400 flows, one packet each. *)
   for flow = 0 to 399 do
-    Netsim.Switch.receive sw (mk_pkt ~src:0 ~dst:1 ~flow ())
+    Netsim.Switch.forward sw (mk_pkt ~src:0 ~dst:1 ~flow ())
   done;
   Sim.Engine.run e;
   Array.iteri
@@ -147,7 +147,7 @@ let test_switch_ecmp_spreads_flows () =
   (* Same flow always takes the same port (no reordering across paths). *)
   let before = Array.copy counts in
   for _ = 1 to 10 do
-    Netsim.Switch.receive sw (mk_pkt ~src:0 ~dst:1 ~flow:7 ())
+    Netsim.Switch.forward sw (mk_pkt ~src:0 ~dst:1 ~flow:7 ())
   done;
   Sim.Engine.run e;
   let diffs = ref 0 in
@@ -252,6 +252,37 @@ let test_victim_port_accessor () =
     (String.length (Netsim.Port.name port) > 0
     && String.length (Netsim.Port.name port) >= 2)
 
+(* {2 Event cost} *)
+
+(* One 32 B echo RPC between two hosts under the same CX4 ToR, counted
+   from enqueue to the continuation. The switch's cut-through latency
+   rides on the link that feeds it, so each of the two switch traversals
+   (request, response) costs its link's single arrival event: 19 events
+   when the switch scheduled a separate hop event, 17 now. *)
+let test_echo_event_count () =
+  let cluster = Transport.Cluster.cx4 ~nodes:10 () in
+  let fabric = Erpc.Fabric.create cluster in
+  check_bool "same ToR" true (Netsim.Network.same_tor (Erpc.Fabric.net fabric) 0 1);
+  let nx0 = Erpc.Nexus.create fabric ~host:0 () in
+  let nx1 = Erpc.Nexus.create fabric ~host:1 () in
+  Erpc.Nexus.register_handler nx1 ~req_type:1 ~mode:Erpc.Nexus.Dispatch (fun h ->
+      let req = Erpc.Req_handle.get_request h in
+      let resp = Erpc.Req_handle.init_response h ~size:(Erpc.Msgbuf.size req) in
+      Erpc.Req_handle.enqueue_response h resp);
+  let client = Erpc.Rpc.create nx0 ~rpc_id:0 in
+  ignore (Erpc.Rpc.create nx1 ~rpc_id:0);
+  let engine = Erpc.Fabric.engine fabric in
+  let sess = Erpc.Rpc.create_session client ~remote_host:1 ~remote_rpc_id:0 () in
+  Sim.Engine.run_until engine (Sim.Time.ms 1.0);
+  let req = Erpc.Msgbuf.alloc ~max_size:32 and resp = Erpc.Msgbuf.alloc ~max_size:32 in
+  let e0 = Sim.Engine.events_processed engine in
+  let events = ref (-1) in
+  Erpc.Rpc.enqueue_request client sess ~req_type:1 ~req ~resp ~cont:(fun r ->
+      check_bool "rpc ok" true (Result.is_ok r);
+      events := Sim.Engine.events_processed engine - e0);
+  Sim.Engine.run_until engine (Sim.Time.ms 2.0);
+  check_int "engine events per echo RPC" 17 !events
+
 let suite =
   [
     Alcotest.test_case "pool admission" `Quick test_pool_basic_admission;
@@ -271,4 +302,5 @@ let suite =
     Alcotest.test_case "cross-ToR latency" `Quick test_cross_tor_slower_than_same_tor;
     Alcotest.test_case "loss injection" `Quick test_loss_injection;
     Alcotest.test_case "victim port accessor" `Quick test_victim_port_accessor;
+    Alcotest.test_case "echo RPC event count" `Quick test_echo_event_count;
   ]

@@ -91,6 +91,21 @@ let qcheck_merge_invariant =
        (fun (events, (k1, k2)) ->
          merged_digest_for ~nparts:k1 events = merged_digest_for ~nparts:k2 events))
 
+(* {2 End-to-end: par-bench golden digest} *)
+
+(* The CI par-bench smoke configuration ([--racks 2 --hosts 2
+   --horizon-ms 2], seed 42). The digest pins the order of every traced
+   event across both rack shards, cross-rack deliveries included; it did
+   not move when the ToR cut-through latency was folded into the links
+   that feed each switch, which dropped one event per switch traversal. *)
+let test_par_bench_golden_digest () =
+  let r =
+    Experiments.Exp_par_sim.run_one ~racks:2 ~hosts_per_rack:2 ~horizon_ms:2.0
+      ~domains:forced_domains ()
+  in
+  check_string "merged digest" "9d8306921f1f8178" r.digest;
+  check_int "events" 16039 r.events
+
 (* {2 End-to-end: par-bench digest equality, >= 5 seeds} *)
 
 let test_par_sim_digest_equality () =
@@ -171,6 +186,7 @@ let suite =
     Alcotest.test_case "kernel lookahead boundary + tie-break" `Quick
       test_lookahead_boundary;
     qcheck_merge_invariant;
+    Alcotest.test_case "par-bench golden digest" `Quick test_par_bench_golden_digest;
     Alcotest.test_case "par-bench digests equal across domains (5 seeds)" `Quick
       test_par_sim_digest_equality;
     Alcotest.test_case "chaos suite identical under --jobs (5 seeds)" `Quick

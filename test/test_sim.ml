@@ -76,6 +76,33 @@ let test_rng_bernoulli () =
   let ratio = float_of_int !hits /. float_of_int n in
   check_bool (Printf.sprintf "p=0.3 measured %.3f" ratio) true (abs_float (ratio -. 0.3) < 0.01)
 
+(* The SplitMix64 stream is part of every same-seed golden: these values
+   were captured before the state moved to unboxed storage and must never
+   change. *)
+let test_rng_golden () =
+  let r = Sim.Rng.create 42L in
+  let draws n f = List.init n (fun _ -> f ()) in
+  let next () = Sim.Rng.next r in
+  Alcotest.(check (list int64))
+    "next"
+    [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L ]
+    (draws 3 next);
+  let int () = Sim.Rng.int r 1_000_000 in
+  Alcotest.(check (list int)) "int" [ 867860; 963250; 825350 ] (draws 3 int);
+  let float () = Sim.Rng.float r in
+  Alcotest.(check (list (float 0.)))
+    "float"
+    [ 0x1.bf4b38e229bb4p-3; 0x1.99ec6bdd3d3c5p-1; 0x1.5c16e1dc2cf5ep-2 ]
+    (draws 3 float);
+  let exp () = Sim.Rng.exponential r 100.0 in
+  Alcotest.(check (list (float 0.)))
+    "exponential"
+    [ 0x1.8063c12cb7dc8p+5; 0x1.3d0b7bbb97f1cp+7 ]
+    (draws 2 exp);
+  let s = Sim.Rng.split r in
+  Alcotest.(check int64) "split child" (-369981776645749888L) (Sim.Rng.next s);
+  Alcotest.(check int64) "split parent" (-8976257307478440218L) (Sim.Rng.next r)
+
 (* {2 Event queue} *)
 
 let test_event_queue_ordering () =
@@ -446,6 +473,7 @@ let suite =
     Alcotest.test_case "rng float bounds" `Quick test_rng_float_bounds;
     Alcotest.test_case "rng uniformity" `Quick test_rng_uniformity;
     Alcotest.test_case "rng bernoulli" `Quick test_rng_bernoulli;
+    Alcotest.test_case "rng golden stream" `Quick test_rng_golden;
     Alcotest.test_case "event queue ordering" `Quick test_event_queue_ordering;
     Alcotest.test_case "event queue FIFO ties" `Quick test_event_queue_fifo_ties;
     Alcotest.test_case "event queue peek" `Quick test_event_queue_peek;
