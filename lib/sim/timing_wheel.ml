@@ -21,8 +21,8 @@
    stays a general priority queue.
 
    Occupancy is tracked by a three-level bitmap (32 slots per word), so
-   finding the next non-empty slot is a handful of shifts even when the
-   wheel is sparse.
+   finding the next non-empty slot is a handful of shifts and at most
+   three branch-free de Bruijn lookups even when the wheel is sparse.
 
    Cells are stored as a struct of arrays: a cell is an int index into
    the parallel [time], [seq] and [next] int arrays and the [payload]
@@ -169,16 +169,18 @@ let bit_clear t s =
     if v1 = 0 then t.l2 <- t.l2 land lnot (1 lsl w1)
   end
 
-(* Index of the least significant set bit of a non-zero 32-bit value. *)
+(* Bit index by the top five bits of [(1 lsl i) * 0x077CB531] mod 2^32:
+   0x077CB531 is a de Bruijn sequence, so those five bits differ for every
+   i in [0, 32). *)
+let debruijn32 =
+  "\000\001\028\002\029\014\024\003\030\022\020\015\025\017\004\008\031\027\013\023\021\019\016\007\026\012\018\006\011\005\010\009"
+
+(* Index of the least significant set bit of a non-zero 32-bit value,
+   branch-free: isolate the bit, then look its index up. The product is
+   below 2^58, so it never overflows a 63-bit int. *)
 let lowest_bit x =
   let b = x land -x in
-  let i = ref 0 in
-  if b land 0xFFFF0000 <> 0 then i := 16;
-  if b land 0xFF00FF00 <> 0 then i := !i + 8;
-  if b land 0xF0F0F0F0 <> 0 then i := !i + 4;
-  if b land 0xCCCCCCCC <> 0 then i := !i + 2;
-  if b land 0xAAAAAAAA <> 0 then i := !i + 1;
-  !i
+  Char.code (String.unsafe_get debruijn32 (((b * 0x077CB531) land 0xFFFFFFFF) lsr 27))
 
 (* First occupied slot index >= s0, or -1. *)
 let find_from t s0 =
@@ -407,4 +409,5 @@ let clear t =
   t.free <- nil;
   free_range t 0 n;
   t.base <- Time.zero;
-  t.next_seq <- 0
+  t.next_seq <- 0;
+  t.last <- Time.zero

@@ -36,7 +36,17 @@
     payload store and its clear on pop go through it. A popped payload is
     never retained. On its own this took [incast] from 17.2 to 15.1 host
     us per op (medians of 5 alternating pairs, 4 won; 2-vCPU host,
-    [host_cores] = 2, seed 1729). *)
+    [host_cores] = 2, seed 1729).
+
+    The next occupied slot is found in a three-level occupancy bitmap (32
+    bits per word). Each level's lowest set bit is isolated with
+    [x land -x] and named by a 32-entry de Bruijn table lookup, with no
+    branch; the five-branch binary search it replaced was the wheel's
+    hottest function (5-7% of profile samples) because the bit it
+    searches for is random. Order and every simulated output are
+    unchanged; [small-rpc] went from 4.56 to 4.00 host us per op and
+    [incast] from 19.87 to 17.62 (medians of 10 alternating pairs, 10
+    won each; 2-vCPU host, [host_cores] = 2, seed 1729). *)
 
 type 'a t
 
@@ -77,6 +87,11 @@ val pop_if_before : 'a t -> Time.t -> default:'a -> 'a
 val last_time : 'a t -> Time.t
 
 val peek_time : 'a t -> Time.t option
+
+(** [clear t] drops every pending event and resets the queue to its
+    freshly created state: the window restarts at [Time.zero], tie-break
+    seqs restart at 0 and {!last_time} reads [Time.zero]. The cell arrays
+    keep their capacity. *)
 val clear : 'a t -> unit
 
 val occupied_slots : 'a t -> int

@@ -55,8 +55,12 @@ let test_clear () =
     (* Some far beyond the wheel window, to land in the overflow heap. *)
     Q.push q ((i * 7) + 1_000_000) i
   done;
+  ignore (Q.pop q);
+  ignore (Q.pop q);
+  check_int "last_time before clear" 7 (Q.last_time q);
   Q.clear q;
   Alcotest.(check bool) "empty after clear" true (Q.is_empty q);
+  check_int "last_time reset" 0 (Q.last_time q);
   check_int "length 0" 0 (Q.length q);
   check_int "overflow 0" 0 (Q.overflow_length q);
   Alcotest.(check bool) "no pop" true (Q.pop q = None);
@@ -64,6 +68,25 @@ let test_clear () =
   Q.push q 9 1;
   Q.push q 3 2;
   Alcotest.(check (list (pair int int))) "reusable" [ (3, 2); (9, 1) ] (drain q)
+
+(* The bitmap scan, exhaustively through the public API: for every
+   distance [d] the window can hold, the next pop must find a slot [d]
+   past the last popped one. [cur] moves on by [d + 1] each round, so the
+   pairs land at every slot alignment, cross the l0, l1 and l2 word
+   boundaries, and wrap around the wheel many times. *)
+let test_scan_every_distance () =
+  let q = Q.create () in
+  let cur = ref 0 in
+  for d = 1 to 16_383 do
+    let t0 = !cur and t1 = !cur + d in
+    Q.push q t1 1;
+    Q.push q t0 0;
+    (match (Q.pop q, Q.pop q) with
+     | Some (a, 0), Some (b, 1) when a = t0 && b = t1 -> ()
+     | _ -> Alcotest.failf "distance %d from %d: wrong pop" d t0);
+    cur := t1 + 1
+  done;
+  Alcotest.(check bool) "drained" true (Q.is_empty q)
 
 let test_pop_if_before () =
   let q = Q.create () in
@@ -388,6 +411,7 @@ let suite =
     Alcotest.test_case "same-time FIFO" `Quick test_same_time_fifo;
     Alcotest.test_case "wheel occupancy gauge" `Quick test_wheel_occupancy_gauge;
     Alcotest.test_case "clear semantics" `Quick test_clear;
+    Alcotest.test_case "scan every distance" `Quick test_scan_every_distance;
     Alcotest.test_case "pop_if_before" `Quick test_pop_if_before;
     Alcotest.test_case "wheel window boundary" `Quick test_window_boundary;
     Alcotest.test_case "reserved seq placement" `Quick test_reserved_seq_placement;

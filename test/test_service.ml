@@ -70,6 +70,36 @@ let test_fnv1a_non_negative () =
     check_bool "hash >= 0" true (Workload.Keygen.fnv1a (Workload.Keygen.encode i) >= 0)
   done
 
+(* Key placement must never move: clients and replicas route by it, and
+   every shard-level golden digest depends on it. The values were
+   computed with an earlier closure-based implementation. *)
+let test_fnv1a_golden () =
+  let map = Service.Shard_map.create ~shards:4 ~replication:3 ~replica_hosts:[| 0; 1; 2; 3 |] in
+  List.iter
+    (fun (key, hash, shard) ->
+      Alcotest.(check int) (Printf.sprintf "fnv1a %S" key) hash (Workload.Keygen.fnv1a key);
+      Alcotest.(check int)
+        (Printf.sprintf "shard of %S" key)
+        shard
+        (Service.Shard_map.shard_of_key map ~key))
+    [
+      ("", 860922984064492325, 1);
+      ("a", 3414815163700866188, 0);
+      ("foobar", 402018224477661160, 0);
+      (Workload.Keygen.encode 0, 185164334926988389, 1);
+      (Workload.Keygen.encode 42, 181371019810417339, 3);
+      (Workload.Keygen.encode 123456789, 2868491943509219274, 2);
+      ("\255\000\128key", 143737862131329221, 1);
+    ]
+
+let test_fnv1a_no_alloc () =
+  let key = Workload.Keygen.encode 42 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    ignore (Sys.opaque_identity (Workload.Keygen.fnv1a key))
+  done;
+  Alcotest.(check (float 0.)) "minor words" 0. (Gc.minor_words () -. before)
+
 (* {2 Wire protocol} *)
 
 let test_kv_proto_request_roundtrip () =
@@ -226,6 +256,8 @@ let suite =
     Alcotest.test_case "shard map: key routing" `Quick test_shard_map_key_routing;
     Alcotest.test_case "shard map: leader hints" `Quick test_shard_map_hints;
     Alcotest.test_case "fnv1a never negative" `Quick test_fnv1a_non_negative;
+    Alcotest.test_case "fnv1a golden placement" `Quick test_fnv1a_golden;
+    Alcotest.test_case "fnv1a allocates nothing" `Quick test_fnv1a_no_alloc;
     Alcotest.test_case "kv proto: request roundtrip" `Quick test_kv_proto_request_roundtrip;
     Alcotest.test_case "kv proto: response roundtrip" `Quick test_kv_proto_response_roundtrip;
     Alcotest.test_case "kv proto: command roundtrip" `Quick test_kv_proto_cmd_roundtrip;
