@@ -8,8 +8,9 @@
 
    `main.exe micro` additionally runs Bechamel microbenchmarks over the hot
    datapath kernels (event queue, timing wheel, Timely, histogram, MICA,
-   Masstree, Raft codec), one Test.make per kernel. `main.exe all` runs
-   everything. *)
+   Masstree, Raft codec, KV request codec), one Test.make per kernel, and
+   prints each kernel's ns and minor-heap words per run. `main.exe all`
+   runs everything. *)
 
 let section title = Printf.printf "\n==== %s ====\n%!" title
 
@@ -370,6 +371,26 @@ let ablations () =
 
 (* {2 Bechamel microbenchmarks} *)
 
+(* Minor-heap words allocated, read with [Gc.minor_words], which counts the
+   current minor heap's allocations too. Bechamel's own minor-allocated
+   instance reads [Gc.quick_stat], whose count moves only at minor
+   collections on OCaml 5, so a kernel allocating a few words per run reads
+   as 0. *)
+module Minor_words = struct
+  type witness = unit
+
+  let load () = ()
+  let unload () = ()
+  let make () = ()
+  let get () = Gc.minor_words ()
+  let label () = "minor-words"
+  let unit () = "w"
+end
+
+let minor_words =
+  Bechamel.Measure.instance (module Minor_words)
+    (Bechamel.Measure.register (module Minor_words))
+
 let micro () =
   let open Bechamel in
   (* 64 pushes [1, 1 + ahead) ns past the last popped time (like the
@@ -445,6 +466,24 @@ let micro () =
     in
     Staged.stage (fun () -> ignore (Raft.Wire.decode (Raft.Wire.encode msg)))
   in
+  (* One KV PUT request through the service's frozen format, into and out
+     of a reused msgbuf: what a client encode plus a replica decode cost. *)
+  let kv_request_kernel =
+    let m = Erpc.Msgbuf.alloc ~max_size:Service.Kv_proto.req_size in
+    let r =
+      {
+        Service.Kv_proto.op = Service.Kv_proto.Put;
+        shard = 3;
+        client_id = 7;
+        seq = 42;
+        key = Workload.Keygen.encode 42;
+        value = String.make Service.Kv_proto.value_size 'v';
+      }
+    in
+    Staged.stage (fun () ->
+        Service.Kv_proto.write_request m r;
+        ignore (Service.Kv_proto.read_request m))
+  in
   let tests =
     [
       (* Engine-shaped: every push lands inside the 16,384 ns wheel
@@ -459,22 +498,28 @@ let micro () =
       Test.make ~name:"mica get (10k keys)" mica_kernel;
       Test.make ~name:"masstree get (10k keys)" masstree_kernel;
       Test.make ~name:"raft codec roundtrip" codec_kernel;
+      Test.make ~name:"kv request encode+decode" kv_request_kernel;
     ]
   in
-  section "Bechamel microbenchmarks (ns per run)";
-  let instance = Toolkit.Instance.monotonic_clock in
+  section "Bechamel microbenchmarks (ns and minor-heap words per run)";
+  let clock = Toolkit.Instance.monotonic_clock in
+  let words = minor_words in
   let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.5) () in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
+  let estimate instance raw name =
+    match Hashtbl.find_opt (Analyze.all ols instance raw) name with
+    | Some o -> ( match Analyze.OLS.estimates o with Some [ est ] -> Some est | _ -> None)
+    | None -> None
+  in
   List.iter
     (fun test ->
-      let raw = Benchmark.all cfg [ instance ] test in
-      let results = Analyze.all ols instance raw in
-      Hashtbl.iter
-        (fun name o ->
-          match Analyze.OLS.estimates o with
-          | Some [ est ] -> Printf.printf "%-32s %12.1f ns\n%!" name est
+      let raw = Benchmark.all cfg [ clock; words ] test in
+      List.iter
+        (fun name ->
+          match (estimate clock raw name, estimate words raw name) with
+          | Some ns, Some w -> Printf.printf "%-32s %12.1f ns %10.1f words\n%!" name ns w
           | _ -> Printf.printf "%-32s (no estimate)\n%!" name)
-        results)
+        (Test.names test))
     tests
 
 (* Full-scale multi-tenant SLO sweep: all three builtin scenarios at the

@@ -53,40 +53,60 @@ type 'a flat = {
   f_leaves : leaf array;  (* declaration order, offsets relative to base *)
 }
 
+(* Compact readers advance a cursor over [cbuf] and never read at or past
+   [climit]; one cursor is allocated per decode, so reading a leaf or a
+   combinator allocates nothing beyond the decoded value itself. *)
+type cursor = { cbuf : bytes; climit : int; mutable cpos : int }
+
 (* A codec is an exact-size function, limit-aware writers/readers over a
    bytes buffer (compact backend), a per-value leaf count for the cost
    model, a static compact-size bound when one exists, and optionally a
-   fixed-offset flat layout. Writers return the next offset; readers return
-   (value, next offset) and never read at or past [limit]. *)
+   fixed-offset flat layout. Writers return the next offset. [fixed_size]
+   and [fixed_leaves] are the compact size and leaf count shared by every
+   value, or -1 when they depend on the value: [size] and [leaves] of a
+   fixed codec answer without looking at (or, through [map], rebuilding)
+   the value. *)
 type 'a t = {
   size : 'a -> int;
   write : bytes -> int -> 'a -> int;
-  read : bytes -> limit:int -> int -> 'a * int;
+  read : cursor -> 'a;
   leaves : 'a -> int;
+  fixed_size : int;
+  fixed_leaves : int;
   bound : int option;
   flat : 'a flat option;
 }
 
-let need b ~limit off n what =
-  if off < 0 || off + n > limit || off + n > Bytes.length b then
+let need cur n what =
+  let off = cur.cpos in
+  if off < 0 || off + n > cur.climit || off + n > Bytes.length cur.cbuf then
     fail
       (Printf.sprintf "truncated %s at offset %d (need %d, have %d)" what off n
-         (min limit (Bytes.length b) - off))
+         (min cur.climit (Bytes.length cur.cbuf) - off))
+
+(* Sum of two per-value quantities; -1 (value-dependent) is absorbing. *)
+let fixed_sum m n = if m < 0 || n < 0 then -1 else m + n
+
+let const_fn n = fun _ -> n
 
 (* {2 Primitives} *)
 
 let prim ~kind ~n ~what ~wr ~rd =
   {
-    size = (fun _ -> n);
+    size = const_fn n;
     write =
       (fun b off v ->
         wr b off v;
         off + n);
     read =
-      (fun b ~limit off ->
-        need b ~limit off n what;
-        (rd b off, off + n));
-    leaves = (fun _ -> 1);
+      (fun cur ->
+        need cur n what;
+        let off = cur.cpos in
+        cur.cpos <- off + n;
+        rd cur.cbuf off);
+    leaves = const_fn 1;
+    fixed_size = n;
+    fixed_leaves = 1;
     bound = Some n;
     flat = Some { f_size = n; f_write = wr; f_read = rd; f_leaves = [| { l_off = 0; l_kind = kind } |] };
   }
@@ -134,16 +154,20 @@ let fixed_string n =
     Bytes.blit_string s 0 b off n
   in
   {
-    size = (fun _ -> n);
+    size = const_fn n;
     write =
       (fun b off s ->
         wr b off s;
         off + n);
     read =
-      (fun b ~limit off ->
-        need b ~limit off n "fixed_string";
-        (Bytes.sub_string b off n, off + n));
-    leaves = (fun _ -> 1);
+      (fun cur ->
+        need cur n "fixed_string";
+        let off = cur.cpos in
+        cur.cpos <- off + n;
+        Bytes.sub_string cur.cbuf off n);
+    leaves = const_fn 1;
+    fixed_size = n;
+    fixed_leaves = 1;
     bound = Some n;
     flat =
       Some
@@ -155,20 +179,31 @@ let fixed_string n =
         };
   }
 
+(* A u32 length prefix followed by that many bytes; [cap] < 0 means no
+   capacity. *)
+let read_body cur ~cap what =
+  let n = u32.read cur in
+  if cap >= 0 && n > cap then
+    fail (Printf.sprintf "bounded_string length %d exceeds capacity %d" n cap);
+  need cur n what;
+  let off = cur.cpos in
+  cur.cpos <- off + n;
+  Bytes.sub_string cur.cbuf off n
+
+let write_body b off s =
+  let n = String.length s in
+  let off = u32.write b off n in
+  Bytes.blit_string s 0 b off n;
+  off + n
+
 let string =
   {
     size = (fun s -> 4 + String.length s);
-    write =
-      (fun b off s ->
-        let off = u32.write b off (String.length s) in
-        Bytes.blit_string s 0 b off (String.length s);
-        off + String.length s);
-    read =
-      (fun b ~limit off ->
-        let n, off = u32.read b ~limit off in
-        need b ~limit off n "string body";
-        (Bytes.sub_string b off n, off + n));
-    leaves = (fun _ -> 1);
+    write = write_body;
+    read = (fun cur -> read_body cur ~cap:(-1) "string body");
+    leaves = const_fn 1;
+    fixed_size = -1;
+    fixed_leaves = 1;
     bound = None;
     flat = None;
   }
@@ -191,16 +226,11 @@ let bounded_string cap =
     write =
       (fun b off s ->
         check s;
-        let off = u32.write b off (String.length s) in
-        Bytes.blit_string s 0 b off (String.length s);
-        off + String.length s);
-    read =
-      (fun b ~limit off ->
-        let n, off = u32.read b ~limit off in
-        if n > cap then fail (Printf.sprintf "bounded_string length %d exceeds capacity %d" n cap);
-        need b ~limit off n "bounded_string body";
-        (Bytes.sub_string b off n, off + n));
-    leaves = (fun _ -> 1);
+        write_body b off s);
+    read = (fun cur -> read_body cur ~cap "bounded_string body");
+    leaves = const_fn 1;
+    fixed_size = -1;
+    fixed_leaves = 1;
     bound = Some (4 + cap);
     flat =
       Some
@@ -228,18 +258,25 @@ let bounded_string cap =
 let shift_leaves d ls = Array.map (fun l -> { l with l_off = l.l_off + d }) ls
 
 let pair a b =
+  let fixed_size = fixed_sum a.fixed_size b.fixed_size in
+  let fixed_leaves = fixed_sum a.fixed_leaves b.fixed_leaves in
   {
-    size = (fun (x, y) -> a.size x + b.size y);
+    size =
+      (if fixed_size >= 0 then const_fn fixed_size else fun (x, y) -> a.size x + b.size y);
     write =
       (fun buf off (x, y) ->
         let off = a.write buf off x in
         b.write buf off y);
     read =
-      (fun buf ~limit off ->
-        let x, off = a.read buf ~limit off in
-        let y, off = b.read buf ~limit off in
-        ((x, y), off));
-    leaves = (fun (x, y) -> a.leaves x + b.leaves y);
+      (fun cur ->
+        let x = a.read cur in
+        let y = b.read cur in
+        (x, y));
+    leaves =
+      (if fixed_leaves >= 0 then const_fn fixed_leaves
+       else fun (x, y) -> a.leaves x + b.leaves y);
+    fixed_size;
+    fixed_leaves;
     bound = (match (a.bound, b.bound) with Some m, Some n -> Some (m + n) | _ -> None);
     flat =
       (match (a.flat, b.flat) with
@@ -263,13 +300,13 @@ let pair a b =
 
 let map ~into ~from c =
   {
-    size = (fun v -> c.size (from v));
+    size = (if c.fixed_size >= 0 then const_fn c.fixed_size else fun v -> c.size (from v));
     write = (fun buf off v -> c.write buf off (from v));
-    read =
-      (fun buf ~limit off ->
-        let x, off = c.read buf ~limit off in
-        (into x, off));
-    leaves = (fun v -> c.leaves (from v));
+    read = (fun cur -> into (c.read cur));
+    leaves =
+      (if c.fixed_leaves >= 0 then const_fn c.fixed_leaves else fun v -> c.leaves (from v));
+    fixed_size = c.fixed_size;
+    fixed_leaves = c.fixed_leaves;
     bound = c.bound;
     flat =
       (match c.flat with
@@ -284,30 +321,81 @@ let map ~into ~from c =
       | None -> None);
   }
 
+(* Compact paths read and write the three fields directly; the flat layout
+   and the fixed metadata are those of the nested pair. *)
 let triple a b c =
-  map
-    ~into:(fun ((x, y), z) -> (x, y, z))
-    ~from:(fun (x, y, z) -> ((x, y), z))
-    (pair (pair a b) c)
+  let nested =
+    map
+      ~into:(fun ((x, y), z) -> (x, y, z))
+      ~from:(fun (x, y, z) -> ((x, y), z))
+      (pair (pair a b) c)
+  in
+  {
+    nested with
+    size =
+      (if nested.fixed_size >= 0 then const_fn nested.fixed_size
+       else fun (x, y, z) -> a.size x + b.size y + c.size z);
+    write =
+      (fun buf off (x, y, z) ->
+        let off = a.write buf off x in
+        let off = b.write buf off y in
+        c.write buf off z);
+    read =
+      (fun cur ->
+        let x = a.read cur in
+        let y = b.read cur in
+        let z = c.read cur in
+        (x, y, z));
+    leaves =
+      (if nested.fixed_leaves >= 0 then const_fn nested.fixed_leaves
+       else fun (x, y, z) -> a.leaves x + b.leaves y + c.leaves z);
+  }
+
+(* Per-element sums over a list; an element codec with a fixed size (leaf
+   count) makes the sum a multiplication. *)
+let sum_sizes elt xs =
+  if elt.fixed_size >= 0 then elt.fixed_size * List.length xs
+  else
+    let rec go acc = function [] -> acc | x :: rest -> go (acc + elt.size x) rest in
+    go 0 xs
+
+let sum_leaves elt xs =
+  if elt.fixed_leaves >= 0 then elt.fixed_leaves * List.length xs
+  else
+    let rec go acc = function [] -> acc | x :: rest -> go (acc + elt.leaves x) rest in
+    go 0 xs
+
+let rec write_all elt buf off = function
+  | [] -> off
+  | x :: rest -> write_all elt buf (elt.write buf off x) rest
+
+(* Lists of zero or one element (a heartbeat, a single AppendEntries
+   entry) need no reversal. *)
+let rev_short = function ([] | [ _ ]) as l -> l | l -> List.rev l
+
+let rec read_n elt cur acc i =
+  if i = 0 then rev_short acc else read_n elt cur (elt.read cur :: acc) (i - 1)
+
+let rec read_to_limit elt cur acc =
+  let off = cur.cpos in
+  if off >= cur.climit then rev_short acc
+  else begin
+    let x = elt.read cur in
+    if cur.cpos <= off then fail "tail_list: element consumed no bytes";
+    read_to_limit elt cur (x :: acc)
+  end
 
 let list elt =
   {
-    size = (fun xs -> 4 + List.fold_left (fun acc x -> acc + elt.size x) 0 xs);
-    write =
-      (fun buf off xs ->
-        let off = u32.write buf off (List.length xs) in
-        List.fold_left (fun off x -> elt.write buf off x) off xs);
+    size = (fun xs -> 4 + sum_sizes elt xs);
+    write = (fun buf off xs -> write_all elt buf (u32.write buf off (List.length xs)) xs);
     read =
-      (fun buf ~limit off ->
-        let n, off = u32.read buf ~limit off in
-        let rec go acc off i =
-          if i = 0 then (List.rev acc, off)
-          else
-            let x, off = elt.read buf ~limit off in
-            go (x :: acc) off (i - 1)
-        in
-        go [] off n);
-    leaves = (fun xs -> 1 + List.fold_left (fun acc x -> acc + elt.leaves x) 0 xs);
+      (fun cur ->
+        let n = u32.read cur in
+        read_n elt cur [] n);
+    leaves = (fun xs -> 1 + sum_leaves elt xs);
+    fixed_size = -1;
+    fixed_leaves = -1;
     bound = None;
     flat = None;
   }
@@ -316,20 +404,12 @@ let list elt =
    the final field of a message. *)
 let tail_list elt =
   {
-    size = (fun xs -> List.fold_left (fun acc x -> acc + elt.size x) 0 xs);
-    write = (fun buf off xs -> List.fold_left (fun off x -> elt.write buf off x) off xs);
-    read =
-      (fun buf ~limit off ->
-        let rec go acc off =
-          if off >= limit then (List.rev acc, off)
-          else begin
-            let x, off' = elt.read buf ~limit off in
-            if off' <= off then fail "tail_list: element consumed no bytes";
-            go (x :: acc) off'
-          end
-        in
-        go [] off);
-    leaves = (fun xs -> List.fold_left (fun acc x -> acc + elt.leaves x) 0 xs);
+    size = sum_sizes elt;
+    write = write_all elt;
+    read = (fun cur -> read_to_limit elt cur []);
+    leaves = sum_leaves elt;
+    fixed_size = -1;
+    fixed_leaves = -1;
     bound = None;
     flat = None;
   }
@@ -344,14 +424,10 @@ let option elt =
         | Some x ->
             let off = bool.write buf off true in
             elt.write buf off x);
-    read =
-      (fun buf ~limit off ->
-        let present, off = bool.read buf ~limit off in
-        if present then
-          let x, off = elt.read buf ~limit off in
-          (Some x, off)
-        else (None, off));
+    read = (fun cur -> if bool.read cur then Some (elt.read cur) else None);
     leaves = (fun v -> match v with None -> 1 | Some x -> 1 + elt.leaves x);
+    fixed_size = -1;
+    fixed_leaves = -1;
     bound = (match elt.bound with Some n -> Some (1 + n) | None -> None);
     flat =
       (match elt.flat with
@@ -388,13 +464,10 @@ let tail_option elt =
   {
     size = (fun v -> match v with None -> 0 | Some x -> elt.size x);
     write = (fun buf off v -> match v with None -> off | Some x -> elt.write buf off x);
-    read =
-      (fun buf ~limit off ->
-        if off >= limit then (None, off)
-        else
-          let x, off = elt.read buf ~limit off in
-          (Some x, off));
+    read = (fun cur -> if cur.cpos >= cur.climit then None else Some (elt.read cur));
     leaves = (fun v -> match v with None -> 0 | Some x -> elt.leaves x);
+    fixed_size = -1;
+    fixed_leaves = -1;
     bound = elt.bound;
     flat = None;
   }
@@ -418,6 +491,34 @@ let case ~tag payload ~inj ~proj =
   if tag < 0 || tag > 0xFF then invalid_arg "Codec.case: tag out of u8 range";
   Case { c_tag = tag; c_payload = payload; c_inj = inj; c_proj = proj }
 
+let no_case name = invalid_arg (name ^ ": value matches no case")
+
+(* The walks over the case list are closed functions taking the value as an
+   argument, so sizing, writing or reading a variant builds no closure. *)
+let rec case_size name v = function
+  | [] -> no_case name
+  | Case c :: rest -> (
+      match c.c_proj v with Some b -> 1 + c.c_payload.size b | None -> case_size name v rest)
+
+let rec case_leaves name v = function
+  | [] -> no_case name
+  | Case c :: rest -> (
+      match c.c_proj v with
+      | Some b -> 1 + c.c_payload.leaves b
+      | None -> case_leaves name v rest)
+
+let rec case_write name buf off v = function
+  | [] -> no_case name
+  | Case c :: rest -> (
+      match c.c_proj v with
+      | Some b -> c.c_payload.write buf (u8.write buf off c.c_tag) b
+      | None -> case_write name buf off v rest)
+
+let rec case_read name cur tag = function
+  | [] -> fail (Printf.sprintf "%s: unknown tag %d" name tag)
+  | Case c :: rest ->
+      if c.c_tag = tag then c.c_inj (c.c_payload.read cur) else case_read name cur tag rest
+
 let variant ~name cases =
   if cases = [] then invalid_arg (name ^ ": no cases");
   let seen = Hashtbl.create 8 in
@@ -427,52 +528,13 @@ let variant ~name cases =
         invalid_arg (Printf.sprintf "%s: duplicate tag %d" name c.c_tag);
       Hashtbl.add seen c.c_tag ())
     cases;
-  let by_tag tag =
-    let rec go = function
-      | [] -> fail (Printf.sprintf "%s: unknown tag %d" name tag)
-      | Case c :: rest -> if c.c_tag = tag then Case c else go rest
-    in
-    go cases
-  in
-  let size v =
-    let rec go = function
-      | [] -> invalid_arg (name ^ ": value matches no case")
-      | Case c :: rest -> (
-          match c.c_proj v with Some b -> 1 + c.c_payload.size b | None -> go rest)
-    in
-    go cases
-  in
-  let write buf off v =
-    let rec go = function
-      | [] -> invalid_arg (name ^ ": value matches no case")
-      | Case c :: rest -> (
-          match c.c_proj v with
-          | Some b ->
-              let off = u8.write buf off c.c_tag in
-              c.c_payload.write buf off b
-          | None -> go rest)
-    in
-    go cases
-  in
-  let leaves v =
-    let rec go = function
-      | [] -> invalid_arg (name ^ ": value matches no case")
-      | Case c :: rest -> (
-          match c.c_proj v with Some b -> 1 + c.c_payload.leaves b | None -> go rest)
-    in
-    go cases
-  in
   {
-    size;
-    write;
-    read =
-      (fun buf ~limit off ->
-        let tag, off = u8.read buf ~limit off in
-        match by_tag tag with
-        | Case c ->
-            let b, off = c.c_payload.read buf ~limit off in
-            (c.c_inj b, off));
-    leaves;
+    size = (fun v -> case_size name v cases);
+    write = (fun buf off v -> case_write name buf off v cases);
+    read = (fun cur -> case_read name cur (u8.read cur) cases);
+    leaves = (fun v -> case_leaves name v cases);
+    fixed_size = -1;
+    fixed_leaves = -1;
     bound =
       List.fold_left
         (fun acc (Case c) ->
@@ -486,22 +548,28 @@ let variant ~name cases =
 (* {2 Integrity} *)
 
 let with_checksum c =
+  let fixed_size = fixed_sum c.fixed_size 4 in
+  let fixed_leaves = fixed_sum c.fixed_leaves 1 in
   {
-    size = (fun v -> c.size v + 4);
+    size = (if fixed_size >= 0 then const_fn fixed_size else fun v -> c.size v + 4);
     write =
       (fun b off v ->
         let body_end = c.write b off v in
         let sum = bytes_checksum b ~off ~len:(body_end - off) land 0xFFFFFFFF in
         u32.write b body_end sum);
     read =
-      (fun b ~limit off ->
-        let v, body_end = c.read b ~limit off in
-        let stored, next = u32.read b ~limit body_end in
-        let sum = bytes_checksum b ~off ~len:(body_end - off) land 0xFFFFFFFF in
+      (fun cur ->
+        let off = cur.cpos in
+        let v = c.read cur in
+        let body_end = cur.cpos in
+        let stored = u32.read cur in
+        let sum = bytes_checksum cur.cbuf ~off ~len:(body_end - off) land 0xFFFFFFFF in
         if stored <> sum then
           fail (Printf.sprintf "checksum mismatch (stored %#x, computed %#x)" stored sum);
-        (v, next));
-    leaves = (fun v -> c.leaves v + 1);
+        v);
+    leaves = (if fixed_leaves >= 0 then const_fn fixed_leaves else fun v -> c.leaves v + 1);
+    fixed_size;
+    fixed_leaves;
     bound = (match c.bound with Some n -> Some (n + 4) | None -> None);
     flat =
       (match c.flat with
@@ -534,9 +602,9 @@ let with_checksum c =
 
 (* {2 Sizes and backend entry points} *)
 
-let size c v = c.size v
+let size c v = if c.fixed_size >= 0 then c.fixed_size else c.size v
 let bound c = c.bound
-let leaf_count c v = c.leaves v
+let leaf_count c v = if c.fixed_leaves >= 0 then c.fixed_leaves else c.leaves v
 let flat_capable c = c.flat <> None
 
 let flat_exn c what =
@@ -548,14 +616,14 @@ let flat_size c = (flat_exn c "Codec.flat_size").f_size
 let flat_leaves c = Array.length (flat_exn c "Codec.flat_leaves").f_leaves
 
 let encoded_size ~backend c v =
-  match backend with Compact -> c.size v | Flat -> (flat_exn c "Codec.encoded_size").f_size
+  match backend with Compact -> size c v | Flat -> (flat_exn c "Codec.encoded_size").f_size
 
 let encoded_leaves ~backend c v =
   match backend with
-  | Compact -> c.leaves v
+  | Compact -> leaf_count c v
   | Flat ->
       let f = flat_exn c "Codec.encoded_leaves" in
-      if Array.length f.f_leaves > 0 then Array.length f.f_leaves else c.leaves v
+      if Array.length f.f_leaves > 0 then Array.length f.f_leaves else leaf_count c v
 
 let encode ~backend c b off v =
   match backend with
@@ -572,9 +640,10 @@ let decode ~backend c b ~off ~len =
     invalid_arg "Codec.decode: range outside buffer";
   match backend with
   | Compact ->
-      let v, fin = c.read b ~limit:(off + len) off in
-      if fin <> off + len then
-        fail (Printf.sprintf "%d trailing bytes after message" (off + len - fin));
+      let cur = { cbuf = b; climit = off + len; cpos = off } in
+      let v = c.read cur in
+      if cur.cpos <> off + len then
+        fail (Printf.sprintf "%d trailing bytes after message" (off + len - cur.cpos));
       v
   | Flat ->
       let f = flat_exn c "Codec.decode" in

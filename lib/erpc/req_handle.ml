@@ -26,15 +26,15 @@ let enqueue_response t resp =
   t.responded <- true;
   t.enqueue_fn t resp
 
-let make ~req_type ~req =
+let make ~req_type ~req ~charge_fn ~init_resp_fn ~enqueue_fn ~codec_mode_fn ~codec_charge_fn =
   {
     req_type;
     req;
     resp = None;
     responded = false;
-    charge_fn = (fun _ -> ());
-    init_resp_fn = (fun size -> Msgbuf.alloc ~max_size:size);
-    enqueue_fn = (fun _ _ -> invalid_arg "Req_handle: enqueue_fn not installed");
-    codec_mode_fn = (fun () -> (Codec.Compact, false));
-    codec_charge_fn = (fun ~deser:_ ~backend:_ ~leaves:_ ~bytes:_ -> ());
+    charge_fn;
+    init_resp_fn;
+    enqueue_fn;
+    codec_mode_fn;
+    codec_charge_fn;
   }

@@ -42,5 +42,16 @@ val init_response : t -> size:int -> Msgbuf.t
     automatically). *)
 val enqueue_response : t -> Msgbuf.t -> unit
 
-(** Internal constructor used by {!Rpc}. *)
-val make : req_type:int -> req:Msgbuf.t -> t
+(** Internal constructor used by {!Rpc}. The closures are shared: the
+    owning Rpc builds [charge_fn], [codec_mode_fn] and [codec_charge_fn]
+    once, and [init_resp_fn]/[enqueue_fn] once per sslot, so a handle
+    costs one record per request. *)
+val make :
+  req_type:int ->
+  req:Msgbuf.t ->
+  charge_fn:(int -> unit) ->
+  init_resp_fn:(int -> Msgbuf.t) ->
+  enqueue_fn:(t -> Msgbuf.t -> unit) ->
+  codec_mode_fn:(unit -> Codec.backend * bool) ->
+  codec_charge_fn:(deser:bool -> backend:Codec.backend -> leaves:int -> bytes:int -> unit) ->
+  t

@@ -31,6 +31,11 @@ type t = {
   mutable rx_each : Netsim.Packet.t -> unit;
   tx_deferred : Netsim.Packet.t Sim.Ring.t;
   mutable tx_deferred_ev : unit -> unit;
+  (* Request-handle closures shared by every dispatch-mode request. *)
+  mutable h_charge : int -> unit;
+  mutable h_codec_charge :
+    deser:bool -> backend:Codec.backend -> leaves:int -> bytes:int -> unit;
+  h_codec_mode : unit -> Codec.backend * bool;
   trace : Obs.Trace.t;
   pid : int;
   tid : int;  (* this endpoint's thread track *)
@@ -259,6 +264,29 @@ and wheel_fire t entry =
 
 (* {2 Handler dispatch (§3.2)} *)
 
+(* The response closures depend only on the slot, so they are built on the
+   slot's first request and reused by every later one. *)
+and install_handler_fns t sess slot srv =
+  srv.init_resp_fn <-
+    (fun size ->
+      if t.cfg.opts.preallocated_responses && size <= t.cfg.mtu then begin
+        let buf =
+          match slot.prealloc_resp with
+          | Some b -> b
+          | None ->
+              let b = Msgbuf.alloc ~max_size:t.cfg.mtu in
+              slot.prealloc_resp <- Some b;
+              b
+        in
+        Msgbuf.unsafe_set_size buf size;
+        buf
+      end
+      else begin
+        ch t t.cost.dyn_alloc;
+        Msgbuf.alloc ~max_size:size
+      end);
+  srv.enqueue_fn <- (fun _h resp -> Proto.enqueue_response t.proto sess slot srv resp)
+
 and invoke_handler t sess slot srv req_type =
   match Nexus.handler t.nexus_ req_type with
   | None -> () (* unknown request type: drop *)
@@ -267,35 +295,15 @@ and invoke_handler t sess slot srv req_type =
       let req =
         match srv.req_buf with Some b -> b | None -> Msgbuf.view Bytes.empty ~off:0 ~len:0
       in
-      let handle = Req_handle.make ~req_type ~req in
-      handle.Req_handle.init_resp_fn <-
-        (fun size ->
-          if t.cfg.opts.preallocated_responses && size <= t.cfg.mtu then begin
-            let buf =
-              match slot.prealloc_resp with
-              | Some b -> b
-              | None ->
-                  let b = Msgbuf.alloc ~max_size:t.cfg.mtu in
-                  slot.prealloc_resp <- Some b;
-                  b
-            in
-            Msgbuf.unsafe_set_size buf size;
-            buf
-          end
-          else begin
-            ch t t.cost.dyn_alloc;
-            Msgbuf.alloc ~max_size:size
-          end);
-      handle.Req_handle.enqueue_fn <-
-        (fun _h resp -> Proto.enqueue_response t.proto sess slot srv resp);
-      handle.Req_handle.codec_mode_fn <- (fun () -> codec_mode t);
+      if not (Session.handler_fns_installed srv) then install_handler_fns t sess slot srv;
+      let handle =
+        Req_handle.make ~req_type ~req ~charge_fn:t.h_charge ~init_resp_fn:srv.init_resp_fn
+          ~enqueue_fn:srv.enqueue_fn ~codec_mode_fn:t.h_codec_mode
+          ~codec_charge_fn:t.h_codec_charge
+      in
       srv.handler_running <- true;
       match mode with
       | Nexus.Dispatch ->
-          handle.Req_handle.charge_fn <- (fun ns -> ch t ns);
-          handle.Req_handle.codec_charge_fn <-
-            (fun ~deser ~backend ~leaves ~bytes ->
-              charge_codec_cpu t t.cpu_ ~traced:true ~deser ~backend ~leaves ~bytes);
           ch t t.cost.handler_dispatch;
           if Obs.Trace.enabled t.trace then begin
             (* Span over the CPU time the handler charges to the dispatch
@@ -579,6 +587,11 @@ let create nexus_ ~rpc_id =
       rx_each = (fun _ -> ());
       tx_deferred = Sim.Ring.create ~capacity:32 ~dummy:Netsim.Packet.nil ();
       tx_deferred_ev = (fun () -> ());
+      h_charge = (fun _ -> ());
+      h_codec_charge = (fun ~deser:_ ~backend:_ ~leaves:_ ~bytes:_ -> ());
+      h_codec_mode =
+        (let mode = (cfg.codec_backend, cfg.codec_offload) in
+         fun () -> mode);
       trace;
       pid;
       tid;
@@ -590,6 +603,10 @@ let create nexus_ ~rpc_id =
   t.rx_each <- (fun pkt -> Proto.rx_pkt t.proto pkt);
   t.tx_deferred_ev <-
     (fun () -> Transport.Iface.tx_burst t.transport_ (Sim.Ring.take t.tx_deferred));
+  t.h_charge <- (fun ns -> ch t ns);
+  t.h_codec_charge <-
+    (fun ~deser ~backend ~leaves ~bytes ->
+      charge_codec_cpu t t.cpu_ ~traced:true ~deser ~backend ~leaves ~bytes);
   let m = Sim.Engine.metrics engine in
   let labels = [ ("host", string_of_int host_); ("rpc", string_of_int rpc_id) ] in
   Obs.Metrics.counter m ~name:"rpc.tx_pkts" ~labels (fun () -> stats_.Rpc_stats.tx_pkts);

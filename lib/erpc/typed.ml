@@ -13,6 +13,17 @@ let write ?(backend = Codec.Compact) c m v =
   Msgbuf.resize m n;
   ignore (Codec.encode ~backend c (Msgbuf.unsafe_bytes m) (Msgbuf.unsafe_offset m) v)
 
+(* The storage of a msgbuf that is not a view is exactly its capacity, so
+   the encoder's bounds-checked stores stop an overrun at the buffer's
+   end. *)
+let write_within ?(backend = Codec.Compact) c m v =
+  if Msgbuf.owner m = Msgbuf.Owned_by_erpc then
+    invalid_arg "Typed.write_within: msgbuf is in flight (eRPC-owned)";
+  if Msgbuf.is_view m then invalid_arg "Typed.write_within: msgbuf is a view";
+  let off = Msgbuf.unsafe_offset m in
+  let fin = Codec.encode ~backend c (Msgbuf.unsafe_bytes m) off v in
+  Msgbuf.resize m (fin - off)
+
 let read ?(backend = Codec.Compact) c m =
   Codec.decode ~backend c (Msgbuf.unsafe_bytes m) ~off:(Msgbuf.unsafe_offset m)
     ~len:(Msgbuf.size m)

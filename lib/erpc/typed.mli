@@ -24,6 +24,14 @@ val write : ?backend:Codec.backend -> 'a Codec.t -> Msgbuf.t -> 'a -> unit
     resize, so composing sized wrappers like [Codec.with_checksum] cannot
     leave a half-resized buffer behind. *)
 
+val write_within : ?backend:Codec.backend -> 'a Codec.t -> Msgbuf.t -> 'a -> unit
+(** One-pass {!write} for a buffer the caller already knows is large
+    enough: encodes [v] at offset 0 without sizing it first, then resizes
+    [m] to the encoded length. Raises [Invalid_argument] if [m] is
+    eRPC-owned or a view, if the encoding would overrun [m]'s capacity
+    (the buffer's contents are then unspecified), or if the codec lacks
+    the backend. *)
+
 val read : ?backend:Codec.backend -> 'a Codec.t -> Msgbuf.t -> 'a
 (** Decode a whole message from the msgbuf's current contents, zero-copy
     (reads the underlying storage in place; valid on RX views). Raises

@@ -67,6 +67,7 @@ type 'cmd t = {
   (* Leader replication state, indexed like [peers]. *)
   mutable next_index : int array;
   mutable match_index : int array;
+  commit_scratch : int array;  (* [try_advance_commit]'s working copy *)
 }
 
 let fresh_election_deadline t =
@@ -95,6 +96,7 @@ let create ~id ~peers ?stable:st ?(notify = fun () -> ()) cfg ~send ~apply ~rand
       votes = 0;
       next_index = Array.make (Array.length peers) 1;
       match_index = Array.make (Array.length peers) 0;
+      commit_scratch = Array.make (Array.length peers + 1) 0;
     }
   in
   t.election_deadline <- fresh_election_deadline t;
@@ -122,6 +124,11 @@ let set_leader t leader =
     t.leader <- leader;
     t.notify ()
   end
+
+(* [set_leader t (Some id)] without boxing [Some id] when [id] already
+   leads, the case on every AppendEntries a follower receives. *)
+let set_leader_id t id =
+  match t.leader with Some l when l = id -> () | _ -> set_leader t (Some id)
 
 let apply_committed t =
   while t.last_applied < t.commit_index do
@@ -191,14 +198,28 @@ let start_election t =
   (* Single-node group: immediately a leader. *)
   if Array.length t.peers = 0 then become_leader t
 
-(* Median match index across the cluster = highest index replicated on a
-   majority. Only entries of the current term commit directly (§5.4.2). *)
+(* The highest index held by a majority: the (n/2 + 1)-th largest of the
+   [n] match indexes. An insertion sort in place — groups have a handful of
+   members, and it allocates nothing. *)
+let majority_match a =
+  let n = Array.length a in
+  for i = 1 to n - 1 do
+    let v = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && a.(!j) > v do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- v
+  done;
+  a.(n - ((n / 2) + 1))
+
+(* Only entries of the current term commit directly (§5.4.2). *)
 let try_advance_commit t =
-  let n = Array.length t.peers + 1 in
-  let matches = Array.make n (Log.last_index t.stable.s_log) in
+  let matches = t.commit_scratch in
+  matches.(0) <- Log.last_index t.stable.s_log;
   Array.blit t.match_index 0 matches 1 (Array.length t.peers);
-  Array.sort compare matches;
-  let majority_match = matches.(n - ((n / 2) + 1)) in
+  let majority_match = majority_match matches in
   if
     majority_match > t.commit_index
     && Log.term_at t.stable.s_log majority_match = t.stable.s_term
@@ -233,6 +254,21 @@ let handle_vote_resp t ~term ~vote_granted ~from:_ =
     if t.votes >= majority then become_leader t
   end
 
+(* Appends [entries] after index [prev], resolving conflicts by
+   truncation; returns the index of the last entry. *)
+let rec append_from log prev = function
+  | [] -> prev
+  | (entry : _ Log.entry) :: rest ->
+      let idx = prev + 1 in
+      if idx <= Log.last_index log then begin
+        if Log.term_at log idx <> entry.term then begin
+          Log.truncate_from log idx;
+          ignore (Log.append log entry)
+        end
+      end
+      else ignore (Log.append log entry);
+      append_from log idx rest
+
 let handle_append_entries t ~term ~leader_id ~prev_log_index ~prev_log_term ~entries
     ~leader_commit =
   if term < t.stable.s_term then
@@ -241,7 +277,7 @@ let handle_append_entries t ~term ~leader_id ~prev_log_index ~prev_log_term ~ent
          { term = t.stable.s_term; success = false; from = t.id; match_index = 0 })
   else begin
     become_follower t term;
-    set_leader t (Some leader_id);
+    set_leader_id t leader_id;
     let log = t.stable.s_log in
     let log_ok =
       prev_log_index <= Log.last_index log && Log.term_at log prev_log_index = prev_log_term
@@ -251,20 +287,7 @@ let handle_append_entries t ~term ~leader_id ~prev_log_index ~prev_log_term ~ent
         (Append_entries_resp
            { term = t.stable.s_term; success = false; from = t.id; match_index = 0 })
     else begin
-      (* Append entries, resolving conflicts by truncation. *)
-      let idx = ref prev_log_index in
-      List.iter
-        (fun (entry : _ Log.entry) ->
-          incr idx;
-          if !idx <= Log.last_index log then begin
-            if Log.term_at log !idx <> entry.term then begin
-              Log.truncate_from log !idx;
-              ignore (Log.append log entry)
-            end
-          end
-          else ignore (Log.append log entry))
-        entries;
-      let match_index = !idx in
+      let match_index = append_from log prev_log_index entries in
       if leader_commit > t.commit_index then begin
         t.commit_index <- min leader_commit match_index;
         apply_committed t

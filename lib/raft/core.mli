@@ -107,3 +107,9 @@ val periodic : 'cmd t -> elapsed_ns:int -> unit
 (** Submit a command. On the leader, appends and replicates immediately,
     returning the entry's log index. *)
 val submit : 'cmd t -> 'cmd -> (int, [ `Not_leader of int option ]) result
+
+(** [majority_match a] is the highest index held by a majority of a
+    group whose members' match indexes are [a] (non-empty): the
+    [(n/2 + 1)]-th largest of the [n] values. Sorts [a] in place and
+    allocates nothing. *)
+val majority_match : int array -> int

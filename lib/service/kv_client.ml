@@ -1,10 +1,15 @@
 type error = [ `Deadline | `Failed of string ]
 
+module Int_tbl = Hashtbl.Make (Int)
+
 (* A session stuck in [Connect_pending] longer than this is assumed to
    have lost its handshake to a crash (SM messages to dead hosts vanish)
    and is replaced on next use. Normal handshakes complete in microseconds
    of simulated time. *)
 let connect_grace_ns = 2_000_000
+
+(* Request and response buffers of one attempt, pooled per client. *)
+type bufs = { req_buf : Erpc.Msgbuf.t; resp_buf : Erpc.Msgbuf.t }
 
 type t = {
   fabric : Erpc.Fabric.t;
@@ -17,16 +22,19 @@ type t = {
   attempt_timeout_ns : int;
   rng : Sim.Rng.t;
   mutable seq : int;
-  sessions : (int, Erpc.Session.session * Sim.Time.t) Hashtbl.t;  (** by host *)
+  sessions : (Erpc.Session.session * Sim.Time.t) Int_tbl.t;  (** by host *)
   mutable ok : int;
   mutable deadline_exceeded : int;
   mutable retries : int;
   mutable redirects : int;
   lat : Stats.Hist.t;
+  bufs : bufs Pool.t;
 }
 
 let create ~fabric ~rpc ~map ~client_id ?(backoff_base_ns = 500_000)
     ?(backoff_max_ns = 8_000_000) ?(attempt_timeout_ns = 5_000_000) () =
+  if client_id < 0 || client_id >= 1 lsl 31 then
+    invalid_arg "Kv_client.create: client_id must be in [0, 2^31)";
   let engine = Erpc.Fabric.engine fabric in
   {
     fabric;
@@ -39,12 +47,18 @@ let create ~fabric ~rpc ~map ~client_id ?(backoff_base_ns = 500_000)
     attempt_timeout_ns;
     rng = Sim.Rng.split (Sim.Engine.rng engine);
     seq = 0;
-    sessions = Hashtbl.create 8;
+    sessions = Int_tbl.create 8;
     ok = 0;
     deadline_exceeded = 0;
     retries = 0;
     redirects = 0;
     lat = Stats.Hist.create ();
+    bufs =
+      Pool.create (fun () ->
+          {
+            req_buf = Erpc.Msgbuf.alloc ~max_size:Kv_proto.req_size;
+            resp_buf = Erpc.Msgbuf.alloc ~max_size:Kv_proto.resp_max_size;
+          });
   }
 
 let ok t = t.ok
@@ -56,17 +70,17 @@ let latencies t = t.lat
 let session_to t host =
   let fresh () =
     let sess = Erpc.Rpc.create_session t.rpc ~remote_host:host ~remote_rpc_id:0 () in
-    Hashtbl.replace t.sessions host (sess, Sim.Engine.now t.engine);
+    Int_tbl.replace t.sessions host (sess, Sim.Engine.now t.engine);
     sess
   in
-  match Hashtbl.find_opt t.sessions host with
+  match Int_tbl.find_opt t.sessions host with
   | Some (sess, _) when sess.Erpc.Session.state = Erpc.Session.Connected -> sess
   | Some (sess, born) when sess.Erpc.Session.state = Erpc.Session.Connect_pending ->
       if Sim.Time.sub (Sim.Engine.now t.engine) born > connect_grace_ns then fresh ()
       else sess
   | _ -> fresh ()
 
-let invalidate_session t host = Hashtbl.remove t.sessions host
+let invalidate_session t host = Int_tbl.remove t.sessions host
 
 let pad_value v =
   let n = String.length v in
@@ -74,110 +88,173 @@ let pad_value v =
   else if n = Kv_proto.value_size then v
   else v ^ String.make (Kv_proto.value_size - n) '\000'
 
+type outcome = (Kv_proto.status * string option, error) result
+
+(* One operation in flight. Its deadline and attempt-timeout events capture
+   only this record, and completion clears [request] and [finish], so the
+   events that outlive the operation (by up to the deadline) keep nothing
+   else alive. *)
+type op = {
+  cl : t;
+  shard : int;
+  group : int array;
+  started : Sim.Time.t;
+  mutable request : Kv_proto.request;
+  mutable finish : outcome -> unit;
+  mutable done_ : bool;
+  mutable chase : int;
+      (* Consecutive redirects since the last success/backoff. Two replicas
+         with stale views of each other (common mid-partition: a follower
+         still naming the isolated old leader) would otherwise ping-pong the
+         client at network speed until the deadline. *)
+  mutable live : int;
+      (* Number of the attempt awaiting its outcome, or -1. At most one
+         attempt is unsettled at a time; it settles exactly once, by its
+         continuation or its timeout, whichever comes first. *)
+  mutable target : int;  (* host the latest attempt went to *)
+}
+
+let no_request =
+  { Kv_proto.op = Kv_proto.Get; shard = 0; client_id = 0; seq = 0; key = ""; value = "" }
+
+let no_finish (_ : outcome) = ()
+
+let complete op outcome =
+  let finish = op.finish in
+  op.done_ <- true;
+  op.live <- -1;
+  op.request <- no_request;
+  op.finish <- no_finish;
+  finish outcome
+
+let on_deadline op =
+  if not op.done_ then begin
+    op.cl.deadline_exceeded <- op.cl.deadline_exceeded + 1;
+    complete op (Error `Deadline)
+  end
+
+(* Settles attempt [n] if it is the live one. *)
+let settle op n =
+  if (not op.done_) && op.live = n then begin
+    op.live <- -1;
+    true
+  end
+  else false
+
+let rec attempt op n ~forced =
+  if not op.done_ then begin
+    let t = op.cl in
+    let target =
+      match forced with
+      | Some h -> h
+      | None -> (
+          match Shard_map.leader_hint t.map ~shard:op.shard with
+          | Some h -> h
+          | None -> op.group.(n mod Array.length op.group))
+    in
+    let sess = session_to t target in
+    op.live <- n;
+    op.target <- target;
+    (* Each attempt carries its own timeout: a request parked behind a
+       handshake whose Connect_req died with the target (SM messages to
+       dead hosts vanish) gets no transport-level failure signal at all,
+       and would otherwise sit wedged until the operation deadline. The
+       late continuation, if any, finds the attempt settled and is ignored
+       — a duplicate landing is what the (client_id, seq) dedup absorbs. *)
+    Sim.Engine.schedule_after t.engine t.attempt_timeout_ns (fun () ->
+        on_attempt_timeout op n);
+    (* [~charge:false]: the service's handler-cost constants already
+       model (de)serialization; double-charging would shift every chaos
+       trace. The typed layer still owns encode/decode. *)
+    let bufs = Pool.take t.bufs in
+    Erpc.Typed.enqueue_request t.rpc sess ~req_type:Kv_proto.kv_req_type
+      ~req_codec:Kv_proto.request_codec ~resp_codec:Kv_proto.response_codec
+      ~backend:Codec.Compact ~charge:false ~req_buf:bufs.req_buf ~resp_buf:bufs.resp_buf
+      op.request ~cont:(fun r ->
+        (* A completed request's buffers are free for the next attempt. A
+           failed one's are dropped: after a session reset, packets of the
+           request may still be in flight, and they alias its buffer. *)
+        (match r with Ok _ -> Pool.release op.cl.bufs bufs | Error _ -> ());
+        if settle op n then on_response op n r)
+  end
+
+and on_attempt_timeout op n =
+  if settle op n then begin
+    let t = op.cl in
+    invalidate_session t op.target;
+    Shard_map.clear_hints_for t.map ~host:op.target;
+    backoff op (n + 1)
+  end
+
+(* The outcome of the live attempt [n], sent to [op.target]. *)
+and on_response op n r =
+  let t = op.cl in
+  let shard = op.shard and target = op.target in
+  match r with
+  | Ok (((Kv_proto.Ok_ | Kv_proto.Not_found), _) as outcome) ->
+      t.ok <- t.ok + 1;
+      Shard_map.set_leader_hint t.map ~shard ~host:target;
+      Stats.Hist.record t.lat (Sim.Time.sub (Sim.Engine.now t.engine) op.started);
+      complete op (Ok outcome)
+  | Ok (Kv_proto.Not_leader (Some h), _) ->
+      (* Follow the redirect immediately: the hint names the live leader
+         in the common case, and a wrong hint just feeds back here — but
+         only a bounded number of times before conceding the hints are
+         stale and backing off. *)
+      t.redirects <- t.redirects + 1;
+      Shard_map.set_leader_hint t.map ~shard ~host:h;
+      op.chase <- op.chase + 1;
+      if op.chase <= 3 then attempt op (n + 1) ~forced:(Some h)
+      else begin
+        Shard_map.clear_leader_hint t.map ~shard;
+        backoff op (n + 1)
+      end
+  | Ok (Kv_proto.Not_leader None, _) ->
+      Shard_map.clear_leader_hint t.map ~shard;
+      backoff op (n + 1)
+  | Ok (Kv_proto.Retry hint, _) ->
+      (match hint with Some h -> Shard_map.set_leader_hint t.map ~shard ~host:h | None -> ());
+      backoff op (n + 1)
+  | Error _ ->
+      (* Transport-level failure: the target may be down — stop trusting
+         sessions and hints that point at it. *)
+      invalidate_session t target;
+      Shard_map.clear_hints_for t.map ~host:target;
+      backoff op (n + 1)
+
+and backoff op n =
+  let t = op.cl in
+  op.chase <- 0;
+  t.retries <- t.retries + 1;
+  let exp = t.backoff_base_ns lsl min n 16 in
+  let delay =
+    min t.backoff_max_ns (max t.backoff_base_ns exp) + Sim.Rng.int t.rng t.backoff_base_ns
+  in
+  Sim.Engine.schedule_after t.engine delay (fun () -> attempt op n ~forced:None)
+
 (* The generic retry loop both operations run on. [finish] fires exactly
    once: the deadline event is armed up front and independent of any
    attempt, so an attempt wedged on a half-open connection cannot stall
    the operation past its deadline. *)
-let exec t ~(request : Kv_proto.request) ~deadline_ns
-    ~(finish : (Kv_proto.status * string option, error) result -> unit) =
+let exec t ~(request : Kv_proto.request) ~deadline_ns ~(finish : outcome -> unit) =
   let shard = request.shard in
-  let group = Shard_map.group t.map ~shard in
   let started = Sim.Engine.now t.engine in
-  let deadline_abs = Sim.Time.add started deadline_ns in
-  let done_ = ref false in
-  Sim.Engine.schedule t.engine deadline_abs (fun () ->
-      if not !done_ then begin
-        done_ := true;
-        t.deadline_exceeded <- t.deadline_exceeded + 1;
-        finish (Error `Deadline)
-      end);
-  (* Consecutive redirects since the last success/backoff. Two replicas
-     with stale views of each other (common mid-partition: a follower
-     still naming the isolated old leader) would otherwise ping-pong the
-     client at network speed until the deadline. *)
-  let chase = ref 0 in
-  let rec attempt n ~forced =
-    if not !done_ then begin
-      let target =
-        match forced with
-        | Some h -> h
-        | None -> (
-            match Shard_map.leader_hint t.map ~shard with
-            | Some h -> h
-            | None -> group.(n mod Array.length group))
-      in
-      let sess = session_to t target in
-      (* Each attempt carries its own timeout: a request parked behind a
-         handshake whose Connect_req died with the target (SM messages to
-         dead hosts vanish) gets no transport-level failure signal at all,
-         and would otherwise sit wedged until the operation deadline. The
-         late continuation, if any, finds [settled] and is ignored — a
-         duplicate landing is what the (client_id, seq) dedup absorbs. *)
-      let settled = ref false in
-      Sim.Engine.schedule_after t.engine t.attempt_timeout_ns (fun () ->
-          if (not !done_) && not !settled then begin
-            settled := true;
-            invalidate_session t target;
-            Shard_map.clear_hints_for t.map ~host:target;
-            backoff (n + 1)
-          end);
-      (* [~charge:false]: the service's handler-cost constants already
-         model (de)serialization; double-charging would shift every chaos
-         trace. The typed layer still owns encode/decode + buffer sizing. *)
-      Erpc.Typed.enqueue_request t.rpc sess ~req_type:Kv_proto.kv_req_type
-        ~req_codec:Kv_proto.request_codec ~resp_codec:Kv_proto.response_codec
-        ~backend:Codec.Compact ~charge:false request
-        ~cont:(fun r ->
-          if (not !done_) && not !settled then begin
-            settled := true;
-            match r with
-            | Ok (((Kv_proto.Ok_ | Kv_proto.Not_found), _) as outcome) ->
-                done_ := true;
-                t.ok <- t.ok + 1;
-                Shard_map.set_leader_hint t.map ~shard ~host:target;
-                Stats.Hist.record t.lat (Sim.Time.sub (Sim.Engine.now t.engine) started);
-                finish (Ok outcome)
-            | Ok (Kv_proto.Not_leader (Some h), _) ->
-                (* Follow the redirect immediately: the hint names the
-                   live leader in the common case, and a wrong hint
-                   just feeds back here — but only a bounded number of
-                   times before conceding the hints are stale and
-                   backing off. *)
-                t.redirects <- t.redirects + 1;
-                Shard_map.set_leader_hint t.map ~shard ~host:h;
-                incr chase;
-                if !chase <= 3 then attempt (n + 1) ~forced:(Some h)
-                else begin
-                  Shard_map.clear_leader_hint t.map ~shard;
-                  backoff (n + 1)
-                end
-            | Ok (Kv_proto.Not_leader None, _) ->
-                Shard_map.clear_leader_hint t.map ~shard;
-                backoff (n + 1)
-            | Ok (Kv_proto.Retry hint, _) ->
-                (match hint with
-                | Some h -> Shard_map.set_leader_hint t.map ~shard ~host:h
-                | None -> ());
-                backoff (n + 1)
-            | Error _ ->
-                (* Transport-level failure: the target may be down — stop
-                   trusting sessions and hints that point at it. *)
-                invalidate_session t target;
-                Shard_map.clear_hints_for t.map ~host:target;
-                backoff (n + 1)
-          end)
-    end
-  and backoff n =
-    chase := 0;
-    t.retries <- t.retries + 1;
-    let exp = t.backoff_base_ns lsl min n 16 in
-    let delay =
-      min t.backoff_max_ns (max t.backoff_base_ns exp)
-      + Sim.Rng.int t.rng t.backoff_base_ns
-    in
-    Sim.Engine.schedule_after t.engine delay (fun () -> attempt n ~forced:None)
+  let op =
+    {
+      cl = t;
+      shard;
+      group = Shard_map.group t.map ~shard;
+      started;
+      request;
+      finish;
+      done_ = false;
+      chase = 0;
+      live = -1;
+      target = -1;
+    }
   in
-  attempt 0 ~forced:None
+  Sim.Engine.schedule t.engine (Sim.Time.add started deadline_ns) (fun () -> on_deadline op);
+  attempt op 0 ~forced:None
 
 let put t ~key ~value ~deadline_ns ~cont =
   assert (String.length key = Kv_proto.key_size);

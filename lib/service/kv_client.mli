@@ -22,7 +22,9 @@
 type t
 
 (** [create ~fabric ~rpc ~map ~client_id ()] — [client_id] must be unique
-    across clients of the same service for dedup to be sound.
+    across clients of the same service for dedup to be sound, and in
+    [\[0, 2^31)] (replicas key applied writes by
+    [(client_id lsl 32) lor seq]); other values raise [Invalid_argument].
 
     [?backoff_base_ns] (default 500 µs) and [?backoff_max_ns] (default
     8 ms) bound the retry backoff. *)

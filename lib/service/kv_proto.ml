@@ -31,6 +31,8 @@ let backend = Codec.Compact
    zero-filled value region so one fixed layout serves both ops. *)
 let req_size = 16 + key_size + value_size
 
+let zero_value = String.make value_size '\000'
+
 let request_codec : request Codec.t =
   let open Codec in
   map
@@ -40,8 +42,7 @@ let request_codec : request Codec.t =
       ( ( ((match r.op with Put -> 0 | Get -> 1), r.shard),
           (r.client_id, r.seq) ),
         ( r.key,
-          if String.length r.value = value_size then r.value
-          else String.make value_size '\000' ) ))
+          if String.length r.value = value_size then r.value else zero_value ) ))
     (pair
        (pair (pair u32 u32) (pair u32 u32))
        (pair (fixed_string key_size) (fixed_string value_size)))
@@ -79,7 +80,7 @@ let response_codec : (status * string option) Codec.t =
     (pair (pair u32 u32) (tail_option (fixed_string value_size)))
 
 let write_response m ~status ~value =
-  Erpc.Typed.write ~backend response_codec m (status, value)
+  Erpc.Typed.write_within ~backend response_codec m (status, value)
 
 let read_response m = Erpc.Typed.read ~backend response_codec m
 
@@ -97,14 +98,17 @@ let cmd_codec : (int * int * string * string) Codec.t =
 let encode_cmd ~client_id ~seq ~key ~value =
   Bytes.unsafe_to_string (Codec.to_bytes ~backend cmd_codec (client_id, seq, key, value))
 
+let zero_cmd = String.make cmd_size '\000'
+
 let noop_client_id = 0xffff_ffff
 
 let noop_cmd ~seq =
   encode_cmd ~client_id:noop_client_id ~seq
     ~key:(String.make key_size '\000')
-    ~value:(String.make value_size '\000')
+    ~value:zero_value
 
-let decode_cmd s = Codec.of_bytes ~backend cmd_codec (Bytes.of_string s)
+(* The decode only reads the bytes, so the command is not copied. *)
+let decode_cmd s = Codec.of_bytes ~backend cmd_codec (Bytes.unsafe_of_string s)
 
 (* Raft frame: shard(4) ^ message bytes. *)
 let raft_frame_codec : (int * string Raft.Core.msg) Codec.t =
@@ -112,7 +116,25 @@ let raft_frame_codec : (int * string Raft.Core.msg) Codec.t =
 
 let raft_frame_size msg = Codec.size raft_frame_codec (0, msg)
 
+(* Largest Raft reply frame: an AppendEntries response, the bigger of the
+   two replies. *)
+let raft_reply_max_size =
+  raft_frame_size
+    (Raft.Core.Append_entries_resp { term = 0; success = true; from = 0; match_index = 0 })
+
+let raft_frame_capacity ~max_entries =
+  raft_frame_size
+    (Raft.Core.Append_entries
+       {
+         term = 0;
+         leader_id = 0;
+         prev_log_index = 0;
+         prev_log_term = 0;
+         entries = List.init max_entries (fun _ -> { Raft.Log.term = 0; cmd = zero_cmd });
+         leader_commit = 0;
+       })
+
 let write_raft_frame m ~shard msg =
-  Erpc.Typed.write ~backend raft_frame_codec m (shard, msg)
+  Erpc.Typed.write_within ~backend raft_frame_codec m (shard, msg)
 
 let read_raft_frame m = Erpc.Typed.read ~backend raft_frame_codec m

@@ -62,6 +62,8 @@ val read_request : Erpc.Msgbuf.t -> request
     [init_response] with this before {!write_response}. *)
 val resp_size : value:string option -> int
 
+(** Encodes the response in one pass into [m], which must hold at least
+    [resp_size ~value] bytes, and resizes [m] to the response's length. *)
 val write_response : Erpc.Msgbuf.t -> status:status -> value:string option -> unit
 
 (** [read_response m] is [(status, value)]. *)
@@ -102,5 +104,15 @@ val raft_frame_codec : (int * string Raft.Core.msg) Codec.t
     bytes. *)
 val raft_frame_size : string Raft.Core.msg -> int
 
+(** Size of the largest reply frame (an AppendEntries response). *)
+val raft_reply_max_size : int
+
+(** Size of an AppendEntries frame carrying [max_entries] commands of
+    [cmd_size] bytes: the largest frame a replica sends. *)
+val raft_frame_capacity : max_entries:int -> int
+
+(** Encodes the frame in one pass into [m], which must already be large
+    enough, and resizes [m] to the frame's length. Raises
+    [Invalid_argument] if the frame does not fit. *)
 val write_raft_frame : Erpc.Msgbuf.t -> shard:int -> string Raft.Core.msg -> unit
 val read_raft_frame : Erpc.Msgbuf.t -> int * string Raft.Core.msg

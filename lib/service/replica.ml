@@ -6,14 +6,34 @@ let codec_cost = 110
 
 let periodic_tick_ns = 500_000
 
+(* Int-keyed tables compare keys with [Int.equal], not the polymorphic
+   compare; the dedup table's int key also spares hashing a tuple. *)
+module Int_tbl = Hashtbl.Make (Int)
+
+(* Client ids and seqs are u32 on the wire, and [Kv_client] ids stay below
+   2^31, so the key is injective over every pair a replica can apply. *)
+let dedup_key ~client_id ~seq = (client_id lsl 32) lor seq
+
+(* A pooled replica-to-replica request: the frame and reply buffers plus
+   the continuation that feeds the reply to its shard's core, built once
+   and reused by every send that completes normally. *)
+type raft_call = {
+  frame : Erpc.Msgbuf.t;
+  reply : Erpc.Msgbuf.t;
+  mutable on_reply : (unit, Erpc.Err.t) result -> unit;
+}
+
+(* Capacity of a pooled reply buffer: any Raft reply fits. *)
+let reply_capacity = 256
+
 type shard_state = {
   shard : int;
   group : int array;  (** hosts; array position = Raft id *)
   self_id : int;
   mutable core : string Raft.Core.t option;
   mutable store : Mica.Store.t;
-  mutable dedup : (int * int, unit) Hashtbl.t;  (** (client_id, seq) applied *)
-  pending : (int, Erpc.Req_handle.t * Sim.Time.t) Hashtbl.t;  (** log index *)
+  mutable dedup : unit Int_tbl.t;  (** [dedup_key] of every applied write *)
+  pending : (Erpc.Req_handle.t * Sim.Time.t) Int_tbl.t;  (** log index *)
 }
 
 type t = {
@@ -26,8 +46,9 @@ type t = {
   rng : Sim.Rng.t;
   raft_cfg : Raft.Core.config;
   shard_states : shard_state array;  (** ascending shard order *)
-  peer_sessions : (int, Erpc.Session.session) Hashtbl.t;  (** keyed by host *)
+  peer_sessions : Erpc.Session.session Int_tbl.t;  (** keyed by host *)
   mutable pending_reply : (int * string Raft.Core.msg) option;
+  mutable calls : raft_call Pool.t;
   commit_lat : Stats.Hist.t;
   trace : Obs.Trace.t;
   mutable incarnation : int;
@@ -91,15 +112,15 @@ let respond h ~status ~value =
    the client must retry (dedup makes the retry safe). Sorted index order
    keeps the response sequence independent of Hashtbl internals. *)
 let fail_pending st =
-  if Hashtbl.length st.pending > 0 then begin
-    let idxs = Hashtbl.fold (fun i _ acc -> i :: acc) st.pending [] in
+  if Int_tbl.length st.pending > 0 then begin
+    let idxs = Int_tbl.fold (fun i _ acc -> i :: acc) st.pending [] in
     let hint = hint_host st in
     List.iter
       (fun i ->
-        let h, _ = Hashtbl.find st.pending i in
-        Hashtbl.remove st.pending i;
+        let h, _ = Int_tbl.find st.pending i in
+        Int_tbl.remove st.pending i;
         respond h ~status:(Kv_proto.Retry hint) ~value:None)
-      (List.sort compare idxs)
+      (List.sort Int.compare idxs)
   end
 
 let on_leadership_change t st =
@@ -136,21 +157,24 @@ let on_leadership_change t st =
 let apply_cmd t st index cmd =
   let client_id, seq, key, value = Kv_proto.decode_cmd cmd in
   if client_id = Kv_proto.noop_client_id then ()
-  else if Hashtbl.mem st.dedup (client_id, seq) then t.dedup_hits <- t.dedup_hits + 1
   else begin
-    Hashtbl.replace st.dedup (client_id, seq) ();
-    Mica.Store.put st.store ~key ~value;
-    t.on_apply ~shard:st.shard ~incarnation:t.incarnation ~client_id ~seq
+    let applied = dedup_key ~client_id ~seq in
+    if Int_tbl.mem st.dedup applied then t.dedup_hits <- t.dedup_hits + 1
+    else begin
+      Int_tbl.replace st.dedup applied ();
+      Mica.Store.put st.store ~key ~value;
+      t.on_apply ~shard:st.shard ~incarnation:t.incarnation ~client_id ~seq
+    end
   end;
-  match Hashtbl.find_opt st.pending index with
+  match Int_tbl.find_opt st.pending index with
   | None -> ()
   | Some (h, submitted) ->
-      Hashtbl.remove st.pending index;
+      Int_tbl.remove st.pending index;
       Stats.Hist.record t.commit_lat (Sim.Time.sub (Sim.Engine.now t.engine) submitted);
       respond h ~status:Kv_proto.Ok_ ~value:None
 
 let session_to t dst_host =
-  match Hashtbl.find_opt t.peer_sessions dst_host with
+  match Int_tbl.find_opt t.peer_sessions dst_host with
   | Some sess
     when sess.Erpc.Session.state = Erpc.Session.Connected
          || sess.Erpc.Session.state = Erpc.Session.Connect_pending ->
@@ -158,11 +182,11 @@ let session_to t dst_host =
   | _ ->
       if Erpc.Fabric.host_dead t.fabric dst_host then None
       else begin
-        Hashtbl.remove t.peer_sessions dst_host;
+        Int_tbl.remove t.peer_sessions dst_host;
         let sess =
           Erpc.Rpc.create_session t.rpc ~remote_host:dst_host ~remote_rpc_id:0 ()
         in
-        Hashtbl.replace t.peer_sessions dst_host sess;
+        Int_tbl.replace t.peer_sessions dst_host sess;
         Some sess
       end
 
@@ -178,6 +202,34 @@ let drop_raft t st ~dst_host =
       ~pid:(Obs.Trace.host_pid t.host) ~tid:0
       [ ("shard", Obs.Trace.I st.shard); ("dst", Obs.Trace.I dst_host) ]
 
+let new_call t ~frame_capacity =
+  let call =
+    {
+      frame = Erpc.Msgbuf.alloc ~max_size:frame_capacity;
+      reply = Erpc.Msgbuf.alloc ~max_size:reply_capacity;
+      on_reply = ignore;
+    }
+  in
+  call.on_reply <-
+    (fun r ->
+      match r with
+      | Ok () when Erpc.Msgbuf.size call.reply > 4 ->
+          let shard, reply = Kv_proto.read_raft_frame call.reply in
+          Pool.release t.calls call;
+          (* Feed whatever core now owns the shard: a restart in the
+             meantime swapped in a new incarnation, which must see the
+             reply (or safely ignore its stale term). *)
+          (match state_for t shard with
+          | Some st -> Raft.Core.receive (core st) reply
+          | None -> ())
+      | Ok () -> Pool.release t.calls call (* peer had no core for the shard *)
+      | Error _ ->
+          (* Peer failed; Raft re-drives via timeouts. The call is not
+             reused: after a session reset, packets of its frame may still
+             be in flight, and they alias the frame buffer. *)
+          ());
+  call
+
 let send_raft t st dst msg =
   match msg with
   | Raft.Core.Request_vote_resp _ | Raft.Core.Append_entries_resp _ ->
@@ -188,22 +240,10 @@ let send_raft t st dst msg =
       match session_to t dst_host with
       | None -> drop_raft t st ~dst_host
       | Some sess ->
-          let req = Erpc.Msgbuf.alloc ~max_size:(Kv_proto.raft_frame_size msg) in
-          Kv_proto.write_raft_frame req ~shard:st.shard msg;
-          let resp = Erpc.Msgbuf.alloc ~max_size:256 in
-          Erpc.Rpc.enqueue_request t.rpc sess ~req_type:Kv_proto.raft_req_type ~req
-            ~resp ~cont:(fun r ->
-              match r with
-              | Ok () when Erpc.Msgbuf.size resp > 4 ->
-                  let shard, reply = Kv_proto.read_raft_frame resp in
-                  (* Feed whatever core now owns the shard: a restart in
-                     the meantime swapped in a new incarnation, which must
-                     see the reply (or safely ignore its stale term). *)
-                  (match state_for t shard with
-                  | Some st -> Raft.Core.receive (core st) reply
-                  | None -> ())
-              | Ok () -> () (* peer had no core for the shard: nothing to feed *)
-              | Error _ -> () (* peer failed; Raft re-drives via timeouts *)))
+          let call = Pool.take t.calls in
+          Kv_proto.write_raft_frame call.frame ~shard:st.shard msg;
+          Erpc.Rpc.enqueue_request t.rpc sess ~req_type:Kv_proto.raft_req_type
+            ~req:call.frame ~resp:call.reply ~cont:call.on_reply)
 
 let raft_config t = t.raft_cfg
 
@@ -226,9 +266,9 @@ let make_core t st ?stable () =
 let on_killed t =
   Array.iter
     (fun st ->
-      Hashtbl.reset st.pending (* handles died with the host; never respond *))
+      Int_tbl.reset st.pending (* handles died with the host; never respond *))
     t.shard_states;
-  Hashtbl.reset t.peer_sessions;
+  Int_tbl.reset t.peer_sessions;
   t.pending_reply <- None
 
 (* Restart: rebuild each shard from stable storage. The fresh core boots a
@@ -242,7 +282,7 @@ let on_restarted t =
     (fun st ->
       let stable = Raft.Core.stable_of (core st) in
       st.store <- Mica.Store.create ();
-      st.dedup <- Hashtbl.create 256;
+      st.dedup <- Int_tbl.create 256;
       st.core <- Some (make_core t st ~stable ()))
     t.shard_states;
   if Obs.Trace.enabled t.trace then
@@ -272,7 +312,7 @@ let register_handlers t =
           match reply with
           | Some (s, r) when s = shard ->
               let resp =
-                Erpc.Req_handle.init_response h ~size:(Kv_proto.raft_frame_size r)
+                Erpc.Req_handle.init_response h ~size:Kv_proto.raft_reply_max_size
               in
               Kv_proto.write_raft_frame resp ~shard:s r;
               Erpc.Req_handle.enqueue_response h resp
@@ -297,7 +337,7 @@ let register_handlers t =
                 | None -> respond h ~status:Kv_proto.Not_found ~value:None)
           | Kv_proto.Put -> (
               Erpc.Req_handle.charge h (raft_submit_cost + Mica.Store.insert_cost_ns);
-              if Hashtbl.mem st.dedup (r.client_id, r.seq) then begin
+              if Int_tbl.mem st.dedup (dedup_key ~client_id:r.client_id ~seq:r.seq) then begin
                 (* Retry of an already-applied PUT: re-ack, no new entry. *)
                 t.dedup_hits <- t.dedup_hits + 1;
                 respond h ~status:Kv_proto.Ok_ ~value:None
@@ -309,7 +349,7 @@ let register_handlers t =
                 in
                 match Raft.Core.submit (core st) cmd with
                 | Ok index ->
-                    Hashtbl.replace st.pending index (h, Sim.Engine.now t.engine)
+                    Int_tbl.replace st.pending index (h, Sim.Engine.now t.engine)
                 | Error (`Not_leader _) ->
                     respond h ~status:(Kv_proto.Not_leader (hint_host st)) ~value:None)))
 
@@ -337,8 +377,8 @@ let create ~fabric ~nexus ~rpc ~map ~host ?(raft_config = Raft.Core.default_conf
              self_id;
              core = None;
              store = Mica.Store.create ();
-             dedup = Hashtbl.create 256;
-             pending = Hashtbl.create 64;
+             dedup = Int_tbl.create 256;
+             pending = Int_tbl.create 64;
            })
          my_shards)
   in
@@ -353,8 +393,9 @@ let create ~fabric ~nexus ~rpc ~map ~host ?(raft_config = Raft.Core.default_conf
       rng = Sim.Rng.split (Sim.Engine.rng engine);
       raft_cfg = raft_config;
       shard_states;
-      peer_sessions = Hashtbl.create 8;
+      peer_sessions = Int_tbl.create 8;
       pending_reply = None;
+      calls = Pool.create (fun () -> invalid_arg "Replica: call pool not ready");
       commit_lat = Stats.Hist.create ();
       trace = Sim.Engine.trace engine;
       incarnation = 0;
@@ -366,12 +407,18 @@ let create ~fabric ~nexus ~rpc ~map ~host ?(raft_config = Raft.Core.default_conf
       on_apply = (fun ~shard:_ ~incarnation:_ ~client_id:_ ~seq:_ -> ());
     }
   in
+  (* Every command a replica submits is [Kv_proto.cmd_size] bytes, so an
+     AppendEntries frame is at most this large. *)
+  let frame_capacity =
+    Kv_proto.raft_frame_capacity ~max_entries:raft_config.Raft.Core.max_entries_per_msg
+  in
+  t.calls <- Pool.create (fun () -> new_call t ~frame_capacity);
   Array.iter (fun st -> st.core <- Some (make_core t st ())) t.shard_states;
   register_handlers t;
   Erpc.Fabric.on_host_killed fabric (fun h ->
-      if h = t.host then on_killed t else Hashtbl.remove t.peer_sessions h);
+      if h = t.host then on_killed t else Int_tbl.remove t.peer_sessions h);
   Erpc.Fabric.on_host_restart fabric (fun h ->
-      if h = t.host then on_restarted t else Hashtbl.remove t.peer_sessions h);
+      if h = t.host then on_restarted t else Int_tbl.remove t.peer_sessions h);
   let metrics = Sim.Engine.metrics engine in
   let labels = [ ("host", string_of_int host) ] in
   Obs.Metrics.counter metrics ~name:"service.raft_drops" ~labels (fun () ->

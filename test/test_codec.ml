@@ -383,6 +383,214 @@ let test_kv_request_flat_leaves () =
   check_int "seq leaf" 42 (Codec.get_leaf_int Service.Kv_proto.request_codec b ~base:0 ~leaf:3);
   check_str "key leaf" key16 (Codec.get_leaf_string Service.Kv_proto.request_codec b ~base:0 ~leaf:4)
 
+(* {2 Error paths of the cursor reader on the frozen formats}
+
+   Each golden message comes with the strict-prefix lengths at which it
+   may legally end: a tail field (the KV response's value, the
+   AppendEntries entry list) ends where the message ends, so a cut there
+   decodes to a shorter, different value. Every other strict prefix must
+   raise [Decode_error]. One appended byte must raise too: the
+   trailing-bytes error, or a truncation error when a tail field tries to
+   read the extra byte as the start of another element. *)
+
+type golden = G : string * 'a Codec.t * 'a * int list * string -> golden
+
+let golden_raft_msgs =
+  [
+    Raft.Core.Request_vote { term = 5; candidate_id = 2; last_log_index = 17; last_log_term = 4 };
+    Raft.Core.Request_vote_resp { term = 5; vote_granted = true; from = 1 };
+    Raft.Core.Append_entries
+      {
+        term = 6;
+        leader_id = 0;
+        prev_log_index = 3;
+        prev_log_term = 2;
+        leader_commit = 3;
+        entries =
+          [
+            { Raft.Log.term = 6; cmd = "hello" };
+            { Raft.Log.term = 6; cmd = "" };
+            { Raft.Log.term = 7; cmd = String.make 100 'z' };
+          ];
+      };
+    Raft.Core.Append_entries_resp { term = 6; success = false; from = 2; match_index = 11 };
+  ]
+
+let golden_messages =
+  let req op value =
+    { Service.Kv_proto.op; shard = 3; client_id = 7; seq = 42; key = key16; value }
+  in
+  [
+    G ("kv PUT", Service.Kv_proto.request_codec, req Service.Kv_proto.Put ramp64, [], "trailing");
+    G
+      ( "kv GET",
+        Service.Kv_proto.request_codec,
+        req Service.Kv_proto.Get (String.make 64 '\000'),
+        [],
+        "trailing" );
+    G ("kv resp none", Service.Kv_proto.response_codec, (Service.Kv_proto.Ok_, None), [], "truncated");
+    G
+      ( "kv resp value",
+        Service.Kv_proto.response_codec,
+        (Service.Kv_proto.Ok_, Some ramp64),
+        [ 8 ],
+        "trailing" );
+    G
+      ( "kv resp hint",
+        Service.Kv_proto.response_codec,
+        (Service.Kv_proto.Not_leader (Some 4), None),
+        [],
+        "truncated" );
+    G ("kv cmd", Service.Kv_proto.cmd_codec, (7, 42, key16, String.make 64 'w'), [], "trailing");
+  ]
+  @ List.map
+      (fun msg ->
+        (* shard(4) tag(1) header(20), then (term, length, bytes) entries *)
+        let boundaries, extra =
+          match msg with
+          | Raft.Core.Append_entries _ -> ([ 25; 38; 46 ], "truncated")
+          | _ -> ([], "trailing")
+        in
+        G ("raft frame", Service.Kv_proto.raft_frame_codec, (2, msg), boundaries, extra))
+      golden_raft_msgs
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let test_golden_prefixes_raise () =
+  List.iter
+    (fun (G (name, c, v, boundaries, _)) ->
+      let b = Codec.to_bytes c v in
+      check_bool (name ^ ": full message decodes") true (Codec.of_bytes c b = v);
+      for n = 0 to Bytes.length b - 1 do
+        match Codec.of_bytes c (Bytes.sub b 0 n) with
+        | v' ->
+            if not (List.mem n boundaries) then
+              Alcotest.failf "%s: prefix of %d/%d bytes decoded" name n (Bytes.length b);
+            check_bool (Printf.sprintf "%s: %d-byte prefix is a shorter value" name n) true
+              (v' <> v)
+        | exception Codec.Decode_error _ ->
+            if List.mem n boundaries then
+              Alcotest.failf "%s: prefix of %d bytes ends a tail field but raised" name n
+        | exception e ->
+            Alcotest.failf "%s: prefix of %d bytes raised %s" name n (Printexc.to_string e)
+      done)
+    golden_messages
+
+let test_golden_appended_byte_raises () =
+  List.iter
+    (fun (G (name, c, v, _, expected)) ->
+      let b = Bytes.cat (Codec.to_bytes c v) (Bytes.make 1 '\007') in
+      match Codec.of_bytes c b with
+      | _ -> Alcotest.failf "%s: message plus one byte decoded" name
+      | exception Codec.Decode_error msg ->
+          if not (contains msg expected) then
+            Alcotest.failf "%s: expected a %s error, got %S" name expected msg)
+    golden_messages;
+  (* Two appended bytes on a fixed layout: the count is part of the error. *)
+  let b = Bytes.cat (Codec.to_bytes Service.Kv_proto.cmd_codec (7, 42, key16, ramp64)) (Bytes.make 2 'x') in
+  Alcotest.check_raises "trailing count" (Codec.Decode_error "2 trailing bytes after message")
+    (fun () -> ignore (Codec.of_bytes Service.Kv_proto.cmd_codec b))
+
+let test_tail_list_zero_progress () =
+  Alcotest.check_raises "zero-width element"
+    (Codec.Decode_error "tail_list: element consumed no bytes") (fun () ->
+      ignore (Codec.of_bytes Codec.(tail_list (fixed_string 0)) (Bytes.make 1 'a')))
+
+(* A codec of exact fixed size and leaf count answers [size] and
+   [leaf_count] without calling [map]'s [from]; encoding still calls it
+   once. *)
+let test_fixed_size_short_circuit () =
+  let calls = ref 0 in
+  let c =
+    Codec.map
+      ~into:(fun (a, b) -> [ a; b ])
+      ~from:(fun l ->
+        incr calls;
+        match l with [ a; b ] -> (a, b) | _ -> invalid_arg "two elements")
+      Codec.(pair u32 u16)
+  in
+  check_int "size" 6 (Codec.size c [ 1; 2 ]);
+  check_int "leaves" 2 (Codec.leaf_count c [ 1; 2 ]);
+  check_int "encoded_size" 6 (Codec.encoded_size ~backend:Codec.Compact c [ 1; 2 ]);
+  check_int "from not called for sizing" 0 !calls;
+  check_bool "roundtrip" true (roundtrip c [ 1; 2 ] = [ 1; 2 ]);
+  check_int "from called once to encode" 1 !calls;
+  (* A value-dependent size still goes through [from]. *)
+  let v = Codec.map ~into:Fun.id ~from:(fun s -> incr calls; s) Codec.string in
+  check_int "variable size" 7 (Codec.size v "abc");
+  check_int "from called for variable size" 2 !calls
+
+(* [size] equals the compact encoding's length for every combinator,
+   fixed short-circuit included, and the cursor reader consumes exactly
+   that many bytes back. *)
+type sized = S : string * 'a Codec.t * 'a QCheck2.Gen.t -> sized
+
+let sized_cases =
+  let open QCheck2.Gen in
+  let u32v = int_range 0 0xFFFFFFFF in
+  let str = small_string ~gen:printable in
+  [
+    S ("u8", Codec.u8, int_range 0 0xFF);
+    S ("u16", Codec.u16, int_range 0 0xFFFF);
+    S ("u32", Codec.u32, u32v);
+    S ("u64", Codec.u64, int);
+    S ("bool", Codec.bool, bool);
+    S ("fixed_string", Codec.fixed_string 5, string_size ~gen:printable (return 5));
+    S ("string", Codec.string, str);
+    S ("bounded_string", Codec.bounded_string 12, string_size ~gen:printable (int_range 0 12));
+    S ("pair fixed", Codec.(pair u16 u64), pair (int_range 0 0xFFFF) int);
+    S ("pair variable", Codec.(pair u32 string), pair u32v str);
+    S ("triple fixed", Codec.(triple u8 bool u32), triple (int_range 0 0xFF) bool u32v);
+    S ("triple variable", Codec.(triple u8 string bool), triple (int_range 0 0xFF) str bool);
+    S
+      ( "map fixed",
+        Codec.map ~into:(fun (a, b) -> a + (b lsl 32)) ~from:(fun v -> (v land 0xFFFFFFFF, v lsr 32))
+          Codec.(pair u32 u16),
+        map (fun (a, b) -> a + (b lsl 32)) (pair u32v (int_range 0 0xFFFF)) );
+    S ("map variable", Codec.map ~into:String.uppercase_ascii ~from:Fun.id Codec.string, map String.uppercase_ascii str);
+    S ("list", Codec.(list u32), list_size (int_range 0 20) u32v);
+    S ("list variable", Codec.(list string), list_size (int_range 0 10) str);
+    S ("array", Codec.(array u16), array_size (int_range 0 20) (int_range 0 0xFFFF));
+    S ("tail_list", Codec.(tail_list (pair u32 string)), list_size (int_range 0 10) (pair u32v str));
+    S ("option fixed", Codec.(option u64), option int);
+    S ("option variable", Codec.(option string), option str);
+    S ("tail_option", Codec.(tail_option (fixed_string 3)), option (string_size ~gen:printable (return 3)));
+    S
+      ( "variant",
+        shape_codec,
+        oneof [ return Dot; map (fun n -> Line n) u32v; map (fun s -> Label s) str ] );
+    S ("checksum fixed", Codec.(with_checksum (pair u32 u32)), pair u32v u32v);
+    S ("checksum variable", Codec.(with_checksum string), str);
+    S
+      ( "kv request",
+        Service.Kv_proto.request_codec,
+        map
+          (fun (seq, value) ->
+            { Service.Kv_proto.op = Service.Kv_proto.Put; shard = 1; client_id = 3; seq; key = key16; value })
+          (pair u32v (string_size ~gen:printable (return 64))) );
+    S
+      ( "kv response",
+        Service.Kv_proto.response_codec,
+        pair
+          (oneofl
+             [ Service.Kv_proto.Ok_; Service.Kv_proto.Not_found; Service.Kv_proto.Retry None;
+               Service.Kv_proto.Not_leader (Some 2) ])
+          (option (string_size ~gen:printable (return 64))) );
+  ]
+
+let qcheck_size_is_encoded_length =
+  List.map
+    (fun (S (name, c, gen)) ->
+      QCheck_alcotest.to_alcotest
+        (QCheck2.Test.make ~name:("size = encoded length: " ^ name) ~count:200 gen (fun v ->
+             let b = Bytes.create 4096 in
+             let fin = Codec.encode ~backend:Codec.Compact c b 0 v in
+             fin = Codec.size c v && Codec.decode ~backend:Codec.Compact c b ~off:0 ~len:fin = v)))
+    sized_cases
+
 (* {2 Typed msgbuf integration} *)
 
 let test_typed_write_semantics () =
@@ -407,6 +615,25 @@ let test_typed_write_semantics () =
   Alcotest.check_raises "in flight"
     (Invalid_argument "Typed.write: msgbuf is in flight (eRPC-owned)") (fun () ->
       Erpc.Typed.write c view (1, ""))
+
+(* One-pass [write_within]: no sizing pass, resize to what was written,
+   and an overrun stops at the buffer's capacity. *)
+let test_typed_write_within () =
+  let c = Codec.(pair u32 string) in
+  let m = Erpc.Msgbuf.alloc ~max_size:64 in
+  Erpc.Typed.write_within c m (7, "payload");
+  check_int "resized to encoded length" (4 + 4 + 7) (Erpc.Msgbuf.size m);
+  check_bool "read back" true (Erpc.Typed.read c m = (7, "payload"));
+  let small = Erpc.Msgbuf.alloc ~max_size:10 in
+  check_bool "overrun raises" true
+    (try
+       Erpc.Typed.write_within c small (1, "too long");
+       false
+     with Invalid_argument _ -> true);
+  let view = Erpc.Msgbuf.view (Bytes.make 16 '\000') ~off:0 ~len:8 in
+  Erpc.Msgbuf.return_to_app view;
+  Alcotest.check_raises "view" (Invalid_argument "Typed.write_within: msgbuf is a view")
+    (fun () -> Erpc.Typed.write_within c view (1, ""))
 
 let test_typed_write_checksum_compose () =
   (* Regression: [with_checksum] must see the exact encoded extent, so
@@ -534,4 +761,10 @@ let suite =
     Alcotest.test_case "typed RPC over eRPC" `Quick test_typed_rpc_over_erpc;
     Alcotest.test_case "typed RPC offloaded" `Quick test_typed_rpc_offload;
     Alcotest.test_case "typed RPC flat lazy" `Quick test_typed_rpc_flat_lazy;
+    Alcotest.test_case "golden prefixes raise" `Quick test_golden_prefixes_raise;
+    Alcotest.test_case "golden appended byte raises" `Quick test_golden_appended_byte_raises;
+    Alcotest.test_case "tail_list zero progress" `Quick test_tail_list_zero_progress;
+    Alcotest.test_case "fixed size short-circuit" `Quick test_fixed_size_short_circuit;
+    Alcotest.test_case "typed write_within" `Quick test_typed_write_within;
   ]
+  @ qcheck_size_is_encoded_length

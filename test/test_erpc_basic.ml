@@ -139,6 +139,107 @@ let test_unconnected_enqueue_is_buffered () =
   run_for fabric 2.0;
   Alcotest.(check bool) "completed after connect" true !done_
 
+(* {2 Request handles over per-sslot closures}
+
+   A handle's response closures belong to its sslot and are shared by
+   every request the slot serves; these pin down that sharing changes
+   neither the at-most-once response rule nor which request a late
+   response answers. *)
+
+let double_req_type = 2
+let deferred_req_type = 3
+
+let make_custom_pair register =
+  let cluster = Transport.Cluster.cx5 ~nodes:2 () in
+  let fabric = Erpc.Fabric.create cluster in
+  let nx0 = Erpc.Nexus.create fabric ~host:0 () in
+  let nx1 = Erpc.Nexus.create fabric ~host:1 () in
+  register nx1;
+  let client = Erpc.Rpc.create nx0 ~rpc_id:0 in
+  let server = Erpc.Rpc.create nx1 ~rpc_id:0 in
+  (fabric, client, server)
+
+let echo_into h =
+  let req = Erpc.Req_handle.get_request h in
+  let resp = Erpc.Req_handle.init_response h ~size:8 in
+  Erpc.Msgbuf.set_u32 resp ~off:0 (Erpc.Msgbuf.get_u32 req ~off:0);
+  resp
+
+let test_double_response_raises () =
+  let second_raised = ref 0 in
+  let fabric, client, _server =
+    make_custom_pair (fun nx ->
+        Erpc.Nexus.register_handler nx ~req_type:double_req_type ~mode:Erpc.Nexus.Dispatch
+          (fun h ->
+            let resp = echo_into h in
+            Erpc.Req_handle.enqueue_response h resp;
+            match Erpc.Req_handle.enqueue_response h resp with
+            | () -> ()
+            | exception Invalid_argument msg ->
+                Alcotest.(check string)
+                  "message" "Req_handle.enqueue_response: already responded" msg;
+                incr second_raised))
+  in
+  let sess = connect fabric client in
+  let total = 3 * (Erpc.Fabric.config fabric).req_window in
+  let completed = ref 0 in
+  for i = 0 to total - 1 do
+    let req = Erpc.Msgbuf.alloc ~max_size:4 in
+    Erpc.Msgbuf.set_u32 req ~off:0 i;
+    let resp = Erpc.Msgbuf.alloc ~max_size:8 in
+    Erpc.Rpc.enqueue_request client sess ~req_type:double_req_type ~req ~resp ~cont:(fun r ->
+        Alcotest.(check bool) "rpc ok" true (Result.is_ok r);
+        Alcotest.(check int) "own payload" i (Erpc.Msgbuf.get_u32 resp ~off:0);
+        incr completed)
+  done;
+  run_for fabric 5.0;
+  Alcotest.(check int) "every request completed once" total !completed;
+  Alcotest.(check int) "every second response raised" total !second_raised
+
+(* The [Replica.pending] pattern: a handle is stored and answered only
+   after many other requests have completed on the session's other slots
+   (several times each); it must still answer its own request. *)
+let test_stored_handle_answers_own_request () =
+  let parked = ref None in
+  let fabric, client, _server =
+    make_custom_pair (fun nx ->
+        Erpc.Nexus.register_handler nx ~req_type:deferred_req_type ~mode:Erpc.Nexus.Dispatch
+          (fun h ->
+            if Erpc.Msgbuf.get_u32 (Erpc.Req_handle.get_request h) ~off:0 = 1000 then
+              parked := Some h
+            else Erpc.Req_handle.enqueue_response h (echo_into h)))
+  in
+  let sess = connect fabric client in
+  let send i on_done =
+    let req = Erpc.Msgbuf.alloc ~max_size:4 in
+    Erpc.Msgbuf.set_u32 req ~off:0 i;
+    let resp = Erpc.Msgbuf.alloc ~max_size:8 in
+    Erpc.Rpc.enqueue_request client sess ~req_type:deferred_req_type ~req ~resp ~cont:(fun r ->
+        Alcotest.(check bool) "rpc ok" true (Result.is_ok r);
+        on_done (Erpc.Msgbuf.get_u32 resp ~off:0) (Erpc.Msgbuf.get_u32 resp ~off:4))
+  in
+  let parked_answer = ref None in
+  send 1000 (fun v marker -> parked_answer := Some (v, marker));
+  let others = 5 * (Erpc.Fabric.config fabric).req_window in
+  let completed = ref 0 in
+  for i = 0 to others - 1 do
+    send i (fun v _ ->
+        Alcotest.(check int) "own payload" i v;
+        incr completed)
+  done;
+  run_for fabric 5.0;
+  Alcotest.(check int) "other requests completed" others !completed;
+  Alcotest.(check bool) "parked request still open" true (!parked_answer = None);
+  (match !parked with
+  | None -> Alcotest.fail "handler never parked the request"
+  | Some h ->
+      let resp = echo_into h in
+      Erpc.Msgbuf.set_u32 resp ~off:4 0xABCD;
+      Erpc.Req_handle.enqueue_response h resp);
+  run_for fabric 1.0;
+  Alcotest.(check (option (pair int int)))
+    "late response answers its own request" (Some (1000, 0xABCD)) !parked_answer
+
 let suite =
   [
     Alcotest.test_case "connect" `Quick test_connect;
@@ -148,4 +249,7 @@ let suite =
     Alcotest.test_case "pipelined requests" `Quick test_pipelined_requests;
     Alcotest.test_case "ownership violation raises" `Quick test_ownership_violation;
     Alcotest.test_case "enqueue before connect" `Quick test_unconnected_enqueue_is_buffered;
+    Alcotest.test_case "double response raises" `Quick test_double_response_raises;
+    Alcotest.test_case "stored handle answers its own request" `Quick
+      test_stored_handle_answers_own_request;
   ]

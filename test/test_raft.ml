@@ -283,6 +283,23 @@ let test_codec_rejects_garbage () =
   decodes_to_error "unknown tag" (Bytes.make 8 '\255');
   decodes_to_error "truncated" (Bytes.make 3 '\000')
 
+(* {2 Commit index} *)
+
+(* [try_advance_commit]'s allocation-free selection must pick what the
+   sort-based formula it replaced picked: sort the n match indexes
+   ascending, take element n - (n/2 + 1). *)
+let qcheck_majority_match =
+  let gen =
+    QCheck2.Gen.(int_range 1 7 >>= fun n -> array_size (return n) (int_range 0 40))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"majority_match = sort-based formula" ~count:2000 gen
+       (fun matches ->
+         let n = Array.length matches in
+         let sorted = Array.copy matches in
+         Array.sort compare sorted;
+         Raft.Core.majority_match (Array.copy matches) = sorted.(n - ((n / 2) + 1))))
+
 let suite =
   [
     Alcotest.test_case "single node self-elects" `Quick test_single_node_self_elects;
@@ -301,4 +318,5 @@ let suite =
     Alcotest.test_case "log entries_from" `Quick test_log_entries_from;
     codec_roundtrip;
     Alcotest.test_case "codec rejects garbage" `Quick test_codec_rejects_garbage;
+    qcheck_majority_match;
   ]
