@@ -739,102 +739,6 @@ let bench_sim_cmd =
        ~doc:"Simulator throughput: events/s and allocation per event")
     Term.(const run $ workloads $ out $ seed_arg $ rerun)
 
-(* par-bench *)
-let par_bench_cmd =
-  let run seed racks hosts sources rate_rps local_frac horizon_ms domains json out =
-    let domains_list =
-      List.map
-        (fun s ->
-          match int_of_string_opt (String.trim s) with
-          | Some d when d >= 1 -> d
-          | _ -> failwith (Printf.sprintf "bad domain count %S" s))
-        (String.split_on_char ',' domains)
-    in
-    let b =
-      Experiments.Exp_par_sim.run_bench ~seed ~racks ~hosts_per_rack:hosts ~sources
-        ~rate_rps ~local_frac ~horizon_ms ~domains_list ()
-    in
-    Printf.printf "par-bench: %d racks x %d hosts, %.1f ms horizon, host_cores=%d\n"
-      racks hosts horizon_ms b.host_cores;
-    List.iter
-      (fun (r : Experiments.Exp_par_sim.result) ->
-        Printf.printf
-          "domains=%d  %9d events  %7d crossed  %7.3f s  %10.0f ev/s  %5.2fx  %s  parts=[%s]\n"
-          r.domains r.events r.msgs_crossed r.wall_s r.events_per_sec
-          (Experiments.Exp_par_sim.speedup_vs_1dom b r)
-          r.digest
-          (String.concat ";" (List.map string_of_int r.part_events)))
-      b.rows;
-    (match b.rows with
-    | r :: _ ->
-        Printf.printf "workload: %d requests, %d responses, p50=%.1fus p99=%.1fus\n"
-          r.requests r.responses r.p50_us r.p99_us
-    | [] -> ());
-    (if json || out <> None then
-       let str = Obs.Json.to_string (Experiments.Exp_par_sim.to_json b) in
-       match out with
-       | None ->
-           print_string str;
-           print_newline ()
-       | Some file ->
-           let oc = open_out file in
-           output_string oc str;
-           output_char oc '\n';
-           close_out oc;
-           Printf.printf "wrote %s\n" file);
-    if b.violations <> [] then begin
-      List.iter (Printf.eprintf "DETERMINISM VIOLATION: %s\n") b.violations;
-      exit 1
-    end
-    else Printf.printf "digest identical across domain counts\n"
-  in
-  let racks =
-    Arg.(value & opt int 4 & info [ "racks" ] ~docv:"N" ~doc:"Racks (= partitions).")
-  in
-  let hosts =
-    Arg.(value & opt int 4 & info [ "hosts" ] ~docv:"N" ~doc:"Hosts per rack.")
-  in
-  let sources =
-    Arg.(
-      value & opt int 2
-      & info [ "sources" ] ~docv:"N" ~doc:"Open-loop request sources per host.")
-  in
-  let rate =
-    Arg.(
-      value & opt float 80_000.
-      & info [ "rate" ] ~docv:"RPS" ~doc:"Poisson arrival rate per source.")
-  in
-  let local_frac =
-    Arg.(
-      value & opt float 0.5
-      & info [ "local-frac" ] ~docv:"F" ~doc:"Fraction of requests staying in-rack.")
-  in
-  let horizon =
-    Arg.(
-      value & opt float 5.0
-      & info [ "horizon-ms" ] ~docv:"MS" ~doc:"Simulated horizon per run.")
-  in
-  let domains =
-    Arg.(
-      value & opt string "1,2,4"
-      & info [ "domains" ] ~docv:"D,.."
-          ~doc:"Domain counts to sweep; digests must match across all of them.")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE" ~doc:"Write the BENCH_par_sim.json document here.")
-  in
-  Cmd.v
-    (Cmd.info "par-bench"
-       ~doc:
-         "Domain-parallel simulator throughput: the same seeded rack-partitioned \
-          workload under each domain count, with a digest-equality gate")
-    Term.(
-      const run $ seed_arg $ racks $ hosts $ sources $ rate $ local_frac $ horizon
-      $ domains $ json_arg $ out)
-
 (* sweep *)
 let sweep_cmd =
   let run suite seeds jobs =
@@ -1001,7 +905,6 @@ let () =
             chaos_cmd;
             kv_chaos_cmd;
             bench_sim_cmd;
-            par_bench_cmd;
             sweep_cmd;
             codec_bench_cmd;
             session_scale_cmd;

@@ -13,14 +13,14 @@ let uncongested = function
   | Timely_cc t -> Timely.uncongested t
   | Dcqcn_cc d -> Dcqcn.uncongested d
 
-(* Both arms receive the complete acknowledgement signal — RTT, ECN mark
-   and timestamp — even though Timely's rate computation uses only the RTT
-   and DCQCN's only the mark: an algorithm swapped in behind this seam
-   gets full signal without touching the datapath. *)
+(* The datapath hands over the whole acknowledgement signal — RTT, ECN
+   mark and timestamp — and each arm reads what it uses: Timely the RTT,
+   DCQCN the mark and time. An algorithm swapped in behind this seam gets
+   the full signal without touching the datapath. *)
 let on_sample t ~rtt_ns ~marked ~now_ns =
   match t with
-  | Timely_cc tl -> Timely.update ~marked ~now_ns tl ~sample_rtt_ns:rtt_ns
-  | Dcqcn_cc d -> Dcqcn.on_ack ~rtt_ns d ~marked ~now_ns
+  | Timely_cc tl -> Timely.update tl ~sample_rtt_ns:rtt_ns
+  | Dcqcn_cc d -> Dcqcn.on_ack d ~marked ~now_ns
 
 let pacing_delay_ns t ~bytes =
   match t with

@@ -18,8 +18,6 @@ type opts = {
           instead of per packet — the §6.4 future-work optimization *)
 }
 
-val all_opts_on : opts
-
 (** Which datapath an {!Rpc} endpoint drives (paper §3): the lossy
     raw-Ethernet path over the userspace-NIC model, or the lossless RC
     path over the RDMA QP/connection-cache machinery. The wire protocol is

@@ -9,7 +9,6 @@ type t = {
   mutable last_increase : Sim.Time.t;
   mutable recovery_rounds : int;  (* increase steps since the last cut *)
   mutable cuts : int;
-  mutable last_rtt_ns : int;
 }
 
 let create cc ~link_gbps =
@@ -25,7 +24,6 @@ let create cc ~link_gbps =
     last_increase = Sim.Time.zero;
     recovery_rounds = 0;
     cuts = 0;
-    last_rtt_ns = 0;
   }
 
 let rate_bps t = t.rc
@@ -52,11 +50,7 @@ let increase t now =
   t.rc <- clamp t ((t.rt +. t.rc) /. 2.);
   t.last_increase <- now
 
-(* DCQCN reacts only to ECN, but the RTT rides along so the reaction
-   point sees the complete acknowledgement signal (and a future hybrid
-   algorithm needs no datapath change). *)
-let on_ack ?(rtt_ns = 0) t ~marked ~now_ns =
-  if rtt_ns > 0 then t.last_rtt_ns <- rtt_ns;
+let on_ack t ~marked ~now_ns =
   if marked then begin
     if Sim.Time.sub now_ns t.last_cut >= t.cc.dcqcn_cnp_interval_ns then cut t now_ns
   end
@@ -74,5 +68,3 @@ let on_ack ?(rtt_ns = 0) t ~marked ~now_ns =
 
 let pacing_delay_ns t ~bytes =
   int_of_float (ceil (float_of_int (bytes * 8) /. t.rc *. 1e9))
-
-let last_rtt_ns t = t.last_rtt_ns

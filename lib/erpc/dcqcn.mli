@@ -23,14 +23,8 @@ val uncongested : t -> bool
 
 (** Process one acknowledgement-carrying packet at time [now_ns];
     [marked] is true when the packet (or the data packet it acknowledges)
-    carried an ECN mark. [rtt_ns] is the acknowledgement's RTT sample —
-    unused by DCQCN's rate computation but recorded so both controller
-    arms receive the complete signal. *)
-val on_ack : ?rtt_ns:int -> t -> marked:bool -> now_ns:Sim.Time.t -> unit
-
-(** Most recent RTT sample fed through {!on_ack} (signal recorded, not
-    acted on). *)
-val last_rtt_ns : t -> int
+    carried an ECN mark. *)
+val on_ack : t -> marked:bool -> now_ns:Sim.Time.t -> unit
 
 val pacing_delay_ns : t -> bytes:int -> int
 

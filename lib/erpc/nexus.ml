@@ -105,4 +105,3 @@ let submit_worker t job =
   end
 
 let num_workers t = Array.length t.workers
-let worker_cpu t i = t.workers.(i).cpu

@@ -40,4 +40,3 @@ val register_rx : t -> rpc_id:int -> rx:(Netsim.Packet.t -> unit) -> unit
 val submit_worker : t -> (Sim.Cpu.t -> unit) -> unit
 
 val num_workers : t -> int
-val worker_cpu : t -> int -> Sim.Cpu.t

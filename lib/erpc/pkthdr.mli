@@ -50,7 +50,6 @@ val checksum : t -> data:bytes -> off:int -> len:int -> int
     framing (see [Codec.with_checksum]). *)
 val bytes_checksum : ?init:int -> bytes -> off:int -> len:int -> int
 
-val pkt_type_to_string : pkt_type -> string
 val pp : Format.formatter -> t -> unit
 
 (** Payload bytes carried by a data packet: [pkt_num]-th MTU-sized chunk of

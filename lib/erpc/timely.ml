@@ -7,8 +7,6 @@ type t = {
   mutable neg_gradient_count : int;
   mutable updates : int;
   mutable samples_since_update : int;
-  mutable ecn_marks : int;
-  mutable last_sample_at : Sim.Time.t;
 }
 
 let create ?(phase = 0) cc ~link_gbps =
@@ -24,8 +22,6 @@ let create ?(phase = 0) cc ~link_gbps =
     (* Stagger sessions' update cadence so the fleet does not apply
        multiplicative decrease in lockstep. *)
     samples_since_update = phase mod max 1 cc.samples_per_update;
-    ecn_marks = 0;
-    last_sample_at = Sim.Time.zero;
   }
 
 let rate_bps t = t.rate_bps
@@ -34,12 +30,7 @@ let updates t = t.updates
 
 let clamp t r = Float.min t.max_rate_bps (Float.max t.cc.min_rate_bps r)
 
-(* Timely's rate computation uses only the RTT, but the full
-   acknowledgement signal is recorded so the controller (and anything
-   layered on it) sees the same inputs DCQCN does. *)
-let rec update ?(marked = false) ?(now_ns = Sim.Time.zero) t ~sample_rtt_ns =
-  if marked then t.ecn_marks <- t.ecn_marks + 1;
-  if now_ns > t.last_sample_at then t.last_sample_at <- now_ns;
+let rec update t ~sample_rtt_ns =
   t.samples_since_update <- t.samples_since_update + 1;
   if t.samples_since_update >= t.cc.samples_per_update then begin
     t.samples_since_update <- 0;
@@ -76,4 +67,3 @@ let pacing_delay_ns t ~bytes =
   int_of_float (ceil (float_of_int (bytes * 8) /. t.rate_bps *. 1e9))
 
 let set_rate_bps t r = t.rate_bps <- clamp t r
-let ecn_marks t = t.ecn_marks

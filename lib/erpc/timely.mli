@@ -17,14 +17,8 @@ val rate_bps : t -> float
 (** Rate is pinned at the link rate. *)
 val uncongested : t -> bool
 
-(** Feed one acknowledgement sample. The rate computation uses only
-    [sample_rtt_ns]; [marked] (ECN) and [now_ns] are recorded so the
-    controller receives the same complete signal as {!Dcqcn} (and a future
-    algorithm can use them without re-plumbing the datapath). *)
-val update : ?marked:bool -> ?now_ns:Sim.Time.t -> t -> sample_rtt_ns:int -> unit
-
-(** ECN-marked acknowledgements seen (signal recorded, not acted on). *)
-val ecn_marks : t -> int
+(** Feed one acknowledgement's RTT sample. *)
+val update : t -> sample_rtt_ns:int -> unit
 
 (** Time (ns) to serialize [bytes] at the current rate. *)
 val pacing_delay_ns : t -> bytes:int -> int

@@ -170,10 +170,3 @@ let view_int v ~leaf ~fallback =
     Codec.get_leaf_int v.v_codec v.v_bytes ~base:v.v_base ~leaf
   end
   else fallback (force v)
-
-let view_string v ~leaf ~fallback =
-  if is_lazy v then begin
-    v.v_charge ~leaves:1 ~bytes:(Codec.leaf_bytes v.v_codec ~leaf);
-    Codec.get_leaf_string v.v_codec v.v_bytes ~base:v.v_base ~leaf
-  end
-  else fallback (force v)

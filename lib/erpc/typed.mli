@@ -99,8 +99,6 @@ val view_int : 'a view -> leaf:int -> fallback:('a -> int) -> int
 (** Read one integer leaf (charged as one field); [fallback] projects the
     value when the view was decoded eagerly. *)
 
-val view_string : 'a view -> leaf:int -> fallback:('a -> string) -> string
-
 val force : 'a view -> 'a
 (** The fully decoded value (charged on first call for lazy views). *)
 

@@ -14,8 +14,6 @@ type Netsim.Packet.body +=
 type pool = {
   mutable head : Netsim.Packet.t;
   mutable release : Netsim.Packet.t -> unit;
-  mutable outstanding : int;  (* live packets minus recycled ones *)
-  mutable recycled : int;
 }
 
 let empty_hdr =
@@ -32,7 +30,7 @@ let empty_hdr =
 
 let create_pool () =
   let p =
-    { head = Netsim.Packet.nil; release = Netsim.Packet.no_release; outstanding = 0; recycled = 0 }
+    { head = Netsim.Packet.nil; release = Netsim.Packet.no_release }
   in
   p.release <-
     (fun pkt ->
@@ -45,14 +43,9 @@ let create_pool () =
           r.len <- 0;
           r.hdr <- empty_hdr
       | _ -> ());
-      p.outstanding <- p.outstanding - 1;
-      p.recycled <- p.recycled + 1;
       pkt.Netsim.Packet.pool_next <- p.head;
       p.head <- pkt);
   p
-
-let pool_outstanding p = p.outstanding
-let pool_recycled p = p.recycled
 
 let make ?pool ~src_host ~dst_host ~dst_rpc ~wire_overhead ~flow ~hdr ?payload () =
   let data, off, len =
@@ -64,7 +57,6 @@ let make ?pool ~src_host ~dst_host ~dst_rpc ~wire_overhead ~flow ~hdr ?payload (
       let pkt = p.head in
       p.head <- pkt.Netsim.Packet.pool_next;
       pkt.Netsim.Packet.pool_next <- Netsim.Packet.nil;
-      p.outstanding <- p.outstanding + 1;
       (match pkt.Netsim.Packet.body with
       | Pkt r ->
           r.dst_rpc <- dst_rpc;
@@ -80,11 +72,7 @@ let make ?pool ~src_host ~dst_host ~dst_rpc ~wire_overhead ~flow ~hdr ?payload (
         Netsim.Packet.make ~src:src_host ~dst:dst_host ~size_bytes ~flow_hash:flow
           (Pkt { dst_rpc; hdr; data; off; len })
       in
-      (match pool with
-      | Some p ->
-          p.outstanding <- p.outstanding + 1;
-          pkt.Netsim.Packet.release <- p.release
-      | None -> ());
+      (match pool with Some p -> pkt.Netsim.Packet.release <- p.release | None -> ());
       pkt
 
 let verify pkt = not pkt.Netsim.Packet.corrupted

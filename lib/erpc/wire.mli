@@ -26,12 +26,6 @@ type pool
 
 val create_pool : unit -> pool
 
-(** Pool-allocated packets currently in flight (diagnostics). *)
-val pool_outstanding : pool -> int
-
-(** Packets served from the free-list so far (diagnostics). *)
-val pool_recycled : pool -> int
-
 (** Build a wire packet. [payload], when given, is referenced as a
     [(bytes, off, len)] slice — never copied. The wire size is the payload
     length plus [wire_overhead]. With [?pool], the record is drawn from

@@ -150,9 +150,8 @@ let row_json r =
       ("digest", Obs.Json.Str r.digest);
     ]
 
-(* [domains]/[host_cores]/[speedup_vs_1dom] mirror BENCH_par_sim.json so
-   downstream tooling can join the two documents: this bench is the
-   single-domain engine, so domains is 1 and the speedup trivially 1.0. *)
+(* Every run is one engine on one domain, so [domains] is always 1 and
+   [speedup_vs_1dom] always 1.0; [host_cores] records the host. *)
 let to_json rows =
   Obs.Json.Obj
     [

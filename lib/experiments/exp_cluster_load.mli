@@ -75,8 +75,5 @@ val run_all :
 
 val pp_result : Format.formatter -> result -> unit
 
-(** One row of the [BENCH_cluster_load.json] document. *)
-val result_to_json : result -> Obs.Json.t
-
 (** The full document: [{"benchmark":"cluster_load","unit":"us","rows":[...]}]. *)
 val to_json : result list -> Obs.Json.t

@@ -29,8 +29,6 @@
 
 type scenario = Leader_crash | Tor_partition | Rolling_restart | Hot_shard
 
-val scenario_name : scenario -> string
-
 type run_result = {
   seed : int64;
   scenario : scenario;

@@ -29,7 +29,5 @@ val run :
   result
 
 (** The sweep used by [--sweep]: 100 to 20,000 sessions. *)
-val sweep_points : int list
-
 val sweep :
   ?seed:int64 -> ?req_size:int -> ?window:int -> ?measure_ms:float -> unit -> result list

@@ -39,21 +39,6 @@ val run_fasst :
   unit ->
   result
 
-(** As {!run}, but issuing typed requests (fixed-width 24 B schema) via
-    {!Erpc.Typed}, so schema (de)serialization is charged on the datapath
-    under [backend] and the NIC [offload] toggle. *)
-val run_typed :
-  ?seed:int64 ->
-  ?window:int ->
-  ?warmup_ms:float ->
-  ?measure_ms:float ->
-  cluster:Transport.Cluster.t ->
-  backend:Codec.backend ->
-  offload:bool ->
-  batch:int ->
-  unit ->
-  result
-
 (** Table 3 factor analysis on CX4 with B=3: optimizations disabled
     cumulatively, in the paper's order, starting with the baseline.
     Extended with non-cumulative "Typed codec" rows (the baseline re-run

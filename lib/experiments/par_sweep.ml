@@ -2,7 +2,7 @@
    existing experiments across OCaml domains ([erpc_sim sweep], and the
    [--domains] flag on chaos/kv-chaos/cluster-load).
 
-   This is the embarrassingly-parallel tier of the PDES work: each task
+   Parallelism is per seed, never inside one simulation: each task
    builds its own engine, cluster and trace, so tasks share no mutable
    state ([Obs.Trace.disabled] is shared but never written). A shared atomic
    cursor deals tasks to workers, results land at their own index, and

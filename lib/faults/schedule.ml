@@ -28,6 +28,7 @@ let fault_to_string = function
   | Crash { host; down_ns } -> Printf.sprintf "crash host=%d down=%d" host down_ns
   | Drop_nth { n } -> Printf.sprintf "drop_nth n=%d" n
 
+(* Stable kind tag ("crash", "corrupt", ...), for coverage accounting. *)
 let fault_kind = function
   | Link_down _ -> "link_down"
   | Link_flap _ -> "link_flap"

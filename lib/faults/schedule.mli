@@ -29,16 +29,12 @@ type t = event list
 
 val fault_to_string : fault -> string
 
-(** Stable kind tag ("crash", "corrupt", ...), for coverage accounting. *)
-val fault_kind : fault -> string
-
 (** Distinct fault kinds present in the schedule. *)
 val num_kinds : t -> int
 
 (** Stable sort by injection time. *)
 val sort : t -> t
 
-val pp_event : Format.formatter -> event -> unit
 val pp : Format.formatter -> t -> unit
 
 (** [random ~seed ~horizon_ns ~events ~hosts ~tors] draws [events] faults

@@ -11,9 +11,6 @@ type t = Obs.Trace.t
    silently break byte-equality between runs of different lengths. *)
 let create ?(capacity = 1 lsl 16) () = Obs.Trace.create ~capacity ()
 
-let of_obs t = t
-let to_obs t = t
-
 let record t ~at_ns msg =
   Obs.Trace.instant t ~ts:at_ns ~cat:"faults" ~name:msg ~pid:0 ~tid:0 []
 

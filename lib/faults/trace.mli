@@ -14,9 +14,6 @@ type t = Obs.Trace.t
 val create : ?capacity:int -> unit -> t
 (** An enabled event trace (default capacity 2^16 events). *)
 
-val of_obs : Obs.Trace.t -> t
-val to_obs : t -> Obs.Trace.t
-
 val record : t -> at_ns:int -> string -> unit
 (** Record a fault event: an instant in category ["faults"]. *)
 

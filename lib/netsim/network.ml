@@ -62,7 +62,6 @@ type t = {
   mutable partition_drops : int;
   mutable targeted_drops : int;
   mutable injected_dups : int;
-  mutable injected_corruptions : int;
   mutable injected_reorders : int;
 }
 
@@ -119,10 +118,8 @@ let deliver t host_id pkt =
     Packet.free pkt
   end
   else begin
-    if t.corrupt_prob > 0. && Sim.Rng.bool_with_prob t.rng t.corrupt_prob then begin
+    if t.corrupt_prob > 0. && Sim.Rng.bool_with_prob t.rng t.corrupt_prob then
       t.corrupter pkt;
-      t.injected_corruptions <- t.injected_corruptions + 1
-    end;
     let delay = ref t.extra_delay_ns.(host_id) in
     if t.reorder_prob > 0. && Sim.Rng.bool_with_prob t.rng t.reorder_prob then begin
       (* Bounded reordering: hold this packet back so later packets of the
@@ -293,7 +290,6 @@ let create engine cfg =
          partition_drops = 0;
          targeted_drops = 0;
          injected_dups = 0;
-         injected_corruptions = 0;
          injected_reorders = 0;
        })
   in
@@ -348,15 +344,12 @@ let link_drops t = t.link_drops
 let partition_drops t = t.partition_drops
 let targeted_drops t = t.targeted_drops
 let injected_dups t = t.injected_dups
-let injected_corruptions t = t.injected_corruptions
 let injected_reorders t = t.injected_reorders
 let host_tor_index t ~host = t.hosts.(host).tor_index
 
 let tor_downlink_port t ~host =
   let h = t.hosts.(host) in
   Switch.port h.tor h.tor_downlink
-
-let host_tx_port t ~host = t.hosts.(host).tx_port
 
 let switches t = t.switch_list
 

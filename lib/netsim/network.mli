@@ -115,7 +115,6 @@ val link_drops : t -> int
 val partition_drops : t -> int
 val targeted_drops : t -> int
 val injected_dups : t -> int
-val injected_corruptions : t -> int
 val injected_reorders : t -> int
 
 (** The ToR index a host sits under (0 for single-switch topologies). *)
@@ -123,9 +122,6 @@ val host_tor_index : t -> host:int -> int
 
 (** The ToR egress port facing [host] — where incast queueing happens. *)
 val tor_downlink_port : t -> host:int -> Port.t
-
-(** The host's own NIC TX port. *)
-val host_tx_port : t -> host:int -> Port.t
 
 (** All switches, for drop/buffer statistics. *)
 val switches : t -> Switch.t list

@@ -78,72 +78,3 @@ let free t =
     t.refs <- t.refs - 1;
     if t.refs = 0 then t.release t
   end
-
-(* {2 Partition-boundary transfer}
-
-   Intrusive free-lists cannot cross OCaml domains: a pooled packet is
-   recycled by mutation on its owner's domain, so handing the record
-   itself to another partition would race. A [transfer] is the immutable
-   snapshot that crosses instead; the receiving partition rehydrates it
-   from its own [pool]. The [body] is carried by reference — bodies sent
-   across a partition boundary must themselves be immutable (or never
-   mutated after send), which holds for the value-typed bodies used by
-   the partitioned experiments. *)
-
-type transfer = {
-  x_src : int;
-  x_dst : int;
-  x_size_bytes : int;
-  x_flow_hash : int;
-  x_body : body;
-  x_sent_at : Sim.Time.t;
-  x_ecn : bool;
-  x_corrupted : bool;
-}
-
-let to_transfer t =
-  {
-    x_src = t.src;
-    x_dst = t.dst;
-    x_size_bytes = t.size_bytes;
-    x_flow_hash = t.flow_hash;
-    x_body = t.body;
-    x_sent_at = t.sent_at;
-    x_ecn = t.ecn;
-    x_corrupted = t.corrupted;
-  }
-
-(* Single-domain free-list of rehydration packets, one per partition. *)
-type pool = { mutable free_head : t }
-
-let create_pool () = { free_head = nil }
-
-let pool_release pool t =
-  t.body <- Empty;
-  t.pool_next <- pool.free_head;
-  pool.free_head <- t
-
-let of_transfer pool x =
-  let p =
-    if pool.free_head != nil then begin
-      let p = pool.free_head in
-      pool.free_head <- p.pool_next;
-      p.pool_next <- nil;
-      reinit p ~src:x.x_src ~dst:x.x_dst ~size_bytes:x.x_size_bytes
-        ~flow_hash:x.x_flow_hash;
-      p
-    end
-    else begin
-      let p =
-        make ~src:x.x_src ~dst:x.x_dst ~size_bytes:x.x_size_bytes
-          ~flow_hash:x.x_flow_hash Empty
-      in
-      p.release <- (fun t -> pool_release pool t);
-      p
-    end
-  in
-  p.body <- x.x_body;
-  p.sent_at <- x.x_sent_at;
-  p.ecn <- x.x_ecn;
-  p.corrupted <- x.x_corrupted;
-  p

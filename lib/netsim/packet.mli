@@ -58,37 +58,3 @@ val free : t -> unit
 
 (** The default [release]: does nothing (unpooled packets). *)
 val no_release : t -> unit
-
-(** {2 Partition-boundary transfer}
-
-    Pooled packets are recycled by in-place mutation, so the record itself
-    must never cross a domain boundary. A [transfer] is the immutable
-    snapshot that does: the sending partition snapshots with
-    {!to_transfer} (then frees its packet locally), and the receiving
-    partition rehydrates with {!of_transfer} from its own single-domain
-    {!pool}. The body crosses by reference and must be immutable once
-    sent; [trace_id] deliberately does not cross (trace ids are
-    shard-scoped). *)
-
-type transfer = {
-  x_src : int;
-  x_dst : int;
-  x_size_bytes : int;
-  x_flow_hash : int;
-  x_body : body;
-  x_sent_at : Sim.Time.t;
-  x_ecn : bool;
-  x_corrupted : bool;
-}
-
-val to_transfer : t -> transfer
-
-type pool
-(** Free-list of rehydration packets. Owned by one partition (one domain);
-    never shared. *)
-
-val create_pool : unit -> pool
-
-val of_transfer : pool -> transfer -> t
-(** A live packet carrying the snapshot, with one reference; {!free}
-    returns it to [pool]. *)

@@ -179,7 +179,6 @@ let send t pkt =
 
 let name t = t.name
 let queued_bytes t = t.queued_bytes
-let queued_packets t = Sim.Ring.length t.queue
 
 let queue_delay t =
   Sim.Time.of_bytes_at_gbps t.queued_bytes t.rate_gbps
@@ -190,7 +189,6 @@ let tx_bytes t = t.tx_bytes
 let dropped_packets t = t.dropped_packets
 let dropped_bytes t = t.dropped_bytes
 let pause_events t = t.pause_events
-let max_queued_bytes t = t.max_queued_bytes
 
 let reset_stats t =
   t.tx_packets <- 0;

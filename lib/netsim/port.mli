@@ -35,7 +35,6 @@ val send : t -> Packet.t -> bool
 
 val name : t -> string
 val queued_bytes : t -> int
-val queued_packets : t -> int
 
 (** Queueing delay a packet enqueued now would experience before its own
     serialization starts. *)
@@ -53,5 +52,4 @@ val dropped_bytes : t -> int
 (** Times PFC saved a packet that DT admission would have dropped
     (lossless ports only). *)
 val pause_events : t -> int
-val max_queued_bytes : t -> int
 val reset_stats : t -> unit

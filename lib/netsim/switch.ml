@@ -45,8 +45,6 @@ let port t i =
   assert (i >= 0 && i < t.num_ports);
   t.ports.(i)
 
-let num_ports t = t.num_ports
-
 let set_route t ~dst ~ports =
   if dst >= Array.length t.routes then begin
     let routes = Array.make (Int.max (dst + 1) (2 * Array.length t.routes)) no_route in
@@ -69,5 +67,3 @@ let dropped_packets t =
     total := !total + Port.dropped_packets t.ports.(i)
   done;
   !total
-
-let max_buffer_used t = Buffer_pool.max_used t.pool

@@ -22,7 +22,6 @@ val pool : t -> Buffer_pool.t
 val add_port : t -> Port.t -> int
 
 val port : t -> int -> Port.t
-val num_ports : t -> int
 
 (** [set_route t ~dst ~ports] routes packets for host [dst] to one of
     [ports] (ECMP by flow hash). *)
@@ -34,5 +33,3 @@ val forward : t -> Packet.t -> unit
 
 (** Packets dropped at this switch (buffer admission failures). *)
 val dropped_packets : t -> int
-
-val max_buffer_used : t -> int

@@ -188,7 +188,6 @@ let clear_rx t =
   t.rq_available <- t.cfg.rq_size;
   t.replenish_partial <- 0
 
-let rq_available t = t.rq_available
 let rx_packets t = t.rx_packets
 let tx_packets t = t.tx_packets
 let rx_dropped_no_desc t = t.rx_dropped_no_desc

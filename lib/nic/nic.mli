@@ -75,8 +75,6 @@ val set_rx_notify : t -> (unit -> unit) -> unit
     (amortized when multi-packet RQ descriptors are enabled). *)
 val replenish_rq : t -> int -> int
 
-val rq_available : t -> int
-
 (** Drop everything in the RX ring and restore the full descriptor count —
     the restarted driver after a host crash re-posts its RQ from scratch at
     no modeled cost. *)

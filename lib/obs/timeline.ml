@@ -30,9 +30,6 @@ let fail t ~at_ns =
 
 let window_ns t = t.window_ns
 let num_windows t = Array.length t.oks
-let total_ok t = Array.fold_left ( + ) 0 t.oks
-let total_fail t = Array.fold_left ( + ) 0 t.fails
-
 let is_gap t i = t.oks.(i) = 0 && t.fails.(i) > 0
 
 let gaps t =

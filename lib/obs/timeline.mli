@@ -26,10 +26,6 @@ val ok : t -> at_ns:int -> latency_ns:int -> unit
 val fail : t -> at_ns:int -> unit
 
 val window_ns : t -> int
-val num_windows : t -> int
-
-val total_ok : t -> int
-val total_fail : t -> int
 
 (** Number of windows with at least one attempt but zero successes —
     the blackout count an availability SLO bounds. *)

@@ -131,42 +131,6 @@ let iter t f =
     f t.buf.(idx)
   done
 
-(* {2 Shard merge}
-
-   Deterministic merge of per-partition trace shards (see Sim.Partition):
-   a stable sort of the concatenated events by (ts, pid). Each pid's
-   stream must live in exactly one shard (hosts are owned by exactly one
-   partition) for the result to be independent of how work was
-   partitioned: the sorted order is then fully determined by the event
-   multiset plus the per-pid subsequences, neither of which depends on
-   partition or domain count. Events sharing (ts, pid) keep their
-   within-shard order (shards earlier in the list first) — for
-   shard-crossing pids like [net_pid] this tiebreak is still deterministic
-   for a fixed partitioning, just not partition-count invariant. *)
-
-let merge shards =
-  let all =
-    Array.of_list (List.concat_map (fun s -> events s) shards)
-  in
-  (* [Array.stable_sort] keeps concatenation order for equal keys. *)
-  Array.stable_sort
-    (fun a b -> if a.ts <> b.ts then compare a.ts b.ts else compare a.pid b.pid)
-    all;
-  let t = create ~capacity:(max 1 (Array.length all)) () in
-  t.dropped <- List.fold_left (fun acc s -> acc + s.dropped) 0 shards;
-  t.next_id <- List.fold_left (fun acc s -> max acc s.next_id) 0 shards;
-  List.iter
-    (fun s ->
-      List.iter (fun (pid, name) -> register_process t ~pid name) s.procs;
-      List.iter
-        (fun (pid, tid, name) ->
-          if not (List.exists (fun (p, i, _) -> p = pid && i = tid) t.tracks) then
-            t.tracks <- t.tracks @ [ (pid, tid, name) ])
-        s.tracks)
-    shards;
-  Array.iter (fun e -> record t e) all;
-  t
-
 (* {2 Digest}
 
    FNV-1a 64 folded over a compact rendering of every retained event. Far
@@ -212,11 +176,6 @@ let digest t =
           mix_char '|')
         e.args);
   Printf.sprintf "%016Lx" !h
-
-(* The digest of the merged trace: composable over shards, and byte-equal
-   across runs iff every shard's retained events (and summed eviction
-   counts) are. *)
-let merged_digest shards = digest (merge shards)
 
 (* {2 Chrome-trace JSON export}
 

@@ -97,19 +97,6 @@ val digest : t -> string
     checks cheap even for million-event traces where rendering the full
     Chrome JSON would dominate the run. *)
 
-val merge : t list -> t
-(** Deterministic merge of per-partition trace shards: a stable sort of
-    the concatenated events by (ts, pid), with within-shard order kept for
-    equal keys. When every pid is recorded by exactly one shard (hosts are
-    owned by exactly one partition), the merged order — and hence
-    {!merged_digest} — is independent of how events were sharded. Dropped
-    counts are summed; process/track registrations are united. *)
-
-val merged_digest : t list -> string
-(** [digest (merge shards)]: the composable cross-shard identity check
-    used to assert that [--domains 1] and [--domains N] executed the same
-    simulation. *)
-
 val to_chrome_string : t -> string
 (** Render as Chrome-trace JSON ({["traceEvents"]} array plus track
     metadata), loadable in chrome://tracing or ui.perfetto.dev. Timestamps

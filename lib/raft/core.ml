@@ -43,9 +43,6 @@ type 'cmd stable = {
 }
 
 let stable () = { s_term = 0; s_voted_for = None; s_log = Log.create () }
-let stable_term s = s.s_term
-let stable_voted_for s = s.s_voted_for
-let stable_log s = s.s_log
 
 type 'cmd t = {
   id : int;

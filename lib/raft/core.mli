@@ -53,10 +53,6 @@ type 'cmd stable
 (** Fresh, empty stable storage (term 0, no vote, empty log). *)
 val stable : unit -> 'cmd stable
 
-val stable_term : 'cmd stable -> int
-val stable_voted_for : 'cmd stable -> int option
-val stable_log : 'cmd stable -> 'cmd Log.t
-
 type 'cmd t
 
 (** [create ~id ~peers cfg ~send ~apply ~random] — [send dst msg] transmits

@@ -10,8 +10,6 @@
     service's shard-routed Raft frame) or typed-RPC use. *)
 val msg_codec : string Core.msg Codec.t
 
-val entry_codec : string Log.entry Codec.t
-
 val encode : string Core.msg -> bytes
 
 (** Raises {!Codec.Decode_error} on malformed input. *)

@@ -20,8 +20,7 @@ let create ?(seed = 42L) () =
   in
   (* Queue-shape gauges: pending event count, the wheel's occupied-slot
      load factor, and how many events wait in the overflow heap instead of
-     the wheel. Sampled per engine, so on a partitioned run each
-     partition's registry exposes its own load — imbalance is observable. *)
+     the wheel. *)
   Obs.Metrics.gauge t.metrics ~name:"sim.queue_depth" (fun () ->
       float_of_int (Timing_wheel.length t.queue));
   Obs.Metrics.gauge t.metrics ~name:"sim.wheel_occupancy" (fun () ->
@@ -52,18 +51,6 @@ let schedule_seq t at seq f =
   Timing_wheel.push_seq t.queue at seq f
 
 let schedule_after t delta f = schedule t (Time.add t.clock delta) f
-
-(* PDES hook: a partition runner delivering a cross-partition message moves
-   the clock to the message timestamp before invoking the handler, exactly
-   as [step] does for a popped local event. *)
-let advance_clock t at =
-  if at < t.clock then
-    invalid_arg
-      (Format.asprintf "Engine.advance_clock: time %a is before now %a" Time.pp at
-         Time.pp t.clock);
-  t.clock <- at
-
-let next_event_time t = Timing_wheel.peek_time t.queue
 
 let step t =
   match Timing_wheel.pop t.queue with

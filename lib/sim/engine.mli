@@ -50,16 +50,6 @@ val schedule_seq : t -> Time.t -> int -> (unit -> unit) -> unit
     remain. *)
 val step : t -> bool
 
-(** [advance_clock t at] moves the clock forward to [at] without executing
-    anything — the {!Partition} runner's hook for delivering a
-    cross-partition message at its arrival timestamp. [at] must not be in
-    the past. *)
-val advance_clock : t -> Time.t -> unit
-
-(** Timestamp of the earliest pending event, or [None] if the queue is
-    empty. *)
-val next_event_time : t -> Time.t option
-
 (** Run until the event queue is empty. *)
 val run : t -> unit
 

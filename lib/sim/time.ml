@@ -6,7 +6,6 @@ let us f = int_of_float (f *. 1e3 +. 0.5)
 let ms f = int_of_float (f *. 1e6 +. 0.5)
 let s f = int_of_float (f *. 1e9 +. 0.5)
 
-let to_ns t = t
 let to_us t = float_of_int t /. 1e3
 let to_ms t = float_of_int t /. 1e6
 let to_s t = float_of_int t /. 1e9

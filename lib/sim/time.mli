@@ -12,10 +12,8 @@ val us : float -> t
 val ms : float -> t
 val s : float -> t
 
-val to_ns : t -> int
 val to_us : t -> float
 val to_ms : t -> float
-val to_s : t -> float
 
 val add : t -> t -> t
 val sub : t -> t -> t

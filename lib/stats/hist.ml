@@ -92,9 +92,3 @@ let clear t =
   t.total <- 0;
   t.min_v <- max_int;
   t.max_v <- 0
-
-let pp_summary fmt t =
-  if t.count = 0 then Format.fprintf fmt "(empty)"
-  else
-    Format.fprintf fmt "n=%d p50=%d p99=%d p99.9=%d max=%d" t.count (percentile t 50.)
-      (percentile t 99.) (percentile t 99.9) t.max_v

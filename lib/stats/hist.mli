@@ -39,6 +39,3 @@ val bucket_value : int -> int
     larger ones within [2^-6] relative error of any sample in the bucket. *)
 
 val clear : t -> unit
-
-(** "p50=… p99=… p99.9=… max=…" one-line summary. *)
-val pp_summary : Format.formatter -> t -> unit

@@ -31,14 +31,6 @@ let ramp_rate ~base_rps ~peak_rps ~period_ns now_ns =
   let phase = float_of_int (now_ns mod period_ns) /. float_of_int period_ns in
   base_rps +. ((peak_rps -. base_rps) *. 0.5 *. (1. -. cos (2. *. Float.pi *. phase)))
 
-let rate_at spec ~now_ns =
-  match spec with
-  | Poisson { rate_rps } -> rate_rps
-  | On_off { rate_rps; on_ns; off_ns } ->
-      if now_ns mod (on_ns + off_ns) < on_ns then rate_rps else 0.
-  | Ramp { base_rps; peak_rps; period_ns } ->
-      ramp_rate ~base_rps ~peak_rps ~period_ns now_ns
-
 let active_at spec ~now_ns =
   match spec with
   | On_off { on_ns; off_ns; _ } -> now_ns mod (on_ns + off_ns) < on_ns

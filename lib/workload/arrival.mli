@@ -47,10 +47,6 @@ val next_after : t -> now_ns:int -> int
     sizing populations and sanity checks. *)
 val mean_rate_rps : spec -> float
 
-(** Instantaneous rate at a timestamp (phase-dependent for [On_off] and
-    [Ramp]; constant for [Poisson]). *)
-val rate_at : spec -> now_ns:int -> float
-
 (** True iff a source with this spec can emit at [now_ns] (always true
     except inside an [On_off] off-window). *)
 val active_at : spec -> now_ns:int -> bool

@@ -39,16 +39,12 @@ val offered_rps : tenant -> float
 
     Each takes [?scale] (default 1.0) multiplying every tenant's source
     count (floored at 1) and [?horizon_ms] (default 100.0) — CI smokes run
-    scaled down, benchmarks at full scale. *)
-
-(** "steady-poisson": two tenants, small-RPC KV (uniform keys) and small
-    echo, both Poisson — the baseline the bursty scenarios are read
-    against. *)
-val steady_poisson : ?scale:float -> ?horizon_ms:float -> unit -> scenario
-
-(** "hot-key-shift": Zipf(0.99)-skewed KV tenant whose hot spot rotates
-    through the keyspace every 25 ms, over a background echo tenant. *)
-val hot_key_shift : ?scale:float -> ?horizon_ms:float -> unit -> scenario
+    scaled down, benchmarks at full scale. Besides the two below,
+    {!builtin} holds "steady-poisson" (small-RPC KV with uniform keys and
+    small echo, both Poisson: the baseline the bursty scenarios are read
+    against) and "hot-key-shift" (a Zipf(0.99)-skewed KV tenant whose hot
+    spot rotates through the keyspace every 25 ms, over a background echo
+    tenant). *)
 
 (** "bursty-mixed": on-off (MMPP-style) KV and small-echo tenants with
     synchronized burst windows, plus a large-transfer tenant whose 64 kB

@@ -103,11 +103,6 @@ let test_pkthdr_pp_and_data_bytes () =
   check_bool "pp renders" true
     (String.length (Format.asprintf "%a" Erpc.Pkthdr.pp hdr) > 0)
 
-let test_core_alias () =
-  (* The conventional lib/core entry point resolves to the eRPC library. *)
-  let m = Core.Msgbuf.alloc ~max_size:8 in
-  check_int "alias works" 8 (Core.Msgbuf.max_size m)
-
 let suite =
   [
     Alcotest.test_case "duplicate handler raises" `Quick test_duplicate_handler_raises;
@@ -119,5 +114,4 @@ let suite =
     Alcotest.test_case "engine counters" `Quick test_engine_counters;
     Alcotest.test_case "zero-delay schedule" `Quick test_schedule_now_runs;
     Alcotest.test_case "pkthdr helpers" `Quick test_pkthdr_pp_and_data_bytes;
-    Alcotest.test_case "Core alias" `Quick test_core_alias;
   ]
