@@ -1,6 +1,9 @@
 type handler_mode = Dispatch | Worker
 type handler = Req_handle.t -> unit
 
+(* Keyed by request type; looked up on every request, so monomorphic. *)
+module Int_tbl = Hashtbl.Make (Int)
+
 type worker = {
   cpu : Sim.Cpu.t;
   jobs : (Sim.Cpu.t -> unit) Queue.t;
@@ -11,7 +14,7 @@ type worker = {
 type t = {
   fabric : Fabric.t;
   host : int;
-  handlers : (int, handler_mode * handler) Hashtbl.t;
+  handlers : (handler_mode * handler) Int_tbl.t;
   workers : worker array;
   mutable rx_routes : (Netsim.Packet.t -> unit) option array;  (* by Rpc id *)
   mutable dead : bool;
@@ -23,7 +26,7 @@ let create fabric ~host ?(num_workers = 1) () =
     {
       fabric;
       host;
-      handlers = Hashtbl.create 16;
+      handlers = Int_tbl.create 16;
       workers =
         Array.init num_workers (fun i ->
             {
@@ -54,11 +57,11 @@ let host t = t.host
 let dead t = t.dead
 
 let register_handler t ~req_type ~mode handler =
-  if Hashtbl.mem t.handlers req_type then
+  if Int_tbl.mem t.handlers req_type then
     invalid_arg (Printf.sprintf "Nexus.register_handler: req_type %d already registered" req_type);
-  Hashtbl.replace t.handlers req_type (mode, handler)
+  Int_tbl.replace t.handlers req_type (mode, handler)
 
-let handler t req_type = Hashtbl.find_opt t.handlers req_type
+let handler t req_type = Int_tbl.find_opt t.handlers req_type
 
 let register_rx t ~rpc_id ~rx =
   if rpc_id < 0 then invalid_arg (Printf.sprintf "Nexus.register_rx: negative Rpc id %d" rpc_id);

@@ -61,4 +61,4 @@ let data_bytes t ~mtu =
   | Cr | Rfr -> 0
   | Req | Resp ->
       let offset = t.pkt_num * mtu in
-      if offset >= t.msg_size then 0 else min mtu (t.msg_size - offset)
+      if offset >= t.msg_size then 0 else Int.min mtu (t.msg_size - offset)

@@ -24,13 +24,13 @@ type t = {
   mutable batch_ts : Sim.Time.t;
   stats_ : Rpc_stats.t;
   mutable rtt_probe : (int -> unit) option;
-  (* Preallocated hot-path closures and the deferred-TX FIFO, so the
-     steady-state loop schedules no fresh closures per packet. *)
+  (* Preallocated hot-path closures, so the steady-state loop schedules no
+     fresh closures per packet. A deferred post carries its packet as the
+     event argument. *)
   mutable activate_ev : unit -> unit;
   mutable wake_ev : unit -> unit;
   mutable rx_each : Netsim.Packet.t -> unit;
-  tx_deferred : Netsim.Packet.t Sim.Ring.t;
-  mutable tx_deferred_ev : unit -> unit;
+  mutable tx_deferred_ev : Netsim.Packet.t -> unit;
   (* Request-handle closures shared by every dispatch-mode request. *)
   mutable h_charge : int -> unit;
   mutable h_codec_charge :
@@ -181,12 +181,7 @@ and post_pkt t pkt =
   t.stats_.Rpc_stats.tx_pkts <- t.stats_.Rpc_stats.tx_pkts + 1;
   let at = Sim.Cpu.next_free t.cpu_ in
   if at <= Sim.Engine.now t.engine then Transport.Iface.tx_burst t.transport_ pkt
-  else begin
-    (* [next_free] is nondecreasing across calls, so deferred posts fire
-       in FIFO order and a preallocated event can pop from the ring. *)
-    Sim.Ring.push t.tx_deferred pkt;
-    Sim.Engine.schedule t.engine at t.tx_deferred_ev
-  end
+  else Sim.Engine.schedule_arg t.engine at t.tx_deferred_ev pkt
 
 (* Client-side transmission honoring the Carousel rate limiter. *)
 and transmit_cc t slot pkt ~wire_bytes ~tx_item ~is_retx =
@@ -200,7 +195,7 @@ and transmit_cc t slot pkt ~wire_bytes ~tx_item ~is_retx =
         if t.cfg.opts.rate_limiter_bypass && Cc.uncongested controller then post_pkt t pkt
         else begin
           let now = Sim.Engine.now t.engine in
-          let ts = max now sess.next_tx_ts in
+          let ts = Int.max now sess.next_tx_ts in
           sess.next_tx_ts <-
             Sim.Time.add ts (Cc.pacing_delay_ns controller ~bytes:wire_bytes);
           ch t t.cost.wheel_insert;
@@ -245,7 +240,7 @@ and wheel_fire t entry =
      still current; only current entries are transmitted. *)
   (match slot.cli with
   | Some c ->
-      c.wheel_refs <- max 0 (c.wheel_refs - 1);
+      c.wheel_refs <- Int.max 0 (c.wheel_refs - 1);
       if c.wheel_refs = 0 then c.retx_in_wheel <- false
   | None -> ());
   if entry.we_req_num = slot.req_num then begin
@@ -549,7 +544,7 @@ let create nexus_ ~rpc_id =
       cpu_time =
         (fun () ->
           let t = get () in
-          max (Sim.Engine.now t.engine) (Sim.Cpu.next_free t.cpu_));
+          Int.max (Sim.Engine.now t.engine) (Sim.Cpu.next_free t.cpu_));
       cc_sample = (fun sess ~sample_rtt_ns ~marked -> cc_update (get ()) sess ~sample_rtt_ns ~marked);
       transmit =
         (fun slot pkt ~wire_bytes ~tx_item ~is_retx ->
@@ -585,8 +580,7 @@ let create nexus_ ~rpc_id =
       activate_ev = (fun () -> ());
       wake_ev = (fun () -> ());
       rx_each = (fun _ -> ());
-      tx_deferred = Sim.Ring.create ~capacity:32 ~dummy:Netsim.Packet.nil ();
-      tx_deferred_ev = (fun () -> ());
+      tx_deferred_ev = ignore;
       h_charge = (fun _ -> ());
       h_codec_charge = (fun ~deser:_ ~backend:_ ~leaves:_ ~bytes:_ -> ());
       h_codec_mode =
@@ -601,8 +595,7 @@ let create nexus_ ~rpc_id =
   t.activate_ev <- (fun () -> activate t);
   t.wake_ev <- (fun () -> wake t);
   t.rx_each <- (fun pkt -> Proto.rx_pkt t.proto pkt);
-  t.tx_deferred_ev <-
-    (fun () -> Transport.Iface.tx_burst t.transport_ (Sim.Ring.take t.tx_deferred));
+  t.tx_deferred_ev <- (fun pkt -> Transport.Iface.tx_burst t.transport_ pkt);
   t.h_charge <- (fun ns -> ch t ns);
   t.h_codec_charge <-
     (fun ~deser ~backend ~leaves ~bytes ->

@@ -11,14 +11,10 @@ type t = {
   rng : Sim.Rng.t;
   sink : Packet.t -> unit;
   queue : Packet.t Sim.Ring.t;
-  (* FIFO stages consumed by the preallocated [on_ser_done]/[on_arrive]
-     events: at most one packet serializes at a time, and cable flight
-     times are constant, so both stages pop in scheduling order and no
-     per-packet closure is ever allocated. *)
-  ser_fly : Packet.t Sim.Ring.t;
-  out_fly : Packet.t Sim.Ring.t;
-  mutable on_ser_done : unit -> unit;
-  mutable on_arrive : unit -> unit;
+  (* Preallocated handler for the serialization-done event, which carries
+     its packet as the event argument: no per-packet closure. The flight
+     event's handler is [sink] itself. *)
+  mutable on_ser_done : Packet.t -> unit;
   mutable queued_bytes : int;
   mutable draining : bool;
   mutable tx_packets : int;
@@ -47,23 +43,17 @@ let rec drain t =
   if Sim.Ring.is_empty t.queue then t.draining <- false
   else begin
     let pkt = Sim.Ring.take t.queue in
-    let ser = serialization t pkt in
-    Sim.Ring.push t.ser_fly pkt;
-    Sim.Engine.schedule_after t.engine ser t.on_ser_done
+    Sim.Engine.schedule_after_arg t.engine (serialization t pkt) t.on_ser_done pkt
   end
 
-and ser_done t =
-  let pkt = Sim.Ring.take t.ser_fly in
+and ser_done t pkt =
   t.queued_bytes <- t.queued_bytes - pkt.Packet.size_bytes;
   (match t.pool with Some pool -> Buffer_pool.release pool pkt.Packet.size_bytes | None -> ());
   t.tx_packets <- t.tx_packets + 1;
   t.tx_bytes <- t.tx_bytes + pkt.Packet.size_bytes;
   if Obs.Trace.enabled t.trace then trace_queue t (Sim.Engine.now t.engine);
-  Sim.Ring.push t.out_fly pkt;
-  Sim.Engine.schedule_after t.engine t.extra_delay_ns t.on_arrive;
+  Sim.Engine.schedule_after_arg t.engine t.extra_delay_ns t.sink pkt;
   drain t
-
-and arrive t = t.sink (Sim.Ring.take t.out_fly)
 
 let create engine ~name ~rate_gbps ~extra_delay_ns ?pool ?ecn ?(lossless = false) ~sink () =
   let trace = Sim.Engine.trace engine in
@@ -81,10 +71,7 @@ let create engine ~name ~rate_gbps ~extra_delay_ns ?pool ?ecn ?(lossless = false
       rng = Sim.Rng.split (Sim.Engine.rng engine);
       sink;
       queue = Sim.Ring.create ~capacity:64 ~dummy:Packet.nil ();
-      ser_fly = Sim.Ring.create ~capacity:4 ~dummy:Packet.nil ();
-      out_fly = Sim.Ring.create ~capacity:16 ~dummy:Packet.nil ();
-      on_ser_done = (fun () -> ());
-      on_arrive = (fun () -> ());
+      on_ser_done = ignore;
       queued_bytes = 0;
       draining = false;
       tx_packets = 0;
@@ -97,8 +84,7 @@ let create engine ~name ~rate_gbps ~extra_delay_ns ?pool ?ecn ?(lossless = false
       tid;
     }
   in
-  t.on_ser_done <- (fun () -> ser_done t);
-  t.on_arrive <- (fun () -> arrive t);
+  t.on_ser_done <- (fun pkt -> ser_done t pkt);
   let m = Sim.Engine.metrics engine in
   let labels = [ ("port", name) ] in
   Obs.Metrics.counter m ~name:"port.tx_pkts" ~labels (fun () -> t.tx_packets);
@@ -141,7 +127,7 @@ let send t pkt =
             else
               pmax
               *. (float_of_int (t.queued_bytes - kmin_bytes)
-                 /. float_of_int (max 1 (kmax_bytes - kmin_bytes)))
+                 /. float_of_int (Int.max 1 (kmax_bytes - kmin_bytes)))
           in
           if Sim.Rng.bool_with_prob t.rng p then pkt.Packet.ecn <- true
         end

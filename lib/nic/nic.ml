@@ -31,13 +31,11 @@ type t = {
   mutable tx_pending : int;
   mutable tx_last_done : Sim.Time.t;
   rx_ring : Netsim.Packet.t Sim.Ring.t;
-  (* Packets in the modeled DMA pipelines, consumed FIFO by the
-     preallocated [rx_done]/[tx_done] events so the per-packet hops
-     allocate no closures. *)
-  rx_fly : Netsim.Packet.t Sim.Ring.t;
-  tx_fly : Netsim.Packet.t Sim.Ring.t;
-  mutable rx_done : unit -> unit;
-  mutable tx_done : unit -> unit;
+  (* Preallocated handlers for the DMA pipeline completions, which carry
+     their packet as the event argument: the per-packet hops allocate no
+     closures. *)
+  mutable rx_done : Netsim.Packet.t -> unit;
+  mutable tx_done : Netsim.Packet.t -> unit;
   mutable rx_notify : unit -> unit;
   mutable rq_available : int;
   mutable replenish_partial : int;
@@ -50,10 +48,8 @@ type t = {
 }
 
 (* RX DMA pipeline completion: drop if no descriptor, else ring the packet
-   for the owner's poll. Deliveries are forced FIFO, so the in-flight ring
-   pops in the same order the completions were scheduled. *)
-let rx_complete t =
-  let pkt = Sim.Ring.take t.rx_fly in
+   for the owner's poll. *)
+let rx_complete t pkt =
   if t.rq_available <= 0 then begin
     t.rx_dropped_no_desc <- t.rx_dropped_no_desc + 1;
     if Obs.Trace.enabled t.trace then
@@ -85,11 +81,9 @@ let on_network_rx t pkt =
   let now = Sim.Engine.now t.engine in
   let at = Int.max (now + t.cfg.rx_latency_ns + jitter) t.rx_last_delivery in
   t.rx_last_delivery <- at;
-  Sim.Ring.push t.rx_fly pkt;
-  Sim.Engine.schedule t.engine at t.rx_done
+  Sim.Engine.schedule_arg t.engine at t.rx_done pkt
 
-let tx_complete t =
-  let pkt = Sim.Ring.take t.tx_fly in
+let tx_complete t pkt =
   t.tx_pending <- t.tx_pending - 1;
   Netsim.Network.send t.net pkt
 
@@ -109,10 +103,8 @@ let create engine net ~host cfg =
       tx_pending = 0;
       tx_last_done = Sim.Time.zero;
       rx_ring = Sim.Ring.create ~capacity:64 ~dummy:Netsim.Packet.nil ();
-      rx_fly = Sim.Ring.create ~capacity:64 ~dummy:Netsim.Packet.nil ();
-      tx_fly = Sim.Ring.create ~capacity:64 ~dummy:Netsim.Packet.nil ();
-      rx_done = (fun () -> ());
-      tx_done = (fun () -> ());
+      rx_done = ignore;
+      tx_done = ignore;
       rx_notify = (fun () -> ());
       rq_available = cfg.rq_size;
       replenish_partial = 0;
@@ -124,8 +116,8 @@ let create engine net ~host cfg =
       tid;
     }
   in
-  t.rx_done <- (fun () -> rx_complete t);
-  t.tx_done <- (fun () -> tx_complete t);
+  t.rx_done <- (fun pkt -> rx_complete t pkt);
+  t.tx_done <- (fun pkt -> tx_complete t pkt);
   let m = Sim.Engine.metrics engine in
   let labels = [ ("host", string_of_int host) ] in
   Obs.Metrics.counter m ~name:"nic.rx_pkts" ~labels (fun () -> t.rx_packets);
@@ -148,14 +140,13 @@ let post_send t pkt =
       [ ("id", Obs.Trace.I pkt.Netsim.Packet.trace_id) ];
   let done_at = Sim.Time.add (Sim.Engine.now t.engine) t.cfg.tx_latency_ns in
   if done_at > t.tx_last_done then t.tx_last_done <- done_at;
-  Sim.Ring.push t.tx_fly pkt;
-  Sim.Engine.schedule_after t.engine t.cfg.tx_latency_ns t.tx_done
+  Sim.Engine.schedule_after_arg t.engine t.cfg.tx_latency_ns t.tx_done pkt
 
 let tx_pending t = t.tx_pending
 
 let flush_time_ns t =
   let now = Sim.Engine.now t.engine in
-  let wait = if t.tx_pending > 0 then max 0 (Sim.Time.sub t.tx_last_done now) else 0 in
+  let wait = if t.tx_pending > 0 then Int.max 0 (Sim.Time.sub t.tx_last_done now) else 0 in
   wait + t.cfg.tx_flush_ns
 
 let poll_rx t ~max f =

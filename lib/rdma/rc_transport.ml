@@ -29,12 +29,11 @@ module Impl = struct
     conn_miss_ns : int;
     cache : Conn_cache.t;
     rx_ring : Netsim.Packet.t Sim.Ring.t;
-    (* FIFO pipelines consumed by the preallocated [rx_done]/[tx_done]
-       events: the per-packet hops allocate no closures. *)
-    rx_fly : Netsim.Packet.t Sim.Ring.t;
-    tx_fly : Netsim.Packet.t Sim.Ring.t;
-    mutable rx_done : unit -> unit;
-    mutable tx_done : unit -> unit;
+    (* Preallocated handlers for the pipeline completions, which carry
+       their packet as the event argument: the per-packet hops allocate
+       no closures. *)
+    mutable rx_done : Netsim.Packet.t -> unit;
+    mutable tx_done : Netsim.Packet.t -> unit;
     mutable rx_notify : unit -> unit;
     mutable rx_last_delivery : Sim.Time.t;
     mutable tx_last_enter : Sim.Time.t;
@@ -55,8 +54,7 @@ module Impl = struct
   let max_data_per_pkt t = t.mtu
   let rq_size t = t.rq_size_
 
-  let tx_complete t =
-    let pkt = Sim.Ring.take t.tx_fly in
+  let tx_complete t pkt =
     t.tx_pending_ <- t.tx_pending_ - 1;
     Netsim.Network.send t.net pkt
 
@@ -74,17 +72,16 @@ module Impl = struct
     let now = Sim.Engine.now t.engine in
     (* Descriptors enter the wire in post order even when a hit follows a
        miss: the send queue is FIFO. *)
-    let enter = max (Sim.Time.add now lat) t.tx_last_enter in
+    let enter = Int.max (Sim.Time.add now lat) t.tx_last_enter in
     t.tx_last_enter <- enter;
     if enter > t.tx_last_done then t.tx_last_done <- enter;
-    Sim.Ring.push t.tx_fly pkt;
-    Sim.Engine.schedule t.engine enter t.tx_done
+    Sim.Engine.schedule_arg t.engine enter t.tx_done pkt
 
   let tx_pending t = t.tx_pending_
 
   let flush_time_ns t =
     let now = Sim.Engine.now t.engine in
-    let wait = if t.tx_pending_ > 0 then max 0 (Sim.Time.sub t.tx_last_done now) else 0 in
+    let wait = if t.tx_pending_ > 0 then Int.max 0 (Sim.Time.sub t.tx_last_done now) else 0 in
     wait + t.tx_flush_ns
 
   let rx_burst t ~max f =
@@ -107,8 +104,7 @@ module Impl = struct
     t.replenish_partial <- total mod t.stride;
     posts * t.replenish_unit_ns
 
-  let rx_complete t =
-    let pkt = Sim.Ring.take t.rx_fly in
+  let rx_complete t pkt =
     t.rx_packets_ <- t.rx_packets_ + 1;
     if Obs.Trace.enabled t.trace then
       Obs.Trace.instant t.trace ~ts:(Sim.Engine.now t.engine) ~cat:"nic" ~name:"rx"
@@ -122,10 +118,9 @@ module Impl = struct
     (* Fixed RX pipeline delay, FIFO delivery, and — lossless — never a
        drop: link-level flow control backpressures the sender instead. *)
     let now = Sim.Engine.now t.engine in
-    let at = max (Sim.Time.add now t.rx_ns) t.rx_last_delivery in
+    let at = Int.max (Sim.Time.add now t.rx_ns) t.rx_last_delivery in
     t.rx_last_delivery <- at;
-    Sim.Ring.push t.rx_fly pkt;
-    Sim.Engine.schedule t.engine at t.rx_done
+    Sim.Engine.schedule_arg t.engine at t.rx_done pkt
 
   let reset_rx t =
     while not (Sim.Ring.is_empty t.rx_ring) do
@@ -158,10 +153,8 @@ let create ?(conn_miss_ns = 120) ?cache engine net ~host (cluster : Transport.Cl
       conn_miss_ns;
       cache = (match cache with Some c -> c | None -> Conn_cache.create_default ());
       rx_ring = Sim.Ring.create ~capacity:64 ~dummy:Netsim.Packet.nil ();
-      rx_fly = Sim.Ring.create ~capacity:64 ~dummy:Netsim.Packet.nil ();
-      tx_fly = Sim.Ring.create ~capacity:64 ~dummy:Netsim.Packet.nil ();
-      rx_done = (fun () -> ());
-      tx_done = (fun () -> ());
+      rx_done = ignore;
+      tx_done = ignore;
       rx_notify = (fun () -> ());
       rx_last_delivery = Sim.Time.zero;
       tx_last_enter = Sim.Time.zero;
@@ -177,6 +170,6 @@ let create ?(conn_miss_ns = 120) ?cache engine net ~host (cluster : Transport.Cl
       tid;
     }
   in
-  t.Impl.rx_done <- (fun () -> Impl.rx_complete t);
-  t.Impl.tx_done <- (fun () -> Impl.tx_complete t);
+  t.Impl.rx_done <- (fun pkt -> Impl.rx_complete t pkt);
+  t.Impl.tx_done <- (fun pkt -> Impl.tx_complete t pkt);
   Transport.Iface.T ((module Impl : Transport.Iface.S with type t = Impl.t), t)

@@ -64,8 +64,8 @@ type endpoint = {
   hop_ns : int;
   costs : costs;
   rx_ring : Netsim.Packet.t Sim.Ring.t;
-  rx_fly : inflight Sim.Ring.t;
-  mutable rx_done : unit -> unit;
+  mutable rx_inflight : int;  (* handoffs published to this ring, not yet visible *)
+  mutable rx_done : inflight -> unit;
   mutable tx_done : unit -> unit;
   mutable rx_notify : unit -> unit;
   mutable rx_last_delivery : Sim.Time.t;
@@ -126,8 +126,8 @@ let trace_shm t name pkt =
 (* Receiver-side completion: verify the seal (share path), then make the
    packet visible to the receiver's poll loop. Deliveries into a crashed
    process vanish, exactly like network deliveries do. *)
-let rx_complete t =
-  let f = Sim.Ring.take t.rx_fly in
+let rx_complete t f =
+  t.rx_inflight <- t.rx_inflight - 1;
   let pkt = f.fly_pkt in
   if not (t.hub.alive t.host) then Netsim.Packet.free pkt
   else begin
@@ -185,7 +185,7 @@ let shm_tx t dst pkt (v : view) =
   (* Backpressure, not loss: while the destination ring is full the slot
      claim spins on the consumer, one interconnect hop per excess
      occupied slot. *)
-  let backlog = Sim.Ring.length dst.rx_ring + Sim.Ring.length dst.rx_fly in
+  let backlog = Sim.Ring.length dst.rx_ring + dst.rx_inflight in
   let stall =
     if backlog >= dst.slots then (backlog - dst.slots + 1) * t.hop_ns else 0
   in
@@ -200,11 +200,12 @@ let shm_tx t dst pkt (v : view) =
      receiver-side guard work; delivery is FIFO per receiver across all
      co-located senders. *)
   let at =
-    max (Sim.Time.add done_at (t.hop_ns + rx_guard)) dst.rx_last_delivery
+    Int.max (Sim.Time.add done_at (t.hop_ns + rx_guard)) dst.rx_last_delivery
   in
   dst.rx_last_delivery <- at;
-  Sim.Ring.push dst.rx_fly { fly_pkt = pkt; fly_seal = seal; fly_shared = share };
-  Sim.Engine.schedule t.engine at dst.rx_done
+  dst.rx_inflight <- dst.rx_inflight + 1;
+  Sim.Engine.schedule_arg t.engine at dst.rx_done
+    { fly_pkt = pkt; fly_seal = seal; fly_shared = share }
 
 (* {2 Transport.Iface implementation} *)
 
@@ -236,9 +237,9 @@ module Impl = struct
   let flush_time_ns t =
     let now = Sim.Engine.now t.engine in
     let shm_wait =
-      if t.shm_tx_pending > 0 then max 0 (Sim.Time.sub t.tx_last_done now) else 0
+      if t.shm_tx_pending > 0 then Int.max 0 (Sim.Time.sub t.tx_last_done now) else 0
     in
-    max shm_wait (Transport.Iface.flush_time_ns t.inner)
+    Int.max shm_wait (Transport.Iface.flush_time_ns t.inner)
 
   let rx_burst t ~max f =
     let n = ref 0 in
@@ -263,9 +264,9 @@ module Impl = struct
 
   let replenish_rx t n =
     assert (n >= 0);
-    let inner_n = min n t.pending_inner_rx in
+    let inner_n = Int.min n t.pending_inner_rx in
     t.pending_inner_rx <- t.pending_inner_rx - inner_n;
-    let shm_n = min (n - inner_n) t.pending_shm_rx in
+    let shm_n = Int.min (n - inner_n) t.pending_shm_rx in
     t.pending_shm_rx <- t.pending_shm_rx - shm_n;
     Transport.Iface.replenish_rx t.inner inner_n + (shm_n * t.costs.ring_post_ns)
 
@@ -324,11 +325,8 @@ let create engine ~hub ~host ~rpc_id ~inner ~colocated ~charge ~mode ~slots
       hop_ns;
       costs;
       rx_ring = Sim.Ring.create ~capacity:64 ~dummy:Netsim.Packet.nil ();
-      rx_fly =
-        Sim.Ring.create ~capacity:64
-          ~dummy:{ fly_pkt = Netsim.Packet.nil; fly_seal = 0; fly_shared = false }
-          ();
-      rx_done = (fun () -> ());
+      rx_inflight = 0;
+      rx_done = ignore;
       tx_done = (fun () -> ());
       rx_notify = (fun () -> ());
       rx_last_delivery = Sim.Time.zero;
@@ -347,7 +345,7 @@ let create engine ~hub ~host ~rpc_id ~inner ~colocated ~charge ~mode ~slots
       tid;
     }
   in
-  t.rx_done <- (fun () -> rx_complete t);
+  t.rx_done <- (fun f -> rx_complete t f);
   t.tx_done <- (fun () -> t.shm_tx_pending <- t.shm_tx_pending - 1);
   (* Restart-friendly: a re-created endpoint at the same address simply
      remaps the ring (the old one died with its process). *)

@@ -1,7 +1,10 @@
 (** Discrete-event simulation engine.
 
-    Events are thunks executed in timestamp order (FIFO among equal
-    timestamps). A single engine drives one experiment; all randomness comes
+    An event is a handler and the one argument it is applied to, run in
+    timestamp order (FIFO among equal timestamps). Passing a value as the
+    argument, rather than capturing it in a closure, lets a component
+    schedule one preallocated handler per packet it moves and allocate
+    nothing. A single engine drives one experiment; all randomness comes
     from streams split off the engine's master RNG, so a given seed fully
     determines the run. *)
 
@@ -33,6 +36,14 @@ val schedule : t -> Time.t -> (unit -> unit) -> unit
 
 (** [schedule_after t delta f] runs [f] at [now t + delta]. *)
 val schedule_after : t -> Time.t -> (unit -> unit) -> unit
+
+(** [schedule_arg t at f a] runs [f a] at absolute time [at]. It takes the
+    same place among same-time events as a [schedule] made at this point
+    would. [at] must not be in the past. *)
+val schedule_arg : t -> Time.t -> ('a -> unit) -> 'a -> unit
+
+(** [schedule_after_arg t delta f a] runs [f a] at [now t + delta]. *)
+val schedule_after_arg : t -> Time.t -> ('a -> unit) -> 'a -> unit
 
 (** [reserve_seq t] takes the tie-break slot a [schedule] made now would
     get, without scheduling anything. *)

@@ -3,8 +3,7 @@
     Unlike [Queue.t], steady-state push/take allocates nothing: elements
     live in an array that doubles on overflow, and vacated slots are reset
     to [dummy] so consumed elements are not pinned against GC. Used for
-    the simulator's in-flight packet queues (port serialization and
-    flight, NIC rings). *)
+    the simulator's real packet queues: port egress queues and RX rings. *)
 
 type 'a t
 

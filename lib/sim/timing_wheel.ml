@@ -25,11 +25,14 @@
    three branch-free de Bruijn lookups even when the wheel is sparse.
 
    Cells are stored as a struct of arrays: a cell is an int index into
-   the parallel [time], [seq] and [next] int arrays and the [payload]
-   array. Slot chains, the overflow heap and the free-list all hold cell
-   indices, so every link update is an int store, which needs no GC write
-   barrier; only storing a payload and clearing it on pop do. The arrays
-   double when the free-list runs dry and never shrink. *)
+   the parallel [time], [seq] and [next] int arrays and the [payload] and
+   [arg] arrays. Slot chains, the overflow heap and the free-list all hold
+   cell indices, so every link update is an int store, which needs no GC
+   write barrier; only storing a payload or argument and clearing it on
+   pop do. An argument store is skipped when the slot already holds the
+   value (a [()] argument into a cleared slot), so events without an
+   argument pay no barrier for it. The arrays double when the free-list
+   runs dry and never shrink. *)
 
 let wheel_bits = 14
 let wheel_size = 1 lsl wheel_bits (* 16384 ns window *)
@@ -41,7 +44,7 @@ let initial_cells = 1024 (* most engines here never hold more pending events *)
 (* End of a chain, an empty slot, an empty free-list. *)
 let nil = -1
 
-type 'a t = {
+type ('a, 'b) t = {
   head : int array; (* slot chains, [seq]-ordered *)
   tail : int array;
   l0 : int array; (* bit s land 31 of word s lsr 5: slot s occupied *)
@@ -56,13 +59,17 @@ type 'a t = {
   mutable seq : int array;
   mutable next : int array; (* slot chain or free-list link *)
   mutable payload : 'a array;
+  mutable arg : 'b array;
   mutable free : int;
+  mutable popped : int; (* [pop_if_before]'s cell, held for [take_arg] *)
   mutable next_seq : int;
   mutable last : Time.t;
 }
 
-(* Placeholder for an unused payload slot. An immediate, so the payload
-   array is never a flat float array and holds no stale pointer. *)
+(* Placeholder for an unused payload or argument slot. An immediate, so
+   neither array is ever a flat float array or holds a stale pointer. It
+   is the representation of [()], which is what an event without an
+   argument carries. *)
 let empty () : 'a = Obj.magic 0
 
 (* Thread cells [lo, hi) onto the free-list, lowest index first. *)
@@ -88,7 +95,9 @@ let create () =
       seq = Array.make initial_cells 0;
       next = Array.make initial_cells nil;
       payload = Array.make initial_cells (empty ());
+      arg = Array.make initial_cells (empty ());
       free = nil;
+      popped = nil;
       next_seq = 0;
       last = Time.zero;
     }
@@ -128,9 +137,10 @@ let grow_cells t =
   t.seq <- extend t.seq 0;
   t.next <- extend t.next nil;
   t.payload <- extend t.payload (empty ());
+  t.arg <- extend t.arg (empty ());
   free_range t n (2 * n)
 
-let alloc_cell t time seq payload =
+let alloc_cell t time seq payload arg =
   if t.free = nil then grow_cells t;
   let c = t.free in
   t.free <- t.next.(c);
@@ -138,12 +148,20 @@ let alloc_cell t time seq payload =
   t.seq.(c) <- seq;
   t.next.(c) <- nil;
   t.payload.(c) <- payload;
+  if arg != t.arg.(c) then t.arg.(c) <- arg;
   c
 
 let free_cell t c =
   t.payload.(c) <- empty ();
   t.next.(c) <- t.free;
   t.free <- c
+
+(* Read a cell's argument and clear its slot, so a popped argument is
+   never retained. *)
+let release_arg t c =
+  let a = t.arg.(c) in
+  if a != empty () then t.arg.(c) <- empty ();
+  a
 
 (* --- occupancy bitmap --- *)
 
@@ -317,15 +335,17 @@ let reserve_seq t =
   t.next_seq <- seq + 1;
   seq
 
-let push t time payload =
+let push_arg t time payload arg =
   let seq = reserve_seq t in
-  let c = alloc_cell t time seq payload in
+  let c = alloc_cell t time seq payload arg in
   if in_window t time then slot_append t (time land mask) c else heap_push t c
+
+let push t time payload = push_arg t time payload ()
 
 (* A reserved seq can be older than cells already in its slot, so it is
    merged by [seq] like a cell migrating in from the heap. *)
-let push_seq t time seq payload =
-  let c = alloc_cell t time seq payload in
+let push_seq t time seq payload arg =
+  let c = alloc_cell t time seq payload arg in
   if in_window t time then slot_insert_sorted t c else heap_push t c
 
 (* Detach and return the earliest cell if its time is <= horizon, else
@@ -366,17 +386,37 @@ let rec pop_cell_if_le t horizon =
     else nil
   end
 
+(* The popped cell stays out of the free-list, argument in place, until
+   [take_arg] reads it or the next pop hands it back, so no push in
+   between can reuse it. *)
+let settle t =
+  let c = t.popped in
+  if c <> nil then begin
+    t.popped <- nil;
+    ignore (release_arg t c);
+    free_cell t c
+  end
+
 let pop_if_before t horizon ~default =
+  settle t;
   let c = pop_cell_if_le t horizon in
   if c = nil then default
   else begin
     t.last <- t.time.(c);
-    let payload = t.payload.(c) in
-    free_cell t c;
-    payload
+    t.popped <- c;
+    t.payload.(c)
   end
 
+let take_arg t =
+  let c = t.popped in
+  if c = nil then invalid_arg "Timing_wheel.take_arg: no popped event";
+  t.popped <- nil;
+  let a = release_arg t c in
+  free_cell t c;
+  a
+
 let pop t =
+  settle t;
   let c = pop_cell_if_le t max_int in
   if c = nil then None
   else begin
@@ -406,7 +446,9 @@ let clear t =
   t.heap_size <- 0;
   let n = Array.length t.time in
   Array.fill t.payload 0 n (empty ());
+  Array.fill t.arg 0 n (empty ());
   t.free <- nil;
+  t.popped <- nil;
   free_range t 0 n;
   t.base <- Time.zero;
   t.next_seq <- 0;

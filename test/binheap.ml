@@ -2,24 +2,28 @@
    [Sim.Timing_wheel]. Ties on the timestamp pop in [seq] order, so for
    the same pushes it pops exactly the sequence the wheel must pop. It is
    the simplest correct scheduler, with no window, no migration and no
-   slot merging to get wrong. *)
+   slot merging to get wrong. Each event carries a payload and one
+   argument, like the wheel's. *)
 
-type 'a entry = { time : int; seq : int; payload : 'a }
+type ('a, 'b) entry = { time : int; seq : int; payload : 'a; arg : 'b }
 
-type 'a t = {
-  mutable heap : 'a entry array; (* entries beyond [size] are [nil] *)
+type ('a, 'b) t = {
+  mutable heap : ('a, 'b) entry array; (* entries beyond [size] are [nil] *)
   mutable size : int;
   mutable next_seq : int;
   mutable last : int;
+  mutable popped : ('a, 'b) entry option; (* [pop_if_before]'s, for [take_arg] *)
 }
 
-(* Inert entry padding the backing array; its payload is never read. *)
-let nil : 'a entry = { time = min_int; seq = min_int; payload = Obj.magic 0 }
+(* Inert entry padding the backing array; its payload and argument are
+   never read. *)
+let nil : ('a, 'b) entry =
+  { time = min_int; seq = min_int; payload = Obj.magic 0; arg = Obj.magic 0 }
 
 let initial_capacity = 64
 
 let create () =
-  { heap = Array.make initial_capacity nil; size = 0; next_seq = 0; last = 0 }
+  { heap = Array.make initial_capacity nil; size = 0; next_seq = 0; last = 0; popped = None }
 
 let is_empty t = t.size = 0
 let last_time t = t.last
@@ -36,9 +40,9 @@ let reserve_seq t =
   t.next_seq <- seq + 1;
   seq
 
-let push_seq t time seq payload =
+let push_seq t time seq payload arg =
   if t.size >= Array.length t.heap then grow t;
-  let e = { time; seq; payload } in
+  let e = { time; seq; payload; arg } in
   let i = ref t.size in
   t.size <- t.size + 1;
   t.heap.(!i) <- e;
@@ -55,7 +59,8 @@ let push_seq t time seq payload =
     else continue := false
   done
 
-let push t time payload = push_seq t time (reserve_seq t) payload
+let push_arg t time payload arg = push_seq t time (reserve_seq t) payload arg
+let push t time payload = push_arg t time payload ()
 
 let sift_down t =
   let i = ref 0 in
@@ -83,11 +88,30 @@ let remove_top t =
   end
   else t.heap.(0) <- nil
 
+let pop_entry t =
+  let top = t.heap.(0) in
+  remove_top t;
+  t.last <- top.time;
+  top
+
 let pop t =
   if t.size = 0 then None
+  else
+    let e = pop_entry t in
+    Some (e.time, e.payload)
+
+let pop_if_before t horizon ~default =
+  if t.size = 0 || t.heap.(0).time > horizon then default
   else begin
-    let top = t.heap.(0) in
-    remove_top t;
-    t.last <- top.time;
-    Some (top.time, top.payload)
+    let e = pop_entry t in
+    t.popped <- Some e;
+    e.payload
   end
+
+let take_arg t =
+  match t.popped with
+  | Some e ->
+      t.popped <- None;
+      e.arg
+  | None -> invalid_arg "Binheap.take_arg: no popped event"
+

@@ -19,15 +19,18 @@ let drain q = drain_with Q.pop q
 
 (* What the tests drive on both the wheel and the oracle. *)
 module type QUEUE = sig
-  type 'a t
+  type ('a, 'b) t
 
-  val create : unit -> 'a t
-  val is_empty : 'a t -> bool
-  val push : 'a t -> int -> 'a -> unit
-  val reserve_seq : 'a t -> int
-  val push_seq : 'a t -> int -> int -> 'a -> unit
-  val pop : 'a t -> (int * 'a) option
-  val last_time : 'a t -> int
+  val create : unit -> ('a, 'b) t
+  val is_empty : ('a, 'b) t -> bool
+  val push : ('a, unit) t -> int -> 'a -> unit
+  val push_arg : ('a, 'b) t -> int -> 'a -> 'b -> unit
+  val reserve_seq : ('a, 'b) t -> int
+  val push_seq : ('a, 'b) t -> int -> int -> 'a -> 'b -> unit
+  val pop : ('a, unit) t -> (int * 'a) option
+  val pop_if_before : ('a, 'b) t -> int -> default:'a -> 'a
+  val take_arg : ('a, 'b) t -> 'b
+  val last_time : ('a, 'b) t -> int
 end
 
 let test_same_time_fifo () =
@@ -159,9 +162,9 @@ let test_reserved_seq_placement () =
   Q.push q far "far";
   Alcotest.(check string) "first" "a" (pop ());
   (* The window now starts at 10: the slot being drained still holds b, c. *)
-  Q.push_seq q 10 r_slot "slot";
-  Q.push_seq q edge r_edge "edge-reserved";
-  Q.push_seq q far r_far "far-reserved";
+  Q.push_seq q 10 r_slot "slot" ();
+  Q.push_seq q edge r_edge "edge-reserved" ();
+  Q.push_seq q far r_far "far-reserved" ();
   (* Bring the window up to [far - 5]: the far cells must merge by seq
      with a same-time cell pushed straight into the wheel. *)
   Q.push q (far - 5) "near-far";
@@ -179,7 +182,13 @@ let test_reserved_seq_placement () =
    advance the window mid-stream, and pushes under reserved seqs. Bursts
    push more cells than the wheel's initial cell arrays hold (1024), so
    the arrays grow while cells sit both in wheel slots and in the overflow
-   heap, and again when a drained queue is refilled past its size. *)
+   heap, and again when a drained queue is refilled past its size.
+
+   Every push carries an argument derived from its payload, and every pop
+   must return the argument pushed with that payload, across heap
+   migration and array growth. Pops go through the engine's fused
+   [pop_if_before] + [take_arg], some with a push in between: it must not
+   reuse the popped event's cell before its argument is taken. *)
 let test_equivalence_qcheck =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"wheel matches binheap on random interleavings" ~count:200
@@ -195,6 +204,9 @@ let test_equivalence_qcheck =
                       (* push far out (overflow heap) *)
                       map (fun t -> `Push t) (int_range 16_000 200_000);
                       return `Pop;
+                      (* a pop with a push at that offset before the popped
+                         argument is taken *)
+                      map (fun dt -> `Pop_push dt) (int_range 0 20_000);
                       return `Reserve;
                       (* push under the oldest outstanding reservation: into the
                          slot being drained, across the window edge, or out into
@@ -215,15 +227,23 @@ let test_equivalence_qcheck =
                 (1, map2 (fun n salt -> `Drain_refill (n, salt)) (int_range 600 2_000) nat);
               ]))
        (fun ops ->
+         let arg v = "arg" ^ string_of_int v in
          let run (module M : QUEUE) =
            let q = M.create () in
            let log = ref [] in
            let reserved = Queue.create () in
-           let pop () =
-             match M.pop q with
-             | Some (t, v) -> log := (t, v) :: !log
-             | None -> log := (-1, -1) :: !log
+           let push t v = M.push_arg q t v (arg v) in
+           (* [mid] runs between the pop and the taking of its argument. *)
+           let pop_then mid =
+             if M.is_empty q then log := (-1, -1, "") :: !log
+             else begin
+               let v = M.pop_if_before q max_int ~default:(-1) in
+               let t = M.last_time q in
+               mid t;
+               log := (t, v, M.take_arg q) :: !log
+             end
            in
+           let pop () = pop_then ignore in
            (* Times are relative to the last popped time so pushes stay
               valid (an engine never schedules in the past) while still
               straddling the window. *)
@@ -242,31 +262,35 @@ let test_equivalence_qcheck =
                  if Random.State.bool st then Random.State.int st 16_000
                  else 16_000 + Random.State.int st 184_000
                in
-               M.push q (t0 + dt) (1_000_000 + (i * 10_000) + k)
+               push (t0 + dt) (1_000_000 + (i * 10_000) + k)
              done
            in
            List.iteri
              (fun i op ->
                match op with
-               | `Push dt -> M.push q (now () + dt) i
+               | `Push dt -> push (now () + dt) i
                | `Reserve -> Queue.push (M.reserve_seq q) reserved
                | `Push_reserved dt ->
                    if not (Queue.is_empty reserved) then
-                     M.push_seq q (now () + dt) (Queue.pop reserved) i
+                     M.push_seq q (now () + dt) (Queue.pop reserved) i (arg i)
                | `Pop -> pop ()
+               | `Pop_push dt -> pop_then (fun t -> push (t + dt) (2_000_000 + i))
                | `Drain_far (far, near) ->
                    drain ();
                    let t0 = M.last_time q in
-                   M.push q (t0 + far) i;
-                   List.iteri (fun k dt -> M.push q (t0 + dt) ((i * 100) + k)) near
+                   push (t0 + far) i;
+                   List.iteri (fun k dt -> push (t0 + dt) ((i * 100) + k)) near
                | `Burst (n, salt) -> burst i (now ()) n salt
                | `Drain_refill (n, salt) ->
                    drain ();
                    burst i (M.last_time q) n salt)
              ops;
-           List.rev_append !log (drain_with M.pop q)
+           drain ();
+           List.rev !log
          in
-         run (module Q) = run (module Binheap)))
+         let wheel = run (module Q) in
+         wheel = run (module Binheap)
+         && List.for_all (fun (_, v, a) -> v = -1 || a = arg v) wheel))
 
 (* After an idle gap the first push can be a far one: eRPC arms a
    millisecond-scale RTO before the request's packets exist. Only that event may wait in the
@@ -289,28 +313,61 @@ let test_far_push_on_idle_queue () =
   check_int "all fired" 102 !fired;
   Alcotest.(check (float 1e-9)) "overflow drains" 0.0 (overflow ())
 
-(* A popped payload is the caller's: the queue must not keep it alive
-   from a recycled cell, whether it popped from a wheel slot or the
-   overflow heap. A payload still queued must stay alive. *)
+(* A popped payload or argument is the caller's: the queue must not keep
+   it alive from a recycled cell, whether it popped from a wheel slot or
+   the overflow heap. An argument never taken is released by the next
+   pop. A payload or argument still queued must stay alive. *)
 let test_no_retention_after_pop () =
   let q = Q.create () in
-  let w = Weak.create 3 in
+  let w = Weak.create 5 and wa = Weak.create 5 in
   let[@inline never] push i time =
-    let v = Bytes.make 16 (Char.chr (65 + i)) in
+    let v = Bytes.make 16 (Char.chr (65 + i)) and a = Bytes.make 16 (Char.chr (97 + i)) in
     Weak.set w i (Some v);
-    Q.push q time v
+    Weak.set wa i (Some a);
+    Q.push_arg q time v a
   in
   push 0 10;
   push 1 1_000_000;
   push 2 2_000_000;
-  let[@inline never] pop () = ignore (Sys.opaque_identity (Q.pop q)) in
-  pop ();
-  pop ();
+  push 3 20;
+  push 4 30;
+  let[@inline never] pop ~take =
+    ignore (Sys.opaque_identity (Q.pop_if_before q max_int ~default:Bytes.empty));
+    if take then ignore (Sys.opaque_identity (Q.take_arg q))
+  in
+  pop ~take:true;
+  pop ~take:true;
+  pop ~take:false;
+  pop ~take:true;
   Gc.full_major ();
   Alcotest.(check bool) "wheel payload released" false (Weak.check w 0);
   Alcotest.(check bool) "heap payload released" false (Weak.check w 1);
   Alcotest.(check bool) "queued payload kept" true (Weak.check w 2);
+  Alcotest.(check bool) "wheel argument released" false (Weak.check wa 0);
+  Alcotest.(check bool) "heap argument released" false (Weak.check wa 1);
+  Alcotest.(check bool) "queued argument kept" true (Weak.check wa 2);
+  Alcotest.(check bool) "taken argument released" false (Weak.check wa 3);
+  Alcotest.(check bool) "untaken argument released by the next pop" false (Weak.check wa 4);
   check_int "one left" 1 (Q.length q)
+
+(* Events with and without an argument share one tie-break order: at one
+   timestamp they run in the order they were scheduled, whichever entry
+   point scheduled them, and each handler gets its own argument. *)
+let test_same_time_fifo_mixed () =
+  let e = Sim.Engine.create ~seed:1L () in
+  let log = ref [] in
+  let note s = log := s :: !log in
+  for i = 0 to 9 do
+    if i mod 3 = 0 then Sim.Engine.schedule e 100 (fun () -> note (Printf.sprintf "u%d" i))
+    else if i mod 3 = 1 then Sim.Engine.schedule_arg e 100 note (Printf.sprintf "s%d" i)
+    else Sim.Engine.schedule_arg e 100 (fun n -> note (Printf.sprintf "i%d" n)) i
+  done;
+  Sim.Engine.schedule_after_arg e 0 note "now";
+  Sim.Engine.run e;
+  Alcotest.(check (list string))
+    "schedule order"
+    [ "now"; "u0"; "s1"; "i2"; "u3"; "s4"; "i5"; "u6"; "s7"; "i8"; "u9" ]
+    (List.rev !log)
 
 (* {2 Whole-simulator properties} *)
 
@@ -473,6 +530,8 @@ let test_wheel_occupancy_gauge () =
 let suite =
   [
     Alcotest.test_case "same-time FIFO" `Quick test_same_time_fifo;
+    Alcotest.test_case "same-time FIFO, with and without arguments" `Quick
+      test_same_time_fifo_mixed;
     Alcotest.test_case "wheel occupancy gauge" `Quick test_wheel_occupancy_gauge;
     Alcotest.test_case "clear semantics" `Quick test_clear;
     Alcotest.test_case "scan every distance" `Quick test_scan_every_distance;
