@@ -18,11 +18,11 @@ type opts = {
           instead of per packet — the §6.4 future-work optimization *)
 }
 
-(** Which datapath an {!Rpc} endpoint drives (paper §3): the lossy
-    raw-Ethernet path over the userspace-NIC model, or the lossless RC
-    path over the RDMA QP/connection-cache machinery. The wire protocol is
-    identical over both — that is the portability claim this seam
-    reproduces. *)
+(** Which datapath an {!Rpc} endpoint drives (paper §3): the NIC model's
+    lossy raw-Ethernet mode, or its RDMA RC mode (verbs pipeline
+    latencies, connection-cache TX stalls, no descriptor drops). The wire
+    protocol is identical over both — that is the portability claim this
+    seam reproduces. *)
 type transport_kind = Raw_eth | Rdma_rc
 
 (** Which congestion-control algorithm client sessions run (§5.2.1): the

@@ -512,13 +512,19 @@ let create nexus_ ~rpc_id =
      does, after [self] is set. *)
   let self = ref None in
   let get () = match !self with Some t -> t | None -> assert false in
-  let wire_transport =
+  let nic_cfg = { cluster.nic_config with multi_packet_rq = cfg.opts.multi_packet_rq } in
+  let nic =
     match cfg.transport with
-    | Config.Raw_eth ->
-        let nic_cfg = { cluster.nic_config with multi_packet_rq = cfg.opts.multi_packet_rq } in
-        Transport.Nic_udp.create engine (Fabric.net fabric) ~host:host_ ~mtu:cfg.mtu nic_cfg
-    | Config.Rdma_rc -> Rdma.Rc_transport.create engine (Fabric.net fabric) ~host:host_ cluster
+    | Config.Raw_eth -> Nic.create engine (Fabric.net fabric) ~host:host_ nic_cfg
+    | Config.Rdma_rc ->
+        (* The verbs pipeline latencies, deterministic (RX jitter at its
+           mean), behind a private 450-entry connection cache. *)
+        let qp = Rdma.Qp.default_config cluster in
+        Nic.create ~conn_cache:(Nic.Conn_cache.create_default ()) engine (Fabric.net fabric)
+          ~host:host_
+          { nic_cfg with tx_latency_ns = qp.nic_tx_ns; rx_latency_ns = qp.nic_rx_ns; rx_jitter_ns = 0 }
   in
+  let wire_transport = Transport.Iface.T ((module Nic), nic) in
   let shm_, transport_ =
     if not cfg.shm_enabled then (None, wire_transport)
     else begin
@@ -614,6 +620,9 @@ let create nexus_ ~rpc_id =
   Obs.Metrics.counter m ~name:"rpc.handled" ~labels (fun () -> stats_.Rpc_stats.handled);
   Obs.Metrics.counter m ~name:"rpc.wheel_inserts" ~labels (fun () ->
       stats_.Rpc_stats.wheel_inserts);
+  Obs.Metrics.counter m ~name:"nic.rx_pkts" ~labels (fun () -> Nic.rx_packets nic);
+  Obs.Metrics.counter m ~name:"nic.tx_pkts" ~labels (fun () -> Nic.tx_packets nic);
+  Obs.Metrics.counter m ~name:"nic.rx_dropped_no_desc" ~labels (fun () -> Nic.rx_dropped nic);
   Obs.Metrics.gauge m ~name:"rpc.wheel_depth" ~labels (fun () ->
       match t.wheel with Some w -> float_of_int (Wheel.pending w) | None -> 0.);
   Nexus.register_rx nexus_ ~rpc_id ~rx:(fun pkt -> Transport.Iface.receive t.transport_ pkt);

@@ -1,3 +1,5 @@
+module Conn_cache = Conn_cache
+
 type config = {
   tx_latency_ns : int;
   rx_latency_ns : int;
@@ -21,12 +23,17 @@ let default_config =
     rq_replenish_unit_ns = 7;
   }
 
+(* RC mode: a TX miss in the connection-state cache fetches ~375 B of RC
+   state over PCIe before the descriptor can be processed. *)
+let conn_miss_ns = 120
+
 type t = {
   engine : Sim.Engine.t;
   net : Netsim.Network.t;
   host : int;
   cfg : config;
   rng : Sim.Rng.t;
+  conn_cache : Conn_cache.t option;  (* [Some] selects RDMA RC mode *)
   mutable rx_last_delivery : Sim.Time.t;
   mutable tx_pending : int;
   mutable tx_last_done : Sim.Time.t;
@@ -41,17 +48,20 @@ type t = {
   mutable replenish_partial : int;
   mutable rx_packets : int;
   mutable tx_packets : int;
-  mutable rx_dropped_no_desc : int;
+  mutable rx_dropped : int;
   trace : Obs.Trace.t;
   pid : int;
   tid : int;  (* the host's "nic" thread track *)
 }
 
-(* RX DMA pipeline completion: drop if no descriptor, else ring the packet
-   for the owner's poll. *)
+let kind t = match t.conn_cache with None -> "raw_eth" | Some _ -> "rdma_rc"
+let rq_size t = t.cfg.rq_size
+
+(* RX DMA pipeline completion: drop if no descriptor (raw Ethernet only),
+   else ring the packet for the owner's poll. *)
 let rx_complete t pkt =
-  if t.rq_available <= 0 then begin
-    t.rx_dropped_no_desc <- t.rx_dropped_no_desc + 1;
+  if t.rq_available <= 0 && Option.is_none t.conn_cache then begin
+    t.rx_dropped <- t.rx_dropped + 1;
     if Obs.Trace.enabled t.trace then
       Obs.Trace.instant t.trace ~ts:(Sim.Engine.now t.engine) ~cat:"nic"
         ~name:"rx_drop" ~pid:t.pid ~tid:t.tid
@@ -73,10 +83,10 @@ let rx_complete t pkt =
     if was_empty then t.rx_notify ()
   end
 
-let on_network_rx t pkt =
+let receive t pkt =
   (* DMA write + CQE after rx_latency_ns (plus bounded jitter from PCIe and
-     DMA-batching variability); drop if no descriptor. Delivery stays FIFO:
-     jitter may delay, never reorder. *)
+     DMA-batching variability). Delivery stays FIFO: jitter may delay,
+     never reorder. *)
   let jitter = if t.cfg.rx_jitter_ns > 0 then Sim.Rng.int t.rng (t.cfg.rx_jitter_ns + 1) else 0 in
   let now = Sim.Engine.now t.engine in
   let at = Int.max (now + t.cfg.rx_latency_ns + jitter) t.rx_last_delivery in
@@ -87,7 +97,9 @@ let tx_complete t pkt =
   t.tx_pending <- t.tx_pending - 1;
   Netsim.Network.send t.net pkt
 
-let create engine net ~host cfg =
+let create ?conn_cache engine net ~host cfg =
+  if Option.is_some conn_cache && cfg.rx_jitter_ns <> 0 then
+    invalid_arg "Nic.create: RC mode has no RX jitter";
   let trace = Sim.Engine.trace engine in
   let pid = Obs.Trace.host_pid host in
   Obs.Trace.register_process trace ~pid (Printf.sprintf "host%d" host);
@@ -98,7 +110,13 @@ let create engine net ~host cfg =
       net;
       host;
       cfg;
-      rng = Sim.Rng.split (Sim.Engine.rng engine);
+      (* Raw Ethernet splits its jitter stream off the engine's even at zero
+         jitter; the deterministic RC pipeline leaves the engine's alone. *)
+      rng =
+        (match conn_cache with
+        | None -> Sim.Rng.split (Sim.Engine.rng engine)
+        | Some _ -> Sim.Rng.create 0L);
+      conn_cache;
       rx_last_delivery = Sim.Time.zero;
       tx_pending = 0;
       tx_last_done = Sim.Time.zero;
@@ -110,7 +128,7 @@ let create engine net ~host cfg =
       replenish_partial = 0;
       rx_packets = 0;
       tx_packets = 0;
-      rx_dropped_no_desc = 0;
+      rx_dropped = 0;
       trace;
       pid;
       tid;
@@ -118,29 +136,27 @@ let create engine net ~host cfg =
   in
   t.rx_done <- (fun pkt -> rx_complete t pkt);
   t.tx_done <- (fun pkt -> tx_complete t pkt);
-  let m = Sim.Engine.metrics engine in
-  let labels = [ ("host", string_of_int host) ] in
-  Obs.Metrics.counter m ~name:"nic.rx_pkts" ~labels (fun () -> t.rx_packets);
-  Obs.Metrics.counter m ~name:"nic.tx_pkts" ~labels (fun () -> t.tx_packets);
-  Obs.Metrics.counter m ~name:"nic.rx_dropped_no_desc" ~labels (fun () ->
-      t.rx_dropped_no_desc);
   t
 
-let receive t pkt = on_network_rx t pkt
-
-let host t = t.host
-let config t = t.cfg
-
-let post_send t pkt =
+let tx_burst t pkt =
+  let lat =
+    match t.conn_cache with
+    | Some cache when not (Conn_cache.access cache ((t.host * 65_537) + pkt.Netsim.Packet.dst)) ->
+        t.cfg.tx_latency_ns + conn_miss_ns
+    | _ -> t.cfg.tx_latency_ns
+  in
   t.tx_pending <- t.tx_pending + 1;
   t.tx_packets <- t.tx_packets + 1;
   if Obs.Trace.enabled t.trace then
     Obs.Trace.instant t.trace ~ts:(Sim.Engine.now t.engine) ~cat:"nic" ~name:"tx"
       ~pid:t.pid ~tid:t.tid
       [ ("id", Obs.Trace.I pkt.Netsim.Packet.trace_id) ];
-  let done_at = Sim.Time.add (Sim.Engine.now t.engine) t.cfg.tx_latency_ns in
-  if done_at > t.tx_last_done then t.tx_last_done <- done_at;
-  Sim.Engine.schedule_after_arg t.engine t.cfg.tx_latency_ns t.tx_done pkt
+  (* Descriptors enter the wire in post order even when an RC cache hit
+     follows a miss: the send queue is FIFO. At a constant latency the
+     clamp never binds, so [tx_last_done] is always the last entry time. *)
+  let enter = Int.max (Sim.Time.add (Sim.Engine.now t.engine) lat) t.tx_last_done in
+  t.tx_last_done <- enter;
+  Sim.Engine.schedule_arg t.engine enter t.tx_done pkt
 
 let tx_pending t = t.tx_pending
 
@@ -149,7 +165,7 @@ let flush_time_ns t =
   let wait = if t.tx_pending > 0 then Int.max 0 (Sim.Time.sub t.tx_last_done now) else 0 in
   wait + t.cfg.tx_flush_ns
 
-let poll_rx t ~max f =
+let rx_burst t ~max f =
   let n = ref 0 in
   while !n < max && not (Sim.Ring.is_empty t.rx_ring) do
     incr n;
@@ -160,7 +176,7 @@ let poll_rx t ~max f =
 let rx_ring_depth t = Sim.Ring.length t.rx_ring
 let set_rx_notify t f = t.rx_notify <- f
 
-let replenish_rq t n =
+let replenish_rx t n =
   assert (n >= 0);
   t.rq_available <- Int.min t.cfg.rq_size (t.rq_available + n);
   if t.cfg.multi_packet_rq then begin
@@ -171,7 +187,7 @@ let replenish_rq t n =
   end
   else n * t.cfg.rq_replenish_unit_ns
 
-let clear_rx t =
+let reset_rx t =
   (* Packets stranded in the ring die with the crashed process. *)
   while not (Sim.Ring.is_empty t.rx_ring) do
     Netsim.Packet.free (Sim.Ring.take t.rx_ring)
@@ -181,4 +197,4 @@ let clear_rx t =
 
 let rx_packets t = t.rx_packets
 let tx_packets t = t.tx_packets
-let rx_dropped_no_desc t = t.rx_dropped_no_desc
+let rx_dropped t = t.rx_dropped

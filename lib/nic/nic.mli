@@ -1,4 +1,6 @@
-(** Userspace-NIC model: the packet I/O device an {!Erpc.Rpc} endpoint owns.
+(** Userspace-NIC model: the wire packet I/O device an {!Erpc.Rpc}
+    endpoint owns, and the one implementation of [Transport.Iface.S] that
+    puts packets on the network.
 
     Models the mechanisms eRPC's design depends on (§4.1, Appendix A):
 
@@ -10,14 +12,28 @@
       credits against [rq_size];
     - multi-packet RQ descriptors: with the optimization on, descriptor
       replenishment costs CPU once per [multi_packet_rq_stride] packets
-      instead of per packet (the CPU charge is made by the caller via
-      {!replenish_cost_ns});
+      instead of per packet (the caller charges the cost {!replenish_rx}
+      returns);
     - an RX ring polled by the owner; a simulation-only [rx_notify] hook
       stands in for busy polling and lets the owner schedule its event loop
       activation.
 
+    TX is unsignaled and RX is a ring: the model has no completion queue.
+
     Fixed [tx_latency_ns]/[rx_latency_ns] model DMA + NIC processing and are
-    part of the ~850 ns per-host latency adder the paper measures (§6.1). *)
+    part of the ~850 ns per-host latency adder the paper measures (§6.1).
+
+    The device runs in one of two modes, chosen at {!create}:
+    - {b raw Ethernet} ([kind] ["raw_eth"], the DPDK-style datapath): lossy
+      RQ, bounded RX jitter;
+    - {b RDMA RC} ([kind] ["rdma_rc"], the InfiniBand-style datapath of
+      paper §3), selected by passing a connection cache. Every TX looks up
+      its connection in the cache; a miss stalls the descriptor 120 ns while
+      connection state is fetched over PCIe (the Figure-1 effect), and
+      descriptors still enter the wire in post order. Link-level flow
+      control means RX never drops for want of a descriptor. *)
+
+module Conn_cache = Conn_cache
 
 type config = {
   tx_latency_ns : int;  (** descriptor fetch + payload DMA read + pipeline *)
@@ -36,21 +52,28 @@ type t
 
 (** Create a NIC endpoint. The caller is responsible for routing received
     packets into it with {!receive} (real deployments steer flows to
-    per-Rpc queues by UDP port; our {!Erpc.Nexus} plays that role). *)
-val create : Sim.Engine.t -> Netsim.Network.t -> host:int -> config -> t
+    per-Rpc queues by UDP port; our {!Erpc.Nexus} plays that role).
+    [conn_cache] selects RDMA RC mode; its [rx_jitter_ns] must be 0.
+    Raw-Ethernet mode splits its jitter stream off the engine's RNG at
+    create; RC mode draws none. *)
+val create :
+  ?conn_cache:Conn_cache.t -> Sim.Engine.t -> Netsim.Network.t -> host:int -> config -> t
 
-val host : t -> int
-val config : t -> config
+(** ["raw_eth"] or ["rdma_rc"]. *)
+val kind : t -> string
+
+val rq_size : t -> int
 
 (** Ingress from the network: models the RX DMA pipeline, then either
-    drops (no RQ descriptor) or appends to the RX ring. *)
+    drops (no RQ descriptor, raw Ethernet only) or appends to the RX ring. *)
 val receive : t -> Netsim.Packet.t -> unit
 
 (** {2 TX path} *)
 
 (** Post a packet for transmission (unsignaled). It enters the wire after
-    [tx_latency_ns] plus the NIC TX port's own queueing. *)
-val post_send : t -> Netsim.Packet.t -> unit
+    [tx_latency_ns] (plus any RC cache-miss stall) and the NIC TX port's
+    own queueing. *)
+val tx_burst : t -> Netsim.Packet.t -> unit
 
 (** Number of TX descriptors whose DMA has not yet completed. *)
 val tx_pending : t -> int
@@ -64,7 +87,7 @@ val flush_time_ns : t -> int
 
 (** Poll up to [max] packets DMA-ed to host memory, invoking the callback
     on each in FIFO order; returns the count polled. *)
-val poll_rx : t -> max:int -> (Netsim.Packet.t -> unit) -> int
+val rx_burst : t -> max:int -> (Netsim.Packet.t -> unit) -> int
 
 val rx_ring_depth : t -> int
 
@@ -73,15 +96,18 @@ val set_rx_notify : t -> (unit -> unit) -> unit
 
 (** Re-post [n] receive descriptors; returns the modeled CPU cost in ns
     (amortized when multi-packet RQ descriptors are enabled). *)
-val replenish_rq : t -> int -> int
+val replenish_rx : t -> int -> int
 
 (** Drop everything in the RX ring and restore the full descriptor count —
     the restarted driver after a host crash re-posts its RQ from scratch at
     no modeled cost. *)
-val clear_rx : t -> unit
+val reset_rx : t -> unit
 
 (** {2 Statistics} *)
 
 val rx_packets : t -> int
 val tx_packets : t -> int
-val rx_dropped_no_desc : t -> int
+
+(** Packets dropped for want of a receive descriptor (always 0 in RC
+    mode). *)
+val rx_dropped : t -> int

@@ -15,7 +15,7 @@ type result = {
 val run :
   ?base_ns:float ->
   ?miss_penalty_ns:float ->
-  ?cache:Conn_cache.t ->
+  ?cache:Nic.Conn_cache.t ->
   ?ops:int ->
   ?seed:int64 ->
   connections:int ->

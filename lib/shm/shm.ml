@@ -20,9 +20,9 @@
    The transport is a *mux*: each endpoint wraps the configured wire
    transport and routes per packet — co-located destinations take the
    ring path, everything else the wire — so one Rpc endpoint serves mixed
-   local/remote session sets. Geometry (MTU, RQ size) is the inner
-   transport's; the ring path never drops (a full destination ring
-   backpressures the sender with stall latency instead).
+   local/remote session sets. The RQ size is the inner transport's; the
+   ring path never drops (a full destination ring backpressures the
+   sender with stall latency instead).
 
    Layering: this library sits beside the other transports and cannot see
    eRPC's packet body type, so the fabric injects [hooks] for the two
@@ -212,9 +212,7 @@ let shm_tx t dst pkt (v : view) =
 module Impl = struct
   type t = endpoint
 
-  let kind = "shm"
-  let lossless t = Transport.Iface.lossless t.inner
-  let max_data_per_pkt t = Transport.Iface.max_data_per_pkt t.inner
+  let kind _ = "shm"
   let rq_size t = Transport.Iface.rq_size t.inner
 
   let tx_burst t pkt =

@@ -4,9 +4,7 @@
 module type S = sig
   type t
 
-  val kind : string
-  val lossless : t -> bool
-  val max_data_per_pkt : t -> int
+  val kind : t -> string
   val rq_size : t -> int
   val tx_burst : t -> Netsim.Packet.t -> unit
   val tx_pending : t -> int
@@ -24,9 +22,7 @@ end
 
 type t = T : (module S with type t = 'a) * 'a -> t
 
-let kind (T ((module M), _)) = M.kind
-let lossless (T ((module M), x)) = M.lossless x
-let max_data_per_pkt (T ((module M), x)) = M.max_data_per_pkt x
+let kind (T ((module M), x)) = M.kind x
 let rq_size (T ((module M), x)) = M.rq_size x
 let tx_burst (T ((module M), x)) pkt = M.tx_burst x pkt
 let tx_pending (T ((module M), x)) = M.tx_pending x

@@ -3,35 +3,25 @@
     eRPC's portability rests on a narrow transport API: the same protocol
     and dispatch code runs over InfiniBand, RoCE and DPDK raw Ethernet
     because each datapath only has to provide packet TX/RX, a flush
-    primitive, and its geometry (MTU-sized data budget per packet and the
-    receive-descriptor count the credit system is sized against). [S] is
-    that API; the wire protocol ({!Erpc.Proto}) is written against it
-    alone and never names a concrete device.
+    primitive, and the receive-descriptor count the credit system is sized
+    against. [S] is that API; the wire protocol ({!Erpc.Proto}) is written
+    against it alone and never names a concrete device.
 
     Implementations:
-    - {!Nic_udp}: the lossy raw-Ethernet path over the userspace-NIC model
-      (pre-posted RQ descriptors, drops on exhaustion, RX jitter);
-    - [Rdma.Rc_transport]: the lossless RC path over the QP/connection-cache
-      machinery (link-level flow control — no drops — but TX stalls on
-      NIC connection-cache misses);
+    - [Nic]: the one wire device, in two modes — lossy raw Ethernet
+      (pre-posted RQ descriptors, drops on exhaustion, RX jitter) and
+      RDMA RC (no descriptor drops under link-level flow control, but TX
+      stalls on NIC connection-cache misses);
     - [Shm]: the intra-host shared-memory path for co-located endpoints
       (SPSC message rings over the memory interconnect, serialize-vs-share
-      handoff with seal/unseal guards; muxes over a wire transport for
+      handoff with seal/unseal guards; muxes over a wire device for
       remote destinations). *)
 
 module type S = sig
   type t
 
   (** Short transport name for diagnostics ("raw_eth", "rdma_rc", "shm"). *)
-  val kind : string
-
-  (** True when the fabric guarantees no congestion drops (link-level flow
-      control); the protocol still retransmits on corruption or failure.
-      Per instance: a mux answers for the wire device it wraps. *)
-  val lossless : t -> bool
-
-  (** Maximum application payload bytes in one packet (the MTU). *)
-  val max_data_per_pkt : t -> int
+  val kind : t -> string
 
   (** Receive-descriptor budget: sessions are limited so that
       [sessions * credits <= rq_size] can never overflow the RQ (§4.3.1). *)
@@ -70,8 +60,8 @@ module type S = sig
   val rx_packets : t -> int
   val tx_packets : t -> int
 
-  (** Packets dropped for want of a receive descriptor (always 0 on a
-      lossless transport). *)
+  (** Packets dropped for want of a receive descriptor (always 0 in RDMA
+      RC mode and on the shm ring path). *)
   val rx_dropped : t -> int
 end
 
@@ -81,8 +71,6 @@ type t = T : (module S with type t = 'a) * 'a -> t
 (** Wrappers dispatching through the packed module. *)
 
 val kind : t -> string
-val lossless : t -> bool
-val max_data_per_pkt : t -> int
 val rq_size : t -> int
 val tx_burst : t -> Netsim.Packet.t -> unit
 val tx_pending : t -> int

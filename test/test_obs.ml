@@ -117,6 +117,35 @@ let test_metrics_registry () =
   check_bool "metrics JSON validates" true
     (Obs.Json.validate (Obs.Json.to_string (Obs.Metrics.to_json m)))
 
+(* Every Rpc owns its own wire device, so a host with two Rpcs has two
+   NICs: the nic.* series must count both, not only the last one created
+   on the host. *)
+let test_nic_metrics_per_rpc () =
+  let d =
+    Experiments.Harness.deploy ~seed:5L (Transport.Cluster.cx5 ~nodes:2 ())
+      ~threads_per_host:2 ~register:Experiments.Harness.register_echo
+  in
+  Array.iteri
+    (fun thread rpc ->
+      let sess = Experiments.Harness.connect d rpc ~remote_host:1 ~remote_rpc_id:thread in
+      Experiments.Harness.start_driver
+        (Experiments.Harness.make_driver ~rng:(Sim.Rng.create 3L) ~rpc ~sessions:[| sess |]
+           ~window:1 ()))
+    d.rpcs.(0);
+  Experiments.Harness.run_ms d 0.05;
+  let m = Sim.Engine.metrics (Erpc.Fabric.engine d.fabric) in
+  let series, summed =
+    Obs.Metrics.fold_counters m ~name:"nic.tx_pkts" (fun (n, sum) _ v -> (n + 1, sum + v)) (0, 0)
+  in
+  let sent =
+    Array.fold_left
+      (Array.fold_left (fun acc rpc -> acc + Transport.Iface.tx_packets (Erpc.Rpc.transport rpc)))
+      0 d.rpcs
+  in
+  check_bool "traffic flowed" true (sent > 16);
+  check_int "series sum to the devices' TX" sent summed;
+  check_int "one series per device" 4 series
+
 let test_anatomy_sums_exactly () =
   let r = Experiments.Exp_anatomy.run ~samples:16 () in
   check_bool "sampled RPCs analyzed" true (List.length r.breakdowns >= 8);
@@ -290,6 +319,7 @@ let suite =
     Alcotest.test_case "chrome export validates" `Quick test_chrome_export_validates;
     Alcotest.test_case "json builder+validator" `Quick test_json_builder_and_validator;
     Alcotest.test_case "metrics registry" `Quick test_metrics_registry;
+    Alcotest.test_case "nic metrics per Rpc" `Quick test_nic_metrics_per_rpc;
     Alcotest.test_case "anatomy sums exactly" `Quick test_anatomy_sums_exactly;
     Alcotest.test_case "anatomy: typed codec terms" `Quick
       test_anatomy_typed_nonzero_codec_terms;

@@ -7,48 +7,48 @@ let check_bool = Alcotest.(check bool)
 (* {2 Connection cache (LRU)} *)
 
 let test_cache_hits_and_misses () =
-  let c = Rdma.Conn_cache.create ~capacity_entries:2 in
-  check_bool "cold miss" false (Rdma.Conn_cache.access c 1);
-  check_bool "hit" true (Rdma.Conn_cache.access c 1);
-  check_bool "second conn" false (Rdma.Conn_cache.access c 2);
-  check_bool "both resident" true (Rdma.Conn_cache.access c 1 && Rdma.Conn_cache.access c 2);
-  check_int "resident" 2 (Rdma.Conn_cache.resident c)
+  let c = Nic.Conn_cache.create ~capacity_entries:2 in
+  check_bool "cold miss" false (Nic.Conn_cache.access c 1);
+  check_bool "hit" true (Nic.Conn_cache.access c 1);
+  check_bool "second conn" false (Nic.Conn_cache.access c 2);
+  check_bool "both resident" true (Nic.Conn_cache.access c 1 && Nic.Conn_cache.access c 2);
+  check_int "resident" 2 (Nic.Conn_cache.resident c)
 
 let test_cache_lru_eviction () =
-  let c = Rdma.Conn_cache.create ~capacity_entries:2 in
-  ignore (Rdma.Conn_cache.access c 1);
-  ignore (Rdma.Conn_cache.access c 2);
+  let c = Nic.Conn_cache.create ~capacity_entries:2 in
+  ignore (Nic.Conn_cache.access c 1);
+  ignore (Nic.Conn_cache.access c 2);
   (* Touch 1 so 2 becomes LRU; insert 3 evicts 2. *)
-  ignore (Rdma.Conn_cache.access c 1);
-  ignore (Rdma.Conn_cache.access c 3);
-  check_bool "1 still cached" true (Rdma.Conn_cache.access c 1);
-  check_bool "2 evicted" false (Rdma.Conn_cache.access c 2)
+  ignore (Nic.Conn_cache.access c 1);
+  ignore (Nic.Conn_cache.access c 3);
+  check_bool "1 still cached" true (Nic.Conn_cache.access c 1);
+  check_bool "2 evicted" false (Nic.Conn_cache.access c 2)
 
 let test_cache_miss_ratio_when_oversubscribed () =
-  let c = Rdma.Conn_cache.create ~capacity_entries:10 in
+  let c = Nic.Conn_cache.create ~capacity_entries:10 in
   let rng = Sim.Rng.create 2L in
   (* 1000 connections into a 10-entry cache: miss ratio ~ 99%. *)
   for _ = 1 to 5_000 do
-    ignore (Rdma.Conn_cache.access c (Sim.Rng.int rng 1_000))
+    ignore (Nic.Conn_cache.access c (Sim.Rng.int rng 1_000))
   done;
-  Rdma.Conn_cache.reset_stats c;
+  Nic.Conn_cache.reset_stats c;
   for _ = 1 to 20_000 do
-    ignore (Rdma.Conn_cache.access c (Sim.Rng.int rng 1_000))
+    ignore (Nic.Conn_cache.access c (Sim.Rng.int rng 1_000))
   done;
-  check_bool "high miss ratio" true (Rdma.Conn_cache.miss_ratio c > 0.95)
+  check_bool "high miss ratio" true (Nic.Conn_cache.miss_ratio c > 0.95)
 
 let test_cache_fits_all () =
-  let c = Rdma.Conn_cache.create ~capacity_entries:100 in
+  let c = Nic.Conn_cache.create ~capacity_entries:100 in
   for conn = 0 to 99 do
-    ignore (Rdma.Conn_cache.access c conn)
+    ignore (Nic.Conn_cache.access c conn)
   done;
-  Rdma.Conn_cache.reset_stats c;
+  Nic.Conn_cache.reset_stats c;
   for _ = 1 to 10 do
     for conn = 0 to 99 do
-      ignore (Rdma.Conn_cache.access c conn)
+      ignore (Nic.Conn_cache.access c conn)
     done
   done;
-  Alcotest.(check (float 0.001)) "no misses when resident" 0.0 (Rdma.Conn_cache.miss_ratio c)
+  Alcotest.(check (float 0.001)) "no misses when resident" 0.0 (Nic.Conn_cache.miss_ratio c)
 
 (* {2 QP operations} *)
 
