@@ -401,7 +401,7 @@ let micro () =
     Staged.stage (fun () ->
         let now = Sim.Timing_wheel.last_time q in
         for i = 0 to 63 do
-          Sim.Timing_wheel.push q (now + 1 + Sim.Rng.int rng ahead) i
+          Sim.Timing_wheel.push q (now + 1 + Sim.Rng.int rng ahead) i 0
         done;
         for _ = 0 to 63 do
           ignore (Sim.Timing_wheel.pop q)

@@ -689,16 +689,20 @@ let bench_sim_cmd =
         List.filter_map
           (fun (r : Experiments.Bench_sim.row) ->
             let r2 = Experiments.Bench_sim.run_one ~workload:r.workload ~seed in
-            if r2.digest = r.digest then None
-            else
-              Some
-                (Printf.sprintf "%s: rerun digest %s <> %s" r.workload r2.digest r.digest))
+            if r2.digest <> r.digest then
+              Some (Printf.sprintf "%s: rerun digest %s <> %s" r.workload r2.digest r.digest)
+            else if r2.events_by_layer <> r.events_by_layer then
+              Some (Printf.sprintf "%s: rerun event census differs" r.workload)
+            else None)
           rows
     in
     List.iter
       (fun (r : Experiments.Bench_sim.row) ->
         Printf.printf "%-10s %8.3f s  %9d events  %10.0f ev/s  %6.1f words/ev\n"
-          r.workload r.wall_s r.events r.events_per_sec r.minor_words_per_event)
+          r.workload r.wall_s r.events r.events_per_sec r.minor_words_per_event;
+        Printf.printf "           %s\n"
+          (String.concat "  "
+             (List.map (fun (l, n) -> Printf.sprintf "%s=%d" l n) r.events_by_layer)))
       rows;
     (match out with
     | None -> ()
@@ -712,7 +716,9 @@ let bench_sim_cmd =
       List.iter (Printf.eprintf "DETERMINISM VIOLATION: %s\n") violations;
       exit 1
     end
-    else if rerun then Printf.printf "rerun digests identical for all %d rows\n" (List.length rows)
+    else if rerun then
+      Printf.printf "rerun digests and event censuses identical for all %d rows\n"
+        (List.length rows)
   in
   let workloads =
     Arg.(
@@ -732,7 +738,7 @@ let bench_sim_cmd =
       & info [ "rerun" ]
           ~doc:
             "Run every row twice and fail (exit 1) if any same-seed rerun's end-state \
-             digest differs.")
+             digest or event census differs.")
   in
   Cmd.v
     (Cmd.info "bench-sim"

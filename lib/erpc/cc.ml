@@ -27,7 +27,7 @@ let pacing_delay_ns t ~bytes =
   | Timely_cc tl -> Timely.pacing_delay_ns tl ~bytes
   | Dcqcn_cc d -> Dcqcn.pacing_delay_ns d ~bytes
 
-let bypassable t ~rtt_ns ~marked ~t_low_ns =
+let bypassable t ~(rtt_ns : int) ~marked ~t_low_ns =
   match t with
   | Timely_cc tl -> Timely.uncongested tl && rtt_ns < t_low_ns
   | Dcqcn_cc d -> Dcqcn.uncongested d && not marked

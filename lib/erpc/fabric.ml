@@ -56,7 +56,7 @@ let create ?(seed = 42L) ?config ?cost ?trace cluster =
       restart_watchers = [];
       next_session_token = 1;
       machine = Transport.Cluster.machine_of cluster;
-      shm_hub = Shm.create_hub ~hooks:shm_hooks ();
+      shm_hub = Shm.create_hub ~hooks:shm_hooks ~packets:(Netsim.Network.packets net) ();
     }
   in
   (* Ring deliveries into a dead host vanish, mirroring the network's

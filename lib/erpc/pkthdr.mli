@@ -12,22 +12,24 @@ type pkt_type =
   | Rfr  (** request-for-response: asks for response packet [pkt_num] *)
   | Resp  (** response data packet *)
 
+(** Fields are mutable so that a pooled wire packet owns one header and
+    {!Wire.make} rewrites it in place. *)
 type t = {
-  req_type : int;  (** handler type registered at the server *)
-  msg_size : int;  (** total message bytes in this packet's direction *)
-  dest_session : int;  (** session number at the receiving endpoint *)
-  pkt_type : pkt_type;
-  pkt_num : int;
+  mutable req_type : int;  (** handler type registered at the server *)
+  mutable msg_size : int;  (** total message bytes in this packet's direction *)
+  mutable dest_session : int;  (** session number at the receiving endpoint *)
+  mutable pkt_type : pkt_type;
+  mutable pkt_num : int;
       (** Req/Resp: index of this data packet within the message;
           Cr: index of the request packet being acknowledged;
           Rfr: index of the response packet being requested. *)
-  req_num : int;  (** per-slot request sequence number (at-most-once) *)
-  token : int;
+  mutable req_num : int;  (** per-slot request sequence number (at-most-once) *)
+  mutable token : int;
       (** session uniqueness token: both endpoints stamp the client-chosen
           fabric-unique token so a receiver can drop stale packets
           addressed to a recycled session number (e.g. from a peer that
           has not yet noticed a crash-restart) *)
-  ecn_echo : bool;
+  mutable ecn_echo : bool;
       (** server->client: the acknowledged client packet carried an ECN
           mark (DCQCN's congestion notification, reflected by the
           receiver) *)
@@ -52,6 +54,10 @@ val bytes_checksum : ?init:int -> bytes -> off:int -> len:int -> int
 
 val pp : Format.formatter -> t -> unit
 
-(** Payload bytes carried by a data packet: [pkt_num]-th MTU-sized chunk of
-    an [msg_size]-byte message. Zero for CR/RFR. *)
+(** [chunk_bytes ~mtu ~msg_size k]: bytes in the [k]-th MTU-sized chunk
+    of an [msg_size]-byte message (0 past its end). *)
+val chunk_bytes : mtu:int -> msg_size:int -> int -> int
+
+(** Payload bytes carried by a data packet: the [pkt_num]-th chunk of its
+    [msg_size]-byte message. Zero for CR/RFR. *)
 val data_bytes : t -> mtu:int -> int

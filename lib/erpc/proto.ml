@@ -47,7 +47,7 @@ type t = {
   tid : int;  (* the owning endpoint's thread track *)
 }
 
-let create ~env ~engine ~host ~cfg ~cost ~transport ~stats ~tid =
+let create ~env ~engine ~host ~cfg ~cost ~transport ~packets ~stats ~tid =
   {
     env;
     engine;
@@ -56,7 +56,7 @@ let create ~env ~engine ~host ~cfg ~cost ~transport ~stats ~tid =
     cost;
     transport;
     stats;
-    pool = Wire.create_pool ();
+    pool = Wire.create_pool packets;
     sessions = Array.make 4 None;
     n_sessions = 0;
     sn_hint = 0;
@@ -171,26 +171,26 @@ and client_next_item_ready (cli : client_info) =
 
 and service_slot_tx t slot budget =
   let sess = slot.session in
-  if sess.state = Connected && slot.busy then begin
-    match (slot.args, slot.cli) with
-    | Some args, Some cli ->
-        let continue = ref true in
-        while !continue && !budget > 0 && sess.credits > 0 && client_next_item_ready cli do
-          send_tx_item t slot args cli;
-          decr budget
-        done;
-        if client_next_item_ready cli then
-          if sess.credits = 0 then begin
-            (* Blocked on credits: park until a CR/response returns one,
-               so other slots of the session are not starved. *)
-            if not slot.in_credit_waitq then begin
-              slot.in_credit_waitq <- true;
-              Queue.add slot sess.credit_waiters
-            end
+  (* A match, not [sess.state = Connected]: [conn_state] carries a string,
+     so [=] would be a polymorphic compare per serviced slot. *)
+  match (sess.state, slot.args, slot.cli) with
+  | Connected, Some args, Some cli when slot.busy ->
+      let continue = ref true in
+      while !continue && !budget > 0 && sess.credits > 0 && client_next_item_ready cli do
+        send_tx_item t slot args cli;
+        decr budget
+      done;
+      if client_next_item_ready cli then
+        if sess.credits = 0 then begin
+          (* Blocked on credits: park until a CR/response returns one,
+             so other slots of the session are not starved. *)
+          if not slot.in_credit_waitq then begin
+            slot.in_credit_waitq <- true;
+            Queue.add slot sess.credit_waiters
           end
-          else if !budget = 0 then push_txq t slot
-    | _ -> ()
-  end
+        end
+        else if !budget = 0 then push_txq t slot
+  | _ -> ()
 
 and send_tx_item t slot args cli =
   let sess = slot.session in
@@ -204,42 +204,25 @@ and send_tx_item t slot args cli =
   let pkt, wire_bytes =
     if k < cli.n_req_pkts then begin
       let msg_size = Msgbuf.size args.req in
-      let hdr =
-        {
-          Pkthdr.req_type = args.req_type;
-          msg_size;
-          dest_session = sess.remote_sn;
-          pkt_type = Pkthdr.Req;
-          pkt_num = k;
-          req_num = slot.req_num;
-          token = sess.token;
-          ecn_echo = false;
-        }
-      in
-      let len = Pkthdr.data_bytes hdr ~mtu in
+      let len = Pkthdr.chunk_bytes ~mtu ~msg_size k in
       t.env.ch t.cost.tx_data_pkt;
-      let payload = (Msgbuf.unsafe_bytes args.req, Msgbuf.unsafe_offset args.req + (k * mtu), len) in
-      ( Wire.make ~pool:t.pool ~src_host:t.host ~dst_host:sess.remote_host
-          ~dst_rpc:sess.remote_rpc_id ~wire_overhead:t.cfg.wire_overhead ~flow ~hdr ~payload (),
+      ( Wire.make t.pool ~src_host:t.host ~dst_host:sess.remote_host
+          ~dst_rpc:sess.remote_rpc_id ~wire_overhead:t.cfg.wire_overhead ~flow
+          ~req_type:args.req_type ~msg_size ~dest_session:sess.remote_sn ~pkt_type:Pkthdr.Req
+          ~pkt_num:k ~req_num:slot.req_num ~token:sess.token ~ecn_echo:false
+          ~data:(Msgbuf.unsafe_bytes args.req)
+          ~off:(Msgbuf.unsafe_offset args.req + (k * mtu))
+          ~len,
         len + t.cfg.wire_overhead )
     end
     else begin
       (* Request-for-response for response packet (k - N + 1). *)
-      let hdr =
-        {
-          Pkthdr.req_type = args.req_type;
-          msg_size = 0;
-          dest_session = sess.remote_sn;
-          pkt_type = Pkthdr.Rfr;
-          pkt_num = k - cli.n_req_pkts + 1;
-          req_num = slot.req_num;
-          token = sess.token;
-          ecn_echo = false;
-        }
-      in
       t.env.ch t.cost.tx_ctrl_pkt;
-      ( Wire.make ~pool:t.pool ~src_host:t.host ~dst_host:sess.remote_host
-          ~dst_rpc:sess.remote_rpc_id ~wire_overhead:t.cfg.wire_overhead ~flow ~hdr (),
+      ( Wire.make t.pool ~src_host:t.host ~dst_host:sess.remote_host
+          ~dst_rpc:sess.remote_rpc_id ~wire_overhead:t.cfg.wire_overhead ~flow
+          ~req_type:args.req_type ~msg_size:0 ~dest_session:sess.remote_sn ~pkt_type:Pkthdr.Rfr
+          ~pkt_num:(k - cli.n_req_pkts + 1) ~req_num:slot.req_num ~token:sess.token
+          ~ecn_echo:false ~data:Bytes.empty ~off:0 ~len:0,
         t.cfg.wire_overhead )
     end
   in
@@ -466,23 +449,13 @@ and admit_backlog t sess =
 
 (* {2 Server RX} *)
 
-and send_server_pkt t sess slot ~pkt_type ~pkt_num ~msg_size ~payload ~req_type ~ecn_echo =
-  let hdr =
-    {
-      Pkthdr.req_type;
-      msg_size;
-      dest_session = sess.remote_sn;
-      pkt_type;
-      pkt_num;
-      req_num = slot.req_num;
-      token = sess.token;
-      ecn_echo;
-    }
-  in
+and send_server_pkt t sess slot ~pkt_type ~pkt_num ~msg_size ~req_type ~ecn_echo ~data ~off
+    ~len =
   let flow = Wire.flow_hash ~src_host:t.host ~dst_host:sess.remote_host ~sn:sess.remote_sn in
   let pkt =
-    Wire.make ~pool:t.pool ~src_host:t.host ~dst_host:sess.remote_host
-      ~dst_rpc:sess.remote_rpc_id ~wire_overhead:t.cfg.wire_overhead ~flow ~hdr ?payload ()
+    Wire.make t.pool ~src_host:t.host ~dst_host:sess.remote_host ~dst_rpc:sess.remote_rpc_id
+      ~wire_overhead:t.cfg.wire_overhead ~flow ~req_type ~msg_size ~dest_session:sess.remote_sn
+      ~pkt_type ~pkt_num ~req_num:slot.req_num ~token:sess.token ~ecn_echo ~data ~off ~len
   in
   (match pkt_type with
   | Pkthdr.Cr -> t.env.ch t.cost.tx_ctrl_pkt
@@ -491,23 +464,17 @@ and send_server_pkt t sess slot ~pkt_type ~pkt_num ~msg_size ~payload ~req_type 
   t.env.post pkt
 
 and send_cr t sess slot ~pkt_num ~req_type ~ecn_echo =
-  send_server_pkt t sess slot ~pkt_type:Pkthdr.Cr ~pkt_num ~msg_size:0 ~payload:None ~req_type
-    ~ecn_echo
+  send_server_pkt t sess slot ~pkt_type:Pkthdr.Cr ~pkt_num ~msg_size:0 ~req_type ~ecn_echo
+    ~data:Bytes.empty ~off:0 ~len:0
 
 and send_resp_pkt t sess slot ~pkt_num ~ecn_echo =
   match slot.srv with
   | Some ({ resp_buf = Some resp; _ } as srv) when srv.handler_done ->
       let msg_size = Msgbuf.size resp in
-      let mtu = t.cfg.mtu in
-      let len =
-        let off = pkt_num * mtu in
-        if off >= msg_size then 0 else Int.min mtu (msg_size - off)
-      in
-      let payload =
-        Some (Msgbuf.unsafe_bytes resp, Msgbuf.unsafe_offset resp + (pkt_num * mtu), len)
-      in
-      send_server_pkt t sess slot ~pkt_type:Pkthdr.Resp ~pkt_num ~msg_size ~payload
-        ~req_type:0 ~ecn_echo
+      send_server_pkt t sess slot ~pkt_type:Pkthdr.Resp ~pkt_num ~msg_size ~req_type:0 ~ecn_echo
+        ~data:(Msgbuf.unsafe_bytes resp)
+        ~off:(Msgbuf.unsafe_offset resp + (pkt_num * t.cfg.mtu))
+        ~len:(Pkthdr.chunk_bytes ~mtu:t.cfg.mtu ~msg_size pkt_num)
   | _ -> ()
 
 and begin_new_request t sess slot hdr =
@@ -703,7 +670,7 @@ let n_sessions t = t.n_sessions
 let add_session t sess =
   let sn = sess.sn in
   if sn >= Array.length t.sessions then begin
-    let cap = max 8 (max (2 * Array.length t.sessions) (sn + 1)) in
+    let cap = Int.max 8 (Int.max (2 * Array.length t.sessions) (sn + 1)) in
     let grown = Array.make cap None in
     Array.blit t.sessions 0 grown 0 (Array.length t.sessions);
     t.sessions <- grown

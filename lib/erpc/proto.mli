@@ -56,11 +56,14 @@ val create :
   cfg:Config.t ->
   cost:Cost_model.t ->
   transport:Transport.Iface.t ->
+  packets:Netsim.Packet.table ->
   stats:Rpc_stats.t ->
   tid:int ->
   t
-(** [tid] is the owning endpoint's trace thread track (from
-    [Obs.Trace.register_track]; 0 when tracing is disabled). *)
+(** [packets] is the network's packet-handle table, which the TX packet
+    pool interns its packets in. [tid] is the owning endpoint's trace
+    thread track (from [Obs.Trace.register_track]; 0 when tracing is
+    disabled). *)
 
 (** {2 Datapath} *)
 

@@ -1,10 +1,20 @@
 open Session
 
-type wheel_entry = {
-  we_slot : Session.sslot;
-  we_req_num : int;
-  we_item : int;  (* TX item index, to re-stamp the RTT clock at actual TX *)
-  we_pkt : Netsim.Packet.t;
+(* The rate limiter: the Carousel wheel and the packets it paces. The
+   wheel holds entry indices; entry [e] is a packet handle with the slot,
+   request number and TX item (to re-stamp the RTT clock at actual TX) it
+   was sent for, in parallel arrays, and free entries sit on a stack. So
+   pacing a packet allocates nothing. A free entry's [pkt] is -1; its
+   [slot] keeps a stale sslot until reuse, which the session table holds
+   anyway. *)
+type limiter = {
+  wheel : Wheel.t;
+  mutable slot : Session.sslot array;
+  mutable req_num : int array;
+  mutable item : int array;
+  mutable pkt : int array;
+  mutable free : int array;
+  mutable n_free : int;
 }
 
 type t = {
@@ -19,18 +29,20 @@ type t = {
   shm_ : Shm.endpoint option;  (* ring state when [cfg.shm_enabled] *)
   proto : Proto.t;
   bgq : (unit -> unit) Queue.t;
-  mutable wheel : wheel_entry Wheel.t option;
+  mutable limiter : limiter option;
   mutable loop_scheduled : bool;
   mutable batch_ts : Sim.Time.t;
   stats_ : Rpc_stats.t;
   mutable rtt_probe : (int -> unit) option;
-  (* Preallocated hot-path closures, so the steady-state loop schedules no
-     fresh closures per packet. A deferred post carries its packet as the
-     event argument. *)
-  mutable activate_ev : unit -> unit;
-  mutable wake_ev : unit -> unit;
+  packets : Netsim.Packet.table;
+  (* Hot-path event handlers and the RX callback, registered once, so the
+     steady-state loop schedules no closures. A deferred post carries its
+     packet's handle. *)
+  mutable activate_ev : Sim.Engine.handler;
+  mutable wake_ev : Sim.Engine.handler;
+  mutable tx_deferred_ev : Sim.Engine.handler;
   mutable rx_each : Netsim.Packet.t -> unit;
-  mutable tx_deferred_ev : Netsim.Packet.t -> unit;
+  mutable wheel_fire_fn : int -> unit;
   (* Request-handle closures shared by every dispatch-mode request. *)
   mutable h_charge : int -> unit;
   mutable h_codec_charge :
@@ -70,10 +82,10 @@ let charge_codec_cpu t cpu ~traced ~deser ~backend ~leaves ~bytes =
   let offload = t.cfg.codec_offload in
   let cost = Cost_model.codec_cost t.cost ~deser ~backend ~offload ~leaves ~bytes in
   if traced && Obs.Trace.enabled t.trace then begin
-    let ts = max (Sim.Engine.now t.engine) (Sim.Cpu.next_free cpu) in
+    let ts = Int.max (Sim.Engine.now t.engine) (Sim.Cpu.next_free cpu) in
     ignore (Sim.Cpu.charge cpu cost);
     Obs.Trace.complete t.trace ~ts
-      ~dur:(max 0 (Sim.Time.sub (Sim.Cpu.next_free cpu) ts))
+      ~dur:(Int.max 0 (Sim.Time.sub (Sim.Cpu.next_free cpu) ts))
       ~cat:"codec"
       ~name:(if deser then "deser" else "ser")
       ~pid:t.pid ~tid:t.tid
@@ -89,13 +101,58 @@ let charge_codec ?backend t ~deser ~leaves ~bytes =
   let backend = match backend with Some b -> b | None -> t.cfg.codec_backend in
   charge_codec_cpu t t.cpu_ ~traced:true ~deser ~backend ~leaves ~bytes
 
+let grow_limiter lim filler =
+  let n = Array.length lim.pkt in
+  let m = Int.max 16 (2 * n) in
+  let extend a fill =
+    let b = Array.make m fill in
+    Array.blit a 0 b 0 n;
+    b
+  in
+  lim.slot <- extend lim.slot filler;
+  lim.req_num <- extend lim.req_num 0;
+  lim.item <- extend lim.item 0;
+  lim.pkt <- extend lim.pkt (-1);
+  lim.free <- Array.init m (fun i -> m - 1 - i);
+  lim.n_free <- m - n
+
+(* Park the packet with handle [h], sent as [slot]'s TX item [item], in a
+   free limiter entry. *)
+let pace lim slot ~item h =
+  if lim.n_free = 0 then grow_limiter lim slot;
+  lim.n_free <- lim.n_free - 1;
+  let e = lim.free.(lim.n_free) in
+  lim.slot.(e) <- slot;
+  lim.req_num.(e) <- slot.req_num;
+  lim.item.(e) <- item;
+  lim.pkt.(e) <- h;
+  e
+
+let limiter t =
+  match t.limiter with
+  | Some lim -> lim
+  | None ->
+      let lim =
+        {
+          wheel = Wheel.create ~slot_ns:t.cfg.wheel_slot_ns ~num_slots:t.cfg.wheel_num_slots;
+          slot = [||];
+          req_num = [||];
+          item = [||];
+          pkt = [||];
+          free = [||];
+          n_free = 0;
+        }
+      in
+      t.limiter <- Some lim;
+      lim
+
 (* {2 Event loop scheduling} *)
 
 let rec schedule_activation t =
   if not t.loop_scheduled then begin
     t.loop_scheduled <- true;
     let at = Sim.Cpu.start_slice t.cpu_ in
-    Sim.Engine.schedule t.engine at t.activate_ev
+    Sim.Engine.post t.engine at t.activate_ev 0
   end
 
 and wake t = if not (dead t) then schedule_activation t
@@ -122,10 +179,9 @@ and activate t =
       (Queue.take t.bgq) ()
     done;
     (* Rate limiter. *)
-    (match t.wheel with
-    | Some wheel when Wheel.pending wheel > 0 ->
-        ignore
-          (Wheel.poll wheel ~now:(Sim.Engine.now t.engine) (fun entry -> wheel_fire t entry))
+    (match t.limiter with
+    | Some lim when Wheel.pending lim.wheel > 0 ->
+        ignore (Wheel.poll lim.wheel ~now:(Sim.Engine.now t.engine) t.wheel_fire_fn)
     | _ -> ());
     (* TX burst. *)
     Proto.run_tx_burst t.proto;
@@ -139,7 +195,7 @@ and activate t =
       (* One span per event-loop activation, spanning the CPU time this
          activation charged to the dispatch timeline. *)
       Obs.Trace.complete t.trace ~ts:act_start
-        ~dur:(max 0 (Sim.Time.sub (Sim.Cpu.next_free t.cpu_) act_start))
+        ~dur:(Int.max 0 (Sim.Time.sub (Sim.Cpu.next_free t.cpu_) act_start))
         ~cat:"rpc" ~name:"activate" ~pid:t.pid ~tid:t.tid
         [ ("rx", Obs.Trace.I n_rx) ]
   end
@@ -181,7 +237,7 @@ and post_pkt t pkt =
   t.stats_.Rpc_stats.tx_pkts <- t.stats_.Rpc_stats.tx_pkts + 1;
   let at = Sim.Cpu.next_free t.cpu_ in
   if at <= Sim.Engine.now t.engine then Transport.Iface.tx_burst t.transport_ pkt
-  else Sim.Engine.schedule_arg t.engine at t.tx_deferred_ev pkt
+  else Sim.Engine.post t.engine at t.tx_deferred_ev (Netsim.Packet.intern t.packets pkt)
 
 (* Client-side transmission honoring the Carousel rate limiter. *)
 and transmit_cc t slot pkt ~wire_bytes ~tx_item ~is_retx =
@@ -200,23 +256,16 @@ and transmit_cc t slot pkt ~wire_bytes ~tx_item ~is_retx =
             Sim.Time.add ts (Cc.pacing_delay_ns controller ~bytes:wire_bytes);
           ch t t.cost.wheel_insert;
           t.stats_.Rpc_stats.wheel_inserts <- t.stats_.Rpc_stats.wheel_inserts + 1;
-          let wheel =
-            match t.wheel with
-            | Some w -> w
-            | None ->
-                let w = Wheel.create ~slot_ns:t.cfg.wheel_slot_ns ~num_slots:t.cfg.wheel_num_slots in
-                t.wheel <- Some w;
-                w
-          in
-          Wheel.insert wheel ~now ~at:ts
-            { we_slot = slot; we_req_num = slot.req_num; we_item = tx_item; we_pkt = pkt };
+          let lim = limiter t in
+          let e = pace lim slot ~item:tx_item (Netsim.Packet.intern t.packets pkt) in
+          Wheel.insert lim.wheel ~now ~at:ts e;
           if Obs.Trace.enabled t.trace then
             Obs.Trace.instant t.trace ~ts:now ~cat:"wheel" ~name:"insert"
               ~pid:t.pid ~tid:t.tid
               [
                 ("id", Obs.Trace.I pkt.Netsim.Packet.trace_id);
                 ("at", Obs.Trace.I ts);
-                ("depth", Obs.Trace.I (Wheel.pending wheel));
+                ("depth", Obs.Trace.I (Wheel.pending lim.wheel));
               ];
           (match slot.cli with
           | Some c ->
@@ -226,16 +275,21 @@ and transmit_cc t slot pkt ~wire_bytes ~tx_item ~is_retx =
                  request's msgbuf (Appendix C). *)
               if is_retx then c.retx_in_wheel <- true
           | None -> ());
-          Sim.Engine.schedule t.engine ts t.wake_ev
+          Sim.Engine.post t.engine ts t.wake_ev 0
         end
 
-and wheel_fire t entry =
+and wheel_fire t e =
+  let lim = match t.limiter with Some lim -> lim | None -> assert false in
+  let slot = lim.slot.(e) and req_num = lim.req_num.(e) and item = lim.item.(e) in
+  let pkt = Netsim.Packet.get t.packets lim.pkt.(e) in
+  lim.pkt.(e) <- -1;
+  lim.free.(lim.n_free) <- e;
+  lim.n_free <- lim.n_free + 1;
   ch t t.cost.wheel_poll_pkt;
   if Obs.Trace.enabled t.trace then
     Obs.Trace.instant t.trace ~ts:(Sim.Engine.now t.engine) ~cat:"wheel"
       ~name:"fire" ~pid:t.pid ~tid:t.tid
-      [ ("id", Obs.Trace.I entry.we_pkt.Netsim.Packet.trace_id) ];
-  let slot = entry.we_slot in
+      [ ("id", Obs.Trace.I pkt.Netsim.Packet.trace_id) ];
   (* The slot's wheel occupancy drains regardless of whether the entry is
      still current; only current entries are transmitted. *)
   (match slot.cli with
@@ -243,19 +297,19 @@ and wheel_fire t entry =
       c.wheel_refs <- Int.max 0 (c.wheel_refs - 1);
       if c.wheel_refs = 0 then c.retx_in_wheel <- false
   | None -> ());
-  if entry.we_req_num = slot.req_num then begin
+  if req_num = slot.req_num then begin
     (match slot.cli with
     | Some c ->
         (* RTT samples must measure the network, not the pacing delay the
            rate limiter itself imposed: re-stamp at actual transmission. *)
-        c.tx_ts.(entry.we_item mod Array.length c.tx_ts) <- Sim.Engine.now t.engine
+        c.tx_ts.(item mod Array.length c.tx_ts) <- Sim.Engine.now t.engine
     | None -> ());
-    post_pkt t entry.we_pkt
+    post_pkt t pkt
   end
   else
     (* Stale entry (its request was superseded or failed): the packet is
        never transmitted, so its only reference dies here. *)
-    Netsim.Packet.free entry.we_pkt
+    Netsim.Packet.free pkt
 
 (* {2 Handler dispatch (§3.2)} *)
 
@@ -306,7 +360,7 @@ and invoke_handler t sess slot srv req_type =
             let h_start = Sim.Cpu.next_free t.cpu_ in
             handler_fn handle;
             Obs.Trace.complete t.trace ~ts:h_start
-              ~dur:(max 0 (Sim.Time.sub (Sim.Cpu.next_free t.cpu_) h_start))
+              ~dur:(Int.max 0 (Sim.Time.sub (Sim.Cpu.next_free t.cpu_) h_start))
               ~cat:"rpc" ~name:"handler" ~pid:t.pid ~tid:t.tid
               [ ("type", Obs.Trace.I req_type) ]
           end
@@ -479,7 +533,12 @@ let handle_local_crash t =
       end);
   Proto.clear_on_crash t.proto;
   Queue.clear t.bgq;
-  t.wheel <- None;
+  (* Paced packets die with the process; their pool takes them back. *)
+  (match t.limiter with
+  | Some lim ->
+      Array.iter (fun h -> if h >= 0 then Netsim.Packet.free (Netsim.Packet.get t.packets h)) lim.pkt
+  | None -> ());
+  t.limiter <- None;
   Transport.Iface.reset_rx t.transport_
 
 let destroy_session t sess =
@@ -572,21 +631,25 @@ let create nexus_ ~rpc_id =
   let pid = Obs.Trace.host_pid host_ in
   Obs.Trace.register_process trace ~pid (Printf.sprintf "host%d" host_);
   let tid = Obs.Trace.register_track trace ~pid (Printf.sprintf "rpc%d" rpc_id) in
+  let packets = Netsim.Network.packets (Fabric.net fabric) in
   let proto =
-    Proto.create ~env ~engine ~host:host_ ~cfg ~cost ~transport:transport_ ~stats:stats_ ~tid
+    Proto.create ~env ~engine ~host:host_ ~cfg ~cost ~transport:transport_ ~packets
+      ~stats:stats_ ~tid
   in
   let t =
     {
       nexus_; rpc_id; host_; engine; cfg; cost; cpu_; transport_; shm_; proto; stats_;
       bgq = Queue.create ();
-      wheel = None;
+      limiter = None;
       loop_scheduled = false;
       batch_ts = Sim.Time.zero;
       rtt_probe = None;
-      activate_ev = (fun () -> ());
-      wake_ev = (fun () -> ());
+      packets;
+      activate_ev = Sim.Engine.no_handler;
+      wake_ev = Sim.Engine.no_handler;
+      tx_deferred_ev = Sim.Engine.no_handler;
       rx_each = (fun _ -> ());
-      tx_deferred_ev = ignore;
+      wheel_fire_fn = ignore;
       h_charge = (fun _ -> ());
       h_codec_charge = (fun ~deser:_ ~backend:_ ~leaves:_ ~bytes:_ -> ());
       h_codec_mode =
@@ -598,10 +661,13 @@ let create nexus_ ~rpc_id =
     }
   in
   self := Some t;
-  t.activate_ev <- (fun () -> activate t);
-  t.wake_ev <- (fun () -> wake t);
+  t.activate_ev <- Sim.Engine.handler engine ~layer:Rpc (fun _ -> activate t);
+  t.wake_ev <- Sim.Engine.handler engine ~layer:Rpc (fun _ -> wake t);
+  t.tx_deferred_ev <-
+    Sim.Engine.handler engine ~layer:Rpc (fun h ->
+        Transport.Iface.tx_burst t.transport_ (Netsim.Packet.get t.packets h));
   t.rx_each <- (fun pkt -> Proto.rx_pkt t.proto pkt);
-  t.tx_deferred_ev <- (fun pkt -> Transport.Iface.tx_burst t.transport_ pkt);
+  t.wheel_fire_fn <- (fun entry -> wheel_fire t entry);
   t.h_charge <- (fun ns -> ch t ns);
   t.h_codec_charge <-
     (fun ~deser ~backend ~leaves ~bytes ->
@@ -624,7 +690,7 @@ let create nexus_ ~rpc_id =
   Obs.Metrics.counter m ~name:"nic.tx_pkts" ~labels (fun () -> Nic.tx_packets nic);
   Obs.Metrics.counter m ~name:"nic.rx_dropped_no_desc" ~labels (fun () -> Nic.rx_dropped nic);
   Obs.Metrics.gauge m ~name:"rpc.wheel_depth" ~labels (fun () ->
-      match t.wheel with Some w -> float_of_int (Wheel.pending w) | None -> 0.);
+      match t.limiter with Some lim -> float_of_int (Wheel.pending lim.wheel) | None -> 0.);
   Nexus.register_rx nexus_ ~rpc_id ~rx:(fun pkt -> Transport.Iface.receive t.transport_ pkt);
   Transport.Iface.set_rx_notify t.transport_ (fun () -> wake t);
   Fabric.register_sm fabric ~host:host_ ~rpc_id (fun msg ->

@@ -1,9 +1,17 @@
-type t = {
-  cc : Config.cc;
+(* The float state sits in a record of floats only, which OCaml stores
+   flat: an update writes unboxed doubles in place, allocating nothing and
+   calling no write barrier. In one record with the ints and [cc], every
+   write would box its float. *)
+type rates = {
   max_rate_bps : float;
   mutable rate_bps : float;
   mutable prev_rtt : float;
   mutable avg_rtt_diff : float;
+}
+
+type t = {
+  cc : Config.cc;
+  r : rates;
   mutable neg_gradient_count : int;
   mutable updates : int;
   mutable samples_since_update : int;
@@ -13,10 +21,13 @@ let create ?(phase = 0) cc ~link_gbps =
   let max_rate = link_gbps *. 1e9 in
   {
     cc;
-    max_rate_bps = max_rate;
-    rate_bps = max_rate;
-    prev_rtt = float_of_int cc.min_rtt_ns;
-    avg_rtt_diff = 0.;
+    r =
+      {
+        max_rate_bps = max_rate;
+        rate_bps = max_rate;
+        prev_rtt = float_of_int cc.min_rtt_ns;
+        avg_rtt_diff = 0.;
+      };
     neg_gradient_count = 0;
     updates = 0;
     (* Stagger sessions' update cadence so the fleet does not apply
@@ -24,11 +35,11 @@ let create ?(phase = 0) cc ~link_gbps =
     samples_since_update = phase mod max 1 cc.samples_per_update;
   }
 
-let rate_bps t = t.rate_bps
-let uncongested t = t.rate_bps >= t.max_rate_bps
+let rate_bps t = t.r.rate_bps
+let uncongested t = t.r.rate_bps >= t.r.max_rate_bps
 let updates t = t.updates
 
-let clamp t r = Float.min t.max_rate_bps (Float.max t.cc.min_rate_bps r)
+let clamp t rate = Float.min t.r.max_rate_bps (Float.max t.cc.min_rate_bps rate)
 
 let rec update t ~sample_rtt_ns =
   t.samples_since_update <- t.samples_since_update + 1;
@@ -39,31 +50,32 @@ let rec update t ~sample_rtt_ns =
 
 and run_update t ~sample_rtt_ns =
   t.updates <- t.updates + 1;
+  let r = t.r in
   let sample = float_of_int sample_rtt_ns in
-  let rtt_diff = sample -. t.prev_rtt in
-  t.prev_rtt <- sample;
+  let rtt_diff = sample -. r.prev_rtt in
+  r.prev_rtt <- sample;
   if rtt_diff <= 0. then t.neg_gradient_count <- t.neg_gradient_count + 1
   else t.neg_gradient_count <- 0;
-  t.avg_rtt_diff <-
-    ((1. -. t.cc.ewma_alpha) *. t.avg_rtt_diff) +. (t.cc.ewma_alpha *. rtt_diff);
-  let normalized_gradient = t.avg_rtt_diff /. float_of_int t.cc.min_rtt_ns in
+  r.avg_rtt_diff <-
+    ((1. -. t.cc.ewma_alpha) *. r.avg_rtt_diff) +. (t.cc.ewma_alpha *. rtt_diff);
+  let normalized_gradient = r.avg_rtt_diff /. float_of_int t.cc.min_rtt_ns in
   let new_rate =
-    if sample_rtt_ns < t.cc.t_low_ns then t.rate_bps +. t.cc.add_rate_bps
+    if sample_rtt_ns < t.cc.t_low_ns then r.rate_bps +. t.cc.add_rate_bps
     else if sample_rtt_ns > t.cc.t_high_ns then
-      t.rate_bps *. (1. -. (t.cc.beta *. (1. -. (float_of_int t.cc.t_high_ns /. sample))))
+      r.rate_bps *. (1. -. (t.cc.beta *. (1. -. (float_of_int t.cc.t_high_ns /. sample))))
     else if normalized_gradient <= 0. then begin
       (* Hyperactive increase after [hai_thresh] consecutive decreases in
          RTT: recover bandwidth quickly once the queue drains. *)
       let n = if t.neg_gradient_count >= t.cc.hai_thresh then 5. else 1. in
-      t.rate_bps +. (n *. t.cc.add_rate_bps)
+      r.rate_bps +. (n *. t.cc.add_rate_bps)
     end
     else
       (* One update cuts at most half, as in eRPC's Timely implementation. *)
-      t.rate_bps *. Float.max 0.5 (1. -. (t.cc.beta *. normalized_gradient))
+      r.rate_bps *. Float.max 0.5 (1. -. (t.cc.beta *. normalized_gradient))
   in
-  t.rate_bps <- clamp t new_rate
+  r.rate_bps <- clamp t new_rate
 
 let pacing_delay_ns t ~bytes =
-  int_of_float (ceil (float_of_int (bytes * 8) /. t.rate_bps *. 1e9))
+  int_of_float (ceil (float_of_int (bytes * 8) /. t.r.rate_bps *. 1e9))
 
-let set_rate_bps t r = t.rate_bps <- clamp t r
+let set_rate_bps t rate = t.r.rate_bps <- clamp t rate

@@ -1,7 +1,18 @@
-type 'a t = {
+(* Entries are ints in intrusive per-slot FIFO lists: [value] and [next]
+   are parallel cell arrays, and free cells are chained through [next].
+   Inserting and polling store only ints, so the wheel allocates nothing
+   in steady state and never calls the GC write barrier. *)
+
+let nil = -1
+
+type t = {
   slot_ns : int;
   num_slots : int;
-  slots : 'a Queue.t array;
+  head : int array;  (* per wheel slot: oldest cell, or [nil] *)
+  tail : int array;
+  mutable value : int array;
+  mutable next : int array;  (* slot chain or free-list link *)
+  mutable free : int;
   mutable cursor_slot : int;  (* absolute slot index up to which we have polled *)
   mutable pending : int;
 }
@@ -11,27 +22,55 @@ let create ~slot_ns ~num_slots =
   {
     slot_ns;
     num_slots;
-    slots = Array.init num_slots (fun _ -> Queue.create ());
+    head = Array.make num_slots nil;
+    tail = Array.make num_slots nil;
+    value = [||];
+    next = [||];
+    free = nil;
     cursor_slot = 0;
     pending = 0;
   }
 
 let horizon_ns t = t.slot_ns * (t.num_slots - 1)
 
+let grow t =
+  let n = Array.length t.value in
+  let m = Int.max 16 (2 * n) in
+  let value = Array.make m 0 and next = Array.make m nil in
+  Array.blit t.value 0 value 0 n;
+  Array.blit t.next 0 next 0 n;
+  for c = m - 1 downto n do
+    next.(c) <- t.free;
+    t.free <- c
+  done;
+  t.value <- value;
+  t.next <- next
+
 let insert t ~now ~at x =
   let at = Int.max at now in
   let at = Int.min at (now + horizon_ns t) in
-  let abs_slot = Int.max (at / t.slot_ns) t.cursor_slot in
-  Queue.add x t.slots.(abs_slot mod t.num_slots);
+  let s = Int.max (at / t.slot_ns) t.cursor_slot mod t.num_slots in
+  if t.free = nil then grow t;
+  let c = t.free in
+  t.free <- t.next.(c);
+  t.value.(c) <- x;
+  t.next.(c) <- nil;
+  if t.tail.(s) = nil then t.head.(s) <- c else t.next.(t.tail.(s)) <- c;
+  t.tail.(s) <- c;
   t.pending <- t.pending + 1
 
 let poll t ~now f =
   let target = now / t.slot_ns in
   let delivered = ref 0 in
   while t.cursor_slot <= target && t.pending > 0 do
-    let q = t.slots.(t.cursor_slot mod t.num_slots) in
-    while not (Queue.is_empty q) do
-      let x = Queue.take q in
+    let s = t.cursor_slot mod t.num_slots in
+    while t.head.(s) <> nil do
+      let c = t.head.(s) in
+      let x = t.value.(c) in
+      t.head.(s) <- t.next.(c);
+      if t.head.(s) = nil then t.tail.(s) <- nil;
+      t.next.(c) <- t.free;
+      t.free <- c;
       t.pending <- t.pending - 1;
       incr delivered;
       f x

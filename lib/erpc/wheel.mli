@@ -5,20 +5,24 @@
     their scheduled transmission time and drained in slot order by [poll].
     Entries beyond the horizon are clamped to the farthest slot — callers
     pick a horizon larger than the maximum pacing gap (MTU at the minimum
-    Timely rate), so clamping is a safety net, not a steady-state path. *)
+    Timely rate), so clamping is a safety net, not a steady-state path.
 
-type 'a t
+    Entries are ints (the RPC endpoint's index into its own table of
+    paced packets), kept in intrusive per-slot lists of int cells: in
+    steady state the wheel allocates nothing and stores no pointer. *)
 
-val create : slot_ns:int -> num_slots:int -> 'a t
+type t
+
+val create : slot_ns:int -> num_slots:int -> t
 
 (** [insert t ~now ~at x] schedules [x] for time [at] (clamped to
     [now, now + horizon)). Entries scheduled in the past fire on the next
     poll. *)
-val insert : 'a t -> now:Sim.Time.t -> at:Sim.Time.t -> 'a -> unit
+val insert : t -> now:Sim.Time.t -> at:Sim.Time.t -> int -> unit
 
 (** [poll t ~now f] delivers every entry whose slot time has been reached,
-    in slot order, and returns their count. *)
-val poll : 'a t -> now:Sim.Time.t -> ('a -> unit) -> int
+    in slot order (FIFO within a slot), and returns their count. *)
+val poll : t -> now:Sim.Time.t -> (int -> unit) -> int
 
-val pending : 'a t -> int
-val horizon_ns : 'a t -> int
+val pending : t -> int
+val horizon_ns : t -> int

@@ -1,79 +1,99 @@
 type Netsim.Packet.body +=
   | Pkt of {
       mutable dst_rpc : int;
-      mutable hdr : Pkthdr.t;
+      hdr : Pkthdr.t;
       mutable data : bytes;
       mutable off : int;
       mutable len : int;
     }
 
-(* Free-list of recycled packets, linked through [Packet.pool_next] and
-   terminated by [Packet.nil]. Each endpoint owns one pool, so in steady
-   state the TX path allocates no packet records at all: a recycled record
-   (and its [Pkt] body) is rewritten in place. *)
+(* Free-list of recycled packets: a stack of their handles. Each endpoint
+   owns one pool, so in steady state the TX path allocates nothing and
+   stores no pointer beyond the payload slice: a recycled record, its
+   [Pkt] body and the header inside it are rewritten in place, and the
+   record keeps the handle it was interned with when the pool made it. *)
 type pool = {
-  mutable head : Netsim.Packet.t;
+  packets : Netsim.Packet.table;
+  mutable parked : int array;
+  mutable n_parked : int;
   mutable release : Netsim.Packet.t -> unit;
 }
 
-let empty_hdr =
-  {
-    Pkthdr.req_type = 0;
-    msg_size = 0;
-    dest_session = 0;
-    pkt_type = Pkthdr.Cr;
-    pkt_num = 0;
-    req_num = 0;
-    token = 0;
-    ecn_echo = false;
-  }
-
-let create_pool () =
-  let p =
-    { head = Netsim.Packet.nil; release = Netsim.Packet.no_release }
-  in
+let create_pool packets =
+  let p = { packets; parked = Array.make 16 0; n_parked = 0; release = Netsim.Packet.no_release } in
   p.release <-
     (fun pkt ->
-      (* Scrub references so a parked packet pins neither the payload
-         bytes (somebody's msgbuf) nor the last header. *)
+      (* Scrub the payload reference so a parked packet does not pin
+         somebody's msgbuf. *)
       (match pkt.Netsim.Packet.body with
-      | Pkt r ->
-          r.data <- Bytes.empty;
-          r.off <- 0;
-          r.len <- 0;
-          r.hdr <- empty_hdr
+      | Pkt r -> if r.data != Bytes.empty then r.data <- Bytes.empty
       | _ -> ());
-      pkt.Netsim.Packet.pool_next <- p.head;
-      p.head <- pkt);
+      if p.n_parked = Array.length p.parked then begin
+        let a = Array.make (2 * p.n_parked) 0 in
+        Array.blit p.parked 0 a 0 p.n_parked;
+        p.parked <- a
+      end;
+      p.parked.(p.n_parked) <- pkt.Netsim.Packet.handle;
+      p.n_parked <- p.n_parked + 1);
   p
 
-let make ?pool ~src_host ~dst_host ~dst_rpc ~wire_overhead ~flow ~hdr ?payload () =
-  let data, off, len =
-    match payload with None -> (Bytes.empty, 0, 0) | Some (b, o, l) -> (b, o, l)
-  in
+let fresh_body () =
+  Pkt
+    {
+      dst_rpc = 0;
+      hdr =
+        {
+          Pkthdr.req_type = 0;
+          msg_size = 0;
+          dest_session = 0;
+          pkt_type = Pkthdr.Cr;
+          pkt_num = 0;
+          req_num = 0;
+          token = 0;
+          ecn_echo = false;
+        };
+      data = Bytes.empty;
+      off = 0;
+      len = 0;
+    }
+
+let make pool ~src_host ~dst_host ~dst_rpc ~wire_overhead ~flow ~req_type ~msg_size
+    ~dest_session ~pkt_type ~pkt_num ~req_num ~token ~ecn_echo ~data ~off ~len =
   let size_bytes = len + wire_overhead in
-  match pool with
-  | Some p when p.head != Netsim.Packet.nil ->
-      let pkt = p.head in
-      p.head <- pkt.Netsim.Packet.pool_next;
-      pkt.Netsim.Packet.pool_next <- Netsim.Packet.nil;
-      (match pkt.Netsim.Packet.body with
-      | Pkt r ->
-          r.dst_rpc <- dst_rpc;
-          r.hdr <- hdr;
-          r.data <- data;
-          r.off <- off;
-          r.len <- len
-      | _ -> assert false);
+  let pkt =
+    if pool.n_parked > 0 then begin
+      pool.n_parked <- pool.n_parked - 1;
+      let pkt = Netsim.Packet.get pool.packets pool.parked.(pool.n_parked) in
       Netsim.Packet.reinit pkt ~src:src_host ~dst:dst_host ~size_bytes ~flow_hash:flow;
       pkt
-  | _ ->
+    end
+    else begin
       let pkt =
         Netsim.Packet.make ~src:src_host ~dst:dst_host ~size_bytes ~flow_hash:flow
-          (Pkt { dst_rpc; hdr; data; off; len })
+          (fresh_body ())
       in
-      (match pool with Some p -> pkt.Netsim.Packet.release <- p.release | None -> ());
+      pkt.Netsim.Packet.release <- pool.release;
+      ignore (Netsim.Packet.intern pool.packets pkt);
       pkt
+    end
+  in
+  (match pkt.Netsim.Packet.body with
+  | Pkt r ->
+      r.dst_rpc <- dst_rpc;
+      let h = r.hdr in
+      h.req_type <- req_type;
+      h.msg_size <- msg_size;
+      h.dest_session <- dest_session;
+      h.pkt_type <- pkt_type;
+      h.pkt_num <- pkt_num;
+      h.req_num <- req_num;
+      h.token <- token;
+      h.ecn_echo <- ecn_echo;
+      if r.data != data then r.data <- data;
+      r.off <- off;
+      r.len <- len
+  | _ -> assert false);
+  pkt
 
 let verify pkt = not pkt.Netsim.Packet.corrupted
 

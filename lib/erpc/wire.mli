@@ -13,33 +13,47 @@
 type Netsim.Packet.body +=
   | Pkt of {
       mutable dst_rpc : int;
-      mutable hdr : Pkthdr.t;
+      hdr : Pkthdr.t;
+          (** owned by the packet and rewritten in place when a pooled
+              packet is reused: read it before the packet is freed, never
+              keep it *)
       mutable data : bytes;  (** payload backing store (sender's msgbuf) *)
       mutable off : int;
       mutable len : int;
     }  (** Fields are mutable so pooled packets are rewritten in place. *)
 
-(** Per-endpoint free-list of recycled wire packets. In steady state
-    {!make} with a pool allocates nothing: the packet record and its [Pkt]
-    body are reused. *)
+(** Per-endpoint free-list of recycled wire packets. *)
 type pool
 
-val create_pool : unit -> pool
+(** A pool whose packets are interned in [packets] — the network's handle
+    table — when the pool makes them, and keep that handle for good. *)
+val create_pool : Netsim.Packet.table -> pool
 
-(** Build a wire packet. [payload], when given, is referenced as a
-    [(bytes, off, len)] slice — never copied. The wire size is the payload
-    length plus [wire_overhead]. With [?pool], the record is drawn from
-    the free-list when possible and returns to it on {!Netsim.Packet.free}. *)
+(** Build a wire packet from [pool]: its header fields are the
+    [Pkthdr.t] fields of the same names, and its payload is the slice
+    [(data, off, len)] of the sender's msgbuf — referenced, never copied;
+    control packets pass [Bytes.empty], 0, 0. The wire size is [len] plus
+    [wire_overhead]. In steady state this allocates nothing: the packet
+    record, its [Pkt] body and its header come off the free-list and are
+    filled in place, and {!Netsim.Packet.free} returns them to it. *)
 val make :
-  ?pool:pool ->
+  pool ->
   src_host:int ->
   dst_host:int ->
   dst_rpc:int ->
   wire_overhead:int ->
   flow:int ->
-  hdr:Pkthdr.t ->
-  ?payload:bytes * int * int ->
-  unit ->
+  req_type:int ->
+  msg_size:int ->
+  dest_session:int ->
+  pkt_type:Pkthdr.pkt_type ->
+  pkt_num:int ->
+  req_num:int ->
+  token:int ->
+  ecn_echo:bool ->
+  data:bytes ->
+  off:int ->
+  len:int ->
   Netsim.Packet.t
 
 (** Wire-checksum verification: [false] for packets mangled in flight. *)

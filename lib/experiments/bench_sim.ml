@@ -11,6 +11,7 @@ type row = {
   events : int;
   events_per_sec : float;
   minor_words_per_event : float;
+  events_by_layer : (string * int) list;  (* [events] by layer, the engine's census *)
   digest : string;  (* deterministic run fingerprint, for the --rerun gate *)
 }
 
@@ -20,7 +21,7 @@ type row = {
    behaviours: incast (deep port queues, CC timers), rate (small-RPC
    pipelining, the Fig. 4 shape), bandwidth (multi-packet messages,
    credit ping-pong) and chaos (fault schedules: retransmission timers,
-   crashes, partitions). Each returns the number of events executed. *)
+   crashes, partitions). Each returns its event census and fingerprint. *)
 
 let connect_all d ~(pairs : (Erpc.Rpc.t * int) array) =
   Array.map
@@ -60,8 +61,8 @@ let incast ~seed () =
   in
   Array.iter Harness.start_driver drivers;
   Harness.run_ms d 5.0;
-  let events = Sim.Engine.events_processed (Erpc.Fabric.engine d.fabric) in
-  (events, deploy_fingerprint d ~events)
+  let engine = Erpc.Fabric.engine d.fabric in
+  (Sim.Engine.census engine, deploy_fingerprint d ~events:(Sim.Engine.events_processed engine))
 
 let rate ~seed () =
   let cluster = Transport.Cluster.cx4 ~nodes:2 () in
@@ -77,8 +78,8 @@ let rate ~seed () =
   in
   Harness.start_driver driver;
   Harness.run_ms d 5.0;
-  let events = Sim.Engine.events_processed (Erpc.Fabric.engine d.fabric) in
-  (events, deploy_fingerprint d ~events)
+  let engine = Erpc.Fabric.engine d.fabric in
+  (Sim.Engine.census engine, deploy_fingerprint d ~events:(Sim.Engine.events_processed engine))
 
 let bandwidth ~seed () =
   let cluster = Transport.Cluster.cx4 ~nodes:2 () in
@@ -95,21 +96,24 @@ let bandwidth ~seed () =
   in
   Harness.start_driver driver;
   Harness.run_ms d 5.0;
-  let events = Sim.Engine.events_processed (Erpc.Fabric.engine d.fabric) in
-  (events, deploy_fingerprint d ~events)
+  let engine = Erpc.Fabric.engine d.fabric in
+  (Sim.Engine.census engine, deploy_fingerprint d ~events:(Sim.Engine.events_processed engine))
 
 let chaos ~seed () =
-  let total = ref 0 in
+  let census = ref [] in
   let buf = Buffer.create 256 in
   for i = 0 to 2 do
     let r = Chaos.run_one ~seed:(Int64.add seed (Int64.of_int (7_919 * i))) () in
-    total := !total + r.Chaos.events;
+    census :=
+      (match !census with
+      | [] -> r.Chaos.census
+      | c -> List.map2 (fun (l, a) (_, b) -> (l, a + b)) c r.Chaos.census);
     (* The chaos trace is the run's canonical identity; hash it rather
        than carrying megabytes of text into the fingerprint. *)
     Buffer.add_string buf (Digest.to_hex (Digest.string r.Chaos.trace));
     Buffer.add_char buf '|'
   done;
-  (!total, Buffer.contents buf)
+  (!census, Buffer.contents buf)
 
 let workloads =
   [ ("incast", incast); ("rate", rate); ("bandwidth", bandwidth); ("chaos", chaos) ]
@@ -127,8 +131,9 @@ let run_one ~workload ~seed =
   Gc.full_major ();
   let w0 = Gc.minor_words () in
   let t0 = Sys.time () in
-  let events, fingerprint = f ~seed () in
+  let events_by_layer, fingerprint = f ~seed () in
   let wall_s = Sys.time () -. t0 in
+  let events = List.fold_left (fun acc (_, n) -> acc + n) 0 events_by_layer in
   let words = Gc.minor_words () -. w0 in
   {
     workload;
@@ -136,6 +141,7 @@ let run_one ~workload ~seed =
     events;
     events_per_sec = (if wall_s > 0. then float_of_int events /. wall_s else 0.);
     minor_words_per_event = (if events > 0 then words /. float_of_int events else 0.);
+    events_by_layer;
     digest = Digest.to_hex (Digest.string (Printf.sprintf "%s:%s" workload fingerprint));
   }
 
@@ -147,6 +153,8 @@ let row_json r =
       ("events", Obs.Json.Int r.events);
       ("events_per_sec", Obs.Json.Float r.events_per_sec);
       ("minor_words_per_event", Obs.Json.Float r.minor_words_per_event);
+      ( "events_by_layer",
+        Obs.Json.Obj (List.map (fun (l, n) -> (l, Obs.Json.Int n)) r.events_by_layer) );
       ("digest", Obs.Json.Str r.digest);
     ]
 

@@ -12,6 +12,9 @@ type row = {
   events_per_sec : float;
   minor_words_per_event : float;
       (** minor-heap words allocated per event ([Gc.minor_words] delta) *)
+  events_by_layer : (string * int) list;
+      (** [events] split by simulator layer ({!Sim.Engine.census}); sums to
+          [events], and a same-seed rerun must reproduce it exactly *)
   digest : string;
       (** deterministic fingerprint of the run's end state (simulated
           clock, event count, aggregate RPC stats; chaos hashes its

@@ -11,6 +11,7 @@ type run_result = {
   violations : string list;
   trace : string;
   events : int;
+  census : (string * int) list;
 }
 
 let topology_tors (cluster : Transport.Cluster.t) =
@@ -128,6 +129,7 @@ let run_one ?(hosts = 10) ?(events = 12) ?(requests = 120) ?(horizon_ns = 60_000
     violations = List.rev !violations;
     trace = Faults.Trace.to_string trace;
     events = Sim.Engine.events_processed engine;
+    census = Sim.Engine.census engine;
   }
 
 type suite_result = {

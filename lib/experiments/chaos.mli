@@ -30,6 +30,7 @@ type run_result = {
   violations : string list;  (** empty iff all invariants held *)
   trace : string;
   events : int;  (** simulator events executed by the run (for [bench-sim]) *)
+  census : (string * int) list;  (** [events] by layer ({!Sim.Engine.census}) *)
 }
 
 val run_one :

@@ -42,6 +42,7 @@ type host = {
 type t = {
   engine : Sim.Engine.t;
   cfg : config;
+  packets : Packet.table;
   hosts : host array;
   switch_list : Switch.t list;
   rng : Sim.Rng.t;
@@ -65,7 +66,7 @@ type t = {
   mutable injected_reorders : int;
 }
 
-let tor_pair a b = if a <= b then (a, b) else (b, a)
+let tor_pair (a : int) b = if a <= b then (a, b) else (b, a)
 
 let partitioned t src dst =
   Hashtbl.length t.partitions > 0
@@ -125,7 +126,7 @@ let deliver t host_id pkt =
       (* Bounded reordering: hold this packet back so later packets of the
          flow overtake it at the receiver. *)
       t.injected_reorders <- t.injected_reorders + 1;
-      delay := !delay + 1 + Sim.Rng.int t.rng (max 1 t.reorder_max_ns)
+      delay := !delay + 1 + Sim.Rng.int t.rng (Int.max 1 t.reorder_max_ns)
     end;
     (* Decide duplication before the first delivery: a direct [h.rx] may
        free (and recycle) the packet synchronously, so the duplicate's
@@ -162,11 +163,11 @@ let feed_delay_ns cfg = cfg.cable_ns + cfg.switch_latency_ns
 (* Builds one ToR with [host_ids] below it. Returns the per-host record
    list. Downlink egress ports deliver to hosts; host TX ports feed the
    ToR. *)
-let build_tor t_ref engine cfg ~name ~tor_index ~host_ids switch =
+let build_tor t_ref engine ~packets cfg ~name ~tor_index ~host_ids switch =
   List.map
     (fun host_id ->
       let downlink =
-        Port.create engine
+        Port.create engine ~packets
           ~name:(Printf.sprintf "%s->h%d" name host_id)
           ~rate_gbps:cfg.link_gbps ~extra_delay_ns:cfg.cable_ns
           ~pool:(Switch.pool switch) ?ecn:cfg.ecn ~lossless:cfg.lossless
@@ -176,7 +177,7 @@ let build_tor t_ref engine cfg ~name ~tor_index ~host_ids switch =
       let downlink_idx = Switch.add_port switch downlink in
       Switch.set_route switch ~dst:host_id ~ports:[| downlink_idx |];
       let tx_port =
-        Port.create engine
+        Port.create engine ~packets
           ~name:(Printf.sprintf "h%d->%s" host_id name)
           ~rate_gbps:cfg.link_gbps ~extra_delay_ns:(feed_delay_ns cfg)
           ~sink:(fun pkt -> Switch.forward switch pkt)
@@ -187,6 +188,7 @@ let build_tor t_ref engine cfg ~name ~tor_index ~host_ids switch =
 
 let create engine cfg =
   let rng = Sim.Rng.split (Sim.Engine.rng engine) in
+  let packets = Packet.create_table () in
   let rec t =
     lazy
       (let hosts, switch_list =
@@ -197,7 +199,7 @@ let create engine cfg =
                  ~alpha:cfg.buffer_alpha
              in
              let host_ids = List.init n Fun.id in
-             let assoc = build_tor t engine cfg ~name:"sw0" ~tor_index:0 ~host_ids sw in
+             let assoc = build_tor t engine ~packets cfg ~name:"sw0" ~tor_index:0 ~host_ids sw in
              let arr = Array.make n (snd (List.hd assoc)) in
              List.iter (fun (id, h) -> arr.(id) <- h) assoc;
              (arr, [ sw ])
@@ -219,7 +221,7 @@ let create engine cfg =
              Array.iteri
                (fun i tor ->
                  let host_ids = List.init hosts_per_tor (fun j -> (i * hosts_per_tor) + j) in
-                 assoc := build_tor t engine cfg ~name:(Printf.sprintf "tor%d" i) ~tor_index:i ~host_ids tor @ !assoc;
+                 assoc := build_tor t engine ~packets cfg ~name:(Printf.sprintf "tor%d" i) ~tor_index:i ~host_ids tor @ !assoc;
                  (* Uplinks: [uplinks_per_tor] ports, spread round-robin
                     across spines; ECMP hashes flows over all of them. Each
                     uplink is mirrored by a spine-side downlink of the same
@@ -230,7 +232,7 @@ let create engine cfg =
                        let si = u mod spines in
                        let spine = spine_switches.(si) in
                        let p =
-                         Port.create engine
+                         Port.create engine ~packets
                            ~name:(Printf.sprintf "tor%d-up%d" i u)
                            ~rate_gbps:uplink_gbps ~extra_delay_ns:(feed_delay_ns cfg)
                            ~pool:(Switch.pool tor) ?ecn:cfg.ecn ~lossless:cfg.lossless
@@ -238,7 +240,7 @@ let create engine cfg =
                            ()
                        in
                        let down =
-                         Port.create engine
+                         Port.create engine ~packets
                            ~name:(Printf.sprintf "%s->tor%d.%d" (Switch.name spine) i u)
                            ~rate_gbps:uplink_gbps ~extra_delay_ns:(feed_delay_ns cfg)
                            ~pool:(Switch.pool spine) ?ecn:cfg.ecn ~lossless:cfg.lossless
@@ -271,6 +273,7 @@ let create engine cfg =
        {
          engine;
          cfg;
+         packets;
          hosts;
          switch_list;
          rng;
@@ -297,6 +300,7 @@ let create engine cfg =
 
 let num_hosts t = Array.length t.hosts
 let config t = t.cfg
+let packets t = t.packets
 
 let attach t ~host ~rx = t.hosts.(host).rx <- rx
 

@@ -49,8 +49,14 @@ val create : Sim.Engine.t -> config -> t
 val num_hosts : t -> int
 val config : t -> config
 
+(** The handle table every queue and event of this network, and of the
+    NICs and shared-memory rings attached to it, addresses packets by. *)
+val packets : t -> Packet.table
+
 (** [attach t ~host ~rx] registers the receive callback for [host].
-    Packets surviving loss injection are delivered to [rx]. *)
+    Packets surviving loss injection are delivered to [rx], which owns
+    its reference and drops it with {!Packet.free}: until then the packet
+    holds its handle in {!packets}. *)
 val attach : t -> host:int -> rx:(Packet.t -> unit) -> unit
 
 (** Inject a packet at [pkt.src]'s NIC TX port. *)

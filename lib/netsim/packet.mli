@@ -1,4 +1,5 @@
-(** Network packets.
+(** Network packets, and the handle table that lets queues and events
+    carry a packet as an int.
 
     The body is an extensible variant so higher layers (eRPC, RDMA) attach
     their own typed contents without the network caring; [size_bytes] is the
@@ -10,8 +11,8 @@
     packet twice (duplicate injection) takes another with {!retain}, and
     every terminal point of the datapath — protocol RX, or any drop —
     calls {!free}. Packets built by {!make} are unpooled: {!free} on them
-    is a no-op beyond the count, so generic network code may free
-    unconditionally. *)
+    does nothing beyond the count and returning their handle, so generic
+    network code may free unconditionally. *)
 
 type body = ..
 type body += Empty
@@ -35,12 +36,10 @@ type t = {
   mutable release : t -> unit;
       (** recycler invoked when [refs] hits zero; no-op for unpooled
           packets *)
-  mutable pool_next : t;  (** intrusive free-list link ([nil]-terminated) *)
+  mutable handle : int;
+      (** this packet's handle in a {!table}, or -1 if none holds it;
+          written only by {!intern} and the table *)
 }
-
-(** Sentinel packet: free-list terminator and [Ring] dummy. Never enters
-    the network. *)
-val nil : t
 
 val make : src:int -> dst:int -> size_bytes:int -> flow_hash:int -> body -> t
 
@@ -52,9 +51,38 @@ val reinit : t -> src:int -> dst:int -> size_bytes:int -> flow_hash:int -> unit
 (** Take an extra reference (e.g. before delivering a duplicate). *)
 val retain : t -> unit
 
-(** Drop one reference; at zero the packet returns to its pool. Safe on
-    unpooled packets and on [nil]. *)
+(** Drop one reference; at zero the packet returns to its pool, or gives
+    back its handle if it is unpooled. *)
 val free : t -> unit
 
 (** The default [release]: does nothing (unpooled packets). *)
 val no_release : t -> unit
+
+(** {2 Packet handles}
+
+    Queues and events carry a packet in flight as an int handle from a
+    per-network table, so they store no pointer and pay no GC write
+    barrier. A pooled packet (one whose [release] is a pool's) is
+    interned once, when its pool creates it, and keeps its handle across
+    reuse: the pool's free-list is a stack of handles. An unpooled packet
+    is interned on its way in and gives its handle back at its last
+    {!free}. *)
+
+type table
+
+val create_table : unit -> table
+
+(** [intern tbl pkt] is [pkt]'s handle in [tbl], interning it first if it
+    has none. Raises [Invalid_argument] if [pkt] holds a handle of another
+    table. *)
+val intern : table -> t -> int
+
+(** The packet holding a handle. *)
+val get : table -> int -> t
+
+(** Handles held now. *)
+val live_handles : table -> int
+
+(** Handles the table has room for; it doubles when full and never
+    shrinks. *)
+val table_capacity : table -> int

@@ -9,12 +9,12 @@ type t = {
   ecn : ecn_config option;
   lossless : bool;
   rng : Sim.Rng.t;
-  sink : Packet.t -> unit;
-  queue : Packet.t Sim.Ring.t;
-  (* Preallocated handler for the serialization-done event, which carries
-     its packet as the event argument: no per-packet closure. The flight
-     event's handler is [sink] itself. *)
-  mutable on_ser_done : Packet.t -> unit;
+  packets : Packet.table;
+  queue : Sim.Ring.t;  (* packet handles *)
+  (* Handlers of the serialization-done and link-flight events, which
+     carry their packet's handle. *)
+  mutable ser_done : Sim.Engine.handler;
+  mutable arrive : Sim.Engine.handler;
   mutable queued_bytes : int;
   mutable draining : bool;
   mutable tx_packets : int;
@@ -39,23 +39,25 @@ let trace_queue t ts =
 
 let serialization t pkt = Sim.Time.of_bytes_at_gbps pkt.Packet.size_bytes t.rate_gbps
 
-let rec drain t =
+let drain t =
   if Sim.Ring.is_empty t.queue then t.draining <- false
   else begin
-    let pkt = Sim.Ring.take t.queue in
-    Sim.Engine.schedule_after_arg t.engine (serialization t pkt) t.on_ser_done pkt
+    let h = Sim.Ring.take t.queue in
+    Sim.Engine.post_after t.engine (serialization t (Packet.get t.packets h)) t.ser_done h
   end
 
-and ser_done t pkt =
+let ser_done t h =
+  let pkt = Packet.get t.packets h in
   t.queued_bytes <- t.queued_bytes - pkt.Packet.size_bytes;
   (match t.pool with Some pool -> Buffer_pool.release pool pkt.Packet.size_bytes | None -> ());
   t.tx_packets <- t.tx_packets + 1;
   t.tx_bytes <- t.tx_bytes + pkt.Packet.size_bytes;
   if Obs.Trace.enabled t.trace then trace_queue t (Sim.Engine.now t.engine);
-  Sim.Engine.schedule_after_arg t.engine t.extra_delay_ns t.sink pkt;
+  Sim.Engine.post_after t.engine t.extra_delay_ns t.arrive h;
   drain t
 
-let create engine ~name ~rate_gbps ~extra_delay_ns ?pool ?ecn ?(lossless = false) ~sink () =
+let create engine ~packets ~name ~rate_gbps ~extra_delay_ns ?pool ?ecn ?(lossless = false) ~sink
+    () =
   let trace = Sim.Engine.trace engine in
   Obs.Trace.register_process trace ~pid:Obs.Trace.net_pid "network";
   let tid = Obs.Trace.register_track trace ~pid:Obs.Trace.net_pid name in
@@ -69,9 +71,10 @@ let create engine ~name ~rate_gbps ~extra_delay_ns ?pool ?ecn ?(lossless = false
       ecn;
       lossless;
       rng = Sim.Rng.split (Sim.Engine.rng engine);
-      sink;
-      queue = Sim.Ring.create ~capacity:64 ~dummy:Packet.nil ();
-      on_ser_done = ignore;
+      packets;
+      queue = Sim.Ring.create ~capacity:64 ();
+      ser_done = Sim.Engine.no_handler;
+      arrive = Sim.Engine.no_handler;
       queued_bytes = 0;
       draining = false;
       tx_packets = 0;
@@ -84,7 +87,8 @@ let create engine ~name ~rate_gbps ~extra_delay_ns ?pool ?ecn ?(lossless = false
       tid;
     }
   in
-  t.on_ser_done <- (fun pkt -> ser_done t pkt);
+  t.ser_done <- Sim.Engine.handler engine ~layer:Port (fun h -> ser_done t h);
+  t.arrive <- Sim.Engine.handler engine ~layer:Link (fun h -> sink (Packet.get packets h));
   let m = Sim.Engine.metrics engine in
   let labels = [ ("port", name) ] in
   Obs.Metrics.counter m ~name:"port.tx_pkts" ~labels (fun () -> t.tx_packets);
@@ -132,7 +136,7 @@ let send t pkt =
           if Sim.Rng.bool_with_prob t.rng p then pkt.Packet.ecn <- true
         end
     | None -> ());
-    Sim.Ring.push t.queue pkt;
+    Sim.Ring.push t.queue (Packet.intern t.packets pkt);
     t.queued_bytes <- t.queued_bytes + size;
     if t.queued_bytes > t.max_queued_bytes then t.max_queued_bytes <- t.queued_bytes;
     if Obs.Trace.enabled t.trace then begin

@@ -17,8 +17,11 @@ type t
     configuration. *)
 type ecn_config = { kmin_bytes : int; kmax_bytes : int; pmax : float }
 
+(** [packets] is the network's packet-handle table: the port's queue and
+    events carry handles from it. *)
 val create :
   Sim.Engine.t ->
+  packets:Packet.table ->
   name:string ->
   rate_gbps:float ->
   extra_delay_ns:int ->

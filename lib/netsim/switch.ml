@@ -32,7 +32,7 @@ let pool t = t.pool
 
 let add_port t port =
   if t.num_ports >= Array.length t.ports then begin
-    let cap = max 8 (2 * Array.length t.ports) in
+    let cap = Int.max 8 (2 * Array.length t.ports) in
     let ports = Array.make cap port in
     Array.blit t.ports 0 ports 0 t.num_ports;
     t.ports <- ports

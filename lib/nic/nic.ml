@@ -30,6 +30,7 @@ let conn_miss_ns = 120
 type t = {
   engine : Sim.Engine.t;
   net : Netsim.Network.t;
+  packets : Netsim.Packet.table;
   host : int;
   cfg : config;
   rng : Sim.Rng.t;
@@ -37,12 +38,11 @@ type t = {
   mutable rx_last_delivery : Sim.Time.t;
   mutable tx_pending : int;
   mutable tx_last_done : Sim.Time.t;
-  rx_ring : Netsim.Packet.t Sim.Ring.t;
-  (* Preallocated handlers for the DMA pipeline completions, which carry
-     their packet as the event argument: the per-packet hops allocate no
-     closures. *)
-  mutable rx_done : Netsim.Packet.t -> unit;
-  mutable tx_done : Netsim.Packet.t -> unit;
+  rx_ring : Sim.Ring.t;  (* packet handles *)
+  (* Handlers of the DMA pipeline completions, which carry their packet's
+     handle. *)
+  mutable rx_done : Sim.Engine.handler;
+  mutable tx_done : Sim.Engine.handler;
   mutable rx_notify : unit -> unit;
   mutable rq_available : int;
   mutable replenish_partial : int;
@@ -59,7 +59,8 @@ let rq_size t = t.cfg.rq_size
 
 (* RX DMA pipeline completion: drop if no descriptor (raw Ethernet only),
    else ring the packet for the owner's poll. *)
-let rx_complete t pkt =
+let rx_complete t h =
+  let pkt = Netsim.Packet.get t.packets h in
   if t.rq_available <= 0 && Option.is_none t.conn_cache then begin
     t.rx_dropped <- t.rx_dropped + 1;
     if Obs.Trace.enabled t.trace then
@@ -79,7 +80,7 @@ let rx_complete t pkt =
         ~name:"rx" ~pid:t.pid ~tid:t.tid
         [ ("id", Obs.Trace.I pkt.Netsim.Packet.trace_id) ];
     let was_empty = Sim.Ring.is_empty t.rx_ring in
-    Sim.Ring.push t.rx_ring pkt;
+    Sim.Ring.push t.rx_ring h;
     if was_empty then t.rx_notify ()
   end
 
@@ -91,11 +92,11 @@ let receive t pkt =
   let now = Sim.Engine.now t.engine in
   let at = Int.max (now + t.cfg.rx_latency_ns + jitter) t.rx_last_delivery in
   t.rx_last_delivery <- at;
-  Sim.Engine.schedule_arg t.engine at t.rx_done pkt
+  Sim.Engine.post t.engine at t.rx_done (Netsim.Packet.intern t.packets pkt)
 
-let tx_complete t pkt =
+let tx_complete t h =
   t.tx_pending <- t.tx_pending - 1;
-  Netsim.Network.send t.net pkt
+  Netsim.Network.send t.net (Netsim.Packet.get t.packets h)
 
 let create ?conn_cache engine net ~host cfg =
   if Option.is_some conn_cache && cfg.rx_jitter_ns <> 0 then
@@ -108,6 +109,7 @@ let create ?conn_cache engine net ~host cfg =
     {
       engine;
       net;
+      packets = Netsim.Network.packets net;
       host;
       cfg;
       (* Raw Ethernet splits its jitter stream off the engine's even at zero
@@ -120,9 +122,9 @@ let create ?conn_cache engine net ~host cfg =
       rx_last_delivery = Sim.Time.zero;
       tx_pending = 0;
       tx_last_done = Sim.Time.zero;
-      rx_ring = Sim.Ring.create ~capacity:64 ~dummy:Netsim.Packet.nil ();
-      rx_done = ignore;
-      tx_done = ignore;
+      rx_ring = Sim.Ring.create ~capacity:64 ();
+      rx_done = Sim.Engine.no_handler;
+      tx_done = Sim.Engine.no_handler;
       rx_notify = (fun () -> ());
       rq_available = cfg.rq_size;
       replenish_partial = 0;
@@ -134,8 +136,8 @@ let create ?conn_cache engine net ~host cfg =
       tid;
     }
   in
-  t.rx_done <- (fun pkt -> rx_complete t pkt);
-  t.tx_done <- (fun pkt -> tx_complete t pkt);
+  t.rx_done <- Sim.Engine.handler engine ~layer:Nic (fun h -> rx_complete t h);
+  t.tx_done <- Sim.Engine.handler engine ~layer:Nic (fun h -> tx_complete t h);
   t
 
 let tx_burst t pkt =
@@ -156,7 +158,7 @@ let tx_burst t pkt =
      clamp never binds, so [tx_last_done] is always the last entry time. *)
   let enter = Int.max (Sim.Time.add (Sim.Engine.now t.engine) lat) t.tx_last_done in
   t.tx_last_done <- enter;
-  Sim.Engine.schedule_arg t.engine enter t.tx_done pkt
+  Sim.Engine.post t.engine enter t.tx_done (Netsim.Packet.intern t.packets pkt)
 
 let tx_pending t = t.tx_pending
 
@@ -169,7 +171,7 @@ let rx_burst t ~max f =
   let n = ref 0 in
   while !n < max && not (Sim.Ring.is_empty t.rx_ring) do
     incr n;
-    f (Sim.Ring.take t.rx_ring)
+    f (Netsim.Packet.get t.packets (Sim.Ring.take t.rx_ring))
   done;
   !n
 
@@ -190,7 +192,7 @@ let replenish_rx t n =
 let reset_rx t =
   (* Packets stranded in the ring die with the crashed process. *)
   while not (Sim.Ring.is_empty t.rx_ring) do
-    Netsim.Packet.free (Sim.Ring.take t.rx_ring)
+    Netsim.Packet.free (Netsim.Packet.get t.packets (Sim.Ring.take t.rx_ring))
   done;
   t.rq_available <- t.cfg.rq_size;
   t.replenish_partial <- 0

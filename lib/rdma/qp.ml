@@ -58,13 +58,13 @@ let stream ep ~dst ~len ~flow mk =
 
 let handle_rx ep pkt =
   let open Netsim.Packet in
+  let flow = pkt.flow_hash in
   match pkt.body with
   | Read_req { op; src; len } ->
       (* Remote NIC serves the read without CPU involvement. *)
       Sim.Engine.schedule_after ep.engine
         (ep.cfg.nic_rx_ns + ep.cfg.remote_read_ns + ep.cfg.nic_tx_ns)
-        (fun () ->
-          stream ep ~dst:src ~len ~flow:pkt.flow_hash (fun ~last -> Read_data { op; last }))
+        (fun () -> stream ep ~dst:src ~len ~flow (fun ~last -> Read_data { op; last }))
   | Read_data { op; last } ->
       if last then
         Sim.Engine.schedule_after ep.engine (ep.cfg.nic_rx_ns + ep.cfg.poll_ns) (fun () ->
@@ -77,7 +77,7 @@ let handle_rx ep pkt =
       if last then
         Sim.Engine.schedule_after ep.engine
           (ep.cfg.nic_rx_ns + ep.cfg.remote_write_ns + ep.cfg.nic_tx_ns)
-          (fun () -> send ep ~dst:src ~bytes:0 ~flow:pkt.flow_hash (Write_ack { op }))
+          (fun () -> send ep ~dst:src ~bytes:0 ~flow (Write_ack { op }))
   | Write_ack { op } ->
       Sim.Engine.schedule_after ep.engine (ep.cfg.nic_rx_ns + ep.cfg.poll_ns) (fun () ->
           match Hashtbl.find_opt ep.completions op with
@@ -89,7 +89,10 @@ let handle_rx ep pkt =
 
 let create engine net ~host cfg =
   let ep = { engine; net; host; cfg; completions = Hashtbl.create 64; next_op = 0 } in
-  Netsim.Network.attach net ~host ~rx:(fun pkt -> handle_rx ep pkt);
+  (* RX is the end of a packet's life; freeing it returns its handle. *)
+  Netsim.Network.attach net ~host ~rx:(fun pkt ->
+      handle_rx ep pkt;
+      Netsim.Packet.free pkt);
   ep
 
 let flow_of ep dst = (ep.host * 65_537) + dst

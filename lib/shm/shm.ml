@@ -48,10 +48,6 @@ type hooks = {
       (* retarget the payload at a private copy (offset 0, same length) *)
 }
 
-(* A handoff in flight between the sender's publish and the receiver's
-   poll: the descriptor as published to the peer ring. *)
-type inflight = { fly_pkt : Netsim.Packet.t; fly_seal : int; fly_shared : bool }
-
 type endpoint = {
   engine : Sim.Engine.t;
   hub : hub;
@@ -63,10 +59,14 @@ type endpoint = {
   slots : int;
   hop_ns : int;
   costs : costs;
-  rx_ring : Netsim.Packet.t Sim.Ring.t;
-  mutable rx_inflight : int;  (* handoffs published to this ring, not yet visible *)
-  mutable rx_done : inflight -> unit;
-  mutable tx_done : unit -> unit;
+  rx_ring : Sim.Ring.t;  (* packet handles *)
+  (* Handoffs published to this ring but not yet visible: each delivery
+     event carries its packet's handle, and since deliveries into one ring
+     run in publish order, their seals wait here in that order ([copied]
+     for a serialized payload). *)
+  fly_seals : Sim.Ring.t;
+  mutable rx_done : Sim.Engine.handler;
+  mutable tx_done : Sim.Engine.handler;
   mutable rx_notify : unit -> unit;
   mutable rx_last_delivery : Sim.Time.t;
   mutable tx_last_done : Sim.Time.t;
@@ -87,14 +87,15 @@ type endpoint = {
 
 and hub = {
   hooks : hooks;
+  packets : Netsim.Packet.table;
   endpoints : (int * int, endpoint) Hashtbl.t;  (* (host, rpc_id) -> ring *)
   mutable alive : int -> bool;
 }
 
 (* {2 Hub} *)
 
-let create_hub ~hooks () =
-  { hooks; endpoints = Hashtbl.create 16; alive = (fun _ -> true) }
+let create_hub ~hooks ~packets () =
+  { hooks; packets; endpoints = Hashtbl.create 16; alive = (fun _ -> true) }
 
 let set_alive hub f = hub.alive <- f
 
@@ -107,6 +108,9 @@ let set_alive hub f = hub.alive <- f
 (* The 64-bit FNV offset basis truncated to OCaml's 63-bit int. *)
 let fnv_offset = 0x4bf29ce484222325
 let fnv_prime = 0x100000001b3
+
+(* The seal of a payload that was copied, not shared: no guard. *)
+let copied = -1
 
 let seal_of { data; off; len; _ } =
   let h = ref fnv_offset in
@@ -126,15 +130,15 @@ let trace_shm t name pkt =
 (* Receiver-side completion: verify the seal (share path), then make the
    packet visible to the receiver's poll loop. Deliveries into a crashed
    process vanish, exactly like network deliveries do. *)
-let rx_complete t f =
-  t.rx_inflight <- t.rx_inflight - 1;
-  let pkt = f.fly_pkt in
+let rx_complete t h =
+  let seal = Sim.Ring.take t.fly_seals in
+  let pkt = Netsim.Packet.get t.hub.packets h in
   if not (t.hub.alive t.host) then Netsim.Packet.free pkt
   else begin
-    (if f.fly_shared then
+    (if seal <> copied then
        match t.hub.hooks.view pkt with
        | Some v ->
-           if seal_of v <> f.fly_seal then begin
+           if seal_of v <> seal then begin
              (* Ownership-transfer violation: the sender mutated the
                 shared buffer after sealing it. Surfaced exactly like a
                 checksum mismatch, so recovery is the protocol's normal
@@ -146,7 +150,7 @@ let rx_complete t f =
     t.shm_rx_packets <- t.shm_rx_packets + 1;
     trace_shm t "rx" pkt;
     let was_empty = Sim.Ring.is_empty t.rx_ring in
-    Sim.Ring.push t.rx_ring pkt;
+    Sim.Ring.push t.rx_ring h;
     if was_empty then t.rx_notify ()
   end
 
@@ -176,7 +180,7 @@ let shm_tx t dst pkt (v : view) =
     end
     else begin
       serialize_tx t pkt v;
-      0
+      copied
     end
   in
   t.shm_tx_packets <- t.shm_tx_packets + 1;
@@ -185,7 +189,7 @@ let shm_tx t dst pkt (v : view) =
   (* Backpressure, not loss: while the destination ring is full the slot
      claim spins on the consumer, one interconnect hop per excess
      occupied slot. *)
-  let backlog = Sim.Ring.length dst.rx_ring + dst.rx_inflight in
+  let backlog = Sim.Ring.length dst.rx_ring + Sim.Ring.length dst.fly_seals in
   let stall =
     if backlog >= dst.slots then (backlog - dst.slots + 1) * t.hop_ns else 0
   in
@@ -195,7 +199,7 @@ let shm_tx t dst pkt (v : view) =
      any slot-claim spin) retires. *)
   let done_at = Sim.Time.add now (tx_work + stall) in
   if done_at > t.tx_last_done then t.tx_last_done <- done_at;
-  Sim.Engine.schedule t.engine done_at t.tx_done;
+  Sim.Engine.post t.engine done_at t.tx_done 0;
   (* The message becomes visible after the interconnect hop plus the
      receiver-side guard work; delivery is FIFO per receiver across all
      co-located senders. *)
@@ -203,9 +207,8 @@ let shm_tx t dst pkt (v : view) =
     Int.max (Sim.Time.add done_at (t.hop_ns + rx_guard)) dst.rx_last_delivery
   in
   dst.rx_last_delivery <- at;
-  dst.rx_inflight <- dst.rx_inflight + 1;
-  Sim.Engine.schedule_arg t.engine at dst.rx_done
-    { fly_pkt = pkt; fly_seal = seal; fly_shared = share }
+  Sim.Ring.push dst.fly_seals seal;
+  Sim.Engine.post t.engine at dst.rx_done (Netsim.Packet.intern t.hub.packets pkt)
 
 (* {2 Transport.Iface implementation} *)
 
@@ -244,7 +247,7 @@ module Impl = struct
     while !n < max && not (Sim.Ring.is_empty t.rx_ring) do
       incr n;
       t.pending_shm_rx <- t.pending_shm_rx + 1;
-      f (Sim.Ring.take t.rx_ring)
+      f (Netsim.Packet.get t.hub.packets (Sim.Ring.take t.rx_ring))
     done;
     if !n < max then begin
       let m = Transport.Iface.rx_burst t.inner ~max:(max - !n) f in
@@ -273,7 +276,7 @@ module Impl = struct
 
   let reset_rx t =
     while not (Sim.Ring.is_empty t.rx_ring) do
-      Netsim.Packet.free (Sim.Ring.take t.rx_ring)
+      Netsim.Packet.free (Netsim.Packet.get t.hub.packets (Sim.Ring.take t.rx_ring))
     done;
     t.pending_inner_rx <- 0;
     t.pending_shm_rx <- 0;
@@ -322,10 +325,10 @@ let create engine ~hub ~host ~rpc_id ~inner ~colocated ~charge ~mode ~slots
       slots = max 2 slots;
       hop_ns;
       costs;
-      rx_ring = Sim.Ring.create ~capacity:64 ~dummy:Netsim.Packet.nil ();
-      rx_inflight = 0;
-      rx_done = ignore;
-      tx_done = (fun () -> ());
+      rx_ring = Sim.Ring.create ~capacity:64 ();
+      fly_seals = Sim.Ring.create ();
+      rx_done = Sim.Engine.no_handler;
+      tx_done = Sim.Engine.no_handler;
       rx_notify = (fun () -> ());
       rx_last_delivery = Sim.Time.zero;
       tx_last_done = Sim.Time.zero;
@@ -343,8 +346,9 @@ let create engine ~hub ~host ~rpc_id ~inner ~colocated ~charge ~mode ~slots
       tid;
     }
   in
-  t.rx_done <- (fun f -> rx_complete t f);
-  t.tx_done <- (fun () -> t.shm_tx_pending <- t.shm_tx_pending - 1);
+  t.rx_done <- Sim.Engine.handler engine ~layer:Shm (fun h -> rx_complete t h);
+  t.tx_done <-
+    Sim.Engine.handler engine ~layer:Shm (fun _ -> t.shm_tx_pending <- t.shm_tx_pending - 1);
   (* Restart-friendly: a re-created endpoint at the same address simply
      remaps the ring (the old one died with its process). *)
   Hashtbl.replace hub.endpoints (host, rpc_id) t;

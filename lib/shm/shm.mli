@@ -51,7 +51,9 @@ type endpoint
     [(host, rpc_id)] to the owning endpoint's rings. *)
 type hub
 
-val create_hub : hooks:hooks -> unit -> hub
+(** [packets] is the fabric network's handle table: ring deliveries and
+    RX rings carry packet handles from it. *)
+val create_hub : hooks:hooks -> packets:Netsim.Packet.table -> unit -> hub
 
 (** Install the liveness gate: ring deliveries into a host for which it
     returns [false] vanish, like network deliveries into a crashed

@@ -1,28 +1,72 @@
-(* Every event is a handler applied to one argument. The queue stores both
-   untyped; [schedule_arg] writes them from one typed call, so each popped
-   handler is applied to a value of the type it was scheduled with. A
-   [unit -> unit] handler runs on the [()] that an argument-free event
-   carries. *)
+(* An event is a handler id and an int argument. Handler ids pack the
+   handler's index in [handlers] above [layer_bits] bits of layer, so
+   the census needs no second lookup. Handler 0 is the trampoline that
+   runs a one-shot closure taken from the wheel's pointer slot; handler 1
+   is [no_handler]. *)
+
+type layer = Port | Link | Nic | Rpc | Shm | Timer
+
+let layer_bits = 3
+let closure_layer = 6
+let n_layers = 7
+
+let layer_index = function
+  | Port -> 0
+  | Link -> 1
+  | Nic -> 2
+  | Rpc -> 3
+  | Shm -> 4
+  | Timer -> 5
+
+let layer_names = [| "netsim.port"; "netsim.link"; "nic"; "rpc"; "shm"; "timer"; "closure" |]
+
+type handler = int
+
 type t = {
-  queue : (Obj.t -> unit, Obj.t) Timing_wheel.t;
+  queue : (unit -> unit) Timing_wheel.t;
+  mutable handlers : (int -> unit) array;
+  mutable n_handlers : int;
+  by_layer : int array; (* events executed, by layer index *)
   mutable clock : Time.t;
   master_rng : Rng.t;
-  mutable executed : int;
   mutable trace : Obs.Trace.t;
   metrics : Obs.Metrics.t;
 }
+
+let closure_handler = closure_layer
+let no_handler = (1 lsl layer_bits) lor closure_layer
+
+let unset_handler (_ : int) = invalid_arg "Engine: event posted to no_handler"
+
+let register t layer f =
+  if t.n_handlers = Array.length t.handlers then begin
+    let a = Array.make (2 * t.n_handlers) unset_handler in
+    Array.blit t.handlers 0 a 0 t.n_handlers;
+    t.handlers <- a
+  end;
+  let i = t.n_handlers in
+  t.handlers.(i) <- f;
+  t.n_handlers <- i + 1;
+  (i lsl layer_bits) lor layer
+
+let handler t ~layer f = register t (layer_index layer) f
 
 let create ?(seed = 42L) () =
   let t =
     {
       queue = Timing_wheel.create ();
+      handlers = Array.make 64 unset_handler;
+      n_handlers = 0;
+      by_layer = Array.make n_layers 0;
       clock = Time.zero;
       master_rng = Rng.create seed;
-      executed = 0;
       trace = Obs.Trace.disabled;
       metrics = Obs.Metrics.create ();
     }
   in
+  let q = t.queue in
+  ignore (register t closure_layer (fun _ -> (Timing_wheel.take_ptr q) ()));
+  ignore (register t closure_layer unset_handler);
   (* Queue-shape gauges: pending event count, the wheel's occupied-slot
      load factor, and how many events wait in the overflow heap instead of
      the wheel. *)
@@ -32,6 +76,11 @@ let create ?(seed = 42L) () =
       float_of_int (Timing_wheel.occupied_slots t.queue));
   Obs.Metrics.gauge t.metrics ~name:"sim.queue_overflow" (fun () ->
       float_of_int (Timing_wheel.overflow_length t.queue));
+  Array.iteri
+    (fun l name ->
+      Obs.Metrics.counter t.metrics ~name:"sim.events" ~labels:[ ("layer", name) ] (fun () ->
+          t.by_layer.(l)))
+    layer_names;
   t
 
 let now t = t.clock
@@ -45,34 +94,33 @@ let check_future t at =
     invalid_arg
       (Format.asprintf "Engine.schedule: time %a is before now %a" Time.pp at Time.pp t.clock)
 
-let schedule_arg t at (f : 'a -> unit) (a : 'a) =
+let post t at h arg =
   check_future t at;
-  Timing_wheel.push_arg t.queue at (Obj.magic f : Obj.t -> unit) (Obj.repr a)
+  Timing_wheel.push t.queue at h arg
 
-let schedule t at f = schedule_arg t at f ()
-let schedule_after_arg t delta f a = schedule_arg t (Time.add t.clock delta) f a
-let schedule_after t delta f = schedule_arg t (Time.add t.clock delta) f ()
+let post_after t delta h arg = post t (Time.add t.clock delta) h arg
+
+let schedule t at f =
+  check_future t at;
+  Timing_wheel.push_ptr t.queue at closure_handler f
+
+let schedule_after t delta f = schedule t (Time.add t.clock delta) f
 let reserve_seq t = Timing_wheel.reserve_seq t.queue
 
-let schedule_seq t at seq (f : unit -> unit) =
+let post_seq t at seq h arg =
   check_future t at;
-  Timing_wheel.push_seq t.queue at seq (Obj.magic f : Obj.t -> unit) (Obj.repr ())
-
-(* Sentinel for the fused pop: a statically allocated closure no caller
-   can accidentally schedule (closures without free variables are unique
-   per definition site). *)
-let null_event (_ : Obj.t) = ()
+  Timing_wheel.push_seq t.queue at seq h arg
 
 (* Run the earliest event if it is due by [horizon]; [false] if none is. *)
 let run_next t horizon =
   let q = t.queue in
-  let f = Timing_wheel.pop_if_before q horizon ~default:null_event in
-  if f == null_event then false
+  let h = Timing_wheel.pop_if_before q horizon in
+  if h < 0 then false
   else begin
-    let a = Timing_wheel.take_arg q in
     t.clock <- Timing_wheel.last_time q;
-    t.executed <- t.executed + 1;
-    f a;
+    let l = h land ((1 lsl layer_bits) - 1) in
+    t.by_layer.(l) <- t.by_layer.(l) + 1;
+    t.handlers.(h lsr layer_bits) (Timing_wheel.last_arg q);
     true
   end
 
@@ -89,5 +137,6 @@ let run t =
     ()
   done
 
-let events_processed t = t.executed
+let events_processed t = Array.fold_left ( + ) 0 t.by_layer
+let census t = Array.to_list (Array.mapi (fun l name -> (name, t.by_layer.(l))) layer_names)
 let pending t = Timing_wheel.length t.queue

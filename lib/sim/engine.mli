@@ -1,14 +1,26 @@
 (** Discrete-event simulation engine.
 
-    An event is a handler and the one argument it is applied to, run in
-    timestamp order (FIFO among equal timestamps). Passing a value as the
-    argument, rather than capturing it in a closure, lets a component
-    schedule one preallocated handler per packet it moves and allocate
-    nothing. A single engine drives one experiment; all randomness comes
-    from streams split off the engine's master RNG, so a given seed fully
-    determines the run. *)
+    An event is a handler id and one int argument, run in timestamp order
+    (FIFO among equal timestamps). A component registers each of its
+    handlers once, at creation, with {!handler}, and then posts events
+    that name the handler and carry an int — a packet handle, say — so
+    the per-packet path stores no pointer in the event queue and
+    allocates nothing. One-shot closures ({!schedule}) remain for
+    everything off that path. A single engine drives one experiment; all
+    randomness comes from streams split off the engine's master RNG, so a
+    given seed fully determines the run. *)
 
 type t
+
+(** The simulator layer a handler belongs to, for the event census
+    ({!census}): ["netsim.port"] (a port finishing serialization),
+    ["netsim.link"] (a packet reaching the far end of a link), ["nic"],
+    ["rpc"], ["shm"] and ["timer"]. One-shot closures count as
+    ["closure"]. *)
+type layer = Port | Link | Nic | Rpc | Shm | Timer
+
+(** A registered handler's id. *)
+type handler = private int
 
 (** The event queue is a {!Timing_wheel}. *)
 val create : ?seed:int64 -> unit -> t
@@ -27,35 +39,47 @@ val trace : t -> Obs.Trace.t
 val set_trace : t -> Obs.Trace.t -> unit
 
 (** Engine-scoped metrics registry; components register counters, gauges
-    and histograms into it at creation time. *)
+    and histograms into it at creation time. The engine itself registers
+    the queue-shape gauges and one [sim.events{layer=...}] counter per
+    census layer. *)
 val metrics : t -> Obs.Metrics.t
 
-(** [schedule t at f] runs [f] at absolute time [at]. [at] must not be in
-    the past. *)
+(** [handler t ~layer f] registers [f] and returns its id; an event
+    posted to it runs [f arg]. Handlers are never unregistered, so
+    register one per component, not one per event. *)
+val handler : t -> layer:layer -> (int -> unit) -> handler
+
+(** A handler id that raises [Invalid_argument] if an event posted to it
+    runs: the initial value of a field that holds a component's handler
+    until the component, which the handler needs, exists. *)
+val no_handler : handler
+
+(** [post t at h arg] runs handler [h] on [arg] at absolute time [at].
+    [at] must not be in the past. *)
+val post : t -> Time.t -> handler -> int -> unit
+
+(** [post_after t delta h arg] runs [h arg] at [now t + delta]. *)
+val post_after : t -> Time.t -> handler -> int -> unit
+
+(** [schedule t at f] runs the one-shot closure [f] at absolute time
+    [at]. It takes the same place among same-time events as a {!post}
+    made at this point would. [at] must not be in the past. *)
 val schedule : t -> Time.t -> (unit -> unit) -> unit
 
 (** [schedule_after t delta f] runs [f] at [now t + delta]. *)
 val schedule_after : t -> Time.t -> (unit -> unit) -> unit
 
-(** [schedule_arg t at f a] runs [f a] at absolute time [at]. It takes the
-    same place among same-time events as a [schedule] made at this point
-    would. [at] must not be in the past. *)
-val schedule_arg : t -> Time.t -> ('a -> unit) -> 'a -> unit
-
-(** [schedule_after_arg t delta f a] runs [f a] at [now t + delta]. *)
-val schedule_after_arg : t -> Time.t -> ('a -> unit) -> 'a -> unit
-
-(** [reserve_seq t] takes the tie-break slot a [schedule] made now would
+(** [reserve_seq t] takes the tie-break slot a [post] made now would
     get, without scheduling anything. *)
 val reserve_seq : t -> int
 
-(** [schedule_seq t at seq f] runs [f] at [at] in the place among
+(** [post_seq t at seq h arg] runs [h arg] at [at] in the place among
     same-time events that the reservation [seq] (from {!reserve_seq})
-    holds. Scheduling later under an earlier reservation is how
-    {!Timer} defers an event without changing execution order. [at] must
-    not be in the past, and the key [(at, seq)] must not be before the
-    event now executing. *)
-val schedule_seq : t -> Time.t -> int -> (unit -> unit) -> unit
+    holds. Posting later under an earlier reservation is how {!Timer}
+    defers an event without changing execution order. [at] must not be
+    in the past, and the key [(at, seq)] must not be before the event now
+    executing. *)
+val post_seq : t -> Time.t -> int -> handler -> int -> unit
 
 (** Execute the single earliest event. Returns [false] when no events
     remain. *)
@@ -70,6 +94,11 @@ val run_until : t -> Time.t -> unit
 
 (** Number of events executed so far. *)
 val events_processed : t -> int
+
+(** Events executed so far by layer, in a fixed order: ["netsim.port"],
+    ["netsim.link"], ["nic"], ["rpc"], ["shm"], ["timer"], ["closure"].
+    The counts sum to {!events_processed}. *)
+val census : t -> (string * int) list
 
 (** Number of events pending. *)
 val pending : t -> int

@@ -1,21 +1,17 @@
-type 'a t = {
-  mutable buf : 'a array;
+type t = {
+  mutable buf : int array;
   mutable head : int; (* next element to take *)
   mutable len : int;
-  dummy : 'a;
 }
 
-let create ?(capacity = 16) ~dummy () =
-  let cap = max 2 capacity in
-  { buf = Array.make cap dummy; head = 0; len = 0; dummy }
-
+let create ?(capacity = 16) () = { buf = Array.make (Int.max 2 capacity) 0; head = 0; len = 0 }
 let length t = t.len
 let is_empty t = t.len = 0
 
 let grow t =
   let cap = Array.length t.buf in
-  let b = Array.make (2 * cap) t.dummy in
-  let tail_len = min t.len (cap - t.head) in
+  let b = Array.make (2 * cap) 0 in
+  let tail_len = Int.min t.len (cap - t.head) in
   Array.blit t.buf t.head b 0 tail_len;
   Array.blit t.buf 0 b tail_len (t.len - tail_len);
   t.buf <- b;
@@ -31,14 +27,6 @@ let push t x =
 let take t =
   if t.len = 0 then invalid_arg "Ring.take: empty";
   let x = t.buf.(t.head) in
-  t.buf.(t.head) <- t.dummy;
   t.head <- (if t.head + 1 = Array.length t.buf then 0 else t.head + 1);
   t.len <- t.len - 1;
   x
-
-let take_opt t = if t.len = 0 then None else Some (take t)
-
-let clear t =
-  while t.len > 0 do
-    ignore (take t)
-  done

@@ -1,23 +1,17 @@
-(** Growable circular FIFO with a preallocated backing array.
+(** Growable circular FIFO of ints with a preallocated backing array.
 
-    Unlike [Queue.t], steady-state push/take allocates nothing: elements
-    live in an array that doubles on overflow, and vacated slots are reset
-    to [dummy] so consumed elements are not pinned against GC. Used for
-    the simulator's real packet queues: port egress queues and RX rings. *)
+    Unlike [Queue.t], steady-state push/take allocates nothing, and since
+    the elements are ints no store goes through the GC write barrier.
+    Used for the simulator's real packet queues, which hold packet
+    handles: port egress queues, NIC RX rings and shared-memory rings. *)
 
-type 'a t
+type t
 
-(** [create ~dummy ()] makes an empty ring. [dummy] pads unused slots and
-    must never be interpreted as an element. *)
-val create : ?capacity:int -> dummy:'a -> unit -> 'a t
-
-val length : 'a t -> int
-val is_empty : 'a t -> bool
-val push : 'a t -> 'a -> unit
+val create : ?capacity:int -> unit -> t
+val length : t -> int
+val is_empty : t -> bool
+val push : t -> int -> unit
 
 (** Remove and return the oldest element. Raises [Invalid_argument] if
     empty. *)
-val take : 'a t -> 'a
-
-val take_opt : 'a t -> 'a option
-val clear : 'a t -> unit
+val take : t -> int

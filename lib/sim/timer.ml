@@ -16,7 +16,7 @@ let none = max_int
 type t = {
   engine : Engine.t;
   callback : unit -> unit;
-  fire : unit -> unit; (* the one closure every queued event runs *)
+  mutable fire : Engine.handler; (* the one handler every queued event runs *)
   mutable armed : bool;
   mutable deadline : Time.t;
   mutable seq : int; (* reserved by the last arm *)
@@ -30,7 +30,7 @@ let post t =
   if t.head_time <> none then t.later <- t.head_time :: t.later;
   t.head_time <- t.deadline;
   t.head_seq <- t.seq;
-  Engine.schedule_seq t.engine t.deadline t.seq t.fire
+  Engine.post_seq t.engine t.deadline t.seq t.fire 0
 
 let fire t =
   let current = t.head_seq = t.seq in
@@ -48,11 +48,11 @@ let fire t =
     else if t.deadline < t.head_time then post t
 
 let create engine ~callback =
-  let rec t =
+  let t =
     {
       engine;
       callback;
-      fire = (fun () -> fire t);
+      fire = Engine.no_handler;
       armed = false;
       deadline = Time.zero;
       seq = -1;
@@ -61,6 +61,7 @@ let create engine ~callback =
       later = [];
     }
   in
+  t.fire <- Engine.handler engine ~layer:Timer (fun _ -> fire t);
   t
 
 let arm t at =

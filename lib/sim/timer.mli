@@ -3,7 +3,7 @@
     Re-arming an armed timer replaces the previous deadline; the callback
     runs once, at the last armed deadline, unless {!disarm} cancels it.
 
-    Re-arming is lazy. A timer owns one preallocated event closure and
+    Re-arming is lazy. A timer owns one registered event handler and
     normally at most one queued event: a re-arm to a deadline no earlier
     than that event schedules nothing, and when the event fires early it
     re-posts itself at the current deadline. Only a re-arm to an earlier

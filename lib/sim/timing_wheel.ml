@@ -25,14 +25,13 @@
    three branch-free de Bruijn lookups even when the wheel is sparse.
 
    Cells are stored as a struct of arrays: a cell is an int index into
-   the parallel [time], [seq] and [next] int arrays and the [payload] and
-   [arg] arrays. Slot chains, the overflow heap and the free-list all hold
-   cell indices, so every link update is an int store, which needs no GC
-   write barrier; only storing a payload or argument and clearing it on
-   pop do. An argument store is skipped when the slot already holds the
-   value (a [()] argument into a cleared slot), so events without an
-   argument pay no barrier for it. The arrays double when the free-list
-   runs dry and never shrink. *)
+   the parallel [time], [seq], [next], [id] and [arg] int arrays and the
+   [ptr] array. Slot chains, the overflow heap and the free-list all hold
+   cell indices, and an event is an id and an int argument, so pushing
+   and popping an int event stores only ints and needs no GC write
+   barrier. Only a pointer event ({!push_ptr}) stores into [ptr], and
+   its slot is cleared when the pointer is taken or its cell is freed.
+   The arrays double when the free-list runs dry and never shrink. *)
 
 let wheel_bits = 14
 let wheel_size = 1 lsl wheel_bits (* 16384 ns window *)
@@ -44,7 +43,7 @@ let initial_cells = 1024 (* most engines here never hold more pending events *)
 (* End of a chain, an empty slot, an empty free-list. *)
 let nil = -1
 
-type ('a, 'b) t = {
+type 'a t = {
   head : int array; (* slot chains, [seq]-ordered *)
   tail : int array;
   l0 : int array; (* bit s land 31 of word s lsr 5: slot s occupied *)
@@ -58,18 +57,20 @@ type ('a, 'b) t = {
   mutable time : Time.t array;
   mutable seq : int array;
   mutable next : int array; (* slot chain or free-list link *)
-  mutable payload : 'a array;
-  mutable arg : 'b array;
+  mutable id : int array;
+  mutable arg : int array;
+  mutable ptr : 'a array; (* [empty] except in a pointer event's cell *)
   mutable free : int;
-  mutable popped : int; (* [pop_if_before]'s cell, held for [take_arg] *)
+  mutable popped : int; (* [pop_if_before]'s cell, held for [take_ptr] *)
+  mutable last_arg : int;
   mutable next_seq : int;
   mutable last : Time.t;
 }
 
-(* Placeholder for an unused payload or argument slot. An immediate, so
-   neither array is ever a flat float array or holds a stale pointer. It
-   is the representation of [()], which is what an event without an
-   argument carries. *)
+let none = -1
+
+(* Placeholder for an unused pointer slot. An immediate, so the array is
+   never a flat float array or holds a stale pointer. *)
 let empty () : 'a = Obj.magic 0
 
 (* Thread cells [lo, hi) onto the free-list, lowest index first. *)
@@ -94,10 +95,12 @@ let create () =
       time = Array.make initial_cells 0;
       seq = Array.make initial_cells 0;
       next = Array.make initial_cells nil;
-      payload = Array.make initial_cells (empty ());
-      arg = Array.make initial_cells (empty ());
+      id = Array.make initial_cells 0;
+      arg = Array.make initial_cells 0;
+      ptr = Array.make initial_cells (empty ());
       free = nil;
       popped = nil;
+      last_arg = 0;
       next_seq = 0;
       last = Time.zero;
     }
@@ -136,32 +139,30 @@ let grow_cells t =
   t.time <- extend t.time 0;
   t.seq <- extend t.seq 0;
   t.next <- extend t.next nil;
-  t.payload <- extend t.payload (empty ());
-  t.arg <- extend t.arg (empty ());
+  t.id <- extend t.id 0;
+  t.arg <- extend t.arg 0;
+  t.ptr <- extend t.ptr (empty ());
   free_range t n (2 * n)
 
-let alloc_cell t time seq payload arg =
+(* Every store here is an int: a fresh cell's pointer slot is already
+   [empty]. *)
+let alloc_cell t time seq id arg =
   if t.free = nil then grow_cells t;
   let c = t.free in
   t.free <- t.next.(c);
   t.time.(c) <- time;
   t.seq.(c) <- seq;
   t.next.(c) <- nil;
-  t.payload.(c) <- payload;
-  if arg != t.arg.(c) then t.arg.(c) <- arg;
+  t.id.(c) <- id;
+  t.arg.(c) <- arg;
   c
 
+(* Clear a pointer left in the cell, so a popped pointer is never
+   retained, and return the cell to the free-list. *)
 let free_cell t c =
-  t.payload.(c) <- empty ();
+  if t.ptr.(c) != empty () then t.ptr.(c) <- empty ();
   t.next.(c) <- t.free;
   t.free <- c
-
-(* Read a cell's argument and clear its slot, so a popped argument is
-   never retained. *)
-let release_arg t c =
-  let a = t.arg.(c) in
-  if a != empty () then t.arg.(c) <- empty ();
-  a
 
 (* --- occupancy bitmap --- *)
 
@@ -335,17 +336,20 @@ let reserve_seq t =
   t.next_seq <- seq + 1;
   seq
 
-let push_arg t time payload arg =
-  let seq = reserve_seq t in
-  let c = alloc_cell t time seq payload arg in
+let insert t time c =
   if in_window t time then slot_append t (time land mask) c else heap_push t c
 
-let push t time payload = push_arg t time payload ()
+let push t time id arg = insert t time (alloc_cell t time (reserve_seq t) id arg)
+
+let push_ptr t time id x =
+  let c = alloc_cell t time (reserve_seq t) id 0 in
+  t.ptr.(c) <- x;
+  insert t time c
 
 (* A reserved seq can be older than cells already in its slot, so it is
    merged by [seq] like a cell migrating in from the heap. *)
-let push_seq t time seq payload arg =
-  let c = alloc_cell t time seq payload arg in
+let push_seq t time seq id arg =
+  let c = alloc_cell t time seq id arg in
   if in_window t time then slot_insert_sorted t c else heap_push t c
 
 (* Detach and return the earliest cell if its time is <= horizon, else
@@ -386,44 +390,48 @@ let rec pop_cell_if_le t horizon =
     else nil
   end
 
-(* The popped cell stays out of the free-list, argument in place, until
-   [take_arg] reads it or the next pop hands it back, so no push in
+(* The popped cell stays out of the free-list, pointer in place, until
+   [take_ptr] reads it or the next pop hands it back, so no push in
    between can reuse it. *)
 let settle t =
   let c = t.popped in
   if c <> nil then begin
     t.popped <- nil;
-    ignore (release_arg t c);
     free_cell t c
   end
 
-let pop_if_before t horizon ~default =
+let pop_if_before t horizon =
   settle t;
   let c = pop_cell_if_le t horizon in
-  if c = nil then default
+  if c = nil then none
   else begin
     t.last <- t.time.(c);
+    t.last_arg <- t.arg.(c);
     t.popped <- c;
-    t.payload.(c)
+    t.id.(c)
   end
 
-let take_arg t =
+let last_arg t = t.last_arg
+
+let take_ptr t =
   let c = t.popped in
-  if c = nil then invalid_arg "Timing_wheel.take_arg: no popped event";
+  if c = nil || t.ptr.(c) == empty () then
+    invalid_arg "Timing_wheel.take_ptr: no popped pointer event";
   t.popped <- nil;
-  let a = release_arg t c in
+  let x = t.ptr.(c) in
   free_cell t c;
-  a
+  x
 
 let pop t =
   settle t;
   let c = pop_cell_if_le t max_int in
   if c = nil then None
   else begin
-    let time = t.time.(c) and payload = t.payload.(c) in
+    let time = t.time.(c) and id = t.id.(c) in
     t.last <- time;
+    t.last_arg <- t.arg.(c);
     free_cell t c;
-    Some (time, payload)
+    Some (time, id)
   end
 
 let peek_time t =
@@ -445,8 +453,7 @@ let clear t =
   t.wheel_count <- 0;
   t.heap_size <- 0;
   let n = Array.length t.time in
-  Array.fill t.payload 0 n (empty ());
-  Array.fill t.arg 0 n (empty ());
+  Array.fill t.ptr 0 n (empty ());
   t.free <- nil;
   t.popped <- nil;
   free_range t 0 n;

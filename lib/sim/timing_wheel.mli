@@ -26,19 +26,19 @@
     queue; they are just slow.
 
     Cells are a struct of arrays: a cell is an int index into parallel
-    [time], [seq] and [next] int arrays plus a payload and an argument
-    array, and slot
-    heads and tails, the overflow heap and the free-list all hold ints.
-    The arrays start at 1024 cells (engines here peak at a few hundred
-    to about 1.5k pending events), double when the free-list runs dry
-    and never shrink. With boxed cells, a push plus pop made about nine
-    [caml_modify] write-barrier calls (free-list, payload, [next], head
-    and tail stores); now int stores need no barrier, and only the
-    payload and argument stores and their clears on pop go through it (an
-    event whose argument is [()] skips both of its argument's). A popped
-    payload or argument is never retained. On its own this took [incast] from 17.2 to 15.1 host
-    us per op (medians of 5 alternating pairs, 4 won; 2-vCPU host,
-    [host_cores] = 2, seed 1729).
+    [time], [seq], [next], [id] and [arg] int arrays plus one pointer
+    array, and slot heads and tails, the overflow heap and the free-list
+    all hold ints. The arrays start at 1024 cells (engines here peak at a
+    few hundred to about 1.5k pending events), double when the free-list
+    runs dry and never shrink. With boxed cells, a push plus pop made
+    about nine [caml_modify] write-barrier calls (free-list, payload,
+    [next], head and tail stores); with int links only the payload and
+    argument stores and their clears on pop went through it. On its own
+    that took [incast] from 17.2 to 15.1 host us per op (medians of 5
+    alternating pairs, 4 won; 2-vCPU host, [host_cores] = 2, seed 1729).
+    An event is now an int id and an int argument, so an int event pays
+    no barrier at all; only a pointer event ({!push_ptr}) stores a
+    pointer, and a popped pointer is never retained.
 
     The next occupied slot is found in a three-level occupancy bitmap (32
     bits per word). Each level's lowest set bit is isolated with
@@ -50,32 +50,36 @@
     [incast] from 19.87 to 17.62 (medians of 10 alternating pairs, 10
     won each; 2-vCPU host, [host_cores] = 2, seed 1729). *)
 
-(** A queue of events, each a payload of type ['a] with one argument of
-    type ['b]. The engine's payloads are handlers and its arguments the
-    values they are applied to, such as the packet a port event delivers;
-    a queue whose events carry nothing has [unit] arguments. *)
-type ('a, 'b) t
+(** A queue of events. Every event has an int id (>= 0) and an int
+    argument; a pointer event also carries a value of type ['a]. The
+    engine's ids name registered handlers and its arguments are the ints
+    they are applied to, such as a packet handle; its pointer events are
+    one-shot closures. *)
+type 'a t
 
-val create : unit -> ('a, 'b) t
-val is_empty : ('a, 'b) t -> bool
-val length : ('a, 'b) t -> int
+val create : unit -> 'a t
+val is_empty : 'a t -> bool
+val length : 'a t -> int
 
-(** [push_arg t time payload arg] queues [payload] with its argument. *)
-val push_arg : ('a, 'b) t -> Time.t -> 'a -> 'b -> unit
+(** [push t time id arg] queues an int event. It stores no pointer. *)
+val push : 'a t -> Time.t -> int -> int -> unit
 
-(** [push t time payload] is [push_arg t time payload ()]. *)
-val push : ('a, unit) t -> Time.t -> 'a -> unit
+(** [push_ptr t time id x] queues a pointer event: [id] with argument 0,
+    carrying [x]. [x] must be a heap block (a closure, a string, a
+    record...), not an immediate such as an int or a constant
+    constructor. *)
+val push_ptr : 'a t -> Time.t -> int -> 'a -> unit
 
 (** Events waiting in the overflow heap rather than the wheel: far-future
     events and any behind-the-window pushes. Backs the [sim.queue_overflow]
     gauge. *)
-val overflow_length : ('a, 'b) t -> int
+val overflow_length : 'a t -> int
 
 (** [reserve_seq t] consumes the next tie-break sequence number, exactly
     as a [push] would, without queueing anything. *)
-val reserve_seq : ('a, 'b) t -> int
+val reserve_seq : 'a t -> int
 
-(** [push_seq t time seq payload arg] queues [payload] under the key
+(** [push_seq t time seq id arg] queues an int event under the key
     [(time, seq)], where [seq] came from {!reserve_seq} on this queue and
     is used once. Provided the key is not before the last popped one, the
     event pops exactly where a [push] made at reservation time would have:
@@ -83,38 +87,43 @@ val reserve_seq : ('a, 'b) t -> int
     Inside the wheel window the cell is merged into its slot by [seq],
     like a cell migrating in from the overflow heap — including into the
     slot currently being drained. *)
-val push_seq : ('a, 'b) t -> Time.t -> int -> 'a -> 'b -> unit
+val push_seq : 'a t -> Time.t -> int -> int -> int -> unit
 
-(** Earliest (time, payload), or [None] if empty. *)
-val pop : ('a, unit) t -> (Time.t * 'a) option
+(** Pop the earliest event, returning its time and id, or [None] if
+    empty. Its argument is then {!last_arg}; a pointer it carried is
+    dropped. *)
+val pop : 'a t -> (Time.t * int) option
 
-(** [pop_if_before t horizon ~default] pops and returns the earliest
-    payload if its time is [<= horizon]; otherwise returns [default] and
-    leaves the queue untouched. Allocation-free — this is the engine's
-    fused peek+pop. Read the popped event's timestamp with {!last_time}
-    and its argument with {!take_arg}. *)
-val pop_if_before : ('a, 'b) t -> Time.t -> default:'a -> 'a
+(** [pop_if_before t horizon] pops the earliest event if its time is
+    [<= horizon] and returns its id; otherwise returns [-1] and leaves the
+    queue untouched. Allocation-free — this is the engine's fused
+    peek+pop. Read the popped event's timestamp with {!last_time}, its
+    argument with {!last_arg} and its pointer with {!take_ptr}. *)
+val pop_if_before : 'a t -> Time.t -> int
 
-(** [take_arg t] returns the argument of the event the last
+(** Argument of the most recently popped event. *)
+val last_arg : 'a t -> int
+
+(** [take_ptr t] returns the pointer of the pointer event the last
     {!pop_if_before} returned, and releases the queue's hold on it. Until
     then the event's cell stays out of use, so pushes in between are
-    safe; the next pop releases a cell whose argument was never taken.
-    Raises [Invalid_argument] if there is no such event, or its argument
-    was already taken. *)
-val take_arg : ('a, 'b) t -> 'b
+    safe; the next pop releases a pointer that was never taken. Raises
+    [Invalid_argument] if there is no such event, it carries no pointer,
+    or its pointer was already taken. *)
+val take_ptr : 'a t -> 'a
 
 (** Timestamp of the most recently popped event. *)
-val last_time : ('a, 'b) t -> Time.t
+val last_time : 'a t -> Time.t
 
-val peek_time : ('a, 'b) t -> Time.t option
+val peek_time : 'a t -> Time.t option
 
 (** [clear t] drops every pending event and resets the queue to its
     freshly created state: the window restarts at [Time.zero], tie-break
     seqs restart at 0 and {!last_time} reads [Time.zero]. The cell arrays
     keep their capacity. *)
-val clear : ('a, 'b) t -> unit
+val clear : 'a t -> unit
 
-val occupied_slots : ('a, 'b) t -> int
+val occupied_slots : 'a t -> int
 (** Number of non-empty wheel slots (excludes the overflow heap) — the
     calendar-queue load factor backing the [sim.wheel_occupancy] gauge.
     O(bitmap words); intended for snapshot-time sampling, not hot paths. *)

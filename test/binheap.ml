@@ -2,28 +2,34 @@
    [Sim.Timing_wheel]. Ties on the timestamp pop in [seq] order, so for
    the same pushes it pops exactly the sequence the wheel must pop. It is
    the simplest correct scheduler, with no window, no migration and no
-   slot merging to get wrong. Each event carries a payload and one
-   argument, like the wheel's. *)
+   slot merging to get wrong. Each event carries an id, an int argument
+   and, for a pointer event, a pointer, like the wheel's. *)
 
-type ('a, 'b) entry = { time : int; seq : int; payload : 'a; arg : 'b }
+type 'a entry = { time : int; seq : int; id : int; arg : int; ptr : 'a option }
 
-type ('a, 'b) t = {
-  mutable heap : ('a, 'b) entry array; (* entries beyond [size] are [nil] *)
+type 'a t = {
+  mutable heap : 'a entry array; (* entries beyond [size] are [nil] *)
   mutable size : int;
   mutable next_seq : int;
   mutable last : int;
-  mutable popped : ('a, 'b) entry option; (* [pop_if_before]'s, for [take_arg] *)
+  mutable last_arg : int;
+  mutable popped : 'a option; (* [pop_if_before]'s pointer, for [take_ptr] *)
 }
 
-(* Inert entry padding the backing array; its payload and argument are
-   never read. *)
-let nil : ('a, 'b) entry =
-  { time = min_int; seq = min_int; payload = Obj.magic 0; arg = Obj.magic 0 }
+(* Inert entry padding the backing array; never read. *)
+let nil = { time = min_int; seq = min_int; id = -1; arg = 0; ptr = None }
 
 let initial_capacity = 64
 
 let create () =
-  { heap = Array.make initial_capacity nil; size = 0; next_seq = 0; last = 0; popped = None }
+  {
+    heap = Array.make initial_capacity nil;
+    size = 0;
+    next_seq = 0;
+    last = 0;
+    last_arg = 0;
+    popped = None;
+  }
 
 let is_empty t = t.size = 0
 let last_time t = t.last
@@ -40,9 +46,8 @@ let reserve_seq t =
   t.next_seq <- seq + 1;
   seq
 
-let push_seq t time seq payload arg =
+let insert t e =
   if t.size >= Array.length t.heap then grow t;
-  let e = { time; seq; payload; arg } in
   let i = ref t.size in
   t.size <- t.size + 1;
   t.heap.(!i) <- e;
@@ -59,8 +64,9 @@ let push_seq t time seq payload arg =
     else continue := false
   done
 
-let push_arg t time payload arg = push_seq t time (reserve_seq t) payload arg
-let push t time payload = push_arg t time payload ()
+let push_seq t time seq id arg = insert t { time; seq; id; arg; ptr = None }
+let push t time id arg = push_seq t time (reserve_seq t) id arg
+let push_ptr t time id x = insert t { time; seq = reserve_seq t; id; arg = 0; ptr = Some x }
 
 let sift_down t =
   let i = ref 0 in
@@ -92,26 +98,25 @@ let pop_entry t =
   let top = t.heap.(0) in
   remove_top t;
   t.last <- top.time;
+  t.last_arg <- top.arg;
+  t.popped <- top.ptr;
   top
 
 let pop t =
   if t.size = 0 then None
   else
     let e = pop_entry t in
-    Some (e.time, e.payload)
+    Some (e.time, e.id)
 
-let pop_if_before t horizon ~default =
-  if t.size = 0 || t.heap.(0).time > horizon then default
-  else begin
-    let e = pop_entry t in
-    t.popped <- Some e;
-    e.payload
-  end
+let pop_if_before t horizon =
+  if t.size = 0 || t.heap.(0).time > horizon then -1 else (pop_entry t).id
 
-let take_arg t =
+let last_arg t = t.last_arg
+
+let take_ptr t =
   match t.popped with
-  | Some e ->
+  | Some x ->
       t.popped <- None;
-      e.arg
-  | None -> invalid_arg "Binheap.take_arg: no popped event"
+      x
+  | None -> invalid_arg "Binheap.take_ptr: no popped pointer event"
 

@@ -55,7 +55,7 @@ let test_port_marks_when_queue_deep () =
   let e = Sim.Engine.create () in
   let marked = ref 0 and total = ref 0 in
   let port =
-    Netsim.Port.create e ~name:"p" ~rate_gbps:1.0 ~extra_delay_ns:0
+    Netsim.Port.create e ~packets:(Netsim.Packet.create_table ()) ~name:"p" ~rate_gbps:1.0 ~extra_delay_ns:0
       ~ecn:{ Netsim.Port.kmin_bytes = 5_000; kmax_bytes = 10_000; pmax = 1.0 }
       ~sink:(fun pkt ->
         incr total;
@@ -77,7 +77,7 @@ let test_no_marks_when_disabled () =
   let e = Sim.Engine.create () in
   let marked = ref 0 in
   let port =
-    Netsim.Port.create e ~name:"p" ~rate_gbps:1.0 ~extra_delay_ns:0
+    Netsim.Port.create e ~packets:(Netsim.Packet.create_table ()) ~name:"p" ~rate_gbps:1.0 ~extra_delay_ns:0
       ~sink:(fun pkt -> if pkt.Netsim.Packet.ecn then incr marked)
       ()
   in

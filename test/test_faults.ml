@@ -34,23 +34,11 @@ let connect fabric client =
 
 (* {2 Wire checksum} *)
 
-let mk_hdr ?(pkt_type = Erpc.Pkthdr.Req) ?(msg_size = 8) () =
-  {
-    Erpc.Pkthdr.req_type = 1;
-    msg_size;
-    dest_session = 3;
-    pkt_type;
-    pkt_num = 0;
-    req_num = 8;
-    token = 0;
-    ecn_echo = false;
-  }
-
-let mk_pkt ?pkt_type ?payload () =
-  let hdr = mk_hdr ?pkt_type ?msg_size:(Option.map Bytes.length payload) () in
-  Erpc.Wire.make ~src_host:0 ~dst_host:1 ~dst_rpc:0 ~wire_overhead:60 ~flow:7 ~hdr
-    ?payload:(Option.map (fun b -> (b, 0, Bytes.length b)) payload)
-    ()
+let mk_pkt ?(pkt_type = Erpc.Pkthdr.Req) ?(payload = Bytes.empty) () =
+  Erpc.Wire.make (Erpc.Wire.create_pool (Netsim.Packet.create_table ())) ~src_host:0 ~dst_host:1 ~dst_rpc:0
+    ~wire_overhead:60 ~flow:7 ~req_type:1 ~msg_size:(Bytes.length payload) ~dest_session:3
+    ~pkt_type ~pkt_num:0 ~req_num:8 ~token:0 ~ecn_echo:false ~data:payload ~off:0
+    ~len:(Bytes.length payload)
 
 let test_checksum_accepts_clean_packet () =
   let pkt = mk_pkt ~payload:(Bytes.of_string "hello wire") () in

@@ -13,7 +13,7 @@ let test_lossless_port_never_drops () =
   let pool = Netsim.Buffer_pool.create ~capacity_bytes:2_000 ~alpha:100.0 in
   let delivered = ref 0 in
   let port =
-    Netsim.Port.create e ~name:"p" ~rate_gbps:0.008 ~extra_delay_ns:0 ~pool ~lossless:true
+    Netsim.Port.create e ~packets:(Netsim.Packet.create_table ()) ~name:"p" ~rate_gbps:0.008 ~extra_delay_ns:0 ~pool ~lossless:true
       ~sink:(fun _ -> incr delivered)
       ()
   in
@@ -29,7 +29,7 @@ let test_lossy_port_drops_same_load () =
   let e = Sim.Engine.create () in
   let pool = Netsim.Buffer_pool.create ~capacity_bytes:2_000 ~alpha:100.0 in
   let port =
-    Netsim.Port.create e ~name:"p" ~rate_gbps:0.008 ~extra_delay_ns:0 ~pool
+    Netsim.Port.create e ~packets:(Netsim.Packet.create_table ()) ~name:"p" ~rate_gbps:0.008 ~extra_delay_ns:0 ~pool
       ~sink:(fun _ -> ())
       ()
   in

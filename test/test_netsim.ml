@@ -43,7 +43,7 @@ let test_port_serialization_timing () =
   let e = Sim.Engine.create () in
   let arrivals = ref [] in
   let port =
-    Netsim.Port.create e ~name:"p" ~rate_gbps:8.0 ~extra_delay_ns:100
+    Netsim.Port.create e ~packets:(Netsim.Packet.create_table ()) ~name:"p" ~rate_gbps:8.0 ~extra_delay_ns:100
       ~sink:(fun _ -> arrivals := Sim.Engine.now e :: !arrivals)
       ()
   in
@@ -56,7 +56,7 @@ let test_port_serialization_timing () =
 let test_port_stats () =
   let e = Sim.Engine.create () in
   let port =
-    Netsim.Port.create e ~name:"p" ~rate_gbps:10.0 ~extra_delay_ns:0 ~sink:(fun _ -> ()) ()
+    Netsim.Port.create e ~packets:(Netsim.Packet.create_table ()) ~name:"p" ~rate_gbps:10.0 ~extra_delay_ns:0 ~sink:(fun _ -> ()) ()
   in
   for _ = 1 to 5 do
     ignore (Netsim.Port.send port (mk_pkt ~src:0 ~dst:1 ~size:500 ()))
@@ -70,7 +70,7 @@ let test_port_drops_when_pool_full () =
   let e = Sim.Engine.create () in
   let pool = Netsim.Buffer_pool.create ~capacity_bytes:2_000 ~alpha:100.0 in
   let port =
-    Netsim.Port.create e ~name:"p" ~rate_gbps:0.008 (* 1 B/us: very slow *) ~extra_delay_ns:0
+    Netsim.Port.create e ~packets:(Netsim.Packet.create_table ()) ~name:"p" ~rate_gbps:0.008 (* 1 B/us: very slow *) ~extra_delay_ns:0
       ~pool ~sink:(fun _ -> ()) ()
   in
   let sent = ref 0 in
@@ -84,7 +84,7 @@ let test_port_drops_when_pool_full () =
 let test_port_queue_delay () =
   let e = Sim.Engine.create () in
   let port =
-    Netsim.Port.create e ~name:"p" ~rate_gbps:8.0 ~extra_delay_ns:0 ~sink:(fun _ -> ()) ()
+    Netsim.Port.create e ~packets:(Netsim.Packet.create_table ()) ~name:"p" ~rate_gbps:8.0 ~extra_delay_ns:0 ~sink:(fun _ -> ()) ()
   in
   ignore (Netsim.Port.send port (mk_pkt ~src:0 ~dst:1 ~size:1_000 ()));
   ignore (Netsim.Port.send port (mk_pkt ~src:0 ~dst:1 ~size:1_000 ()));
@@ -98,7 +98,7 @@ let test_switch_routes_by_destination () =
   let got = Array.make 2 0 in
   let add_port i =
     let p =
-      Netsim.Port.create e ~name:(string_of_int i) ~rate_gbps:10.0 ~extra_delay_ns:0
+      Netsim.Port.create e ~packets:(Netsim.Packet.create_table ()) ~name:(string_of_int i) ~rate_gbps:10.0 ~extra_delay_ns:0
         ~pool:(Netsim.Switch.pool sw)
         ~sink:(fun _ -> got.(i) <- got.(i) + 1)
         ()
@@ -128,7 +128,7 @@ let test_switch_ecmp_spreads_flows () =
   let ports =
     Array.init 4 (fun i ->
         let p =
-          Netsim.Port.create e ~name:(string_of_int i) ~rate_gbps:100.0 ~extra_delay_ns:0
+          Netsim.Port.create e ~packets:(Netsim.Packet.create_table ()) ~name:(string_of_int i) ~rate_gbps:100.0 ~extra_delay_ns:0
             ~pool:(Netsim.Switch.pool sw)
             ~sink:(fun _ -> counts.(i) <- counts.(i) + 1)
             ()
@@ -283,6 +283,59 @@ let test_echo_event_count () =
   Sim.Engine.run_until engine (Sim.Time.ms 2.0);
   check_int "engine events per echo RPC" 17 !events
 
+(* {2 Packet handles} *)
+
+(* A pooled packet is interned once, by its pool, and keeps its handle
+   across reuse, parked or in flight. Unpooled packets hand their handle back at their
+   last free, so N send/free cycles through a network leave no live
+   handle and a table no larger than the packets in flight at once. *)
+let test_packet_handle_lifecycle () =
+  let e = Sim.Engine.create () in
+  let cfg = two_tier_cfg ~hosts_per_tor:2 in
+  let net = Netsim.Network.create e cfg in
+  let tbl = Netsim.Network.packets net in
+  let delivered = ref 0 in
+  for h = 0 to Netsim.Network.num_hosts net - 1 do
+    Netsim.Network.attach net ~host:h ~rx:(fun pkt ->
+        incr delivered;
+        Netsim.Packet.free pkt)
+  done;
+  let pool = Erpc.Wire.create_pool tbl in
+  let pooled () =
+    Erpc.Wire.make pool ~src_host:0 ~dst_host:5 ~dst_rpc:0 ~wire_overhead:60 ~flow:3
+      ~req_type:1 ~msg_size:0 ~dest_session:0 ~pkt_type:Erpc.Pkthdr.Cr ~pkt_num:0 ~req_num:0
+      ~token:0 ~ecn_echo:false ~data:Bytes.empty ~off:0 ~len:0
+  in
+  let p = pooled () in
+  let h = p.Netsim.Packet.handle in
+  check_bool "interned by its pool" true (h >= 0);
+  Netsim.Network.send net p;
+  Sim.Engine.run e;
+  check_int "parked pooled packet keeps its handle" 1 (Netsim.Packet.live_handles tbl);
+  for _ = 1 to 100 do
+    let q = pooled () in
+    check_bool "pool reuses the record" true (q == p);
+    Netsim.Network.send net q;
+    Sim.Engine.run e
+  done;
+  check_int "same handle across reuse" h p.Netsim.Packet.handle;
+  check_bool "handle resolves to the packet" true (Netsim.Packet.get tbl h == p);
+  let n = 1_000 in
+  for i = 0 to n - 1 do
+    Netsim.Network.send net (mk_pkt ~src:(i mod 3) ~dst:(3 + (i mod 3)) ~flow:i ());
+    if i mod 10 = 9 then Sim.Engine.run e
+  done;
+  Sim.Engine.run e;
+  check_int "all delivered" (101 + n) !delivered;
+  check_int "only the pooled packet holds a handle" 1 (Netsim.Packet.live_handles tbl);
+  check_bool
+    (Printf.sprintf "table stays small (%d)" (Netsim.Packet.table_capacity tbl))
+    true
+    (Netsim.Packet.table_capacity tbl <= 64);
+  Alcotest.check_raises "a handle belongs to one table"
+    (Invalid_argument "Packet.intern: handle from another table") (fun () ->
+      ignore (Netsim.Packet.intern (Netsim.Packet.create_table ()) p))
+
 let suite =
   [
     Alcotest.test_case "pool admission" `Quick test_pool_basic_admission;
@@ -303,4 +356,5 @@ let suite =
     Alcotest.test_case "loss injection" `Quick test_loss_injection;
     Alcotest.test_case "victim port accessor" `Quick test_victim_port_accessor;
     Alcotest.test_case "echo RPC event count" `Quick test_echo_event_count;
+    Alcotest.test_case "packet handle lifecycle" `Quick test_packet_handle_lifecycle;
   ]

@@ -109,7 +109,7 @@ let test_event_queue_ordering () =
   let q = Sim.Timing_wheel.create () in
   let rng = Sim.Rng.create 8L in
   for i = 0 to 999 do
-    Sim.Timing_wheel.push q (Sim.Rng.int rng 10_000) i
+    Sim.Timing_wheel.push q (Sim.Rng.int rng 10_000) i 0
   done;
   check_int "length" 1_000 (Sim.Timing_wheel.length q);
   let last = ref min_int in
@@ -125,7 +125,7 @@ let test_event_queue_ordering () =
 let test_event_queue_fifo_ties () =
   let q = Sim.Timing_wheel.create () in
   for i = 0 to 99 do
-    Sim.Timing_wheel.push q 42 i
+    Sim.Timing_wheel.push q 42 i 0
   done;
   for i = 0 to 99 do
     match Sim.Timing_wheel.pop q with
@@ -136,8 +136,8 @@ let test_event_queue_fifo_ties () =
 let test_event_queue_peek () =
   let q = Sim.Timing_wheel.create () in
   check_bool "peek empty" true (Sim.Timing_wheel.peek_time q = None);
-  Sim.Timing_wheel.push q 5 ();
-  Sim.Timing_wheel.push q 3 ();
+  Sim.Timing_wheel.push q 5 0 0;
+  Sim.Timing_wheel.push q 3 0 0;
   check_bool "peek min" true (Sim.Timing_wheel.peek_time q = Some 3)
 
 let test_event_queue_interleaved () =
@@ -150,7 +150,7 @@ let test_event_queue_interleaved () =
         let popped = ref [] in
         List.iteri
           (fun i t ->
-            Sim.Timing_wheel.push q t i;
+            Sim.Timing_wheel.push q t i 0;
             if i mod 3 = 2 then
               match Sim.Timing_wheel.pop q with
               | Some (t, _) -> popped := t :: !popped

@@ -1,44 +1,44 @@
-(* Tests for the Carousel timing wheel. *)
+(* Tests for the Carousel timing wheel. Entries are ints. *)
 
 let check_int = Alcotest.(check int)
 
 let test_delivery_order () =
   let w = Erpc.Wheel.create ~slot_ns:1_000 ~num_slots:128 in
-  Erpc.Wheel.insert w ~now:0 ~at:5_000 "c";
-  Erpc.Wheel.insert w ~now:0 ~at:1_000 "a";
-  Erpc.Wheel.insert w ~now:0 ~at:3_000 "b";
+  Erpc.Wheel.insert w ~now:0 ~at:5_000 3;
+  Erpc.Wheel.insert w ~now:0 ~at:1_000 1;
+  Erpc.Wheel.insert w ~now:0 ~at:3_000 2;
   let got = ref [] in
   ignore (Erpc.Wheel.poll w ~now:10_000 (fun x -> got := x :: !got));
-  Alcotest.(check (list string)) "slot order" [ "a"; "b"; "c" ] (List.rev !got)
+  Alcotest.(check (list int)) "slot order" [ 1; 2; 3 ] (List.rev !got)
 
 let test_poll_only_due () =
   let w = Erpc.Wheel.create ~slot_ns:1_000 ~num_slots:128 in
-  Erpc.Wheel.insert w ~now:0 ~at:2_000 "early";
-  Erpc.Wheel.insert w ~now:0 ~at:50_000 "late";
+  Erpc.Wheel.insert w ~now:0 ~at:2_000 1;
+  Erpc.Wheel.insert w ~now:0 ~at:50_000 2;
   let got = ref [] in
   ignore (Erpc.Wheel.poll w ~now:10_000 (fun x -> got := x :: !got));
-  Alcotest.(check (list string)) "only due" [ "early" ] !got;
+  Alcotest.(check (list int)) "only due" [ 1 ] !got;
   check_int "one pending" 1 (Erpc.Wheel.pending w);
   ignore (Erpc.Wheel.poll w ~now:60_000 (fun x -> got := x :: !got));
-  Alcotest.(check (list string)) "late delivered" [ "late"; "early" ] !got
+  Alcotest.(check (list int)) "late delivered" [ 2; 1 ] !got
 
 let test_past_entries_fire_next_poll () =
   let w = Erpc.Wheel.create ~slot_ns:1_000 ~num_slots:128 in
   ignore (Erpc.Wheel.poll w ~now:20_000 (fun _ -> ()));
   (* Insert for the "past": must still fire on the next poll, never be
      lost. *)
-  Erpc.Wheel.insert w ~now:20_000 ~at:5_000 "stale";
+  Erpc.Wheel.insert w ~now:20_000 ~at:5_000 7;
   let got = ref [] in
   ignore (Erpc.Wheel.poll w ~now:21_000 (fun x -> got := x :: !got));
-  Alcotest.(check (list string)) "stale fired" [ "stale" ] !got
+  Alcotest.(check (list int)) "stale fired" [ 7 ] !got
 
 let test_horizon_clamp () =
   let w = Erpc.Wheel.create ~slot_ns:1_000 ~num_slots:16 in
   (* Horizon is 15 us; an entry 1 second out is clamped, not lost. *)
-  Erpc.Wheel.insert w ~now:0 ~at:1_000_000_000 "far";
+  Erpc.Wheel.insert w ~now:0 ~at:1_000_000_000 9;
   let got = ref [] in
   ignore (Erpc.Wheel.poll w ~now:15_000 (fun x -> got := x :: !got));
-  Alcotest.(check (list string)) "clamped entry fired within horizon" [ "far" ] !got
+  Alcotest.(check (list int)) "clamped entry fired within horizon" [ 9 ] !got
 
 let test_pending_counts () =
   let w = Erpc.Wheel.create ~slot_ns:1_000 ~num_slots:64 in
@@ -67,16 +67,16 @@ let test_rollover_no_collision () =
      the same physical slot. It must fire in its own revolution, not ride
      out with (or shadow) the earlier entry. *)
   let w = Erpc.Wheel.create ~slot_ns:1_000 ~num_slots:8 in
-  Erpc.Wheel.insert w ~now:0 ~at:3_000 "rev0";
+  Erpc.Wheel.insert w ~now:0 ~at:3_000 10;
   let got = ref [] in
   ignore (Erpc.Wheel.poll w ~now:4_000 (fun x -> got := x :: !got));
-  Alcotest.(check (list string)) "first revolution only" [ "rev0" ] !got;
+  Alcotest.(check (list int)) "first revolution only" [ 10 ] !got;
   (* Same physical slot (3 mod 8), next revolution: abs slot 11. *)
-  Erpc.Wheel.insert w ~now:4_000 ~at:11_000 "rev1";
+  Erpc.Wheel.insert w ~now:4_000 ~at:11_000 11;
   ignore (Erpc.Wheel.poll w ~now:10_000 (fun x -> got := x :: !got));
-  Alcotest.(check (list string)) "not early" [ "rev0" ] !got;
+  Alcotest.(check (list int)) "not early" [ 10 ] !got;
   ignore (Erpc.Wheel.poll w ~now:11_000 (fun x -> got := x :: !got));
-  Alcotest.(check (list string)) "fires in its own revolution" [ "rev1"; "rev0" ] !got;
+  Alcotest.(check (list int)) "fires in its own revolution" [ 11; 10 ] !got;
   check_int "empty" 0 (Erpc.Wheel.pending w)
 
 let test_rollover_insert_at_now () =
@@ -84,10 +84,10 @@ let test_rollover_insert_at_now () =
      very next poll, across a slot-index wrap. *)
   let w = Erpc.Wheel.create ~slot_ns:1_000 ~num_slots:8 in
   ignore (Erpc.Wheel.poll w ~now:15_000 (fun _ -> ()));
-  Erpc.Wheel.insert w ~now:16_000 ~at:16_000 "due-now";
+  Erpc.Wheel.insert w ~now:16_000 ~at:16_000 5;
   let got = ref [] in
   ignore (Erpc.Wheel.poll w ~now:16_000 (fun x -> got := x :: !got));
-  Alcotest.(check (list string)) "due-now fired" [ "due-now" ] !got
+  Alcotest.(check (list int)) "due-now fired" [ 5 ] !got
 
 let test_rollover_horizon_boundary () =
   (* Insert exactly at the horizon: must clamp into the last distinct slot
@@ -95,12 +95,12 @@ let test_rollover_horizon_boundary () =
      would deliver too early, nor be pushed a revolution out). *)
   let w = Erpc.Wheel.create ~slot_ns:1_000 ~num_slots:8 in
   let h = 7_000 (* slot_ns * (num_slots - 1) *) in
-  Erpc.Wheel.insert w ~now:0 ~at:h "edge";
+  Erpc.Wheel.insert w ~now:0 ~at:h 3;
   let got = ref [] in
   ignore (Erpc.Wheel.poll w ~now:(h - 1_000) (fun x -> got := x :: !got));
-  Alcotest.(check (list string)) "not before its slot" [] !got;
+  Alcotest.(check (list int)) "not before its slot" [] !got;
   ignore (Erpc.Wheel.poll w ~now:h (fun x -> got := x :: !got));
-  Alcotest.(check (list string)) "fired at horizon" [ "edge" ] !got;
+  Alcotest.(check (list int)) "fired at horizon" [ 3 ] !got;
   ignore (Erpc.Wheel.poll w ~now:(h + 8_000) (fun x -> got := x :: !got));
   check_int "no ghost redelivery" 1 (List.length !got)
 

@@ -41,7 +41,7 @@ MODULE = re.compile(r"^caml([A-Z][A-Za-z0-9_]*?)\.")
 DROPPED = re.compile(
     r"^camlDune__exe__Common\.sample_\d+$"  # the reference loop
     r"|^camlStdlib__Array\.(sort|stable_sort|merge|isortto|sortto|maxson|trickle"
-    r"|trickledown|bubble|trickleup)_\d+$"
+    r"|trickledown|bubble|bubbledown|trickleup)_\d+$"
     r"|^caml_compare$"  # Array.sort compare
 )
 
