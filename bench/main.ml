@@ -522,54 +522,6 @@ let micro () =
         (Test.names test))
     tests
 
-(* Full-scale multi-tenant SLO sweep: all three builtin scenarios at the
-   default population and horizon, with the determinism rerun enabled. *)
-let cluster_load_json () =
-  let results = Experiments.Exp_cluster_load.run_all ~rerun_check:true () in
-  List.iter (Format.printf "%a@." Experiments.Exp_cluster_load.pp_result) results;
-  let oc = open_out "BENCH_cluster_load.json" in
-  output_string oc (Obs.Json.to_string (Experiments.Exp_cluster_load.to_json results));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote BENCH_cluster_load.json\n%!"
-
-(* Machine-readable results for CI tracking: one JSON file per headline
-   benchmark, written to the current directory. Hand-rolled printing — the
-   values are numbers and fixed cluster names, no escaping needed. *)
-let bench_json () =
-  let write path contents =
-    let oc = open_out path in
-    output_string oc contents;
-    close_out oc;
-    Printf.printf "wrote %s\n%!" path
-  in
-  let rows_obj name unit rows =
-    Printf.sprintf "{\n  \"benchmark\": %S,\n  \"unit\": %S,\n  \"rows\": [\n%s\n  ]\n}\n"
-      name unit (String.concat ",\n" rows)
-  in
-  let small_rate =
-    List.map
-      (fun batch ->
-        let r =
-          Experiments.Exp_small_rate.run ~cluster:(Transport.Cluster.cx4 ~nodes:11 ()) ~batch ()
-        in
-        Printf.sprintf
-          "    { \"cluster\": \"CX4\", \"batch\": %d, \"per_thread_mrps\": %.4f, \
-           \"total_rpcs\": %d, \"retransmits\": %d }"
-          batch r.per_thread_mrps r.total_rpcs r.retransmits)
-      [ 3; 5; 11 ]
-  in
-  write "BENCH_small_rate.json" (rows_obj "small_rate" "Mrps" small_rate);
-  let latency =
-    List.map
-      (fun (r : Experiments.Exp_latency.row) ->
-        Printf.sprintf "    { \"cluster\": %S, \"rdma_read_us\": %.3f, \"erpc_us\": %.3f }"
-          r.cluster r.rdma_read_us r.erpc_us)
-      (Experiments.Exp_latency.run ~samples:1_000 ())
-  in
-  write "BENCH_latency.json" (rows_obj "latency" "us" latency);
-  cluster_load_json ()
-
 let () =
   let arg = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
   match arg with
@@ -586,8 +538,6 @@ let () =
   | "masstree" -> masstree ()
   | "ablations" -> ablations ()
   | "micro" -> micro ()
-  | "cluster-load" -> cluster_load_json ()
-  | "json" -> bench_json ()
   | "all" ->
       fig1 ();
       table2 ();
@@ -604,6 +554,6 @@ let () =
   | other ->
       Printf.eprintf
         "unknown bench %S; use \
-         fig1|table2|fig4|table3|fig5|fig5full|fig6|table4|table5|table6|masstree|micro|json|all\n"
+         fig1|table2|fig4|table3|fig5|fig5full|fig6|table4|table5|table6|masstree|ablations|micro|all\n"
         other;
       exit 1

@@ -625,6 +625,7 @@ let enqueue_request_hooked t sess ~req_type ~req ~resp ~on_complete ~cont =
   if Msgbuf.size req > t.cfg.max_msg_size then
     invalid_arg "Rpc.enqueue_request: request exceeds the maximum message size";
   t.env.ch t.cost.enqueue_request;
+  t.stats.Rpc_stats.issued <- t.stats.Rpc_stats.issued + 1;
   Msgbuf.take_for_erpc req;
   Msgbuf.take_for_erpc resp;
   let args = { req_type; req; resp; on_complete; cont } in

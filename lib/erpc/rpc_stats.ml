@@ -6,6 +6,7 @@ type t = {
   mutable retransmits : int;
   mutable retx_warnings : int;
   mutable session_resets : int;
+  mutable issued : int;
   mutable completed : int;
   mutable handled : int;
   mutable wheel_inserts : int;
@@ -20,6 +21,7 @@ let create () =
     retransmits = 0;
     retx_warnings = 0;
     session_resets = 0;
+    issued = 0;
     completed = 0;
     handled = 0;
     wheel_inserts = 0;

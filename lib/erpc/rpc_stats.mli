@@ -18,6 +18,7 @@ type t = {
           close to being declared unreachable *)
   mutable session_resets : int;
       (** sessions reset after [max_retransmits] consecutive RTOs (§4.3) *)
+  mutable issued : int;  (** client RPCs enqueued *)
   mutable completed : int;  (** client RPCs completed *)
   mutable handled : int;  (** server requests handled *)
   mutable wheel_inserts : int;  (** packets paced through the Carousel wheel *)

@@ -15,7 +15,7 @@
 
     Because retransmission is bounded, quiescence is guaranteed even when a
     peer crashes and never answers. Running the same seed twice must yield
-    a byte-identical trace. *)
+    a byte-identical trace; [erpc_sim chaos --rerun] checks it. *)
 
 type run_result = {
   seed : int64;
@@ -29,8 +29,7 @@ type run_result = {
   rx_corrupt : int;  (** packets dropped by wire-checksum verification *)
   violations : string list;  (** empty iff all invariants held *)
   trace : string;
-  events : int;  (** simulator events executed by the run (for [bench-sim]) *)
-  census : (string * int) list;  (** [events] by layer ({!Sim.Engine.census}) *)
+  events : int;  (** simulator events executed by the run *)
 }
 
 val run_one :
@@ -42,17 +41,14 @@ val run_one :
   unit ->
   run_result
 
-type suite_result = {
-  runs : run_result list;
-  deterministic : bool;  (** every seed's rerun produced a byte-identical trace *)
-}
-
-(** [run_suite ~seeds ()] runs [seeds] schedules, each twice (for the
-    determinism check). [~jobs] fans the seeds across that many OCaml
-    domains via {!Par_sweep}; each seed is self-contained, and results
-    are returned in seed order, so the report is identical for any
-    [jobs]. *)
+(** [run_suite ~seeds ()] runs [seeds] schedules; schedule [i] has seed
+    [1000 + 7919 i + (seed - 42)], so the default [seed] (42) keeps the
+    suite's historical schedules. [~jobs] fans the seeds across that many
+    OCaml domains via {!Par_sweep}; each seed is self-contained, and
+    results are returned in seed order, so the report is identical for
+    any [jobs]. *)
 val run_suite :
+  ?seed:int64 ->
   ?seeds:int ->
   ?hosts:int ->
   ?events:int ->
@@ -60,6 +56,6 @@ val run_suite :
   ?horizon_ns:int ->
   ?jobs:int ->
   unit ->
-  suite_result
+  run_result list
 
 val pp_run : Format.formatter -> run_result -> unit

@@ -23,6 +23,7 @@ type result = {
   tenants : tenant_report list;
   attribution : Obs.Anatomy.attribution option;
   analyzed_rpcs : int;
+  issued_rpcs : int;
   digest : string;
   events : int;
   violations : string list;
@@ -329,6 +330,10 @@ let run ?(seed = 42L) ?(trace_capacity = 1 lsl 18)
     tenants = reports;
     attribution = Obs.Anatomy.attribute breakdowns;
     analyzed_rpcs = List.length breakdowns;
+    issued_rpcs =
+      Array.fold_left
+        (fun acc h -> acc + (Erpc.Rpc.stats d.rpcs.(h).(0)).Erpc.Rpc_stats.issued)
+        0 client_hosts;
     digest = Obs.Trace.digest trace;
     events = Sim.Engine.events_processed engine;
     violations = List.rev !violations;
@@ -343,29 +348,18 @@ let run_named ?seed ?scale ?horizon_ms name =
 (* Scenarios are independent (each builds its own engine and cluster),
    so [~jobs] fans them across domains; Par_sweep keeps scenario order,
    so the report is identical for any [jobs]. *)
-let run_all ?seed ?scale ?horizon_ms ?(rerun_check = false) ?jobs () =
+let run_all ?seed ?scale ?horizon_ms ?jobs () =
   let names = Array.of_list (List.map fst Workload.Traffic_spec.builtin) in
   Par_sweep.list ?jobs (Array.length names) (fun i ->
-      let name = names.(i) in
-      let r = run_named ?seed ?scale ?horizon_ms name in
-      if not rerun_check then r
-      else
-        let r2 = run_named ?seed ?scale ?horizon_ms name in
-        if r2.digest = r.digest then r
-        else
-          {
-            r with
-            violations =
-              r.violations
-              @ [
-                  Printf.sprintf "nondeterministic: rerun digest %s <> %s" r2.digest
-                    r.digest;
-                ];
-          })
+      run_named ?seed ?scale ?horizon_ms names.(i))
+
+let coverage r =
+  if r.issued_rpcs = 0 then 0. else float_of_int r.analyzed_rpcs /. float_of_int r.issued_rpcs
 
 let pp_result fmt r =
-  Format.fprintf fmt "scenario %s (seed=%Ld, %d events, %d RPCs analyzed)@." r.scenario
-    r.seed r.events r.analyzed_rpcs;
+  Format.fprintf fmt
+    "scenario %s (seed=%Ld, %d events, %d RPCs analyzed of %d issued, coverage %.3f)@."
+    r.scenario r.seed r.events r.analyzed_rpcs r.issued_rpcs (coverage r);
   List.iter
     (fun t ->
       Format.fprintf fmt
@@ -417,18 +411,12 @@ let result_to_json r =
       ("digest", Obs.Json.Str r.digest);
       ("events", Obs.Json.Int r.events);
       ("analyzed_rpcs", Obs.Json.Int r.analyzed_rpcs);
+      ("issued_rpcs", Obs.Json.Int r.issued_rpcs);
+      ("coverage", Obs.Json.Float (coverage r));
       ("tenants", Obs.Json.Arr (List.map tenant_to_json r.tenants));
       ( "attribution",
         match r.attribution with
         | Some a -> Obs.Anatomy.attribution_to_json a
         | None -> Obs.Json.Null );
       ("violations", Obs.Json.Arr (List.map (fun v -> Obs.Json.Str v) r.violations));
-    ]
-
-let to_json rs =
-  Obs.Json.Obj
-    [
-      ("benchmark", Obs.Json.Str "cluster_load");
-      ("unit", Obs.Json.Str "us");
-      ("rows", Obs.Json.Arr (List.map result_to_json rs));
     ]

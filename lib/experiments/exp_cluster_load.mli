@@ -43,6 +43,9 @@ type result = {
       (** client-host RPC tail attribution; [None] if the trace retained no
           complete single-packet RPCs *)
   analyzed_rpcs : int;  (** breakdowns behind [attribution] *)
+  issued_rpcs : int;
+      (** eRPC requests the client hosts issued, retries and redirects
+          included ({!Erpc.Rpc_stats.t.issued}) *)
   digest : string;  (** {!Obs.Trace.digest} of the run's event trace *)
   events : int;  (** engine events processed *)
   violations : string list;  (** empty on a clean run *)
@@ -64,16 +67,17 @@ val run :
 val run_named :
   ?seed:int64 -> ?scale:float -> ?horizon_ms:float -> string -> result
 
-(** All builtin scenarios in order. With [rerun_check] (default false),
-    each scenario runs twice and a digest mismatch is recorded as a
-    violation on that scenario's result. [~jobs] fans the scenarios
-    across that many OCaml domains; results stay in scenario order, so
-    the report is identical for any [jobs]. *)
+(** All builtin scenarios in order. [~jobs] fans the scenarios across
+    that many OCaml domains; results stay in scenario order, so the
+    report is identical for any [jobs]. *)
 val run_all :
-  ?seed:int64 -> ?scale:float -> ?horizon_ms:float -> ?rerun_check:bool ->
-  ?jobs:int -> unit -> result list
+  ?seed:int64 -> ?scale:float -> ?horizon_ms:float -> ?jobs:int -> unit -> result list
+
+(** [analyzed_rpcs / issued_rpcs]: the share of client RPCs the tail
+    attribution covers (0 when none were issued). *)
+val coverage : result -> float
 
 val pp_result : Format.formatter -> result -> unit
 
-(** The full document: [{"benchmark":"cluster_load","unit":"us","rows":[...]}]. *)
-val to_json : result list -> Obs.Json.t
+(** One scenario as JSON, coverage included. *)
+val result_to_json : result -> Obs.Json.t

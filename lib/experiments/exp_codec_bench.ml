@@ -103,28 +103,28 @@ let run ?seed ?iters ?measure_ms ?cost () =
         backends)
     schemas
 
+let key r =
+  [
+    ("backend", Obs.Json.Str r.backend);
+    ("schema", Obs.Json.Str r.schema);
+    ("offload", Obs.Json.Bool r.offload);
+  ]
+
 let row_json r =
   Obs.Json.Obj
-    [
-      ("backend", Obs.Json.Str r.backend);
-      ("schema", Obs.Json.Str r.schema);
-      ("offload", Obs.Json.Bool r.offload);
-      ("wire_bytes", Obs.Json.Int r.wire_bytes);
-      ("leaves", Obs.Json.Int r.leaves);
-      ("encode_ns", Obs.Json.Float r.encode_ns);
-      ("decode_ns", Obs.Json.Float r.decode_ns);
-      ("model_encode_ns", Obs.Json.Int r.model_encode_ns);
-      ("model_decode_ns", Obs.Json.Int r.model_decode_ns);
-      ("sim_mrps", Obs.Json.Float r.sim_mrps);
-    ]
+    (key r
+    @ [
+        ("wire_bytes", Obs.Json.Int r.wire_bytes);
+        ("leaves", Obs.Json.Int r.leaves);
+        ("model_encode_ns", Obs.Json.Int r.model_encode_ns);
+        ("model_decode_ns", Obs.Json.Int r.model_decode_ns);
+        ("sim_mrps", Obs.Json.Float r.sim_mrps);
+      ])
 
-let to_json rows =
+let host_json r =
   Obs.Json.Obj
-    [
-      ("benchmark", Obs.Json.Str "codec");
-      ("unit", Obs.Json.Str "ns/op");
-      ("rows", Obs.Json.Arr (List.map row_json rows));
-    ]
+    (key r
+    @ [ ("encode_ns", Obs.Json.Float r.encode_ns); ("decode_ns", Obs.Json.Float r.decode_ns) ])
 
 let pp_table fmt rows =
   Format.fprintf fmt "%-8s %-8s %-8s %6s %6s %10s %10s %10s %10s %9s@." "backend" "schema"

@@ -28,6 +28,10 @@ val run :
   unit ->
   row list
 
+(** A row's simulated and modeled fields. *)
 val row_json : row -> Obs.Json.t
-val to_json : row list -> Obs.Json.t
+
+(** A row's wall-clock fields ([encode_ns], [decode_ns]), keyed like
+    {!row_json}. *)
+val host_json : row -> Obs.Json.t
 val pp_table : Format.formatter -> row list -> unit

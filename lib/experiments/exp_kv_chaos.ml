@@ -392,26 +392,15 @@ let run ~seed ~fault_scenario () =
 let run_one ?(scenario = Leader_crash) ~seed () =
   run ~seed ~fault_scenario:(Some scenario) ()
 
-type suite_result = { runs : run_result list; deterministic : bool }
-
 let scenarios = [| Leader_crash; Tor_partition; Rolling_restart; Hot_shard |]
 
 (* Seeds are independent (each run builds its own cluster and engine),
    so [~jobs] fans them across domains; Par_sweep returns results in
    seed order, keeping the report identical to a sequential run. *)
-let run_suite ?(seeds = 20) ?jobs () =
-  let pairs =
-    Par_sweep.list ?jobs seeds (fun i ->
-        let seed = Int64.of_int (40_000 + (104_729 * i)) in
-        let scenario = scenarios.(i mod Array.length scenarios) in
-        let r1 = run_one ~scenario ~seed () in
-        let r2 = run_one ~scenario ~seed () in
-        (r1, r1.trace = r2.trace))
-  in
-  {
-    runs = List.map fst pairs;
-    deterministic = List.for_all snd pairs;
-  }
+let run_suite ?(seed = 42L) ?(seeds = 20) ?jobs () =
+  Par_sweep.list ?jobs seeds (fun i ->
+      let seed = Int64.add (Int64.sub seed 42L) (Int64.of_int (40_000 + (104_729 * i))) in
+      run_one ~scenario:scenarios.(i mod Array.length scenarios) ~seed ())
 
 let pp_run fmt r =
   Format.fprintf fmt
@@ -444,13 +433,7 @@ let run_to_json r =
       ("longest_gap_ms", Obs.Json.Float r.longest_gap_ms);
       ("violations", Obs.Json.Arr (List.map (fun v -> Obs.Json.Str v) r.violations));
       ("timeline", r.timeline);
-    ]
-
-let suite_to_json s =
-  Obs.Json.Obj
-    [
-      ("deterministic", Obs.Json.Bool s.deterministic);
-      ("runs", Obs.Json.Arr (List.map run_to_json s.runs));
+      ("trace_digest", Obs.Json.Str (Digest.to_hex (Digest.string r.trace)));
     ]
 
 let baseline_json ?(seed = 42L) () =

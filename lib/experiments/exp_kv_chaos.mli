@@ -24,8 +24,9 @@
       logs, fully applied, and every replica's store byte-equal to a
       dedup-replay of the committed log.
 
-    Determinism: {!run_suite} executes every seed twice and compares
-    fault-trace renderings byte-for-byte. *)
+    Determinism: the same seed reproduces a byte-identical fault trace;
+    {!run_to_json} carries its digest, so [erpc_sim kv-chaos --rerun]
+    checks it. *)
 
 type scenario = Leader_crash | Tor_partition | Rolling_restart | Hot_shard
 
@@ -54,21 +55,19 @@ type run_result = {
 
 val run_one : ?scenario:scenario -> seed:int64 -> unit -> run_result
 
-type suite_result = {
-  runs : run_result list;
-  deterministic : bool;  (** every seed's rerun produced an identical trace *)
-}
-
 (** [run_suite ~seeds ()] runs [seeds] schedules (default 20) cycling
-    through the four scenarios, each twice for the determinism check.
-    [~jobs] fans the seeds across that many OCaml domains; results stay
-    in seed order, so the report is identical for any [jobs]. *)
-val run_suite : ?seeds:int -> ?jobs:int -> unit -> suite_result
+    through the four scenarios; schedule [i] has seed
+    [40000 + 104729 i + (seed - 42)], so the default [seed] (42) keeps
+    the suite's historical schedules. [~jobs] fans the seeds across that
+    many OCaml domains; results stay in seed order, so the report is
+    identical for any [jobs]. *)
+val run_suite : ?seed:int64 -> ?seeds:int -> ?jobs:int -> unit -> run_result list
 
 val pp_run : Format.formatter -> run_result -> unit
 
-(** Full JSON report: per-run totals, invariants and timelines. *)
-val suite_to_json : suite_result -> Obs.Json.t
+(** One run as JSON: totals, invariants, timeline and the digest of its
+    fault trace. *)
+val run_to_json : run_result -> Obs.Json.t
 
 (** The no-fault baseline for the bench trajectory: commit latency and
     availability with no chaos, as

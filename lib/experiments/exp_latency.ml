@@ -5,8 +5,8 @@ type row = {
   erpc_p99_us : float;
 }
 
-let measure_erpc ?(samples = 2_000) cluster =
-  let d = Harness.deploy cluster ~threads_per_host:1 ~register:Harness.register_echo in
+let measure_erpc ?seed ?(samples = 2_000) cluster =
+  let d = Harness.deploy ?seed cluster ~threads_per_host:1 ~register:Harness.register_echo in
   let client = d.rpcs.(0).(0) in
   let sess = Harness.connect d client ~remote_host:1 ~remote_rpc_id:0 in
   let hist = Stats.Hist.create () in
@@ -31,8 +31,8 @@ let measure_erpc ?(samples = 2_000) cluster =
   done;
   hist
 
-let measure_rdma ?(samples = 2_000) (cluster : Transport.Cluster.t) =
-  let engine = Sim.Engine.create () in
+let measure_rdma ?seed ?(samples = 2_000) (cluster : Transport.Cluster.t) =
+  let engine = Sim.Engine.create ?seed () in
   let net = Transport.Cluster.build engine cluster in
   let cfg = Rdma.Qp.default_config cluster in
   let ep0 = Rdma.Qp.create engine net ~host:0 cfg in
@@ -52,9 +52,9 @@ let measure_rdma ?(samples = 2_000) (cluster : Transport.Cluster.t) =
   Sim.Engine.run engine;
   hist
 
-let measure ?samples cluster =
-  let erpc_hist = measure_erpc ?samples cluster in
-  let rdma_hist = measure_rdma ?samples cluster in
+let measure ?seed ?samples cluster =
+  let erpc_hist = measure_erpc ?seed ?samples cluster in
+  let rdma_hist = measure_rdma ?seed ?samples cluster in
   {
     cluster = cluster.name;
     rdma_read_us = float_of_int (Stats.Hist.median rdma_hist) /. 1e3;

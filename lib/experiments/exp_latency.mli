@@ -9,7 +9,7 @@ type row = {
 }
 
 (** Measure one cluster profile. *)
-val measure : ?samples:int -> Transport.Cluster.t -> row
+val measure : ?seed:int64 -> ?samples:int -> Transport.Cluster.t -> row
 
 (** The paper's three clusters. *)
 val run : ?samples:int -> unit -> row list

@@ -19,7 +19,7 @@ type result = {
   lat_p50_us : float;
   lat_p99_us : float;
   events : int;  (** simulator events executed for the whole run *)
-  wall_s : float;  (** CPU seconds for the whole run *)
+  cpu_s : float;  (** CPU seconds for the whole run ([Sys.time]) *)
 }
 
 let run ?(seed = 42L) ?(req_size = 32) ?(window = 64) ?(measure_ms = 2.0) ~sessions () =
@@ -76,7 +76,7 @@ let run ?(seed = 42L) ?(req_size = 32) ?(window = 64) ?(measure_ms = 2.0) ~sessi
     lat_p50_us = float_of_int (Stats.Hist.percentile latencies 50.0) /. 1e3;
     lat_p99_us = float_of_int (Stats.Hist.percentile latencies 99.0) /. 1e3;
     events = Sim.Engine.events_processed engine;
-    wall_s = Sys.time () -. t0;
+    cpu_s = Sys.time () -. t0;
   }
 
 let sweep_points = [ 100; 1_000; 5_000; 10_000; 20_000 ]

@@ -13,7 +13,7 @@ type result = {
   lat_p50_us : float;
   lat_p99_us : float;
   events : int;  (** simulator events executed for the whole run *)
-  wall_s : float;  (** CPU seconds for the whole run *)
+  cpu_s : float;  (** CPU seconds for the whole run ([Sys.time]) *)
 }
 
 (** Open [sessions] sessions, complete every handshake, warm up for

@@ -128,37 +128,18 @@ let check ~crossover rows =
             (Printf.sprintf "Auto disagrees with model crossover (%d B)" crossover))
     rows
 
-let run ?(seed = 1L) ?(samples = 24) ?(payloads = default_payloads) ?(rerun_check = false)
-    () =
+let run ?(seed = 1L) ?(samples = 24) ?(payloads = default_payloads) () =
   let cost =
     Erpc.Cost_model.for_cluster (Transport.Cluster.cx3 ~nodes:2 ())
   in
   let crossover = model_crossover cost in
-  let cells =
+  let rows =
     List.concat_map
       (fun payload ->
-        List.map (fun (mode, mode_name) -> (payload, mode, mode_name)) modes)
+        List.map
+          (fun (mode, mode_name) -> run_cell ~seed ~samples ~payload ~mode ~mode_name ())
+          modes)
       payloads
-  in
-  let rows =
-    List.map
-      (fun (payload, mode, mode_name) -> run_cell ~seed ~samples ~payload ~mode ~mode_name ())
-      cells
-  in
-  let rerun_violations =
-    if not rerun_check then []
-    else
-      List.map2
-        (fun (payload, mode, mode_name) (r : row) ->
-          let r2 = run_cell ~seed ~samples ~payload ~mode ~mode_name () in
-          if r2.digest = r.digest then []
-          else
-            [
-              Printf.sprintf "%s/%d: nondeterministic, rerun digest %s <> %s" mode_name
-                payload r2.digest r.digest;
-            ])
-        cells rows
-      |> List.concat
   in
   let measured_crossover =
     List.filter_map
@@ -169,7 +150,7 @@ let run ?(seed = 1L) ?(samples = 24) ?(payloads = default_payloads) ?(rerun_chec
     | l -> Some (List.fold_left min max_int l)
   in
   { rows; crossover_payload = crossover; measured_crossover;
-    violations = check ~crossover rows @ rerun_violations }
+    violations = check ~crossover rows }
 
 let row_json r =
   Obs.Json.Obj
@@ -186,20 +167,6 @@ let row_json r =
       ("serialized_tx", Obs.Json.Int r.serialized_tx);
       ("guard_faults", Obs.Json.Int r.guard_faults);
       ("digest", Obs.Json.Str r.digest);
-    ]
-
-let to_json (r : result) =
-  Obs.Json.Obj
-    [
-      ("benchmark", Obs.Json.Str "shm");
-      ("unit", Obs.Json.Str "ns");
-      ("crossover_payload", Obs.Json.Int r.crossover_payload);
-      ( "measured_crossover",
-        match r.measured_crossover with
-        | Some p -> Obs.Json.Int p
-        | None -> Obs.Json.Null );
-      ("violations", Obs.Json.Arr (List.map (fun v -> Obs.Json.Str v) r.violations));
-      ("rows", Obs.Json.Arr (List.map row_json r.rows));
     ]
 
 let pp_result fmt (r : result) =

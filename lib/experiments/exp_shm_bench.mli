@@ -36,16 +36,10 @@ type result = {
     modeled per-byte copy. Mirrors the [Auto] decision in {!Shm}. *)
 val model_crossover : Erpc.Cost_model.t -> int
 
-(** [run ()] sweeps [payloads] x (serialize | share | auto). With
-    [rerun_check] each cell runs twice and a differing same-seed trace
-    digest is reported as a violation. *)
-val run :
-  ?seed:int64 ->
-  ?samples:int ->
-  ?payloads:int list ->
-  ?rerun_check:bool ->
-  unit ->
-  result
+(** [run ()] sweeps [payloads] x (serialize | share | auto). Each row
+    carries its cell's trace digest, so a same-seed rerun
+    ([erpc_sim shm-bench --rerun]) compares every cell. *)
+val run : ?seed:int64 -> ?samples:int -> ?payloads:int list -> unit -> result
 
-val to_json : result -> Obs.Json.t
+val row_json : row -> Obs.Json.t
 val pp_result : Format.formatter -> result -> unit

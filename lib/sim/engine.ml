@@ -51,6 +51,12 @@ let register t layer f =
 
 let handler t ~layer f = register t (layer_index layer) f
 
+(* The census arrays of the engines created inside {!counting}, from any
+   domain. Engines are created once per run, so a mutex costs nothing. *)
+let counting_on = Atomic.make false
+let counted = ref []
+let counted_lock = Mutex.create ()
+
 let create ?(seed = 42L) () =
   let t =
     {
@@ -64,6 +70,8 @@ let create ?(seed = 42L) () =
       metrics = Obs.Metrics.create ();
     }
   in
+  if Atomic.get counting_on then
+    Mutex.protect counted_lock (fun () -> counted := t.by_layer :: !counted);
   let q = t.queue in
   ignore (register t closure_layer (fun _ -> (Timing_wheel.take_ptr q) ()));
   ignore (register t closure_layer unset_handler);
@@ -138,5 +146,18 @@ let run t =
   done
 
 let events_processed t = Array.fold_left ( + ) 0 t.by_layer
-let census t = Array.to_list (Array.mapi (fun l name -> (name, t.by_layer.(l))) layer_names)
+let census_of by_layer =
+  Array.to_list (Array.mapi (fun l name -> (name, by_layer.(l))) layer_names)
+let census t = census_of t.by_layer
+
+let counting f =
+  if Atomic.exchange counting_on true then invalid_arg "Engine.counting: already counting";
+  counted := [];
+  let r = Fun.protect ~finally:(fun () -> Atomic.set counting_on false) f in
+  let sum = Array.make n_layers 0 in
+  Mutex.protect counted_lock (fun () ->
+      List.iter (Array.iteri (fun l n -> sum.(l) <- sum.(l) + n)) !counted;
+      counted := []);
+  (r, census_of sum)
+
 let pending t = Timing_wheel.length t.queue

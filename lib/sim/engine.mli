@@ -100,5 +100,11 @@ val events_processed : t -> int
     The counts sum to {!events_processed}. *)
 val census : t -> (string * int) list
 
+(** [counting f] runs [f] and returns its result with the summed
+    {!census} of every engine created while it ran, on any domain: the
+    census of a whole experiment, however many engines it builds. Calls
+    do not nest. *)
+val counting : (unit -> 'a) -> 'a * (string * int) list
+
 (** Number of events pending. *)
 val pending : t -> int

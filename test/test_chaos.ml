@@ -6,8 +6,8 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let test_suite_invariants () =
-  let s = Experiments.Chaos.run_suite ~seeds:20 () in
-  check_int "20 schedules ran" 20 (List.length s.runs);
+  let runs = Experiments.Chaos.run_suite ~seeds:20 () in
+  check_int "20 schedules ran" 20 (List.length runs);
   List.iter
     (fun (r : Experiments.Chaos.run_result) ->
       Alcotest.(check (list string))
@@ -19,11 +19,13 @@ let test_suite_invariants () =
       check_int
         (Printf.sprintf "seed %Ld: every request completed" r.seed)
         r.issued (r.ok + r.failed))
-    s.runs;
-  check_bool "same seed => byte-identical trace" true s.deterministic;
+    runs;
+  let traces rs = List.map (fun (r : Experiments.Chaos.run_result) -> r.trace) rs in
+  check_bool "same seed => byte-identical trace" true
+    (traces runs = traces (Experiments.Chaos.run_suite ~seeds:20 ()));
   (* The suite must actually exercise recovery machinery, not idle through
      a quiet network. *)
-  let total f = List.fold_left (fun acc r -> acc + f r) 0 s.runs in
+  let total f = List.fold_left (fun acc r -> acc + f r) 0 runs in
   check_bool "retransmissions exercised" true
     (total (fun (r : Experiments.Chaos.run_result) -> r.retransmits) > 0);
   check_bool "session resets exercised" true

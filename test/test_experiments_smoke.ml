@@ -99,7 +99,23 @@ let test_cluster_load_smoke () =
   check_bool "attribution present" true (r.attribution <> None);
   check_bool "JSON validates" true
     (Obs.Json.validate
-       (Obs.Json.to_string (Experiments.Exp_cluster_load.to_json [ r ])))
+       (Obs.Json.to_string (Experiments.Exp_cluster_load.result_to_json r)))
+
+(* The tail attribution reports how much of the client traffic it saw:
+   every analyzed RPC is one the client hosts issued. *)
+let test_cluster_load_coverage () =
+  List.iter
+    (fun (name, _) ->
+      let r =
+        Experiments.Exp_cluster_load.run_named ~seed:7L ~scale:0.2 ~horizon_ms:10.0 name
+      in
+      let c = Experiments.Exp_cluster_load.coverage r in
+      check_bool
+        (Printf.sprintf "%s: analyzed %d <= issued %d" name r.analyzed_rpcs r.issued_rpcs)
+        true
+        (r.analyzed_rpcs <= r.issued_rpcs);
+      check_bool (Printf.sprintf "%s: 0 < coverage %.3f <= 1" name c) true (0. < c && c <= 1.))
+    Workload.Traffic_spec.builtin
 
 let test_cluster_load_deterministic () =
   (* Same seed => byte-identical event traces, across all three builtin
@@ -136,4 +152,5 @@ let suite =
     Alcotest.test_case "fig1 band" `Quick test_rdma_fig1_band;
     Alcotest.test_case "cluster-load smoke" `Quick test_cluster_load_smoke;
     Alcotest.test_case "cluster-load determinism" `Quick test_cluster_load_deterministic;
+    Alcotest.test_case "cluster-load coverage" `Quick test_cluster_load_coverage;
   ]
