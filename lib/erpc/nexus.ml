@@ -16,8 +16,8 @@ type t = {
   host : int;
   handlers : (handler_mode * handler) Int_tbl.t;
   workers : worker array;
-  mutable rx_routes : (Netsim.Packet.t -> unit) option array;  (* by Rpc id *)
-  mutable dead : bool;
+  mutable rx_routes : Transport.Iface.t option array;  (* by Rpc id *)
+  process : Proto.process;  (* liveness and dispatch-mode types, shared with each Proto *)
 }
 
 let create fabric ~host ?(num_workers = 1) () =
@@ -36,34 +36,36 @@ let create fabric ~host ?(num_workers = 1) () =
               inflight = 0;
             });
       rx_routes = [||];
-      dead = false;
+      process = { Proto.dead = false; dispatch_types = Hashtbl.create 16 };
     }
   in
   Netsim.Network.attach (Fabric.net fabric) ~host ~rx:(fun pkt ->
-      if t.dead then Netsim.Packet.free pkt
+      if t.process.dead then Netsim.Packet.free pkt
       else
         match pkt.Netsim.Packet.body with
         | Wire.Pkt { dst_rpc; _ } when dst_rpc >= 0 && dst_rpc < Array.length t.rx_routes -> (
             match t.rx_routes.(dst_rpc) with
-            | Some rx -> rx pkt
+            | Some tp -> Transport.Iface.receive tp pkt
             | None -> Netsim.Packet.free pkt)
         | _ -> Netsim.Packet.free pkt);
-  Fabric.on_host_killed fabric (fun h -> if h = host then t.dead <- true);
-  Fabric.on_host_restart fabric (fun h -> if h = host then t.dead <- false);
+  Fabric.on_host_killed fabric (fun h -> if h = host then t.process.dead <- true);
+  Fabric.on_host_restart fabric (fun h -> if h = host then t.process.dead <- false);
   t
 
 let fabric t = t.fabric
 let host t = t.host
-let dead t = t.dead
+let dead t = t.process.dead
+let process t = t.process
 
 let register_handler t ~req_type ~mode handler =
   if Int_tbl.mem t.handlers req_type then
     invalid_arg (Printf.sprintf "Nexus.register_handler: req_type %d already registered" req_type);
-  Int_tbl.replace t.handlers req_type (mode, handler)
+  Int_tbl.replace t.handlers req_type (mode, handler);
+  if mode = Dispatch then Hashtbl.replace t.process.dispatch_types req_type ()
 
 let handler t req_type = Int_tbl.find_opt t.handlers req_type
 
-let register_rx t ~rpc_id ~rx =
+let register_rx t ~rpc_id transport =
   if rpc_id < 0 then invalid_arg (Printf.sprintf "Nexus.register_rx: negative Rpc id %d" rpc_id);
   let n = Array.length t.rx_routes in
   if rpc_id >= n then begin
@@ -73,7 +75,7 @@ let register_rx t ~rpc_id ~rx =
   end;
   if Option.is_some t.rx_routes.(rpc_id) then
     invalid_arg (Printf.sprintf "Nexus.register_rx: Rpc id %d already exists on host %d" rpc_id t.host);
-  t.rx_routes.(rpc_id) <- Some rx
+  t.rx_routes.(rpc_id) <- Some transport
 
 let rec drain_worker t w =
   match Queue.take_opt w.jobs with
@@ -82,7 +84,7 @@ let rec drain_worker t w =
       let engine = Fabric.engine t.fabric in
       let start = Sim.Cpu.start_slice w.cpu in
       Sim.Engine.schedule engine start (fun () ->
-          if not t.dead then job w.cpu;
+          if not t.process.dead then job w.cpu;
           (* The next job may begin once this one's charged work ends. *)
           Sim.Engine.schedule engine (Sim.Cpu.next_free w.cpu) (fun () ->
               w.inflight <- w.inflight - 1;

@@ -28,11 +28,16 @@ val handler : t -> int -> (handler_mode * handler) option
 
 (** {2 Internal interfaces used by Rpc} *)
 
-(** Route packets with [dst_rpc = rpc_id] to [rx]. Routes live in an
-    array indexed by Rpc id (one small id per thread), so per-packet
-    dispatch does no hashing. Packets for an unregistered id are freed.
-    Registering an id twice raises. *)
-val register_rx : t -> rpc_id:int -> rx:(Netsim.Packet.t -> unit) -> unit
+(** Steer packets with [dst_rpc = rpc_id] into [transport], the Rpc's
+    device ({!Transport.Iface.receive}). Routes live in an array indexed
+    by Rpc id (one small id per thread), so per-packet dispatch does no
+    hashing. Packets for an unregistered id are freed. A negative id, or
+    registering an id twice, raises. *)
+val register_rx : t -> rpc_id:int -> Transport.Iface.t -> unit
+
+(** The process state every {!Proto} of this host reads: liveness and the
+    request types registered in [Dispatch] mode. *)
+val process : t -> Proto.process
 
 (** Run [job] on the least-loaded worker thread. The job receives the
     worker's CPU to charge its modeled compute time; jobs on one worker are

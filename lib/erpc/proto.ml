@@ -1,39 +1,43 @@
-open Session
+(* The client-driven wire protocol (paper §4) and the dispatch thread's
+   datapath: request slots, session credits, go-back-N retransmission,
+   CR/RFR control packets and at-most-once delivery, plus what they need
+   at every packet — the dispatch CPU timeline, timestamp batching,
+   congestion control, the Carousel rate limiter and the event loop.
+   Devices are reached through [Transport.Iface]; the one call back into
+   {!Rpc} is [invoke], which runs a request handler. *)
 
-(* The client-driven wire protocol (paper §4): request slots, session
-   credits, go-back-N retransmission, CR/RFR control packets and
-   at-most-once delivery. This module is written against the
-   [Transport.Iface] signature alone — it never names a concrete device —
-   and reaches the pieces that stay in {!Rpc} (dispatch-thread charging,
-   timestamp batching, congestion control, the Carousel rate limiter and
-   handler invocation) through the [env] closures. *)
+(* Written by {!Nexus}, shared by every Proto of the host. *)
+type process = { mutable dead : bool; dispatch_types : (int, unit) Hashtbl.t }
 
-type env = {
-  ch : int -> unit;
-  charge_memcpy : int -> unit;
-  now_ts : unit -> Sim.Time.t;
-  cpu_time : unit -> Sim.Time.t;
-      (* max(now, dispatch CPU free time): where serial CPU work just
-         charged would actually finish *)
-  cc_sample : session -> sample_rtt_ns:int -> marked:bool -> unit;
-  transmit :
-    sslot -> Netsim.Packet.t -> wire_bytes:int -> tx_item:int -> is_retx:bool -> unit;
-  post : Netsim.Packet.t -> unit;
-  wake : unit -> unit;
-  alive : unit -> bool;
-  rtt_sample : int -> unit;
-  zero_copy_dispatch : int -> bool;
-  invoke : session -> sslot -> server_info -> int -> unit;
+(* The rate limiter: the Carousel wheel and the packets it paces. The
+   wheel holds entry indices; entry [e] is a packet handle with the slot,
+   request number and TX item (to re-stamp the RTT clock at actual TX) it
+   was sent for, in parallel arrays, and free entries sit on a stack. So
+   pacing a packet allocates nothing. A free entry's [pkt] is -1; its
+   [slot] keeps a stale sslot until reuse, which the session table holds
+   anyway. *)
+type limiter = {
+  wheel : Wheel.t;
+  mutable slot : Session.sslot array;
+  mutable req_num : int array;
+  mutable item : int array;
+  mutable pkt : int array;
+  mutable free : int array;
+  mutable n_free : int;
 }
 
+open Session
+
 type t = {
-  env : env;
   engine : Sim.Engine.t;
   host : int;
   cfg : Config.t;
   cost : Cost_model.t;
+  cpu : Sim.Cpu.t;  (* the dispatch thread *)
   transport : Transport.Iface.t;
+  process : process;
   stats : Rpc_stats.t;
+  packets : Netsim.Packet.table;
   pool : Wire.pool;  (* free-list of recycled TX packet records *)
   mutable sessions : session option array;
   mutable n_sessions : int;
@@ -42,30 +46,25 @@ type t = {
          keeps opening N sessions O(N) instead of O(N^2) *)
   txq : sslot Queue.t;
   retxq : sslot Queue.t;
+  bgq : (unit -> unit) Queue.t;  (* worker completions *)
+  mutable limiter : limiter option;
+  mutable batch_ts : Sim.Time.t;
+  mutable loop_scheduled : bool;
+  mutable rtt_probe : (int -> unit) option;
+  codec_mode : Codec.backend * bool;
+  mutable invoke : sslot -> server_info -> int -> unit;  (* the upcall, set once by {!Rpc} *)
+  (* Hot-path event handlers and the RX callback, registered once, so the
+     steady-state loop schedules no closures. A deferred post carries its
+     packet's handle. *)
+  mutable activate_ev : Sim.Engine.handler;
+  mutable wake_ev : Sim.Engine.handler;
+  mutable tx_deferred_ev : Sim.Engine.handler;
+  mutable rx_each : Netsim.Packet.t -> unit;
+  mutable wheel_fire_fn : int -> unit;
   trace : Obs.Trace.t;
   pid : int;
   tid : int;  (* the owning endpoint's thread track *)
 }
-
-let create ~env ~engine ~host ~cfg ~cost ~transport ~packets ~stats ~tid =
-  {
-    env;
-    engine;
-    host;
-    cfg;
-    cost;
-    transport;
-    stats;
-    pool = Wire.create_pool packets;
-    sessions = Array.make 4 None;
-    n_sessions = 0;
-    sn_hint = 0;
-    txq = Queue.create ();
-    retxq = Queue.create ();
-    trace = Sim.Engine.trace engine;
-    pid = Obs.Trace.host_pid host;
-    tid;
-  }
 
 (* {2 Trace hooks (observe-only; call sites guard on [Obs.Trace.enabled])} *)
 
@@ -153,6 +152,183 @@ let reset_session t sess =
   sess.state <- Error "peer unreachable";
   fail_pending_requests sess Err.Peer_unreachable
 
+(* {2 The dispatch thread}
+
+   CPU cost charging, scaled to the cluster's CPU speed. [charge] books on
+   any thread (a worker's, for its handlers); [ch] on the dispatch
+   thread. *)
+
+let charge t cpu ns = ignore (Sim.Cpu.charge cpu (Cost_model.scaled t.cost ns))
+let ch t ns = charge t t.cpu ns
+let charge_memcpy t len = ignore (Sim.Cpu.charge t.cpu (Cost_model.memcpy_cost t.cost len))
+
+let schedule_activation t =
+  if not t.loop_scheduled then begin
+    t.loop_scheduled <- true;
+    let at = Sim.Cpu.start_slice t.cpu in
+    Sim.Engine.post t.engine at t.activate_ev 0
+  end
+
+let wake t = if not t.process.dead then schedule_activation t
+
+(* {2 Timestamps and congestion control} *)
+
+let now_ts t =
+  if not t.cfg.opts.congestion_control then t.batch_ts
+  else if t.cfg.opts.batched_timestamps then t.batch_ts
+  else begin
+    ch t t.cost.rdtsc;
+    Sim.Engine.now t.engine
+  end
+
+let cc_update t sess ~sample_rtt_ns ~marked =
+  if t.cfg.opts.congestion_control then
+    match sess.cc with
+    | None -> ()
+    | Some controller ->
+        if
+          t.cfg.opts.timely_bypass
+          && Cc.bypassable controller ~rtt_ns:sample_rtt_ns ~marked
+               ~t_low_ns:t.cfg.cc.t_low_ns
+        then () (* bypass: uncongested session with no congestion signal *)
+        else begin
+          ch t t.cost.timely_update;
+          Cc.on_sample controller ~rtt_ns:sample_rtt_ns ~marked
+            ~now_ns:(Sim.Engine.now t.engine);
+          if Obs.Trace.enabled t.trace then
+            Obs.Trace.counter t.trace ~ts:(Sim.Engine.now t.engine) ~cat:"cc"
+              ~name:(Printf.sprintf "cc_rate_sn%d" sess.sn) ~pid:t.pid
+              [ ("gbps", Obs.Trace.F (Cc.rate_bps controller /. 1e9)) ]
+        end
+
+(* {2 Transmission and the Carousel rate limiter} *)
+
+let grow_limiter lim filler =
+  let n = Array.length lim.pkt in
+  let m = Int.max 16 (2 * n) in
+  let extend a fill =
+    let b = Array.make m fill in
+    Array.blit a 0 b 0 n;
+    b
+  in
+  lim.slot <- extend lim.slot filler;
+  lim.req_num <- extend lim.req_num 0;
+  lim.item <- extend lim.item 0;
+  lim.pkt <- extend lim.pkt (-1);
+  lim.free <- Array.init m (fun i -> m - 1 - i);
+  lim.n_free <- m - n
+
+(* Park the packet with handle [h], sent as [slot]'s TX item [item], in a
+   free limiter entry. *)
+let pace lim slot ~item h =
+  if lim.n_free = 0 then grow_limiter lim slot;
+  lim.n_free <- lim.n_free - 1;
+  let e = lim.free.(lim.n_free) in
+  lim.slot.(e) <- slot;
+  lim.req_num.(e) <- slot.req_num;
+  lim.item.(e) <- item;
+  lim.pkt.(e) <- h;
+  e
+
+let limiter t =
+  match t.limiter with
+  | Some lim -> lim
+  | None ->
+      let lim =
+        {
+          wheel = Wheel.create ~slot_ns:t.cfg.wheel_slot_ns ~num_slots:t.cfg.wheel_num_slots;
+          slot = [||];
+          req_num = [||];
+          item = [||];
+          pkt = [||];
+          free = [||];
+          n_free = 0;
+        }
+      in
+      t.limiter <- Some lim;
+      lim
+
+(* Post a packet to the transport at the time the dispatch thread's charged
+   work completes — the packet leaves the host when the CPU has actually
+   built it. The server direction posts directly. *)
+let post_pkt t pkt =
+  t.stats.Rpc_stats.tx_pkts <- t.stats.Rpc_stats.tx_pkts + 1;
+  let at = Sim.Cpu.next_free t.cpu in
+  if at <= Sim.Engine.now t.engine then Transport.Iface.tx_burst t.transport pkt
+  else Sim.Engine.post t.engine at t.tx_deferred_ev (Netsim.Packet.intern t.packets pkt)
+
+(* Client-side transmission honoring the Carousel rate limiter. *)
+let transmit_cc t slot pkt ~wire_bytes ~tx_item ~is_retx =
+  let sess = slot.session in
+  if not t.cfg.opts.congestion_control then post_pkt t pkt
+  else
+    match sess.cc with
+    | None -> post_pkt t pkt
+    | Some controller ->
+        ch t t.cost.cc_check;
+        if t.cfg.opts.rate_limiter_bypass && Cc.uncongested controller then post_pkt t pkt
+        else begin
+          let now = Sim.Engine.now t.engine in
+          let ts = Int.max now sess.next_tx_ts in
+          sess.next_tx_ts <-
+            Sim.Time.add ts (Cc.pacing_delay_ns controller ~bytes:wire_bytes);
+          ch t t.cost.wheel_insert;
+          t.stats.Rpc_stats.wheel_inserts <- t.stats.Rpc_stats.wheel_inserts + 1;
+          let lim = limiter t in
+          let e = pace lim slot ~item:tx_item (Netsim.Packet.intern t.packets pkt) in
+          Wheel.insert lim.wheel ~now ~at:ts e;
+          if Obs.Trace.enabled t.trace then
+            Obs.Trace.instant t.trace ~ts:now ~cat:"wheel" ~name:"insert"
+              ~pid:t.pid ~tid:t.tid
+              [
+                ("id", Obs.Trace.I pkt.Netsim.Packet.trace_id);
+                ("at", Obs.Trace.I ts);
+                ("depth", Obs.Trace.I (Wheel.pending lim.wheel));
+              ];
+          (match slot.cli with
+          | Some c ->
+              c.wheel_refs <- c.wheel_refs + 1;
+              (* A retransmitted copy is now queued: responses must be
+                 dropped until the wheel holds no reference to this
+                 request's msgbuf (Appendix C). *)
+              if is_retx then c.retx_in_wheel <- true
+          | None -> ());
+          Sim.Engine.post t.engine ts t.wake_ev 0
+        end
+
+let wheel_fire t e =
+  let lim = match t.limiter with Some lim -> lim | None -> assert false in
+  let slot = lim.slot.(e) and req_num = lim.req_num.(e) and item = lim.item.(e) in
+  let pkt = Netsim.Packet.get t.packets lim.pkt.(e) in
+  lim.pkt.(e) <- -1;
+  lim.free.(lim.n_free) <- e;
+  lim.n_free <- lim.n_free + 1;
+  ch t t.cost.wheel_poll_pkt;
+  if Obs.Trace.enabled t.trace then
+    Obs.Trace.instant t.trace ~ts:(Sim.Engine.now t.engine) ~cat:"wheel"
+      ~name:"fire" ~pid:t.pid ~tid:t.tid
+      [ ("id", Obs.Trace.I pkt.Netsim.Packet.trace_id) ];
+  (* The slot's wheel occupancy drains regardless of whether the entry is
+     still current; only current entries are transmitted. *)
+  (match slot.cli with
+  | Some c ->
+      c.wheel_refs <- Int.max 0 (c.wheel_refs - 1);
+      if c.wheel_refs = 0 then c.retx_in_wheel <- false
+  | None -> ());
+  if req_num = slot.req_num then begin
+    (match slot.cli with
+    | Some c ->
+        (* RTT samples must measure the network, not the pacing delay the
+           rate limiter itself imposed: re-stamp at actual transmission. *)
+        c.tx_ts.(item mod Array.length c.tx_ts) <- Sim.Engine.now t.engine
+    | None -> ());
+    post_pkt t pkt
+  end
+  else
+    (* Stale entry (its request was superseded or failed): the packet is
+       never transmitted, so its only reference dies here. *)
+    Netsim.Packet.free pkt
+
 (* {2 Client TX path} *)
 
 let rec push_txq t slot =
@@ -195,17 +371,17 @@ and service_slot_tx t slot budget =
 and send_tx_item t slot args cli =
   let sess = slot.session in
   let k = cli.num_tx in
-  let stamp = t.env.now_ts () in
+  let stamp = now_ts t in
   cli.tx_ts.(k mod Array.length cli.tx_ts) <- stamp;
   sess.credits <- sess.credits - 1;
-  t.env.ch t.cost.credit_logic;
+  ch t t.cost.credit_logic;
   let mtu = t.cfg.mtu in
   let flow = Wire.flow_hash ~src_host:t.host ~dst_host:sess.remote_host ~sn:sess.sn in
   let pkt, wire_bytes =
     if k < cli.n_req_pkts then begin
       let msg_size = Msgbuf.size args.req in
       let len = Pkthdr.chunk_bytes ~mtu ~msg_size k in
-      t.env.ch t.cost.tx_data_pkt;
+      ch t t.cost.tx_data_pkt;
       ( Wire.make t.pool ~src_host:t.host ~dst_host:sess.remote_host
           ~dst_rpc:sess.remote_rpc_id ~wire_overhead:t.cfg.wire_overhead ~flow
           ~req_type:args.req_type ~msg_size ~dest_session:sess.remote_sn ~pkt_type:Pkthdr.Req
@@ -217,7 +393,7 @@ and send_tx_item t slot args cli =
     end
     else begin
       (* Request-for-response for response packet (k - N + 1). *)
-      t.env.ch t.cost.tx_ctrl_pkt;
+      ch t t.cost.tx_ctrl_pkt;
       ( Wire.make t.pool ~src_host:t.host ~dst_host:sess.remote_host
           ~dst_rpc:sess.remote_rpc_id ~wire_overhead:t.cfg.wire_overhead ~flow
           ~req_type:args.req_type ~msg_size:0 ~dest_session:sess.remote_sn ~pkt_type:Pkthdr.Rfr
@@ -233,7 +409,7 @@ and send_tx_item t slot args cli =
   cli.num_tx <- k + 1;
   if cli.num_tx > cli.max_tx then cli.max_tx <- cli.num_tx;
   if Obs.Trace.enabled t.trace then tag_pkt t ~ssn:sess.sn pkt;
-  t.env.transmit slot pkt ~wire_bytes ~tx_item:k ~is_retx
+  transmit_cc t slot pkt ~wire_bytes ~tx_item:k ~is_retx
 
 (* {2 Retransmission (go-back-N, §5.3)} *)
 
@@ -244,13 +420,13 @@ and arm_rto t slot =
     | None ->
         let timer =
           Sim.Timer.create t.engine ~callback:(fun () ->
-              if slot.busy && t.env.alive () then begin
+              if slot.busy && not t.process.dead then begin
                 if Obs.Trace.enabled t.trace then
                   trace_sslot t ~name:"rto_fire" ~sn:slot.session.sn
                     ~req:slot.req_num [];
                 slot.needs_retx <- true;
                 Queue.add slot t.retxq;
-                t.env.wake ()
+                wake t
               end)
         in
         slot.rto <- Some timer;
@@ -270,7 +446,7 @@ and do_retransmit t slot =
           (* Retry budget exhausted: the peer is gone (crashed, restarted
              without our session state, or partitioned). Reset the session
              instead of retransmitting forever. *)
-          t.env.ch (Transport.Iface.flush_time_ns t.transport);
+          ch t (Transport.Iface.flush_time_ns t.transport);
           reset_session t sess
         end
         else begin
@@ -287,7 +463,7 @@ and do_retransmit t slot =
           cli.num_tx <- cli.num_rx;
           (* Flush the TX DMA queue so no stale reference to the request
              msgbuf survives (§4.2.2): expensive, but only on loss. *)
-          t.env.ch (Transport.Iface.flush_time_ns t.transport);
+          ch t (Transport.Iface.flush_time_ns t.transport);
           arm_rto t slot;
           push_txq t slot
         end
@@ -305,10 +481,10 @@ and rx_pkt t pkt =
          the sender's RTO recovers it like a loss. *)
       t.stats.Rpc_stats.rx_pkts <- t.stats.Rpc_stats.rx_pkts + 1;
       t.stats.Rpc_stats.rx_corrupt <- t.stats.Rpc_stats.rx_corrupt + 1;
-      t.env.ch t.cost.rx_pkt
+      ch t t.cost.rx_pkt
   | Wire.Pkt { hdr; data; off; len; _ } -> (
       t.stats.Rpc_stats.rx_pkts <- t.stats.Rpc_stats.rx_pkts + 1;
-      t.env.ch t.cost.rx_pkt;
+      ch t t.cost.rx_pkt;
       let ecn = pkt.Netsim.Packet.ecn in
       let sn = hdr.Pkthdr.dest_session in
       if sn >= 0 && sn < Array.length t.sessions then
@@ -340,19 +516,19 @@ and accept_rx_item t slot (cli : client_info) ~marked =
   cli.num_rx <- i + 1;
   cli.consec_retx <- 0 (* progress: the retry budget is consecutive RTOs *);
   sess.credits <- sess.credits + 1;
-  t.env.ch t.cost.credit_logic;
+  ch t t.cost.credit_logic;
   (* A credit became available: unpark slots blocked on credits. *)
   while not (Queue.is_empty sess.credit_waiters) do
     let waiter = Queue.take sess.credit_waiters in
     waiter.in_credit_waitq <- false;
     if waiter.busy then push_txq t waiter
   done;
-  let stamp = t.env.now_ts () in
+  let stamp = now_ts t in
   let sample = Sim.Time.sub stamp cli.tx_ts.(i mod Array.length cli.tx_ts) in
-  t.env.rtt_sample sample;
+  (match t.rtt_probe with Some probe -> probe sample | None -> ());
   if t.cfg.opts.congestion_control then begin
-    t.env.ch t.cost.cc_check;
-    t.env.cc_sample sess ~sample_rtt_ns:sample ~marked
+    ch t t.cost.cc_check;
+    cc_update t sess ~sample_rtt_ns:sample ~marked
   end;
   arm_rto t slot
 
@@ -383,7 +559,7 @@ and client_rx t sess slot hdr data off len ~ecn =
               accept_rx_item t slot cli ~marked;
               if client_next_item_ready cli && sess.credits > 0 then begin
                 push_txq t slot;
-                t.env.wake ()
+                wake t
               end
             end
         | Pkthdr.Resp ->
@@ -405,14 +581,14 @@ and client_rx t sess slot hdr data off len ~ecn =
                 if len > 0 then begin
                   Msgbuf.blit_from_bytes data ~src_off:off args.resp
                     ~dst_off:(hdr.pkt_num * t.cfg.mtu) ~len;
-                  t.env.charge_memcpy len
+                  charge_memcpy t len
                 end;
                 accept_rx_item t slot cli ~marked;
                 if cli.num_rx = cli.n_req_pkts - 1 + cli.n_resp_pkts then
                   complete_request t slot args
                 else if client_next_item_ready cli && sess.credits > 0 then begin
                   push_txq t slot;
-                  t.env.wake ()
+                  wake t
                 end
               end
             end
@@ -428,13 +604,16 @@ and complete_request t slot args =
   slot.args <- None;
   Msgbuf.return_to_app args.req;
   Msgbuf.return_to_app args.resp;
-  t.env.ch t.cost.continuation;
+  ch t t.cost.continuation;
   (* Completion hook (typed response deserialization) charges before the
      request is stamped done, so its CPU time lands inside this request's
      lifetime rather than leaking into the next one. *)
   args.on_complete args.resp;
   if Obs.Trace.enabled t.trace then
-    trace_sslot t ~ts:(t.env.cpu_time ()) ~name:"req_done" ~sn:sess.sn ~req:req_num [];
+    (* Stamped where the serial CPU work charged so far finishes. *)
+    trace_sslot t
+      ~ts:(Int.max (Sim.Engine.now t.engine) (Sim.Cpu.next_free t.cpu))
+      ~name:"req_done" ~sn:sess.sn ~req:req_num [];
   args.cont (Ok ());
   (* Admit backlogged requests into freed slots. *)
   admit_backlog t sess
@@ -458,10 +637,10 @@ and send_server_pkt t sess slot ~pkt_type ~pkt_num ~msg_size ~req_type ~ecn_echo
       ~pkt_type ~pkt_num ~req_num:slot.req_num ~token:sess.token ~ecn_echo ~data ~off ~len
   in
   (match pkt_type with
-  | Pkthdr.Cr -> t.env.ch t.cost.tx_ctrl_pkt
-  | _ -> t.env.ch t.cost.tx_data_pkt);
+  | Pkthdr.Cr -> ch t t.cost.tx_ctrl_pkt
+  | _ -> ch t t.cost.tx_data_pkt);
   if Obs.Trace.enabled t.trace then tag_pkt t ~ssn:sess.sn pkt;
-  t.env.post pkt
+  post_pkt t pkt
 
 and send_cr t sess slot ~pkt_num ~req_type ~ecn_echo =
   send_server_pkt t sess slot ~pkt_type:Pkthdr.Cr ~pkt_num ~msg_size:0 ~req_type ~ecn_echo
@@ -537,7 +716,7 @@ and server_rx t sess slot hdr data off len ~ecn =
             (* The echo for the last request packet rides on response
                packet 0, sent when the handler responds. *)
             srv.ecn_pending <- ecn;
-            t.env.invoke sess slot srv hdr.req_type
+            t.invoke slot srv hdr.req_type
           end
         end
       end
@@ -549,7 +728,7 @@ and server_rx t sess slot hdr data off len ~ecn =
 and store_req_data t _slot srv hdr data off len =
   let single_pkt = srv.n_req_pkts = 1 in
   let zero_copy_ok =
-    single_pkt && t.cfg.opts.zero_copy_rx && t.env.zero_copy_dispatch hdr.Pkthdr.req_type
+    single_pkt && t.cfg.opts.zero_copy_rx && Hashtbl.mem t.process.dispatch_types hdr.Pkthdr.req_type
   in
   if zero_copy_ok then
     (* Dispatch handler runs directly on the RX ring buffer (§4.2.3). *)
@@ -561,7 +740,7 @@ and store_req_data t _slot srv hdr data off len =
         (* The modeled allocation cost is charged whether or not the
            host-level buffer is recycled, so traces are identical either
            way. *)
-        t.env.ch t.cost.dyn_alloc;
+        ch t t.cost.dyn_alloc;
         let buf =
           match srv.spare_req_buf with
           | Some spare when Msgbuf.max_size spare >= hdr.msg_size ->
@@ -578,7 +757,7 @@ and store_req_data t _slot srv hdr data off len =
       match srv.req_buf with
       | Some buf ->
           Msgbuf.blit_from_bytes data ~src_off:off buf ~dst_off:(hdr.pkt_num * t.cfg.mtu) ~len;
-          t.env.charge_memcpy len
+          charge_memcpy t len
       | None -> assert false
     end
   end
@@ -606,12 +785,13 @@ and start_request t slot args =
   cli.n_resp_pkts <- -1;
   arm_rto t slot;
   push_txq t slot;
-  t.env.wake ()
+  wake t
 
 (* Completion of a server handler (possibly from a background worker):
    record the response buffer and transmit response packet 0, carrying the
    deferred ECN echo for the request's last packet. *)
-let enqueue_response t sess slot srv resp =
+let enqueue_response t slot srv resp =
+  let sess = slot.session in
   srv.handler_running <- false;
   srv.handler_done <- true;
   if Obs.Trace.enabled t.trace then
@@ -620,11 +800,76 @@ let enqueue_response t sess slot srv resp =
   srv.resp_buf <- Some resp;
   send_resp_pkt t sess slot ~pkt_num:0 ~ecn_echo:srv.ecn_pending
 
+(* {2 Request-handle support}
+
+   A handler runs on [cpu]: the dispatch thread's, or a worker's. *)
+
+(* The response from a worker returns to the dispatch thread through the
+   background queue once the worker's charged work has finished (§3.2). *)
+let respond t cpu ~req_type slot srv resp =
+  if cpu == t.cpu then enqueue_response t slot srv resp
+  else
+    Sim.Engine.schedule t.engine (Sim.Cpu.next_free cpu) (fun () ->
+        if Obs.Trace.enabled t.trace then
+          Obs.Trace.instant t.trace ~ts:(Sim.Engine.now t.engine) ~cat:"rpc"
+            ~name:"worker_done" ~pid:t.pid ~tid:t.tid
+            [ ("type", Obs.Trace.I req_type) ];
+        Queue.add
+          (fun () ->
+            ch t (t.cost.worker_handoff / 2);
+            enqueue_response t slot srv resp)
+          t.bgq;
+        wake t)
+
+(* The slot's preallocated MTU-sized msgbuf when the response fits (§4.3);
+   otherwise a fresh one, whose allocation the handler's thread pays. *)
+let init_response t cpu slot size =
+  if t.cfg.opts.preallocated_responses && size <= t.cfg.mtu then begin
+    let buf =
+      match slot.prealloc_resp with
+      | Some b -> b
+      | None ->
+          let b = Msgbuf.alloc ~max_size:t.cfg.mtu in
+          slot.prealloc_resp <- Some b;
+          b
+    in
+    Msgbuf.unsafe_set_size buf size;
+    buf
+  end
+  else begin
+    charge t cpu t.cost.dyn_alloc;
+    Msgbuf.alloc ~max_size:size
+  end
+
+let codec_mode t = t.codec_mode
+
+(* Charge one typed encode/decode to [cpu], priced by the cost model and
+   the offload toggle. On the dispatch thread it also emits a "codec" span
+   over the charged interval (worker CPUs have no trace track). *)
+let charge_codec t cpu ~deser ~backend ~leaves ~bytes =
+  let offload = t.cfg.codec_offload in
+  let cost = Cost_model.codec_cost t.cost ~deser ~backend ~offload ~leaves ~bytes in
+  if cpu == t.cpu && Obs.Trace.enabled t.trace then begin
+    let ts = Int.max (Sim.Engine.now t.engine) (Sim.Cpu.next_free cpu) in
+    ignore (Sim.Cpu.charge cpu cost);
+    Obs.Trace.complete t.trace ~ts
+      ~dur:(Int.max 0 (Sim.Time.sub (Sim.Cpu.next_free cpu) ts))
+      ~cat:"codec"
+      ~name:(if deser then "deser" else "ser")
+      ~pid:t.pid ~tid:t.tid
+      [
+        ("leaves", Obs.Trace.I leaves);
+        ("bytes", Obs.Trace.I bytes);
+        ("offload", Obs.Trace.I (if offload then 1 else 0));
+      ]
+  end
+  else ignore (Sim.Cpu.charge cpu cost)
+
 let enqueue_request_hooked t sess ~req_type ~req ~resp ~on_complete ~cont =
   if sess.role <> Client then invalid_arg "Rpc.enqueue_request: not a client session";
   if Msgbuf.size req > t.cfg.max_msg_size then
     invalid_arg "Rpc.enqueue_request: request exceeds the maximum message size";
-  t.env.ch t.cost.enqueue_request;
+  ch t t.cost.enqueue_request;
   t.stats.Rpc_stats.issued <- t.stats.Rpc_stats.issued + 1;
   Msgbuf.take_for_erpc req;
   Msgbuf.take_for_erpc resp;
@@ -641,15 +886,7 @@ let enqueue_request_hooked t sess ~req_type ~req ~resp ~on_complete ~cont =
       | Some slot -> start_request t slot args
       | None -> Queue.add args sess.backlog)
 
-let enqueue_request t sess ~req_type ~req ~resp ~cont =
-  enqueue_request_hooked t sess ~req_type ~req ~resp ~on_complete:(fun _ -> ()) ~cont
-
-(* {2 Event-loop hooks} *)
-
-let drain_retx t =
-  while not (Queue.is_empty t.retxq) do
-    do_retransmit t (Queue.take t.retxq)
-  done
+(* {2 The event loop} *)
 
 let run_tx_burst t =
   let budget = ref t.cfg.tx_batch in
@@ -662,7 +899,50 @@ let run_tx_burst t =
     service_slot_tx t slot budget
   done
 
-let has_pending_tx t = (not (Queue.is_empty t.txq)) || not (Queue.is_empty t.retxq)
+(* One event-loop activation: drain pending work, charging modeled CPU.
+   Mirrors eRPC's run_event_loop_once: retransmissions, RX burst,
+   background responses, rate-limiter wheel, TX burst. *)
+let activate t =
+  t.loop_scheduled <- false;
+  if not t.process.dead then begin
+    let act_start = Sim.Engine.now t.engine in
+    t.batch_ts <- act_start;
+    ch t t.cost.loop_overhead;
+    if t.cfg.opts.congestion_control && t.cfg.opts.batched_timestamps then
+      ch t (2 * t.cost.rdtsc) (* one timestamp per RX batch, one per TX batch *);
+    (* Retransmissions queued by RTO timers. *)
+    while not (Queue.is_empty t.retxq) do
+      do_retransmit t (Queue.take t.retxq)
+    done;
+    (* RX burst: callback iteration straight off the ring, no list. *)
+    let n_rx = Transport.Iface.rx_burst t.transport ~max:t.cfg.rx_batch t.rx_each in
+    if n_rx > 0 then ch t (Transport.Iface.replenish_rx t.transport n_rx);
+    (* Background-thread completions (worker handler responses). *)
+    while not (Queue.is_empty t.bgq) do
+      (Queue.take t.bgq) ()
+    done;
+    (* Rate limiter. *)
+    (match t.limiter with
+    | Some lim when Wheel.pending lim.wheel > 0 ->
+        ignore (Wheel.poll lim.wheel ~now:(Sim.Engine.now t.engine) t.wheel_fire_fn)
+    | _ -> ());
+    (* TX burst. *)
+    run_tx_burst t;
+    (* Re-arm if work remains. *)
+    if
+      Transport.Iface.rx_ring_depth t.transport > 0
+      || (not (Queue.is_empty t.txq))
+      || (not (Queue.is_empty t.retxq))
+      || not (Queue.is_empty t.bgq)
+    then schedule_activation t;
+    if Obs.Trace.enabled t.trace then
+      (* One span per event-loop activation, spanning the CPU time this
+         activation charged to the dispatch timeline. *)
+      Obs.Trace.complete t.trace ~ts:act_start
+        ~dur:(Int.max 0 (Sim.Time.sub (Sim.Cpu.next_free t.cpu) act_start))
+        ~cat:"rpc" ~name:"activate" ~pid:t.pid ~tid:t.tid
+        [ ("rx", Obs.Trace.I n_rx) ]
+  end
 
 (* {2 Session table} *)
 
@@ -726,11 +1006,69 @@ let cc_updates t =
       | _ -> acc)
     0 t.sessions
 
-(* Local crash: every session, queued transmission and pending
-   retransmission is lost with the process. *)
+(* Local crash: every session, queued transmission, pending
+   retransmission, worker completion and paced packet is lost with the
+   process, and the RX ring with it. *)
 let clear_on_crash t =
   Array.fill t.sessions 0 (Array.length t.sessions) None;
   t.n_sessions <- 0;
   t.sn_hint <- 0;
   Queue.clear t.txq;
-  Queue.clear t.retxq
+  Queue.clear t.retxq;
+  Queue.clear t.bgq;
+  (* Paced packets die with the process; their pool takes them back. *)
+  (match t.limiter with
+  | Some lim ->
+      Array.iter (fun h -> if h >= 0 then Netsim.Packet.free (Netsim.Packet.get t.packets h)) lim.pkt
+  | None -> ());
+  t.limiter <- None;
+  Transport.Iface.reset_rx t.transport
+
+let wheel_depth t = match t.limiter with Some lim -> Wheel.pending lim.wheel | None -> 0
+let set_rtt_probe t probe = t.rtt_probe <- Some probe
+let set_invoke t f = t.invoke <- f
+
+let create ~engine ~host ~cfg ~cost ~cpu ~transport ~process ~packets ~stats ~tid =
+  let t =
+    {
+      engine;
+      host;
+      cfg;
+      cost;
+      cpu;
+      transport;
+      process;
+      stats;
+      packets;
+      pool = Wire.create_pool packets;
+      sessions = Array.make 4 None;
+      n_sessions = 0;
+      sn_hint = 0;
+      txq = Queue.create ();
+      retxq = Queue.create ();
+      bgq = Queue.create ();
+      limiter = None;
+      batch_ts = Sim.Time.zero;
+      loop_scheduled = false;
+      rtt_probe = None;
+      codec_mode = (cfg.codec_backend, cfg.codec_offload);
+      invoke = (fun _ _ _ -> ());
+      activate_ev = Sim.Engine.no_handler;
+      wake_ev = Sim.Engine.no_handler;
+      tx_deferred_ev = Sim.Engine.no_handler;
+      rx_each = ignore;
+      wheel_fire_fn = ignore;
+      trace = Sim.Engine.trace engine;
+      pid = Obs.Trace.host_pid host;
+      tid;
+    }
+  in
+  t.activate_ev <- Sim.Engine.handler engine ~layer:Rpc (fun _ -> activate t);
+  t.wake_ev <- Sim.Engine.handler engine ~layer:Rpc (fun _ -> wake t);
+  t.tx_deferred_ev <-
+    Sim.Engine.handler engine ~layer:Rpc (fun h ->
+        Transport.Iface.tx_burst transport (Netsim.Packet.get packets h));
+  t.rx_each <- (fun pkt -> rx_pkt t pkt);
+  t.wheel_fire_fn <- (fun entry -> wheel_fire t entry);
+  Transport.Iface.set_rx_notify transport (fun () -> wake t);
+  t

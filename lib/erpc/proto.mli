@@ -1,100 +1,61 @@
-(** The wire-protocol core (paper §4): the client-driven request/response
-    state machine — request slots, session credits, go-back-N
-    retransmission with TX flush, CR/RFR control packets, at-most-once
-    delivery — written against the {!Transport.Iface} signature alone.
+(** The dispatch thread's datapath (paper §4): the client-driven
+    request/response state machine — request slots, session credits,
+    go-back-N retransmission with TX flush, CR/RFR control packets,
+    at-most-once delivery — and what it needs at every packet: the
+    dispatch CPU timeline, timestamp batching (§5.2.2), congestion
+    control, the Carousel rate limiter and the event loop.
 
-    Invariants this seam guarantees:
-    - the protocol never names a concrete device: every datapath operation
-      (TX, flush cost, RQ geometry) goes through the transport value;
-    - the protocol never schedules CPU work or runs handlers itself: the
-      dispatch loop, timestamp batching, congestion control, the Carousel
-      rate limiter and handler invocation are reached only through the
-      [env] closures, so {!Rpc} keeps full control of charging order;
+    Invariants:
+    - every call is direct: to its own state, and to its device through
+      the closed sum {!Transport.Iface.t};
+    - it never runs a handler itself: a fully received request goes to
+      the one upcall, set by {!Rpc} (module order puts {!Nexus} and its
+      handlers after this module);
     - msgbuf ownership transfers exactly as in the monolithic
       implementation (returned to the application when the continuation
       runs, flushed from the DMA queue on retransmission). *)
 
 type t
 
-(** Capabilities the protocol borrows from the owning {!Rpc} endpoint. *)
-type env = {
-  ch : int -> unit;
-      (** Charge scaled CPU nanoseconds to the dispatch timeline. *)
-  charge_memcpy : int -> unit;  (** Charge a copy of [len] bytes. *)
-  now_ts : unit -> Sim.Time.t;
-      (** Timestamp under the endpoint's batching policy (§5.2.2). *)
-  cpu_time : unit -> Sim.Time.t;
-      (** [max(now, dispatch-CPU free time)]: when serial CPU work charged
-          so far would actually finish. Used to place completion
-          milestones after typed-codec charges. *)
-  cc_sample : Session.session -> sample_rtt_ns:int -> marked:bool -> unit;
-      (** Feed one RTT/ECN sample to the session's rate controller. *)
-  transmit :
-    Session.sslot ->
-    Netsim.Packet.t ->
-    wire_bytes:int ->
-    tx_item:int ->
-    is_retx:bool ->
-    unit;
-      (** Client-side transmission honoring the Carousel rate limiter. *)
-  post : Netsim.Packet.t -> unit;
-      (** Direct (uncontrolled) transmission — the server direction. *)
-  wake : unit -> unit;  (** Schedule an event-loop activation. *)
-  alive : unit -> bool;  (** False once the host is dead. *)
-  rtt_sample : int -> unit;  (** Per-packet RTT probe (§6.5). *)
-  zero_copy_dispatch : int -> bool;
-      (** True when [req_type] has a dispatch-mode handler, enabling
-          zero-copy RX (§4.2.3). *)
-  invoke : Session.session -> Session.sslot -> Session.server_info -> int -> unit;
-      (** Run the request handler for a fully received request. *)
-}
+(** What the protocol reads of its host process, written by {!Nexus} and
+    shared by every Rpc of the host: [dead] gates the event loop and RTO
+    timers; [dispatch_types] holds the request types whose handler may
+    run on the RX ring buffer (dispatch mode, zero-copy RX §4.2.3). *)
+type process = { mutable dead : bool; dispatch_types : (int, unit) Hashtbl.t }
 
+(** [cpu] is the dispatch thread's timeline; [packets] the network's
+    packet-handle table; [tid] the owning endpoint's trace thread track
+    (0 when tracing is disabled). Registers the event loop's engine
+    handlers and the device's RX notification. *)
 val create :
-  env:env ->
   engine:Sim.Engine.t ->
   host:int ->
   cfg:Config.t ->
   cost:Cost_model.t ->
+  cpu:Sim.Cpu.t ->
   transport:Transport.Iface.t ->
+  process:process ->
   packets:Netsim.Packet.table ->
   stats:Rpc_stats.t ->
   tid:int ->
   t
-(** [packets] is the network's packet-handle table, which the TX packet
-    pool interns its packets in. [tid] is the owning endpoint's trace
-    thread track (from [Obs.Trace.register_track]; 0 when tracing is
-    disabled). *)
 
-(** {2 Datapath} *)
+(** Set the one upcall, [invoke slot srv req_type], which runs the
+    handler of a fully received request. Set once, by {!Rpc.create}. *)
+val set_invoke : t -> (Session.sslot -> Session.server_info -> int -> unit) -> unit
 
-(** Demultiplex one received packet (checksum verify, session/slot lookup,
-    client/server RX state machines). *)
-val rx_pkt : t -> Netsim.Packet.t -> unit
+(** Install a probe invoked with every per-packet RTT sample (ns). *)
+val set_rtt_probe : t -> (int -> unit) -> unit
 
-(** Process every retransmission queued by RTO timers. *)
-val drain_retx : t -> unit
-
-(** One TX burst: service up to [Config.tx_batch] packets from the
-    transmission queue. *)
-val run_tx_burst : t -> unit
-
-(** Work remains in the TX or retransmission queue. *)
-val has_pending_tx : t -> bool
+(** Charge scaled CPU nanoseconds to [cpu] (the dispatch thread's or a
+    worker's). *)
+val charge : t -> Sim.Cpu.t -> int -> unit
 
 (** {2 Requests and responses} *)
 
-val enqueue_request :
-  t ->
-  Session.session ->
-  req_type:int ->
-  req:Msgbuf.t ->
-  resp:Msgbuf.t ->
-  cont:((unit, Err.t) result -> unit) ->
-  unit
-
-(** As [enqueue_request], with a completion hook that runs on success just
-    before [cont], with the filled response msgbuf — see
-    {!Session.req_args}. *)
+(** Issue an RPC (see {!Rpc.enqueue_request}), with a completion hook
+    that runs on success just before [cont], with the filled response
+    msgbuf — see {!Session.req_args}. *)
 val enqueue_request_hooked :
   t ->
   Session.session ->
@@ -105,10 +66,31 @@ val enqueue_request_hooked :
   cont:((unit, Err.t) result -> unit) ->
   unit
 
-(** Complete a server handler: store the response buffer and send response
-    packet 0 (with the deferred ECN echo). *)
-val enqueue_response :
-  t -> Session.session -> Session.sslot -> Session.server_info -> Msgbuf.t -> unit
+(** {2 Request-handle support}
+
+    What {!Req_handle} does for a handler running on [cpu]: the dispatch
+    thread's, or a worker's. *)
+
+(** Complete a handler: store the response buffer and send response
+    packet 0 (with the deferred ECN echo). From a worker the response
+    first returns to the dispatch thread through the background queue,
+    once the worker's charged work has finished (§3.2). *)
+val respond :
+  t -> Sim.Cpu.t -> req_type:int -> Session.sslot -> Session.server_info -> Msgbuf.t -> unit
+
+(** A response buffer of [size] bytes: the slot's preallocated MTU-sized
+    msgbuf when it fits (§4.3), else a fresh one whose allocation [cpu]
+    pays. *)
+val init_response : t -> Sim.Cpu.t -> Session.sslot -> int -> Msgbuf.t
+
+(** The configured [(codec_backend, codec_offload)]. *)
+val codec_mode : t -> Codec.backend * bool
+
+(** Charge one typed encode/decode to [cpu], priced by the cost model and
+    the offload toggle; on the dispatch thread it also emits a "codec"
+    trace span over the charged interval. *)
+val charge_codec :
+  t -> Sim.Cpu.t -> deser:bool -> backend:Codec.backend -> leaves:int -> bytes:int -> unit
 
 (** Admit backlogged requests of [sess] into free slots. *)
 val admit_backlog : t -> Session.session -> unit
@@ -132,5 +114,9 @@ val armed_rto_count : t -> int
 (** Rate updates performed across all session controllers. *)
 val cc_updates : t -> int
 
-(** Drop all protocol state on a local host crash. *)
+(** Packets waiting in the rate limiter. *)
+val wheel_depth : t -> int
+
+(** Drop all datapath state on a local host crash: sessions, queues,
+    paced packets and the device's RX ring. *)
 val clear_on_crash : t -> unit

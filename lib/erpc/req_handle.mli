@@ -4,19 +4,21 @@
     [init_response] (eRPC transparently uses the slot's preallocated
     MTU-sized msgbuf when the response fits, §4.3), models its compute time
     with [charge], and calls [enqueue_response] — immediately, or later for
-    nested RPCs. The closures are installed by the owning {!Rpc} when the
-    handle is created. *)
+    nested RPCs.
+
+    A handle is data: the owning {!Rpc} builds one per request, naming the
+    slot, the protocol state and the CPU of the thread that runs the
+    handler — the dispatch thread's, or a worker's. Every charge below
+    lands on that thread. *)
 
 type t = {
+  proto : Proto.t;
+  slot : Session.sslot;
+  srv : Session.server_info;
   req_type : int;
   req : Msgbuf.t;
-  mutable resp : Msgbuf.t option;
+  cpu : Sim.Cpu.t;  (** the thread running the handler *)
   mutable responded : bool;
-  mutable charge_fn : int -> unit;
-  mutable init_resp_fn : int -> Msgbuf.t;
-  mutable enqueue_fn : t -> Msgbuf.t -> unit;
-  mutable codec_mode_fn : unit -> Codec.backend * bool;
-  mutable codec_charge_fn : deser:bool -> backend:Codec.backend -> leaves:int -> bytes:int -> unit;
 }
 
 val get_request : t -> Msgbuf.t
@@ -34,24 +36,12 @@ val codec_mode : t -> Codec.backend * bool
 val charge_codec :
   t -> deser:bool -> backend:Codec.backend -> leaves:int -> bytes:int -> unit
 
-(** Obtain a response buffer of [size] bytes. *)
+(** Obtain a response buffer of [size] bytes (the slot's preallocated
+    msgbuf when it fits; otherwise the handler's thread pays the
+    allocation). *)
 val init_response : t -> size:int -> Msgbuf.t
 
-(** Complete the RPC. May be called at most once, from a dispatch-thread
-    context (worker handlers route through the background queue
-    automatically). *)
+(** Complete the RPC. May be called at most once (a second call raises
+    [Invalid_argument]), from a dispatch-thread context (worker handlers
+    route through the background queue automatically). *)
 val enqueue_response : t -> Msgbuf.t -> unit
-
-(** Internal constructor used by {!Rpc}. The closures are shared: the
-    owning Rpc builds [charge_fn], [codec_mode_fn] and [codec_charge_fn]
-    once, and [init_resp_fn]/[enqueue_fn] once per sslot, so a handle
-    costs one record per request. *)
-val make :
-  req_type:int ->
-  req:Msgbuf.t ->
-  charge_fn:(int -> unit) ->
-  init_resp_fn:(int -> Msgbuf.t) ->
-  enqueue_fn:(t -> Msgbuf.t -> unit) ->
-  codec_mode_fn:(unit -> Codec.backend * bool) ->
-  codec_charge_fn:(deser:bool -> backend:Codec.backend -> leaves:int -> bytes:int -> unit) ->
-  t

@@ -1,22 +1,5 @@
 open Session
 
-(* The rate limiter: the Carousel wheel and the packets it paces. The
-   wheel holds entry indices; entry [e] is a packet handle with the slot,
-   request number and TX item (to re-stamp the RTT clock at actual TX) it
-   was sent for, in parallel arrays, and free entries sit on a stack. So
-   pacing a packet allocates nothing. A free entry's [pkt] is -1; its
-   [slot] keeps a stale sslot until reuse, which the session table holds
-   anyway. *)
-type limiter = {
-  wheel : Wheel.t;
-  mutable slot : Session.sslot array;
-  mutable req_num : int array;
-  mutable item : int array;
-  mutable pkt : int array;
-  mutable free : int array;
-  mutable n_free : int;
-}
-
 type t = {
   nexus_ : Nexus.t;
   rpc_id : int;
@@ -26,28 +9,8 @@ type t = {
   cost : Cost_model.t;
   cpu_ : Sim.Cpu.t;
   transport_ : Transport.Iface.t;
-  shm_ : Shm.endpoint option;  (* ring state when [cfg.shm_enabled] *)
   proto : Proto.t;
-  bgq : (unit -> unit) Queue.t;
-  mutable limiter : limiter option;
-  mutable loop_scheduled : bool;
-  mutable batch_ts : Sim.Time.t;
   stats_ : Rpc_stats.t;
-  mutable rtt_probe : (int -> unit) option;
-  packets : Netsim.Packet.table;
-  (* Hot-path event handlers and the RX callback, registered once, so the
-     steady-state loop schedules no closures. A deferred post carries its
-     packet's handle. *)
-  mutable activate_ev : Sim.Engine.handler;
-  mutable wake_ev : Sim.Engine.handler;
-  mutable tx_deferred_ev : Sim.Engine.handler;
-  mutable rx_each : Netsim.Packet.t -> unit;
-  mutable wheel_fire_fn : int -> unit;
-  (* Request-handle closures shared by every dispatch-mode request. *)
-  mutable h_charge : int -> unit;
-  mutable h_codec_charge :
-    deser:bool -> backend:Codec.backend -> leaves:int -> bytes:int -> unit;
-  h_codec_mode : unit -> Codec.backend * bool;
   trace : Obs.Trace.t;
   pid : int;
   tid : int;  (* this endpoint's thread track *)
@@ -59,284 +22,26 @@ let nexus t = t.nexus_
 let cpu t = t.cpu_
 let config t = t.cfg
 let transport t = t.transport_
-let shm_endpoint t = t.shm_
+let shm_endpoint t = match t.transport_ with Transport.Iface.Mux m -> Some m | Wire _ -> None
 let stats t = t.stats_
 let cc_updates t = Proto.cc_updates t.proto
 let num_sessions t = Proto.n_sessions t.proto
 let armed_rto_count t = Proto.armed_rto_count t.proto
-
-(* CPU cost charging, scaled to the cluster's CPU speed. *)
-let ch t ns = ignore (Sim.Cpu.charge t.cpu_ (Cost_model.scaled t.cost ns))
-
+let set_rtt_probe t probe = Proto.set_rtt_probe t.proto probe
 let dead t = Nexus.dead t.nexus_
-
-(* {2 Typed-codec charging} *)
-
-let codec_mode t = (t.cfg.codec_backend, t.cfg.codec_offload)
-
-(* Charge one typed encode/decode to [cpu], priced by the endpoint's cost
-   model and its offload toggle. [traced]: emit a "codec" span over the
-   charged interval (dispatch timeline only — worker CPUs have no trace
-   track). *)
-let charge_codec_cpu t cpu ~traced ~deser ~backend ~leaves ~bytes =
-  let offload = t.cfg.codec_offload in
-  let cost = Cost_model.codec_cost t.cost ~deser ~backend ~offload ~leaves ~bytes in
-  if traced && Obs.Trace.enabled t.trace then begin
-    let ts = Int.max (Sim.Engine.now t.engine) (Sim.Cpu.next_free cpu) in
-    ignore (Sim.Cpu.charge cpu cost);
-    Obs.Trace.complete t.trace ~ts
-      ~dur:(Int.max 0 (Sim.Time.sub (Sim.Cpu.next_free cpu) ts))
-      ~cat:"codec"
-      ~name:(if deser then "deser" else "ser")
-      ~pid:t.pid ~tid:t.tid
-      [
-        ("leaves", Obs.Trace.I leaves);
-        ("bytes", Obs.Trace.I bytes);
-        ("offload", Obs.Trace.I (if offload then 1 else 0));
-      ]
-  end
-  else ignore (Sim.Cpu.charge cpu cost)
+let codec_mode t = Proto.codec_mode t.proto
 
 let charge_codec ?backend t ~deser ~leaves ~bytes =
   let backend = match backend with Some b -> b | None -> t.cfg.codec_backend in
-  charge_codec_cpu t t.cpu_ ~traced:true ~deser ~backend ~leaves ~bytes
+  Proto.charge_codec t.proto t.cpu_ ~deser ~backend ~leaves ~bytes
 
-let grow_limiter lim filler =
-  let n = Array.length lim.pkt in
-  let m = Int.max 16 (2 * n) in
-  let extend a fill =
-    let b = Array.make m fill in
-    Array.blit a 0 b 0 n;
-    b
-  in
-  lim.slot <- extend lim.slot filler;
-  lim.req_num <- extend lim.req_num 0;
-  lim.item <- extend lim.item 0;
-  lim.pkt <- extend lim.pkt (-1);
-  lim.free <- Array.init m (fun i -> m - 1 - i);
-  lim.n_free <- m - n
+(* {2 Handler dispatch (§3.2)}
 
-(* Park the packet with handle [h], sent as [slot]'s TX item [item], in a
-   free limiter entry. *)
-let pace lim slot ~item h =
-  if lim.n_free = 0 then grow_limiter lim slot;
-  lim.n_free <- lim.n_free - 1;
-  let e = lim.free.(lim.n_free) in
-  lim.slot.(e) <- slot;
-  lim.req_num.(e) <- slot.req_num;
-  lim.item.(e) <- item;
-  lim.pkt.(e) <- h;
-  e
+   The protocol's one upcall ({!Proto.set_invoke}): run the handler for a
+   fully received request, on the dispatch thread or a worker. The handle
+   names the thread, so everything the handler charges lands there. *)
 
-let limiter t =
-  match t.limiter with
-  | Some lim -> lim
-  | None ->
-      let lim =
-        {
-          wheel = Wheel.create ~slot_ns:t.cfg.wheel_slot_ns ~num_slots:t.cfg.wheel_num_slots;
-          slot = [||];
-          req_num = [||];
-          item = [||];
-          pkt = [||];
-          free = [||];
-          n_free = 0;
-        }
-      in
-      t.limiter <- Some lim;
-      lim
-
-(* {2 Event loop scheduling} *)
-
-let rec schedule_activation t =
-  if not t.loop_scheduled then begin
-    t.loop_scheduled <- true;
-    let at = Sim.Cpu.start_slice t.cpu_ in
-    Sim.Engine.post t.engine at t.activate_ev 0
-  end
-
-and wake t = if not (dead t) then schedule_activation t
-
-(* One event-loop activation: drain pending work, charging modeled CPU.
-   Mirrors eRPC's run_event_loop_once: retransmissions, RX burst,
-   background responses, rate-limiter wheel, TX burst. *)
-and activate t =
-  t.loop_scheduled <- false;
-  if not (dead t) then begin
-    let act_start = Sim.Engine.now t.engine in
-    t.batch_ts <- act_start;
-    ch t t.cost.loop_overhead;
-    if t.cfg.opts.congestion_control && t.cfg.opts.batched_timestamps then
-      ch t (2 * t.cost.rdtsc) (* one timestamp per RX batch, one per TX batch *);
-    (* Retransmissions queued by RTO timers. *)
-    Proto.drain_retx t.proto;
-    (* RX burst: callback iteration straight off the ring, no list. *)
-    let n_rx = Transport.Iface.rx_burst t.transport_ ~max:t.cfg.rx_batch t.rx_each in
-    if n_rx > 0 then ch t (Transport.Iface.replenish_rx t.transport_ n_rx);
-    (* Background-thread completions (worker handler responses, failure
-       cleanup). *)
-    while not (Queue.is_empty t.bgq) do
-      (Queue.take t.bgq) ()
-    done;
-    (* Rate limiter. *)
-    (match t.limiter with
-    | Some lim when Wheel.pending lim.wheel > 0 ->
-        ignore (Wheel.poll lim.wheel ~now:(Sim.Engine.now t.engine) t.wheel_fire_fn)
-    | _ -> ());
-    (* TX burst. *)
-    Proto.run_tx_burst t.proto;
-    (* Re-arm if work remains. *)
-    if
-      Transport.Iface.rx_ring_depth t.transport_ > 0
-      || Proto.has_pending_tx t.proto
-      || not (Queue.is_empty t.bgq)
-    then schedule_activation t;
-    if Obs.Trace.enabled t.trace then
-      (* One span per event-loop activation, spanning the CPU time this
-         activation charged to the dispatch timeline. *)
-      Obs.Trace.complete t.trace ~ts:act_start
-        ~dur:(Int.max 0 (Sim.Time.sub (Sim.Cpu.next_free t.cpu_) act_start))
-        ~cat:"rpc" ~name:"activate" ~pid:t.pid ~tid:t.tid
-        [ ("rx", Obs.Trace.I n_rx) ]
-  end
-
-(* {2 Timestamps and congestion control} *)
-
-and now_ts t =
-  if not t.cfg.opts.congestion_control then t.batch_ts
-  else if t.cfg.opts.batched_timestamps then t.batch_ts
-  else begin
-    ch t t.cost.rdtsc;
-    Sim.Engine.now t.engine
-  end
-
-and cc_update t sess ~sample_rtt_ns ~marked =
-  if t.cfg.opts.congestion_control then
-    match sess.cc with
-    | None -> ()
-    | Some controller ->
-        if
-          t.cfg.opts.timely_bypass
-          && Cc.bypassable controller ~rtt_ns:sample_rtt_ns ~marked
-               ~t_low_ns:t.cfg.cc.t_low_ns
-        then () (* bypass: uncongested session with no congestion signal *)
-        else begin
-          ch t t.cost.timely_update;
-          Cc.on_sample controller ~rtt_ns:sample_rtt_ns ~marked
-            ~now_ns:(Sim.Engine.now t.engine);
-          if Obs.Trace.enabled t.trace then
-            Obs.Trace.counter t.trace ~ts:(Sim.Engine.now t.engine) ~cat:"cc"
-              ~name:(Printf.sprintf "cc_rate_sn%d" sess.sn) ~pid:t.pid
-              [ ("gbps", Obs.Trace.F (Cc.rate_bps controller /. 1e9)) ]
-        end
-
-(* Post a packet to the transport at the time the dispatch thread's charged
-   work completes — the packet leaves the host when the CPU has actually
-   built it. *)
-and post_pkt t pkt =
-  t.stats_.Rpc_stats.tx_pkts <- t.stats_.Rpc_stats.tx_pkts + 1;
-  let at = Sim.Cpu.next_free t.cpu_ in
-  if at <= Sim.Engine.now t.engine then Transport.Iface.tx_burst t.transport_ pkt
-  else Sim.Engine.post t.engine at t.tx_deferred_ev (Netsim.Packet.intern t.packets pkt)
-
-(* Client-side transmission honoring the Carousel rate limiter. *)
-and transmit_cc t slot pkt ~wire_bytes ~tx_item ~is_retx =
-  let sess = slot.session in
-  if not t.cfg.opts.congestion_control then post_pkt t pkt
-  else
-    match sess.cc with
-    | None -> post_pkt t pkt
-    | Some controller ->
-        ch t t.cost.cc_check;
-        if t.cfg.opts.rate_limiter_bypass && Cc.uncongested controller then post_pkt t pkt
-        else begin
-          let now = Sim.Engine.now t.engine in
-          let ts = Int.max now sess.next_tx_ts in
-          sess.next_tx_ts <-
-            Sim.Time.add ts (Cc.pacing_delay_ns controller ~bytes:wire_bytes);
-          ch t t.cost.wheel_insert;
-          t.stats_.Rpc_stats.wheel_inserts <- t.stats_.Rpc_stats.wheel_inserts + 1;
-          let lim = limiter t in
-          let e = pace lim slot ~item:tx_item (Netsim.Packet.intern t.packets pkt) in
-          Wheel.insert lim.wheel ~now ~at:ts e;
-          if Obs.Trace.enabled t.trace then
-            Obs.Trace.instant t.trace ~ts:now ~cat:"wheel" ~name:"insert"
-              ~pid:t.pid ~tid:t.tid
-              [
-                ("id", Obs.Trace.I pkt.Netsim.Packet.trace_id);
-                ("at", Obs.Trace.I ts);
-                ("depth", Obs.Trace.I (Wheel.pending lim.wheel));
-              ];
-          (match slot.cli with
-          | Some c ->
-              c.wheel_refs <- c.wheel_refs + 1;
-              (* A retransmitted copy is now queued: responses must be
-                 dropped until the wheel holds no reference to this
-                 request's msgbuf (Appendix C). *)
-              if is_retx then c.retx_in_wheel <- true
-          | None -> ());
-          Sim.Engine.post t.engine ts t.wake_ev 0
-        end
-
-and wheel_fire t e =
-  let lim = match t.limiter with Some lim -> lim | None -> assert false in
-  let slot = lim.slot.(e) and req_num = lim.req_num.(e) and item = lim.item.(e) in
-  let pkt = Netsim.Packet.get t.packets lim.pkt.(e) in
-  lim.pkt.(e) <- -1;
-  lim.free.(lim.n_free) <- e;
-  lim.n_free <- lim.n_free + 1;
-  ch t t.cost.wheel_poll_pkt;
-  if Obs.Trace.enabled t.trace then
-    Obs.Trace.instant t.trace ~ts:(Sim.Engine.now t.engine) ~cat:"wheel"
-      ~name:"fire" ~pid:t.pid ~tid:t.tid
-      [ ("id", Obs.Trace.I pkt.Netsim.Packet.trace_id) ];
-  (* The slot's wheel occupancy drains regardless of whether the entry is
-     still current; only current entries are transmitted. *)
-  (match slot.cli with
-  | Some c ->
-      c.wheel_refs <- Int.max 0 (c.wheel_refs - 1);
-      if c.wheel_refs = 0 then c.retx_in_wheel <- false
-  | None -> ());
-  if req_num = slot.req_num then begin
-    (match slot.cli with
-    | Some c ->
-        (* RTT samples must measure the network, not the pacing delay the
-           rate limiter itself imposed: re-stamp at actual transmission. *)
-        c.tx_ts.(item mod Array.length c.tx_ts) <- Sim.Engine.now t.engine
-    | None -> ());
-    post_pkt t pkt
-  end
-  else
-    (* Stale entry (its request was superseded or failed): the packet is
-       never transmitted, so its only reference dies here. *)
-    Netsim.Packet.free pkt
-
-(* {2 Handler dispatch (§3.2)} *)
-
-(* The response closures depend only on the slot, so they are built on the
-   slot's first request and reused by every later one. *)
-and install_handler_fns t sess slot srv =
-  srv.init_resp_fn <-
-    (fun size ->
-      if t.cfg.opts.preallocated_responses && size <= t.cfg.mtu then begin
-        let buf =
-          match slot.prealloc_resp with
-          | Some b -> b
-          | None ->
-              let b = Msgbuf.alloc ~max_size:t.cfg.mtu in
-              slot.prealloc_resp <- Some b;
-              b
-        in
-        Msgbuf.unsafe_set_size buf size;
-        buf
-      end
-      else begin
-        ch t t.cost.dyn_alloc;
-        Msgbuf.alloc ~max_size:size
-      end);
-  srv.enqueue_fn <- (fun _h resp -> Proto.enqueue_response t.proto sess slot srv resp)
-
-and invoke_handler t sess slot srv req_type =
+let invoke_handler t slot srv req_type =
   match Nexus.handler t.nexus_ req_type with
   | None -> () (* unknown request type: drop *)
   | Some (mode, handler_fn) -> (
@@ -344,63 +49,41 @@ and invoke_handler t sess slot srv req_type =
       let req =
         match srv.req_buf with Some b -> b | None -> Msgbuf.view Bytes.empty ~off:0 ~len:0
       in
-      if not (Session.handler_fns_installed srv) then install_handler_fns t sess slot srv;
-      let handle =
-        Req_handle.make ~req_type ~req ~charge_fn:t.h_charge ~init_resp_fn:srv.init_resp_fn
-          ~enqueue_fn:srv.enqueue_fn ~codec_mode_fn:t.h_codec_mode
-          ~codec_charge_fn:t.h_codec_charge
+      let h =
+        { Req_handle.proto = t.proto; slot; srv; req_type; req; cpu = t.cpu_; responded = false }
       in
       srv.handler_running <- true;
       match mode with
       | Nexus.Dispatch ->
-          ch t t.cost.handler_dispatch;
+          Proto.charge t.proto t.cpu_ t.cost.handler_dispatch;
           if Obs.Trace.enabled t.trace then begin
             (* Span over the CPU time the handler charges to the dispatch
                timeline, placed where that work begins. *)
             let h_start = Sim.Cpu.next_free t.cpu_ in
-            handler_fn handle;
+            handler_fn h;
             Obs.Trace.complete t.trace ~ts:h_start
               ~dur:(Int.max 0 (Sim.Time.sub (Sim.Cpu.next_free t.cpu_) h_start))
               ~cat:"rpc" ~name:"handler" ~pid:t.pid ~tid:t.tid
               [ ("type", Obs.Trace.I req_type) ]
           end
-          else handler_fn handle
+          else handler_fn h
       | Nexus.Worker ->
           (* Hand off to a background worker thread; the response comes
              back through the background queue (§3.2). *)
-          ch t (t.cost.worker_handoff / 2);
+          Proto.charge t.proto t.cpu_ (t.cost.worker_handoff / 2);
           if Obs.Trace.enabled t.trace then
             Obs.Trace.instant t.trace ~ts:(Sim.Engine.now t.engine) ~cat:"rpc"
               ~name:"worker_dispatch" ~pid:t.pid ~tid:t.tid
               [ ("type", Obs.Trace.I req_type) ];
           Nexus.submit_worker t.nexus_ (fun wcpu ->
-              ignore
-                (Sim.Cpu.charge wcpu (Cost_model.scaled t.cost (t.cost.worker_handoff / 2)));
-              handle.Req_handle.charge_fn <-
-                (fun ns -> ignore (Sim.Cpu.charge wcpu (Cost_model.scaled t.cost ns)));
-              handle.Req_handle.codec_charge_fn <-
-                (fun ~deser ~backend ~leaves ~bytes ->
-                  charge_codec_cpu t wcpu ~traced:false ~deser ~backend ~leaves ~bytes);
-              handle.Req_handle.enqueue_fn <-
-                (fun _h resp ->
-                  let at = Sim.Cpu.next_free wcpu in
-                  Sim.Engine.schedule t.engine at (fun () ->
-                      if Obs.Trace.enabled t.trace then
-                        Obs.Trace.instant t.trace ~ts:(Sim.Engine.now t.engine)
-                          ~cat:"rpc" ~name:"worker_done" ~pid:t.pid ~tid:t.tid
-                          [ ("type", Obs.Trace.I req_type) ];
-                      Queue.add
-                        (fun () ->
-                          ch t (t.cost.worker_handoff / 2);
-                          Proto.enqueue_response t.proto sess slot srv resp)
-                        t.bgq;
-                      wake t));
-              handler_fn handle))
+              let h = { h with cpu = wcpu } in
+              Req_handle.charge h (t.cost.worker_handoff / 2);
+              handler_fn h))
 
 (* {2 Client API} *)
 
 let enqueue_request t sess ~req_type ~req ~resp ~cont =
-  Proto.enqueue_request t.proto sess ~req_type ~req ~resp ~cont
+  Proto.enqueue_request_hooked t.proto sess ~req_type ~req ~resp ~on_complete:ignore ~cont
 
 let enqueue_request_hooked t sess ~req_type ~req ~resp ~on_complete ~cont =
   Proto.enqueue_request_hooked t.proto sess ~req_type ~req ~resp ~on_complete ~cont
@@ -513,7 +196,7 @@ let handle_peer_failure t failed_host =
       if sess.remote_host = failed_host && sess.state <> Destroyed then begin
         if not !touched then begin
           touched := true;
-          ch t (Transport.Iface.flush_time_ns t.transport_)
+          Proto.charge t.proto t.cpu_ (Transport.Iface.flush_time_ns t.transport_)
         end;
         sess.state <- Error "peer failed";
         if sess.role = Client then Proto.fail_pending_requests sess Err.Server_failure
@@ -531,15 +214,7 @@ let handle_local_crash t =
         if sess.role = Client then
           Proto.fail_pending_requests sess (Err.Session_error "local host crashed")
       end);
-  Proto.clear_on_crash t.proto;
-  Queue.clear t.bgq;
-  (* Paced packets die with the process; their pool takes them back. *)
-  (match t.limiter with
-  | Some lim ->
-      Array.iter (fun h -> if h >= 0 then Netsim.Packet.free (Netsim.Packet.get t.packets h)) lim.pkt
-  | None -> ());
-  t.limiter <- None;
-  Transport.Iface.reset_rx t.transport_
+  Proto.clear_on_crash t.proto
 
 let destroy_session t sess =
   if sess.role <> Client then invalid_arg "Rpc.destroy_session: not a client session";
@@ -566,11 +241,6 @@ let create nexus_ ~rpc_id =
   let cfg = Fabric.config fabric in
   let cluster = Fabric.cluster fabric in
   let cpu_ = Sim.Cpu.create engine ~name:(Printf.sprintf "h%d-rpc%d" host_ rpc_id) in
-  (* The protocol core and this endpoint reference each other; the [env]
-     closures (and the shm mux's charge hook) only run once the simulation
-     does, after [self] is set. *)
-  let self = ref None in
-  let get () = match !self with Some t -> t | None -> assert false in
   let nic_cfg = { cluster.nic_config with multi_packet_rq = cfg.opts.multi_packet_rq } in
   let nic =
     match cfg.transport with
@@ -583,47 +253,15 @@ let create nexus_ ~rpc_id =
           ~host:host_
           { nic_cfg with tx_latency_ns = qp.nic_tx_ns; rx_latency_ns = qp.nic_rx_ns; rx_jitter_ns = 0 }
   in
-  let wire_transport = Transport.Iface.T ((module Nic), nic) in
-  let shm_, transport_ =
-    if not cfg.shm_enabled then (None, wire_transport)
-    else begin
-      let ep, tp =
-        Shm.create engine ~hub:(Fabric.shm_hub fabric) ~host:host_ ~rpc_id
-          ~inner:wire_transport
-          ~colocated:(fun h -> Fabric.colocated fabric host_ h)
-          ~charge:(fun ns -> ignore (Sim.Cpu.charge (get ()).cpu_ ns))
-          ~mode:cfg.shm_mode ~slots:cfg.shm_slots ~hop_ns:cfg.shm_hop_ns
-          ~costs:(Cost_model.shm_costs (Fabric.cost fabric))
-          ()
-      in
-      (Some ep, tp)
-    end
-  in
-  let env =
-    {
-      Proto.ch = (fun ns -> ch (get ()) ns);
-      charge_memcpy =
-        (fun len ->
-          let t = get () in ignore (Sim.Cpu.charge t.cpu_ (Cost_model.memcpy_cost t.cost len)));
-      now_ts = (fun () -> now_ts (get ()));
-      cpu_time =
-        (fun () ->
-          let t = get () in
-          Int.max (Sim.Engine.now t.engine) (Sim.Cpu.next_free t.cpu_));
-      cc_sample = (fun sess ~sample_rtt_ns ~marked -> cc_update (get ()) sess ~sample_rtt_ns ~marked);
-      transmit =
-        (fun slot pkt ~wire_bytes ~tx_item ~is_retx ->
-          transmit_cc (get ()) slot pkt ~wire_bytes ~tx_item ~is_retx);
-      post = (fun pkt -> post_pkt (get ()) pkt);
-      wake = (fun () -> wake (get ()));
-      alive = (fun () -> not (dead (get ())));
-      rtt_sample =
-        (fun s -> match (get ()).rtt_probe with Some probe -> probe s | None -> ());
-      zero_copy_dispatch =
-        (fun req_type ->
-          match Nexus.handler nexus_ req_type with Some (Nexus.Dispatch, _) -> true | _ -> false);
-      invoke = (fun sess slot srv req_type -> invoke_handler (get ()) sess slot srv req_type);
-    }
+  let transport_ =
+    if not cfg.shm_enabled then Transport.Iface.Wire nic
+    else
+      Transport.Iface.Mux
+        (Shm.create engine ~hub:(Fabric.shm_hub fabric) ~host:host_ ~rpc_id ~inner:nic
+           ~colocated:(fun h -> Fabric.colocated fabric host_ h)
+           ~cpu:cpu_ ~mode:cfg.shm_mode ~slots:cfg.shm_slots ~hop_ns:cfg.shm_hop_ns
+           ~costs:(Cost_model.shm_costs (Fabric.cost fabric))
+           ())
   in
   let stats_ = Rpc_stats.create () in
   let cost = Fabric.cost fabric in
@@ -631,47 +269,16 @@ let create nexus_ ~rpc_id =
   let pid = Obs.Trace.host_pid host_ in
   Obs.Trace.register_process trace ~pid (Printf.sprintf "host%d" host_);
   let tid = Obs.Trace.register_track trace ~pid (Printf.sprintf "rpc%d" rpc_id) in
-  let packets = Netsim.Network.packets (Fabric.net fabric) in
   let proto =
-    Proto.create ~env ~engine ~host:host_ ~cfg ~cost ~transport:transport_ ~packets
+    Proto.create ~engine ~host:host_ ~cfg ~cost ~cpu:cpu_ ~transport:transport_
+      ~process:(Nexus.process nexus_)
+      ~packets:(Netsim.Network.packets (Fabric.net fabric))
       ~stats:stats_ ~tid
   in
   let t =
-    {
-      nexus_; rpc_id; host_; engine; cfg; cost; cpu_; transport_; shm_; proto; stats_;
-      bgq = Queue.create ();
-      limiter = None;
-      loop_scheduled = false;
-      batch_ts = Sim.Time.zero;
-      rtt_probe = None;
-      packets;
-      activate_ev = Sim.Engine.no_handler;
-      wake_ev = Sim.Engine.no_handler;
-      tx_deferred_ev = Sim.Engine.no_handler;
-      rx_each = (fun _ -> ());
-      wheel_fire_fn = ignore;
-      h_charge = (fun _ -> ());
-      h_codec_charge = (fun ~deser:_ ~backend:_ ~leaves:_ ~bytes:_ -> ());
-      h_codec_mode =
-        (let mode = (cfg.codec_backend, cfg.codec_offload) in
-         fun () -> mode);
-      trace;
-      pid;
-      tid;
-    }
+    { nexus_; rpc_id; host_; engine; cfg; cost; cpu_; transport_; proto; stats_; trace; pid; tid }
   in
-  self := Some t;
-  t.activate_ev <- Sim.Engine.handler engine ~layer:Rpc (fun _ -> activate t);
-  t.wake_ev <- Sim.Engine.handler engine ~layer:Rpc (fun _ -> wake t);
-  t.tx_deferred_ev <-
-    Sim.Engine.handler engine ~layer:Rpc (fun h ->
-        Transport.Iface.tx_burst t.transport_ (Netsim.Packet.get t.packets h));
-  t.rx_each <- (fun pkt -> Proto.rx_pkt t.proto pkt);
-  t.wheel_fire_fn <- (fun entry -> wheel_fire t entry);
-  t.h_charge <- (fun ns -> ch t ns);
-  t.h_codec_charge <-
-    (fun ~deser ~backend ~leaves ~bytes ->
-      charge_codec_cpu t t.cpu_ ~traced:true ~deser ~backend ~leaves ~bytes);
+  Proto.set_invoke proto (invoke_handler t);
   let m = Sim.Engine.metrics engine in
   let labels = [ ("host", string_of_int host_); ("rpc", string_of_int rpc_id) ] in
   Obs.Metrics.counter m ~name:"rpc.tx_pkts" ~labels (fun () -> stats_.Rpc_stats.tx_pkts);
@@ -690,9 +297,8 @@ let create nexus_ ~rpc_id =
   Obs.Metrics.counter m ~name:"nic.tx_pkts" ~labels (fun () -> Nic.tx_packets nic);
   Obs.Metrics.counter m ~name:"nic.rx_dropped_no_desc" ~labels (fun () -> Nic.rx_dropped nic);
   Obs.Metrics.gauge m ~name:"rpc.wheel_depth" ~labels (fun () ->
-      match t.limiter with Some lim -> float_of_int (Wheel.pending lim.wheel) | None -> 0.);
-  Nexus.register_rx nexus_ ~rpc_id ~rx:(fun pkt -> Transport.Iface.receive t.transport_ pkt);
-  Transport.Iface.set_rx_notify t.transport_ (fun () -> wake t);
+      float_of_int (Proto.wheel_depth proto));
+  Nexus.register_rx nexus_ ~rpc_id transport_;
   Fabric.register_sm fabric ~host:host_ ~rpc_id (fun msg ->
       if not (dead t) then handle_sm t msg);
   Fabric.on_host_failure fabric (fun failed ->
@@ -700,5 +306,3 @@ let create nexus_ ~rpc_id =
   Fabric.on_host_killed fabric (fun killed ->
       if killed = host_ then handle_local_crash t);
   t
-
-let set_rtt_probe t probe = t.rtt_probe <- Some probe

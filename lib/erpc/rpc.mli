@@ -1,9 +1,11 @@
 (** An Rpc endpoint: one user thread's RPC interface (paper §3.1).
 
-    Owns a dispatch-thread CPU timeline, a pluggable transport
-    ({!Transport.Iface}), and the Timely/Carousel congestion-control
-    machinery; the client-driven wire protocol with go-back-N loss
-    recovery lives in {!Proto}, written against the transport signature.
+    The endpoint is the control plane: it builds the dispatch thread's
+    CPU timeline and its device ({!Transport.Iface.t}), runs session
+    management, handles failures, invokes request handlers and registers
+    metrics. The datapath — the wire protocol with go-back-N loss
+    recovery, congestion control, the Carousel rate limiter and the
+    event loop — lives in {!Proto}, which the endpoint calls directly.
     The "event loop" the paper's user threads run is driven by the
     simulation: any arriving work wakes the loop, which then runs
     activations back-to-back (charging modeled CPU) until idle —
@@ -35,7 +37,8 @@ val config : t -> Config.t
 val transport : t -> Transport.Iface.t
 
 (** The endpoint's shared-memory ring state when [Config.shm_enabled]
-    ([None] otherwise); exposes serialize/share/guard-fault counters. *)
+    (the [Mux] case of {!transport}; [None] otherwise); exposes
+    serialize/share/guard-fault counters. *)
 val shm_endpoint : t -> Shm.endpoint option
 
 (** {2 Sessions} *)

@@ -31,8 +31,6 @@ type server_info = {
   mutable spare_req_buf : Msgbuf.t option;
   mutable resp_buf : Msgbuf.t option;
   mutable ecn_pending : bool;
-  mutable init_resp_fn : int -> Msgbuf.t;
-  mutable enqueue_fn : Req_handle.t -> Msgbuf.t -> unit;
 }
 
 type sslot = {
@@ -138,10 +136,6 @@ let client_info sslot ~credits =
       sslot.cli <- Some c;
       c
 
-let unset_init_resp _ = invalid_arg "Session: handler closures not installed"
-let unset_enqueue _ _ = invalid_arg "Session: handler closures not installed"
-let handler_fns_installed s = s.enqueue_fn != unset_enqueue
-
 let server_info sslot =
   match sslot.srv with
   | Some s -> s
@@ -156,8 +150,6 @@ let server_info sslot =
           spare_req_buf = None;
           resp_buf = None;
           ecn_pending = false;
-          init_resp_fn = unset_init_resp;
-          enqueue_fn = unset_enqueue;
         }
       in
       sslot.srv <- Some s;

@@ -6,7 +6,7 @@
     and preallocated buffers are allocated lazily so that experiments with
     millions of mostly-idle sessions (Fig 5) stay within memory.
 
-    The records are deliberately transparent: {!Rpc} owns all protocol
+    The records are deliberately transparent: {!Proto} owns all protocol
     logic; this module only defines state and small invariant-preserving
     helpers.
 
@@ -68,11 +68,6 @@ type server_info = {
   mutable ecn_pending : bool;
       (** the request packet that triggered the handler carried an ECN
           mark; echoed on response packet 0 *)
-  mutable init_resp_fn : int -> Msgbuf.t;
-  mutable enqueue_fn : Req_handle.t -> Msgbuf.t -> unit;
-      (** this slot's {!Req_handle} response closures, built by the owning
-          Rpc on the slot's first request and shared by every later one:
-          they depend only on the slot, never on the request *)
 }
 
 type sslot = {
@@ -133,9 +128,6 @@ val slot : session -> int -> sslot
 val client_info : sslot -> credits:int -> client_info
 
 val server_info : sslot -> server_info
-
-(** Whether the owning Rpc has installed the slot's handler closures. *)
-val handler_fns_installed : server_info -> bool
 
 (** First idle slot, if any. *)
 val free_slot : session -> req_window:int -> sslot option

@@ -1,6 +1,7 @@
 (** Userspace-NIC model: the wire packet I/O device an {!Erpc.Rpc}
-    endpoint owns, and the one implementation of [Transport.Iface.S] that
-    puts packets on the network.
+    endpoint owns — the [Wire] case of [Transport.Iface.t], checked
+    against [Transport.Iface.S] — and the only device that puts packets
+    on the network ({!Shm} holds one for its remote traffic).
 
     Models the mechanisms eRPC's design depends on (§4.1, Appendix A):
 

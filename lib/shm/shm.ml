@@ -17,15 +17,15 @@
      protocol's checksum-drop/retransmission machinery recovers exactly
      as it would from a damaged frame.
 
-   The transport is a *mux*: each endpoint wraps the configured wire
-   transport and routes per packet — co-located destinations take the
+   The transport is a *mux*: each endpoint wraps the endpoint's wire
+   device ([Nic.t]) and routes per packet — co-located destinations take the
    ring path, everything else the wire — so one Rpc endpoint serves mixed
-   local/remote session sets. The RQ size is the inner transport's; the
+   local/remote session sets. The RQ size is the inner device's; the
    ring path never drops (a full destination ring backpressures the
    sender with stall latency instead).
 
-   Layering: this library sits beside the other transports and cannot see
-   eRPC's packet body type, so the fabric injects [hooks] for the two
+   Layering: this library sits on the NIC, below [Transport.Iface], and
+   cannot see eRPC's packet body type, so the fabric injects [hooks] for the two
    things the ring path must do with a packet — find the destination Rpc
    id + payload slice, and retarget the payload at a serialized copy. *)
 
@@ -52,9 +52,9 @@ type endpoint = {
   engine : Sim.Engine.t;
   hub : hub;
   host : int;
-  inner : Transport.Iface.t;
+  inner : Nic.t;
   colocated : int -> bool;
-  charge : int -> unit;  (* sender-side CPU work, owning dispatch thread *)
+  cpu : Sim.Cpu.t;  (* the owning dispatch thread: sender-side CPU work *)
   mode : mode;
   slots : int;
   hop_ns : int;
@@ -172,7 +172,7 @@ let shm_tx t dst pkt (v : view) =
     if share then (t.costs.share_tx_ns, t.costs.share_rx_ns)
     else (t.costs.serialize_ns v.len, 0)
   in
-  t.charge tx_work;
+  ignore (Sim.Cpu.charge t.cpu tx_work);
   let seal =
     if share then begin
       t.shared_tx <- t.shared_tx + 1;
@@ -210,84 +210,77 @@ let shm_tx t dst pkt (v : view) =
   Sim.Ring.push dst.fly_seals seal;
   Sim.Engine.post t.engine at dst.rx_done (Netsim.Packet.intern t.hub.packets pkt)
 
-(* {2 Transport.Iface implementation} *)
+(* {2 The transport API ([Transport.Iface.S])} *)
 
-module Impl = struct
-  type t = endpoint
+let kind _ = "shm"
+let rq_size t = Nic.rq_size t.inner
 
-  let kind _ = "shm"
-  let rq_size t = Transport.Iface.rq_size t.inner
+let tx_burst t pkt =
+  if t.colocated pkt.Netsim.Packet.dst then
+    match t.hub.hooks.view pkt with
+    | Some v -> (
+        match Hashtbl.find_opt t.hub.endpoints (pkt.Netsim.Packet.dst, v.dst_rpc) with
+        | Some dst -> shm_tx t dst pkt v
+        | None ->
+            (* Co-located, but the peer never mapped a ring (e.g. it runs
+               with shm disabled): fall back to the wire. *)
+            Nic.tx_burst t.inner pkt)
+    | None -> Nic.tx_burst t.inner pkt
+  else Nic.tx_burst t.inner pkt
 
-  let tx_burst t pkt =
-    if t.colocated pkt.Netsim.Packet.dst then
-      match t.hub.hooks.view pkt with
-      | Some v -> (
-          match
-            Hashtbl.find_opt t.hub.endpoints (pkt.Netsim.Packet.dst, v.dst_rpc)
-          with
-          | Some dst -> shm_tx t dst pkt v
-          | None ->
-              (* Co-located, but the peer never mapped a ring (e.g. it
-                 runs with shm disabled): fall back to the wire. *)
-              Transport.Iface.tx_burst t.inner pkt)
-      | None -> Transport.Iface.tx_burst t.inner pkt
-    else Transport.Iface.tx_burst t.inner pkt
+let tx_pending t = t.shm_tx_pending + Nic.tx_pending t.inner
 
-  let tx_pending t = t.shm_tx_pending + Transport.Iface.tx_pending t.inner
+let flush_time_ns t =
+  let now = Sim.Engine.now t.engine in
+  let shm_wait =
+    if t.shm_tx_pending > 0 then Int.max 0 (Sim.Time.sub t.tx_last_done now) else 0
+  in
+  Int.max shm_wait (Nic.flush_time_ns t.inner)
 
-  let flush_time_ns t =
-    let now = Sim.Engine.now t.engine in
-    let shm_wait =
-      if t.shm_tx_pending > 0 then Int.max 0 (Sim.Time.sub t.tx_last_done now) else 0
-    in
-    Int.max shm_wait (Transport.Iface.flush_time_ns t.inner)
+let rx_burst t ~max f =
+  let n = ref 0 in
+  while !n < max && not (Sim.Ring.is_empty t.rx_ring) do
+    incr n;
+    t.pending_shm_rx <- t.pending_shm_rx + 1;
+    f (Netsim.Packet.get t.hub.packets (Sim.Ring.take t.rx_ring))
+  done;
+  if !n < max then begin
+    let m = Nic.rx_burst t.inner ~max:(max - !n) f in
+    t.pending_inner_rx <- t.pending_inner_rx + m;
+    n := !n + m
+  end;
+  !n
 
-  let rx_burst t ~max f =
-    let n = ref 0 in
-    while !n < max && not (Sim.Ring.is_empty t.rx_ring) do
-      incr n;
-      t.pending_shm_rx <- t.pending_shm_rx + 1;
-      f (Netsim.Packet.get t.hub.packets (Sim.Ring.take t.rx_ring))
-    done;
-    if !n < max then begin
-      let m = Transport.Iface.rx_burst t.inner ~max:(max - !n) f in
-      t.pending_inner_rx <- t.pending_inner_rx + m;
-      n := !n + m
-    end;
-    !n
+let rx_ring_depth t = Sim.Ring.length t.rx_ring + Nic.rx_ring_depth t.inner
 
-  let rx_ring_depth t =
-    Sim.Ring.length t.rx_ring + Transport.Iface.rx_ring_depth t.inner
+let set_rx_notify t f =
+  t.rx_notify <- f;
+  Nic.set_rx_notify t.inner f
 
-  let set_rx_notify t f =
-    t.rx_notify <- f;
-    Transport.Iface.set_rx_notify t.inner f
+let replenish_rx t n =
+  assert (n >= 0);
+  let inner_n = Int.min n t.pending_inner_rx in
+  t.pending_inner_rx <- t.pending_inner_rx - inner_n;
+  let shm_n = Int.min (n - inner_n) t.pending_shm_rx in
+  t.pending_shm_rx <- t.pending_shm_rx - shm_n;
+  Nic.replenish_rx t.inner inner_n + (shm_n * t.costs.ring_post_ns)
 
-  let replenish_rx t n =
-    assert (n >= 0);
-    let inner_n = Int.min n t.pending_inner_rx in
-    t.pending_inner_rx <- t.pending_inner_rx - inner_n;
-    let shm_n = Int.min (n - inner_n) t.pending_shm_rx in
-    t.pending_shm_rx <- t.pending_shm_rx - shm_n;
-    Transport.Iface.replenish_rx t.inner inner_n + (shm_n * t.costs.ring_post_ns)
+(* Network ingress is always the wire device; ring deliveries bypass it. *)
+let receive t pkt = Nic.receive t.inner pkt
 
-  (* Network ingress is always the wire device; ring deliveries bypass it. *)
-  let receive t pkt = Transport.Iface.receive t.inner pkt
+let reset_rx t =
+  while not (Sim.Ring.is_empty t.rx_ring) do
+    Netsim.Packet.free (Netsim.Packet.get t.hub.packets (Sim.Ring.take t.rx_ring))
+  done;
+  t.pending_inner_rx <- 0;
+  t.pending_shm_rx <- 0;
+  Nic.reset_rx t.inner
 
-  let reset_rx t =
-    while not (Sim.Ring.is_empty t.rx_ring) do
-      Netsim.Packet.free (Netsim.Packet.get t.hub.packets (Sim.Ring.take t.rx_ring))
-    done;
-    t.pending_inner_rx <- 0;
-    t.pending_shm_rx <- 0;
-    Transport.Iface.reset_rx t.inner
+let rx_packets t = t.shm_rx_packets + Nic.rx_packets t.inner
+let tx_packets t = t.shm_tx_packets + Nic.tx_packets t.inner
 
-  let rx_packets t = t.shm_rx_packets + Transport.Iface.rx_packets t.inner
-  let tx_packets t = t.shm_tx_packets + Transport.Iface.tx_packets t.inner
-
-  (* The ring path never drops; only the wire device can. *)
-  let rx_dropped t = Transport.Iface.rx_dropped t.inner
-end
+(* The ring path never drops; only the wire device can. *)
+let rx_dropped t = Nic.rx_dropped t.inner
 
 type stats = {
   shm_tx : int;
@@ -308,8 +301,8 @@ let stats (t : endpoint) =
     ring_stalls = t.ring_stalls;
   }
 
-let create engine ~hub ~host ~rpc_id ~inner ~colocated ~charge ~mode ~slots
-    ~hop_ns ~costs () =
+let create engine ~hub ~host ~rpc_id ~inner ~colocated ~cpu ~mode ~slots ~hop_ns
+    ~costs () =
   let trace = Sim.Engine.trace engine in
   let pid = Obs.Trace.host_pid host in
   let tid = Obs.Trace.register_track trace ~pid (Printf.sprintf "shm%d" rpc_id) in
@@ -320,7 +313,7 @@ let create engine ~hub ~host ~rpc_id ~inner ~colocated ~charge ~mode ~slots
       host;
       inner;
       colocated;
-      charge;
+      cpu;
       mode;
       slots = max 2 slots;
       hop_ns;
@@ -352,4 +345,4 @@ let create engine ~hub ~host ~rpc_id ~inner ~colocated ~charge ~mode ~slots
   (* Restart-friendly: a re-created endpoint at the same address simply
      remaps the ring (the old one died with its process). *)
   Hashtbl.replace hub.endpoints (host, rpc_id) t;
-  (t, Transport.Iface.T ((module Impl : Transport.Iface.S with type t = Impl.t), t))
+  t

@@ -1,12 +1,13 @@
 (** Intra-host shared-memory transport (MemRPC-style).
 
-    The third {!Transport.Iface.S} implementation: co-located endpoints
-    exchange packets through fixed-slot SPSC message rings over the
-    memory interconnect — no NIC, no wire serialization, no switch
-    traversal. Each endpoint is a *mux* wrapping the configured wire
-    transport: packets to co-located destinations take the ring path,
-    everything else the wire, so one Rpc serves mixed local/remote
-    session sets with a single transport handle.
+    The second {!Transport.Iface.S} implementation (the [Mux] case of
+    {!Transport.Iface.t}): co-located endpoints exchange packets through
+    fixed-slot SPSC message rings over the memory interconnect — no NIC,
+    no wire serialization, no switch traversal. Each endpoint is a *mux*
+    wrapping the endpoint's wire device: packets to co-located
+    destinations take the ring path, everything else the {!Nic}, so one
+    Rpc serves mixed local/remote session sets with a single transport
+    handle.
 
     Two handoff disciplines are modeled: *serialize* (copy the payload
     into the ring slot, charged per byte) and *share* (pointer-passing
@@ -43,8 +44,7 @@ type hooks = {
   set_payload : Netsim.Packet.t -> bytes -> unit;
 }
 
-(** One endpoint's ring state; also the [Impl.t] packed into the
-    transport handle. Exposed for {!stats}. *)
+(** One endpoint's ring state and its wrapped wire device. *)
 type endpoint
 
 (** The per-fabric shared-memory segment directory: maps
@@ -60,7 +60,7 @@ val create_hub : hooks:hooks -> packets:Netsim.Packet.table -> unit -> hub
     process. *)
 val set_alive : hub -> (int -> bool) -> unit
 
-(** Ring-path counters (wire-path counters live on the inner transport). *)
+(** Ring-path counters (wire-path counters live on the inner device). *)
 type stats = {
   shm_tx : int;
   shm_rx : int;
@@ -72,23 +72,43 @@ type stats = {
 
 val stats : endpoint -> stats
 
-(** [create engine ~hub ~host ~rpc_id ~inner ~colocated ~charge ~mode
-    ~slots ~hop_ns ~costs ()] registers the endpoint's rings in [hub]
-    and returns the endpoint plus its packed transport. [colocated]
-    answers per destination host; [charge] books sender-side CPU work
-    (already scaled) on the owning dispatch thread; [slots] is the ring
-    capacity before senders stall; [hop_ns] the interconnect hop. *)
+(** [create engine ~hub ~host ~rpc_id ~inner ~colocated ~cpu ~mode ~slots
+    ~hop_ns ~costs ()] registers the endpoint's rings in [hub]. [inner]
+    carries remote traffic; [colocated] answers per destination host;
+    [cpu], the owning dispatch thread, pays sender-side ring work
+    (already scaled); [slots] is the ring capacity before senders stall;
+    [hop_ns] the interconnect hop. *)
 val create :
   Sim.Engine.t ->
   hub:hub ->
   host:int ->
   rpc_id:int ->
-  inner:Transport.Iface.t ->
+  inner:Nic.t ->
   colocated:(int -> bool) ->
-  charge:(int -> unit) ->
+  cpu:Sim.Cpu.t ->
   mode:mode ->
   slots:int ->
   hop_ns:int ->
   costs:costs ->
   unit ->
-  endpoint * Transport.Iface.t
+  endpoint
+
+(** {2 {!Transport.Iface.S} over the mux}
+
+    Counters add the ring path to [inner]'s; only [inner] drops, and
+    network ingress ([receive]) is [inner]'s. *)
+
+val kind : endpoint -> string
+val rq_size : endpoint -> int
+val tx_burst : endpoint -> Netsim.Packet.t -> unit
+val tx_pending : endpoint -> int
+val flush_time_ns : endpoint -> int
+val rx_burst : endpoint -> max:int -> (Netsim.Packet.t -> unit) -> int
+val rx_ring_depth : endpoint -> int
+val set_rx_notify : endpoint -> (unit -> unit) -> unit
+val replenish_rx : endpoint -> int -> int
+val receive : endpoint -> Netsim.Packet.t -> unit
+val reset_rx : endpoint -> unit
+val rx_packets : endpoint -> int
+val tx_packets : endpoint -> int
+val rx_dropped : endpoint -> int

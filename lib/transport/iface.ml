@@ -20,19 +20,34 @@ module type S = sig
   val rx_dropped : t -> int
 end
 
-type t = T : (module S with type t = 'a) * 'a -> t
+(* Both devices provide exactly [S]: checked here, at compile time. *)
+module _ : S = Nic
 
-let kind (T ((module M), x)) = M.kind x
-let rq_size (T ((module M), x)) = M.rq_size x
-let tx_burst (T ((module M), x)) pkt = M.tx_burst x pkt
-let tx_pending (T ((module M), x)) = M.tx_pending x
-let flush_time_ns (T ((module M), x)) = M.flush_time_ns x
-let rx_burst (T ((module M), x)) ~max f = M.rx_burst x ~max f
-let rx_ring_depth (T ((module M), x)) = M.rx_ring_depth x
-let set_rx_notify (T ((module M), x)) f = M.set_rx_notify x f
-let replenish_rx (T ((module M), x)) n = M.replenish_rx x n
-let receive (T ((module M), x)) pkt = M.receive x pkt
-let reset_rx (T ((module M), x)) = M.reset_rx x
-let rx_packets (T ((module M), x)) = M.rx_packets x
-let tx_packets (T ((module M), x)) = M.tx_packets x
-let rx_dropped (T ((module M), x)) = M.rx_dropped x
+module _ : S = struct
+  type t = Shm.endpoint
+
+  include Shm
+end
+
+type t = Wire of Nic.t | Mux of Shm.endpoint
+
+let kind = function Wire n -> Nic.kind n | Mux m -> Shm.kind m
+let rq_size = function Wire n -> Nic.rq_size n | Mux m -> Shm.rq_size m
+let tx_burst t pkt = match t with Wire n -> Nic.tx_burst n pkt | Mux m -> Shm.tx_burst m pkt
+let tx_pending = function Wire n -> Nic.tx_pending n | Mux m -> Shm.tx_pending m
+let flush_time_ns = function Wire n -> Nic.flush_time_ns n | Mux m -> Shm.flush_time_ns m
+
+let rx_burst t ~max f =
+  match t with Wire n -> Nic.rx_burst n ~max f | Mux m -> Shm.rx_burst m ~max f
+
+let rx_ring_depth = function Wire n -> Nic.rx_ring_depth n | Mux m -> Shm.rx_ring_depth m
+
+let set_rx_notify t f =
+  match t with Wire n -> Nic.set_rx_notify n f | Mux m -> Shm.set_rx_notify m f
+
+let replenish_rx t k = match t with Wire n -> Nic.replenish_rx n k | Mux m -> Shm.replenish_rx m k
+let receive t pkt = match t with Wire n -> Nic.receive n pkt | Mux m -> Shm.receive m pkt
+let reset_rx = function Wire n -> Nic.reset_rx n | Mux m -> Shm.reset_rx m
+let rx_packets = function Wire n -> Nic.rx_packets n | Mux m -> Shm.rx_packets m
+let tx_packets = function Wire n -> Nic.tx_packets n | Mux m -> Shm.tx_packets m
+let rx_dropped = function Wire n -> Nic.rx_dropped n | Mux m -> Shm.rx_dropped m

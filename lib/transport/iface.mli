@@ -5,17 +5,21 @@
     because each datapath only has to provide packet TX/RX, a flush
     primitive, and the receive-descriptor count the credit system is sized
     against. [S] is that API; the wire protocol ({!Erpc.Proto}) is written
-    against it alone and never names a concrete device.
+    against [t] alone and never names a concrete device.
 
-    Implementations:
-    - [Nic]: the one wire device, in two modes — lossy raw Ethernet
-      (pre-posted RQ descriptors, drops on exhaustion, RX jitter) and
-      RDMA RC (no descriptor drops under link-level flow control, but TX
-      stalls on NIC connection-cache misses);
-    - [Shm]: the intra-host shared-memory path for co-located endpoints
-      (SPSC message rings over the memory interconnect, serialize-vs-share
-      handoff with seal/unseal guards; muxes over a wire device for
-      remote destinations). *)
+    eRPC picks its transport at compile time (the C++ [Rpc<TTr>]
+    template), so there are no function pointers here either: [t] is the
+    closed sum of the two devices, and each function below is one match
+    on it, a direct call into the device.
+    Both devices are checked against [S] at compile time:
+    - [Wire]: {!Nic}, the one wire device, in two modes — lossy raw
+      Ethernet (pre-posted RQ descriptors, drops on exhaustion, RX
+      jitter) and RDMA RC (no descriptor drops under link-level flow
+      control, but TX stalls on NIC connection-cache misses);
+    - [Mux]: {!Shm}, the intra-host shared-memory path for co-located
+      endpoints (SPSC message rings over the memory interconnect,
+      serialize-vs-share handoff with seal/unseal guards), which muxes
+      over its own [Nic] for remote destinations. *)
 
 module type S = sig
   type t
@@ -65,22 +69,7 @@ module type S = sig
   val rx_dropped : t -> int
 end
 
-(** A packed transport instance: implementation module + its state. *)
-type t = T : (module S with type t = 'a) * 'a -> t
+(** An endpoint's datapath. *)
+type t = Wire of Nic.t | Mux of Shm.endpoint
 
-(** Wrappers dispatching through the packed module. *)
-
-val kind : t -> string
-val rq_size : t -> int
-val tx_burst : t -> Netsim.Packet.t -> unit
-val tx_pending : t -> int
-val flush_time_ns : t -> int
-val rx_burst : t -> max:int -> (Netsim.Packet.t -> unit) -> int
-val rx_ring_depth : t -> int
-val set_rx_notify : t -> (unit -> unit) -> unit
-val replenish_rx : t -> int -> int
-val receive : t -> Netsim.Packet.t -> unit
-val reset_rx : t -> unit
-val rx_packets : t -> int
-val tx_packets : t -> int
-val rx_dropped : t -> int
+include S with type t := t

@@ -145,6 +145,67 @@ let test_nested_rpc () =
   run fabric 10.0;
   check_int "nested chain answered" 42 !answer
 
+(* The server dispatch CPU's busy time over 10 sequential RPCs of
+   [long_req], served by [handler] in [mode] on a one-worker host. The
+   client sends [request] through [issue]. *)
+let server_dispatch_busy ~config ~mode handler issue =
+  let cluster = Transport.Cluster.cx5 ~nodes:2 () in
+  let fabric = Erpc.Fabric.create ~config:(config (Erpc.Config.of_cluster cluster)) cluster in
+  let nx0 = Erpc.Nexus.create fabric ~host:0 () in
+  let nx1 = Erpc.Nexus.create fabric ~host:1 ~num_workers:1 () in
+  Erpc.Nexus.register_handler nx1 ~req_type:long_req ~mode handler;
+  let client = Erpc.Rpc.create nx0 ~rpc_id:0 in
+  let server = Erpc.Rpc.create nx1 ~rpc_id:0 in
+  let sess = connect fabric client ~remote_host:1 in
+  let completed = ref 0 in
+  for _ = 1 to 10 do
+    issue client sess (fun ok -> if ok then incr completed);
+    run fabric 1.0
+  done;
+  check_int "all RPCs completed" 10 !completed;
+  Sim.Cpu.busy_ns (Erpc.Rpc.cpu server)
+
+let issue_raw client sess k =
+  let req = Erpc.Msgbuf.alloc ~max_size:4 in
+  let resp = Erpc.Msgbuf.alloc ~max_size:4 in
+  Erpc.Rpc.enqueue_request client sess ~req_type:long_req ~req ~resp ~cont:(fun r ->
+      k (Result.is_ok r))
+
+(* A worker allocates its response on its own thread: whether the slot's
+   preallocated msgbuf is used must not move the dispatch CPU's time. *)
+let test_worker_init_response_charges_worker () =
+  let busy prealloc =
+    server_dispatch_busy
+      ~config:(fun c -> { c with Erpc.Config.opts = { c.opts with preallocated_responses = prealloc } })
+      ~mode:Erpc.Nexus.Worker
+      (fun h -> Erpc.Req_handle.enqueue_response h (Erpc.Req_handle.init_response h ~size:4))
+      issue_raw
+  in
+  check_int "dispatch busy time independent of response preallocation" (busy true) (busy false)
+
+let sum_codec = Codec.(list u32)
+
+let issue_typed client sess k =
+  Erpc.Typed.enqueue_request client sess ~req_type:long_req ~req_codec:sum_codec
+    ~resp_codec:Codec.u64 (List.init 32 Fun.id) ~cont:(fun r -> k (Result.is_ok r))
+
+(* Typed handlers charge their codec work to the thread they run on: in
+   Worker mode the dispatch CPU never sees it, in Dispatch mode it does. *)
+let test_typed_worker_codec_charges_worker () =
+  let busy mode offload =
+    server_dispatch_busy
+      ~config:(fun c -> { c with Erpc.Config.codec_offload = offload })
+      ~mode
+      (fun h ->
+        let xs = Erpc.Typed.read_request h sum_codec in
+        Erpc.Typed.respond h Codec.u64 (List.fold_left ( + ) 0 xs))
+      issue_typed
+  in
+  check_int "worker: dispatch busy time independent of codec offload"
+    (busy Erpc.Nexus.Worker false) (busy Erpc.Nexus.Worker true);
+  check_bool "dispatch: codec offload changes dispatch busy time" true
+    (busy Erpc.Nexus.Dispatch false <> busy Erpc.Nexus.Dispatch true)
+
 let suite =
   [
     Alcotest.test_case "worker does not block dispatch" `Quick
@@ -152,4 +213,8 @@ let suite =
     Alcotest.test_case "worker handoff latency" `Quick test_worker_handoff_adds_latency;
     Alcotest.test_case "worker parallelism" `Quick test_worker_parallelism;
     Alcotest.test_case "nested RPC" `Quick test_nested_rpc;
+    Alcotest.test_case "worker init_response charges the worker" `Quick
+      test_worker_init_response_charges_worker;
+    Alcotest.test_case "typed worker codec charges the worker" `Quick
+      test_typed_worker_codec_charges_worker;
   ]

@@ -7,7 +7,8 @@
    (which is not a [Config.transport_kind] — it wraps one). The
    conformance suite checks the contract every implementation must
    honor: geometry invariants, FIFO rx_burst order, replenish/reset
-   semantics, and zero descriptor drops on the RDMA RC datapath. *)
+   semantics, zero descriptor drops on the RDMA RC datapath, and packet
+   conservation between the protocol, the devices and the network. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -33,6 +34,18 @@ let config_for tp (cfg : Erpc.Config.t) =
 
 let echo = Test_erpc_basic.echo_req_type
 
+(* An echo handler: the response copies the request, or its first
+   [resp_size] bytes. *)
+let register_echo ?(resp_size = None) ?(count_handler_runs = ref 0) nx =
+  Erpc.Nexus.register_handler nx ~req_type:echo ~mode:Erpc.Nexus.Dispatch (fun h ->
+      incr count_handler_runs;
+      let req = Erpc.Req_handle.get_request h in
+      let n = match resp_size with Some n -> n | None -> Erpc.Msgbuf.size req in
+      let resp = Erpc.Req_handle.init_response h ~size:n in
+      let copy = min n (Erpc.Msgbuf.size req) in
+      if copy > 0 then Erpc.Msgbuf.blit ~src:req ~src_off:0 ~dst:resp ~dst_off:0 ~len:copy;
+      Erpc.Req_handle.enqueue_response h resp)
+
 let make_pair ?(tp = Raw_eth) ?cluster ?config ?(resp_size = None)
     ?(count_handler_runs = ref 0) () =
   let cluster = match cluster with Some c -> c | None -> cluster_for tp in
@@ -43,14 +56,7 @@ let make_pair ?(tp = Raw_eth) ?cluster ?config ?(resp_size = None)
   let fabric = Erpc.Fabric.create ~config cluster in
   let nx0 = Erpc.Nexus.create fabric ~host:0 () in
   let nx1 = Erpc.Nexus.create fabric ~host:1 () in
-  Erpc.Nexus.register_handler nx1 ~req_type:echo ~mode:Erpc.Nexus.Dispatch (fun h ->
-      incr count_handler_runs;
-      let req = Erpc.Req_handle.get_request h in
-      let n = match resp_size with Some n -> n | None -> Erpc.Msgbuf.size req in
-      let resp = Erpc.Req_handle.init_response h ~size:n in
-      let copy = min n (Erpc.Msgbuf.size req) in
-      if copy > 0 then Erpc.Msgbuf.blit ~src:req ~src_off:0 ~dst:resp ~dst_off:0 ~len:copy;
-      Erpc.Req_handle.enqueue_response h resp);
+  register_echo ~resp_size ~count_handler_runs nx1;
   let client = Erpc.Rpc.create nx0 ~rpc_id:0 in
   let server = Erpc.Rpc.create nx1 ~rpc_id:0 in
   (fabric, client, server)
@@ -156,12 +162,79 @@ let test_counters_and_drops tp () =
     check_int "lossless: no server drops" 0 (Transport.Iface.rx_dropped st)
   end
 
+(* Cross-layer packet conservation. Per endpoint, the protocol's packet
+   counters equal its device's. Across the fabric, every packet a device
+   transmitted was received by a device, dropped for want of a receive
+   descriptor, or lost on the wire: nothing is created, duplicated or
+   silently lost between the layers. Three hosts, four sessions, mixed
+   single-packet and 14-packet requests, run to quiescence without and
+   with injected loss. On the shm datapath only hosts 0 and 1 share a
+   machine, so the mux carries both ring and wire traffic. *)
+let test_packet_conservation tp () =
+  List.iter
+    (fun loss ->
+      let cluster =
+        match tp with
+        | Shm -> Transport.Cluster.colocate (Transport.Cluster.cx5 ~nodes:3 ()) [ [ 0; 1 ] ]
+        | Raw_eth | Rdma_rc -> cluster_for ~nodes:3 tp
+      in
+      let config = config_for tp (Erpc.Config.of_cluster cluster) in
+      let fabric = Erpc.Fabric.create ~config cluster in
+      let net = Erpc.Fabric.net fabric in
+      let nexuses = Array.init 3 (fun host -> Erpc.Nexus.create fabric ~host ()) in
+      Array.iter (fun nx -> register_echo nx) nexuses;
+      let rpcs = Array.map (fun nx -> Erpc.Rpc.create nx ~rpc_id:0) nexuses in
+      let sessions =
+        List.map
+          (fun (src, dst) ->
+            (rpcs.(src), Erpc.Rpc.create_session rpcs.(src) ~remote_host:dst ~remote_rpc_id:0 ()))
+          [ (0, 1); (0, 2); (1, 2); (2, 0) ]
+      in
+      run fabric 1.0;
+      Netsim.Network.set_loss_prob net loss;
+      let per_session = 200 in
+      let completed = ref 0 in
+      List.iter
+        (fun (rpc, sess) ->
+          let rec issue i =
+            if i < per_session then begin
+              let size = if i mod 2 = 0 then 64 else 20_000 in
+              let req = Erpc.Msgbuf.alloc ~max_size:size in
+              let resp = Erpc.Msgbuf.alloc ~max_size:size in
+              Erpc.Rpc.enqueue_request rpc sess ~req_type:echo ~req ~resp ~cont:(fun r ->
+                  if Result.is_ok r then incr completed;
+                  issue (i + 1))
+            end
+          in
+          issue 0)
+        sessions;
+      run fabric 500.0;
+      let label what = Printf.sprintf "%s (loss %g)" what loss in
+      check_int (label "every RPC completed") (4 * per_session) !completed;
+      Array.iter
+        (fun rpc ->
+          let st = Erpc.Rpc.stats rpc and t = Erpc.Rpc.transport rpc in
+          check_int (label "protocol TX = device TX") st.Erpc.Rpc_stats.tx_pkts
+            (Transport.Iface.tx_packets t);
+          check_int (label "protocol RX = device RX") st.Erpc.Rpc_stats.rx_pkts
+            (Transport.Iface.rx_packets t))
+        rpcs;
+      let sum f = Array.fold_left (fun acc rpc -> acc + f (Erpc.Rpc.transport rpc)) 0 rpcs in
+      check_int
+        (label "fabric: TX = RX + descriptor drops + wire losses")
+        (sum Transport.Iface.tx_packets)
+        (sum Transport.Iface.rx_packets
+        + sum Transport.Iface.rx_dropped
+        + Netsim.Network.injected_losses net))
+    [ 0.0; 1e-3 ]
+
 let suite_for tp =
   [
     Alcotest.test_case "geometry invariants" `Quick (test_geometry tp);
     Alcotest.test_case "FIFO rx order" `Quick (test_fifo_rx_order tp);
     Alcotest.test_case "replenish/reset semantics" `Quick (test_replenish_reset tp);
     Alcotest.test_case "counters and drops" `Quick (test_counters_and_drops tp);
+    Alcotest.test_case "packet conservation" `Quick (test_packet_conservation tp);
   ]
 
 let suite = suite_for Raw_eth
