@@ -72,13 +72,12 @@ let table3 () =
      paper's cumulative table: each re-runs the baseline with a different
      datapath (typed serialization, RDMA RC, mixed local/remote shm), so
      they get their own section (loss vs the baseline). *)
-  let has_prefix p label =
-    String.length label >= String.length p && String.sub label 0 (String.length p) = p
-  in
   let cumulative, extra_rows =
     List.partition
       (fun (label, _) ->
-        not (has_prefix "Typed codec" label || has_prefix "Transport" label))
+        not
+          (String.starts_with ~prefix:"Typed codec" label
+          || String.starts_with ~prefix:"Transport" label))
       rows
   in
   let prev = ref None in
@@ -207,25 +206,15 @@ let ablations () =
     in
     let client = d.rpcs.(0).(0) in
     let sess = Experiments.Harness.connect d client ~remote_host:1 ~remote_rpc_id:0 in
-    let engine = Erpc.Fabric.engine d.fabric in
-    let req = Erpc.Msgbuf.alloc ~max_size:req_size in
-    let resp = Erpc.Msgbuf.alloc ~max_size:(max 32 resp_size) in
-    let lat = ref 0 in
-    let remaining = ref 200 in
-    let rec issue () =
-      if !remaining > 0 then begin
-        decr remaining;
-        let t0 = Sim.Engine.now engine in
-        Erpc.Rpc.enqueue_request client sess ~req_type:Experiments.Harness.echo_req_type ~req
-          ~resp
-          ~cont:(fun _ ->
-            lat := Sim.Time.sub (Sim.Engine.now engine) t0;
-            issue ())
-      end
+    (* 200 back-to-back requests; the last one's latency is reported. *)
+    let driver =
+      Experiments.Harness.make_driver
+        ~payload:(Experiments.Harness.Echo { req_size; resp_size = max 32 resp_size })
+        ~count:200 ~rpc:client ~sessions:[| sess |] ~window:1 ()
     in
-    issue ();
+    Experiments.Harness.start_driver driver;
     Experiments.Harness.run_ms d 50.0;
-    float_of_int !lat /. 1e3
+    float_of_int (Experiments.Harness.driver_last_latency driver) /. 1e3
   in
   List.iter
     (fun pkts ->
@@ -267,43 +256,15 @@ let ablations () =
 " "RTO" "Gbps @1e-4" "(8 MB requests)";
   List.iter
     (fun rto_ms ->
-      let cluster = Transport.Cluster.cx5_ib100 () in
       let config =
-        { (Erpc.Config.of_cluster ~credits:32 cluster) with
+        { (Erpc.Config.of_cluster ~credits:32 (Transport.Cluster.cx5_ib100 ())) with
           rto_ns = int_of_float (rto_ms *. 1e6) }
       in
-      (* Inline variant of Exp_bandwidth.erpc_goodput with a custom RTO. *)
-      let d =
-        Experiments.Harness.deploy ~config cluster ~threads_per_host:1
-          ~register:(Experiments.Harness.register_echo ~resp_size:32)
+      let gbps =
+        (Experiments.Exp_bandwidth.erpc_goodput ~config ~requests:20 ~loss:1e-4
+           ~req_size:(8 * 1024 * 1024) ())
+          .goodput_gbps
       in
-      Netsim.Network.set_loss_prob (Erpc.Fabric.net d.fabric) 1e-4;
-      let client = d.rpcs.(0).(0) in
-      let sess = Experiments.Harness.connect d client ~remote_host:1 ~remote_rpc_id:0 in
-      let engine = Erpc.Fabric.engine d.fabric in
-      let req_size = 8 * 1024 * 1024 in
-      let req = Erpc.Msgbuf.alloc ~max_size:req_size in
-      let resp = Erpc.Msgbuf.alloc ~max_size:32 in
-      let remaining = ref 20 in
-      let t0 = Sim.Engine.now engine in
-      let t_end = ref t0 in
-      let rec issue () =
-        if !remaining > 0 then begin
-          decr remaining;
-          Erpc.Rpc.enqueue_request client sess ~req_type:Experiments.Harness.echo_req_type
-            ~req ~resp
-            ~cont:(fun _ ->
-              t_end := Sim.Engine.now engine;
-              issue ())
-        end
-      in
-      issue ();
-      let guard = ref 500 in
-      while !remaining > 0 && !guard > 0 do
-        Experiments.Harness.run_ms d 10.0;
-        decr guard
-      done;
-      let gbps = float_of_int (20 * req_size * 8) /. float_of_int (Sim.Time.sub !t_end t0) in
       Printf.printf "%-10s %-14.1f
 %!" (Printf.sprintf "%.0f ms" rto_ms) gbps)
     [ 1.0; 5.0; 20.0 ];
@@ -315,44 +276,16 @@ let ablations () =
 " "mode" "8 MB Gbps" "server tx pkts";
   List.iter
     (fun cumulative ->
-      let cluster = Transport.Cluster.cx5_ib100 () in
-      let base = Erpc.Config.of_cluster ~credits:32 cluster in
+      let base = Erpc.Config.of_cluster ~credits:32 (Transport.Cluster.cx5_ib100 ()) in
       let config = { base with opts = { base.opts with cumulative_crs = cumulative } } in
-      let d =
-        Experiments.Harness.deploy ~config cluster ~threads_per_host:1
-          ~register:(Experiments.Harness.register_echo ~resp_size:32)
+      let p =
+        Experiments.Exp_bandwidth.erpc_goodput ~config ~requests:5 ~req_size:(8 * 1024 * 1024)
+          ()
       in
-      let client = d.rpcs.(0).(0) in
-      let server = d.rpcs.(1).(0) in
-      let sess = Experiments.Harness.connect d client ~remote_host:1 ~remote_rpc_id:0 in
-      let engine = Erpc.Fabric.engine d.fabric in
-      let req_size = 8 * 1024 * 1024 in
-      let req = Erpc.Msgbuf.alloc ~max_size:req_size in
-      let resp = Erpc.Msgbuf.alloc ~max_size:32 in
-      let remaining = ref 6 in
-      let t0 = ref Sim.Time.zero and t1 = ref Sim.Time.zero in
-      let rec issue () =
-        if !remaining > 0 then begin
-          if !remaining = 5 then t0 := Sim.Engine.now engine;
-          decr remaining;
-          Erpc.Rpc.enqueue_request client sess ~req_type:Experiments.Harness.echo_req_type
-            ~req ~resp
-            ~cont:(fun _ ->
-              t1 := Sim.Engine.now engine;
-              issue ())
-        end
-      in
-      issue ();
-      let guard = ref 300 in
-      while !remaining > 0 && !guard > 0 do
-        Experiments.Harness.run_ms d 10.0;
-        decr guard
-      done;
-      let gbps = float_of_int (5 * req_size * 8) /. float_of_int (Sim.Time.sub !t1 !t0) in
       Printf.printf "%-14s %-14.1f %-16d
 %!"
         (if cumulative then "cumulative" else "per-packet")
-        gbps ((Erpc.Rpc.stats server).Erpc.Rpc_stats.tx_pkts))
+        p.goodput_gbps p.server_tx_pkts)
     [ false; true ];
 
   section "Ablation: Timely vs DCQCN (the extension the paper could not run, §5.2.1)";

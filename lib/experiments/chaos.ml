@@ -104,7 +104,7 @@ let run_one ?(hosts = 10) ?(events = 12) ?(requests = 120) ?(horizon_ns = 60_000
            violate "session sn=%d: credits %d <> limit %d (leak)" sess.sn sess.credits
              sess.credit_limit))
     sessions;
-  let stat f = List.fold_left (fun acc r -> acc + f (Erpc.Rpc.stats r)) 0 all_rpcs in
+  let stat = Harness.sum_stats d in
   let handled = stat (fun s -> s.Erpc.Rpc_stats.handled) in
   if handled > requests then
     violate "handlers ran %d times for %d requests (at-most-once broken)" handled requests;

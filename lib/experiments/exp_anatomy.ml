@@ -37,25 +37,16 @@ let run ?seed ?trace ?(samples = 32) ?(req_size = 32) ?(typed = false)
   let d = Harness.deploy ?seed ~config ~trace cluster ~threads_per_host:1 ~register in
   let client = d.rpcs.(0).(0) in
   let sess = Harness.connect d client ~remote_host:1 ~remote_rpc_id:0 in
-  let req = Erpc.Msgbuf.alloc ~max_size:req_size in
-  let resp = Erpc.Msgbuf.alloc ~max_size:(max 32 req_size) in
+  let payload =
+    if typed then Harness.Typed (Harness.schema_fixed, Harness.value_fixed)
+    else Harness.Echo { req_size; resp_size = max 32 req_size }
+  in
   (* Strictly sequential: one request outstanding, the next issued only
      after the previous completes, so the network is quiet and every
      sampled latency decomposes against an idle fabric. *)
-  let remaining = ref samples in
-  let rec issue () =
-    if !remaining > 0 then begin
-      decr remaining;
-      if typed then
-        let codec = Harness.schema_fixed in
-        Erpc.Typed.enqueue_request client sess ~req_type:Harness.typed_echo_req_type
-          ~req_codec:codec ~resp_codec:codec Harness.value_fixed ~cont:(fun _ -> issue ())
-      else
-        Erpc.Rpc.enqueue_request client sess ~req_type:Harness.echo_req_type ~req ~resp
-          ~cont:(fun _ -> issue ())
-    end
-  in
-  issue ();
+  Harness.start_driver
+    (Harness.make_driver ~payload ~count:samples ~rpc:client ~sessions:[| sess |] ~window:1
+       ());
   Harness.run_ms d (1.0 +. (0.05 *. float_of_int samples));
   let predicted_wire_ns = predictor cluster in
   let breakdowns = Obs.Anatomy.analyze ~wire_ns:predicted_wire_ns (Obs.Trace.events trace) in

@@ -2,11 +2,15 @@ type point = {
   req_size : int;
   goodput_gbps : float;
   retransmits : int;
+  server_tx_pkts : int;
 }
 
-let erpc_goodput ?(credits = 32) ?(requests = 8) ?(loss = 0.) ?seed ?trace ~req_size () =
+let erpc_goodput ?(credits = 32) ?config ?(requests = 8) ?(loss = 0.) ?seed ?trace ~req_size
+    () =
   let cluster = Transport.Cluster.cx5_ib100 () in
-  let config = Erpc.Config.of_cluster ~credits cluster in
+  let config =
+    match config with Some c -> c | None -> Erpc.Config.of_cluster ~credits cluster
+  in
   let d =
     Harness.deploy ?seed ?trace ~config cluster ~threads_per_host:1
       ~register:(Harness.register_echo ~resp_size:32)
@@ -14,38 +18,24 @@ let erpc_goodput ?(credits = 32) ?(requests = 8) ?(loss = 0.) ?seed ?trace ~req_
   Netsim.Network.set_loss_prob (Erpc.Fabric.net d.fabric) loss;
   let client = d.rpcs.(0).(0) in
   let sess = Harness.connect d client ~remote_host:1 ~remote_rpc_id:0 in
-  let engine = Erpc.Fabric.engine d.fabric in
-  let req = Erpc.Msgbuf.alloc ~max_size:req_size in
-  let resp = Erpc.Msgbuf.alloc ~max_size:(max 32 req_size) in
-  let remaining = ref (requests + 1) (* one warmup *) in
-  let measured_from = ref Sim.Time.zero in
-  let finished_at = ref Sim.Time.zero in
-  let rec issue () =
-    if !remaining > 0 then begin
-      (* The measured window starts when the first post-warmup request is
-         issued. *)
-      if !remaining = requests then measured_from := Sim.Engine.now engine;
-      decr remaining;
-      Erpc.Rpc.enqueue_request client sess ~req_type:Harness.echo_req_type ~req ~resp
-        ~cont:(fun _ ->
-          finished_at := Sim.Engine.now engine;
-          issue ())
-    end
+  (* One warmup request; the measured window runs from its completion
+     (when the first measured request is issued) to the last one's. *)
+  let driver =
+    Harness.make_driver
+      ~payload:(Harness.Echo { req_size; resp_size = max 32 req_size })
+      ~count:(requests + 1) ~rpc:client ~sessions:[| sess |] ~window:1 ()
   in
-  issue ();
+  Harness.start_driver driver;
   (* 8 MB at worst-case Table 4 loss rates can take seconds of simulated
      time per request. *)
-  let deadline = ref 2000 in
-  while !remaining > 0 && !deadline > 0 do
-    Harness.run_ms d 10.0;
-    decr deadline
-  done;
-  let elapsed = Sim.Time.sub !finished_at !measured_from in
+  Harness.run_driver ~max_slices:2000 d driver ~slice_ms:10.0;
+  let elapsed = Harness.driver_span driver in
   let bits = float_of_int (req_size * 8 * requests) in
   {
     req_size;
     goodput_gbps = (if elapsed <= 0 then 0. else bits /. float_of_int elapsed);
     retransmits = (Erpc.Rpc.stats client).Erpc.Rpc_stats.retransmits;
+    server_tx_pkts = (Erpc.Rpc.stats d.rpcs.(1).(0)).Erpc.Rpc_stats.tx_pkts;
   }
 
 let rdma_write_goodput ?(requests = 8) ~req_size () =
@@ -75,6 +65,7 @@ let rdma_write_goodput ?(requests = 8) ~req_size () =
     req_size;
     goodput_gbps = (if elapsed <= 0 then 0. else bits /. float_of_int elapsed);
     retransmits = 0;
+    server_tx_pkts = 0;
   }
 
 let fig6 ?requests () =

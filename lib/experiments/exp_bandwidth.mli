@@ -10,12 +10,17 @@ type point = {
   req_size : int;
   goodput_gbps : float;
   retransmits : int;
+  server_tx_pkts : int;  (** packets the server sent (0 for RDMA writes) *)
 }
 
 (** eRPC goodput for one request size. [requests] round trips are timed
-    after one warmup request. *)
+    after one warmup request, from the warmup's completion to the last
+    request's; the run lasts until that last completion. [config]
+    replaces [Erpc.Config.of_cluster ~credits] for the 100 Gbps cluster
+    ({!Transport.Cluster.cx5_ib100}). *)
 val erpc_goodput :
   ?credits:int ->
+  ?config:Erpc.Config.t ->
   ?requests:int ->
   ?loss:float ->
   ?seed:int64 ->

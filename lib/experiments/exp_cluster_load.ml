@@ -86,13 +86,9 @@ let run ?(seed = 42L) ?(trace_capacity = 1 lsl 18)
   let engine = Erpc.Fabric.engine d.fabric in
   (* Replicated-KV service on hosts 0-5, exactly the kv-chaos deployment. *)
   let map = Service.Shard_map.create ~shards ~replication ~replica_hosts in
-  let replicas =
-    Array.map
-      (fun host ->
-        Service.Replica.create ~fabric:d.fabric ~nexus:d.nexuses.(host)
-          ~rpc:d.rpcs.(host).(0) ~map ~host ())
-      replica_hosts
-  in
+  (* Bootstrap: every shard elects before the measured window opens. *)
+  let replicas, elected = Harness.start_replicas d ~map in
+  if not elected then violate "bootstrap: not every shard elected a leader";
   (* Echo service: one req_type per echo tenant, so each tenant gets its
      own response size (a 64 kB transfer is acked with 32 B, not echoed). *)
   List.iteri
@@ -106,19 +102,6 @@ let run ?(seed = 42L) ?(trace_capacity = 1 lsl 18)
             echo_hosts
       | Workload.Traffic_spec.Kv _ -> ())
     scenario.tenants;
-  (* Bootstrap: every shard elects before the measured window opens. *)
-  let all_elected () =
-    List.for_all
-      (fun shard ->
-        Array.exists (fun r -> Service.Replica.is_leader r ~shard) replicas)
-      (List.init shards Fun.id)
-  in
-  let budget = ref 100 in
-  while (not (all_elected ())) && !budget > 0 do
-    Harness.run_ms d 5.0;
-    decr budget
-  done;
-  if not (all_elected ()) then violate "bootstrap: not every shard elected a leader";
   (* Measurement epoch: set once instantiation (which runs the engine to
      connect echo sessions) is done; completion callbacks read it to place
      samples on the timeline. *)

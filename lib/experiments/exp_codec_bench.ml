@@ -60,13 +60,14 @@ let sim_mrps ~seed ~backend ~offload ~measure_ms (P (_, codec, value)) =
   let sessions = [| Harness.connect d rpc ~remote_host:1 ~remote_rpc_id:0 |] in
   let rng = Sim.Rng.split (Sim.Engine.rng (Erpc.Fabric.engine d.fabric)) in
   let driver =
-    Harness.make_typed_driver ~codec ~value ~rng ~rpc ~sessions ~window:16 ~batch:1 ()
+    Harness.make_driver ~payload:(Harness.Typed (codec, value)) ~rng ~rpc ~sessions
+      ~window:16 ~batch:1 ()
   in
-  Harness.start_typed_driver driver;
+  Harness.start_driver driver;
   Harness.run_ms d 0.5 (* warmup *);
-  let before = Harness.typed_driver_completed driver in
+  let before = Harness.driver_completed driver in
   Harness.run_ms d measure_ms;
-  let after = Harness.typed_driver_completed driver in
+  let after = Harness.driver_completed driver in
   float_of_int (after - before) /. (measure_ms *. 1e-3) /. 1e6
 
 let run_one ?(seed = 1L) ?(iters = 100_000) ?(measure_ms = 2.0)

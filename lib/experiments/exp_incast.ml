@@ -49,19 +49,22 @@ let setup ?seed ?trace ?(credits = 32) ?(algo = Erpc.Config.Timely) ~degree ~cc 
   in
   d
 
+(* Hosts 1..degree each keep one 8 MB request in flight to the victim. *)
+let incast_drivers (d : Harness.deployment) rng ~degree =
+  List.init degree (fun i ->
+      let client = d.rpcs.(i + 1).(0) in
+      let sess = Harness.connect d client ~remote_host:victim ~remote_rpc_id:0 in
+      Harness.make_driver
+        ~payload:(Harness.Echo { req_size = 8 * 1024 * 1024; resp_size = 32 })
+        ~rng:(Sim.Rng.split rng) ~rpc:client ~sessions:[| sess |] ~window:1 ())
+
 let run ?seed ?trace ?credits ?algo ?(warmup_ms = 20.0) ?(measure_ms = 40.0) ~degree ~cc
     () =
   let d = setup ?seed ?trace ?credits ?algo ~degree ~cc () in
   let engine = Erpc.Fabric.engine d.fabric in
   let rng = Sim.Rng.split (Sim.Engine.rng engine) in
   let rtt_hist = Stats.Hist.create () in
-  let drivers =
-    List.init degree (fun i ->
-        let client = d.rpcs.(i + 1).(0) in
-        let sess = Harness.connect d client ~remote_host:victim ~remote_rpc_id:0 in
-        Harness.make_driver ~req_size:(8 * 1024 * 1024) ~resp_size:32 ~rng:(Sim.Rng.split rng)
-          ~rpc:client ~sessions:[| sess |] ~window:1 ())
-  in
+  let drivers = incast_drivers d rng ~degree in
   List.iter Harness.start_driver drivers;
   Harness.run_ms d warmup_ms;
   (* Collect client-side per-packet RTTs only during the measured window. *)
@@ -109,13 +112,7 @@ let with_background ?seed ?(measure_ms = 40.0) ~degree () =
   let d = setup ?seed ~degree ~cc:true () in
   let engine = Erpc.Fabric.engine d.fabric in
   let rng = Sim.Rng.split (Sim.Engine.rng engine) in
-  let incast_drivers =
-    List.init degree (fun i ->
-        let client = d.rpcs.(i + 1).(0) in
-        let sess = Harness.connect d client ~remote_host:victim ~remote_rpc_id:0 in
-        Harness.make_driver ~req_size:(8 * 1024 * 1024) ~resp_size:32 ~rng:(Sim.Rng.split rng)
-          ~rpc:client ~sessions:[| sess |] ~window:1 ())
-  in
+  let incast = incast_drivers d rng ~degree in
   (* Latency-sensitive pairs: non-victim nodes (1,2), (3,4), ... exchange
      64 kB request/response RPCs, one outstanding. *)
   let lat_hist = Stats.Hist.create () in
@@ -127,15 +124,16 @@ let with_background ?seed ?(measure_ms = 40.0) ~degree () =
         let client = d.rpcs.(i).(0) in
         let sess = Harness.connect d client ~remote_host:(i + 1) ~remote_rpc_id:0 in
         let drv =
-          Harness.make_driver ~latencies:lat_hist ~req_size:(64 * 1024)
-            ~resp_size:(64 * 1024) ~req_type:2 ~rng:(Sim.Rng.split rng) ~rpc:client
-            ~sessions:[| sess |] ~window:1 ()
+          Harness.make_driver ~latencies:lat_hist
+            ~payload:(Harness.Echo { req_size = 64 * 1024; resp_size = 64 * 1024 })
+            ~req_type:2 ~rng:(Sim.Rng.split rng) ~rpc:client ~sessions:[| sess |] ~window:1
+            ()
         in
         pairs (i + 2) (drv :: acc)
     in
     pairs 1 []
   in
-  List.iter Harness.start_driver incast_drivers;
+  List.iter Harness.start_driver incast;
   List.iter Harness.start_driver bg_drivers;
   Harness.run_ms d 20.0;
   Stats.Hist.clear lat_hist;

@@ -218,18 +218,14 @@ let run ~seed ~fault_scenario () =
   let d = Harness.deploy ~seed cluster ~threads_per_host:1 in
   let engine = Erpc.Fabric.engine d.fabric in
   let map = Service.Shard_map.create ~shards ~replication ~replica_hosts in
-  let replicas =
-    Array.map
-      (fun host ->
-        Service.Replica.create ~fabric:d.fabric ~nexus:d.nexuses.(host)
-          ~rpc:d.rpcs.(host).(0) ~map ~host ())
-      replica_hosts
-  in
+  (* Bootstrap: every group must elect before the measured window. *)
+  let replicas, elected = Harness.start_replicas d ~map in
   let ftrace = Faults.Trace.create () in
   let injector = Faults.Injector.create ~trace:ftrace d.fabric in
   let ctx = { d; engine; map; replicas; ftrace; injector } in
   let violations = ref [] in
   let violate fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
+  if not elected then violate "bootstrap: not every shard elected a leader";
   (* Apply observer: counts effective store mutations per incarnation. *)
   let applied = Hashtbl.create 4096 in
   Array.iter
@@ -240,19 +236,6 @@ let run ~seed ~fault_scenario () =
           Hashtbl.replace applied k
             (1 + Option.value ~default:0 (Hashtbl.find_opt applied k))))
     replicas;
-  (* Bootstrap: every group must elect before the measured window. *)
-  let all_elected () =
-    List.for_all
-      (fun shard ->
-        Array.exists (fun r -> Service.Replica.is_leader r ~shard) replicas)
-      (List.init shards Fun.id)
-  in
-  let budget = ref 100 in
-  while (not (all_elected ())) && !budget > 0 do
-    Harness.run_ms d 5.0;
-    decr budget
-  done;
-  if not (all_elected ()) then violate "bootstrap: not every shard elected a leader";
   let t0 = Sim.Engine.now engine in
   Faults.Trace.record ftrace ~at_ns:t0
     (Printf.sprintf "kv-chaos seed=%Ld scenario=%s" seed

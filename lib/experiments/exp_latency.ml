@@ -10,25 +10,13 @@ let measure_erpc ?seed ?(samples = 2_000) cluster =
   let client = d.rpcs.(0).(0) in
   let sess = Harness.connect d client ~remote_host:1 ~remote_rpc_id:0 in
   let hist = Stats.Hist.create () in
-  let engine = Erpc.Fabric.engine d.fabric in
-  let req = Erpc.Msgbuf.alloc ~max_size:32 in
-  let resp = Erpc.Msgbuf.alloc ~max_size:32 in
   (* One outstanding RPC at a time: pure latency. *)
-  let remaining = ref samples in
-  let rec issue () =
-    if !remaining > 0 then begin
-      decr remaining;
-      let t0 = Sim.Engine.now engine in
-      Erpc.Rpc.enqueue_request client sess ~req_type:Harness.echo_req_type ~req ~resp
-        ~cont:(fun _ ->
-          Stats.Hist.record hist (Sim.Time.sub (Sim.Engine.now engine) t0);
-          issue ())
-    end
+  let driver =
+    Harness.make_driver ~latencies:hist ~count:samples ~rpc:client ~sessions:[| sess |]
+      ~window:1 ()
   in
-  issue ();
-  while !remaining > 0 && Stats.Hist.count hist < samples do
-    Harness.run_ms d 1.0
-  done;
+  Harness.start_driver driver;
+  Harness.run_driver d driver ~slice_ms:1.0;
   hist
 
 let measure_rdma ?seed ?(samples = 2_000) (cluster : Transport.Cluster.t) =

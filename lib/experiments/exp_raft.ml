@@ -18,24 +18,8 @@ let run ?seed ?(samples = 3_000) () =
   let map =
     Service.Shard_map.create ~shards:1 ~replication:3 ~replica_hosts:[| 0; 1; 2 |]
   in
-  let replicas =
-    Array.map
-      (fun host ->
-        Service.Replica.create ~fabric:d.fabric ~nexus:d.nexuses.(host)
-          ~rpc:d.rpcs.(host).(0) ~map ~host ())
-      [| 0; 1; 2 |]
-  in
-  (* Let the group elect a leader. *)
-  let deadline = ref 100 in
-  while
-    (not (Array.exists (fun r -> Service.Replica.is_leader r ~shard:0) replicas))
-    && !deadline > 0
-  do
-    Harness.run_ms d 5.0;
-    decr deadline
-  done;
-  if not (Array.exists (fun r -> Service.Replica.is_leader r ~shard:0) replicas) then
-    failwith "Exp_raft: no leader elected";
+  let replicas, elected = Harness.start_replicas d ~map in
+  if not elected then failwith "Exp_raft: no leader elected";
   let client =
     Service.Kv_client.create ~fabric:d.fabric ~rpc:d.rpcs.(3).(0) ~map ~client_id:1 ()
   in

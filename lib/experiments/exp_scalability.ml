@@ -43,20 +43,10 @@ let run ?seed ?(nodes = 100) ?(credits = 32) ?(warmup_us = 300.) ?(measure_us = 
   Harness.run_us d warmup_us;
   Stats.Hist.clear hist;
   let completed0 = Harness.total_completed d in
-  let retx0 =
-    Array.fold_left
-      (fun acc per_host ->
-        Array.fold_left (fun acc rpc -> acc + (Erpc.Rpc.stats rpc).Erpc.Rpc_stats.retransmits) acc per_host)
-      0 d.rpcs
-  in
+  let retx0 = Harness.sum_stats d (fun s -> s.Erpc.Rpc_stats.retransmits) in
   Harness.run_us d measure_us;
   let completed1 = Harness.total_completed d in
-  let retx1 =
-    Array.fold_left
-      (fun acc per_host ->
-        Array.fold_left (fun acc rpc -> acc + (Erpc.Rpc.stats rpc).Erpc.Rpc_stats.retransmits) acc per_host)
-      0 d.rpcs
-  in
+  let retx1 = Harness.sum_stats d (fun s -> s.Erpc.Rpc_stats.retransmits) in
   let secs = measure_us /. 1e6 in
   let pct p = float_of_int (Stats.Hist.percentile hist p) /. 1e3 in
   {

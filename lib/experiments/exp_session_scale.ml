@@ -60,8 +60,9 @@ let run ?(seed = 42L) ?(req_size = 32) ?(window = 64) ?(measure_ms = 2.0) ~sessi
     status;
   let latencies = Stats.Hist.create () in
   let driver =
-    Harness.make_driver ~latencies ~rng:(Sim.Rng.split (Sim.Engine.rng engine)) ~rpc:client
-      ~sessions:sess ~window ~req_size ()
+    Harness.make_driver ~latencies
+      ~payload:(Harness.Echo { req_size; resp_size = 32 })
+      ~rng:(Sim.Rng.split (Sim.Engine.rng engine)) ~rpc:client ~sessions:sess ~window ()
   in
   Harness.start_driver driver;
   (* Warmup fills the window; then measure. *)

@@ -67,18 +67,10 @@ let run_cell ~seed ~samples ~payload ~(mode : Shm.mode) ~mode_name () =
   in
   let client = d.rpcs.(0).(0) in
   let sess = Harness.connect d client ~remote_host:1 ~remote_rpc_id:0 in
-  let req = Erpc.Msgbuf.alloc ~max_size:payload in
-  let resp = Erpc.Msgbuf.alloc ~max_size:payload in
-  let remaining = ref samples in
-  let rec issue () =
-    if !remaining > 0 then begin
-      decr remaining;
-      Erpc.Msgbuf.resize req payload;
-      Erpc.Rpc.enqueue_request client sess ~req_type:Harness.echo_req_type ~req ~resp
-        ~cont:(fun _ -> issue ())
-    end
-  in
-  issue ();
+  Harness.start_driver
+    (Harness.make_driver
+       ~payload:(Harness.Echo { req_size = payload; resp_size = payload })
+       ~count:samples ~rpc:client ~sessions:[| sess |] ~window:1 ());
   Harness.run_ms d (1.0 +. (0.01 *. float_of_int samples));
   let wire_ns = Exp_anatomy.predictor cluster in
   let breakdowns = Obs.Anatomy.analyze ~wire_ns (Obs.Trace.events trace) in

@@ -5,11 +5,14 @@ type result = {
 }
 
 let run ?seed ?config ?cost ?trace ?(window = 60) ?(warmup_ms = 1.0) ?(measure_ms = 4.0)
-    ?(per_batch_cost_ns = 0) ~(cluster : Transport.Cluster.t) ~batch () =
-  let d =
-    Harness.deploy ?seed ?config ?cost ?trace cluster ~threads_per_host:1
-      ~register:(Harness.register_echo ~resp_size:32)
+    ?(per_batch_cost_ns = 0) ?(payload = Harness.Echo { req_size = 32; resp_size = 32 })
+    ~(cluster : Transport.Cluster.t) ~batch () =
+  let register nx =
+    match payload with
+    | Harness.Echo { resp_size; _ } -> Harness.register_echo ~resp_size nx
+    | Harness.Typed (codec, _) -> Harness.register_typed_echo codec nx
   in
+  let d = Harness.deploy ?seed ?config ?cost ?trace cluster ~threads_per_host:1 ~register in
   let n = cluster.num_hosts in
   let engine = Erpc.Fabric.engine d.fabric in
   let rng = Sim.Rng.split (Sim.Engine.rng engine) in
@@ -27,7 +30,7 @@ let run ?seed ?config ?cost ?trace ?(window = 60) ?(warmup_ms = 1.0) ?(measure_m
     sessions;
   let drivers =
     Array.init n (fun src ->
-        Harness.make_driver ~batch ~per_batch_cost_ns ~rng:(Sim.Rng.split rng)
+        Harness.make_driver ~payload ~batch ~per_batch_cost_ns ~rng:(Sim.Rng.split rng)
           ~rpc:d.rpcs.(src).(0) ~sessions:sessions.(src) ~window ())
   in
   Array.iter Harness.start_driver drivers;
@@ -36,15 +39,10 @@ let run ?seed ?config ?cost ?trace ?(window = 60) ?(warmup_ms = 1.0) ?(measure_m
   Harness.run_ms d measure_ms;
   let after = Harness.total_completed d in
   let total = after - before in
-  let retransmits =
-    Array.fold_left
-      (fun acc per_host -> acc + (Erpc.Rpc.stats per_host.(0)).Erpc.Rpc_stats.retransmits)
-      0 d.rpcs
-  in
   {
     per_thread_mrps = float_of_int total /. float_of_int n /. (measure_ms *. 1e6) *. 1e3;
     total_rpcs = total;
-    retransmits;
+    retransmits = Harness.sum_stats d (fun s -> s.Erpc.Rpc_stats.retransmits);
   }
 
 (* FaSST is specialized: no congestion control, no large-message or
@@ -74,59 +72,6 @@ let run_fasst ?seed ?trace ?window ?warmup_ms ?measure_ms
   run ?seed ~config ~cost:(fasst_cost cluster) ?trace ?window ?warmup_ms ?measure_ms
     ~per_batch_cost_ns:210 ~cluster ~batch ()
 
-(* Same all-to-all mesh as [run], but issuing typed requests (fixed-width
-   24 B schema) so serialization rides the datapath under the configured
-   backend / offload toggle. *)
-let run_typed ?seed ?(window = 60) ?(warmup_ms = 1.0) ?(measure_ms = 4.0)
-    ~(cluster : Transport.Cluster.t) ~backend ~offload ~batch () =
-  let config =
-    {
-      (Erpc.Config.of_cluster cluster) with
-      codec_backend = backend;
-      codec_offload = offload;
-    }
-  in
-  let codec = Harness.schema_fixed and value = Harness.value_fixed in
-  let d =
-    Harness.deploy ?seed ~config cluster ~threads_per_host:1
-      ~register:(Harness.register_typed_echo codec)
-  in
-  let n = cluster.num_hosts in
-  let engine = Erpc.Fabric.engine d.fabric in
-  let rng = Sim.Rng.split (Sim.Engine.rng engine) in
-  let sessions =
-    Array.init n (fun src ->
-        Array.init (n - 1) (fun j ->
-            let dst = if j < src then j else j + 1 in
-            Erpc.Rpc.create_session d.rpcs.(src).(0) ~remote_host:dst ~remote_rpc_id:0 ()))
-  in
-  Harness.run_ms d 1.0 (* connect handshakes *);
-  Array.iter
-    (Array.iter (fun (s : Erpc.Session.session) ->
-         if s.state <> Erpc.Session.Connected then failwith "session not connected"))
-    sessions;
-  let drivers =
-    Array.init n (fun src ->
-        Harness.make_typed_driver ~batch ~codec ~value ~rng:(Sim.Rng.split rng)
-          ~rpc:d.rpcs.(src).(0) ~sessions:sessions.(src) ~window ())
-  in
-  Array.iter Harness.start_typed_driver drivers;
-  Harness.run_ms d warmup_ms;
-  let before = Harness.total_completed d in
-  Harness.run_ms d measure_ms;
-  let after = Harness.total_completed d in
-  let total = after - before in
-  let retransmits =
-    Array.fold_left
-      (fun acc per_host -> acc + (Erpc.Rpc.stats per_host.(0)).Erpc.Rpc_stats.retransmits)
-      0 d.rpcs
-  in
-  {
-    per_thread_mrps = float_of_int total /. float_of_int n /. (measure_ms *. 1e6) *. 1e3;
-    total_rpcs = total;
-    retransmits;
-  }
-
 let factor_analysis ?seed ?measure_ms () =
   let cluster = Transport.Cluster.cx4 ~nodes:11 () in
   let base = Erpc.Config.of_cluster cluster in
@@ -155,12 +100,14 @@ let factor_analysis ?seed ?measure_ms () =
   in
   (* Typed-serialization rows: not cumulative with the steps above — each
      re-runs the full-optimization baseline with schema-driven requests
-     under the named codec configuration, isolating the datapath cost of
-     typed (de)serialization. *)
+     (the fixed-width 24 B schema) under the named codec configuration,
+     isolating the datapath cost of typed (de)serialization. *)
   let codec_rows =
+    let payload = Harness.Typed (Harness.schema_fixed, Harness.value_fixed) in
     List.map
-      (fun (label, backend, offload) ->
-        (label, run_typed ?seed ?measure_ms ~cluster ~backend ~offload ~batch:3 ()))
+      (fun (label, codec_backend, codec_offload) ->
+        let config = { base with codec_backend; codec_offload } in
+        (label, run ?seed ~config ?measure_ms ~payload ~cluster ~batch:3 ()))
       [
         ("Typed codec: compact backend", Codec.Compact, false);
         ("Typed codec: flat backend", Codec.Flat, false);

@@ -3,7 +3,10 @@
 
     Setup mirrors §6.2: one thread per node; every thread is both client
     and server; each thread keeps [window] (60) 32 B requests in flight,
-    issued in batches of [batch] to uniformly random remote threads. *)
+    issued in batches of [batch] to uniformly random remote threads.
+    [payload] (default: 32 B echoes) picks what every request carries; a
+    {!Harness.Typed} payload runs the same mesh with serialization on the
+    datapath, under [config]'s codec backend and offload toggle. *)
 
 type result = {
   per_thread_mrps : float;  (** client request rate per thread *)
@@ -20,6 +23,7 @@ val run :
   ?warmup_ms:float ->
   ?measure_ms:float ->
   ?per_batch_cost_ns:int ->
+  ?payload:Harness.payload ->
   cluster:Transport.Cluster.t ->
   batch:int ->
   unit ->

@@ -1,5 +1,5 @@
 (** Shared machinery for the paper's experiments: deployments, echo
-    servers, closed-loop request drivers, and measurement phases. *)
+    servers, the client driver, and the replicated-KV bootstrap. *)
 
 type deployment = {
   fabric : Erpc.Fabric.t;
@@ -28,8 +28,6 @@ val run_ms : deployment -> float -> unit
 (** Advance simulated time by [us] microseconds. *)
 val run_us : deployment -> float -> unit
 
-val now : deployment -> Sim.Time.t
-
 (** The standard echo request handler used by microbenchmarks: responds
     with [resp_size] bytes (default: the request's size). *)
 val echo_req_type : int
@@ -41,38 +39,12 @@ val register_echo : ?req_type:int -> ?resp_size:int -> Erpc.Nexus.t -> unit
 val connect :
   deployment -> Erpc.Rpc.t -> remote_host:int -> remote_rpc_id:int -> Erpc.Session.session
 
-(** A closed-loop driver keeping [window] requests of [req_size] bytes in
-    flight from [rpc], spread over [sessions] chosen uniformly at random,
-    issued in batches of [batch]. Completion latencies (ns) are recorded in
-    [latencies] when provided. Call {!start_driver} once; it keeps issuing
-    until the simulation stops being run. *)
-type driver
-
-val make_driver :
-  ?latencies:Stats.Hist.t ->
-  ?req_size:int ->
-  ?resp_size:int ->
-  ?batch:int ->
-  ?per_batch_cost_ns:int ->
-  ?req_type:int ->
-  rng:Sim.Rng.t ->
-  rpc:Erpc.Rpc.t ->
-  sessions:Erpc.Session.session array ->
-  window:int ->
-  unit ->
-  driver
-
-val start_driver : driver -> unit
-val driver_completed : driver -> int
-
 (** {2 Typed workloads}
 
     Schema-driven counterparts of the echo workload: the server decodes
     the request and re-encodes it as the response through {!Erpc.Typed},
     charging modeled (de)serialization per the endpoint's configured codec
     backend and offload toggle. *)
-
-val typed_echo_req_type : int
 
 (** Benchmark schemas, both flat-capable: [schema_fixed] is all
     fixed-width (24 wire bytes, 3 leaves); [schema_var] carries a
@@ -87,26 +59,83 @@ val value_var : int * string
     decoded value re-encoded. *)
 val register_typed_echo : ?req_type:int -> 'a Codec.t -> Erpc.Nexus.t -> unit
 
-(** As {!driver}, but issuing typed requests carrying [value] under
-    [codec], with serialization charged on the datapath. *)
-type typed_driver
+(** {2 Client driver}
 
-val make_typed_driver :
+    The one client driver behind every eRPC microbenchmark. It keeps
+    [window] requests in flight from [rpc], issued in batches of [batch]
+    (a batch goes out only once [batch] buffer pairs are free), each to a
+    session drawn uniformly from [sessions] with [rng]; without [rng],
+    [sessions] holds exactly one session and no draw is made.
+    [per_batch_cost_ns] charges [rpc]'s CPU once per batch, and
+    [latencies] records the ns from issue to successful completion.
+
+    Without [count] the driver keeps issuing for as long as the
+    simulation runs. With [count] it issues exactly [count] requests in
+    all: a window-1 driver with a count is a sequential run of [count]
+    requests, each issued in the previous one's continuation. *)
+
+type payload =
+  | Echo of { req_size : int; resp_size : int }
+      (** [req_size]-byte requests into [resp_size]-byte response buffers,
+          through {!Erpc.Rpc.enqueue_request} (default 32 B / 32 B, to a
+          {!register_echo} server) *)
+  | Typed : 'a Codec.t * 'a -> payload
+      (** the value under the codec, through {!Erpc.Typed.enqueue_request}
+          with buffers of its encoded size under [rpc]'s codec backend, so
+          (de)serialization is charged on the datapath (to a
+          {!register_typed_echo} server) *)
+
+type driver
+
+val make_driver :
   ?latencies:Stats.Hist.t ->
+  ?payload:payload ->
   ?batch:int ->
   ?per_batch_cost_ns:int ->
   ?req_type:int ->
-  codec:'a Codec.t ->
-  value:'a ->
-  rng:Sim.Rng.t ->
+  ?count:int ->
+  ?rng:Sim.Rng.t ->
   rpc:Erpc.Rpc.t ->
   sessions:Erpc.Session.session array ->
   window:int ->
   unit ->
-  typed_driver
+  driver
 
-val start_typed_driver : typed_driver -> unit
-val typed_driver_completed : typed_driver -> int
+(** Issue the first batches; later ones go out from completions. *)
+val start_driver : driver -> unit
+
+(** Requests whose continuation reported success. *)
+val driver_completed : driver -> int
+
+(** Simulated ns from the driver's first completion to its last, failed
+    requests included. A sequential run that counts one warmup request
+    times its other [count - 1] requests back to back. *)
+val driver_span : driver -> int
+
+(** Simulated ns from issue to completion of the request that completed
+    (or failed) last. *)
+val driver_last_latency : driver -> int
+
+(** [run_driver d t ~slice_ms] runs [slice_ms]-millisecond slices of [d]
+    until every one of [t]'s [count] requests has completed or failed, or
+    [max_slices] (default: unbounded) slices have run. It stops at the
+    end of the slice holding the [count]-th completion, so it never
+    returns with a request still in flight unless [max_slices] cut it.
+    Raises [Invalid_argument] if [t] has no count. *)
+val run_driver : ?max_slices:int -> deployment -> driver -> slice_ms:float -> unit
+
+(** {2 Replicated KV}
+
+    [start_replicas d ~map] creates one {!Service.Replica} on thread 0 of
+    each of [map]'s replica hosts (the array is indexed like
+    {!Service.Shard_map.replica_hosts}), then runs 5 ms slices, at most
+    100, until every shard has a leader. The flag says whether every
+    shard elected. *)
+val start_replicas :
+  deployment -> map:Service.Shard_map.t -> Service.Replica.t array * bool
+
+(** [sum_stats d f] sums [f] over the stats of every Rpc of [d]. *)
+val sum_stats : deployment -> (Erpc.Rpc_stats.t -> int) -> int
 
 (** Sum of completed client RPCs across all threads of a deployment. *)
 val total_completed : deployment -> int

@@ -449,7 +449,8 @@ let closed_loop_echo () =
         let sessions = [| Experiments.Harness.connect d rpc ~remote_host:3 ~remote_rpc_id:0 |] in
         Experiments.Harness.make_driver
           ~rng:(Sim.Rng.split (Sim.Engine.rng (Erpc.Fabric.engine d.fabric)))
-          ~rpc ~sessions ~window:8 ~req_size:1024 ())
+          ~payload:(Experiments.Harness.Echo { req_size = 1024; resp_size = 32 })
+          ~rpc ~sessions ~window:8 ())
   in
   Array.iter Experiments.Harness.start_driver drivers;
   d

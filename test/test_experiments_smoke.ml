@@ -139,6 +139,80 @@ let test_cluster_load_deterministic () =
   in
   check_bool "seed changes trace" true (d 11L <> d 12L)
 
+(* The typed small-rate path (Table 3's "Typed codec" rows) at the default
+   seed, CX4 with 11 nodes, B = 3: exact RPC counts, so any change to the
+   typed datapath or to the driver's issue instants shows. *)
+let test_typed_small_rate_pinned () =
+  let cluster = Transport.Cluster.cx4 ~nodes:11 () in
+  List.iter
+    (fun (name, codec_backend, codec_offload, expect) ->
+      let config = { (Erpc.Config.of_cluster cluster) with codec_backend; codec_offload } in
+      let r =
+        Experiments.Exp_small_rate.run ~config
+          ~payload:
+            (Experiments.Harness.Typed
+               (Experiments.Harness.schema_fixed, Experiments.Harness.value_fixed))
+          ~measure_ms:0.5 ~cluster ~batch:3 ()
+      in
+      Alcotest.(check int) (name ^ " total_rpcs") expect r.total_rpcs;
+      Alcotest.(check int) (name ^ " retransmits") 0 r.retransmits)
+    [
+      ("compact", Codec.Compact, false, 16_728);
+      ("flat", Codec.Flat, false, 20_912);
+      ("compact + offload", Codec.Compact, true, 14_482);
+      ("flat + offload", Codec.Flat, true, 14_482);
+    ]
+
+(* A window-1 driver with a count is a sequential run: the server sees
+   exactly [n] requests, each arriving only after the previous one
+   completed, and [run_driver] returns only after the n-th completion,
+   even when its slices are much shorter than a request. *)
+let test_sequential_driver () =
+  let module H = Experiments.Harness in
+  let n = 8 in
+  let driver = ref None in
+  let arrivals = ref 0 and overlapped = ref 0 in
+  let register nx =
+    Erpc.Nexus.register_handler nx ~req_type:H.echo_req_type ~mode:Erpc.Nexus.Dispatch
+      (fun h ->
+        (match !driver with
+        | Some drv -> if H.driver_completed drv <> !arrivals then incr overlapped
+        | None -> ());
+        incr arrivals;
+        let resp = Erpc.Req_handle.init_response h ~size:32 in
+        Erpc.Req_handle.enqueue_response h resp)
+  in
+  let d = H.deploy ~seed:3L (Transport.Cluster.cx5 ~nodes:2 ()) ~threads_per_host:1 ~register in
+  let rpc = d.rpcs.(0).(0) in
+  let sess = H.connect d rpc ~remote_host:1 ~remote_rpc_id:0 in
+  let drv =
+    H.make_driver
+      ~payload:(H.Echo { req_size = 64 * 1024; resp_size = 32 })
+      ~count:n ~rpc ~sessions:[| sess |] ~window:1 ()
+  in
+  driver := Some drv;
+  H.start_driver drv;
+  H.run_driver d drv ~slice_ms:0.001;
+  Alcotest.(check int) "run_driver returns after the n-th completion" n (H.driver_completed drv);
+  check_bool "span covers n - 1 round trips" true (H.driver_span drv > 0);
+  H.run_ms d 5.0;
+  Alcotest.(check int) "exactly n issued" n !arrivals;
+  Alcotest.(check int) "never more than one outstanding" 0 !overlapped;
+  Alcotest.(check int) "no completion after the run" n (H.driver_completed drv)
+
+(* The goodput window closes at the last request's completion, not at the
+   first slice boundary after it was issued: at 1e-3 loss the eighth 8 MB
+   request finishes in a later 10 ms slice than the one it starts in. *)
+let test_goodput_counts_finished_requests () =
+  let p =
+    Experiments.Exp_bandwidth.erpc_goodput ~seed:42L ~loss:1e-3 ~requests:8
+      ~req_size:(8 * 1024 * 1024) ()
+  in
+  check_bool
+    (Printf.sprintf "8 x 8 MiB at 1e-3: %.3f Gbps within 2.87 +- 0.01" p.goodput_gbps)
+    true
+    (Float.abs (p.goodput_gbps -. 2.87) <= 0.01)
+
 let suite =
   [
     Alcotest.test_case "table2 bands" `Quick test_latency_bands;
@@ -153,4 +227,8 @@ let suite =
     Alcotest.test_case "cluster-load smoke" `Quick test_cluster_load_smoke;
     Alcotest.test_case "cluster-load determinism" `Quick test_cluster_load_deterministic;
     Alcotest.test_case "cluster-load coverage" `Quick test_cluster_load_coverage;
+    Alcotest.test_case "typed small-rate pinned" `Quick test_typed_small_rate_pinned;
+    Alcotest.test_case "sequential driver" `Quick test_sequential_driver;
+    Alcotest.test_case "goodput counts finished requests" `Quick
+      test_goodput_counts_finished_requests;
   ]

@@ -58,7 +58,8 @@ let test_cx3_incast_has_zero_fabric_drops () =
     List.init 9 (fun i ->
         let client = d.rpcs.(i + 1).(0) in
         let sess = Experiments.Harness.connect d client ~remote_host:0 ~remote_rpc_id:0 in
-        Experiments.Harness.make_driver ~req_size:(1024 * 1024) ~resp_size:32
+        Experiments.Harness.make_driver
+          ~payload:(Experiments.Harness.Echo { req_size = 1024 * 1024; resp_size = 32 })
           ~rng:(Sim.Rng.split rng) ~rpc:client ~sessions:[| sess |] ~window:1 ())
   in
   List.iter Experiments.Harness.start_driver drivers;
