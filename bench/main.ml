@@ -1,308 +1,8 @@
-(* Regenerates every table and figure of the paper's evaluation (§6-§7).
-
-   Each section prints the paper-reported numbers next to the values
-   measured on this reproduction's simulated substrate. Absolute numbers
-   need not coincide (the substrate is a calibrated simulator, not the
-   authors' testbed); the shape — who wins, by what factor, where behaviour
-   changes — is the reproduction target.
-
-   `main.exe micro` additionally runs Bechamel microbenchmarks over the hot
-   datapath kernels (event queue, timing wheel, Timely, histogram, MICA,
-   Masstree, Raft codec, KV request codec), one Test.make per kernel, and
-   prints each kernel's ns and minor-heap words per run. `main.exe all`
-   runs everything. *)
-
-let section title = Printf.printf "\n==== %s ====\n%!" title
-
-let fig1 () =
-  section "Figure 1: RDMA read rate vs connections per NIC";
-  Printf.printf "%-12s %-14s %-12s %s\n" "connections" "rate (M/s)" "miss ratio"
-    "(paper: flat to a few hundred, then ~50% loss by 5000)";
-  List.iter
-    (fun conns ->
-      let r = Rdma.Read_rate.run ~connections:conns () in
-      Printf.printf "%-12d %-14.1f %-12.2f\n%!" conns r.rate_mops r.miss_ratio)
-    [ 1; 50; 100; 200; 450; 1000; 2000; 3000; 4000; 5000 ]
-
-let table2 () =
-  section "Table 2: median latency of 32 B RPCs vs RDMA reads (same ToR)";
-  Printf.printf "%-8s %-18s %-18s %s\n" "Cluster" "RDMA read (us)" "eRPC (us)"
-    "paper (RDMA / eRPC)";
-  let paper = [ ("CX3", (1.7, 2.1)); ("CX4", (2.9, 3.7)); ("CX5", (2.0, 2.3)) ] in
-  List.iter
-    (fun (r : Experiments.Exp_latency.row) ->
-      let p_rdma, p_erpc = List.assoc r.cluster paper in
-      Printf.printf "%-8s %-18.1f %-18.1f %.1f / %.1f\n%!" r.cluster r.rdma_read_us r.erpc_us
-        p_rdma p_erpc)
-    (Experiments.Exp_latency.run ~samples:1_000 ())
-
-let fig4 () =
-  section "Figure 4: single-core small-RPC rate (Mrps), B requests/batch";
-  Printf.printf "%-6s %-12s %-12s %-12s %s\n" "B" "FaSST(CX3)" "eRPC(CX3)" "eRPC(CX4)"
-    "paper: FaSST 3.9/4.4/4.8, eRPC CX3 3.7/3.8/3.9, CX4 5.0/4.9/4.8";
-  List.iter
-    (fun batch ->
-      let fasst =
-        Experiments.Exp_small_rate.run_fasst ~cluster:(Transport.Cluster.cx3 ()) ~batch ()
-      in
-      let cx3 = Experiments.Exp_small_rate.run ~cluster:(Transport.Cluster.cx3 ()) ~batch () in
-      let cx4 =
-        Experiments.Exp_small_rate.run ~cluster:(Transport.Cluster.cx4 ~nodes:11 ()) ~batch ()
-      in
-      Printf.printf "%-6d %-12.2f %-12.2f %-12.2f\n%!" batch fasst.per_thread_mrps
-        cx3.per_thread_mrps cx4.per_thread_mrps)
-    [ 3; 5; 11 ]
-
-let table3 () =
-  section "Table 3: factor analysis of common-case optimizations (CX4, B=3)";
-  Printf.printf "%-44s %-10s %-8s %s\n" "Action" "RPC rate" "% loss" "paper (rate, loss)";
-  let paper =
-    [
-      (4.96, "");
-      (4.84, "2.4%");
-      (4.52, "6.6%");
-      (4.30, "4.8%");
-      (4.06, "5.6%");
-      (3.55, "12.6%");
-      (3.05, "14.0%");
-    ]
-  in
-  let rows = Experiments.Exp_small_rate.factor_analysis () in
-  (* The trailing "Typed codec" and "Transport" rows are not part of the
-     paper's cumulative table: each re-runs the baseline with a different
-     datapath (typed serialization, RDMA RC, mixed local/remote shm), so
-     they get their own section (loss vs the baseline). *)
-  let cumulative, extra_rows =
-    List.partition
-      (fun (label, _) ->
-        not
-          (String.starts_with ~prefix:"Typed codec" label
-          || String.starts_with ~prefix:"Transport" label))
-      rows
-  in
-  let prev = ref None in
-  List.iteri
-    (fun i (label, (r : Experiments.Exp_small_rate.result)) ->
-      let loss =
-        match !prev with
-        | None -> ""
-        | Some p -> Printf.sprintf "%.1f%%" ((p -. r.per_thread_mrps) /. p *. 100.)
-      in
-      prev := Some r.per_thread_mrps;
-      let p_rate, p_loss = List.nth paper i in
-      Printf.printf "%-44s %-10.2f %-8s (%.2f M/s, %s)\n%!" label r.per_thread_mrps loss p_rate
-        p_loss)
-    cumulative;
-  let baseline =
-    match cumulative with (_, r) :: _ -> Some r.Experiments.Exp_small_rate.per_thread_mrps | [] -> None
-  in
-  List.iter
-    (fun (label, (r : Experiments.Exp_small_rate.result)) ->
-      let loss =
-        match baseline with
-        | Some b when b > 0. ->
-            Printf.sprintf "%.1f%%" ((b -. r.per_thread_mrps) /. b *. 100.)
-        | _ -> ""
-      in
-      Printf.printf "%-44s %-10.2f %-8s (vs baseline)\n%!" label r.per_thread_mrps loss)
-    extra_rows;
-  (* §6.2 text: disabling congestion control entirely gives 5.44 Mrps (9%
-     total CC overhead). *)
-  let cluster = Transport.Cluster.cx4 ~nodes:11 () in
-  let base = Erpc.Config.of_cluster cluster in
-  let config = { base with opts = { base.opts with congestion_control = false } } in
-  let r = Experiments.Exp_small_rate.run ~config ~cluster ~batch:3 () in
-  Printf.printf "%-44s %-10.2f %-8s (5.44 M/s, 9%% overhead)\n%!"
-    "Disable congestion control entirely" r.per_thread_mrps ""
-
-let fig5 ?(threads_list = [ 1; 2; 4 ]) () =
-  section "Figure 5 / §6.3: scalability on 100 nodes (latency in us)";
-  Printf.printf "%-4s %-12s %-8s %-8s %-8s %-8s %s\n" "T" "Mrps/node" "p50" "p99" "p99.9"
-    "p99.99" "(paper: p50 12.7 at T=1; p99.99 < 700 at T=10; 12.3 Mrps/node)";
-  List.iter
-    (fun (r : Experiments.Exp_scalability.row) ->
-      Printf.printf "%-4d %-12.1f %-8.1f %-8.1f %-8.1f %-8.1f\n%!" r.threads_per_node
-        r.per_node_mrps r.lat_p50_us r.lat_p99_us r.lat_p999_us r.lat_p9999_us)
-    (Experiments.Exp_scalability.fig5 ~threads_list ())
-
-let fig6 () =
-  section "Figure 6: large-RPC goodput over 100 Gbps (one core)";
-  Printf.printf "%-10s %-12s %-14s %-10s %s\n" "size" "eRPC(Gbps)" "RDMAwr(Gbps)" "ratio"
-    "(paper: eRPC peaks at 75 Gbps; >=70% of RDMA write for >=32 kB)";
-  List.iter
-    (fun (size, (e : Experiments.Exp_bandwidth.point), (r : Experiments.Exp_bandwidth.point)) ->
-      Printf.printf "%-10d %-12.1f %-14.1f %-10.2f\n%!" size e.goodput_gbps r.goodput_gbps
-        (e.goodput_gbps /. r.goodput_gbps))
-    (Experiments.Exp_bandwidth.fig6 ())
-
-let table4 () =
-  section "Table 4: 8 MB request throughput under injected packet loss";
-  Printf.printf "%-10s %-12s %s\n" "loss" "Gbps" "(paper: 73 / 71 / 57 / 18 / 2.5)";
-  List.iter
-    (fun (loss, (p : Experiments.Exp_bandwidth.point)) ->
-      Printf.printf "%-10.0e %-12.1f (retransmissions: %d)\n%!" loss p.goodput_gbps
-        p.retransmits)
-    (Experiments.Exp_bandwidth.table4 ())
-
-let table5 () =
-  section "Table 5: incast congestion control (CX4)";
-  Printf.printf "%-8s %-6s %-12s %-10s %-10s %s\n" "degree" "cc" "bw (Gbps)" "p50 (us)"
-    "p99 (us)" "paper (bw, p50, p99)";
-  let paper =
-    [
-      ((20, true), (21.8, 39, 67));
-      ((20, false), (23.1, 202, 204));
-      ((50, true), (18.4, 34, 174));
-      ((50, false), (23.0, 524, 524));
-      ((100, true), (22.8, 349, 969));
-      ((100, false), (23.0, 1056, 1060));
-    ]
-  in
-  List.iter
-    (fun (r : Experiments.Exp_incast.row) ->
-      let p_bw, p50, p99 = List.assoc (r.degree, r.cc) paper in
-      Printf.printf "%-8d %-6b %-12.1f %-10.0f %-10.0f (%.1f, %d, %d)\n%!" r.degree r.cc
-        r.total_gbps r.rtt_p50_us r.rtt_p99_us p_bw p50 p99)
-    (Experiments.Exp_incast.table5 ~measure_ms:25.0 ());
-  let bg = Experiments.Exp_incast.with_background ~degree:100 ~measure_ms:25.0 () in
-  Printf.printf
-    "§6.5 background 64 kB RPCs during 100-way incast: p50=%.0f us p99=%.0f us (paper p99 274)\n%!"
-    bg.bg_p50_us bg.bg_p99_us
-
-let table6 () =
-  section "Table 6: replicated PUT latency (3-way replication)";
-  let r = Experiments.Exp_raft.run ~samples:2_000 () in
-  Printf.printf "%-36s %-10s %-10s\n" "System" "p50 (us)" "p99 (us)";
-  Printf.printf "%-36s %-10.1f %-10s (paper-reported)\n" "NetChain (client, P4 switches)" 9.7 "-";
-  Printf.printf "%-36s %-10.1f %-10.1f (measured here; paper 5.5 / 6.3)\n"
-    "Raft over eRPC (client)" r.client_p50_us r.client_p99_us;
-  Printf.printf "%-36s %-10.1f %-10.1f (paper-reported)\n" "ZabFPGA (leader commit)" 3.0 3.0;
-  Printf.printf "%-36s %-10.1f %-10.1f (measured here; paper 3.1 / 3.4)\n%!"
-    "Raft over eRPC (leader commit)" r.leader_p50_us r.leader_p99_us
-
-let masstree () =
-  section "§7.2: Masstree over eRPC (CX3, 14 dispatch + 2 worker threads)";
-  let lo = Experiments.Exp_masstree.low_load_median_us () in
-  let r = Experiments.Exp_masstree.run () in
-  let r2 = Experiments.Exp_masstree.run ~workers:false () in
-  Printf.printf "GET rate:                 %.1f M/s   (paper 14.3 M/s)\n" r.gets_per_sec_m;
-  Printf.printf "GET p99 (with workers):   %.1f us    (paper 12 us)\n" r.get_p99_us;
-  Printf.printf "GET p99 (dispatch only):  %.1f us    (paper 26 us)\n" r2.get_p99_us;
-  Printf.printf "GET median at low load:   %.1f us    (paper 2.7 us)\n%!" lo
-
-(* {2 Ablations of DESIGN.md's key design decisions} *)
-
-let ablations () =
-  section "Ablation: client-driven protocol (RFR latency penalty, §5.1)";
-  (* A multi-packet REQUEST streams under client control with no extra
-     round trips; a multi-packet RESPONSE needs one RFR per further packet
-     after response packet 0. The latency gap is the cost of keeping the
-     server passive. *)
-  let latency ~req_size ~resp_size =
-    let cluster = Transport.Cluster.cx5 ~nodes:2 () in
-    let d =
-      Experiments.Harness.deploy cluster ~threads_per_host:1
-        ~register:(Experiments.Harness.register_echo ~resp_size)
-    in
-    let client = d.rpcs.(0).(0) in
-    let sess = Experiments.Harness.connect d client ~remote_host:1 ~remote_rpc_id:0 in
-    (* 200 back-to-back requests; the last one's latency is reported. *)
-    let driver =
-      Experiments.Harness.make_driver
-        ~payload:(Experiments.Harness.Echo { req_size; resp_size = max 32 resp_size })
-        ~count:200 ~rpc:client ~sessions:[| sess |] ~window:1 ()
-    in
-    Experiments.Harness.start_driver driver;
-    Experiments.Harness.run_ms d 50.0;
-    float_of_int (Experiments.Harness.driver_last_latency driver) /. 1e3
-  in
-  List.iter
-    (fun pkts ->
-      let size = pkts * 1024 in
-      let big_req = latency ~req_size:size ~resp_size:32 in
-      let big_resp = latency ~req_size:32 ~resp_size:size in
-      Printf.printf
-        "%d-packet message: request-heavy %.1f us, response-heavy %.1f us (+%.0f%% RFR penalty)
-%!"
-        pkts big_req big_resp
-        ((big_resp -. big_req) /. big_req *. 100.))
-    [ 2; 4; 8; 32; 64 ];
-  Printf.printf
-    "(the penalty is ~one RTT, so it shrinks with message size; the paper's <20%% at 4+\n\
-    \ packets refers to its 4 kB InfiniBand MTU, i.e. 16+ kB messages: see the 32 kB row)\n";
-
-  section "Ablation: session credits = BDP/MTU (§4.3.1)";
-  (* Too few credits throttle a single flow below line rate; more credits
-     than BDP/MTU only add switch queueing under incast. *)
-  Printf.printf "%-8s %-18s %-22s
-" "credits" "1-flow Gbps" "20-way incast p50 (us)";
-  List.iter
-    (fun credits ->
-      let bw = (Experiments.Exp_bandwidth.erpc_goodput ~credits ~requests:4
-                  ~req_size:(4 * 1024 * 1024) ()).goodput_gbps in
-      let incast =
-        Experiments.Exp_incast.run ~credits ~degree:20 ~cc:false ~warmup_ms:10.0
-          ~measure_ms:10.0 ()
-      in
-      Printf.printf "%-8d %-18.1f %-22.0f
-%!" credits bw incast.rtt_p50_us)
-    [ 2; 8; 32; 64 ];
-
-  section "Ablation: go-back-N retransmission timeout (§5.2.3)";
-  (* The 5 ms RTO is conservative because dynamic-buffer switches can add
-     milliseconds of queueing; shorter RTOs recover faster under loss but
-     risk spurious retransmissions under queueing. *)
-  Printf.printf "%-10s %-14s %s
-" "RTO" "Gbps @1e-4" "(8 MB requests)";
-  List.iter
-    (fun rto_ms ->
-      let config =
-        { (Erpc.Config.of_cluster ~credits:32 (Transport.Cluster.cx5_ib100 ())) with
-          rto_ns = int_of_float (rto_ms *. 1e6) }
-      in
-      let gbps =
-        (Experiments.Exp_bandwidth.erpc_goodput ~config ~requests:20 ~loss:1e-4
-           ~req_size:(8 * 1024 * 1024) ())
-          .goodput_gbps
-      in
-      Printf.printf "%-10s %-14.1f
-%!" (Printf.sprintf "%.0f ms" rto_ms) gbps)
-    [ 1.0; 5.0; 20.0 ];
-
-  section "Ablation: cumulative credit returns (§6.4 future work)";
-  (* One CR per [cr_stride] request packets: fewer control packets on the
-     wire and less per-packet work at the CPU-bound server. *)
-  Printf.printf "%-14s %-14s %-16s
-" "mode" "8 MB Gbps" "server tx pkts";
-  List.iter
-    (fun cumulative ->
-      let base = Erpc.Config.of_cluster ~credits:32 (Transport.Cluster.cx5_ib100 ()) in
-      let config = { base with opts = { base.opts with cumulative_crs = cumulative } } in
-      let p =
-        Experiments.Exp_bandwidth.erpc_goodput ~config ~requests:5 ~req_size:(8 * 1024 * 1024)
-          ()
-      in
-      Printf.printf "%-14s %-14.1f %-16d
-%!"
-        (if cumulative then "cumulative" else "per-packet")
-        p.goodput_gbps p.server_tx_pkts)
-    [ false; true ];
-
-  section "Ablation: Timely vs DCQCN (the extension the paper could not run, §5.2.1)";
-  Printf.printf "%-8s %-12s %-10s %-10s
-" "algo" "bw (Gbps)" "p50 (us)" "p99 (us)";
-  List.iter
-    (fun (algo, name) ->
-      let r =
-        Experiments.Exp_incast.run ~algo ~degree:50 ~cc:true ~warmup_ms:15.0 ~measure_ms:25.0
-          ()
-      in
-      Printf.printf "%-8s %-12.1f %-10.0f %-10.0f
-%!" name r.total_gbps r.rtt_p50_us
-        r.rtt_p99_us)
-    [ (Erpc.Config.Timely, "Timely"); (Erpc.Config.Dcqcn, "DCQCN") ]
-
-(* {2 Bechamel microbenchmarks} *)
+(* Bechamel microbenchmarks over the hot datapath kernels (event queue,
+   timing wheel, Timely, histogram, MICA, Masstree, Raft codec, KV request
+   codec), one Test.make per kernel; prints each kernel's ns and minor-heap
+   words per run. The paper's tables and figures are `erpc_sim paper
+   <section>`. *)
 
 (* Minor-heap words allocated, read with [Gc.minor_words], which counts the
    current minor heap's allocations too. Bechamel's own minor-allocated
@@ -324,7 +24,7 @@ let minor_words =
   Bechamel.Measure.instance (module Minor_words)
     (Bechamel.Measure.register (module Minor_words))
 
-let micro () =
+let () =
   let open Bechamel in
   (* 64 pushes [1, 1 + ahead) ns past the last popped time (like the
      engine, never before it), then 64 pops. *)
@@ -434,7 +134,7 @@ let micro () =
       Test.make ~name:"kv request encode+decode" kv_request_kernel;
     ]
   in
-  section "Bechamel microbenchmarks (ns and minor-heap words per run)";
+  print_endline "Bechamel microbenchmarks (ns and minor-heap words per run)";
   let clock = Toolkit.Instance.monotonic_clock in
   let words = minor_words in
   let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.5) () in
@@ -455,38 +155,3 @@ let micro () =
         (Test.names test))
     tests
 
-let () =
-  let arg = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
-  match arg with
-  | "fig1" -> fig1 ()
-  | "table2" -> table2 ()
-  | "fig4" -> fig4 ()
-  | "table3" -> table3 ()
-  | "fig5" -> fig5 ()
-  | "fig5full" -> fig5 ~threads_list:[ 1; 2; 4; 6; 8; 10 ] ()
-  | "fig6" -> fig6 ()
-  | "table4" -> table4 ()
-  | "table5" -> table5 ()
-  | "table6" -> table6 ()
-  | "masstree" -> masstree ()
-  | "ablations" -> ablations ()
-  | "micro" -> micro ()
-  | "all" ->
-      fig1 ();
-      table2 ();
-      fig4 ();
-      table3 ();
-      fig5 ();
-      fig6 ();
-      table4 ();
-      table5 ();
-      table6 ();
-      masstree ();
-      ablations ();
-      micro ()
-  | other ->
-      Printf.eprintf
-        "unknown bench %S; use \
-         fig1|table2|fig4|table3|fig5|fig5full|fig6|table4|table5|table6|masstree|ablations|micro|all\n"
-        other;
-      exit 1

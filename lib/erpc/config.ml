@@ -65,22 +65,23 @@ let default_cc ~min_rtt_ns =
     dcqcn_fast_recovery = 5;
   }
 
+let max_msg_size = 8 * 1024 * 1024
+let rx_batch = 32
+let tx_batch = 32
+let max_retransmits = 8
+let wheel_slot_ns = 1_000
+let wheel_num_slots = 16_384
+let sm_latency_ns = 50_000
+let sm_failure_timeout_ns = 5_000_000
+
 type t = {
   transport : transport_kind;
   mtu : int;
-  max_msg_size : int;
   wire_overhead : int;
   session_credits : int;
   req_window : int;
-  rx_batch : int;
-  tx_batch : int;
   rto_ns : int;
-  max_retransmits : int;
   cr_stride : int;
-  wheel_slot_ns : int;
-  wheel_num_slots : int;
-  sm_latency_ns : int;
-  sm_failure_timeout_ns : int;
   opts : opts;
   cc : cc;
   codec_backend : Codec.backend;
@@ -112,19 +113,11 @@ let of_cluster ?credits (cluster : Transport.Cluster.t) =
   {
     transport = Raw_eth;
     mtu = cluster.mtu;
-    max_msg_size = 8 * 1024 * 1024;
     wire_overhead = cluster.wire_overhead;
     session_credits = credits;
     req_window = 8;
-    rx_batch = 32;
-    tx_batch = 32;
     rto_ns = 5_000_000;
-    max_retransmits = 8;
     cr_stride = 4;
-    wheel_slot_ns = 1_000;
-    wheel_num_slots = 16_384;
-    sm_latency_ns = 50_000;
-    sm_failure_timeout_ns = 5_000_000;
     opts = all_opts_on;
     cc = default_cc ~min_rtt_ns;
     codec_backend = Codec.Compact;

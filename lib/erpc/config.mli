@@ -53,24 +53,43 @@ type cc = {
 
 val default_cc : min_rtt_ns:int -> cc
 
+(** {2 Fixed protocol constants}
+
+    Every endpoint uses the same values; no experiment varies them. *)
+
+(** Largest supported message (8 MB, §6.4). *)
+val max_msg_size : int
+
+(** Packets received per RX burst. *)
+val rx_batch : int
+
+(** Packets transmitted per TX burst. *)
+val tx_batch : int
+
+(** Consecutive RTOs without progress before the session is reset and
+    in-flight requests fail with [Err.Peer_unreachable] (§4.3). *)
+val max_retransmits : int
+
+(** Slot width of the rate limiter's Carousel timing wheel ({!Wheel}). *)
+val wheel_slot_ns : int
+
+(** Slots in that wheel: 16 ms of horizon at 1 µs slots. *)
+val wheel_num_slots : int
+
+(** Out-of-band session-management message delay. *)
+val sm_latency_ns : int
+
+(** Node-failure detection timeout. *)
+val sm_failure_timeout_ns : int
+
 type t = {
   transport : transport_kind;  (** datapath the endpoint runs over *)
   mtu : int;
-  max_msg_size : int;  (** largest supported message (8 MB, §6.4) *)
   wire_overhead : int;
   session_credits : int;
   req_window : int;  (** concurrent requests per session (8) *)
-  rx_batch : int;
-  tx_batch : int;
   rto_ns : int;  (** retransmission timeout (5 ms, §5.2.3) *)
-  max_retransmits : int;
-      (** consecutive RTOs without progress before the session is reset and
-          in-flight requests fail with [Err.Peer_unreachable] (§4.3) *)
   cr_stride : int;  (** request packets acknowledged per cumulative CR *)
-  wheel_slot_ns : int;
-  wheel_num_slots : int;
-  sm_latency_ns : int;  (** out-of-band session-management message delay *)
-  sm_failure_timeout_ns : int;  (** node-failure detection timeout *)
   opts : opts;
   cc : cc;
   codec_backend : Codec.backend;

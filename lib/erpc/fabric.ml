@@ -90,7 +90,7 @@ let register_sm t ~host ~rpc_id sink =
 let host_dead t host = Hashtbl.mem t.dead_hosts host
 
 let send_sm t ~dst_host ~dst_rpc msg =
-  Sim.Engine.schedule_after t.engine t.cfg.sm_latency_ns (fun () ->
+  Sim.Engine.schedule_after t.engine Config.sm_latency_ns (fun () ->
       if not (host_dead t dst_host) then
         match Hashtbl.find_opt t.sm_sinks (dst_host, dst_rpc) with
         | Some sink -> sink msg
@@ -104,7 +104,7 @@ let kill_host t host =
   if not (host_dead t host) then begin
     Hashtbl.replace t.dead_hosts host ();
     List.iter (fun f -> f host) t.kill_watchers;
-    Sim.Engine.schedule_after t.engine t.cfg.sm_failure_timeout_ns (fun () ->
+    Sim.Engine.schedule_after t.engine Config.sm_failure_timeout_ns (fun () ->
         List.iter (fun f -> f host) t.failure_watchers)
   end
 
@@ -116,7 +116,7 @@ let crash_host t host ~down_ns =
     (* Failure detection only fires if the host is still down when the
        management plane's timeout expires — a fast restart goes unnoticed by
        peers, exactly the case bounded retransmission must cover. *)
-    Sim.Engine.schedule_after t.engine t.cfg.sm_failure_timeout_ns (fun () ->
+    Sim.Engine.schedule_after t.engine Config.sm_failure_timeout_ns (fun () ->
         if host_dead t host then List.iter (fun f -> f host) t.failure_watchers);
     Sim.Engine.schedule_after t.engine down_ns (fun () ->
         if host_dead t host then begin

@@ -236,7 +236,7 @@ let limiter t =
   | None ->
       let lim =
         {
-          wheel = Wheel.create ~slot_ns:t.cfg.wheel_slot_ns ~num_slots:t.cfg.wheel_num_slots;
+          wheel = Wheel.create ~slot_ns:Config.wheel_slot_ns ~num_slots:Config.wheel_num_slots;
           slot = [||];
           req_num = [||];
           item = [||];
@@ -442,7 +442,7 @@ and do_retransmit t slot =
     | Some cli ->
         let sess = slot.session in
         cli.consec_retx <- cli.consec_retx + 1;
-        if cli.consec_retx >= t.cfg.max_retransmits then begin
+        if cli.consec_retx >= Config.max_retransmits then begin
           (* Retry budget exhausted: the peer is gone (crashed, restarted
              without our session state, or partitioned). Reset the session
              instead of retransmitting forever. *)
@@ -450,7 +450,7 @@ and do_retransmit t slot =
           reset_session t sess
         end
         else begin
-          if 2 * cli.consec_retx > t.cfg.max_retransmits then
+          if 2 * cli.consec_retx > Config.max_retransmits then
             t.stats.Rpc_stats.retx_warnings <- t.stats.Rpc_stats.retx_warnings + 1;
           t.stats.Rpc_stats.retransmits <- t.stats.Rpc_stats.retransmits + 1;
           cli.retransmits <- cli.retransmits + 1;
@@ -867,7 +867,7 @@ let charge_codec t cpu ~deser ~backend ~leaves ~bytes =
 
 let enqueue_request_hooked t sess ~req_type ~req ~resp ~on_complete ~cont =
   if sess.role <> Client then invalid_arg "Rpc.enqueue_request: not a client session";
-  if Msgbuf.size req > t.cfg.max_msg_size then
+  if Msgbuf.size req > Config.max_msg_size then
     invalid_arg "Rpc.enqueue_request: request exceeds the maximum message size";
   ch t t.cost.enqueue_request;
   t.stats.Rpc_stats.issued <- t.stats.Rpc_stats.issued + 1;
@@ -889,7 +889,7 @@ let enqueue_request_hooked t sess ~req_type ~req ~resp ~on_complete ~cont =
 (* {2 The event loop} *)
 
 let run_tx_burst t =
-  let budget = ref t.cfg.tx_batch in
+  let budget = ref Config.tx_batch in
   let n_in_txq = Queue.length t.txq in
   let serviced = ref 0 in
   while !budget > 0 && !serviced < n_in_txq && not (Queue.is_empty t.txq) do
@@ -915,7 +915,7 @@ let activate t =
       do_retransmit t (Queue.take t.retxq)
     done;
     (* RX burst: callback iteration straight off the ring, no list. *)
-    let n_rx = Transport.Iface.rx_burst t.transport ~max:t.cfg.rx_batch t.rx_each in
+    let n_rx = Transport.Iface.rx_burst t.transport ~max:Config.rx_batch t.rx_each in
     if n_rx > 0 then ch t (Transport.Iface.replenish_rx t.transport n_rx);
     (* Background-thread completions (worker handler responses). *)
     while not (Queue.is_empty t.bgq) do

@@ -38,9 +38,9 @@ let erpc_goodput ?(credits = 32) ?config ?(requests = 8) ?(loss = 0.) ?seed ?tra
     server_tx_pkts = (Erpc.Rpc.stats d.rpcs.(1).(0)).Erpc.Rpc_stats.tx_pkts;
   }
 
-let rdma_write_goodput ?(requests = 8) ~req_size () =
+let rdma_write_goodput ?(requests = 8) ?seed ~req_size () =
   let cluster = Transport.Cluster.cx5_ib100 () in
-  let engine = Sim.Engine.create () in
+  let engine = Sim.Engine.create ?seed () in
   let net = Transport.Cluster.build engine cluster in
   let cfg = Rdma.Qp.default_config cluster in
   let ep0 = Rdma.Qp.create engine net ~host:0 cfg in
@@ -67,19 +67,3 @@ let rdma_write_goodput ?(requests = 8) ~req_size () =
     retransmits = 0;
     server_tx_pkts = 0;
   }
-
-let fig6 ?requests () =
-  let sizes =
-    [ 512; 2048; 8192; 32768; 131072; 524288; 2097152; 8388608 ]
-  in
-  List.map
-    (fun req_size ->
-      ( req_size,
-        erpc_goodput ?requests ~req_size (),
-        rdma_write_goodput ?requests ~req_size () ))
-    sizes
-
-let table4 ?(requests = 40) () =
-  List.map
-    (fun loss -> (loss, erpc_goodput ~requests ~loss ~req_size:(8 * 1024 * 1024) ()))
-    [ 1e-7; 1e-6; 1e-5; 1e-4; 1e-3 ]

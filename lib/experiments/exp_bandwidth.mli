@@ -30,11 +30,4 @@ val erpc_goodput :
   point
 
 (** RDMA-write goodput for one request size (one outstanding write). *)
-val rdma_write_goodput : ?requests:int -> req_size:int -> unit -> point
-
-(** The Fig 6 sweep: powers of two from 0.5 kB to 8 MB. Returns
-    (size, eRPC, RDMA) triples. *)
-val fig6 : ?requests:int -> unit -> (int * point * point) list
-
-(** The Table 4 sweep: 8 MB requests at loss rates 1e-7 .. 1e-3. *)
-val table4 : ?requests:int -> unit -> (float * point) list
+val rdma_write_goodput : ?requests:int -> ?seed:int64 -> req_size:int -> unit -> point

@@ -55,7 +55,7 @@ type tenant_state = {
   mutable failed : int;
   mutable shed : int;
   mutable outstanding : int;
-  issue : now_rel:int -> unit;
+  issue : tenant_state -> now_rel:int -> unit;
   stats : unit -> int * int;  (** retries, redirects *)
 }
 
@@ -106,6 +106,27 @@ let run ?(seed = 42L) ?(trace_capacity = 1 lsl 18)
      connect echo sessions) is done; completion callbacks read it to place
      samples on the timeline. *)
   let t0_ref = ref 0 in
+  (* Every tenant's operations, KV or echo, start and finish here. *)
+  let start st =
+    st.issued <- st.issued + 1;
+    st.outstanding <- st.outstanding + 1;
+    Sim.Engine.now engine
+  in
+  let finish st ~started okp =
+    st.outstanding <- st.outstanding - 1;
+    let now = Sim.Engine.now engine in
+    let lat = Sim.Time.sub now started in
+    let at_ns = Sim.Time.sub now !t0_ref in
+    if okp then begin
+      st.ok <- st.ok + 1;
+      Stats.Hist.record st.hist lat;
+      Obs.Timeline.ok st.timeline ~at_ns ~latency_ns:lat
+    end
+    else begin
+      st.failed <- st.failed + 1;
+      Obs.Timeline.fail st.timeline ~at_ns
+    end
+  in
   (* Instantiate tenants. Creation order (tenant list order, then source
      index) fixes every rng split, so runs are reproducible. *)
   let states =
@@ -113,131 +134,82 @@ let run ?(seed = 42L) ?(trace_capacity = 1 lsl 18)
       (fun ti (t : Workload.Traffic_spec.tenant) ->
         let hist = Stats.Hist.create () in
         let timeline = Obs.Timeline.create ~window_ns ~horizon_ns:scenario.horizon_ns in
-        match t.service with
-        | Workload.Traffic_spec.Kv { get_pct } ->
-            let pool =
-              Service.Client_pool.create ~fabric:d.fabric ~map
-                ~rpcs:(Array.map (fun h -> d.rpcs.(h).(0)) client_hosts)
-                ~base_client_id:(1 + (ti * 64))
-                ~clients_per_rpc:1 ()
-            in
-            let krng = Sim.Rng.split (Sim.Engine.rng engine) in
-            let rec st =
-              {
-                spec = t;
-                hist;
-                timeline;
-                issued = 0;
-                ok = 0;
-                failed = 0;
-                shed = 0;
-                outstanding = 0;
-                issue =
-                  (fun ~now_rel ->
-                    if st.outstanding >= t.max_outstanding then st.shed <- st.shed + 1
-                    else begin
-                      st.issued <- st.issued + 1;
-                      st.outstanding <- st.outstanding + 1;
-                      let key =
-                        Workload.Keygen.encode
-                          (Workload.Keygen.next_at t.keygen krng ~now_ns:now_rel)
-                      in
-                      let started = Sim.Engine.now engine in
-                      let finish okp =
-                        st.outstanding <- st.outstanding - 1;
-                        let now = Sim.Engine.now engine in
-                        let lat = Sim.Time.sub now started in
-                        let at_ns = Sim.Time.sub now !t0_ref in
-                        if okp then begin
-                          st.ok <- st.ok + 1;
-                          Stats.Hist.record hist lat;
-                          Obs.Timeline.ok timeline ~at_ns ~latency_ns:lat
-                        end
-                        else begin
-                          st.failed <- st.failed + 1;
-                          Obs.Timeline.fail timeline ~at_ns
-                        end
-                      in
-                      if Sim.Rng.int krng 100 < get_pct then
-                        Service.Client_pool.get pool ~key ~deadline_ns:kv_deadline_ns
-                          ~cont:(fun r -> finish (Result.is_ok r))
-                      else
-                        let value = Printf.sprintf "t%d-%08d" ti st.issued in
-                        Service.Client_pool.put pool ~key ~value
-                          ~deadline_ns:kv_deadline_ns ~cont:(fun r ->
-                            finish (Result.is_ok r))
-                    end);
-                stats =
-                  (fun () ->
-                    (Service.Client_pool.retries pool, Service.Client_pool.redirects pool));
-              }
-            in
-            st
-        | Workload.Traffic_spec.Echo { req_size; resp_size } ->
-            let req_type = echo_req_type_base + ti in
-            (* Sessions from every client host to every echo server; the
-               per-op cursor alternates both source and destination. *)
-            let endpoints =
-              Array.concat
-                (List.map
-                   (fun ch ->
-                     let rpc = d.rpcs.(ch).(0) in
-                     Array.map
-                       (fun eh ->
-                         (rpc, Harness.connect d rpc ~remote_host:eh ~remote_rpc_id:0))
-                       echo_hosts)
-                   (Array.to_list client_hosts))
-            in
-            let bufs =
-              ref
-                (List.init t.max_outstanding (fun _ ->
-                     ( Erpc.Msgbuf.alloc ~max_size:req_size,
-                       Erpc.Msgbuf.alloc ~max_size:resp_size )))
-            in
-            let cursor = ref 0 in
-            let rec st =
-              {
-                spec = t;
-                hist;
-                timeline;
-                issued = 0;
-                ok = 0;
-                failed = 0;
-                shed = 0;
-                outstanding = 0;
-                issue =
-                  (fun ~now_rel:_ ->
-                    match !bufs with
-                    | [] -> st.shed <- st.shed + 1
-                    | (req, resp) :: rest ->
-                        bufs := rest;
-                        st.issued <- st.issued + 1;
-                        st.outstanding <- st.outstanding + 1;
-                        Erpc.Msgbuf.resize req req_size;
-                        let rpc, sess = endpoints.(!cursor) in
-                        cursor := (!cursor + 1) mod Array.length endpoints;
-                        let started = Sim.Engine.now engine in
-                        Erpc.Rpc.enqueue_request rpc sess ~req_type ~req ~resp
-                          ~cont:(fun r ->
-                            st.outstanding <- st.outstanding - 1;
-                            bufs := (req, resp) :: !bufs;
-                            let now = Sim.Engine.now engine in
-                            let lat = Sim.Time.sub now started in
-                            let at_ns = Sim.Time.sub now !t0_ref in
-                            if Result.is_ok r then begin
-                              st.ok <- st.ok + 1;
-                              Stats.Hist.record hist lat;
-                              Obs.Timeline.ok timeline ~at_ns ~latency_ns:lat
-                            end
-                            else begin
-                              st.failed <- st.failed + 1;
-                              Obs.Timeline.fail timeline ~at_ns
-                            end))
-                  ;
-                stats = (fun () -> (0, 0));
-              }
-            in
-            st)
+        let issue, stats =
+          match t.service with
+          | Workload.Traffic_spec.Kv { get_pct } ->
+              let pool =
+                Service.Client_pool.create ~fabric:d.fabric ~map
+                  ~rpcs:(Array.map (fun h -> d.rpcs.(h).(0)) client_hosts)
+                  ~base_client_id:(1 + (ti * 64))
+                  ~clients_per_rpc:1 ()
+              in
+              let krng = Sim.Rng.split (Sim.Engine.rng engine) in
+              ( (fun st ~now_rel ->
+                  if st.outstanding >= t.max_outstanding then st.shed <- st.shed + 1
+                  else begin
+                    let started = start st in
+                    let key =
+                      Workload.Keygen.encode
+                        (Workload.Keygen.next_at t.keygen krng ~now_ns:now_rel)
+                    in
+                    let cont r = finish st ~started (Result.is_ok r) in
+                    if Sim.Rng.int krng 100 < get_pct then
+                      Service.Client_pool.get pool ~key ~deadline_ns:kv_deadline_ns ~cont
+                    else
+                      let value = Printf.sprintf "t%d-%08d" ti st.issued in
+                      Service.Client_pool.put pool ~key ~value ~deadline_ns:kv_deadline_ns
+                        ~cont
+                  end),
+                fun () ->
+                  (Service.Client_pool.retries pool, Service.Client_pool.redirects pool) )
+          | Workload.Traffic_spec.Echo { req_size; resp_size } ->
+              let req_type = echo_req_type_base + ti in
+              (* Sessions from every client host to every echo server; the
+                 per-op cursor alternates both source and destination. *)
+              let endpoints =
+                Array.concat
+                  (List.map
+                     (fun ch ->
+                       let rpc = d.rpcs.(ch).(0) in
+                       Array.map
+                         (fun eh ->
+                           (rpc, Harness.connect d rpc ~remote_host:eh ~remote_rpc_id:0))
+                         echo_hosts)
+                     (Array.to_list client_hosts))
+              in
+              let bufs =
+                ref
+                  (List.init t.max_outstanding (fun _ ->
+                       ( Erpc.Msgbuf.alloc ~max_size:req_size,
+                         Erpc.Msgbuf.alloc ~max_size:resp_size )))
+              in
+              let cursor = ref 0 in
+              ( (fun st ~now_rel:_ ->
+                  match !bufs with
+                  | [] -> st.shed <- st.shed + 1
+                  | (req, resp) :: rest ->
+                      bufs := rest;
+                      let started = start st in
+                      Erpc.Msgbuf.resize req req_size;
+                      let rpc, sess = endpoints.(!cursor) in
+                      cursor := (!cursor + 1) mod Array.length endpoints;
+                      Erpc.Rpc.enqueue_request rpc sess ~req_type ~req ~resp ~cont:(fun r ->
+                          bufs := (req, resp) :: !bufs;
+                          finish st ~started (Result.is_ok r))),
+                fun () -> (0, 0) )
+        in
+        {
+          spec = t;
+          hist;
+          timeline;
+          issued = 0;
+          ok = 0;
+          failed = 0;
+          shed = 0;
+          outstanding = 0;
+          issue;
+          stats;
+        })
       scenario.tenants
   in
   (* Open-loop sources: each walks its arrival process from t0 (all phase
@@ -253,7 +225,7 @@ let run ?(seed = 42L) ?(trace_capacity = 1 lsl 18)
           let next = Workload.Arrival.next_after arr ~now_ns:now_rel in
           if next < scenario.horizon_ns then
             Sim.Engine.schedule engine (Sim.Time.add t0 next) (fun () ->
-                st.issue ~now_rel:next;
+                st.issue st ~now_rel:next;
                 arm next)
         in
         arm 0

@@ -96,12 +96,6 @@ let run ?seed ?trace ?credits ?algo ?(warmup_ms = 20.0) ?(measure_ms = 40.0) ~de
     retransmits;
   }
 
-let table5 ?measure_ms () =
-  List.concat_map
-    (fun degree ->
-      [ run ?measure_ms ~degree ~cc:true (); run ?measure_ms ~degree ~cc:false () ])
-    [ 20; 50; 100 ]
-
 type bg_result = {
   bg_degree : int;
   bg_p50_us : float;

@@ -34,9 +34,6 @@ val run :
 (** [?trace] installs an event trace on the deployment's engine, capturing
     packet/sslot/CC/switch-buffer events for the whole run. *)
 
-(** The six Table 5 rows: 20/50/100-way, cc and no-cc. *)
-val table5 : ?measure_ms:float -> unit -> row list
-
 (** §6.5: pairs of non-victim nodes exchange latency-sensitive 64 kB RPCs
     (one outstanding) while a [degree]-way incast runs. Returns the p99
     latency (us) of the latency-sensitive RPCs. *)

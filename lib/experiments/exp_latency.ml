@@ -49,10 +49,3 @@ let measure ?seed ?samples cluster =
     erpc_us = float_of_int (Stats.Hist.median erpc_hist) /. 1e3;
     erpc_p99_us = float_of_int (Stats.Hist.percentile erpc_hist 99.) /. 1e3;
   }
-
-let run ?samples () =
-  [
-    measure ?samples (Transport.Cluster.cx3 ~nodes:2 ());
-    measure ?samples (Transport.Cluster.cx4 ~nodes:10 ());
-    measure ?samples (Transport.Cluster.cx5 ~nodes:2 ());
-  ]

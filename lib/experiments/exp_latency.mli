@@ -10,6 +10,3 @@ type row = {
 
 (** Measure one cluster profile. *)
 val measure : ?seed:int64 -> ?samples:int -> Transport.Cluster.t -> row
-
-(** The paper's three clusters. *)
-val run : ?samples:int -> unit -> row list

@@ -58,6 +58,3 @@ let run ?seed ?(nodes = 100) ?(credits = 32) ?(warmup_us = 300.) ?(measure_us = 
     lat_p9999_us = pct 99.99;
     retransmits_per_node_per_sec = float_of_int (retx1 - retx0) /. float_of_int nodes /. secs;
   }
-
-let fig5 ?nodes ?(threads_list = [ 1; 2; 4; 6; 8; 10 ]) () =
-  List.map (fun threads -> run ?nodes ~threads ()) threads_list

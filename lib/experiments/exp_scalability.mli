@@ -26,6 +26,3 @@ val run :
   threads:int ->
   unit ->
   row
-
-(** The Fig 5 x-axis: T = 1..10 (a subset by default to bound runtime). *)
-val fig5 : ?nodes:int -> ?threads_list:int list -> unit -> row list

@@ -88,3 +88,54 @@ let envelope r =
       ("rows", Arr r.outcome.rows);
       ("host", Obj r.outcome.host);
     ]
+
+let cell = function
+  | Obs.Json.Null -> "-"
+  | Bool b -> string_of_bool b
+  | Int n -> string_of_int n
+  | Float f when f <> 0. && Float.abs f < 0.01 -> Printf.sprintf "%.0e" f
+  | Float f -> Printf.sprintf "%.2f" f
+  | Str s -> s
+  | (Arr _ | Obj _) as v -> Obs.Json.to_string v
+
+let table rows =
+  let fields = function Obs.Json.Obj f -> f | _ -> invalid_arg "Registry.table: row" in
+  let title r = List.assoc_opt "table" r in
+  let columns r = List.filter (fun k -> k <> "table") (List.map fst r) in
+  (* Consecutive rows under one title with the same columns form a block. *)
+  let blocks =
+    List.fold_left
+      (fun acc r ->
+        match acc with
+        | (r0 :: _ as block) :: rest when title r0 = title r && columns r0 = columns r ->
+            (r :: block) :: rest
+        | _ -> [ r ] :: acc)
+      [] (List.map fields rows)
+    |> List.rev_map List.rev
+  in
+  let b = Buffer.create 1024 in
+  let last_title = ref None in
+  List.iter
+    (fun block ->
+      let t = title (List.hd block) in
+      if t <> !last_title then
+        Option.iter (fun t -> Printf.bprintf b "\n==== %s ====\n" (cell t)) t;
+      last_title := t;
+      let cols = columns (List.hd block) in
+      let lines =
+        cols :: List.map (fun r -> List.map (fun k -> cell (List.assoc k r)) cols) block
+      in
+      let widths =
+        List.fold_left
+          (List.map2 (fun w c -> max w (String.length c)))
+          (List.map (fun _ -> 0) cols) lines
+      in
+      List.iter
+        (fun line ->
+          Buffer.add_string b
+            (String.trim
+               (String.concat "  " (List.map2 (Printf.sprintf "%-*s") widths line)));
+          Buffer.add_char b '\n')
+        lines)
+    blocks;
+  Buffer.contents b

@@ -50,3 +50,11 @@ val run :
 
 (** The result envelope, [schema_version] 1. *)
 val envelope : result -> Obs.Json.t
+
+(** A report of flat rows (objects of scalars; any other row raises
+    [Invalid_argument]), one line per row. Each run of consecutive rows
+    with the same fields is one block under a header naming them. A row's
+    ["table"] field is not a column: it titles the rows that carry it
+    ([==== title ====], printed when it changes). Floats print with two
+    decimals, or as [1e-07] below 0.01; [null] prints as [-]. *)
+val table : Obs.Json.t list -> string

@@ -1,7 +1,7 @@
 (* Smoke tests for the experiment harnesses: short runs asserting that
    each reproduced result lands in a sane band around the paper's value.
-   The full-length runs live in bench/main.exe; these keep the experiment
-   code exercised by `dune runtest`. *)
+   The full-length runs are `erpc_sim paper <section>`; these keep the
+   experiment code exercised by `dune runtest`. *)
 
 let check_bool = Alcotest.(check bool)
 

@@ -220,9 +220,9 @@ let test_bounded_retx_resets_session () =
   | Some (Error e) -> Alcotest.fail ("wrong error: " ^ Erpc.Err.to_string e)
   | None -> Alcotest.fail "retransmitted unboundedly: continuation never ran");
   check_bool "failed within max_retransmits * rto of issue" true
-    (!done_at - issued_at <= (cfg.max_retransmits * cfg.rto_ns) + cfg.rto_ns);
+    (!done_at - issued_at <= (Erpc.Config.max_retransmits * cfg.rto_ns) + cfg.rto_ns);
   check_bool "retransmit count bounded" true
-    ((Erpc.Rpc.stats client).Erpc.Rpc_stats.retransmits < cfg.max_retransmits);
+    ((Erpc.Rpc.stats client).Erpc.Rpc_stats.retransmits < Erpc.Config.max_retransmits);
   check_int "one session reset" 1 ((Erpc.Rpc.stats client).Erpc.Rpc_stats.session_resets);
   check_int "no leaked RTO timers" 0 (Erpc.Rpc.armed_rto_count client);
   check_int "credits restored" sess.Erpc.Session.credit_limit sess.Erpc.Session.credits;
@@ -252,7 +252,7 @@ let test_crash_restart_peer_unreachable () =
      a failure event, and the restarted server has lost all session state.
      The client must converge to Peer_unreachable on its own. *)
   let down_ns = 1_000_000 in
-  check_bool "restart beats the detector" true (down_ns < cfg.sm_failure_timeout_ns);
+  check_bool "restart beats the detector" true (down_ns < Erpc.Config.sm_failure_timeout_ns);
   Erpc.Fabric.crash_host fabric 1 ~down_ns;
   let result = ref None in
   let done_at = ref 0 in
@@ -269,7 +269,7 @@ let test_crash_restart_peer_unreachable () =
   | Some (Error e) -> Alcotest.fail ("wrong error: " ^ Erpc.Err.to_string e)
   | None -> Alcotest.fail "continuation never ran");
   check_bool "bounded: failed within max_retransmits * rto" true
-    (!done_at - issued_at <= (cfg.max_retransmits * cfg.rto_ns) + cfg.rto_ns);
+    (!done_at - issued_at <= (Erpc.Config.max_retransmits * cfg.rto_ns) + cfg.rto_ns);
   check_bool "host is back up" false (Erpc.Fabric.host_dead fabric 1);
   check_int "restarted server lost its sessions" 0 (Erpc.Rpc.num_sessions server);
   check_int "no leaked RTO timers" 0 (Erpc.Rpc.armed_rto_count client)

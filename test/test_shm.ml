@@ -88,11 +88,10 @@ let test_crash_restart_colocated_peer () =
   let fabric, client, server =
     Transport_testkit.make_pair ~cluster ~config ()
   in
-  let cfg = Erpc.Fabric.config fabric in
   let sess = connect fabric client in
   ignore (Transport_testkit.do_rpc fabric client sess ~req_size:32 ~resp_cap:32);
   let down_ns = 1_000_000 in
-  check_bool "restart beats the detector" true (down_ns < cfg.sm_failure_timeout_ns);
+  check_bool "restart beats the detector" true (down_ns < Erpc.Config.sm_failure_timeout_ns);
   Erpc.Fabric.crash_host fabric 1 ~down_ns;
   let result = ref None in
   let req = Erpc.Msgbuf.alloc ~max_size:32 in
