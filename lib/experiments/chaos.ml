@@ -56,37 +56,39 @@ let run_one ?(hosts = 10) ?(events = 12) ?(requests = 120) ?(horizon_ns = 60_000
     pick_schedule ~seed ~horizon_ns ~events ~hosts ~tors:(topology_tors cluster)
   in
   Faults.Injector.install injector schedule;
-  (* Stagger issuance across the fault window so requests meet every phase
-     of the schedule. *)
-  let completions = Array.make requests 0 in
-  let ok = ref 0 and failed = ref 0 in
   let violations = ref [] in
   let violate fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
+  (* Request [j] carries [j], and its response must echo it back intact.
+     Buffers are fresh: a reset session's packets may still be in flight
+     towards old ones. Only a request's first completion reaches the
+     driver; the invariants below count them all. *)
+  let completions = Array.make requests 0 in
+  let send (op : Obs.Op.t) k =
+    let j = op.id and h = op.id mod hosts in
+    let req = Erpc.Msgbuf.alloc ~max_size:32 and resp = Erpc.Msgbuf.alloc ~max_size:32 in
+    Erpc.Msgbuf.set_u32 req ~off:0 j;
+    Erpc.Rpc.enqueue_request d.rpcs.(h).(0)
+      sessions.(h).(j / hosts mod 2)
+      ~req_type:Harness.echo_req_type ~req ~resp
+      ~cont:(fun r ->
+        completions.(j) <- completions.(j) + 1;
+        if r = Ok () && Erpc.Msgbuf.get_u32 resp ~off:0 <> j then
+          violate "req %d: response payload mismatch" j;
+        if completions.(j) = 1 then k (Harness.ok_or_failed r);
+        Faults.Trace.record trace
+          ~at_ns:(Sim.Engine.now engine)
+          (Printf.sprintf "done req=%d %s" j
+             (match r with Ok () -> "ok" | Error e -> "err:" ^ Erpc.Err.to_string e)))
+  in
+  (* Stagger issuance across the fault window so requests meet every phase
+     of the schedule; a slot per request, so none is shed. *)
   let gap_ns = Stdlib.max 1 (horizon_ns * 3 / 4 / Stdlib.max 1 requests) in
-  for j = 0 to requests - 1 do
-    Sim.Engine.schedule_after engine (j * gap_ns) (fun () ->
-        let h = j mod hosts in
-        let rpc = d.rpcs.(h).(0) in
-        let sess = sessions.(h).(j / hosts mod 2) in
-        let req = Erpc.Msgbuf.alloc ~max_size:32 in
-        let resp = Erpc.Msgbuf.alloc ~max_size:32 in
-        Erpc.Msgbuf.set_u32 req ~off:0 j;
-        Erpc.Rpc.enqueue_request rpc sess ~req_type:Harness.echo_req_type ~req ~resp
-          ~cont:(fun r ->
-            completions.(j) <- completions.(j) + 1;
-            (match r with
-            | Ok () ->
-                incr ok;
-                if Erpc.Msgbuf.get_u32 resp ~off:0 <> j then
-                  violate "req %d: response payload mismatch" j
-            | Error _ -> incr failed);
-            Faults.Trace.record trace
-              ~at_ns:(Sim.Engine.now engine)
-              (Printf.sprintf "done req=%d %s" j
-                 (match r with
-                 | Ok () -> "ok"
-                 | Error e -> "err:" ^ Erpc.Err.to_string e))))
-  done;
+  let drv =
+    Harness.driver ~engine ~slots:(Stdlib.max 1 requests)
+      (Open [| Every { gap_ns; count = requests } |])
+      send
+  in
+  Harness.start_driver drv;
   (* Quiesce: drain the event queue completely. Terminates because
      retransmission is bounded — before bounded retx, a crashed peer meant
      retransmitting forever. *)
@@ -95,6 +97,7 @@ let run_one ?(hosts = 10) ?(events = 12) ?(requests = 120) ?(horizon_ns = 60_000
   Array.iteri
     (fun j n -> if n <> 1 then violate "req %d completed %d times (want exactly 1)" j n)
     completions;
+  let { Harness.ok; failed; _ } = Harness.driver_tally drv in
   let all_rpcs = Array.to_list d.rpcs |> List.concat_map Array.to_list in
   let armed = List.fold_left (fun acc r -> acc + Erpc.Rpc.armed_rto_count r) 0 all_rpcs in
   if armed <> 0 then violate "%d armed RTO timers leaked after quiesce" armed;
@@ -113,13 +116,13 @@ let run_one ?(hosts = 10) ?(events = 12) ?(requests = 120) ?(horizon_ns = 60_000
   let rx_corrupt = stat (fun s -> s.Erpc.Rpc_stats.rx_corrupt) in
   Faults.Trace.record trace
     ~at_ns:(Sim.Engine.now engine)
-    (Printf.sprintf "quiesce ok=%d failed=%d retx=%d resets=%d corrupt=%d" !ok !failed
+    (Printf.sprintf "quiesce ok=%d failed=%d retx=%d resets=%d corrupt=%d" ok failed
        retransmits session_resets rx_corrupt);
   {
     seed;
     issued = requests;
-    ok = !ok;
-    failed = !failed;
+    ok;
+    failed;
     injected = Faults.Injector.injected injector;
     fault_kinds = Faults.Schedule.num_kinds schedule;
     retransmits;

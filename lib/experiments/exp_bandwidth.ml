@@ -45,21 +45,16 @@ let rdma_write_goodput ?(requests = 8) ?seed ~req_size () =
   let cfg = Rdma.Qp.default_config cluster in
   let ep0 = Rdma.Qp.create engine net ~host:0 cfg in
   let _ep1 = Rdma.Qp.create engine net ~host:1 cfg in
-  let remaining = ref (requests + 1) in
-  let measured_from = ref Sim.Time.zero in
-  let finished_at = ref Sim.Time.zero in
-  let rec issue () =
-    if !remaining > 0 then begin
-      if !remaining = requests then measured_from := Sim.Engine.now engine;
-      decr remaining;
-      Rdma.Qp.post_write ep0 ~dst:1 ~len:req_size ~completion:(fun () ->
-          finished_at := Sim.Engine.now engine;
-          issue ())
-    end
+  (* One warmup write; the span runs from its completion to the last. *)
+  let drv =
+    Harness.driver ~engine ~slots:1
+      (Closed { batch = 1; count = requests + 1 })
+      (fun _ k ->
+        Rdma.Qp.post_write ep0 ~dst:1 ~len:req_size ~completion:(fun () -> k Obs.Op.Ok_))
   in
-  issue ();
+  Harness.start_driver drv;
   Sim.Engine.run engine;
-  let elapsed = Sim.Time.sub !finished_at !measured_from in
+  let elapsed = Harness.driver_span drv in
   let bits = float_of_int (req_size * 8 * requests) in
   {
     req_size;

@@ -3,16 +3,9 @@ type tenant_report = {
   service : string;
   sources : int;
   offered_rps : float;
-  issued : int;
-  ok : int;
-  failed : int;
-  shed : int;
-  mean_us : float;
-  p50_us : float;
-  p99_us : float;
-  p999_us : float;
-  retries : int;
-  redirects : int;
+  whole : Harness.tally;
+  steady : Harness.tally option;
+  steady_tagged : int array;
   timeline : Obs.Json.t;
 }
 
@@ -43,24 +36,13 @@ let replication = 3
 let window_ns = 5_000_000
 let kv_deadline_ns = 20_000_000
 let settle_ns = 60_000_000
+
+(* Every tenant's first operations wait on session handshakes to hosts
+   they have not talked to yet; at seed 42 the last such wait falls 2 ms
+   after the start at full scale and 7 ms after it at a quarter of it.
+   Operations issued from here on are the steady state. *)
+let warmup_ns = 10_000_000
 let echo_req_type_base = 16
-
-(* Per-tenant driving state; [issue] fires one arrival (or sheds it). *)
-type tenant_state = {
-  spec : Workload.Traffic_spec.tenant;
-  hist : Stats.Hist.t;
-  timeline : Obs.Timeline.t;
-  mutable issued : int;
-  mutable ok : int;
-  mutable failed : int;
-  mutable shed : int;
-  mutable outstanding : int;
-  issue : tenant_state -> now_rel:int -> unit;
-  stats : unit -> int * int;  (** retries, redirects *)
-}
-
-let pctl h p =
-  if Stats.Hist.count h = 0 then 0. else float_of_int (Stats.Hist.percentile h p) /. 1e3
 
 let run ?(seed = 42L) ?(trace_capacity = 1 lsl 18)
     (scenario : Workload.Traffic_spec.scenario) =
@@ -102,39 +84,15 @@ let run ?(seed = 42L) ?(trace_capacity = 1 lsl 18)
             echo_hosts
       | Workload.Traffic_spec.Kv _ -> ())
     scenario.tenants;
-  (* Measurement epoch: set once instantiation (which runs the engine to
-     connect echo sessions) is done; completion callbacks read it to place
-     samples on the timeline. *)
-  let t0_ref = ref 0 in
-  (* Every tenant's operations, KV or echo, start and finish here. *)
-  let start st =
-    st.issued <- st.issued + 1;
-    st.outstanding <- st.outstanding + 1;
-    Sim.Engine.now engine
-  in
-  let finish st ~started okp =
-    st.outstanding <- st.outstanding - 1;
-    let now = Sim.Engine.now engine in
-    let lat = Sim.Time.sub now started in
-    let at_ns = Sim.Time.sub now !t0_ref in
-    if okp then begin
-      st.ok <- st.ok + 1;
-      Stats.Hist.record st.hist lat;
-      Obs.Timeline.ok st.timeline ~at_ns ~latency_ns:lat
-    end
-    else begin
-      st.failed <- st.failed + 1;
-      Obs.Timeline.fail st.timeline ~at_ns
-    end
-  in
   (* Instantiate tenants. Creation order (tenant list order, then source
-     index) fixes every rng split, so runs are reproducible. *)
-  let states =
+     index) fixes every rng split, so runs are reproducible. Each tenant is
+     one open-loop driver with one source per population member; its
+     arrival instants and phase windows are anchored at the common start. *)
+  let t0 = ref 0 in
+  let tenants =
     List.mapi
       (fun ti (t : Workload.Traffic_spec.tenant) ->
-        let hist = Stats.Hist.create () in
-        let timeline = Obs.Timeline.create ~window_ns ~horizon_ns:scenario.horizon_ns in
-        let issue, stats =
+        let send, kv, kinds =
           match t.service with
           | Workload.Traffic_spec.Kv { get_pct } ->
               let pool =
@@ -144,28 +102,31 @@ let run ?(seed = 42L) ?(trace_capacity = 1 lsl 18)
                   ~clients_per_rpc:1 ()
               in
               let krng = Sim.Rng.split (Sim.Engine.rng engine) in
-              ( (fun st ~now_rel ->
-                  if st.outstanding >= t.max_outstanding then st.shed <- st.shed + 1
-                  else begin
-                    let started = start st in
-                    let key =
-                      Workload.Keygen.encode
-                        (Workload.Keygen.next_at t.keygen krng ~now_ns:now_rel)
-                    in
-                    let cont r = finish st ~started (Result.is_ok r) in
-                    if Sim.Rng.int krng 100 < get_pct then
-                      Service.Client_pool.get pool ~key ~deadline_ns:kv_deadline_ns ~cont
-                    else
-                      let value = Printf.sprintf "t%d-%08d" ti st.issued in
-                      Service.Client_pool.put pool ~key ~value ~deadline_ns:kv_deadline_ns
-                        ~cont
-                  end),
-                fun () ->
-                  (Service.Client_pool.retries pool, Service.Client_pool.redirects pool) )
+              (* GETs are kind 0, PUTs kind 1. *)
+              let send (op : Obs.Op.t) k =
+                let key =
+                  Workload.Keygen.encode
+                    (Workload.Keygen.next_at t.keygen krng ~now_ns:(op.issued_ns - !t0))
+                in
+                let client = Service.Client_pool.next_client pool in
+                let deadline_ns = kv_deadline_ns in
+                if Sim.Rng.int krng 100 < get_pct then
+                  ignore
+                    (Service.Kv_client.get ~record:op client ~key ~deadline_ns ~cont:(fun r ->
+                         k (Harness.of_get r)))
+                else begin
+                  op.kind <- 1;
+                  let value = Printf.sprintf "t%d-%08d" ti (op.id + 1) in
+                  ignore
+                    (Service.Kv_client.put ~record:op client ~key ~value ~deadline_ns
+                       ~cont:(fun r -> k (Harness.ok_or_failed r)))
+                end
+              in
+              (send, true, 2)
           | Workload.Traffic_spec.Echo { req_size; resp_size } ->
-              let req_type = echo_req_type_base + ti in
-              (* Sessions from every client host to every echo server; the
-                 per-op cursor alternates both source and destination. *)
+              (* Sessions from every client host to every echo server,
+                 taken round robin, so both source and destination
+                 alternate. *)
               let endpoints =
                 Array.concat
                   (List.map
@@ -177,60 +138,27 @@ let run ?(seed = 42L) ?(trace_capacity = 1 lsl 18)
                          echo_hosts)
                      (Array.to_list client_hosts))
               in
-              let bufs =
-                ref
-                  (List.init t.max_outstanding (fun _ ->
-                       ( Erpc.Msgbuf.alloc ~max_size:req_size,
-                         Erpc.Msgbuf.alloc ~max_size:resp_size )))
-              in
-              let cursor = ref 0 in
-              ( (fun st ~now_rel:_ ->
-                  match !bufs with
-                  | [] -> st.shed <- st.shed + 1
-                  | (req, resp) :: rest ->
-                      bufs := rest;
-                      let started = start st in
-                      Erpc.Msgbuf.resize req req_size;
-                      let rpc, sess = endpoints.(!cursor) in
-                      cursor := (!cursor + 1) mod Array.length endpoints;
-                      Erpc.Rpc.enqueue_request rpc sess ~req_type ~req ~resp ~cont:(fun r ->
-                          bufs := (req, resp) :: !bufs;
-                          finish st ~started (Result.is_ok r))),
-                fun () -> (0, 0) )
+              ( Harness.erpc_send
+                  ~payload:(Harness.Echo { req_size; resp_size })
+                  ~req_type:(echo_req_type_base + ti) endpoints,
+                false,
+                1 )
         in
-        {
-          spec = t;
-          hist;
-          timeline;
-          issued = 0;
-          ok = 0;
-          failed = 0;
-          shed = 0;
-          outstanding = 0;
-          issue;
-          stats;
-        })
+        let timeline = Obs.Timeline.create ~window_ns ~horizon_ns:scenario.horizon_ns in
+        let drv =
+          Harness.driver ~engine ~timeline ~warmup_ns ~slots:t.max_outstanding
+            ~latencies:(Array.init kinds (fun _ -> Stats.Hist.create ()))
+            (Open
+               (Array.make t.sources
+                  (Harness.Process { spec = t.arrival; until_ns = scenario.horizon_ns })))
+            send
+        in
+        (t, drv, kv, timeline))
       scenario.tenants
   in
-  (* Open-loop sources: each walks its arrival process from t0 (all phase
-     windows anchored there) and fires regardless of completions. *)
-  let t0 = Sim.Engine.now engine in
-  t0_ref := t0;
-  List.iter
-    (fun st ->
-      for _src = 1 to st.spec.Workload.Traffic_spec.sources do
-        let arng = Sim.Rng.split (Sim.Engine.rng engine) in
-        let arr = Workload.Arrival.make st.spec.Workload.Traffic_spec.arrival ~rng:arng in
-        let rec arm now_rel =
-          let next = Workload.Arrival.next_after arr ~now_ns:now_rel in
-          if next < scenario.horizon_ns then
-            Sim.Engine.schedule engine (Sim.Time.add t0 next) (fun () ->
-                st.issue st ~now_rel:next;
-                arm next)
-        in
-        arm 0
-      done)
-    states;
+  t0 := Sim.Engine.now engine;
+  List.iter (fun (_, drv, _, _) -> Harness.start_driver drv) tenants;
+  let t0 = !t0 in
   Sim.Engine.run_until engine (Sim.Time.add t0 scenario.horizon_ns);
   Sim.Engine.run_until engine (Sim.Time.add t0 (scenario.horizon_ns + settle_ns));
   Array.iter Service.Replica.stop replicas;
@@ -247,36 +175,24 @@ let run ?(seed = 42L) ?(trace_capacity = 1 lsl 18)
   in
   let reports =
     List.map
-      (fun st ->
-        let retries, redirects = st.stats () in
+      (fun ((t : Workload.Traffic_spec.tenant), drv, kv, timeline) ->
+        let whole = Harness.driver_tally drv and steady = Harness.driver_steady drv in
         (* issued = 0 just means the horizon was too short for this
            tenant's offered rate (smoke runs); issued > 0 with zero
            successes is a real outage. *)
-        if st.issued > 0 && st.ok = 0 then
-          violate "tenant %s: issued %d operations, none succeeded"
-            st.spec.Workload.Traffic_spec.tname st.issued;
+        if whole.issued > 0 && whole.ok = 0 then
+          violate "tenant %s: issued %d operations, none succeeded" t.tname whole.issued;
         {
-          tname = st.spec.Workload.Traffic_spec.tname;
-          service =
-            (match st.spec.Workload.Traffic_spec.service with
-            | Workload.Traffic_spec.Kv _ -> "kv"
-            | Workload.Traffic_spec.Echo _ -> "echo");
-          sources = st.spec.Workload.Traffic_spec.sources;
-          offered_rps = Workload.Traffic_spec.offered_rps st.spec;
-          issued = st.issued;
-          ok = st.ok;
-          failed = st.failed;
-          shed = st.shed;
-          mean_us =
-            (if Stats.Hist.count st.hist = 0 then 0. else Stats.Hist.mean st.hist /. 1e3);
-          p50_us = pctl st.hist 50.;
-          p99_us = pctl st.hist 99.;
-          p999_us = pctl st.hist 99.9;
-          retries;
-          redirects;
-          timeline = Obs.Timeline.to_json st.timeline;
+          tname = t.tname;
+          service = (if kv then "kv" else "echo");
+          sources = t.sources;
+          offered_rps = Workload.Traffic_spec.offered_rps t;
+          whole;
+          steady = (if scenario.horizon_ns < warmup_ns then None else steady);
+          steady_tagged = (Option.get steady).tagged;
+          timeline = Obs.Timeline.to_json timeline;
         })
-      states
+      tenants
   in
   {
     scenario = scenario.sname;
@@ -308,6 +224,8 @@ let run_all ?seed ?scale ?horizon_ms ?jobs () =
   Par_sweep.list ?jobs (Array.length names) (fun i ->
       run_named ?seed ?scale ?horizon_ms names.(i))
 
+let warmup_tagged t = Array.map2 ( - ) t.whole.tagged t.steady_tagged
+
 let coverage r =
   if r.issued_rpcs = 0 then 0. else float_of_int r.analyzed_rpcs /. float_of_int r.issued_rpcs
 
@@ -317,11 +235,24 @@ let pp_result fmt r =
     r.scenario r.seed r.events r.analyzed_rpcs r.issued_rpcs (coverage r);
   List.iter
     (fun t ->
-      Format.fprintf fmt
-        "  %-14s %-5s %3d src %8.0f rps  issued=%-6d ok=%-6d failed=%-4d shed=%-4d \
-         p50=%.1fus p99=%.1fus p99.9=%.1fus@."
-        t.tname t.service t.sources t.offered_rps t.issued t.ok t.failed t.shed t.p50_us
-        t.p99_us t.p999_us)
+      let line (s : Harness.tally) =
+        let lat = Harness.merged s.lat in
+        Format.sprintf
+          "issued=%-6d ok=%-6d failed=%-4d shed=%-4d p50=%.1fus p99=%.1fus p99.9=%.1fus"
+          s.issued s.ok s.failed s.shed (Harness.us_at lat 50.) (Harness.us_at lat 99.)
+          (Harness.us_at lat 99.9)
+      in
+      Format.fprintf fmt "  %-14s %-5s %3d src %8.0f rps  %s@." t.tname t.service t.sources
+        t.offered_rps (line t.whole);
+      Option.iter (fun s -> Format.fprintf fmt "  %31s steady %s@." "" (line s)) t.steady;
+      if t.service = "kv" then begin
+        let tags a = String.concat "/" (Array.to_list (Array.map string_of_int a)) in
+        Format.fprintf fmt
+          "  %31s ops tagged %s: %s in the warmup, %s after; untagged p99.9=%.1fus@." ""
+          (String.concat "/" (Array.to_list Obs.Op.phase_names))
+          (tags (warmup_tagged t)) (tags t.steady_tagged)
+          (Harness.us_at t.whole.untagged 99.9)
+      end)
     r.tenants;
   (match r.attribution with
   | Some a ->
@@ -337,25 +268,56 @@ let pp_result fmt r =
   if r.violations <> [] then
     Format.fprintf fmt "  VIOLATIONS: %s@." (String.concat "; " r.violations)
 
+let tally_fields (s : Harness.tally) =
+  let lat = Harness.merged s.lat in
+  [
+    ("issued", Obs.Json.Int s.issued);
+    ("ok", Obs.Json.Int s.ok);
+    ("failed", Obs.Json.Int s.failed);
+    ("shed", Obs.Json.Int s.shed);
+    ("mean_us", Obs.Json.Float (Stats.Hist.mean lat /. 1e3));
+    ("p50_us", Obs.Json.Float (Harness.us_at lat 50.));
+    ("p99_us", Obs.Json.Float (Harness.us_at lat 99.));
+    ("p999_us", Obs.Json.Float (Harness.us_at lat 99.9));
+    ("retries", Obs.Json.Int s.backoffs);
+    ("redirects", Obs.Json.Int s.redirects);
+    ("untagged_p999_us", Obs.Json.Float (Harness.us_at s.untagged 99.9));
+  ]
+
 let tenant_to_json t =
+  let kv =
+    if t.service <> "kv" then []
+    else
+      let get = t.whole.lat.(0) and put = t.whole.lat.(1) in
+      [
+        ("get_p50_us", Obs.Json.Float (Harness.us_at get 50.));
+        ("get_p99_us", Obs.Json.Float (Harness.us_at get 99.));
+        ("put_p50_us", Obs.Json.Float (Harness.us_at put 50.));
+        ("put_p99_us", Obs.Json.Float (Harness.us_at put 99.));
+        ("get_hits", Obs.Json.Int (Stats.Hist.count get - t.whole.misses));
+        ("get_misses", Obs.Json.Int t.whole.misses);
+      ]
+  in
   Obs.Json.Obj
-    [
-      ("tenant", Obs.Json.Str t.tname);
-      ("service", Obs.Json.Str t.service);
-      ("sources", Obs.Json.Int t.sources);
-      ("offered_rps", Obs.Json.Float t.offered_rps);
-      ("issued", Obs.Json.Int t.issued);
-      ("ok", Obs.Json.Int t.ok);
-      ("failed", Obs.Json.Int t.failed);
-      ("shed", Obs.Json.Int t.shed);
-      ("mean_us", Obs.Json.Float t.mean_us);
-      ("p50_us", Obs.Json.Float t.p50_us);
-      ("p99_us", Obs.Json.Float t.p99_us);
-      ("p999_us", Obs.Json.Float t.p999_us);
-      ("retries", Obs.Json.Int t.retries);
-      ("redirects", Obs.Json.Int t.redirects);
-      ("timeline", t.timeline);
-    ]
+    ([
+       ("tenant", Obs.Json.Str t.tname);
+       ("service", Obs.Json.Str t.service);
+       ("sources", Obs.Json.Int t.sources);
+       ("offered_rps", Obs.Json.Float t.offered_rps);
+     ]
+    @ tally_fields t.whole
+    @ [
+        ( "steady",
+          match t.steady with Some s -> Obs.Json.Obj (tally_fields s) | None -> Obs.Json.Null );
+        ( "tags",
+          Obs.Json.Obj
+            [
+              ("warmup", Harness.tags_json (warmup_tagged t));
+              ("steady", Harness.tags_json t.steady_tagged);
+            ] );
+      ]
+    @ kv
+    @ [ ("timeline", t.timeline) ])
 
 let result_to_json r =
   Obs.Json.Obj

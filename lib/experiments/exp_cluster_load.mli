@@ -8,8 +8,12 @@
     issue operations on a fixed schedule regardless of completions, so
     overload surfaces as tail latency rather than reduced offered load.
 
-    Outputs per tenant: issued/ok/failed/shed counts, P50/P99/P99.9 SLO
-    latencies, and an availability {!Obs.Timeline}; per scenario: a
+    Outputs per tenant: issued/ok/failed/shed counts and P50/P99/P99.9
+    SLO latencies, over the whole run and over the steady state after
+    {!warmup_ns}; how many operations carry each {!Obs.Op} phase tag
+    (connect wait, redirect, election, error), before and after the
+    warmup; GET and PUT percentiles apart for KV tenants; and an
+    availability {!Obs.Timeline}. Per scenario: a
     {!Obs.Anatomy.attribution} naming the component that dominates P99
     vs P50 ("where does the tail come from"), computed from the run's
     event trace over client-host RPCs. Runs are deterministic: the same
@@ -18,19 +22,14 @@
 
 type tenant_report = {
   tname : string;
-  service : string;  (** "kv" or "echo" *)
+  service : string;  (** "kv" (GETs are kind 0, PUTs kind 1) or "echo" *)
   sources : int;
   offered_rps : float;  (** analytic open-loop offered load *)
-  issued : int;
-  ok : int;
-  failed : int;  (** errors + missed deadlines *)
-  shed : int;  (** arrivals dropped at the client-side concurrency cap *)
-  mean_us : float;
-  p50_us : float;
-  p99_us : float;
-  p999_us : float;
-  retries : int;  (** KV client retries (0 for echo) *)
-  redirects : int;  (** KV leader redirects (0 for echo) *)
+  whole : Harness.tally;  (** every operation of the run *)
+  steady : Harness.tally option;
+      (** the operations issued or shed {!warmup_ns} or more after the
+          start; [None] when the horizon is shorter than the warmup *)
+  steady_tagged : int array;  (** the steady-state [tagged] counts, in any case *)
   timeline : Obs.Json.t;  (** availability windows with per-window P50/P99 *)
 }
 
@@ -53,6 +52,10 @@ type result = {
       (** the per-RPC breakdowns behind [attribution], for invariant checks
           (each sums exactly to its end-to-end latency) *)
 }
+
+(** The warmup, 10 ms: operations issued earlier wait on session
+    handshakes to hosts their client had not talked to yet. *)
+val warmup_ns : int
 
 (** [run ~seed scenario] deploys the cluster (6 replica hosts, 2 echo
     servers, 4 client hosts; 4 Raft shards x 3-way replication), boots

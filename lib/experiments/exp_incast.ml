@@ -90,8 +90,8 @@ let run ?seed ?trace ?credits ?algo ?(warmup_ms = 20.0) ?(measure_ms = 40.0) ~de
     degree;
     cc;
     total_gbps = float_of_int ((bytes1 - bytes0) * 8) /. (measure_ms *. 1e6);
-    rtt_p50_us = float_of_int (Stats.Hist.median rtt_hist) /. 1e3;
-    rtt_p99_us = float_of_int (Stats.Hist.percentile rtt_hist 99.) /. 1e3;
+    rtt_p50_us = Harness.us_at rtt_hist 50.;
+    rtt_p99_us = Harness.us_at rtt_hist 99.;
     switch_buffer_peak_bytes;
     retransmits;
   }
@@ -134,6 +134,6 @@ let with_background ?seed ?(measure_ms = 40.0) ~degree () =
   Harness.run_ms d measure_ms;
   {
     bg_degree = degree;
-    bg_p50_us = float_of_int (Stats.Hist.median lat_hist) /. 1e3;
-    bg_p99_us = float_of_int (Stats.Hist.percentile lat_hist 99.) /. 1e3;
+    bg_p50_us = Harness.us_at lat_hist 50.;
+    bg_p99_us = Harness.us_at lat_hist 99.;
   }

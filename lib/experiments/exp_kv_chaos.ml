@@ -19,6 +19,8 @@ type run_result = {
   restarts : int;
   p50_us : float;
   p99_us : float;
+  tagged : int array;
+  untagged_p999_us : float;
   commit_p50_us : float;
   commit_p99_us : float;
   gap_windows : int;
@@ -262,65 +264,56 @@ let run ~seed ~fault_scenario () =
   (match fault_scenario with
   | Some s -> install_faults ctx ~scenario:s ~seed
   | None -> ());
-  let issued = ref 0 and acked_n = ref 0 and failed = ref 0 in
+  (* Each client issues one operation every [op_gap_ns]; every fifth is a
+     GET (kind 0), the rest PUTs (kind 1). *)
   let acked = ref [] in
+  let next_op = Array.make (Array.length clients) 0 in
+  let send (op : Obs.Op.t) k =
+    let ci = op.source in
+    let client = clients.(ci) and client_id = ci + 1 and j = next_op.(ci) in
+    next_op.(ci) <- j + 1;
+    let keygen, krng = keygens.(ci) in
+    let key = Workload.Keygen.encode (Workload.Keygen.next keygen krng) in
+    let finish result tag =
+      k result;
+      Faults.Trace.record ftrace ~at_ns:(Sim.Engine.now engine) tag
+    in
+    let outcome = function
+      | Error `Deadline -> "deadline"
+      | Error (`Failed e) -> "err:" ^ e
+      | Ok s -> s
+    in
+    (* Continuations fire on later engine events, never within the call,
+       so the seq cell is filled before any use. *)
+    let seq = ref 0 in
+    if j mod 5 = 4 then
+      seq :=
+        Service.Kv_client.get ~record:op client ~key ~deadline_ns ~cont:(fun r ->
+            finish (Harness.of_get r)
+              (Printf.sprintf "get c%d/%d %s" client_id !seq
+                 (outcome (Result.map (function Some _ -> "hit" | None -> "miss") r))))
+    else begin
+      op.kind <- 1;
+      let shard = Service.Shard_map.shard_of_key map ~key in
+      let value = Printf.sprintf "c%d-%06d" client_id j in
+      seq :=
+        Service.Kv_client.put ~record:op client ~key ~value ~deadline_ns ~cont:(fun r ->
+            if Result.is_ok r then acked := (shard, client_id, !seq) :: !acked;
+            finish (Harness.ok_or_failed r)
+              (Printf.sprintf "put c%d/%d %s" client_id !seq
+                 (outcome (Result.map (fun () -> "ok") r))))
+    end
+  in
   let ops_per_client = horizon_ns / op_gap_ns in
-  Array.iteri
-    (fun ci client ->
-      let client_id = ci + 1 in
-      let keygen, krng = keygens.(ci) in
-      for j = 0 to ops_per_client - 1 do
-        Sim.Engine.schedule engine (Sim.Time.add t0 (j * op_gap_ns)) (fun () ->
-            incr issued;
-            let key = Workload.Keygen.encode (Workload.Keygen.next keygen krng) in
-            let started = Sim.Engine.now engine in
-            let finish tag ok =
-              let now = Sim.Engine.now engine in
-              let at_ns = Sim.Time.sub now t0 in
-              if ok then begin
-                incr acked_n;
-                Obs.Timeline.ok timeline ~at_ns ~latency_ns:(Sim.Time.sub now started)
-              end
-              else begin
-                incr failed;
-                Obs.Timeline.fail timeline ~at_ns
-              end;
-              Faults.Trace.record ftrace ~at_ns:now tag
-            in
-            if j mod 5 = 4 then begin
-              (* Continuations fire on later engine events, never within
-                 the call, so the seq cell is filled before any use. *)
-              let seq = ref 0 in
-              seq :=
-                Service.Kv_client.get client ~key ~deadline_ns ~cont:(fun r ->
-                    finish
-                      (Printf.sprintf "get c%d/%d %s" client_id !seq
-                         (match r with
-                         | Ok (Some _) -> "hit"
-                         | Ok None -> "miss"
-                         | Error `Deadline -> "deadline"
-                         | Error (`Failed e) -> "err:" ^ e))
-                      (Result.is_ok r))
-            end
-            else begin
-              let shard = Service.Shard_map.shard_of_key map ~key in
-              let value = Printf.sprintf "c%d-%06d" client_id j in
-              let seq = ref 0 in
-              seq :=
-                Service.Kv_client.put client ~key ~value ~deadline_ns ~cont:(fun r ->
-                    (match r with
-                    | Ok () -> acked := (shard, client_id, !seq) :: !acked
-                    | Error _ -> ());
-                    finish
-                      (Printf.sprintf "put c%d/%d %s" client_id !seq
-                         (match r with
-                         | Ok () -> "ok"
-                         | Error `Deadline -> "deadline"
-                         | Error (`Failed e) -> "err:" ^ e))
-                      (Result.is_ok r))
-            end)
-      done)
-    clients;
+  let every = Harness.Every { gap_ns = op_gap_ns; count = ops_per_client } in
+  (* A slot per operation: none is ever shed. *)
+  let drv =
+    Harness.driver ~engine ~timeline ~slots:(ops_per_client * Array.length clients)
+      ~latencies:[| Stats.Hist.create (); Stats.Hist.create () |]
+      (Open (Array.map (fun _ -> every) clients))
+      send
+  in
+  Harness.start_driver drv;
   (* Measured window, then settle: deadlines fire, restarted replicas
      catch up, commit indexes propagate. *)
   Sim.Engine.run_until engine (Sim.Time.add t0 horizon_ns);
@@ -328,42 +321,36 @@ let run ~seed ~fault_scenario () =
   Array.iter Service.Replica.stop replicas;
   Sim.Engine.run engine;
   check_invariants ctx ~acked:!acked ~applied violations;
-  if !acked_n = 0 then violate "no operation ever succeeded";
+  let tally = Harness.driver_tally drv in
+  let acked_n = tally.ok in
+  if acked_n = 0 then violate "no operation ever succeeded";
   let sum f = Array.fold_left (fun a r -> a + f r) 0 replicas in
-  let lat = Stats.Hist.create () in
-  Array.iter
-    (fun c -> Stats.Hist.merge ~dst:lat ~src:(Service.Kv_client.latencies c))
-    clients;
-  let commit = Stats.Hist.create () in
-  Array.iter
-    (fun r -> Stats.Hist.merge ~dst:commit ~src:(Service.Replica.commit_latencies r))
-    replicas;
-  let pctl h p =
-    if Stats.Hist.count h = 0 then 0. else float_of_int (Stats.Hist.percentile h p) /. 1e3
-  in
+  let lat = Harness.merged tally.lat in
+  let commit = Harness.merged (Array.map Service.Replica.commit_latencies replicas) in
   Faults.Trace.record ftrace
     ~at_ns:(Sim.Engine.now engine)
     (Printf.sprintf "quiesce issued=%d acked=%d failed=%d drops=%d dedup=%d restarts=%d"
-       !issued !acked_n !failed
+       tally.issued acked_n tally.failed
        (sum Service.Replica.raft_drops)
        (sum Service.Replica.dedup_hits)
        (sum Service.Replica.restarts));
   {
     seed;
     scenario = (match fault_scenario with Some s -> s | None -> Leader_crash);
-    issued = !issued;
-    acked = !acked_n;
-    failed = !failed;
-    retries = Array.fold_left (fun a c -> a + Service.Kv_client.retries c) 0 clients;
-    redirects =
-      Array.fold_left (fun a c -> a + Service.Kv_client.redirects c) 0 clients;
+    issued = tally.issued;
+    acked = acked_n;
+    failed = tally.failed;
+    retries = tally.backoffs;
+    redirects = tally.redirects;
     raft_drops = sum Service.Replica.raft_drops;
     dedup_hits = sum Service.Replica.dedup_hits;
     restarts = sum Service.Replica.restarts;
-    p50_us = pctl lat 50.;
-    p99_us = pctl lat 99.;
-    commit_p50_us = pctl commit 50.;
-    commit_p99_us = pctl commit 99.;
+    p50_us = Harness.us_at lat 50.;
+    p99_us = Harness.us_at lat 99.;
+    tagged = tally.tagged;
+    untagged_p999_us = Harness.us_at tally.untagged 99.9;
+    commit_p50_us = Harness.us_at commit 50.;
+    commit_p99_us = Harness.us_at commit 99.;
     gap_windows = Obs.Timeline.gaps timeline;
     longest_gap_ms = float_of_int (Obs.Timeline.longest_gap_ns timeline) /. 1e6;
     violations = List.rev !violations;
@@ -388,9 +375,12 @@ let run_suite ?(seed = 42L) ?(seeds = 20) ?jobs () =
 let pp_run fmt r =
   Format.fprintf fmt
     "seed=%Ld %-15s issued=%d acked=%d failed=%d retries=%d redirects=%d drops=%d \
-     dedup=%d restarts=%d p50=%.1fus p99=%.1fus gaps=%d(max %.0fms) %s"
+     dedup=%d restarts=%d p50=%.1fus p99=%.1fus tags=%s untagged-p99.9=%.1fus \
+     gaps=%d(max %.0fms) %s"
     r.seed (scenario_name r.scenario) r.issued r.acked r.failed r.retries r.redirects
-    r.raft_drops r.dedup_hits r.restarts r.p50_us r.p99_us r.gap_windows
+    r.raft_drops r.dedup_hits r.restarts r.p50_us r.p99_us
+    (String.concat "/" (Array.to_list (Array.map string_of_int r.tagged)))
+    r.untagged_p999_us r.gap_windows
     r.longest_gap_ms
     (if r.violations = [] then "PASS"
      else "VIOLATIONS: " ^ String.concat "; " r.violations)
@@ -410,6 +400,8 @@ let run_to_json r =
       ("restarts", Obs.Json.Int r.restarts);
       ("p50_us", Obs.Json.Float r.p50_us);
       ("p99_us", Obs.Json.Float r.p99_us);
+      ("tags", Harness.tags_json r.tagged);
+      ("untagged_p999_us", Obs.Json.Float r.untagged_p999_us);
       ("commit_p50_us", Obs.Json.Float r.commit_p50_us);
       ("commit_p99_us", Obs.Json.Float r.commit_p99_us);
       ("gap_windows", Obs.Json.Int r.gap_windows);

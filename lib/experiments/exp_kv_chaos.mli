@@ -43,6 +43,10 @@ type run_result = {
   restarts : int;  (** replica crash-restart cycles observed *)
   p50_us : float;
   p99_us : float;
+  tagged : int array;
+      (** operations that carry each phase tag, in {!Obs.Op.phase_names}
+          order (printed as [tags=a/b/c/d]) *)
+  untagged_p999_us : float;  (** P99.9 of the successes that carry no tag *)
   commit_p50_us : float;  (** leader commit latency, all groups merged *)
   commit_p99_us : float;
   gap_windows : int;  (** 10 ms windows with attempts but zero successes *)

@@ -25,27 +25,21 @@ let measure_rdma ?seed ?(samples = 2_000) (cluster : Transport.Cluster.t) =
   let cfg = Rdma.Qp.default_config cluster in
   let ep0 = Rdma.Qp.create engine net ~host:0 cfg in
   let _ep1 = Rdma.Qp.create engine net ~host:1 cfg in
-  let hist = Stats.Hist.create () in
-  let remaining = ref samples in
-  let rec issue () =
-    if !remaining > 0 then begin
-      decr remaining;
-      let t0 = Sim.Engine.now engine in
-      Rdma.Qp.post_read ep0 ~dst:1 ~len:32 ~completion:(fun () ->
-          Stats.Hist.record hist (Sim.Time.sub (Sim.Engine.now engine) t0);
-          issue ())
-    end
+  let drv =
+    Harness.driver ~engine ~slots:1
+      (Closed { batch = 1; count = samples })
+      (fun _ k -> Rdma.Qp.post_read ep0 ~dst:1 ~len:32 ~completion:(fun () -> k Obs.Op.Ok_))
   in
-  issue ();
+  Harness.start_driver drv;
   Sim.Engine.run engine;
-  hist
+  (Harness.driver_tally drv).lat.(0)
 
 let measure ?seed ?samples cluster =
   let erpc_hist = measure_erpc ?seed ?samples cluster in
   let rdma_hist = measure_rdma ?seed ?samples cluster in
   {
     cluster = cluster.name;
-    rdma_read_us = float_of_int (Stats.Hist.median rdma_hist) /. 1e3;
-    erpc_us = float_of_int (Stats.Hist.median erpc_hist) /. 1e3;
-    erpc_p99_us = float_of_int (Stats.Hist.percentile erpc_hist 99.) /. 1e3;
+    rdma_read_us = Harness.us_at rdma_hist 50.;
+    erpc_us = Harness.us_at erpc_hist 50.;
+    erpc_p99_us = Harness.us_at erpc_hist 99.;
   }

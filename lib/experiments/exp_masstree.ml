@@ -65,27 +65,18 @@ let register_handlers nx tree ~workers =
       Erpc.Msgbuf.set_u64 resp ~off:0 sum;
       Erpc.Req_handle.enqueue_response h resp)
 
-type client = {
-  rpc : Erpc.Rpc.t;
-  sess : Erpc.Session.session;
-  rng : Sim.Rng.t;
-  get_hist : Stats.Hist.t;
-  scan_hist : Stats.Hist.t;
-  engine : Sim.Engine.t;
-  bufs : (Erpc.Msgbuf.t * Erpc.Msgbuf.t) array;
-}
+(* The request hook: a random key, and one request in a hundred is a
+   scan (kind 1). *)
+let prepare rng (op : Obs.Op.t) req =
+  Erpc.Msgbuf.write_string req ~off:0
+    (Workload.Keygen.encode ~width:key_width (Sim.Rng.int rng num_keys));
+  if Sim.Rng.int rng 100 = 0 then begin
+    op.kind <- 1;
+    scan_req_type
+  end
+  else get_req_type
 
-let rec client_issue c slot =
-  let req, resp = c.bufs.(slot) in
-  let key = Workload.Keygen.encode ~width:key_width (Sim.Rng.int c.rng num_keys) in
-  Erpc.Msgbuf.write_string req ~off:0 key;
-  let is_scan = Sim.Rng.int c.rng 100 = 0 in
-  let req_type = if is_scan then scan_req_type else get_req_type in
-  let hist = if is_scan then c.scan_hist else c.get_hist in
-  let t0 = Sim.Engine.now c.engine in
-  Erpc.Rpc.enqueue_request c.rpc c.sess ~req_type ~req ~resp ~cont:(fun _ ->
-      Stats.Hist.record hist (Sim.Time.sub (Sim.Engine.now c.engine) t0);
-      client_issue c slot)
+let payload = Harness.Echo { req_size = key_width; resp_size = 8 }
 
 let run ?seed ?(workers = true) ?(warmup_ms = 1.0) ?(measure_ms = 3.0) () =
   let nodes = 1 + num_client_nodes in
@@ -97,45 +88,29 @@ let run ?seed ?(workers = true) ?(warmup_ms = 1.0) ?(measure_ms = 3.0) () =
   register_handlers d.nexuses.(server_host) tree ~workers;
   let engine = Erpc.Fabric.engine d.fabric in
   let rng = Sim.Rng.split (Sim.Engine.rng engine) in
-  let get_hist = Stats.Hist.create () in
-  let scan_hist = Stats.Hist.create () in
-  let clients =
-    List.init (num_client_nodes * client_threads_per_node) (fun i ->
-        let host = 1 + (i / client_threads_per_node) in
-        let thr = i mod client_threads_per_node in
-        let rpc = d.rpcs.(host).(thr) in
+  let latencies = [| Stats.Hist.create (); Stats.Hist.create () |] in
+  let drivers =
+    Array.init (num_client_nodes * client_threads_per_node) (fun i ->
+        let rpc = d.rpcs.(1 + (i / client_threads_per_node)).(i mod client_threads_per_node) in
         let sess =
           Harness.connect d rpc ~remote_host:server_host ~remote_rpc_id:(i mod num_dispatch)
         in
-        {
-          rpc;
-          sess;
-          rng = Sim.Rng.split rng;
-          get_hist;
-          scan_hist;
-          engine;
-          bufs =
-            Array.init 2 (fun _ ->
-                (Erpc.Msgbuf.alloc ~max_size:key_width, Erpc.Msgbuf.alloc ~max_size:8));
-        })
+        (* Two outstanding requests per client (§7.2). *)
+        Harness.driver ~latencies ~engine ~slots:2
+          (Closed { batch = 1; count = max_int })
+          (Harness.erpc_send ~payload ~prepare:(prepare (Sim.Rng.split rng))
+             [| (rpc, sess) |]))
   in
-  (* Two outstanding requests per client (§7.2). *)
-  List.iter
-    (fun c ->
-      client_issue c 0;
-      client_issue c 1)
-    clients;
+  Array.iter Harness.start_driver drivers;
   Harness.run_ms d warmup_ms;
-  Stats.Hist.clear get_hist;
-  Stats.Hist.clear scan_hist;
+  Array.iter Stats.Hist.clear latencies;
   Harness.run_ms d measure_ms;
+  let get_hist = latencies.(0) and scan_hist = latencies.(1) in
   {
     gets_per_sec_m = float_of_int (Stats.Hist.count get_hist) /. (measure_ms *. 1e3);
-    get_p50_us = float_of_int (Stats.Hist.median get_hist) /. 1e3;
-    get_p99_us = float_of_int (Stats.Hist.percentile get_hist 99.) /. 1e3;
-    scan_p99_us =
-      (if Stats.Hist.count scan_hist = 0 then 0.
-       else float_of_int (Stats.Hist.percentile scan_hist 99.) /. 1e3);
+    get_p50_us = Harness.us_at get_hist 50.;
+    get_p99_us = Harness.us_at get_hist 99.;
+    scan_p99_us = Harness.us_at scan_hist 99.;
   }
 
 let low_load_median_us ?seed () =
@@ -146,22 +121,17 @@ let low_load_median_us ?seed () =
   let engine = Erpc.Fabric.engine d.fabric in
   let client = d.rpcs.(1).(0) in
   let sess = Harness.connect d client ~remote_host:server_host ~remote_rpc_id:0 in
-  let hist = Stats.Hist.create () in
   let rng = Sim.Rng.split (Sim.Engine.rng engine) in
-  let req = Erpc.Msgbuf.alloc ~max_size:key_width in
-  let resp = Erpc.Msgbuf.alloc ~max_size:8 in
-  let remaining = ref 2_000 in
-  let rec issue () =
-    if !remaining > 0 then begin
-      decr remaining;
-      Erpc.Msgbuf.write_string req ~off:0
-        (Workload.Keygen.encode ~width:key_width (Sim.Rng.int rng num_keys));
-      let t0 = Sim.Engine.now engine in
-      Erpc.Rpc.enqueue_request client sess ~req_type:get_req_type ~req ~resp ~cont:(fun _ ->
-          Stats.Hist.record hist (Sim.Time.sub (Sim.Engine.now engine) t0);
-          issue ())
-    end
+  let drv =
+    Harness.driver ~engine ~slots:1
+      (Closed { batch = 1; count = 2_000 })
+      (Harness.erpc_send ~payload
+         ~prepare:(fun _ req ->
+           Erpc.Msgbuf.write_string req ~off:0
+             (Workload.Keygen.encode ~width:key_width (Sim.Rng.int rng num_keys));
+           get_req_type)
+         [| (client, sess) |])
   in
-  issue ();
+  Harness.start_driver drv;
   Harness.run_ms d 50.0;
-  float_of_int (Stats.Hist.median hist) /. 1e3
+  Harness.us_at (Harness.driver_tally drv).lat.(0) 50.

@@ -24,39 +24,29 @@ let run ?seed ?(samples = 3_000) () =
     Service.Kv_client.create ~fabric:d.fabric ~rpc:d.rpcs.(3).(0) ~map ~client_id:1 ()
   in
   let value = String.make Service.Kv_proto.value_size 'v' in
-  let errors = ref 0 in
-  let remaining = ref samples in
-  let rec issue () =
-    if !remaining > 0 then begin
-      decr remaining;
-      let key = Workload.Keygen.encode (Sim.Rng.int rng num_keys) in
-      ignore
-        (Service.Kv_client.put client ~key ~value ~deadline_ns ~cont:(fun r ->
-             (match r with Ok () -> () | Error _ -> incr errors);
-             issue ()))
-    end
+  let drv =
+    Harness.driver ~engine ~slots:1
+      (Closed { batch = 1; count = samples })
+      (fun _ k ->
+        let key = Workload.Keygen.encode (Sim.Rng.int rng num_keys) in
+        ignore
+          (Service.Kv_client.put client ~key ~value ~deadline_ns ~cont:(fun r ->
+               k (Harness.ok_or_failed r))))
   in
-  issue ();
-  let budget = ref 4_000 in
-  while !remaining > 0 && !budget > 0 do
-    Harness.run_ms d 1.0;
-    decr budget
-  done;
-  let hist = Service.Kv_client.latencies client in
-  let puts = Stats.Hist.count hist in
+  Harness.start_driver drv;
+  Harness.run_driver ~max_slices:4_000 d drv ~slice_ms:1.0;
+  let tally = Harness.driver_tally drv in
+  let hist = tally.lat.(0) and puts = tally.ok in
   (* An all-error run used to fall out of here as a silently empty
      histogram; refuse to report nonsense. *)
   if puts = 0 then failwith "Exp_raft: every PUT failed";
-  let commit = Stats.Hist.create () in
-  Array.iter
-    (fun r -> Stats.Hist.merge ~dst:commit ~src:(Service.Replica.commit_latencies r))
-    replicas;
+  let commit = Harness.merged (Array.map Service.Replica.commit_latencies replicas) in
   Array.iter Service.Replica.stop replicas;
   {
-    client_p50_us = float_of_int (Stats.Hist.median hist) /. 1e3;
-    client_p99_us = float_of_int (Stats.Hist.percentile hist 99.) /. 1e3;
-    leader_p50_us = float_of_int (Stats.Hist.median commit) /. 1e3;
-    leader_p99_us = float_of_int (Stats.Hist.percentile commit 99.) /. 1e3;
+    client_p50_us = Harness.us_at hist 50.;
+    client_p99_us = Harness.us_at hist 99.;
+    leader_p50_us = Harness.us_at commit 50.;
+    leader_p99_us = Harness.us_at commit 99.;
     puts;
-    errors = !errors;
+    errors = tally.failed;
   }

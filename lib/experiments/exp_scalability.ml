@@ -48,13 +48,12 @@ let run ?seed ?(nodes = 100) ?(credits = 32) ?(warmup_us = 300.) ?(measure_us = 
   let completed1 = Harness.total_completed d in
   let retx1 = Harness.sum_stats d (fun s -> s.Erpc.Rpc_stats.retransmits) in
   let secs = measure_us /. 1e6 in
-  let pct p = float_of_int (Stats.Hist.percentile hist p) /. 1e3 in
   {
     threads_per_node = threads;
     per_node_mrps = float_of_int (completed1 - completed0) /. float_of_int nodes /. secs /. 1e6;
-    lat_p50_us = pct 50.;
-    lat_p99_us = pct 99.;
-    lat_p999_us = pct 99.9;
-    lat_p9999_us = pct 99.99;
+    lat_p50_us = Harness.us_at hist 50.;
+    lat_p99_us = Harness.us_at hist 99.;
+    lat_p999_us = Harness.us_at hist 99.9;
+    lat_p9999_us = Harness.us_at hist 99.99;
     retransmits_per_node_per_sec = float_of_int (retx1 - retx0) /. float_of_int nodes /. secs;
   }

@@ -74,8 +74,8 @@ let run ?(seed = 42L) ?(req_size = 32) ?(window = 64) ?(measure_ms = 2.0) ~sessi
     sessions;
     completed;
     mrps = float_of_int completed /. (measure_ms *. 1e-3) /. 1e6;
-    lat_p50_us = float_of_int (Stats.Hist.percentile latencies 50.0) /. 1e3;
-    lat_p99_us = float_of_int (Stats.Hist.percentile latencies 99.0) /. 1e3;
+    lat_p50_us = Harness.us_at latencies 50.;
+    lat_p99_us = Harness.us_at latencies 99.;
     events = Sim.Engine.events_processed engine;
     cpu_s = Sys.time () -. t0;
   }

@@ -61,18 +61,22 @@ val register_typed_echo : ?req_type:int -> 'a Codec.t -> Erpc.Nexus.t -> unit
 
 (** {2 Client driver}
 
-    The one client driver behind every eRPC microbenchmark. It keeps
-    [window] requests in flight from [rpc], issued in batches of [batch]
-    (a batch goes out only once [batch] buffer pairs are free), each to a
-    session drawn uniformly from [sessions] with [rng]; without [rng],
-    [sessions] holds exactly one session and no draw is made.
-    [per_batch_cost_ns] charges [rpc]'s CPU once per batch, and
-    [latencies] records the ns from issue to successful completion.
+    The one client driver behind every experiment. It paces requests and
+    hands each one, as an {!Obs.Op.t} record, to a {!send} hook that
+    issues it. It counts issued, shed, succeeded and failed operations and
+    folds each completed record into a {!tally} and, optionally, an
+    {!Obs.Timeline} (at its time since the driver started). A driver has
+    [slots] operations in flight at most, each with its own record, which
+    is reused once its operation completes.
 
-    Without [count] the driver keeps issuing for as long as the
-    simulation runs. With [count] it issues exactly [count] requests in
-    all: a window-1 driver with a count is a sequential run of [count]
-    requests, each issued in the previous one's continuation. *)
+    - {e Closed loop}: every slot busy, requests issued in batches of
+      [batch] once [batch] slots are free, [count] in all ([max_int]: for
+      as long as the simulation runs). A one-slot driver with a count is a
+      sequential run, each request issued in the previous one's
+      continuation.
+    - {e Open loop}: every source's arrivals are scheduled when the driver
+      starts, in source order, whatever the completions; an arrival that
+      finds every slot busy is shed. *)
 
 type payload =
   | Echo of { req_size : int; resp_size : int }
@@ -81,12 +85,73 @@ type payload =
           {!register_echo} server) *)
   | Typed : 'a Codec.t * 'a -> payload
       (** the value under the codec, through {!Erpc.Typed.enqueue_request}
-          with buffers of its encoded size under [rpc]'s codec backend, so
-          (de)serialization is charged on the datapath (to a
-          {!register_typed_echo} server) *)
+          with buffers of its encoded size under the first endpoint's codec
+          backend (to a {!register_typed_echo} server) *)
+
+(** [send op k] issues [op], sets [op.kind] if the driver counts several
+    kinds, and calls [k] with its result exactly once, from a later event
+    ([k] raises [Invalid_argument] if called again before the record is
+    reused). *)
+type send = Obs.Op.t -> (Obs.Op.result -> unit) -> unit
+
+val ok_or_failed : ('a, 'e) result -> Obs.Op.result
+
+(** [Miss] for a GET of an absent key. *)
+val of_get : (string option, 'e) result -> Obs.Op.result
+
+(** The stock eRPC hook. Each request goes to an endpoint drawn uniformly
+    with [rng], or without it the next one round robin. [prepare op req]
+    fills an [Echo] request and returns its request type (default:
+    [req_type]). *)
+val erpc_send :
+  ?payload:payload ->
+  ?req_type:int ->
+  ?prepare:(Obs.Op.t -> Erpc.Msgbuf.t -> int) ->
+  ?rng:Sim.Rng.t ->
+  (Erpc.Rpc.t * Erpc.Session.session) array ->
+  send
+
+(** One open-loop source's arrival instants, in ns after the start. *)
+type arrivals =
+  | Process of { spec : Workload.Arrival.spec; until_ns : int }
+      (** those before [until_ns], drawn with a split of the engine's rng *)
+  | Every of { gap_ns : int; count : int }  (** [0, gap_ns, .., (count - 1) gap_ns] *)
+
+type pace = Closed of { batch : int; count : int } | Open of arrivals array
+
+(** Per-kind histograms are indexed by {!Obs.Op.t.kind}, per-phase
+    counts follow {!Obs.Op.phase_names}. *)
+type tally = private {
+  mutable issued : int;
+  mutable shed : int;
+  mutable ok : int;  (** successes, misses included *)
+  mutable misses : int;
+  mutable failed : int;
+  lat : Stats.Hist.t array;  (** per kind: ns from issue to success *)
+  tagged : int array;  (** per phase: completed operations with that counter above 0 *)
+  untagged : Stats.Hist.t;  (** ns from issue to success of untagged operations *)
+  mutable redirects : int;
+  mutable backoffs : int;  (** election and error backoffs *)
+}
 
 type driver
 
+(** [latencies] holds one histogram per kind (default: one). With
+    [warmup_ns], a second tally counts the operations issued or shed
+    [warmup_ns] or more after the start. *)
+val driver :
+  ?latencies:Stats.Hist.t array ->
+  ?timeline:Obs.Timeline.t ->
+  ?warmup_ns:int ->
+  engine:Sim.Engine.t ->
+  slots:int ->
+  pace ->
+  send ->
+  driver
+
+(** A closed-loop {!erpc_send} driver with [window] slots, from [rpc]
+    over [sessions] (exactly one session without [rng]);
+    [per_batch_cost_ns] charges [rpc]'s CPU once per batch. *)
 val make_driver :
   ?latencies:Stats.Hist.t ->
   ?payload:payload ->
@@ -101,10 +166,11 @@ val make_driver :
   unit ->
   driver
 
-(** Issue the first batches; later ones go out from completions. *)
+(** Closed loop: issue the first batches. Open loop: schedule every
+    arrival. *)
 val start_driver : driver -> unit
 
-(** Requests whose continuation reported success. *)
+(** Requests that succeeded. *)
 val driver_completed : driver -> int
 
 (** Simulated ns from the driver's first completion to its last, failed
@@ -116,13 +182,26 @@ val driver_span : driver -> int
     (or failed) last. *)
 val driver_last_latency : driver -> int
 
+val driver_tally : driver -> tally
+
+(** The post-warmup tally, if the driver has a warmup. *)
+val driver_steady : driver -> tally option
+
 (** [run_driver d t ~slice_ms] runs [slice_ms]-millisecond slices of [d]
     until every one of [t]'s [count] requests has completed or failed, or
     [max_slices] (default: unbounded) slices have run. It stops at the
-    end of the slice holding the [count]-th completion, so it never
-    returns with a request still in flight unless [max_slices] cut it.
-    Raises [Invalid_argument] if [t] has no count. *)
+    end of the slice holding the [count]-th completion. Raises
+    [Invalid_argument] unless [t] is closed-loop with a count. *)
 val run_driver : ?max_slices:int -> deployment -> driver -> slice_ms:float -> unit
+
+(** [{"connect_wait": n, ..}] *)
+val tags_json : int array -> Obs.Json.t
+
+(** Percentile [p] in µs; 0 for an empty histogram. *)
+val us_at : Stats.Hist.t -> float -> float
+
+(** One histogram with the samples of all. *)
+val merged : Stats.Hist.t array -> Stats.Hist.t
 
 (** {2 Replicated KV}
 

@@ -22,20 +22,9 @@ let next_client t =
   t.cursor <- (t.cursor + 1) mod Array.length t.clients;
   c
 
-let put t ~key ~value ~deadline_ns ~cont =
-  ignore (Kv_client.put (next_client t) ~key ~value ~deadline_ns ~cont : int)
-
-let get t ~key ~deadline_ns ~cont =
-  ignore (Kv_client.get (next_client t) ~key ~deadline_ns ~cont : int)
-
 let sum f t = Array.fold_left (fun acc c -> acc + f c) 0 t.clients
 
 let ok = sum Kv_client.ok
 let deadline_exceeded = sum Kv_client.deadline_exceeded
 let retries = sum Kv_client.retries
 let redirects = sum Kv_client.redirects
-
-let latencies t =
-  let h = Stats.Hist.create () in
-  Array.iter (fun c -> Stats.Hist.merge ~dst:h ~src:(Kv_client.latencies c)) t.clients;
-  h

@@ -28,32 +28,13 @@ val create :
 
 val size : t -> int
 
-(** Next pool slot's client, advancing the round-robin cursor. Exposed so
-    callers can pin an operation sequence to a client when needed. *)
+(** Next pool slot's client, advancing the round-robin cursor: the
+    client for the next operation. *)
 val next_client : t -> Kv_client.t
 
-(** [put]/[get] dispatch on the next client; see {!Kv_client.put}. *)
-val put :
-  t ->
-  key:string ->
-  value:string ->
-  deadline_ns:int ->
-  cont:((unit, Kv_client.error) result -> unit) ->
-  unit
-
-val get :
-  t ->
-  key:string ->
-  deadline_ns:int ->
-  cont:((string option, Kv_client.error) result -> unit) ->
-  unit
-
-(** {2 Aggregated stats} (summed / merged over the pool) *)
+(** {2 Aggregated stats} (summed over the pool) *)
 
 val ok : t -> int
 val deadline_exceeded : t -> int
 val retries : t -> int
 val redirects : t -> int
-
-(** Freshly merged end-to-end latency histogram of successful ops. *)
-val latencies : t -> Stats.Hist.t

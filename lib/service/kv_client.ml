@@ -112,6 +112,14 @@ type op = {
          attempt is unsettled at a time; it settles exactly once, by its
          continuation or its timeout, whichever comes first. *)
   mutable target : int;  (* host the latest attempt went to *)
+  record : Obs.Op.t option;  (* receives the phase counters below at completion *)
+  (* Phase counters: attempts sent on a session still connecting,
+     redirects followed, and backoffs for want of a leader or after an
+     error. *)
+  mutable connect_waits : int;
+  mutable redirected : int;
+  mutable election_backoffs : int;
+  mutable error_backoffs : int;
 }
 
 let no_request =
@@ -121,6 +129,13 @@ let no_finish (_ : outcome) = ()
 
 let complete op outcome =
   let finish = op.finish in
+  (match op.record with
+  | Some (r : Obs.Op.t) ->
+      r.connect_waits <- op.connect_waits;
+      r.redirects <- op.redirected;
+      r.election_backoffs <- op.election_backoffs;
+      r.error_backoffs <- op.error_backoffs
+  | None -> ());
   op.done_ <- true;
   op.live <- -1;
   op.request <- no_request;
@@ -153,6 +168,8 @@ let rec attempt op n ~forced =
           | None -> op.group.(n mod Array.length op.group))
     in
     let sess = session_to t target in
+    if sess.Erpc.Session.state <> Erpc.Session.Connected then
+      op.connect_waits <- op.connect_waits + 1;
     op.live <- n;
     op.target <- target;
     (* Each attempt carries its own timeout: a request parked behind a
@@ -183,6 +200,7 @@ and on_attempt_timeout op n =
     let t = op.cl in
     invalidate_session t op.target;
     Shard_map.clear_hints_for t.map ~host:op.target;
+    op.error_backoffs <- op.error_backoffs + 1;
     backoff op (n + 1)
   end
 
@@ -202,24 +220,30 @@ and on_response op n r =
          only a bounded number of times before conceding the hints are
          stale and backing off. *)
       t.redirects <- t.redirects + 1;
+      op.redirected <- op.redirected + 1;
       Shard_map.set_leader_hint t.map ~shard ~host:h;
       op.chase <- op.chase + 1;
       if op.chase <= 3 then attempt op (n + 1) ~forced:(Some h)
       else begin
+        (* The hints are stale: no reachable leader is known. *)
         Shard_map.clear_leader_hint t.map ~shard;
+        op.election_backoffs <- op.election_backoffs + 1;
         backoff op (n + 1)
       end
   | Ok (Kv_proto.Not_leader None, _) ->
       Shard_map.clear_leader_hint t.map ~shard;
+      op.election_backoffs <- op.election_backoffs + 1;
       backoff op (n + 1)
   | Ok (Kv_proto.Retry hint, _) ->
       (match hint with Some h -> Shard_map.set_leader_hint t.map ~shard ~host:h | None -> ());
+      op.election_backoffs <- op.election_backoffs + 1;
       backoff op (n + 1)
   | Error _ ->
       (* Transport-level failure: the target may be down — stop trusting
          sessions and hints that point at it. *)
       invalidate_session t target;
       Shard_map.clear_hints_for t.map ~host:target;
+      op.error_backoffs <- op.error_backoffs + 1;
       backoff op (n + 1)
 
 and backoff op n =
@@ -236,7 +260,7 @@ and backoff op n =
    once: the deadline event is armed up front and independent of any
    attempt, so an attempt wedged on a half-open connection cannot stall
    the operation past its deadline. *)
-let exec t ~(request : Kv_proto.request) ~deadline_ns ~(finish : outcome -> unit) =
+let exec ?record t ~(request : Kv_proto.request) ~deadline_ns ~(finish : outcome -> unit) =
   let shard = request.shard in
   let started = Sim.Engine.now t.engine in
   let op =
@@ -251,12 +275,17 @@ let exec t ~(request : Kv_proto.request) ~deadline_ns ~(finish : outcome -> unit
       chase = 0;
       live = -1;
       target = -1;
+      record;
+      connect_waits = 0;
+      redirected = 0;
+      election_backoffs = 0;
+      error_backoffs = 0;
     }
   in
   Sim.Engine.schedule t.engine (Sim.Time.add started deadline_ns) (fun () -> on_deadline op);
   attempt op 0 ~forced:None
 
-let put t ~key ~value ~deadline_ns ~cont =
+let put ?record t ~key ~value ~deadline_ns ~cont =
   assert (String.length key = Kv_proto.key_size);
   let seq = t.seq in
   t.seq <- t.seq + 1;
@@ -270,12 +299,12 @@ let put t ~key ~value ~deadline_ns ~cont =
       value = pad_value value;
     }
   in
-  exec t ~request ~deadline_ns ~finish:(function
+  exec ?record t ~request ~deadline_ns ~finish:(function
     | Ok _ -> cont (Ok ())
     | Error e -> cont (Error e));
   seq
 
-let get t ~key ~deadline_ns ~cont =
+let get ?record t ~key ~deadline_ns ~cont =
   assert (String.length key = Kv_proto.key_size);
   let seq = t.seq in
   t.seq <- t.seq + 1;
@@ -289,7 +318,7 @@ let get t ~key ~deadline_ns ~cont =
       value = "";
     }
   in
-  exec t ~request ~deadline_ns ~finish:(function
+  exec ?record t ~request ~deadline_ns ~finish:(function
     | Ok (Kv_proto.Ok_, v) -> cont (Ok v)
     | Ok _ -> cont (Ok None)
     | Error e -> cont (Error e));

@@ -46,8 +46,15 @@ type error = [ `Deadline | `Failed of string ]
 (** [put t ~key ~value ~deadline_ns ~cont] writes [value] (padded to the
     service's value size) under [key]. [deadline_ns] is relative to now.
     [cont] fires exactly once. Returns the operation's sequence number —
-    [(client_id, seq)] identifies the write in replica logs. *)
+    [(client_id, seq)] identifies the write in replica logs.
+
+    Just before [cont], the operation's phase counters are written into
+    [record]: attempts sent on a session that was not yet connected,
+    redirects followed, backoffs for want of a leader ([Not_leader]
+    without a usable hint, [Retry]) and backoffs after a transport error
+    or attempt timeout. *)
 val put :
+  ?record:Obs.Op.t ->
   t ->
   key:string ->
   value:string ->
@@ -56,8 +63,10 @@ val put :
   int
 
 (** [get t ~key ~deadline_ns ~cont] reads from the shard's current
-    leader; [Ok None] is a confirmed miss. Returns the sequence number. *)
+    leader; [Ok None] is a confirmed miss. Returns the sequence number.
+    [record] is as for {!put}. *)
 val get :
+  ?record:Obs.Op.t ->
   t ->
   key:string ->
   deadline_ns:int ->

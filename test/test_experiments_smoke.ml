@@ -86,15 +86,25 @@ let test_cluster_load_smoke () =
   Alcotest.(check (list string)) "no violations" [] r.violations;
   List.iter
     (fun (t : Experiments.Exp_cluster_load.tenant_report) ->
-      check_bool (t.tname ^ " made progress") true (t.ok > 0);
-      check_bool (t.tname ^ " open-loop accounting") true
-        (t.issued >= t.ok + t.failed);
+      let w = t.whole in
+      check_bool (t.tname ^ " made progress") true (w.ok > 0);
+      (* Every operation completes inside the settle period. *)
+      Alcotest.(check int) (t.tname ^ " open-loop accounting") w.issued (w.ok + w.failed);
+      let lat = Experiments.Harness.merged w.lat in
+      let p50, p99, p999 =
+        Experiments.Harness.(us_at lat 50., us_at lat 99., us_at lat 99.9)
+      in
       check_bool
-        (Printf.sprintf "%s percentiles ordered (%.1f <= %.1f <= %.1f us)" t.tname
-           t.p50_us t.p99_us t.p999_us)
+        (Printf.sprintf "%s percentiles ordered (%.1f <= %.1f <= %.1f us)" t.tname p50 p99
+           p999)
         true
-        (t.p50_us <= t.p99_us && t.p99_us <= t.p999_us)
-      )
+        (p50 <= p99 && p99 <= p999);
+      match t.steady with
+      | None -> Alcotest.fail (t.tname ^ ": no steady state in a 15 ms horizon")
+      | Some s ->
+          check_bool (t.tname ^ " steady counts within the whole run's") true
+            (s.issued <= w.issued && s.ok <= w.ok && s.failed <= w.failed
+           && s.shed <= w.shed))
     r.tenants;
   check_bool "attribution present" true (r.attribution <> None);
   check_bool "JSON validates" true
@@ -163,42 +173,118 @@ let test_typed_small_rate_pinned () =
       ("flat + offload", Codec.Flat, true, 14_482);
     ]
 
-(* A window-1 driver with a count is a sequential run: the server sees
-   exactly [n] requests, each arriving only after the previous one
-   completed, and [run_driver] returns only after the n-th completion,
-   even when its slices are much shorter than a request. *)
+(* A closed-loop driver with a count issues exactly [n] requests and
+   never has more than [window] in flight. A window-1 driver is a
+   sequential run: each request arrives only after the previous one
+   completed. [run_driver] returns only after the n-th completion, even
+   when its slices are much shorter than a request. *)
 let test_sequential_driver () =
   let module H = Experiments.Harness in
-  let n = 8 in
-  let driver = ref None in
-  let arrivals = ref 0 and overlapped = ref 0 in
-  let register nx =
-    Erpc.Nexus.register_handler nx ~req_type:H.echo_req_type ~mode:Erpc.Nexus.Dispatch
-      (fun h ->
-        (match !driver with
-        | Some drv -> if H.driver_completed drv <> !arrivals then incr overlapped
-        | None -> ());
-        incr arrivals;
-        let resp = Erpc.Req_handle.init_response h ~size:32 in
-        Erpc.Req_handle.enqueue_response h resp)
+  List.iter
+    (fun (window, batch, n) ->
+      let name = Printf.sprintf "window %d, batch %d" window batch in
+      let driver = ref None in
+      let arrivals = ref 0 and overlapped = ref 0 in
+      let register nx =
+        Erpc.Nexus.register_handler nx ~req_type:H.echo_req_type ~mode:Erpc.Nexus.Dispatch
+          (fun h ->
+            (match !driver with
+            | Some drv -> if !arrivals - H.driver_completed drv >= window then incr overlapped
+            | None -> ());
+            incr arrivals;
+            let resp = Erpc.Req_handle.init_response h ~size:32 in
+            Erpc.Req_handle.enqueue_response h resp)
+      in
+      let d =
+        H.deploy ~seed:3L (Transport.Cluster.cx5 ~nodes:2 ()) ~threads_per_host:1 ~register
+      in
+      let rpc = d.rpcs.(0).(0) in
+      let sess = H.connect d rpc ~remote_host:1 ~remote_rpc_id:0 in
+      let drv =
+        H.make_driver
+          ~payload:(H.Echo { req_size = 64 * 1024; resp_size = 32 })
+          ~batch ~count:n ~rpc ~sessions:[| sess |] ~window ()
+      in
+      driver := Some drv;
+      H.start_driver drv;
+      H.run_driver d drv ~slice_ms:0.001;
+      Alcotest.(check int) (name ^ ": run_driver returns after the n-th completion") n
+        (H.driver_completed drv);
+      check_bool (name ^ ": span covers the later completions") true (H.driver_span drv > 0);
+      H.run_ms d 5.0;
+      Alcotest.(check int) (name ^ ": exactly n issued") n !arrivals;
+      Alcotest.(check int) (name ^ ": never more than window outstanding") 0 !overlapped;
+      Alcotest.(check int) (name ^ ": no completion after the run") n (H.driver_completed drv))
+    [ (1, 1, 8); (3, 1, 10); (4, 2, 9) ]
+
+(* The open loop on a bare engine, with a hook that completes each
+   operation 2.5 us after issue and fails every third: arrivals fire at
+   their scheduled instants whatever the completions, an arrival that
+   finds both slots busy is shed, every operation completes exactly once,
+   so the results sum to the operations issued, and the post-warmup tally
+   counts only what arrived after the warmup. [Process] sources
+   fire exactly where their arrival process, drawn from the engine's
+   first rng split, puts them. *)
+let test_open_loop_driver () =
+  let module H = Experiments.Harness in
+  let engine = Sim.Engine.create ~seed:5L () in
+  let issued_at = ref [] and completions = Hashtbl.create 64 in
+  let send (op : Obs.Op.t) k =
+    let id = op.id in
+    issued_at := (op.source, op.issued_ns) :: !issued_at;
+    Sim.Engine.schedule_after engine 2_500 (fun () ->
+        Hashtbl.replace completions id
+          (1 + Option.value ~default:0 (Hashtbl.find_opt completions id));
+        k (if id mod 3 = 2 then Obs.Op.Failed else Obs.Op.Ok_))
   in
-  let d = H.deploy ~seed:3L (Transport.Cluster.cx5 ~nodes:2 ()) ~threads_per_host:1 ~register in
-  let rpc = d.rpcs.(0).(0) in
-  let sess = H.connect d rpc ~remote_host:1 ~remote_rpc_id:0 in
-  let drv =
-    H.make_driver
-      ~payload:(H.Echo { req_size = 64 * 1024; resp_size = 32 })
-      ~count:n ~rpc ~sessions:[| sess |] ~window:1 ()
-  in
-  driver := Some drv;
+  let every = H.Every { gap_ns = 1_000; count = 10 } in
+  let drv = H.driver ~engine ~slots:2 ~warmup_ns:5_000 (Open [| every; every |]) send in
   H.start_driver drv;
-  H.run_driver d drv ~slice_ms:0.001;
-  Alcotest.(check int) "run_driver returns after the n-th completion" n (H.driver_completed drv);
-  check_bool "span covers n - 1 round trips" true (H.driver_span drv > 0);
-  H.run_ms d 5.0;
-  Alcotest.(check int) "exactly n issued" n !arrivals;
-  Alcotest.(check int) "never more than one outstanding" 0 !overlapped;
-  Alcotest.(check int) "no completion after the run" n (H.driver_completed drv)
+  Sim.Engine.run engine;
+  let t = H.driver_tally drv in
+  (* Both sources arrive at 0, 1, .., 9 us; the two slots are busy for
+     2.5 us after each pair issues, so the pairs at 0, 3, 6 and 9 us issue
+     and the other twelve arrivals are shed. *)
+  Alcotest.(check (list (pair int int)))
+    "issued at the scheduled instants"
+    (List.concat_map (fun us -> [ (0, us * 1_000); (1, us * 1_000) ]) [ 0; 3; 6; 9 ])
+    (List.rev !issued_at);
+  Alcotest.(check int) "issued" 8 t.issued;
+  Alcotest.(check int) "shed at the cap" 12 t.shed;
+  Alcotest.(check int) "results sum to issued" t.issued (t.ok + t.failed);
+  Alcotest.(check int) "every third failed" 2 t.failed;
+  (match H.driver_steady drv with
+  | Some st ->
+      (* From 5 us on: the pairs at 6 and 9 us issue; 5, 7 and 8 us shed. *)
+      Alcotest.(check (pair int int)) "steady issued, shed" (4, 6) (st.issued, st.shed);
+      Alcotest.(check int) "steady results sum to issued" 4 (st.ok + st.failed)
+  | None -> Alcotest.fail "no steady tally");
+  check_bool "each operation completed exactly once" true
+    (Hashtbl.length completions = t.issued
+    && Hashtbl.fold (fun _ n ok -> ok && n = 1) completions true);
+  (* A Poisson source, with a cap so large that nothing is shed. *)
+  let spec = Workload.Arrival.Poisson { rate_rps = 1e6 } in
+  let engine = Sim.Engine.create ~seed:5L () in
+  let issued_at = ref [] in
+  let send (op : Obs.Op.t) k =
+    issued_at := op.issued_ns :: !issued_at;
+    Sim.Engine.schedule_after engine 50_000 (fun () -> k Obs.Op.Ok_)
+  in
+  let drv =
+    H.driver ~engine ~slots:1_000 (Open [| Process { spec; until_ns = 100_000 } |]) send
+  in
+  H.start_driver drv;
+  Sim.Engine.run engine;
+  let arr =
+    Workload.Arrival.make spec
+      ~rng:(Sim.Rng.split (Sim.Engine.rng (Sim.Engine.create ~seed:5L ())))
+  in
+  let rec expect now acc =
+    let next = Workload.Arrival.next_after arr ~now_ns:now in
+    if next < 100_000 then expect next (next :: acc) else List.rev acc
+  in
+  Alcotest.(check (list int)) "Poisson arrivals" (expect 0 []) (List.rev !issued_at);
+  Alcotest.(check int) "all completed" (H.driver_tally drv).issued (H.driver_completed drv)
 
 (* The goodput window closes at the last request's completion, not at the
    first slice boundary after it was issued: at 1e-3 loss the eighth 8 MB
@@ -229,6 +315,7 @@ let suite =
     Alcotest.test_case "cluster-load coverage" `Quick test_cluster_load_coverage;
     Alcotest.test_case "typed small-rate pinned" `Quick test_typed_small_rate_pinned;
     Alcotest.test_case "sequential driver" `Quick test_sequential_driver;
+    Alcotest.test_case "open-loop driver" `Quick test_open_loop_driver;
     Alcotest.test_case "goodput counts finished requests" `Quick
       test_goodput_counts_finished_requests;
   ]

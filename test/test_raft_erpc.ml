@@ -101,6 +101,37 @@ let test_put_to_follower_redirects () =
         | Some (Service.Kv_proto.Not_leader _) -> "?"));
   Array.iter Service.Replica.stop replicas
 
+(* Phase tags: a fresh client's first operation waits on its session
+   handshake, and an operation whose leader hint names a follower follows
+   one redirect to the leader. *)
+let test_op_phase_tags () =
+  let d, map, replicas = setup () in
+  let leader_host = Service.Replica.host (leader_of replicas) in
+  let follower_host =
+    List.find (fun h -> h <> leader_host) (Array.to_list (Service.Shard_map.group map ~shard:0))
+  in
+  let client =
+    Service.Kv_client.create ~fabric:d.fabric ~rpc:d.rpcs.(3).(0) ~map ~client_id:1 ()
+  in
+  let get ~hint =
+    Service.Shard_map.set_leader_hint map ~shard:0 ~host:hint;
+    let record = Obs.Op.create ~id:0 ~source:0 ~issued_ns:0 in
+    let ok = ref false in
+    ignore
+      (Service.Kv_client.get ~record client ~key:(Workload.Keygen.encode 5)
+         ~deadline_ns:50_000_000 ~cont:(fun r -> ok := Result.is_ok r));
+    Experiments.Harness.run_ms d 5.0;
+    check_bool "get completes" true !ok;
+    record
+  in
+  let first = get ~hint:leader_host in
+  check_int "first op waits on the handshake" 1 first.connect_waits;
+  check_int "first op: no redirect" 0 first.redirects;
+  let redirected = get ~hint:follower_host in
+  check_int "redirect followed" 1 redirected.redirects;
+  check_int "no backoff" 0 (redirected.election_backoffs + redirected.error_backoffs);
+  Array.iter Service.Replica.stop replicas
+
 let test_many_puts_sequential_consistency () =
   let d, map, replicas = setup () in
   let client =
@@ -212,6 +243,7 @@ let suite =
     Alcotest.test_case "PUT replicates to all" `Quick test_put_replicates_to_all;
     Alcotest.test_case "PUT to follower redirects to leader" `Quick
       test_put_to_follower_redirects;
+    Alcotest.test_case "op phase tags" `Quick test_op_phase_tags;
     Alcotest.test_case "sequential overwrites converge" `Quick
       test_many_puts_sequential_consistency;
     Alcotest.test_case "duplicate seq applies once" `Quick test_duplicate_seq_applies_once;
