@@ -94,6 +94,7 @@ let run_one ?(hosts = 10) ?(events = 12) ?(requests = 120) ?(horizon_ns = 60_000
      retransmitting forever. *)
   Sim.Engine.run engine;
   (* {2 Invariants} *)
+  List.iter (violate "netsim: %s") (Netsim.Network.audit (Erpc.Fabric.net d.fabric));
   Array.iteri
     (fun j n -> if n <> 1 then violate "req %d completed %d times (want exactly 1)" j n)
     completions;

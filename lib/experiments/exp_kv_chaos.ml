@@ -316,10 +316,15 @@ let run ~seed ~fault_scenario () =
   Harness.start_driver drv;
   (* Measured window, then settle: deadlines fire, restarted replicas
      catch up, commit indexes propagate. *)
+  let audit_net when_ =
+    List.iter (violate "netsim %s: %s" when_) (Netsim.Network.audit (Erpc.Fabric.net d.fabric))
+  in
   Sim.Engine.run_until engine (Sim.Time.add t0 horizon_ns);
+  audit_net "at horizon";
   Sim.Engine.run_until engine (Sim.Time.add t0 (horizon_ns + settle_ns));
   Array.iter Service.Replica.stop replicas;
   Sim.Engine.run engine;
+  audit_net "at quiescence";
   check_invariants ctx ~acked:!acked ~applied violations;
   let tally = Harness.driver_tally drv in
   let acked_n = tally.ok in

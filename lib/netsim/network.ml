@@ -361,3 +361,9 @@ let fabric_drops t =
   List.fold_left (fun acc sw -> acc + Switch.dropped_packets sw) 0 t.switch_list
 
 let same_tor t a b = t.hosts.(a).tor_index = t.hosts.(b).tor_index
+
+let ports t =
+  Array.fold_right (fun h acc -> h.tx_port :: acc) t.hosts
+    (List.concat_map Switch.ports t.switch_list)
+
+let audit t = List.concat_map Port.audit (ports t) @ List.concat_map Switch.audit t.switch_list

@@ -137,3 +137,13 @@ val fabric_drops : t -> int
 
 (** True if the two hosts sit under the same ToR. *)
 val same_tor : t -> int -> int -> bool
+
+(** Every egress port: the hosts' NIC TX ports, then each switch's. *)
+val ports : t -> Port.t list
+
+(** Cross-layer conservation audit of the fabric: per port, admitted =
+    departed + queued in packets and in bytes ({!Port.audit}); per switch,
+    the shared pool's occupancy = the sum of its ports' queued bytes
+    ({!Switch.audit}). Returns one line per violation; empty on a correct
+    network, mid-run or quiescent. *)
+val audit : t -> string list

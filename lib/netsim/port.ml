@@ -1,5 +1,9 @@
 type ecn_config = { kmin_bytes : int; kmax_bytes : int; pmax : float }
 
+(* A departure is packed as [depart_ns lsl size_bits lor size_bytes]. *)
+let size_bits = 16
+let size_mask = (1 lsl size_bits) - 1
+
 type t = {
   engine : Sim.Engine.t;
   name : string;
@@ -10,13 +14,15 @@ type t = {
   lossless : bool;
   rng : Sim.Rng.t;
   packets : Packet.table;
-  queue : Sim.Ring.t;  (* packet handles *)
-  (* Handlers of the serialization-done and link-flight events, which
-     carry their packet's handle. *)
-  mutable ser_done : Sim.Engine.handler;
+  (* The packed departures of the admitted packets not yet settled, in
+     FIFO order: the queue, as a closed-form FIFO server sees it. *)
+  departures : Sim.Ring.t;
+  mutable busy_until : Sim.Time.t;  (* departure of the last admitted packet *)
+  (* Handler of the link-flight event, which carries its packet's handle. *)
   mutable arrive : Sim.Engine.handler;
   mutable queued_bytes : int;
-  mutable draining : bool;
+  mutable admitted_packets : int;
+  mutable admitted_bytes : int;
   mutable tx_packets : int;
   mutable tx_bytes : int;
   mutable dropped_packets : int;
@@ -27,9 +33,12 @@ type t = {
   tid : int;  (* this port's thread track under the network pid *)
 }
 
-(* Queue-occupancy counter sample; rendered by Perfetto as a per-port area
-   chart (switch-buffer occupancy under incast, Table 5's "buffer"). *)
-let trace_queue t ts =
+(* Queue-occupancy counter samples; rendered by Perfetto as a per-port
+   area chart (switch-buffer occupancy under incast, Table 5's "buffer").
+   An enqueue sample also shows the pool. A departure sample is emitted
+   when the departure settles, stamped with its departure time; by then
+   the pool may hold later admissions, so it shows the port only. *)
+let trace_enqueue t ts =
   Obs.Trace.counter t.trace ~ts ~cat:"net" ~name:t.name ~pid:Obs.Trace.net_pid
     [
       ("queued_bytes", Obs.Trace.I t.queued_bytes);
@@ -37,24 +46,48 @@ let trace_queue t ts =
         Obs.Trace.I (match t.pool with Some p -> Buffer_pool.used p | None -> 0) );
     ]
 
-let serialization t pkt = Sim.Time.of_bytes_at_gbps pkt.Packet.size_bytes t.rate_gbps
+let trace_departure t ts =
+  Obs.Trace.counter t.trace ~ts ~cat:"net" ~name:t.name ~pid:Obs.Trace.net_pid
+    [ ("queued_bytes", Obs.Trace.I t.queued_bytes) ]
 
-let drain t =
-  if Sim.Ring.is_empty t.queue then t.draining <- false
-  else begin
-    let h = Sim.Ring.take t.queue in
-    Sim.Engine.post_after t.engine (serialization t (Packet.get t.packets h)) t.ser_done h
-  end
+(* Moves every departure due before [before] out of the queue. *)
+let settle t ~before =
+  let q = t.departures in
+  while (not (Sim.Ring.is_empty q)) && Sim.Ring.get q 0 lsr size_bits < before do
+    let d = Sim.Ring.take q in
+    let size = d land size_mask in
+    t.queued_bytes <- t.queued_bytes - size;
+    t.tx_packets <- t.tx_packets + 1;
+    t.tx_bytes <- t.tx_bytes + size;
+    if Obs.Trace.enabled t.trace then trace_departure t (d lsr size_bits)
+  done
 
-let ser_done t h =
-  let pkt = Packet.get t.packets h in
-  t.queued_bytes <- t.queued_bytes - pkt.Packet.size_bytes;
-  (match t.pool with Some pool -> Buffer_pool.release pool pkt.Packet.size_bytes | None -> ());
-  t.tx_packets <- t.tx_packets + 1;
-  t.tx_bytes <- t.tx_bytes + pkt.Packet.size_bytes;
-  if Obs.Trace.enabled t.trace then trace_queue t (Sim.Engine.now t.engine);
-  Sim.Engine.post_after t.engine t.extra_delay_ns t.arrive h;
-  drain t
+(* For readers: settles what left before now and returns the packets
+   (or, with [~bytes:true], the bytes) departing exactly now. Those stay
+   queued, so a read never changes what a later admission in the same
+   nanosecond sees. *)
+let departing_now t ~bytes =
+  let now = Sim.Engine.now t.engine in
+  settle t ~before:now;
+  let q = t.departures in
+  let n = ref 0 and acc = ref 0 in
+  while !n < Sim.Ring.length q && Sim.Ring.get q !n lsr size_bits = now do
+    acc := !acc + (if bytes then Sim.Ring.get q !n land size_mask else 1);
+    incr n
+  done;
+  !acc
+
+let queued_bytes t =
+  let leaving = departing_now t ~bytes:true in
+  t.queued_bytes - leaving
+
+let tx_packets t =
+  let leaving = departing_now t ~bytes:false in
+  t.tx_packets + leaving
+
+let tx_bytes t =
+  let leaving = departing_now t ~bytes:true in
+  t.tx_bytes + leaving
 
 let create engine ~packets ~name ~rate_gbps ~extra_delay_ns ?pool ?ecn ?(lossless = false) ~sink
     () =
@@ -72,11 +105,12 @@ let create engine ~packets ~name ~rate_gbps ~extra_delay_ns ?pool ?ecn ?(lossles
       lossless;
       rng = Sim.Rng.split (Sim.Engine.rng engine);
       packets;
-      queue = Sim.Ring.create ~capacity:64 ();
-      ser_done = Sim.Engine.no_handler;
+      departures = Sim.Ring.create ~capacity:64 ();
+      busy_until = Sim.Time.zero;
       arrive = Sim.Engine.no_handler;
       queued_bytes = 0;
-      draining = false;
+      admitted_packets = 0;
+      admitted_bytes = 0;
       tx_packets = 0;
       tx_bytes = 0;
       dropped_packets = 0;
@@ -87,25 +121,29 @@ let create engine ~packets ~name ~rate_gbps ~extra_delay_ns ?pool ?ecn ?(lossles
       tid;
     }
   in
-  t.ser_done <- Sim.Engine.handler engine ~layer:Port (fun h -> ser_done t h);
   t.arrive <- Sim.Engine.handler engine ~layer:Link (fun h -> sink (Packet.get packets h));
   let m = Sim.Engine.metrics engine in
   let labels = [ ("port", name) ] in
-  Obs.Metrics.counter m ~name:"port.tx_pkts" ~labels (fun () -> t.tx_packets);
+  Obs.Metrics.counter m ~name:"port.tx_pkts" ~labels (fun () -> tx_packets t);
   Obs.Metrics.counter m ~name:"port.dropped_pkts" ~labels (fun () -> t.dropped_packets);
   Obs.Metrics.counter m ~name:"port.pause_events" ~labels (fun () -> t.pause_events);
   Obs.Metrics.gauge m ~name:"port.queued_bytes" ~labels (fun () ->
-      float_of_int t.queued_bytes);
+      float_of_int (queued_bytes t));
   Obs.Metrics.gauge m ~name:"port.max_queued_bytes" ~labels (fun () ->
       float_of_int t.max_queued_bytes);
   t
 
 let send t pkt =
   let size = pkt.Packet.size_bytes in
+  if size > size_mask then invalid_arg "Port.send: packet larger than 64 KiB";
+  let now = Sim.Engine.now t.engine in
+  (* A departure at [now] is still queued for this admission. *)
+  settle t ~before:now;
   let admitted =
     match t.pool with
     | None -> true
     | Some pool ->
+        Buffer_pool.settle pool ~before:now;
         let ok = Buffer_pool.admit pool ~port_queued_bytes:t.queued_bytes ~size in
         if (not ok) && t.lossless then begin
           (* PFC: a lossless fabric pauses the sender instead of dropping;
@@ -113,8 +151,8 @@ let send t pkt =
              propagation (HOL blocking, deadlocks) is out of scope. *)
           t.pause_events <- t.pause_events + 1;
           if Obs.Trace.enabled t.trace then
-            Obs.Trace.instant t.trace ~ts:(Sim.Engine.now t.engine) ~cat:"net"
-              ~name:"pause" ~pid:Obs.Trace.net_pid ~tid:t.tid
+            Obs.Trace.instant t.trace ~ts:now ~cat:"net" ~name:"pause" ~pid:Obs.Trace.net_pid
+              ~tid:t.tid
               [ ("id", Obs.Trace.I pkt.Packet.trace_id) ];
           Buffer_pool.admit ~force:true pool ~port_queued_bytes:t.queued_bytes ~size
         end
@@ -136,28 +174,36 @@ let send t pkt =
           if Sim.Rng.bool_with_prob t.rng p then pkt.Packet.ecn <- true
         end
     | None -> ());
-    Sim.Ring.push t.queue (Packet.intern t.packets pkt);
+    (* FIFO service in closed form: the packet starts serializing when the
+       port frees up and reaches the far end [extra_delay_ns] after its
+       last bit leaves. *)
+    let depart =
+      Sim.Time.add (Int.max now t.busy_until) (Sim.Time.of_bytes_at_gbps size t.rate_gbps)
+    in
+    t.busy_until <- depart;
+    Sim.Ring.push t.departures ((depart lsl size_bits) lor size);
+    (match t.pool with Some pool -> Buffer_pool.release_at pool ~at:depart ~size | None -> ());
     t.queued_bytes <- t.queued_bytes + size;
+    t.admitted_packets <- t.admitted_packets + 1;
+    t.admitted_bytes <- t.admitted_bytes + size;
     if t.queued_bytes > t.max_queued_bytes then t.max_queued_bytes <- t.queued_bytes;
     if Obs.Trace.enabled t.trace then begin
-      let ts = Sim.Engine.now t.engine in
-      Obs.Trace.instant t.trace ~ts ~cat:"net" ~name:"enq"
-        ~pid:Obs.Trace.net_pid ~tid:t.tid
+      Obs.Trace.instant t.trace ~ts:now ~cat:"net" ~name:"enq" ~pid:Obs.Trace.net_pid
+        ~tid:t.tid
         [ ("id", Obs.Trace.I pkt.Packet.trace_id); ("size", Obs.Trace.I size) ];
-      trace_queue t ts
+      trace_enqueue t now
     end;
-    if not t.draining then begin
-      t.draining <- true;
-      drain t
-    end;
+    Sim.Engine.post t.engine
+      (Sim.Time.add depart t.extra_delay_ns)
+      t.arrive (Packet.intern t.packets pkt);
     true
   end
   else begin
     t.dropped_packets <- t.dropped_packets + 1;
     t.dropped_bytes <- t.dropped_bytes + size;
     if Obs.Trace.enabled t.trace then
-      Obs.Trace.instant t.trace ~ts:(Sim.Engine.now t.engine) ~cat:"net"
-        ~name:"drop" ~pid:Obs.Trace.net_pid ~tid:t.tid
+      Obs.Trace.instant t.trace ~ts:now ~cat:"net" ~name:"drop" ~pid:Obs.Trace.net_pid
+        ~tid:t.tid
         [
           ("id", Obs.Trace.I pkt.Packet.trace_id);
           ("size", Obs.Trace.I size);
@@ -168,21 +214,35 @@ let send t pkt =
   end
 
 let name t = t.name
-let queued_bytes t = t.queued_bytes
+let pool t = t.pool
 
-let queue_delay t =
-  Sim.Time.of_bytes_at_gbps t.queued_bytes t.rate_gbps
+let queue_delay t = Sim.Time.of_bytes_at_gbps (queued_bytes t) t.rate_gbps
 
 let rate_gbps t = t.rate_gbps
-let tx_packets t = t.tx_packets
-let tx_bytes t = t.tx_bytes
 let dropped_packets t = t.dropped_packets
 let dropped_bytes t = t.dropped_bytes
 let pause_events t = t.pause_events
 
-let reset_stats t =
-  t.tx_packets <- 0;
-  t.tx_bytes <- 0;
-  t.dropped_packets <- 0;
-  t.dropped_bytes <- 0;
-  t.max_queued_bytes <- t.queued_bytes
+let audit t =
+  settle t ~before:(Sim.Engine.now t.engine);
+  let q = t.departures in
+  let n = Sim.Ring.length q in
+  let bytes = ref 0 and ordered = ref true in
+  for i = 0 to n - 1 do
+    let d = Sim.Ring.get q i in
+    bytes := !bytes + (d land size_mask);
+    if i > 0 && d lsr size_bits < Sim.Ring.get q (i - 1) lsr size_bits then ordered := false
+  done;
+  let v = ref [] in
+  let violate fmt = Printf.ksprintf (fun s -> v := (t.name ^ ": " ^ s) :: !v) fmt in
+  if t.admitted_packets <> t.tx_packets + n then
+    violate "admitted %d packets, departed %d + queued %d" t.admitted_packets t.tx_packets n;
+  if t.admitted_bytes <> t.tx_bytes + t.queued_bytes then
+    violate "admitted %d bytes, departed %d + queued %d" t.admitted_bytes t.tx_bytes
+      t.queued_bytes;
+  if !bytes <> t.queued_bytes then
+    violate "queued_bytes %d, but the queue holds %d" t.queued_bytes !bytes;
+  if not !ordered then violate "departures out of order";
+  if n > 0 && Sim.Ring.get q (n - 1) lsr size_bits <> t.busy_until then
+    violate "last departure is not busy_until %d" t.busy_until;
+  List.rev !v

@@ -7,7 +7,21 @@
     dynamic-threshold admission applies and rejected packets are dropped;
     an unpooled port (host NIC TX) queues without bound — senders are
     expected to self-limit, which is exactly what eRPC's credit scheme
-    does. *)
+    does.
+
+    The port is a closed-form FIFO server. On admission at [now] it
+    computes the packet's departure, [max now busy_until +
+    serialization], and posts the packet's arrival at the far end
+    directly: one engine event per packet hop, in the ["netsim.link"]
+    layer. The queue is a ring of packed departure times and sizes; its
+    byte count, the transmit counters and the pool's occupancy are
+    settled from the ring lazily. An admission at [T] settles departures
+    before [T], so a packet departing at [T] still counts as queued;
+    readers ({!queued_bytes}, {!tx_packets}, {!tx_bytes}, the metrics and
+    {!audit}) count departures through [T] without consuming the ones at
+    [T]. With tracing on, a departure's queue sample is emitted when it
+    settles, stamped with its departure time, and carries [queued_bytes]
+    only: by then the shared pool may hold later admissions. *)
 
 type t
 
@@ -37,6 +51,11 @@ val create :
 val send : t -> Packet.t -> bool
 
 val name : t -> string
+
+(** The buffer pool the port admits into, if any. *)
+val pool : t -> Buffer_pool.t option
+
+(** Bytes admitted and not yet departed by now. *)
 val queued_bytes : t -> int
 
 (** Queueing delay a packet enqueued now would experience before its own
@@ -55,4 +74,8 @@ val dropped_bytes : t -> int
 (** Times PFC saved a packet that DT admission would have dropped
     (lossless ports only). *)
 val pause_events : t -> int
-val reset_stats : t -> unit
+
+(** Conservation audit: admitted = departed + queued, in packets and in
+    bytes; the queued bytes are the sum of the queue; departures leave in
+    order. Returns one line per violation (none on a correct port). *)
+val audit : t -> string list

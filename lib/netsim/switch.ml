@@ -1,4 +1,5 @@
 type t = {
+  engine : Sim.Engine.t;
   name : string;
   pool : Buffer_pool.t;
   mutable ports : Port.t array;
@@ -12,6 +13,7 @@ let no_route = [||]
 let create engine ~name ~buffer_bytes ~alpha =
   let t =
     {
+      engine;
       name;
       pool = Buffer_pool.create ~capacity_bytes:buffer_bytes ~alpha;
       ports = [||];
@@ -22,7 +24,7 @@ let create engine ~name ~buffer_bytes ~alpha =
   let m = Sim.Engine.metrics engine in
   let labels = [ ("switch", name) ] in
   Obs.Metrics.gauge m ~name:"switch.buffer_used" ~labels (fun () ->
-      float_of_int (Buffer_pool.used t.pool));
+      float_of_int (Buffer_pool.used_through t.pool (Sim.Engine.now engine)));
   Obs.Metrics.gauge m ~name:"switch.buffer_max" ~labels (fun () ->
       float_of_int (Buffer_pool.max_used t.pool));
   t
@@ -67,3 +69,16 @@ let dropped_packets t =
     total := !total + Port.dropped_packets t.ports.(i)
   done;
   !total
+
+let ports t = List.init t.num_ports (fun i -> t.ports.(i))
+
+let audit t =
+  let used = Buffer_pool.used_through t.pool (Sim.Engine.now t.engine) in
+  let queued =
+    List.fold_left
+      (fun acc p ->
+        match Port.pool p with Some pool when pool == t.pool -> acc + Port.queued_bytes p | _ -> acc)
+      0 (ports t)
+  in
+  if used = queued then []
+  else [ Printf.sprintf "%s: pool holds %d bytes, its ports queue %d" t.name used queued ]

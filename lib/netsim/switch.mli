@@ -23,6 +23,9 @@ val add_port : t -> Port.t -> int
 
 val port : t -> int -> Port.t
 
+(** The egress ports, in {!add_port} order. *)
+val ports : t -> Port.t list
+
 (** [set_route t ~dst ~ports] routes packets for host [dst] to one of
     [ports] (ECMP by flow hash). *)
 val set_route : t -> dst:int -> ports:int array -> unit
@@ -33,3 +36,7 @@ val forward : t -> Packet.t -> unit
 
 (** Packets dropped at this switch (buffer admission failures). *)
 val dropped_packets : t -> int
+
+(** Conservation audit: the pool's occupancy equals the bytes its ports
+    queue. Returns one line per violation. *)
+val audit : t -> string list

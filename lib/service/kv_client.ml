@@ -27,78 +27,23 @@ type t = {
   mutable deadline_exceeded : int;
   mutable retries : int;
   mutable redirects : int;
-  lat : Stats.Hist.t;
   bufs : bufs Pool.t;
+  (* Operations in flight, by id. The deadline and attempt-timeout events
+     carry an id, not the operation, so an operation that completes early
+     is not kept alive by them. *)
+  ops : op Int_tbl.t;
+  mutable next_op : int;
+  mutable deadline_h : Sim.Engine.handler;
+  mutable timeout_h : Sim.Engine.handler;
 }
 
-let create ~fabric ~rpc ~map ~client_id ?(backoff_base_ns = 500_000)
-    ?(backoff_max_ns = 8_000_000) ?(attempt_timeout_ns = 5_000_000) () =
-  if client_id < 0 || client_id >= 1 lsl 31 then
-    invalid_arg "Kv_client.create: client_id must be in [0, 2^31)";
-  let engine = Erpc.Fabric.engine fabric in
-  {
-    fabric;
-    rpc;
-    engine;
-    map;
-    client_id;
-    backoff_base_ns;
-    backoff_max_ns;
-    attempt_timeout_ns;
-    rng = Sim.Rng.split (Sim.Engine.rng engine);
-    seq = 0;
-    sessions = Int_tbl.create 8;
-    ok = 0;
-    deadline_exceeded = 0;
-    retries = 0;
-    redirects = 0;
-    lat = Stats.Hist.create ();
-    bufs =
-      Pool.create (fun () ->
-          {
-            req_buf = Erpc.Msgbuf.alloc ~max_size:Kv_proto.req_size;
-            resp_buf = Erpc.Msgbuf.alloc ~max_size:Kv_proto.resp_max_size;
-          });
-  }
-
-let ok t = t.ok
-let deadline_exceeded t = t.deadline_exceeded
-let retries t = t.retries
-let redirects t = t.redirects
-let latencies t = t.lat
-
-let session_to t host =
-  let fresh () =
-    let sess = Erpc.Rpc.create_session t.rpc ~remote_host:host ~remote_rpc_id:0 () in
-    Int_tbl.replace t.sessions host (sess, Sim.Engine.now t.engine);
-    sess
-  in
-  match Int_tbl.find_opt t.sessions host with
-  | Some (sess, _) when sess.Erpc.Session.state = Erpc.Session.Connected -> sess
-  | Some (sess, born) when sess.Erpc.Session.state = Erpc.Session.Connect_pending ->
-      if Sim.Time.sub (Sim.Engine.now t.engine) born > connect_grace_ns then fresh ()
-      else sess
-  | _ -> fresh ()
-
-let invalidate_session t host = Int_tbl.remove t.sessions host
-
-let pad_value v =
-  let n = String.length v in
-  if n > Kv_proto.value_size then invalid_arg "Kv_client: value too large"
-  else if n = Kv_proto.value_size then v
-  else v ^ String.make (Kv_proto.value_size - n) '\000'
-
-type outcome = (Kv_proto.status * string option, error) result
-
-(* One operation in flight. Its deadline and attempt-timeout events capture
-   only this record, and completion clears [request] and [finish], so the
-   events that outlive the operation (by up to the deadline) keep nothing
-   else alive. *)
-type op = {
+(* One operation in flight. Completion clears [request] and [finish] and
+   takes it out of [ops]. *)
+and op = {
   cl : t;
+  id : int;
   shard : int;
   group : int array;
-  started : Sim.Time.t;
   mutable request : Kv_proto.request;
   mutable finish : outcome -> unit;
   mutable done_ : bool;
@@ -122,6 +67,40 @@ type op = {
   mutable error_backoffs : int;
 }
 
+and outcome = (Kv_proto.status * string option, error) result
+
+(* An attempt-timeout event carries [op id lsl attempt_bits lor (attempt
+   land attempt_mask)]. Only the live attempt's timeout acts, and a stale
+   one could match it only after 2^16 attempts inside one timeout. *)
+let attempt_bits = 16
+let attempt_mask = (1 lsl attempt_bits) - 1
+
+let ok t = t.ok
+let deadline_exceeded t = t.deadline_exceeded
+let retries t = t.retries
+let redirects t = t.redirects
+
+let session_to t host =
+  let fresh () =
+    let sess = Erpc.Rpc.create_session t.rpc ~remote_host:host ~remote_rpc_id:0 () in
+    Int_tbl.replace t.sessions host (sess, Sim.Engine.now t.engine);
+    sess
+  in
+  match Int_tbl.find_opt t.sessions host with
+  | Some (sess, _) when sess.Erpc.Session.state = Erpc.Session.Connected -> sess
+  | Some (sess, born) when sess.Erpc.Session.state = Erpc.Session.Connect_pending ->
+      if Sim.Time.sub (Sim.Engine.now t.engine) born > connect_grace_ns then fresh ()
+      else sess
+  | _ -> fresh ()
+
+let invalidate_session t host = Int_tbl.remove t.sessions host
+
+let pad_value v =
+  let n = String.length v in
+  if n > Kv_proto.value_size then invalid_arg "Kv_client: value too large"
+  else if n = Kv_proto.value_size then v
+  else v ^ String.make (Kv_proto.value_size - n) '\000'
+
 let no_request =
   { Kv_proto.op = Kv_proto.Get; shard = 0; client_id = 0; seq = 0; key = ""; value = "" }
 
@@ -137,6 +116,7 @@ let complete op outcome =
       r.error_backoffs <- op.error_backoffs
   | None -> ());
   op.done_ <- true;
+  Int_tbl.remove op.cl.ops op.id;
   op.live <- -1;
   op.request <- no_request;
   op.finish <- no_finish;
@@ -178,8 +158,8 @@ let rec attempt op n ~forced =
        and would otherwise sit wedged until the operation deadline. The
        late continuation, if any, finds the attempt settled and is ignored
        — a duplicate landing is what the (client_id, seq) dedup absorbs. *)
-    Sim.Engine.schedule_after t.engine t.attempt_timeout_ns (fun () ->
-        on_attempt_timeout op n);
+    Sim.Engine.post_after t.engine t.attempt_timeout_ns t.timeout_h
+      ((op.id lsl attempt_bits) lor (n land attempt_mask));
     (* [~charge:false]: the service's handler-cost constants already
        model (de)serialization; double-charging would shift every chaos
        trace. The typed layer still owns encode/decode. *)
@@ -212,7 +192,6 @@ and on_response op n r =
   | Ok (((Kv_proto.Ok_ | Kv_proto.Not_found), _) as outcome) ->
       t.ok <- t.ok + 1;
       Shard_map.set_leader_hint t.map ~shard ~host:target;
-      Stats.Hist.record t.lat (Sim.Time.sub (Sim.Engine.now t.engine) op.started);
       complete op (Ok outcome)
   | Ok (Kv_proto.Not_leader (Some h), _) ->
       (* Follow the redirect immediately: the hint names the live leader
@@ -256,19 +235,68 @@ and backoff op n =
   in
   Sim.Engine.schedule_after t.engine delay (fun () -> attempt op n ~forced:None)
 
+(* The two timer handlers: find the operation by id, if still in flight. *)
+let on_deadline_event t id =
+  match Int_tbl.find_opt t.ops id with Some op -> on_deadline op | None -> ()
+
+let on_timeout_event t arg =
+  match Int_tbl.find_opt t.ops (arg lsr attempt_bits) with
+  | Some op when op.live >= 0 && op.live land attempt_mask = arg land attempt_mask ->
+      on_attempt_timeout op op.live
+  | _ -> ()
+
+let create ~fabric ~rpc ~map ~client_id ?(backoff_base_ns = 500_000)
+    ?(backoff_max_ns = 8_000_000) ?(attempt_timeout_ns = 5_000_000) () =
+  if client_id < 0 || client_id >= 1 lsl 31 then
+    invalid_arg "Kv_client.create: client_id must be in [0, 2^31)";
+  let engine = Erpc.Fabric.engine fabric in
+  let t =
+    {
+      fabric;
+      rpc;
+      engine;
+      map;
+      client_id;
+      backoff_base_ns;
+      backoff_max_ns;
+      attempt_timeout_ns;
+      rng = Sim.Rng.split (Sim.Engine.rng engine);
+      seq = 0;
+      sessions = Int_tbl.create 8;
+      ok = 0;
+      deadline_exceeded = 0;
+      retries = 0;
+      redirects = 0;
+      bufs =
+        Pool.create (fun () ->
+            {
+              req_buf = Erpc.Msgbuf.alloc ~max_size:Kv_proto.req_size;
+              resp_buf = Erpc.Msgbuf.alloc ~max_size:Kv_proto.resp_max_size;
+            });
+      ops = Int_tbl.create 16;
+      next_op = 0;
+      deadline_h = Sim.Engine.no_handler;
+      timeout_h = Sim.Engine.no_handler;
+    }
+  in
+  t.deadline_h <- Sim.Engine.handler engine ~layer:Timer (on_deadline_event t);
+  t.timeout_h <- Sim.Engine.handler engine ~layer:Timer (on_timeout_event t);
+  t
+
 (* The generic retry loop both operations run on. [finish] fires exactly
    once: the deadline event is armed up front and independent of any
    attempt, so an attempt wedged on a half-open connection cannot stall
    the operation past its deadline. *)
 let exec ?record t ~(request : Kv_proto.request) ~deadline_ns ~(finish : outcome -> unit) =
   let shard = request.shard in
-  let started = Sim.Engine.now t.engine in
+  let id = t.next_op in
+  t.next_op <- id + 1;
   let op =
     {
       cl = t;
+      id;
       shard;
       group = Shard_map.group t.map ~shard;
-      started;
       request;
       finish;
       done_ = false;
@@ -282,7 +310,8 @@ let exec ?record t ~(request : Kv_proto.request) ~deadline_ns ~(finish : outcome
       error_backoffs = 0;
     }
   in
-  Sim.Engine.schedule t.engine (Sim.Time.add started deadline_ns) (fun () -> on_deadline op);
+  Int_tbl.replace t.ops id op;
+  Sim.Engine.post_after t.engine deadline_ns t.deadline_h id;
   attempt op 0 ~forced:None
 
 let put ?record t ~key ~value ~deadline_ns ~cont =

@@ -84,5 +84,3 @@ val retries : t -> int
 (** Immediate re-targets from [Not_leader] hints. *)
 val redirects : t -> int
 
-(** End-to-end latency (ns) of successful operations. *)
-val latencies : t -> Stats.Hist.t

@@ -4,21 +4,15 @@
    runs a one-shot closure taken from the wheel's pointer slot; handler 1
    is [no_handler]. *)
 
-type layer = Port | Link | Nic | Rpc | Shm | Timer
+type layer = Link | Nic | Rpc | Shm | Timer
 
 let layer_bits = 3
-let closure_layer = 6
-let n_layers = 7
+let closure_layer = 5
+let n_layers = 6
 
-let layer_index = function
-  | Port -> 0
-  | Link -> 1
-  | Nic -> 2
-  | Rpc -> 3
-  | Shm -> 4
-  | Timer -> 5
+let layer_index = function Link -> 0 | Nic -> 1 | Rpc -> 2 | Shm -> 3 | Timer -> 4
 
-let layer_names = [| "netsim.port"; "netsim.link"; "nic"; "rpc"; "shm"; "timer"; "closure" |]
+let layer_names = [| "netsim.link"; "nic"; "rpc"; "shm"; "timer"; "closure" |]
 
 type handler = int
 

@@ -13,11 +13,11 @@
 type t
 
 (** The simulator layer a handler belongs to, for the event census
-    ({!census}): ["netsim.port"] (a port finishing serialization),
-    ["netsim.link"] (a packet reaching the far end of a link), ["nic"],
-    ["rpc"], ["shm"] and ["timer"]. One-shot closures count as
-    ["closure"]. *)
-type layer = Port | Link | Nic | Rpc | Shm | Timer
+    ({!census}): ["netsim.link"] (a packet reaching the far end of a
+    link: one event per packet hop, since ports compute departures in
+    closed form), ["nic"], ["rpc"], ["shm"] and ["timer"]. One-shot
+    closures count as ["closure"]. *)
+type layer = Link | Nic | Rpc | Shm | Timer
 
 (** A registered handler's id. *)
 type handler = private int
@@ -95,9 +95,9 @@ val run_until : t -> Time.t -> unit
 (** Number of events executed so far. *)
 val events_processed : t -> int
 
-(** Events executed so far by layer, in a fixed order: ["netsim.port"],
-    ["netsim.link"], ["nic"], ["rpc"], ["shm"], ["timer"], ["closure"].
-    The counts sum to {!events_processed}. *)
+(** Events executed so far by layer, in a fixed order: ["netsim.link"],
+    ["nic"], ["rpc"], ["shm"], ["timer"], ["closure"]. The counts sum to
+    {!events_processed}. *)
 val census : t -> (string * int) list
 
 (** [counting f] runs [f] and returns its result with the summed

@@ -30,3 +30,9 @@ let take t =
   t.head <- (if t.head + 1 = Array.length t.buf then 0 else t.head + 1);
   t.len <- t.len - 1;
   x
+
+let get t i =
+  if i < 0 || i >= t.len then invalid_arg "Ring.get: index out of range";
+  let j = t.head + i in
+  let cap = Array.length t.buf in
+  t.buf.(if j >= cap then j - cap else j)

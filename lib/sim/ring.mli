@@ -2,8 +2,9 @@
 
     Unlike [Queue.t], steady-state push/take allocates nothing, and since
     the elements are ints no store goes through the GC write barrier.
-    Used for the simulator's real packet queues, which hold packet
-    handles: port egress queues, NIC RX rings and shared-memory rings. *)
+    Used for the simulator's real queues: NIC RX rings and shared-memory
+    rings (packet handles), and port egress queues (packed departure
+    times). *)
 
 type t
 
@@ -15,3 +16,7 @@ val push : t -> int -> unit
 (** Remove and return the oldest element. Raises [Invalid_argument] if
     empty. *)
 val take : t -> int
+
+(** [get t i] is the [i]-th oldest element ([get t 0] is the next
+    {!take}). Raises [Invalid_argument] unless [0 <= i < length t]. *)
+val get : t -> int -> int

@@ -409,7 +409,7 @@ let test_same_time_fifo_mixed () =
     (List.rev !log);
   Alcotest.(check (list (pair string int)))
     "census"
-    [ ("netsim.port", 0); ("netsim.link", 0); ("nic", 0); ("rpc", 4); ("shm", 0);
+    [ ("netsim.link", 0); ("nic", 0); ("rpc", 4); ("shm", 0);
       ("timer", 3); ("closure", 4) ]
     (Sim.Engine.census e);
   check_int "events" 11 (Sim.Engine.events_processed e);
@@ -425,14 +425,16 @@ let test_same_time_fifo_mixed () =
    byte-identical between the two. A scheduler change that reorders any
    event — same-time ties included — changes this digest. The event count
    fell from 4011 to 3352 when the switch's cut-through latency moved onto
-   the links that feed it (one event per switch traversal instead of two);
-   the trace digest did not change. *)
+   the links that feed it (one event per switch traversal instead of two),
+   and from 3352 to 2436 when ports began computing departures in closed
+   form (one event per packet hop instead of two); the trace digest did
+   not change either time. *)
 let test_chaos_golden_digest () =
   let r = Experiments.Chaos.run_one ~seed:4242L () in
   Alcotest.(check string)
     "trace digest" "a1553404991d49dd9e4aed4d746357cd"
     (Digest.to_hex (Digest.string r.Experiments.Chaos.trace));
-  check_int "event count" 3352 r.events;
+  check_int "event count" 2436 r.events;
   Alcotest.(check (list string)) "no invariant violations" [] r.violations
 
 (* Closed-loop echo: 3 client hosts, one session each to a fourth host,

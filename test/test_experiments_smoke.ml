@@ -151,7 +151,10 @@ let test_cluster_load_deterministic () =
 
 (* The typed small-rate path (Table 3's "Typed codec" rows) at the default
    seed, CX4 with 11 nodes, B = 3: exact RPC counts, so any change to the
-   typed datapath or to the driver's issue instants shows. *)
+   typed datapath or to the driver's issue instants shows. The flat count
+   went 20 912 -> 20 904 when ports began posting a packet's arrival at
+   admission: same-nanosecond arrivals take their FIFO place then, not at
+   departure. *)
 let test_typed_small_rate_pinned () =
   let cluster = Transport.Cluster.cx4 ~nodes:11 () in
   List.iter
@@ -168,7 +171,7 @@ let test_typed_small_rate_pinned () =
       Alcotest.(check int) (name ^ " retransmits") 0 r.retransmits)
     [
       ("compact", Codec.Compact, false, 16_728);
-      ("flat", Codec.Flat, false, 20_912);
+      ("flat", Codec.Flat, false, 20_904);
       ("compact + offload", Codec.Compact, true, 14_482);
       ("flat + offload", Codec.Flat, true, 14_482);
     ]

@@ -204,6 +204,80 @@ let test_two_tier_all_pairs () =
     done
   done
 
+(* Every packet crosses one port per hop: its host's NIC TX port and the
+   ToR downlink under the same ToR, plus a ToR uplink and a spine
+   downlink across ToRs. So the ports' transmit counters sum to the hops
+   of the paths sent: this ties the netsim's packet count to the
+   senders'. The conservation audit holds mid-run, with packets still
+   queued, and at quiescence. *)
+let test_two_tier_port_hops () =
+  let e = Sim.Engine.create () in
+  let net = Netsim.Network.create e (two_tier_cfg ~hosts_per_tor:3) in
+  let n = Netsim.Network.num_hosts net in
+  for h = 0 to n - 1 do
+    Netsim.Network.attach net ~host:h ~rx:Netsim.Packet.free
+  done;
+  let hops = ref 0 in
+  for round = 0 to 2 do
+    for src = 0 to n - 1 do
+      for dst = 0 to n - 1 do
+        if src <> dst then begin
+          hops := !hops + if Netsim.Network.same_tor net src dst then 2 else 4;
+          Netsim.Network.send net (mk_pkt ~src ~dst ~flow:((src * n) + dst + round) ())
+        end
+      done
+    done
+  done;
+  Sim.Engine.run_until e 3_000;
+  check_bool "queues still hold packets" true
+    (List.exists (fun p -> Netsim.Port.queued_bytes p > 0) (Netsim.Network.ports net));
+  Alcotest.(check (list string)) "audit mid-run" [] (Netsim.Network.audit net);
+  Sim.Engine.run e;
+  Alcotest.(check (list string)) "audit at quiescence" [] (Netsim.Network.audit net);
+  let tx = List.fold_left (fun acc p -> acc + Netsim.Port.tx_packets p) 0 (Netsim.Network.ports net) in
+  check_int "port tx packets = path hops" !hops tx
+
+(* The tie rules of a closed-form port. 1000 B at 8 Gbps leave 1000 ns
+   after admission. An admission at that very nanosecond still sees them
+   queued (here: the pool is too full to admit), while a read then
+   counts them gone; a nanosecond later they are gone for admission
+   too. *)
+let test_port_departure_ties () =
+  let e = Sim.Engine.create () in
+  let pool = Netsim.Buffer_pool.create ~capacity_bytes:1_500 ~alpha:100.0 in
+  let port =
+    Netsim.Port.create e ~packets:(Netsim.Packet.create_table ()) ~name:"p" ~rate_gbps:8.0
+      ~extra_delay_ns:0 ~pool ~sink:Netsim.Packet.free ()
+  in
+  check_bool "first admitted" true (Netsim.Port.send port (mk_pkt ~src:0 ~dst:1 ()));
+  let send () = Netsim.Port.send port (mk_pkt ~src:0 ~dst:1 ()) in
+  Sim.Engine.schedule e 1_000 (fun () ->
+      check_int "read: queue empty" 0 (Netsim.Port.queued_bytes port);
+      check_int "read: one sent" 1 (Netsim.Port.tx_packets port);
+      check_int "read: pool empty" 0 (Netsim.Buffer_pool.used_through pool 1_000);
+      check_bool "admission: still full" false (send ()));
+  Sim.Engine.schedule e 1_001 (fun () -> check_bool "admitted a nanosecond later" true (send ()));
+  Sim.Engine.run e;
+  check_int "one dropped" 1 (Netsim.Port.dropped_packets port);
+  check_int "two sent" 2 (Netsim.Port.tx_packets port);
+  Alcotest.(check (list string)) "audit" [] (Netsim.Port.audit port)
+
+(* Held releases settle in time order, whatever order they were made in. *)
+let test_pool_timed_releases () =
+  let p = Netsim.Buffer_pool.create ~capacity_bytes:10_000 ~alpha:8.0 in
+  List.iter
+    (fun (at, size) ->
+      assert (Netsim.Buffer_pool.admit p ~port_queued_bytes:0 ~size);
+      Netsim.Buffer_pool.release_at p ~at ~size)
+    [ (50, 500); (10, 100); (30, 300); (30, 30); (20, 200); (40, 400) ];
+  check_int "all held" 1_530 (Netsim.Buffer_pool.used p);
+  check_int "through 30" 900 (Netsim.Buffer_pool.used_through p 30);
+  check_int "reading settles only what is before now" 1_230 (Netsim.Buffer_pool.used p);
+  Netsim.Buffer_pool.settle p ~before:45;
+  check_int "settled before 45" 500 (Netsim.Buffer_pool.used p);
+  Netsim.Buffer_pool.settle p ~before:max_int;
+  check_int "drained" 0 (Netsim.Buffer_pool.used p)
+
 let test_two_tier_same_tor () =
   let e = Sim.Engine.create () in
   let net = Netsim.Network.create e (two_tier_cfg ~hosts_per_tor:3) in
@@ -258,7 +332,9 @@ let test_victim_port_accessor () =
    from enqueue to the continuation. The switch's cut-through latency
    rides on the link that feeds it, so each of the two switch traversals
    (request, response) costs its link's single arrival event: 19 events
-   when the switch scheduled a separate hop event, 17 now. *)
+   when the switch scheduled a separate hop event, 17 when each port still
+   posted a serialization-done event, 13 now that each of the four port
+   hops is one arrival event. *)
 let test_echo_event_count () =
   let cluster = Transport.Cluster.cx4 ~nodes:10 () in
   let fabric = Erpc.Fabric.create cluster in
@@ -281,7 +357,7 @@ let test_echo_event_count () =
       check_bool "rpc ok" true (Result.is_ok r);
       events := Sim.Engine.events_processed engine - e0);
   Sim.Engine.run_until engine (Sim.Time.ms 2.0);
-  check_int "engine events per echo RPC" 17 !events
+  check_int "engine events per echo RPC" 13 !events
 
 (* {2 Packet handles} *)
 
@@ -352,6 +428,9 @@ let suite =
     Alcotest.test_case "single switch delivery" `Quick test_single_switch_delivery;
     Alcotest.test_case "two-tier all pairs" `Quick test_two_tier_all_pairs;
     Alcotest.test_case "two-tier same_tor" `Quick test_two_tier_same_tor;
+    Alcotest.test_case "two-tier port hops and audit" `Quick test_two_tier_port_hops;
+    Alcotest.test_case "port departure ties" `Quick test_port_departure_ties;
+    Alcotest.test_case "pool timed releases" `Quick test_pool_timed_releases;
     Alcotest.test_case "cross-ToR latency" `Quick test_cross_tor_slower_than_same_tor;
     Alcotest.test_case "loss injection" `Quick test_loss_injection;
     Alcotest.test_case "victim port accessor" `Quick test_victim_port_accessor;

@@ -208,8 +208,16 @@ let test_packet_conservation tp () =
           in
           issue 0)
         sessions;
-      run fabric 500.0;
       let label what = Printf.sprintf "%s (loss %g)" what loss in
+      (* The fabric's own accounting holds with packets in flight and at
+         quiescence. *)
+      run fabric 1.2;
+      check_bool (label "mid-run") true (!completed < 4 * per_session);
+      Alcotest.(check (list string)) (label "netsim audit mid-run") [] (Netsim.Network.audit net);
+      run fabric 500.0;
+      Alcotest.(check (list string))
+        (label "netsim audit at quiescence")
+        [] (Netsim.Network.audit net);
       check_int (label "every RPC completed") (4 * per_session) !completed;
       Array.iter
         (fun rpc ->
