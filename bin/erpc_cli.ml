@@ -472,22 +472,21 @@ let anatomy =
   entry ~name:"anatomy"
     ~doc:"Latency anatomy: decompose quiet-network RPC latency into components"
     ~benchmark:"anatomy" ~unit:"ns"
-    ~params:(fun (samples, req_size, typed, backend, offload, transport) ->
+    ~params:(fun (samples, req_size, typed, backend, transport) ->
       [
         ("samples", J.Int samples);
         ("size", J.Int req_size);
         ("typed", J.Bool typed);
         ("backend", J.Str (if backend = Codec.Flat then "flat" else "compact"));
-        ("offload", J.Bool offload);
         ("transport", J.Str transport);
       ])
-    (fun ~seed (samples, req_size, typed, backend, offload, transport) ->
+    (fun ~seed (samples, req_size, typed, backend, transport) ->
       let results =
         List.map
           (fun (name, tp) ->
             ( name,
-              (Experiments.Exp_anatomy.run ~seed ~samples ~req_size ~typed ~backend ~offload
-                 ~transport:tp ())
+              (Experiments.Exp_anatomy.run ~seed ~samples ~req_size ~typed ~backend ~transport:tp
+                 ())
                 .breakdowns ))
           (if transport = "all" then transports
            else [ (transport, List.assoc transport transports) ])
@@ -513,7 +512,7 @@ let anatomy =
                breakdowns)
            results))
     Term.(
-      const (fun s r t b o tp -> (s, r, t, b, o, tp))
+      const (fun s r t b tp -> (s, r, t, b, tp))
       $ int_arg "samples" 32 "N" "Sequential RPCs to sample."
       $ int_arg "size" 32 "BYTES" "Request size."
       $ flag_arg "typed" "Issue typed (schema-carrying) echoes so ser/deser appear."
@@ -521,7 +520,6 @@ let anatomy =
           value
           & opt (enum [ ("compact", Codec.Compact); ("flat", Codec.Flat) ]) Codec.Compact
           & info [ "backend" ] ~docv:"B" ~doc:"Codec backend for --typed (compact|flat).")
-      $ flag_arg "offload" "Model NIC-offloaded codec for --typed."
       $ Arg.(
           value
           & opt
@@ -537,7 +535,7 @@ let codec_bench =
   entry ~name:"codec-bench"
     ~doc:
       "Typed-codec cost: encode/decode ns/op, modeled charge, and simulated Mrps per backend x \
-       schema x offload"
+       schema"
     ~benchmark:"codec" ~unit:"ns/op"
     ~params:(fun (iters, measure_ms) ->
       [ ("iters", J.Int iters); ("measure_ms", J.Float measure_ms) ])

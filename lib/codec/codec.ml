@@ -6,9 +6,9 @@ let backend_name = function Compact -> "compact" | Flat -> "flat"
 
 let fail msg = raise (Decode_error msg)
 
-(* FNV-1a over bytes; constants match [Erpc.Pkthdr.bytes_checksum] exactly so
-   [with_checksum] wire bytes are unchanged by this module's independence
-   from the transport library. *)
+(* FNV-1a over bytes, truncated to OCaml's int (the 64-bit offset basis
+   loses its top bit to the tag): the 32-bit check [with_checksum] frames
+   carry. *)
 let fnv_offset = 0x4bf29ce484222325
 let fnv_prime = 0x100000001b3
 let fnv_step h v = (h lxor v) * fnv_prime land max_int

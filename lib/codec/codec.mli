@@ -160,9 +160,3 @@ val leaf_bytes : 'a t -> leaf:int -> int
 (** Wire footprint of one leaf — what a lazy access's byte charge is
     based on. *)
 
-(** {1 Checksums} *)
-
-val bytes_checksum : bytes -> off:int -> len:int -> int
-(** FNV-1a over a byte range; identical constants to
-    [Erpc.Pkthdr.bytes_checksum], so checksummed wire bytes are unchanged
-    by this library's independence from the transport. *)

@@ -3,7 +3,7 @@ type t = Timely_cc of Timely.t | Dcqcn_cc of Dcqcn.t
 let create ?phase (cc : Config.cc) ~link_gbps =
   match cc.algo with
   | Config.Timely -> Timely_cc (Timely.create ?phase cc ~link_gbps)
-  | Config.Dcqcn -> Dcqcn_cc (Dcqcn.create cc ~link_gbps)
+  | Config.Dcqcn -> Dcqcn_cc (Dcqcn.create ~link_gbps)
 
 let rate_bps = function
   | Timely_cc t -> Timely.rate_bps t
@@ -27,9 +27,9 @@ let pacing_delay_ns t ~bytes =
   | Timely_cc tl -> Timely.pacing_delay_ns tl ~bytes
   | Dcqcn_cc d -> Dcqcn.pacing_delay_ns d ~bytes
 
-let bypassable t ~(rtt_ns : int) ~marked ~t_low_ns =
+let bypassable t ~(rtt_ns : int) ~marked =
   match t with
-  | Timely_cc tl -> Timely.uncongested tl && rtt_ns < t_low_ns
+  | Timely_cc tl -> Timely.uncongested tl && rtt_ns < Timely.t_low_ns
   | Dcqcn_cc d -> Dcqcn.uncongested d && not marked
 
 let updates = function

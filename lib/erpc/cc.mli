@@ -18,7 +18,7 @@ val pacing_delay_ns : t -> bytes:int -> int
 (** True when {!on_sample} would be a no-op under the Timely-bypass
     common-case optimization (§5.2.2): an uncongested session whose signal
     shows no congestion. *)
-val bypassable : t -> rtt_ns:int -> marked:bool -> t_low_ns:int -> bool
+val bypassable : t -> rtt_ns:int -> marked:bool -> bool
 
 (** Rate updates performed (both algorithms), for stats. *)
 val updates : t -> int

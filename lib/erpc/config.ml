@@ -27,47 +27,20 @@ type cc_algo = Timely | Dcqcn
 
 type cc = {
   algo : cc_algo;
-  t_low_ns : int;
-  t_high_ns : int;
   min_rtt_ns : int;
-  ewma_alpha : float;
-  beta : float;
   add_rate_bps : float;
-  min_rate_bps : float;
-  hai_thresh : int;
   samples_per_update : int;
-  dcqcn_g : float;
-  dcqcn_rai_bps : float;
-  dcqcn_alpha_timer_ns : int;
-  dcqcn_increase_timer_ns : int;
-  dcqcn_cnp_interval_ns : int;
-  dcqcn_fast_recovery : int;
 }
 
 let default_cc ~min_rtt_ns =
-  {
-    algo = Timely;
-    t_low_ns = 50_000;
-    t_high_ns = 1_000_000;
-    min_rtt_ns;
-    ewma_alpha = 0.46;
-    beta = 0.26;
-    add_rate_bps = 50e6;
-    min_rate_bps = 30e6;
-    hai_thresh = 5;
-    samples_per_update = 8;
-    (* DCQCN parameters from Zhu et al. (SIGCOMM '15). *)
-    dcqcn_g = 1. /. 16.;
-    dcqcn_rai_bps = 100e6;
-    dcqcn_alpha_timer_ns = 55_000;
-    dcqcn_increase_timer_ns = 55_000;
-    dcqcn_cnp_interval_ns = 50_000;
-    dcqcn_fast_recovery = 5;
-  }
+  { algo = Timely; min_rtt_ns; add_rate_bps = 50e6; samples_per_update = 8 }
 
 let max_msg_size = 8 * 1024 * 1024
 let rx_batch = 32
 let tx_batch = 32
+let req_window = 8
+let cr_stride = 4
+let min_rate_bps = 30e6
 let max_retransmits = 8
 let wheel_slot_ns = 1_000
 let wheel_num_slots = 16_384
@@ -79,13 +52,10 @@ type t = {
   mtu : int;
   wire_overhead : int;
   session_credits : int;
-  req_window : int;
   rto_ns : int;
-  cr_stride : int;
   opts : opts;
   cc : cc;
   codec_backend : Codec.backend;
-  codec_offload : bool;
   shm_enabled : bool;
   shm_mode : Shm.mode;
   shm_slots : int;
@@ -115,13 +85,10 @@ let of_cluster ?credits (cluster : Transport.Cluster.t) =
     mtu = cluster.mtu;
     wire_overhead = cluster.wire_overhead;
     session_credits = credits;
-    req_window = 8;
     rto_ns = 5_000_000;
-    cr_stride = 4;
     opts = all_opts_on;
     cc = default_cc ~min_rtt_ns;
     codec_backend = Codec.Compact;
-    codec_offload = false;
     shm_enabled = false;
     shm_mode = Shm.Auto;
     shm_slots = 512;

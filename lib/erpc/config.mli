@@ -2,8 +2,7 @@
 
     [opts] are the common-case optimizations of paper §4–5; each is a live
     runtime flag so Table 3's factor analysis can be regenerated by
-    toggling them. [cc] holds Timely congestion-control parameters
-    (§5.2). *)
+    toggling them. [cc] holds the congestion-control settings (§5.2). *)
 
 type opts = {
   batched_timestamps : bool;  (** one rdtsc per RX/TX batch, not per packet *)
@@ -14,7 +13,7 @@ type opts = {
   zero_copy_rx : bool;  (** run dispatch handlers on the RX ring buffer *)
   congestion_control : bool;  (** master switch for Timely + rate limiter *)
   cumulative_crs : bool;
-      (** one cumulative credit return per [cr_stride] request packets
+      (** one cumulative credit return per {!cr_stride} request packets
           instead of per packet — the §6.4 future-work optimization *)
 }
 
@@ -30,25 +29,16 @@ type transport_kind = Raw_eth | Rdma_rc
     our simulated switches can, so DCQCN is also available. *)
 type cc_algo = Timely | Dcqcn
 
+(** The congestion-control settings experiments and tests vary; the
+    algorithms' fixed parameters are constants of {!Timely} and {!Dcqcn}
+    (and {!min_rate_bps}, which both share). *)
 type cc = {
   algo : cc_algo;
-  t_low_ns : int;  (** below: additive increase region (50 µs) *)
-  t_high_ns : int;  (** above: multiplicative decrease *)
   min_rtt_ns : int;  (** base propagation RTT used to normalize gradients *)
-  ewma_alpha : float;
-  beta : float;
-  add_rate_bps : float;  (** additive increment per update *)
-  min_rate_bps : float;
-  hai_thresh : int;  (** consecutive negative gradients for hyperactive increase *)
+  add_rate_bps : float;  (** Timely's additive increment per update (50 Mbps) *)
   samples_per_update : int;
       (** RTT samples per rate computation: Timely computes one update per
-          16-64 kB completion event, not per packet *)
-  dcqcn_g : float;
-  dcqcn_rai_bps : float;
-  dcqcn_alpha_timer_ns : int;
-  dcqcn_increase_timer_ns : int;
-  dcqcn_cnp_interval_ns : int;
-  dcqcn_fast_recovery : int;
+          16-64 kB completion event, not per packet (8) *)
 }
 
 val default_cc : min_rtt_ns:int -> cc
@@ -65,6 +55,18 @@ val rx_batch : int
 
 (** Packets transmitted per TX burst. *)
 val tx_batch : int
+
+(** Concurrent requests per session: 8, eRPC's session request window. *)
+val req_window : int
+
+(** Request packets acknowledged per cumulative credit return under
+    [opts.cumulative_crs]: 4, this model's choice for an optimization the
+    paper leaves to future work. *)
+val cr_stride : int
+
+(** Floor of both congestion controllers' sending rate: 30 Mbps, this
+    model's value, so a session never stops transmitting entirely. *)
+val min_rate_bps : float
 
 (** Consecutive RTOs without progress before the session is reset and
     in-flight requests fail with [Err.Peer_unreachable] (§4.3). *)
@@ -87,16 +89,11 @@ type t = {
   mtu : int;
   wire_overhead : int;
   session_credits : int;
-  req_window : int;  (** concurrent requests per session (8) *)
   rto_ns : int;  (** retransmission timeout (5 ms, §5.2.3) *)
-  cr_stride : int;  (** request packets acknowledged per cumulative CR *)
   opts : opts;
   cc : cc;
   codec_backend : Codec.backend;
       (** wire format typed RPCs use by default (see {!Typed}) *)
-  codec_offload : bool;
-      (** model a NIC-offloaded codec: zero the CPU's per-field charge,
-          pay a DMA/doorbell cost instead (Dagger/RPCAcc-style) *)
   shm_enabled : bool;
       (** wrap the wire transport in the {!Shm} intra-host mux: packets to
           co-located destinations (see {!Transport.Cluster.colocate}) take

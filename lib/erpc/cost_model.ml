@@ -21,8 +21,6 @@ type t = {
   deser_field : int;
   flat_ser_field : int;
   flat_deser_field : int;
-  codec_offload_post : int;
-  codec_offload_per_256b : int;
   shm_ring_post : int;
   shm_seal : int;
   shm_unseal : int;
@@ -54,8 +52,6 @@ let default =
     deser_field = 8;
     flat_ser_field = 2;
     flat_deser_field = 1;
-    codec_offload_post = 45;
-    codec_offload_per_256b = 3;
     shm_ring_post = 12;
     shm_seal = 30;
     shm_unseal = 30;
@@ -73,25 +69,17 @@ let memcpy_cost t bytes =
 
 let for_cluster (cluster : Transport.Cluster.t) = { default with scale = cluster.cpu_scale }
 
-(* Full scaled cost of one encode or decode. On-CPU codecs pay per touched
-   field (branchier on decode: validation) plus the bulk byte movement; a
-   NIC-offloaded codec frees the CPU of both and pays only a fixed
-   descriptor-post/doorbell cost plus a small per-chunk DMA-setup term —
-   the Dagger/RPCAcc ablation. *)
-let codec_cost t ~deser ~(backend : Codec.backend) ~offload ~leaves ~bytes =
-  if offload then
-    scaled t
-      (t.codec_offload_post
-      + if bytes <= 0 then 0 else t.codec_offload_per_256b * (((bytes + 255) / 256) - 1))
-  else
-    let per_field =
-      match (backend, deser) with
-      | Codec.Compact, false -> t.ser_field
-      | Codec.Compact, true -> t.deser_field
-      | Codec.Flat, false -> t.flat_ser_field
-      | Codec.Flat, true -> t.flat_deser_field
-    in
-    scaled t (per_field * leaves) + memcpy_cost t bytes
+(* Full scaled cost of one encode or decode: per touched field (branchier
+   on decode: validation) plus the bulk byte movement. *)
+let codec_cost t ~deser ~(backend : Codec.backend) ~leaves ~bytes =
+  let per_field =
+    match (backend, deser) with
+    | Codec.Compact, false -> t.ser_field
+    | Codec.Compact, true -> t.deser_field
+    | Codec.Flat, false -> t.flat_ser_field
+    | Codec.Flat, true -> t.flat_deser_field
+  in
+  scaled t (per_field * leaves) + memcpy_cost t bytes
 
 (* Shared-memory ring charges (see {!Shm}), pre-scaled so the transport
    never re-applies the cluster CPU scale. The serialize path pays the

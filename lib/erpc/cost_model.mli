@@ -38,11 +38,6 @@ type t = {
   deser_field : int;  (** compact decode, per primitive field (validation) *)
   flat_ser_field : int;  (** flat fixed-offset store, per field *)
   flat_deser_field : int;  (** flat fixed-offset load, per field *)
-  codec_offload_post : int;
-      (** NIC-offloaded codec: descriptor build + doorbell, per message *)
-  codec_offload_per_256b : int;
-      (** NIC-offloaded codec: DMA scatter/gather setup per 256 B chunk
-          beyond the first *)
   shm_ring_post : int;  (** claim/publish or re-arm one shm ring slot *)
   shm_seal : int;  (** seal a shared buffer on send (content guard) *)
   shm_unseal : int;  (** unseal a shared buffer on receive *)
@@ -64,10 +59,8 @@ val for_cluster : Transport.Cluster.t -> t
 
 (** Full scaled cost of one encode ([deser:false]) or decode
     ([deser:true]) of a message with [leaves] primitive fields and [bytes]
-    total wire bytes. With [offload:true] the CPU pays only the modeled
-    NIC-offload descriptor/DMA cost regardless of backend. *)
-val codec_cost :
-  t -> deser:bool -> backend:Codec.backend -> offload:bool -> leaves:int -> bytes:int -> int
+    total wire bytes: the backend's per-field charge plus {!memcpy_cost}. *)
+val codec_cost : t -> deser:bool -> backend:Codec.backend -> leaves:int -> bytes:int -> int
 
 (** Pre-scaled shared-memory ring charges for {!Shm.create}: the
     serialize path composes the slot publish with {!memcpy_cost}; the

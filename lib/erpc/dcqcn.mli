@@ -8,15 +8,18 @@
 
     Reaction-point state machine (per session, at the client):
     - on a congestion notification (an ECN-echoed packet, rate-limited to
-      one cut per [cnp_interval]): target <- current,
+      one cut per 50 µs): target <- current,
       current <- current * (1 - alpha/2), alpha <- (1-g) alpha + g;
-    - alpha decays by (1-g) every [alpha_timer] without notifications;
-    - rate recovery every [increase_timer]: [fast_recovery] rounds of
-      current <- (target+current)/2, then additive target += rai. *)
+    - alpha decays by (1-g) every 55 µs without notifications;
+    - rate recovery every 55 µs: 5 fast-recovery rounds of
+      current <- (target+current)/2, then additive target += rai.
+
+    The fixed parameters (g = 1/16, rai = 100 Mbps and the periods above)
+    are constants of the implementation, each naming its source. *)
 
 type t
 
-val create : Config.cc -> link_gbps:float -> t
+val create : link_gbps:float -> t
 
 val rate_bps : t -> float
 val uncongested : t -> bool

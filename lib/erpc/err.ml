@@ -5,4 +5,3 @@ let to_string = function
   | Peer_unreachable -> "peer unreachable"
   | Session_error s -> "session error: " ^ s
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)

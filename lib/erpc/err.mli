@@ -9,4 +9,3 @@ type t =
   | Session_error of string  (** connect refused / session torn down *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

@@ -109,4 +109,3 @@ let submit_worker t job =
     drain_worker t w
   end
 
-let num_workers t = Array.length t.workers

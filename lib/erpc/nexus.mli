@@ -44,4 +44,3 @@ val process : t -> Proto.process
     serialized. *)
 val submit_worker : t -> (Sim.Cpu.t -> unit) -> unit
 
-val num_workers : t -> int

@@ -35,23 +35,6 @@ type t = {
           receiver) *)
 }
 
-(** Size of the eRPC header on the wire. *)
-val size : int
-
-(** {2 Wire checksum}
-
-    FNV-1a over all header fields and a payload slice. The checksum the
-    real NIC would compute/verify per packet; in the simulator corruption
-    is modeled as a frame flag (see {!Wire.corrupt}), so this kernel is
-    kept for framing code and microbenchmarks. ECN marks are switch-mutated
-    in flight and therefore not covered. *)
-
-val checksum : t -> data:bytes -> off:int -> len:int -> int
-
-(** FNV-1a over a byte range — the same kernel, reusable by higher-level
-    framing (see [Codec.with_checksum]). *)
-val bytes_checksum : ?init:int -> bytes -> off:int -> len:int -> int
-
 val pp : Format.formatter -> t -> unit
 
 (** [chunk_bytes ~mtu ~msg_size k]: bytes in the [k]-th MTU-sized chunk

@@ -51,7 +51,6 @@ type t = {
   mutable batch_ts : Sim.Time.t;
   mutable loop_scheduled : bool;
   mutable rtt_probe : (int -> unit) option;
-  codec_mode : Codec.backend * bool;
   mutable invoke : sslot -> server_info -> int -> unit;  (* the upcall, set once by {!Rpc} *)
   (* Hot-path event handlers and the RX callback, registered once, so the
      steady-state loop schedules no closures. A deferred post carries its
@@ -68,8 +67,8 @@ type t = {
 
 (* {2 Trace hooks (observe-only; call sites guard on [Obs.Trace.enabled])} *)
 
-(* Packet-kind codes carried in "pkt info" events; must match
-   [Obs.Anatomy.kind_req]/[kind_resp]. *)
+(* Packet-kind codes carried in "pkt info" events; must match the codes
+   [Obs.Anatomy] decodes. *)
 let pkt_kind_code = function
   | Pkthdr.Req -> 0
   | Pkthdr.Resp -> 1
@@ -189,7 +188,6 @@ let cc_update t sess ~sample_rtt_ns ~marked =
         if
           t.cfg.opts.timely_bypass
           && Cc.bypassable controller ~rtt_ns:sample_rtt_ns ~marked
-               ~t_low_ns:t.cfg.cc.t_low_ns
         then () (* bypass: uncongested session with no congestion signal *)
         else begin
           ch t t.cost.timely_update;
@@ -497,7 +495,7 @@ and rx_pkt t pkt =
                packet would be matched to an unrelated session's slot. *)
             t.stats.Rpc_stats.rx_stale <- t.stats.Rpc_stats.rx_stale + 1
         | Some sess -> (
-            let slot = Session.slot sess (hdr.req_num mod t.cfg.req_window) in
+            let slot = Session.slot sess (hdr.req_num mod Config.req_window) in
             match (hdr.pkt_type, sess.role) with
             | (Pkthdr.Cr | Pkthdr.Resp), Client -> client_rx t sess slot hdr data off len ~ecn
             | (Pkthdr.Req | Pkthdr.Rfr), Server -> server_rx t sess slot hdr data off len ~ecn
@@ -621,7 +619,7 @@ and complete_request t slot args =
 and admit_backlog t sess =
   let continue = ref true in
   while !continue && not (Queue.is_empty sess.backlog) do
-    match Session.free_slot sess ~req_window:t.cfg.req_window with
+    match Session.free_slot sess with
     | Some free -> start_request t free (Queue.take sess.backlog)
     | None -> continue := false
   done
@@ -707,7 +705,7 @@ and server_rx t sess slot hdr data off len ~ecn =
           if p < srv.n_req_pkts - 1 then begin
             let send_now =
               (not t.cfg.opts.cumulative_crs)
-              || (p + 1) mod t.cfg.cr_stride = 0
+              || (p + 1) mod Config.cr_stride = 0
               || p = srv.n_req_pkts - 2
             in
             if send_now then send_cr t sess slot ~pkt_num:p ~req_type:hdr.req_type ~ecn_echo:ecn
@@ -766,7 +764,7 @@ and store_req_data t _slot srv hdr data off len =
 
 and start_request t slot args =
   let sess = slot.session in
-  slot.req_num <- slot.req_num + t.cfg.req_window;
+  slot.req_num <- slot.req_num + Config.req_window;
   slot.busy <- true;
   slot.args <- Some args;
   slot.issue_time <- Sim.Engine.now t.engine;
@@ -841,14 +839,13 @@ let init_response t cpu slot size =
     Msgbuf.alloc ~max_size:size
   end
 
-let codec_mode t = t.codec_mode
+let codec_backend t = t.cfg.codec_backend
 
-(* Charge one typed encode/decode to [cpu], priced by the cost model and
-   the offload toggle. On the dispatch thread it also emits a "codec" span
-   over the charged interval (worker CPUs have no trace track). *)
+(* Charge one typed encode/decode to [cpu], priced by the cost model. On
+   the dispatch thread it also emits a "codec" span over the charged
+   interval (worker CPUs have no trace track). *)
 let charge_codec t cpu ~deser ~backend ~leaves ~bytes =
-  let offload = t.cfg.codec_offload in
-  let cost = Cost_model.codec_cost t.cost ~deser ~backend ~offload ~leaves ~bytes in
+  let cost = Cost_model.codec_cost t.cost ~deser ~backend ~leaves ~bytes in
   if cpu == t.cpu && Obs.Trace.enabled t.trace then begin
     let ts = Int.max (Sim.Engine.now t.engine) (Sim.Cpu.next_free cpu) in
     ignore (Sim.Cpu.charge cpu cost);
@@ -857,11 +854,7 @@ let charge_codec t cpu ~deser ~backend ~leaves ~bytes =
       ~cat:"codec"
       ~name:(if deser then "deser" else "ser")
       ~pid:t.pid ~tid:t.tid
-      [
-        ("leaves", Obs.Trace.I leaves);
-        ("bytes", Obs.Trace.I bytes);
-        ("offload", Obs.Trace.I (if offload then 1 else 0));
-      ]
+      [ ("leaves", Obs.Trace.I leaves); ("bytes", Obs.Trace.I bytes) ]
   end
   else ignore (Sim.Cpu.charge cpu cost)
 
@@ -882,7 +875,7 @@ let enqueue_request_hooked t sess ~req_type ~req ~resp ~on_complete ~cont =
           cont (Stdlib.Error (Err.Session_error "session closed")))
   | Connect_pending -> Queue.add args sess.backlog
   | Connected -> (
-      match Session.free_slot sess ~req_window:t.cfg.req_window with
+      match Session.free_slot sess with
       | Some slot -> start_request t slot args
       | None -> Queue.add args sess.backlog)
 
@@ -1051,7 +1044,6 @@ let create ~engine ~host ~cfg ~cost ~cpu ~transport ~process ~packets ~stats ~ti
       batch_ts = Sim.Time.zero;
       loop_scheduled = false;
       rtt_probe = None;
-      codec_mode = (cfg.codec_backend, cfg.codec_offload);
       invoke = (fun _ _ _ -> ());
       activate_ev = Sim.Engine.no_handler;
       wake_ev = Sim.Engine.no_handler;

@@ -83,12 +83,12 @@ val respond :
     pays. *)
 val init_response : t -> Sim.Cpu.t -> Session.sslot -> int -> Msgbuf.t
 
-(** The configured [(codec_backend, codec_offload)]. *)
-val codec_mode : t -> Codec.backend * bool
+(** The configured [codec_backend]. *)
+val codec_backend : t -> Codec.backend
 
-(** Charge one typed encode/decode to [cpu], priced by the cost model and
-    the offload toggle; on the dispatch thread it also emits a "codec"
-    trace span over the charged interval. *)
+(** Charge one typed encode/decode to [cpu], priced by the cost model; on
+    the dispatch thread it also emits a "codec" trace span over the
+    charged interval. *)
 val charge_codec :
   t -> Sim.Cpu.t -> deser:bool -> backend:Codec.backend -> leaves:int -> bytes:int -> unit
 

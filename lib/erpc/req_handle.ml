@@ -10,7 +10,7 @@ type t = {
 
 let get_request t = t.req
 let charge t ns = Proto.charge t.proto t.cpu ns
-let codec_mode t = Proto.codec_mode t.proto
+let codec_backend t = Proto.codec_backend t.proto
 
 let charge_codec t ~deser ~backend ~leaves ~bytes =
   Proto.charge_codec t.proto t.cpu ~deser ~backend ~leaves ~bytes

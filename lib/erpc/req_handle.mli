@@ -26,13 +26,13 @@ val get_request : t -> Msgbuf.t
 (** Model [ns] of handler CPU work on the thread running the handler. *)
 val charge : t -> int -> unit
 
-(** The owning endpoint's configured [(codec_backend, codec_offload)] —
-    how {!Typed} picks a wire format server-side. *)
-val codec_mode : t -> Codec.backend * bool
+(** The owning endpoint's configured [codec_backend] — how {!Typed}
+    picks a wire format server-side. *)
+val codec_backend : t -> Codec.backend
 
 (** Charge one encode/decode to the thread running the handler, priced by
-    the endpoint's cost model (and its offload toggle). Used by {!Typed};
-    handlers normally don't call it directly. *)
+    the endpoint's cost model. Used by {!Typed}; handlers normally don't
+    call it directly. *)
 val charge_codec :
   t -> deser:bool -> backend:Codec.backend -> leaves:int -> bytes:int -> unit
 

@@ -16,11 +16,8 @@ type t = {
   tid : int;  (* this endpoint's thread track *)
 }
 
-let id t = t.rpc_id
-let host t = t.host_
 let nexus t = t.nexus_
 let cpu t = t.cpu_
-let config t = t.cfg
 let transport t = t.transport_
 let shm_endpoint t = match t.transport_ with Transport.Iface.Mux m -> Some m | Wire _ -> None
 let stats t = t.stats_
@@ -29,7 +26,7 @@ let num_sessions t = Proto.n_sessions t.proto
 let armed_rto_count t = Proto.armed_rto_count t.proto
 let set_rtt_probe t probe = Proto.set_rtt_probe t.proto probe
 let dead t = Nexus.dead t.nexus_
-let codec_mode t = Proto.codec_mode t.proto
+let codec_backend t = t.cfg.codec_backend
 
 let charge_codec ?backend t ~deser ~leaves ~bytes =
   let backend = match backend with Some b -> b | None -> t.cfg.codec_backend in
@@ -120,7 +117,7 @@ let create_session t ~remote_host ~remote_rpc_id ?(on_connect = fun _ -> ()) () 
   let token = Fabric.fresh_session_token (Nexus.fabric t.nexus_) in
   let sess =
     Session.create ~sn ~role:Client ~token ~remote_host ~remote_rpc_id
-      ~credits:t.cfg.session_credits ~req_window:t.cfg.req_window
+      ~credits:t.cfg.session_credits
   in
   sess.cc <- make_cc t ~sn;
   sess.connect_cb <- on_connect;
@@ -140,7 +137,7 @@ let accept_session t ~client_host ~client_rpc ~client_sn ~token =
   let sn = Proto.fresh_sn t.proto in
   let sess =
     Session.create ~sn ~role:Server ~token ~remote_host:client_host ~remote_rpc_id:client_rpc
-      ~credits:t.cfg.session_credits ~req_window:t.cfg.req_window
+      ~credits:t.cfg.session_credits
   in
   sess.remote_sn <- client_sn;
   sess.state <- Connected;

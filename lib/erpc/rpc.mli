@@ -26,11 +26,8 @@ type t
 
 val create : Nexus.t -> rpc_id:int -> t
 
-val id : t -> int
-val host : t -> int
 val nexus : t -> Nexus.t
 val cpu : t -> Sim.Cpu.t
-val config : t -> Config.t
 
 (** The endpoint's datapath, selected by [Config.transport] (wrapped in
     the {!Shm} intra-host mux when [Config.shm_enabled]). *)
@@ -90,13 +87,13 @@ val enqueue_request_hooked :
   cont:((unit, Err.t) result -> unit) ->
   unit
 
-(** The endpoint's configured [(codec_backend, codec_offload)]. *)
-val codec_mode : t -> Codec.backend * bool
+(** The endpoint's configured [codec_backend]. *)
+val codec_backend : t -> Codec.backend
 
 (** Charge one typed encode ([deser:false]) or decode ([deser:true]) of a
     message with [leaves] fields and [bytes] wire bytes to the dispatch
-    CPU, priced by the endpoint's cost model and offload toggle, emitting
-    a "codec" trace span over the charged interval. [backend] defaults to
+    CPU, priced by the endpoint's cost model, emitting a "codec" trace
+    span over the charged interval. [backend] defaults to
     the endpoint's configured backend. Used by {!Typed}. *)
 val charge_codec :
   ?backend:Codec.backend -> t -> deser:bool -> leaves:int -> bytes:int -> unit

@@ -27,9 +27,3 @@ let create () =
     wheel_inserts = 0;
   }
 
-let pp fmt t =
-  Format.fprintf fmt
-    "rx=%d tx=%d corrupt=%d stale=%d retx=%d retx_warn=%d resets=%d completed=%d handled=%d \
-     wheel=%d"
-    t.rx_pkts t.tx_pkts t.rx_corrupt t.rx_stale t.retransmits t.retx_warnings t.session_resets
-    t.completed t.handled t.wheel_inserts

@@ -25,4 +25,3 @@ type t = {
 }
 
 val create : unit -> t
-val pp : Format.formatter -> t -> unit

@@ -68,7 +68,7 @@ and session = {
   mutable retransmits : int;
 }
 
-let create ~sn ~role ~token ~remote_host ~remote_rpc_id ~credits ~req_window =
+let create ~sn ~role ~token ~remote_host ~remote_rpc_id ~credits =
   {
     sn;
     role;
@@ -77,7 +77,7 @@ let create ~sn ~role ~token ~remote_host ~remote_rpc_id ~credits ~req_window =
     remote_rpc_id;
     remote_sn = -1;
     state = Connect_pending;
-    slots = Array.make req_window None;
+    slots = Array.make Config.req_window None;
     credits;
     credit_limit = credits;
     backlog = Queue.create ();
@@ -155,9 +155,9 @@ let server_info sslot =
       sslot.srv <- Some s;
       s
 
-let free_slot session ~req_window =
+let free_slot session =
   let rec go i =
-    if i >= req_window then None
+    if i >= Config.req_window then None
     else
       match session.slots.(i) with
       | None -> Some (slot session i)

@@ -1,8 +1,8 @@
 (** Sessions and session slots (paper §4.3, §5).
 
     A session is a one-to-one connection between two Rpc endpoints; it
-    maintains [credits] for BDP flow control and an array of [req_window]
-    slots, each tracking one outstanding RPC. Slots, per-role info records
+    maintains [credits] for BDP flow control and an array of
+    {!Config.req_window} slots, each tracking one outstanding RPC. Slots, per-role info records
     and preallocated buffers are allocated lazily so that experiments with
     millions of mostly-idle sessions (Fig 5) stay within memory.
 
@@ -73,7 +73,7 @@ type server_info = {
 type sslot = {
   index : int;
   session : session;
-  mutable req_num : int;  (** current request number; [req_num mod req_window = index] *)
+  mutable req_num : int;  (** current request number; [req_num mod Config.req_window = index] *)
   mutable busy : bool;
   mutable args : req_args option;  (** client side: the in-flight request *)
   mutable cli : client_info option;
@@ -117,7 +117,6 @@ val create :
   remote_host:int ->
   remote_rpc_id:int ->
   credits:int ->
-  req_window:int ->
   session
 
 (** Slot [i], allocated on first use. *)
@@ -130,7 +129,7 @@ val client_info : sslot -> credits:int -> client_info
 val server_info : sslot -> server_info
 
 (** First idle slot, if any. *)
-val free_slot : session -> req_window:int -> sslot option
+val free_slot : session -> sslot option
 
 (** Sum of (num_tx - num_rx) over busy client slots — must equal
     [credit_limit - credits]; checked by tests. *)

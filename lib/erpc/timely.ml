@@ -17,6 +17,25 @@ type t = {
   mutable samples_since_update : int;
 }
 
+(* Fixed parameters. [t_low_ns] and [hai_thresh] are the Timely paper's
+   values; [t_high_ns], [ewma_alpha] and [beta] are those of eRPC's Timely
+   implementation. *)
+
+(* Below: additive increase (50 µs). *)
+let t_low_ns = 50_000
+
+(* Above: multiplicative decrease (1 ms). *)
+let t_high_ns = 1_000_000
+
+(* Weight of a new RTT difference in the gradient's moving average. *)
+let ewma_alpha = 0.46
+
+(* Multiplicative-decrease factor. *)
+let beta = 0.26
+
+(* Consecutive non-positive gradients before hyperactive (5x) increase. *)
+let hai_thresh = 5
+
 let create ?(phase = 0) cc ~link_gbps =
   let max_rate = link_gbps *. 1e9 in
   {
@@ -39,7 +58,7 @@ let rate_bps t = t.r.rate_bps
 let uncongested t = t.r.rate_bps >= t.r.max_rate_bps
 let updates t = t.updates
 
-let clamp t rate = Float.min t.r.max_rate_bps (Float.max t.cc.min_rate_bps rate)
+let clamp t rate = Float.min t.r.max_rate_bps (Float.max Config.min_rate_bps rate)
 
 let rec update t ~sample_rtt_ns =
   t.samples_since_update <- t.samples_since_update + 1;
@@ -57,21 +76,21 @@ and run_update t ~sample_rtt_ns =
   if rtt_diff <= 0. then t.neg_gradient_count <- t.neg_gradient_count + 1
   else t.neg_gradient_count <- 0;
   r.avg_rtt_diff <-
-    ((1. -. t.cc.ewma_alpha) *. r.avg_rtt_diff) +. (t.cc.ewma_alpha *. rtt_diff);
+    ((1. -. ewma_alpha) *. r.avg_rtt_diff) +. (ewma_alpha *. rtt_diff);
   let normalized_gradient = r.avg_rtt_diff /. float_of_int t.cc.min_rtt_ns in
   let new_rate =
-    if sample_rtt_ns < t.cc.t_low_ns then r.rate_bps +. t.cc.add_rate_bps
-    else if sample_rtt_ns > t.cc.t_high_ns then
-      r.rate_bps *. (1. -. (t.cc.beta *. (1. -. (float_of_int t.cc.t_high_ns /. sample))))
+    if sample_rtt_ns < t_low_ns then r.rate_bps +. t.cc.add_rate_bps
+    else if sample_rtt_ns > t_high_ns then
+      r.rate_bps *. (1. -. (beta *. (1. -. (float_of_int t_high_ns /. sample))))
     else if normalized_gradient <= 0. then begin
       (* Hyperactive increase after [hai_thresh] consecutive decreases in
          RTT: recover bandwidth quickly once the queue drains. *)
-      let n = if t.neg_gradient_count >= t.cc.hai_thresh then 5. else 1. in
+      let n = if t.neg_gradient_count >= hai_thresh then 5. else 1. in
       r.rate_bps +. (n *. t.cc.add_rate_bps)
     end
     else
       (* One update cuts at most half, as in eRPC's Timely implementation. *)
-      r.rate_bps *. Float.max 0.5 (1. -. (t.cc.beta *. normalized_gradient))
+      r.rate_bps *. Float.max 0.5 (1. -. (beta *. normalized_gradient))
   in
   r.rate_bps <- clamp t new_rate
 

@@ -8,6 +8,12 @@
 
 type t
 
+(** Below this sample RTT a rate update increases additively: 50 µs, the
+    Timely paper's value. The other fixed parameters are constants of the
+    implementation, each naming its source; the rate floor is
+    {!Config.min_rate_bps}. *)
+val t_low_ns : int
+
 (** [phase] staggers the first rate update among sessions. *)
 val create : ?phase:int -> Config.cc -> link_gbps:float -> t
 

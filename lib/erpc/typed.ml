@@ -37,7 +37,7 @@ let alloc_and_write ?(backend = Codec.Compact) c v =
 
 let enqueue_request rpc sess ~req_type ~req_codec ~resp_codec ?backend ?(charge = true)
     ?req_buf ?resp_buf ?resp_max v ~cont =
-  let backend = match backend with Some b -> b | None -> fst (Rpc.codec_mode rpc) in
+  let backend = match backend with Some b -> b | None -> Rpc.codec_backend rpc in
   let n = Codec.encoded_size ~backend req_codec v in
   let req =
     match req_buf with
@@ -94,7 +94,7 @@ let enqueue_request rpc sess ~req_type ~req_codec ~resp_codec ?backend ?(charge 
 (* {2 Server side} *)
 
 let read_request ?backend ?(charge = true) h c =
-  let backend = match backend with Some b -> b | None -> fst (Req_handle.codec_mode h) in
+  let backend = match backend with Some b -> b | None -> Req_handle.codec_backend h in
   let m = Req_handle.get_request h in
   let v = read ~backend c m in
   if charge then
@@ -104,7 +104,7 @@ let read_request ?backend ?(charge = true) h c =
   v
 
 let respond ?backend ?(charge = true) h c v =
-  let backend = match backend with Some b -> b | None -> fst (Req_handle.codec_mode h) in
+  let backend = match backend with Some b -> b | None -> Req_handle.codec_backend h in
   let n = Codec.encoded_size ~backend c v in
   let resp = Req_handle.init_response h ~size:n in
   ignore (Codec.encode ~backend c (Msgbuf.unsafe_bytes resp) (Msgbuf.unsafe_offset resp) v);
@@ -141,7 +141,7 @@ let force v =
       x
 
 let view_request ?(charge = true) h c =
-  let backend = fst (Req_handle.codec_mode h) in
+  let backend = Req_handle.codec_backend h in
   let m = Req_handle.get_request h in
   let v =
     {

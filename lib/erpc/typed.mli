@@ -3,10 +3,9 @@
     Bridges {!Codec} schemas and eRPC msgbufs while preserving the
     zero-copy story: requests encode directly into the TX msgbuf, servers
     decode straight from the RX ring view, and every encode/decode charges
-    the modeled per-field CPU cost (or the NIC-offload cost, under
-    [Config.codec_offload]) to the CPU that would do the work — so typed
-    workloads pay for marshalling in the same currency as the rest of the
-    datapath.
+    the modeled per-field CPU cost to the CPU that would do the work — so
+    typed workloads pay for marshalling in the same currency as the rest
+    of the datapath.
 
     The wire [backend] defaults to the endpoint's [Config.codec_backend]
     everywhere; pass [?backend] to pin one (e.g. legacy compact formats).
@@ -98,8 +97,5 @@ val view_request : ?charge:bool -> Req_handle.t -> 'a Codec.t -> 'a view
 val view_int : 'a view -> leaf:int -> fallback:('a -> int) -> int
 (** Read one integer leaf (charged as one field); [fallback] projects the
     value when the view was decoded eagerly. *)
-
-val force : 'a view -> 'a
-(** The fully decoded value (charged on first call for lazy views). *)
 
 val is_lazy : 'a view -> bool

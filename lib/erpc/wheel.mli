@@ -25,4 +25,3 @@ val insert : t -> now:Sim.Time.t -> at:Sim.Time.t -> int -> unit
 val poll : t -> now:Sim.Time.t -> (int -> unit) -> int
 
 val pending : t -> int
-val horizon_ns : t -> int

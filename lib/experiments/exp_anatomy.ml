@@ -11,7 +11,7 @@ let predictor (cluster : Transport.Cluster.t) =
     (2 * (ser + cfg.cable_ns)) + cfg.switch_latency_ns
 
 let run ?seed ?trace ?(samples = 32) ?(req_size = 32) ?(typed = false)
-    ?(backend = Codec.Compact) ?(offload = false) ?(transport = `Raw_eth) () =
+    ?(backend = Codec.Compact) ?(transport = `Raw_eth) () =
   let cluster = Transport.Cluster.cx5 ~nodes:2 () in
   let cluster =
     match transport with
@@ -21,9 +21,7 @@ let run ?seed ?trace ?(samples = 32) ?(req_size = 32) ?(typed = false)
   let trace =
     match trace with Some tr -> tr | None -> Obs.Trace.create ~capacity:(1 lsl 16) ()
   in
-  let config =
-    { (Erpc.Config.of_cluster cluster) with codec_backend = backend; codec_offload = offload }
-  in
+  let config = { (Erpc.Config.of_cluster cluster) with codec_backend = backend } in
   let config =
     match transport with
     | `Raw_eth -> config

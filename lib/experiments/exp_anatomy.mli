@@ -19,7 +19,7 @@ type result = {
 val predictor : Transport.Cluster.t -> int -> int
 
 (** When [typed] (default false), the echo carries a fixed-width typed
-    schema through {!Erpc.Typed} under [backend] / [offload], so the
+    schema through {!Erpc.Typed} under [backend], so the
     breakdowns gain nonzero serialize/deserialize components.
 
     [transport] selects the datapath under the same workload (the
@@ -35,7 +35,6 @@ val run :
   ?req_size:int ->
   ?typed:bool ->
   ?backend:Codec.backend ->
-  ?offload:bool ->
   ?transport:[ `Raw_eth | `Rdma_rc | `Shm ] ->
   unit ->
   result

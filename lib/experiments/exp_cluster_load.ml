@@ -163,6 +163,7 @@ let run ?(seed = 42L) ?(trace_capacity = 1 lsl 18)
   Sim.Engine.run_until engine (Sim.Time.add t0 (scenario.horizon_ns + settle_ns));
   Array.iter Service.Replica.stop replicas;
   Sim.Engine.run engine;
+  List.iter (violate "netsim: %s") (Netsim.Network.audit (Erpc.Fabric.net d.fabric));
   (* Tail attribution over client-host RPCs (KV front-end + echo; the
      replicas' internal Raft traffic originates below [client_hosts] and is
      excluded so the attribution reflects what tenants experience). *)

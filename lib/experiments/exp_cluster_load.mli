@@ -10,7 +10,7 @@
 
     Outputs per tenant: issued/ok/failed/shed counts and P50/P99/P99.9
     SLO latencies, over the whole run and over the steady state after
-    {!warmup_ns}; how many operations carry each {!Obs.Op} phase tag
+    the 10 ms warmup; how many operations carry each {!Obs.Op} phase tag
     (connect wait, redirect, election, error), before and after the
     warmup; GET and PUT percentiles apart for KV tenants; and an
     availability {!Obs.Timeline}. Per scenario: a
@@ -27,8 +27,8 @@ type tenant_report = {
   offered_rps : float;  (** analytic open-loop offered load *)
   whole : Harness.tally;  (** every operation of the run *)
   steady : Harness.tally option;
-      (** the operations issued or shed {!warmup_ns} or more after the
-          start; [None] when the horizon is shorter than the warmup *)
+      (** the operations issued or shed 10 ms (the warmup) or more after
+          the start; [None] when the horizon is shorter than the warmup *)
   steady_tagged : int array;  (** the steady-state [tagged] counts, in any case *)
   timeline : Obs.Json.t;  (** availability windows with per-window P50/P99 *)
 }
@@ -47,15 +47,13 @@ type result = {
           included ({!Erpc.Rpc_stats.t.issued}) *)
   digest : string;  (** {!Obs.Trace.digest} of the run's event trace *)
   events : int;  (** engine events processed *)
-  violations : string list;  (** empty on a clean run *)
+  violations : string list;
+      (** empty on a clean run; includes the fabric's conservation audit
+          ({!Netsim.Network.audit}) at the end of the run *)
   breakdowns : Obs.Anatomy.breakdown list;
       (** the per-RPC breakdowns behind [attribution], for invariant checks
           (each sums exactly to its end-to-end latency) *)
 }
-
-(** The warmup, 10 ms: operations issued earlier wait on session
-    handshakes to hosts their client had not talked to yet. *)
-val warmup_ns : int
 
 (** [run ~seed scenario] deploys the cluster (6 replica hosts, 2 echo
     servers, 4 client hosts; 4 Raft shards x 3-way replication), boots

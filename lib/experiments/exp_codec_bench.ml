@@ -1,5 +1,5 @@
-(* Codec benchmark ([erpc_sim codec-bench]): per backend x payload schema
-   x offload toggle, measure
+(* Codec benchmark ([erpc_sim codec-bench]): per backend x payload schema,
+   measure
 
    - wall-clock encode/decode ns/op of the codec implementation itself
      (tight loop over a preallocated buffer, [Sys.time]-based), and
@@ -8,19 +8,16 @@
      under that codec configuration.
 
    The wall-clock columns benchmark this repository's code; the modeled
-   columns are the simulator's claim about an eRPC-class implementation.
-   Comparing Compact vs Flat vs offload rows reproduces the ablation shape
-   of Dagger/RPCAcc-style NIC-offloaded serialization studies. *)
+   columns are the simulator's claim about an eRPC-class implementation. *)
 
 type row = {
   backend : string;
   schema : string;
-  offload : bool;
   wire_bytes : int;
   leaves : int;
   encode_ns : float;  (** wall-clock ns per encode *)
   decode_ns : float;  (** wall-clock ns per decode *)
-  model_encode_ns : int;  (** modeled CPU (or offload) charge per encode *)
+  model_encode_ns : int;  (** modeled CPU charge per encode *)
   model_decode_ns : int;
   sim_mrps : float;  (** simulated typed-echo rate under this config *)
 }
@@ -43,15 +40,9 @@ let time_ns_per_op iters f =
   done;
   (Sys.time () -. t0) *. 1e9 /. float_of_int iters
 
-let sim_mrps ~seed ~backend ~offload ~measure_ms (P (_, codec, value)) =
+let sim_mrps ~seed ~backend ~measure_ms (P (_, codec, value)) =
   let cluster = Transport.Cluster.cx5 ~nodes:2 () in
-  let config =
-    {
-      (Erpc.Config.of_cluster cluster) with
-      codec_backend = backend;
-      codec_offload = offload;
-    }
-  in
+  let config = { (Erpc.Config.of_cluster cluster) with codec_backend = backend } in
   let d =
     Harness.deploy ~seed ~config cluster ~threads_per_host:1
       ~register:(Harness.register_typed_echo codec)
@@ -70,8 +61,8 @@ let sim_mrps ~seed ~backend ~offload ~measure_ms (P (_, codec, value)) =
   let after = Harness.driver_completed driver in
   float_of_int (after - before) /. (measure_ms *. 1e-3) /. 1e6
 
-let run_one ?(seed = 1L) ?(iters = 100_000) ?(measure_ms = 2.0)
-    ?(cost = Erpc.Cost_model.default) ~backend ~offload (P (name, codec, value) as p) =
+let run_one ?(seed = 1L) ?(iters = 100_000) ?(measure_ms = 2.0) ~backend
+    (P (name, codec, value) as p) =
   let bytes = Codec.encoded_size ~backend codec value in
   let leaves = Codec.encoded_leaves ~backend codec value in
   let buf = Bytes.make bytes '\000' in
@@ -80,36 +71,25 @@ let run_one ?(seed = 1L) ?(iters = 100_000) ?(measure_ms = 2.0)
   let decode_ns =
     time_ns_per_op iters (fun () -> ignore (Codec.decode ~backend codec buf ~off:0 ~len:bytes))
   in
+  let model ~deser = Erpc.Cost_model.(codec_cost default) ~deser ~backend ~leaves ~bytes in
   {
     backend = Codec.backend_name backend;
     schema = name;
-    offload;
     wire_bytes = bytes;
     leaves;
     encode_ns;
     decode_ns;
-    model_encode_ns = Erpc.Cost_model.codec_cost cost ~deser:false ~backend ~offload ~leaves ~bytes;
-    model_decode_ns = Erpc.Cost_model.codec_cost cost ~deser:true ~backend ~offload ~leaves ~bytes;
-    sim_mrps = sim_mrps ~seed ~backend ~offload ~measure_ms p;
+    model_encode_ns = model ~deser:false;
+    model_decode_ns = model ~deser:true;
+    sim_mrps = sim_mrps ~seed ~backend ~measure_ms p;
   }
 
-let run ?seed ?iters ?measure_ms ?cost () =
+let run ?seed ?iters ?measure_ms () =
   List.concat_map
-    (fun p ->
-      List.concat_map
-        (fun backend ->
-          List.map
-            (fun offload -> run_one ?seed ?iters ?measure_ms ?cost ~backend ~offload p)
-            [ false; true ])
-        backends)
+    (fun p -> List.map (fun backend -> run_one ?seed ?iters ?measure_ms ~backend p) backends)
     schemas
 
-let key r =
-  [
-    ("backend", Obs.Json.Str r.backend);
-    ("schema", Obs.Json.Str r.schema);
-    ("offload", Obs.Json.Bool r.offload);
-  ]
+let key r = [ ("backend", Obs.Json.Str r.backend); ("schema", Obs.Json.Str r.schema) ]
 
 let row_json r =
   Obs.Json.Obj
@@ -128,13 +108,11 @@ let host_json r =
     @ [ ("encode_ns", Obs.Json.Float r.encode_ns); ("decode_ns", Obs.Json.Float r.decode_ns) ])
 
 let pp_table fmt rows =
-  Format.fprintf fmt "%-8s %-8s %-8s %6s %6s %10s %10s %10s %10s %9s@." "backend" "schema"
-    "offload" "bytes" "leaves" "enc ns/op" "dec ns/op" "model enc" "model dec" "sim Mrps";
+  Format.fprintf fmt "%-8s %-8s %6s %6s %10s %10s %10s %10s %9s@." "backend" "schema" "bytes"
+    "leaves" "enc ns/op" "dec ns/op" "model enc" "model dec" "sim Mrps";
   List.iter
     (fun r ->
-      Format.fprintf fmt "%-8s %-8s %-8s %6d %6d %10.1f %10.1f %10d %10d %9.3f@."
-        r.backend r.schema
-        (if r.offload then "on" else "off")
+      Format.fprintf fmt "%-8s %-8s %6d %6d %10.1f %10.1f %10d %10d %9.3f@." r.backend r.schema
         r.wire_bytes r.leaves r.encode_ns r.decode_ns r.model_encode_ns r.model_decode_ns
         r.sim_mrps)
     rows

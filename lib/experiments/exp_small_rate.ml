@@ -100,19 +100,17 @@ let factor_analysis ?seed ?measure_ms () =
   in
   (* Typed-serialization rows: not cumulative with the steps above — each
      re-runs the full-optimization baseline with schema-driven requests
-     (the fixed-width 24 B schema) under the named codec configuration,
+     (the fixed-width 24 B schema) under the named codec backend,
      isolating the datapath cost of typed (de)serialization. *)
   let codec_rows =
     let payload = Harness.Typed (Harness.schema_fixed, Harness.value_fixed) in
     List.map
-      (fun (label, codec_backend, codec_offload) ->
-        let config = { base with codec_backend; codec_offload } in
+      (fun (label, codec_backend) ->
+        let config = { base with codec_backend } in
         (label, run ?seed ~config ?measure_ms ~payload ~cluster ~batch:3 ()))
       [
-        ("Typed codec: compact backend", Codec.Compact, false);
-        ("Typed codec: flat backend", Codec.Flat, false);
-        ("Typed codec: compact + NIC offload", Codec.Compact, true);
-        ("Typed codec: flat + NIC offload", Codec.Flat, true);
+        ("Typed codec: compact backend", Codec.Compact);
+        ("Typed codec: flat backend", Codec.Flat);
       ]
   in
   (* Transport rows: also non-cumulative — the full-optimization baseline

@@ -6,7 +6,7 @@
     issued in batches of [batch] to uniformly random remote threads.
     [payload] (default: 32 B echoes) picks what every request carries; a
     {!Harness.Typed} payload runs the same mesh with serialization on the
-    datapath, under [config]'s codec backend and offload toggle. *)
+    datapath, under [config]'s codec backend. *)
 
 type result = {
   per_thread_mrps : float;  (** client request rate per thread *)
@@ -46,10 +46,9 @@ val run_fasst :
 (** Table 3 factor analysis on CX4 with B=3: optimizations disabled
     cumulatively, in the paper's order, starting with the baseline.
     Extended with non-cumulative "Typed codec" rows (the baseline re-run
-    with typed requests under each codec backend, with and without NIC
-    offload) and "Transport" rows (the baseline on the RDMA RC datapath,
-    and on a pairwise-colocated cluster where the shared-memory transport
-    carries the intra-host share of the mesh). Returns (label, result)
-    rows. *)
+    with typed requests under each codec backend) and "Transport" rows
+    (the baseline on the RDMA RC datapath, and on a pairwise-colocated
+    cluster where the shared-memory transport carries the intra-host share
+    of the mesh). Returns (label, result) rows. *)
 val factor_analysis :
   ?seed:int64 -> ?measure_ms:float -> unit -> (string * result) list

@@ -69,7 +69,7 @@ let connect d rpc ~remote_host ~remote_rpc_id =
    Schema-driven counterparts of the echo workload, for exercising the
    codec backends end-to-end: the server decodes the request and re-encodes
    it as the response, charging modeled (de)serialization cost per the
-   endpoint's [Config.codec_backend] / [codec_offload]. *)
+   endpoint's [Config.codec_backend]. *)
 
 let typed_echo_req_type = 2
 
@@ -117,7 +117,7 @@ let erpc_send ?(payload = Echo { req_size = 32; resp_size = 32 }) ?req_type ?pre
     match payload with
     | Echo { req_size; resp_size } -> (echo_req_type, max 1 req_size, max 1 resp_size)
     | Typed (codec, value) ->
-        let backend = fst (Erpc.Rpc.codec_mode (fst endpoints.(0))) in
+        let backend = Erpc.Rpc.codec_backend (fst endpoints.(0)) in
         let n = Codec.encoded_size ~backend codec value in
         (typed_echo_req_type, n, n)
   in

@@ -44,7 +44,7 @@ val connect :
     Schema-driven counterparts of the echo workload: the server decodes
     the request and re-encodes it as the response through {!Erpc.Typed},
     charging modeled (de)serialization per the endpoint's configured codec
-    backend and offload toggle. *)
+    backend. *)
 
 (** Benchmark schemas, both flat-capable: [schema_fixed] is all
     fixed-width (24 wire bytes, 3 leaves); [schema_var] carries a

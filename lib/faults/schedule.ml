@@ -45,11 +45,6 @@ let num_kinds t =
 
 let sort t = List.stable_sort (fun a b -> compare a.at_ns b.at_ns) t
 
-let pp_event fmt ev = Format.fprintf fmt "@%d %s" ev.at_ns (fault_to_string ev.fault)
-
-let pp fmt t =
-  Format.pp_print_list ~pp_sep:Format.pp_print_newline pp_event fmt (sort t)
-
 (* Random schedule generation. Every draw comes from one splitmix64 stream
    seeded by [seed], so the schedule is a pure function of its arguments —
    rerunning a seed reproduces the exact fault sequence. Durations are kept

@@ -35,8 +35,6 @@ val num_kinds : t -> int
 (** Stable sort by injection time. *)
 val sort : t -> t
 
-val pp : Format.formatter -> t -> unit
-
 (** [random ~seed ~horizon_ns ~events ~hosts ~tors] draws [events] faults
     with injection times in the first three quarters of [horizon_ns] and
     durations at most an eighth of it (so the run can quiesce). The result

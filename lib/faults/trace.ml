@@ -14,12 +14,6 @@ let create ?(capacity = 1 lsl 16) () = Obs.Trace.create ~capacity ()
 let record t ~at_ns msg =
   Obs.Trace.instant t ~ts:at_ns ~cat:"faults" ~name:msg ~pid:0 ~tid:0 []
 
-let entries t =
-  List.filter_map
-    (fun (e : Obs.Trace.ev) ->
-      if e.cat = "faults" then Some (e.ts, e.name) else None)
-    (Obs.Trace.events t)
-
 let length t =
   let n = ref 0 in
   Obs.Trace.iter t (fun e -> if e.cat = "faults" then incr n);
@@ -36,5 +30,3 @@ let to_string t =
       end);
   Buffer.contents buf
 
-let pp fmt t =
-  List.iter (fun (at, msg) -> Format.fprintf fmt "%d %s@." at msg) (entries t)

@@ -20,10 +20,6 @@ val record : t -> at_ns:int -> string -> unit
 val length : t -> int
 (** Number of fault entries (other categories are not counted). *)
 
-(** Fault entries in recording order. *)
-val entries : t -> (int * string) list
-
 (** Canonical one-entry-per-line rendering, used for byte equality. *)
 val to_string : t -> string
 
-val pp : Format.formatter -> t -> unit

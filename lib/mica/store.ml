@@ -60,8 +60,6 @@ let get t ~key =
   let idx = fnv1a key land t.mask in
   match find_cell t.table.(idx) key with Some c -> Some c.value | None -> None
 
-let mem t ~key = get t ~key <> None
-
 let delete t ~key =
   let idx = fnv1a key land t.mask in
   let rec remove = function

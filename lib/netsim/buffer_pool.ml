@@ -17,10 +17,8 @@ let create ~capacity_bytes ~alpha =
   assert (capacity_bytes > 0 && alpha > 0.);
   { capacity = capacity_bytes; alpha; used = 0; max_used = 0; pending = Array.make 16 0; n_pending = 0 }
 
-let capacity t = t.capacity
 let used t = t.used
 let free t = t.capacity - t.used
-let alpha t = t.alpha
 
 let admit ?(force = false) t ~port_queued_bytes ~size =
   let threshold = t.alpha *. float_of_int (free t) in

@@ -11,10 +11,8 @@ type t
 
 val create : capacity_bytes:int -> alpha:float -> t
 
-val capacity : t -> int
 val used : t -> int
 val free : t -> int
-val alpha : t -> float
 
 (** [admit t ~port_queued_bytes ~size] applies DT admission: accept iff the
     port's post-enqueue occupancy stays below [alpha * free] and the pool

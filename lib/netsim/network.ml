@@ -355,8 +355,6 @@ let tor_downlink_port t ~host =
   let h = t.hosts.(host) in
   Switch.port h.tor h.tor_downlink
 
-let switches t = t.switch_list
-
 let fabric_drops t =
   List.fold_left (fun acc sw -> acc + Switch.dropped_packets sw) 0 t.switch_list
 

@@ -129,9 +129,6 @@ val host_tor_index : t -> host:int -> int
 (** The ToR egress port facing [host] — where incast queueing happens. *)
 val tor_downlink_port : t -> host:int -> Port.t
 
-(** All switches, for drop/buffer statistics. *)
-val switches : t -> Switch.t list
-
 (** Total packets dropped in the fabric by buffer admission. *)
 val fabric_drops : t -> int
 

@@ -122,6 +122,7 @@ let create engine ~packets ~name ~rate_gbps ~extra_delay_ns ?pool ?ecn ?(lossles
     }
   in
   t.arrive <- Sim.Engine.handler engine ~layer:Link (fun h -> sink (Packet.get packets h));
+  Obs.Trace.on_read trace (fun () -> settle t ~before:(Sim.Engine.now engine));
   let m = Sim.Engine.metrics engine in
   let labels = [ ("port", name) ] in
   Obs.Metrics.counter m ~name:"port.tx_pkts" ~labels (fun () -> tx_packets t);
@@ -218,7 +219,6 @@ let pool t = t.pool
 
 let queue_delay t = Sim.Time.of_bytes_at_gbps (queued_bytes t) t.rate_gbps
 
-let rate_gbps t = t.rate_gbps
 let dropped_packets t = t.dropped_packets
 let dropped_bytes t = t.dropped_bytes
 let pause_events t = t.pause_events

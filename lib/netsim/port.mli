@@ -21,7 +21,9 @@
     {!audit}) count departures through [T] without consuming the ones at
     [T]. With tracing on, a departure's queue sample is emitted when it
     settles, stamped with its departure time, and carries [queued_bytes]
-    only: by then the shared pool may hold later admissions. *)
+    only: by then the shared pool may hold later admissions. Every read
+    of the trace settles the port first ({!Obs.Trace.on_read}), so a
+    written or digested trace holds every departure before [now]. *)
 
 type t
 
@@ -61,8 +63,6 @@ val queued_bytes : t -> int
 (** Queueing delay a packet enqueued now would experience before its own
     serialization starts. *)
 val queue_delay : t -> Sim.Time.t
-
-val rate_gbps : t -> float
 
 (** Statistics *)
 

@@ -68,9 +68,6 @@ let access t conn =
       t.size <- t.size + 1;
       false
 
-let hits t = t.hits
-let misses t = t.misses
-
 let miss_ratio t =
   let total = t.hits + t.misses in
   if total = 0 then 0. else float_of_int t.misses /. float_of_int total

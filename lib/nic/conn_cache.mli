@@ -17,8 +17,6 @@ val create_default : unit -> t
 (** [access t conn] touches connection [conn]; returns [true] on hit. *)
 val access : t -> int -> bool
 
-val hits : t -> int
-val misses : t -> int
 val miss_ratio : t -> float
 val resident : t -> int
 val reset_stats : t -> unit

@@ -37,10 +37,6 @@ type breakdown = {
   client_rx_ns : int;  (** remaining client software from NIC rx to completion *)
 }
 
-val kind_req : int
-val kind_resp : int
-(** Packet-kind codes carried in "pkt info" trace events. *)
-
 val analyze : wire_ns:(int -> int) -> Trace.ev list -> breakdown list
 (** [analyze ~wire_ns evs] joins packet, NIC, network, wheel, and sslot
     events into per-request breakdowns, sorted by (host, sn, req).

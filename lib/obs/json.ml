@@ -26,11 +26,6 @@ let escape_to buf s =
       | c -> Buffer.add_char buf c)
     s
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  escape_to buf s;
-  Buffer.contents buf
-
 (* Floats print via %.6g: enough precision for rates and microseconds,
    deterministic for a given value, and always a valid JSON number (%.6g
    never produces "nan"/"inf" for the finite values we emit). *)

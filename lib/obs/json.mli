@@ -15,9 +15,6 @@ type t =
 
 val to_string : t -> string
 
-val escape : string -> string
-(** JSON string-escape (no surrounding quotes). *)
-
 val escape_to : Buffer.t -> string -> unit
 
 val float_repr : float -> string

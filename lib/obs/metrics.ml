@@ -96,30 +96,6 @@ let max_gauge t ~name =
       | _ -> acc)
     0. t.entries
 
-let pp_labels fmt labels =
-  if labels <> [] then begin
-    Format.fprintf fmt "{";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Format.fprintf fmt ",";
-        Format.fprintf fmt "%s=%s" k v)
-      labels;
-    Format.fprintf fmt "}"
-  end
-
-let pp fmt t =
-  List.iter
-    (fun s ->
-      Format.fprintf fmt "%s%a " s.s_name pp_labels s.s_labels;
-      (match s.s_value with
-      | Sample_counter n -> Format.fprintf fmt "%d" n
-      | Sample_gauge g -> Format.fprintf fmt "%g" g
-      | Sample_hist h ->
-          Format.fprintf fmt "n=%d mean=%.1f p50=%d p99=%d max=%d" h.count
-            h.mean h.p50 h.p99 h.max);
-      Format.fprintf fmt "@.")
-    (snapshot t)
-
 let to_json t =
   Json.Arr
     (List.map

@@ -38,7 +38,4 @@ val max_gauge : t -> name:string -> float
 (** Maximum current value over all gauges registered under [name]
     (0 if none). *)
 
-val pp : Format.formatter -> t -> unit
-(** One line per sample: [name{k=v,...} value]. *)
-
 val to_json : t -> Json.t

@@ -28,7 +28,6 @@ let fail t ~at_ns =
   let i = slot t at_ns in
   t.fails.(i) <- t.fails.(i) + 1
 
-let window_ns t = t.window_ns
 let num_windows t = Array.length t.oks
 let is_gap t i = t.oks.(i) = 0 && t.fails.(i) > 0
 

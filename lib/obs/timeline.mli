@@ -25,8 +25,6 @@ val ok : t -> at_ns:int -> latency_ns:int -> unit
 (** A failed operation (error or deadline exceeded) at [at_ns]. *)
 val fail : t -> at_ns:int -> unit
 
-val window_ns : t -> int
-
 (** Number of windows with at least one attempt but zero successes —
     the blackout count an availability SLO bounds. *)
 val gaps : t -> int

@@ -39,6 +39,7 @@ type t = {
   mutable procs : (int * string) list;  (* insertion order *)
   mutable tracks : (int * int * string) list;  (* pid, tid, name; in order *)
   mutable next_tid : (int * int) list;  (* per-pid tid allocator *)
+  mutable settlers : (unit -> unit) list;  (* newest first *)
 }
 
 let dummy_ev =
@@ -55,6 +56,7 @@ let create ?(capacity = 1 lsl 20) () =
     procs = [];
     tracks = [];
     next_tid = [];
+    settlers = [];
   }
 
 (* The one trace every engine starts with; recording into it is a no-op. *)
@@ -117,7 +119,11 @@ let register_track t ~pid name =
     tid
   end
 
+let on_read t f = if t.capacity > 0 then t.settlers <- f :: t.settlers
+let settle t = List.iter (fun f -> f ()) (List.rev t.settlers)
+
 let events t =
+  settle t;
   let out = ref [] in
   for i = t.len - 1 downto 0 do
     let idx = (t.head - t.len + i + (2 * t.capacity)) mod t.capacity in
@@ -126,6 +132,7 @@ let events t =
   !out
 
 let iter t f =
+  settle t;
   for i = 0 to t.len - 1 do
     let idx = (t.head - t.len + i + (2 * t.capacity)) mod t.capacity in
     f t.buf.(idx)
@@ -148,6 +155,7 @@ let digest t =
     mix_char '|'
   in
   let buf = Buffer.create 64 in
+  settle t;
   mix_int t.dropped;
   iter t (fun e ->
       mix_int e.ts;

@@ -85,6 +85,13 @@ val register_track : t -> pid:int -> string -> int
 (** Allocate and name a thread track under [pid]; returns the tid.
     Allocation order is deterministic (1, 2, ... per pid). *)
 
+val on_read : t -> (unit -> unit) -> unit
+(** [on_read t f] runs [f] at the start of every read of [t] ({!events},
+    {!iter}, {!digest}, {!to_chrome_string}), in registration order. A
+    layer that records some events lazily (a port's departure samples,
+    emitted when the departure settles) registers the function that
+    records what is due, so no read misses them. A no-op on {!disabled}. *)
+
 val events : t -> ev list
 (** Buffered events, oldest first. *)
 

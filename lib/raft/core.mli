@@ -50,9 +50,6 @@ val default_config : config
     (commit index, role, leadership) rebuilt through the protocol. *)
 type 'cmd stable
 
-(** Fresh, empty stable storage (term 0, no vote, empty log). *)
-val stable : unit -> 'cmd stable
-
 type 'cmd t
 
 (** [create ~id ~peers cfg ~send ~apply ~random] — [send dst msg] transmits

@@ -61,13 +61,11 @@ type t = {
 }
 
 let host t = t.host
-let rpc t = t.rpc
 let shards t = Array.to_list (Array.map (fun st -> st.shard) t.shard_states)
 let commit_latencies t = t.commit_lat
 let raft_drops t = t.raft_drops
 let dedup_hits t = t.dedup_hits
 let restarts t = t.restarts
-let incarnation t = t.incarnation
 let set_on_apply t f = t.on_apply <- f
 let stop t = t.stopped <- true
 

@@ -43,7 +43,6 @@ val create :
   t
 
 val host : t -> int
-val rpc : t -> Erpc.Rpc.t
 
 (** Shards this node replicates, ascending. *)
 val shards : t -> int list
@@ -68,9 +67,6 @@ val dedup_hits : t -> int
 
 (** Crash-restart cycles this node has been through. *)
 val restarts : t -> int
-
-(** Monotone incarnation number: 0 at boot, +1 per restart. *)
-val incarnation : t -> int
 
 (** Observer invoked on every *effective* store application (duplicates
     excluded), with the incarnation that performed it — chaos harnesses

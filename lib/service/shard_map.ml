@@ -12,7 +12,6 @@ let create ~shards ~replication ~replica_hosts =
   { shards; replication; replica_hosts; leaders = Array.make shards None }
 
 let shards t = t.shards
-let replication t = t.replication
 let replica_hosts t = t.replica_hosts
 
 let group t ~shard =

@@ -19,7 +19,6 @@ type t
 val create : shards:int -> replication:int -> replica_hosts:int array -> t
 
 val shards : t -> int
-val replication : t -> int
 
 (** All replica hosts, in ring order. *)
 val replica_hosts : t -> int array

@@ -9,7 +9,6 @@ type t = {
 let create engine ~name =
   { engine; name; next_free = Engine.now engine; busy = 0; stats_epoch = Engine.now engine }
 
-let name t = t.name
 let next_free t = t.next_free
 
 let start_slice t =

@@ -9,8 +9,6 @@ type t
 
 val create : Engine.t -> name:string -> t
 
-val name : t -> string
-
 (** Earliest time at which new work may start. *)
 val next_free : t -> Time.t
 

@@ -126,8 +126,6 @@ let run_next t horizon =
     true
   end
 
-let step t = run_next t max_int
-
 let run_until t horizon =
   while run_next t horizon do
     ()

@@ -81,10 +81,6 @@ val reserve_seq : t -> int
     executing. *)
 val post_seq : t -> Time.t -> int -> handler -> int -> unit
 
-(** Execute the single earliest event. Returns [false] when no events
-    remain. *)
-val step : t -> bool
-
 (** Run until the event queue is empty. *)
 val run : t -> unit
 

@@ -18,8 +18,6 @@ let of_bytes_at_gbps bytes gbps =
   let bits = float_of_int (bytes * 8) in
   int_of_float (ceil (bits /. gbps))
 
-let compare = Int.compare
-
 let pp fmt t =
   if t < 1_000 then Format.fprintf fmt "%d ns" t
   else if t < 1_000_000 then Format.fprintf fmt "%.2f us" (to_us t)

@@ -23,5 +23,4 @@ val sub : t -> t -> t
     nanosecond. *)
 val of_bytes_at_gbps : int -> float -> t
 
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit

@@ -116,6 +116,11 @@ let bursty_mixed ?(scale = 1.0) ?(horizon_ms = 100.0) () =
       ];
   }
 
+(* "local-mesh": a microservice-mesh echo tenant plus a KV tenant. The
+   cluster-load experiment colocates part of the client tier with the echo
+   servers for this scenario, so echo sessions split between the
+   intra-host shared-memory transport and the wire while KV traffic stays
+   fully remote. *)
 let local_mesh ?(scale = 1.0) ?(horizon_ms = 100.0) () =
   {
     sname = "local-mesh";

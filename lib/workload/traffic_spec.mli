@@ -51,13 +51,6 @@ val offered_rps : tenant -> float
     requests collide with the small-RPC tail. *)
 val bursty_mixed : ?scale:float -> ?horizon_ms:float -> unit -> scenario
 
-(** "local-mesh": a microservice-mesh echo tenant plus a KV tenant. The
-    cluster-load experiment colocates part of the client tier with the
-    echo servers for this scenario, so echo sessions split between the
-    intra-host shared-memory transport and the wire while KV traffic
-    stays fully remote. *)
-val local_mesh : ?scale:float -> ?horizon_ms:float -> unit -> scenario
-
 val builtin : (string * (?scale:float -> ?horizon_ms:float -> unit -> scenario)) list
 
 (** Look up a builtin by scenario name. *)

@@ -1,7 +1,7 @@
 (* Tests for the schema/codec layer: per-backend roundtrips, golden wire
    bytes (the service's frozen formats), strict prefix/corruption fuzzing,
-   typed msgbuf integration, and typed RPC end-to-end (flat backend and
-   NIC-offload included). *)
+   typed msgbuf integration, and typed RPC end-to-end (flat backend
+   included). *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -664,9 +664,9 @@ let test_alloc_and_write () =
 let sum_req_codec = Codec.(pair (bounded_string 8) (list u32))
 let sum_resp_codec = Codec.u64
 
-let run_sum_rpc ?config () =
+let run_sum_rpc () =
   let cluster = Transport.Cluster.cx5 ~nodes:2 () in
-  let fabric = Erpc.Fabric.create ?config cluster in
+  let fabric = Erpc.Fabric.create cluster in
   let nx0 = Erpc.Nexus.create fabric ~host:0 () in
   let nx1 = Erpc.Nexus.create fabric ~host:1 () in
   Erpc.Nexus.register_handler nx1 ~req_type:5 ~mode:Erpc.Nexus.Dispatch (fun h ->
@@ -690,13 +690,6 @@ let test_typed_rpc_over_erpc () =
   match run_sum_rpc () with
   | Ok sum -> check_int "typed RPC answer" 15 sum
   | Error e -> Alcotest.failf "typed RPC failed: %s" (Erpc.Err.to_string e)
-
-let test_typed_rpc_offload () =
-  let cluster = Transport.Cluster.cx5 ~nodes:2 () in
-  let config = { (Erpc.Config.of_cluster cluster) with codec_offload = true } in
-  match run_sum_rpc ~config () with
-  | Ok sum -> check_int "offloaded answer" 15 sum
-  | Error e -> Alcotest.failf "offloaded RPC failed: %s" (Erpc.Err.to_string e)
 
 (* Flat backend end-to-end, including lazy per-leaf access on the server:
    the handler touches two of the three fields and responds from them. *)
@@ -759,7 +752,6 @@ let suite =
     Alcotest.test_case "typed write + checksum" `Quick test_typed_write_checksum_compose;
     Alcotest.test_case "alloc_and_write" `Quick test_alloc_and_write;
     Alcotest.test_case "typed RPC over eRPC" `Quick test_typed_rpc_over_erpc;
-    Alcotest.test_case "typed RPC offloaded" `Quick test_typed_rpc_offload;
     Alcotest.test_case "typed RPC flat lazy" `Quick test_typed_rpc_flat_lazy;
     Alcotest.test_case "golden prefixes raise" `Quick test_golden_prefixes_raise;
     Alcotest.test_case "golden appended byte raises" `Quick test_golden_appended_byte_raises;

@@ -4,21 +4,19 @@
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let cc () = { (Erpc.Config.default_cc ~min_rtt_ns:5_000) with algo = Erpc.Config.Dcqcn }
-
 let test_starts_at_line_rate () =
-  let d = Erpc.Dcqcn.create (cc ()) ~link_gbps:25.0 in
+  let d = Erpc.Dcqcn.create ~link_gbps:25.0 in
   check_bool "uncongested" true (Erpc.Dcqcn.uncongested d);
   Alcotest.(check (float 1.0)) "rate" 25e9 (Erpc.Dcqcn.rate_bps d)
 
 let test_mark_cuts_rate () =
-  let d = Erpc.Dcqcn.create (cc ()) ~link_gbps:25.0 in
+  let d = Erpc.Dcqcn.create ~link_gbps:25.0 in
   Erpc.Dcqcn.on_ack d ~marked:true ~now_ns:100_000;
   check_bool "rate cut" true (Erpc.Dcqcn.rate_bps d < 25e9);
   check_int "one cut" 1 (Erpc.Dcqcn.cuts d)
 
 let test_cut_rate_limited_by_cnp_interval () =
-  let d = Erpc.Dcqcn.create (cc ()) ~link_gbps:25.0 in
+  let d = Erpc.Dcqcn.create ~link_gbps:25.0 in
   (* Many marks within one CNP interval: only one cut. *)
   for i = 0 to 9 do
     Erpc.Dcqcn.on_ack d ~marked:true ~now_ns:(100_000 + (i * 1_000))
@@ -28,7 +26,7 @@ let test_cut_rate_limited_by_cnp_interval () =
   check_int "next interval cuts again" 2 (Erpc.Dcqcn.cuts d)
 
 let test_recovers_without_marks () =
-  let d = Erpc.Dcqcn.create (cc ()) ~link_gbps:25.0 in
+  let d = Erpc.Dcqcn.create ~link_gbps:25.0 in
   for i = 0 to 4 do
     Erpc.Dcqcn.on_ack d ~marked:true ~now_ns:(100_000 + (i * 60_000))
   done;
@@ -42,7 +40,7 @@ let test_recovers_without_marks () =
   check_bool "recovered to line rate" true (Erpc.Dcqcn.uncongested d)
 
 let test_repeated_marks_cut_deeper () =
-  let d = Erpc.Dcqcn.create (cc ()) ~link_gbps:25.0 in
+  let d = Erpc.Dcqcn.create ~link_gbps:25.0 in
   Erpc.Dcqcn.on_ack d ~marked:true ~now_ns:100_000;
   let after_one = Erpc.Dcqcn.rate_bps d in
   for i = 1 to 5 do

@@ -181,7 +181,7 @@ let test_double_response_raises () =
                 incr second_raised))
   in
   let sess = connect fabric client in
-  let total = 3 * (Erpc.Fabric.config fabric).req_window in
+  let total = 3 * Erpc.Config.req_window in
   let completed = ref 0 in
   for i = 0 to total - 1 do
     let req = Erpc.Msgbuf.alloc ~max_size:4 in
@@ -220,7 +220,7 @@ let test_stored_handle_answers_own_request () =
   in
   let parked_answer = ref None in
   send 1000 (fun v marker -> parked_answer := Some (v, marker));
-  let others = 5 * (Erpc.Fabric.config fabric).req_window in
+  let others = 5 * Erpc.Config.req_window in
   let completed = ref 0 in
   for i = 0 to others - 1 do
     send i (fun v _ ->

@@ -183,28 +183,28 @@ let test_worker_init_response_charges_worker () =
   in
   check_int "dispatch busy time independent of response preallocation" (busy true) (busy false)
 
-let sum_codec = Codec.(list u32)
+(* A schema both backends encode, with different per-field charges. *)
+let codec = Experiments.Harness.schema_fixed
 
 let issue_typed client sess k =
-  Erpc.Typed.enqueue_request client sess ~req_type:long_req ~req_codec:sum_codec
-    ~resp_codec:Codec.u64 (List.init 32 Fun.id) ~cont:(fun r -> k (Result.is_ok r))
+  Erpc.Typed.enqueue_request client sess ~req_type:long_req ~req_codec:codec ~resp_codec:codec
+    Experiments.Harness.value_fixed ~cont:(fun r -> k (Result.is_ok r))
 
 (* Typed handlers charge their codec work to the thread they run on: in
-   Worker mode the dispatch CPU never sees it, in Dispatch mode it does. *)
+   Worker mode the dispatch CPU never sees it, in Dispatch mode it does.
+   The knob is the codec backend, whose per-field charges differ. *)
 let test_typed_worker_codec_charges_worker () =
-  let busy mode offload =
+  let busy mode codec_backend =
     server_dispatch_busy
-      ~config:(fun c -> { c with Erpc.Config.codec_offload = offload })
+      ~config:(fun c -> { c with Erpc.Config.codec_backend })
       ~mode
-      (fun h ->
-        let xs = Erpc.Typed.read_request h sum_codec in
-        Erpc.Typed.respond h Codec.u64 (List.fold_left ( + ) 0 xs))
+      (fun h -> Erpc.Typed.respond h codec (Erpc.Typed.read_request h codec))
       issue_typed
   in
-  check_int "worker: dispatch busy time independent of codec offload"
-    (busy Erpc.Nexus.Worker false) (busy Erpc.Nexus.Worker true);
-  check_bool "dispatch: codec offload changes dispatch busy time" true
-    (busy Erpc.Nexus.Dispatch false <> busy Erpc.Nexus.Dispatch true)
+  check_int "worker: dispatch busy time independent of codec backend"
+    (busy Erpc.Nexus.Worker Codec.Compact) (busy Erpc.Nexus.Worker Codec.Flat);
+  check_bool "dispatch: codec backend changes dispatch busy time" true
+    (busy Erpc.Nexus.Dispatch Codec.Compact <> busy Erpc.Nexus.Dispatch Codec.Flat)
 
 let suite =
   [

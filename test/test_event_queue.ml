@@ -579,7 +579,7 @@ let test_queue_depth_bounded () =
   sample ();
   Experiments.Harness.run_ms d 6.0;
   let completed = Experiments.Harness.total_completed d in
-  let sessions = 3 and window = (Erpc.Fabric.config d.fabric).req_window in
+  let sessions = 3 and window = Erpc.Config.req_window in
   Alcotest.(check bool)
     (Printf.sprintf "ran well past rto_ns (%d completed)" completed)
     true

@@ -158,8 +158,8 @@ let test_cluster_load_deterministic () =
 let test_typed_small_rate_pinned () =
   let cluster = Transport.Cluster.cx4 ~nodes:11 () in
   List.iter
-    (fun (name, codec_backend, codec_offload, expect) ->
-      let config = { (Erpc.Config.of_cluster cluster) with codec_backend; codec_offload } in
+    (fun (name, codec_backend, expect) ->
+      let config = { (Erpc.Config.of_cluster cluster) with codec_backend } in
       let r =
         Experiments.Exp_small_rate.run ~config
           ~payload:
@@ -169,12 +169,7 @@ let test_typed_small_rate_pinned () =
       in
       Alcotest.(check int) (name ^ " total_rpcs") expect r.total_rpcs;
       Alcotest.(check int) (name ^ " retransmits") 0 r.retransmits)
-    [
-      ("compact", Codec.Compact, false, 16_728);
-      ("flat", Codec.Flat, false, 20_904);
-      ("compact + offload", Codec.Compact, true, 14_482);
-      ("flat + offload", Codec.Flat, true, 14_482);
-    ]
+    [ ("compact", Codec.Compact, 16_728); ("flat", Codec.Flat, 20_904) ]
 
 (* A closed-loop driver with a count issues exactly [n] requests and
    never has more than [window] in flight. A window-1 driver is a

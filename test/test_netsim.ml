@@ -237,6 +237,40 @@ let test_two_tier_port_hops () =
   let tx = List.fold_left (fun acc p -> acc + Netsim.Port.tx_packets p) 0 (Netsim.Network.ports net) in
   check_int "port tx packets = path hops" !hops tx
 
+(* A port records a departure's trace sample only when the departure
+   settles, and at quiescence nothing admits again to settle the last
+   ones: reading the trace must settle them. Read the trace before any
+   port counter, since a counter read settles too. *)
+let test_trace_holds_every_departure () =
+  let e = Sim.Engine.create () in
+  let tr = Obs.Trace.create ~capacity:(1 lsl 16) () in
+  Sim.Engine.set_trace e tr;
+  let net = Netsim.Network.create e (two_tier_cfg ~hosts_per_tor:2) in
+  let n = Netsim.Network.num_hosts net in
+  for h = 0 to n - 1 do
+    Netsim.Network.attach net ~host:h ~rx:Netsim.Packet.free
+  done;
+  for src = 0 to n - 1 do
+    for dst = 0 to n - 1 do
+      if src <> dst then Netsim.Network.send net (mk_pkt ~src ~dst ~flow:((src * n) + dst) ())
+    done
+  done;
+  Sim.Engine.run e;
+  let samples = Hashtbl.create 16 in
+  Obs.Trace.iter tr (fun ev ->
+      match (ev.phase, ev.args) with
+      | Obs.Trace.Counter, [ ("queued_bytes", _) ] ->
+          Hashtbl.replace samples ev.name
+            (1 + Option.value ~default:0 (Hashtbl.find_opt samples ev.name))
+      | _ -> ());
+  List.iter
+    (fun p ->
+      let name = Netsim.Port.name p in
+      check_int (name ^ " departure samples")
+        (Netsim.Port.tx_packets p)
+        (Option.value ~default:0 (Hashtbl.find_opt samples name)))
+    (Netsim.Network.ports net)
+
 (* The tie rules of a closed-form port. 1000 B at 8 Gbps leave 1000 ns
    after admission. An admission at that very nanosecond still sees them
    queued (here: the pool is too full to admit), while a read then
@@ -429,6 +463,7 @@ let suite =
     Alcotest.test_case "two-tier all pairs" `Quick test_two_tier_all_pairs;
     Alcotest.test_case "two-tier same_tor" `Quick test_two_tier_same_tor;
     Alcotest.test_case "two-tier port hops and audit" `Quick test_two_tier_port_hops;
+    Alcotest.test_case "trace holds every departure" `Quick test_trace_holds_every_departure;
     Alcotest.test_case "port departure ties" `Quick test_port_departure_ties;
     Alcotest.test_case "pool timed releases" `Quick test_pool_timed_releases;
     Alcotest.test_case "cross-ToR latency" `Quick test_cross_tor_slower_than_same_tor;

@@ -38,7 +38,7 @@ let test_min_rate_clamp () =
   for i = 1 to 10_000 do
     Erpc.Timely.update t ~sample_rtt_ns:(3_000_000 + (i * 1_000))
   done;
-  check_bool "clamped at min rate" true (Erpc.Timely.rate_bps t >= (cc ()).min_rate_bps)
+  check_bool "clamped at min rate" true (Erpc.Timely.rate_bps t >= Erpc.Config.min_rate_bps)
 
 let test_recovery_after_congestion () =
   let t = Erpc.Timely.create (cc ()) ~link_gbps:25.0 in

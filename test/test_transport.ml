@@ -76,14 +76,14 @@ let test_cc_bypass_predicate () =
   let cc = Erpc.Config.default_cc ~min_rtt_ns:5_000 in
   let t = Erpc.Cc.create cc ~link_gbps:25.0 in
   check_bool "uncongested low RTT bypassable" true
-    (Erpc.Cc.bypassable t ~rtt_ns:10_000 ~marked:false ~t_low_ns:50_000);
+    (Erpc.Cc.bypassable t ~rtt_ns:10_000 ~marked:false);
   check_bool "high RTT not bypassable" false
-    (Erpc.Cc.bypassable t ~rtt_ns:90_000 ~marked:false ~t_low_ns:50_000);
+    (Erpc.Cc.bypassable t ~rtt_ns:90_000 ~marked:false);
   let d = Erpc.Cc.create { cc with algo = Erpc.Config.Dcqcn } ~link_gbps:25.0 in
   check_bool "unmarked bypassable for DCQCN" true
-    (Erpc.Cc.bypassable d ~rtt_ns:90_000 ~marked:false ~t_low_ns:50_000);
+    (Erpc.Cc.bypassable d ~rtt_ns:90_000 ~marked:false);
   check_bool "marked not bypassable" false
-    (Erpc.Cc.bypassable d ~rtt_ns:10_000 ~marked:true ~t_low_ns:50_000)
+    (Erpc.Cc.bypassable d ~rtt_ns:10_000 ~marked:true)
 
 let test_config_min_rtt_reasonable () =
   List.iter
