@@ -67,13 +67,11 @@ type t = {
 
 (* {2 Trace hooks (observe-only; call sites guard on [Obs.Trace.enabled])} *)
 
-(* Packet-kind codes carried in "pkt info" events; must match the codes
-   [Obs.Anatomy] decodes. *)
 let pkt_kind_code = function
-  | Pkthdr.Req -> 0
-  | Pkthdr.Resp -> 1
-  | Pkthdr.Cr -> 2
-  | Pkthdr.Rfr -> 3
+  | Pkthdr.Req -> Obs.Anatomy.kind_req
+  | Pkthdr.Resp -> Obs.Anatomy.kind_resp
+  | Pkthdr.Cr -> Obs.Anatomy.kind_cr
+  | Pkthdr.Rfr -> Obs.Anatomy.kind_rfr
 
 (* Stamp an outgoing packet with a trace id and emit its description once;
    NIC, port and delivery events reference only the id. [ssn] is the

@@ -36,7 +36,7 @@ let alloc_and_write ?(backend = Codec.Compact) c v =
 (* {2 Client side} *)
 
 let enqueue_request rpc sess ~req_type ~req_codec ~resp_codec ?backend ?(charge = true)
-    ?req_buf ?resp_buf ?resp_max v ~cont =
+    ?req_buf ?resp_buf v ~cont =
   let backend = match backend with Some b -> b | None -> Rpc.codec_backend rpc in
   let n = Codec.encoded_size ~backend req_codec v in
   let req =
@@ -57,18 +57,14 @@ let enqueue_request rpc sess ~req_type ~req_codec ~resp_codec ?backend ?(charge 
     | Some m -> m
     | None ->
         let max_size =
-          match resp_max with
-          | Some n -> n
-          | None -> (
-              match backend with
-              | Codec.Flat when Codec.flat_capable resp_codec -> Codec.flat_size resp_codec
-              | _ -> (
-                  match Codec.bound resp_codec with
-                  | Some b -> b
-                  | None ->
-                      invalid_arg
-                        "Typed.enqueue_request: response codec is unbounded; pass \
-                         ~resp_max or ~resp_buf"))
+          match backend with
+          | Codec.Flat when Codec.flat_capable resp_codec -> Codec.flat_size resp_codec
+          | _ -> (
+              match Codec.bound resp_codec with
+              | Some b -> b
+              | None ->
+                  invalid_arg
+                    "Typed.enqueue_request: response codec is unbounded; pass ~resp_buf")
         in
         Msgbuf.alloc ~max_size
   in
@@ -93,25 +89,23 @@ let enqueue_request rpc sess ~req_type ~req_codec ~resp_codec ?backend ?(charge 
 
 (* {2 Server side} *)
 
-let read_request ?backend ?(charge = true) h c =
-  let backend = match backend with Some b -> b | None -> Req_handle.codec_backend h in
+let read_request h c =
+  let backend = Req_handle.codec_backend h in
   let m = Req_handle.get_request h in
   let v = read ~backend c m in
-  if charge then
-    Req_handle.charge_codec h ~deser:true ~backend
-      ~leaves:(Codec.encoded_leaves ~backend c v)
-      ~bytes:(Msgbuf.size m);
+  Req_handle.charge_codec h ~deser:true ~backend
+    ~leaves:(Codec.encoded_leaves ~backend c v)
+    ~bytes:(Msgbuf.size m);
   v
 
-let respond ?backend ?(charge = true) h c v =
-  let backend = match backend with Some b -> b | None -> Req_handle.codec_backend h in
+let respond h c v =
+  let backend = Req_handle.codec_backend h in
   let n = Codec.encoded_size ~backend c v in
   let resp = Req_handle.init_response h ~size:n in
   ignore (Codec.encode ~backend c (Msgbuf.unsafe_bytes resp) (Msgbuf.unsafe_offset resp) v);
-  if charge then
-    Req_handle.charge_codec h ~deser:false ~backend
-      ~leaves:(Codec.encoded_leaves ~backend c v)
-      ~bytes:n;
+  Req_handle.charge_codec h ~deser:false ~backend
+    ~leaves:(Codec.encoded_leaves ~backend c v)
+    ~bytes:n;
   Req_handle.enqueue_response h resp
 
 (* {2 Lazy request views} *)
@@ -140,7 +134,7 @@ let force v =
       v.v_forced <- Some x;
       x
 
-let view_request ?(charge = true) h c =
+let view_request h c =
   let backend = Req_handle.codec_backend h in
   let m = Req_handle.get_request h in
   let v =
@@ -151,9 +145,7 @@ let view_request ?(charge = true) h c =
       v_base = Msgbuf.unsafe_offset m;
       v_len = Msgbuf.size m;
       v_lazy = (backend = Codec.Flat && Codec.flat_capable c);
-      v_charge =
-        (fun ~leaves ~bytes ->
-          if charge then Req_handle.charge_codec h ~deser:true ~backend ~leaves ~bytes);
+      v_charge = Req_handle.charge_codec h ~deser:true ~backend;
       v_forced = None;
     }
   in

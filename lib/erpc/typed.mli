@@ -8,9 +8,10 @@
     of the datapath.
 
     The wire [backend] defaults to the endpoint's [Config.codec_backend]
-    everywhere; pass [?backend] to pin one (e.g. legacy compact formats).
-    [?charge:false] keeps a call timing-neutral — used by pre-existing
-    services whose handler charges already account for marshalling. *)
+    everywhere; a client can pass [?backend] to pin one (e.g. legacy
+    compact formats), and [?charge:false] to keep its call timing-neutral —
+    used by pre-existing services whose handler charges already account
+    for marshalling. *)
 
 (** {1 Msgbuf encode/decode} *)
 
@@ -51,7 +52,6 @@ val enqueue_request :
   ?charge:bool ->
   ?req_buf:Msgbuf.t ->
   ?resp_buf:Msgbuf.t ->
-  ?resp_max:int ->
   'req ->
   cont:(('resp, Err.t) result -> unit) ->
   unit
@@ -62,19 +62,19 @@ val enqueue_request :
     completion milestone. A response that fails to decode surfaces as
     [Error (Session_error _)].
 
-    The response buffer is [resp_buf] if given, else sized from
-    [resp_max], the codec's flat footprint (flat backend), or its static
-    compact bound — an unbounded response codec with none of these raises
-    [Invalid_argument]. [charge] defaults to [true]. *)
+    The response buffer is [resp_buf] if given, else sized from the
+    codec's flat footprint (flat backend) or its static compact bound — an
+    unbounded response codec with neither raises [Invalid_argument].
+    [charge] defaults to [true]. *)
 
 (** {1 Server side} *)
 
-val read_request : ?backend:Codec.backend -> ?charge:bool -> Req_handle.t -> 'a Codec.t -> 'a
+val read_request : Req_handle.t -> 'a Codec.t -> 'a
 (** Decode the request zero-copy from the handler's msgbuf (usually an RX
     ring view) and charge deserialization to the thread running the
     handler. *)
 
-val respond : ?backend:Codec.backend -> ?charge:bool -> Req_handle.t -> 'a Codec.t -> 'a -> unit
+val respond : Req_handle.t -> 'a Codec.t -> 'a -> unit
 (** Encode a typed response through [Req_handle.init_response] (so the
     slot's preallocated MTU buffer is used when it fits), charge
     serialization, and enqueue it. *)
@@ -90,7 +90,7 @@ val respond : ?backend:Codec.backend -> ?charge:bool -> Req_handle.t -> 'a Codec
 
 type 'a view
 
-val view_request : ?charge:bool -> Req_handle.t -> 'a Codec.t -> 'a view
+val view_request : Req_handle.t -> 'a Codec.t -> 'a view
 (** A view over the handler's request in the endpoint's configured
     backend. Lazy iff the backend is flat and the codec is flat-capable. *)
 

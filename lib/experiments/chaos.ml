@@ -30,8 +30,10 @@ let pick_schedule ~seed ~horizon_ns ~events ~hosts ~tors =
   in
   go seed 100
 
-let run_one ?(hosts = 10) ?(events = 12) ?(requests = 120) ?(horizon_ns = 60_000_000) ~seed
-    () =
+let hosts = 10
+let horizon_ns = 60_000_000
+
+let run_one ?(events = 12) ?(requests = 120) ~seed () =
   let cluster = Transport.Cluster.cx4 ~nodes:hosts () in
   let d =
     Harness.deploy ~seed cluster ~threads_per_host:1 ~register:(fun nx ->
@@ -85,7 +87,7 @@ let run_one ?(hosts = 10) ?(events = 12) ?(requests = 120) ?(horizon_ns = 60_000
   let gap_ns = Stdlib.max 1 (horizon_ns * 3 / 4 / Stdlib.max 1 requests) in
   let drv =
     Harness.driver ~engine ~slots:(Stdlib.max 1 requests)
-      (Open [| Every { gap_ns; count = requests } |])
+      (Open { arrival = Every gap_ns; sources = 1; until_ns = requests * gap_ns })
       send
   in
   Harness.start_driver drv;
@@ -137,10 +139,10 @@ let run_one ?(hosts = 10) ?(events = 12) ?(requests = 120) ?(horizon_ns = 60_000
 (* Each seed is a self-contained run (own cluster, engine and trace), so
    the suite fans out across domains under [~jobs]; results come back in
    seed order, making the report independent of [jobs]. *)
-let run_suite ?(seed = 42L) ?(seeds = 20) ?hosts ?events ?requests ?horizon_ns ?jobs () =
+let run_suite ?(seed = 42L) ?(seeds = 20) ?events ?requests ?jobs () =
   Par_sweep.list ?jobs seeds (fun i ->
       let seed = Int64.add (Int64.sub seed 42L) (Int64.of_int (1_000 + (7_919 * i))) in
-      run_one ?hosts ?events ?requests ?horizon_ns ~seed ())
+      run_one ?events ?requests ~seed ())
 
 let pp_run fmt r =
   Format.fprintf fmt

@@ -1,8 +1,9 @@
 (** Chaos harness: seeded fault schedules against a live RPC workload.
 
-    Each run deploys a two-tier CX4-style cluster, connects client sessions
-    on every host, issues a staggered echo workload, compiles a random
-    fault schedule (mixing at least four fault kinds) through
+    Each run deploys a 10-host two-tier CX4-style cluster, connects client
+    sessions on every host, issues a staggered echo workload over the
+    first three quarters of a 60 ms horizon, compiles a random fault
+    schedule (mixing at least four fault kinds) through
     {!Faults.Injector}, drains the simulation to quiescence and then checks
     the recovery invariants:
 
@@ -32,14 +33,7 @@ type run_result = {
   events : int;  (** simulator events executed by the run *)
 }
 
-val run_one :
-  ?hosts:int ->
-  ?events:int ->
-  ?requests:int ->
-  ?horizon_ns:int ->
-  seed:int64 ->
-  unit ->
-  run_result
+val run_one : ?events:int -> ?requests:int -> seed:int64 -> unit -> run_result
 
 (** [run_suite ~seeds ()] runs [seeds] schedules; schedule [i] has seed
     [1000 + 7919 i + (seed - 42)], so the default [seed] (42) keeps the
@@ -50,10 +44,8 @@ val run_one :
 val run_suite :
   ?seed:int64 ->
   ?seeds:int ->
-  ?hosts:int ->
   ?events:int ->
   ?requests:int ->
-  ?horizon_ns:int ->
   ?jobs:int ->
   unit ->
   run_result list

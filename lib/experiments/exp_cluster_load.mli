@@ -1,67 +1,20 @@
-(** Cluster-scale multi-tenant open-loop traffic with tail-SLO reporting.
+(** Cluster-scale multi-tenant open-loop traffic with tail-SLO reporting:
+    the builtin {!Workload.Traffic_spec} scenarios, run by {!Kv_runner}.
+    Tenant populations of open-loop sources (Poisson / bursty on-off /
+    diurnal-ramp arrivals, uniform / Zipf / hot-key-shift key streams,
+    mixed small-RPC + large-transfer traffic) issue operations on a fixed
+    schedule regardless of completions, so overload surfaces as tail
+    latency rather than reduced offered load. Each scenario reports, per
+    tenant, the whole-run and steady-state tallies, phase tags before and
+    after the warmup, GET and PUT percentiles apart and an availability
+    timeline, and per scenario the tail attribution and the digest of its
+    event trace. *)
 
-    Drives {!Workload.Traffic_spec} scenarios against a CX4 two-tier
-    cluster running both the echo harness and the PR-5 sharded
-    replicated-KV service: N tenant populations of open-loop sources
-    (Poisson / bursty on-off / diurnal-ramp arrivals, uniform / Zipf /
-    hot-key-shift key streams, mixed small-RPC + large-transfer traffic)
-    issue operations on a fixed schedule regardless of completions, so
-    overload surfaces as tail latency rather than reduced offered load.
+type tenant_report = Kv_runner.tenant_report
+type result = Kv_runner.result
 
-    Outputs per tenant: issued/ok/failed/shed counts and P50/P99/P99.9
-    SLO latencies, over the whole run and over the steady state after
-    the 10 ms warmup; how many operations carry each {!Obs.Op} phase tag
-    (connect wait, redirect, election, error), before and after the
-    warmup; GET and PUT percentiles apart for KV tenants; and an
-    availability {!Obs.Timeline}. Per scenario: a
-    {!Obs.Anatomy.attribution} naming the component that dominates P99
-    vs P50 ("where does the tail come from"), computed from the run's
-    event trace over client-host RPCs. Runs are deterministic: the same
-    seed reproduces the identical event trace, checked via
-    {!Obs.Trace.digest}. *)
-
-type tenant_report = {
-  tname : string;
-  service : string;  (** "kv" (GETs are kind 0, PUTs kind 1) or "echo" *)
-  sources : int;
-  offered_rps : float;  (** analytic open-loop offered load *)
-  whole : Harness.tally;  (** every operation of the run *)
-  steady : Harness.tally option;
-      (** the operations issued or shed 10 ms (the warmup) or more after
-          the start; [None] when the horizon is shorter than the warmup *)
-  steady_tagged : int array;  (** the steady-state [tagged] counts, in any case *)
-  timeline : Obs.Json.t;  (** availability windows with per-window P50/P99 *)
-}
-
-type result = {
-  scenario : string;
-  seed : int64;
-  horizon_ns : int;
-  tenants : tenant_report list;
-  attribution : Obs.Anatomy.attribution option;
-      (** client-host RPC tail attribution; [None] if the trace retained no
-          complete single-packet RPCs *)
-  analyzed_rpcs : int;  (** breakdowns behind [attribution] *)
-  issued_rpcs : int;
-      (** eRPC requests the client hosts issued, retries and redirects
-          included ({!Erpc.Rpc_stats.t.issued}) *)
-  digest : string;  (** {!Obs.Trace.digest} of the run's event trace *)
-  events : int;  (** engine events processed *)
-  violations : string list;
-      (** empty on a clean run; includes the fabric's conservation audit
-          ({!Netsim.Network.audit}) at the end of the run *)
-  breakdowns : Obs.Anatomy.breakdown list;
-      (** the per-RPC breakdowns behind [attribution], for invariant checks
-          (each sums exactly to its end-to-end latency) *)
-}
-
-(** [run ~seed scenario] deploys the cluster (6 replica hosts, 2 echo
-    servers, 4 client hosts; 4 Raft shards x 3-way replication), boots
-    every shard's leader election, then drives the scenario open-loop for
-    its horizon plus a settle window. [trace_capacity] bounds the event
-    ring (default [2^18]; older events are evicted deterministically). *)
-val run :
-  ?seed:int64 -> ?trace_capacity:int -> Workload.Traffic_spec.scenario -> result
+(** [run ~seed scenario] is {!Kv_runner.run} (default seed 42). *)
+val run : ?seed:int64 -> Workload.Traffic_spec.scenario -> result
 
 (** Run a named builtin scenario (see {!Workload.Traffic_spec.builtin}).
     Raises [Invalid_argument] on an unknown name. *)

@@ -40,8 +40,11 @@ let time_ns_per_op iters f =
   done;
   (Sys.time () -. t0) *. 1e9 /. float_of_int iters
 
+(* The simulated runs' cluster; the model columns price with its cost
+   model, the one its endpoints charge. *)
+let cluster = Transport.Cluster.cx5 ~nodes:2 ()
+
 let sim_mrps ~seed ~backend ~measure_ms (P (_, codec, value)) =
-  let cluster = Transport.Cluster.cx5 ~nodes:2 () in
   let config = { (Erpc.Config.of_cluster cluster) with codec_backend = backend } in
   let d =
     Harness.deploy ~seed ~config cluster ~threads_per_host:1
@@ -71,7 +74,9 @@ let run_one ?(seed = 1L) ?(iters = 100_000) ?(measure_ms = 2.0) ~backend
   let decode_ns =
     time_ns_per_op iters (fun () -> ignore (Codec.decode ~backend codec buf ~off:0 ~len:bytes))
   in
-  let model ~deser = Erpc.Cost_model.(codec_cost default) ~deser ~backend ~leaves ~bytes in
+  let model ~deser =
+    Erpc.Cost_model.(codec_cost (for_cluster cluster)) ~deser ~backend ~leaves ~bytes
+  in
   {
     backend = Codec.backend_name backend;
     schema = name;

@@ -78,7 +78,10 @@ let prepare rng (op : Obs.Op.t) req =
 
 let payload = Harness.Echo { req_size = key_width; resp_size = 8 }
 
-let run ?seed ?(workers = true) ?(warmup_ms = 1.0) ?(measure_ms = 3.0) () =
+let warmup_ms = 1.0
+let measure_ms = 3.0
+
+let run ?seed ?(workers = true) () =
   let nodes = 1 + num_client_nodes in
   let cluster = Transport.Cluster.cx3 ~nodes () in
   let d =

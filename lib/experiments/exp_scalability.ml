@@ -8,10 +8,9 @@ type row = {
   retransmits_per_node_per_sec : float;
 }
 
-let run ?seed ?(nodes = 100) ?(credits = 32) ?(warmup_us = 300.) ?(measure_us = 700.) ~threads
-    () =
+let run ?seed ?(nodes = 100) ?(measure_us = 700.) ~threads () =
   let cluster = Transport.Cluster.cx4 ~nodes () in
-  let config = Erpc.Config.of_cluster ~credits cluster in
+  let config = Erpc.Config.of_cluster ~credits:32 cluster in
   let d =
     Harness.deploy ?seed ~config cluster ~threads_per_host:threads
       ~register:(Harness.register_echo ~resp_size:32)
@@ -40,7 +39,7 @@ let run ?seed ?(nodes = 100) ?(credits = 32) ?(warmup_us = 300.) ?(measure_us = 
   (* Let the connection storm settle. *)
   Harness.run_ms d 2.0;
   List.iter Harness.start_driver !drivers;
-  Harness.run_us d warmup_us;
+  Harness.run_us d 300.;
   Stats.Hist.clear hist;
   let completed0 = Harness.total_completed d in
   let retx0 = Harness.sum_stats d (fun s -> s.Erpc.Rpc_stats.retransmits) in

@@ -22,7 +22,7 @@ type result = {
   cpu_s : float;  (** CPU seconds for the whole run ([Sys.time]) *)
 }
 
-let run ?(seed = 42L) ?(req_size = 32) ?(window = 64) ?(measure_ms = 2.0) ~sessions () =
+let run ?(seed = 42L) ?(window = 64) ?(measure_ms = 2.0) ~sessions () =
   if sessions < 1 then invalid_arg "Exp_session_scale.run: sessions must be >= 1";
   let t0 = Sys.time () in
   let cluster = Transport.Cluster.cx4 ~nodes:2 () in
@@ -61,7 +61,7 @@ let run ?(seed = 42L) ?(req_size = 32) ?(window = 64) ?(measure_ms = 2.0) ~sessi
   let latencies = Stats.Hist.create () in
   let driver =
     Harness.make_driver ~latencies
-      ~payload:(Harness.Echo { req_size; resp_size = 32 })
+      ~payload:(Harness.Echo { req_size = 32; resp_size = 32 })
       ~rng:(Sim.Rng.split (Sim.Engine.rng engine)) ~rpc:client ~sessions:sess ~window ()
   in
   Harness.start_driver driver;
@@ -82,5 +82,5 @@ let run ?(seed = 42L) ?(req_size = 32) ?(window = 64) ?(measure_ms = 2.0) ~sessi
 
 let sweep_points = [ 100; 1_000; 5_000; 10_000; 20_000 ]
 
-let sweep ?seed ?req_size ?window ?measure_ms () =
-  List.map (fun sessions -> run ?seed ?req_size ?window ?measure_ms ~sessions ()) sweep_points
+let sweep ?seed ?window ?measure_ms () =
+  List.map (fun sessions -> run ?seed ?window ?measure_ms ~sessions ()) sweep_points

@@ -17,17 +17,10 @@ type result = {
 }
 
 (** Open [sessions] sessions, complete every handshake, warm up for
-    1 ms of simulated time, then measure for [measure_ms] (default 2).
-    Raises if any handshake fails. *)
+    1 ms of simulated time, then measure 32 B requests for [measure_ms]
+    (default 2). Raises if any handshake fails. *)
 val run :
-  ?seed:int64 ->
-  ?req_size:int ->
-  ?window:int ->
-  ?measure_ms:float ->
-  sessions:int ->
-  unit ->
-  result
+  ?seed:int64 -> ?window:int -> ?measure_ms:float -> sessions:int -> unit -> result
 
 (** The sweep used by [--sweep]: 100 to 20,000 sessions. *)
-val sweep :
-  ?seed:int64 -> ?req_size:int -> ?window:int -> ?measure_ms:float -> unit -> result list
+val sweep : ?seed:int64 -> ?window:int -> ?measure_ms:float -> unit -> result list

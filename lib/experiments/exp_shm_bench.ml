@@ -38,7 +38,7 @@ type result = {
   violations : string list;
 }
 
-let default_payloads = [ 64; 256; 512; 1024; 1536; 2048; 4096 ]
+let payloads = [ 64; 256; 512; 1024; 1536; 2048; 4096 ]
 let modes = [ (Shm.Serialize, "serialize"); (Shm.Share, "share"); (Shm.Auto, "auto") ]
 
 (* Mirror of the Auto decision in [Shm.shm_tx]: share iff the flat
@@ -120,7 +120,7 @@ let check ~crossover rows =
             (Printf.sprintf "Auto disagrees with model crossover (%d B)" crossover))
     rows
 
-let run ?(seed = 1L) ?(samples = 24) ?(payloads = default_payloads) () =
+let run ?(seed = 1L) ?(samples = 24) () =
   let cost =
     Erpc.Cost_model.for_cluster (Transport.Cluster.cx3 ~nodes:2 ())
   in

@@ -36,10 +36,10 @@ type result = {
     modeled per-byte copy. Mirrors the [Auto] decision in {!Shm}. *)
 val model_crossover : Erpc.Cost_model.t -> int
 
-(** [run ()] sweeps [payloads] x (serialize | share | auto). Each row
+(** [run ()] sweeps payloads of 64 B to 4 KiB x (serialize | share | auto). Each row
     carries its cell's trace digest, so a same-seed rerun
     ([erpc_sim shm-bench --rerun]) compares every cell. *)
-val run : ?seed:int64 -> ?samples:int -> ?payloads:int list -> unit -> result
+val run : ?seed:int64 -> ?samples:int -> unit -> result
 
 val row_json : row -> Obs.Json.t
 val pp_result : Format.formatter -> result -> unit

@@ -4,7 +4,7 @@ type result = {
   retransmits : int;
 }
 
-let run ?seed ?config ?cost ?trace ?(window = 60) ?(warmup_ms = 1.0) ?(measure_ms = 4.0)
+let run ?seed ?config ?cost ?trace ?(window = 60) ?(measure_ms = 4.0)
     ?(per_batch_cost_ns = 0) ?(payload = Harness.Echo { req_size = 32; resp_size = 32 })
     ~(cluster : Transport.Cluster.t) ~batch () =
   let register nx =
@@ -34,7 +34,7 @@ let run ?seed ?config ?cost ?trace ?(window = 60) ?(warmup_ms = 1.0) ?(measure_m
           ~rpc:d.rpcs.(src).(0) ~sessions:sessions.(src) ~window ())
   in
   Array.iter Harness.start_driver drivers;
-  Harness.run_ms d warmup_ms;
+  Harness.run_ms d 1.0 (* warmup *);
   let before = Harness.total_completed d in
   Harness.run_ms d measure_ms;
   let after = Harness.total_completed d in
@@ -61,18 +61,17 @@ let fasst_cost (cluster : Transport.Cluster.t) =
     credit_logic = 2;
   }
 
-let run_fasst ?seed ?trace ?window ?warmup_ms ?measure_ms
-    ~(cluster : Transport.Cluster.t) ~batch () =
+let run_fasst ?seed ?measure_ms ~(cluster : Transport.Cluster.t) ~batch () =
   let config =
     let base = Erpc.Config.of_cluster cluster in
     { base with opts = { base.opts with congestion_control = false } }
   in
   (* FaSST rings one doorbell per batch of B requests; the fixed cost
      amortizes with B, which is why its rate grows with batch size. *)
-  run ?seed ~config ~cost:(fasst_cost cluster) ?trace ?window ?warmup_ms ?measure_ms
-    ~per_batch_cost_ns:210 ~cluster ~batch ()
+  run ?seed ~config ~cost:(fasst_cost cluster) ?measure_ms ~per_batch_cost_ns:210 ~cluster
+    ~batch ()
 
-let factor_analysis ?seed ?measure_ms () =
+let factor_analysis ?seed () =
   let cluster = Transport.Cluster.cx4 ~nodes:11 () in
   let base = Erpc.Config.of_cluster cluster in
   let open Erpc.Config in
@@ -93,7 +92,7 @@ let factor_analysis ?seed ?measure_ms () =
       (fun (opts, acc) (label, f) ->
         let opts = f opts in
         let config = { base with opts } in
-        let r = run ?seed ~config ?measure_ms ~cluster ~batch:3 () in
+        let r = run ?seed ~config ~cluster ~batch:3 () in
         (opts, (label, r) :: acc))
       (base.opts, [])
       steps
@@ -107,7 +106,7 @@ let factor_analysis ?seed ?measure_ms () =
     List.map
       (fun (label, codec_backend) ->
         let config = { base with codec_backend } in
-        (label, run ?seed ~config ?measure_ms ~payload ~cluster ~batch:3 ()))
+        (label, run ?seed ~config ~payload ~cluster ~batch:3 ()))
       [
         ("Typed codec: compact backend", Codec.Compact);
         ("Typed codec: flat backend", Codec.Flat);
@@ -125,9 +124,9 @@ let factor_analysis ?seed ?measure_ms () =
     let shm_config = { (of_cluster shm_cluster) with shm_enabled = true } in
     [
       ( "Transport: RDMA RC (lossless)",
-        run ?seed ~config:rdma_config ?measure_ms ~cluster ~batch:3 () );
+        run ?seed ~config:rdma_config ~cluster ~batch:3 () );
       ( "Transport: shm mixed local/remote",
-        run ?seed ~config:shm_config ?measure_ms ~cluster:shm_cluster ~batch:3 () );
+        run ?seed ~config:shm_config ~cluster:shm_cluster ~batch:3 () );
     ]
   in
   List.rev_append rows (codec_rows @ transport_rows)

@@ -3,7 +3,8 @@
 
     Setup mirrors §6.2: one thread per node; every thread is both client
     and server; each thread keeps [window] (60) 32 B requests in flight,
-    issued in batches of [batch] to uniformly random remote threads.
+    issued in batches of [batch] to uniformly random remote threads. The
+    rate is measured over [measure_ms] (default 4) after a 1 ms warmup.
     [payload] (default: 32 B echoes) picks what every request carries; a
     {!Harness.Typed} payload runs the same mesh with serialization on the
     datapath, under [config]'s codec backend. *)
@@ -20,7 +21,6 @@ val run :
   ?cost:Erpc.Cost_model.t ->
   ?trace:Obs.Trace.t ->
   ?window:int ->
-  ?warmup_ms:float ->
   ?measure_ms:float ->
   ?per_batch_cost_ns:int ->
   ?payload:Harness.payload ->
@@ -33,15 +33,7 @@ val run :
     control off, and a cost model stripped of eRPC's generality (no msgbuf
     machinery, no CC hooks, no preallocation checks). *)
 val run_fasst :
-  ?seed:int64 ->
-  ?trace:Obs.Trace.t ->
-  ?window:int ->
-  ?warmup_ms:float ->
-  ?measure_ms:float ->
-  cluster:Transport.Cluster.t ->
-  batch:int ->
-  unit ->
-  result
+  ?seed:int64 -> ?measure_ms:float -> cluster:Transport.Cluster.t -> batch:int -> unit -> result
 
 (** Table 3 factor analysis on CX4 with B=3: optimizations disabled
     cumulatively, in the paper's order, starting with the baseline.
@@ -50,5 +42,4 @@ val run_fasst :
     (the baseline on the RDMA RC datapath, and on a pairwise-colocated
     cluster where the shared-memory transport carries the intra-host share
     of the mesh). Returns (label, result) rows. *)
-val factor_analysis :
-  ?seed:int64 -> ?measure_ms:float -> unit -> (string * result) list
+val factor_analysis : ?seed:int64 -> unit -> (string * result) list

@@ -85,11 +85,9 @@ let value_fixed = ((7, 42), "0123456789abcdef")
 let schema_var : (int * string) Codec.t = Codec.(pair u32 (bounded_string 64))
 let value_var = (9, String.make 32 'x')
 
-let register_typed_echo (type a) ?(req_type = typed_echo_req_type) (codec : a Codec.t) nx
-    =
-  Erpc.Nexus.register_handler nx ~req_type ~mode:Erpc.Nexus.Dispatch (fun h ->
-      let v = Erpc.Typed.read_request h codec in
-      Erpc.Typed.respond h codec v)
+let register_typed_echo (type a) (codec : a Codec.t) nx =
+  Erpc.Nexus.register_handler nx ~req_type:typed_echo_req_type ~mode:Erpc.Nexus.Dispatch
+    (fun h -> Erpc.Typed.respond h codec (Erpc.Typed.read_request h codec))
 
 (* {2 Client driver} *)
 
@@ -151,11 +149,9 @@ let erpc_send ?(payload = Echo { req_size = 32; resp_size = 32 }) ?req_type ?pre
           ~req_buf:req ~resp_buf:resp value ~cont:(fun r ->
             release free bufs k r)
 
-type arrivals =
-  | Process of { spec : Workload.Arrival.spec; until_ns : int }
-  | Every of { gap_ns : int; count : int }
-
-type pace = Closed of { batch : int; count : int } | Open of arrivals array
+type pace =
+  | Closed of { batch : int; count : int }
+  | Open of { arrival : Workload.Traffic_spec.arrival; sources : int; until_ns : int }
 
 type tally = {
   mutable issued : int;
@@ -269,7 +265,11 @@ let complete t ~slot (op : Obs.Op.t) r =
 let driver ?latencies ?timeline ?warmup_ns ~engine ~slots pace send =
   assert (
     slots > 0
-    && match pace with Closed { batch; count } -> batch > 0 && count >= 0 | Open _ -> true);
+    &&
+    match pace with
+    | Closed { batch; count } -> batch > 0 && count >= 0
+    | Open { arrival = Every gap_ns; _ } -> gap_ns > 0
+    | Open _ -> true);
   let lat = Option.value latencies ~default:[| Stats.Hist.create () |] in
   let t =
     {
@@ -310,28 +310,23 @@ let start_driver t =
   t.t0 <- Sim.Engine.now t.engine;
   match t.pace with
   | Closed _ -> issue_ready t
-  | Open sources ->
-      Array.iteri
-        (fun source a ->
-          let arm at = Sim.Engine.schedule t.engine (t.t0 + at) (arrive t ~source) in
-          match a with
-          | Every { gap_ns; count } ->
-              for j = 0 to count - 1 do
-                arm (j * gap_ns)
-              done
-          | Process { spec; until_ns } ->
-              let arr =
-                Workload.Arrival.make spec ~rng:(Sim.Rng.split (Sim.Engine.rng t.engine))
-              in
-              let rec walk now_ns =
-                let next = Workload.Arrival.next_after arr ~now_ns in
-                if next < until_ns then begin
-                  arm next;
-                  walk next
-                end
-              in
-              walk 0)
-        sources
+  | Open { arrival; sources; until_ns } ->
+      for source = 0 to sources - 1 do
+        let rec arm next at =
+          if at < until_ns then begin
+            Sim.Engine.schedule t.engine (t.t0 + at) (arrive t ~source);
+            arm next (next at)
+          end
+        in
+        match arrival with
+        | Every gap_ns -> arm (( + ) gap_ns) 0
+        | Process spec ->
+            let arr =
+              Workload.Arrival.make spec ~rng:(Sim.Rng.split (Sim.Engine.rng t.engine))
+            in
+            let next now_ns = Workload.Arrival.next_after arr ~now_ns in
+            arm next (next 0)
+      done
 
 let make_driver ?latencies ?payload ?(batch = 1) ?(per_batch_cost_ns = 0) ?req_type
     ?(count = max_int) ?rng ~rpc ~sessions ~window () =

@@ -57,7 +57,7 @@ val value_var : int * string
 
 (** Install a typed echo handler: decode with [codec], respond with the
     decoded value re-encoded. *)
-val register_typed_echo : ?req_type:int -> 'a Codec.t -> Erpc.Nexus.t -> unit
+val register_typed_echo : 'a Codec.t -> Erpc.Nexus.t -> unit
 
 (** {2 Client driver}
 
@@ -111,13 +111,12 @@ val erpc_send :
   (Erpc.Rpc.t * Erpc.Session.session) array ->
   send
 
-(** One open-loop source's arrival instants, in ns after the start. *)
-type arrivals =
-  | Process of { spec : Workload.Arrival.spec; until_ns : int }
-      (** those before [until_ns], drawn with a split of the engine's rng *)
-  | Every of { gap_ns : int; count : int }  (** [0, gap_ns, .., (count - 1) gap_ns] *)
-
-type pace = Closed of { batch : int; count : int } | Open of arrivals array
+(** [Open] runs [sources] sources, each with [arrival]'s instants before
+    [until_ns] (in ns after the start); a [Process] source draws them with
+    its own split of the engine's rng. *)
+type pace =
+  | Closed of { batch : int; count : int }
+  | Open of { arrival : Workload.Traffic_spec.arrival; sources : int; until_ns : int }
 
 (** Per-kind histograms are indexed by {!Obs.Op.t.kind}, per-phase
     counts follow {!Obs.Op.phase_names}. *)

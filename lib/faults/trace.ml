@@ -9,7 +9,7 @@ type t = Obs.Trace.t
 
 (* Large enough that no chaos scenario evicts fault entries; eviction would
    silently break byte-equality between runs of different lengths. *)
-let create ?(capacity = 1 lsl 16) () = Obs.Trace.create ~capacity ()
+let create () = Obs.Trace.create ~capacity:(1 lsl 16) ()
 
 let record t ~at_ns msg =
   Obs.Trace.instant t ~ts:at_ns ~cat:"faults" ~name:msg ~pid:0 ~tid:0 []

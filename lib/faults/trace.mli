@@ -11,8 +11,8 @@
 
 type t = Obs.Trace.t
 
-val create : ?capacity:int -> unit -> t
-(** An enabled event trace (default capacity 2^16 events). *)
+val create : unit -> t
+(** An enabled event trace of 2^16 events. *)
 
 val record : t -> at_ns:int -> string -> unit
 (** Record a fault event: an instant in category ["faults"]. *)

@@ -61,9 +61,10 @@ type breakdown = {
   client_rx_ns : int;
 }
 
-(* Packet-kind codes used in "pkt info" events (see Erpc.Proto). *)
 let kind_req = 0
 let kind_resp = 1
+let kind_cr = 2
+let kind_rfr = 3
 
 let ai k args =
   match List.assoc_opt k args with Some (Trace.I n) -> Some n | _ -> None

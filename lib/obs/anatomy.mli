@@ -37,6 +37,14 @@ type breakdown = {
   client_rx_ns : int;  (** remaining client software from NIC rx to completion *)
 }
 
+(** The [kind] codes of "pkt info" trace events, one per eRPC packet type
+    (requests, credit returns, requests-for-response, responses). *)
+val kind_req : int
+
+val kind_cr : int
+val kind_rfr : int
+val kind_resp : int
+
 val analyze : wire_ns:(int -> int) -> Trace.ev list -> breakdown list
 (** [analyze ~wire_ns evs] joins packet, NIC, network, wheel, and sslot
     events into per-request breakdowns, sorted by (host, sn, req).

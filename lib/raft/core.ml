@@ -18,20 +18,10 @@ type 'cmd msg =
     }
   | Append_entries_resp of { term : int; success : bool; from : int; match_index : int }
 
-type config = {
-  election_timeout_min_ns : int;
-  election_timeout_max_ns : int;
-  heartbeat_ns : int;
-  max_entries_per_msg : int;
-}
-
-let default_config =
-  {
-    election_timeout_min_ns = 10_000_000;
-    election_timeout_max_ns = 20_000_000;
-    heartbeat_ns = 2_000_000;
-    max_entries_per_msg = 64;
-  }
+let election_timeout_min_ns = 10_000_000
+let election_timeout_max_ns = 20_000_000
+let heartbeat_ns = 2_000_000
+let max_entries_per_msg = 64
 
 (* Persistent state (paper Figure 2): the core reads and writes the record
    in place, so keeping it across a simulated crash and passing it back to
@@ -47,7 +37,6 @@ let stable () = { s_term = 0; s_voted_for = None; s_log = Log.create () }
 type 'cmd t = {
   id : int;
   peers : int array;
-  cfg : config;
   send : int -> 'cmd msg -> unit;
   apply : int -> 'cmd -> unit;
   random : int -> int;
@@ -68,16 +57,15 @@ type 'cmd t = {
 }
 
 let fresh_election_deadline t =
-  t.cfg.election_timeout_min_ns
-  + t.random (max 1 (t.cfg.election_timeout_max_ns - t.cfg.election_timeout_min_ns))
+  election_timeout_min_ns
+  + t.random (max 1 (election_timeout_max_ns - election_timeout_min_ns))
 
-let create ~id ~peers ?stable:st ?(notify = fun () -> ()) cfg ~send ~apply ~random =
+let create ~id ~peers ?stable:st ?(notify = fun () -> ()) ~send ~apply ~random () =
   let st = match st with Some s -> s | None -> stable () in
   let t =
     {
       id;
       peers;
-      cfg;
       send;
       apply;
       random;
@@ -150,7 +138,7 @@ let send_append_entries t ~peer =
   let slot = peer_slot t peer in
   let next = t.next_index.(slot) in
   let prev = next - 1 in
-  let entries = Log.entries_from t.stable.s_log ~from:next ~max:t.cfg.max_entries_per_msg in
+  let entries = Log.entries_from t.stable.s_log ~from:next ~max:max_entries_per_msg in
   t.send peer
     (Append_entries
        {
@@ -329,7 +317,7 @@ let periodic t ~elapsed_ns =
   match t.role with
   | Leader ->
       t.heartbeat_elapsed <- t.heartbeat_elapsed + elapsed_ns;
-      if t.heartbeat_elapsed >= t.cfg.heartbeat_ns then begin
+      if t.heartbeat_elapsed >= heartbeat_ns then begin
         t.heartbeat_elapsed <- 0;
         broadcast_append_entries t
       end

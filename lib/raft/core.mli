@@ -30,14 +30,15 @@ type 'cmd msg =
     }
   | Append_entries_resp of { term : int; success : bool; from : int; match_index : int }
 
-type config = {
-  election_timeout_min_ns : int;
-  election_timeout_max_ns : int;
-  heartbeat_ns : int;
-  max_entries_per_msg : int;
-}
+(** Timing, in the ns that {!periodic} advances: a follower or candidate
+    starts an election after a random timeout in [\[10 ms, 20 ms)], and a
+    leader sends heartbeats every 2 ms. *)
+val election_timeout_max_ns : int
 
-val default_config : config
+val heartbeat_ns : int
+
+(** Most entries one AppendEntries carries. *)
+val max_entries_per_msg : int
 
 (** {2 Stable storage}
 
@@ -52,7 +53,7 @@ type 'cmd stable
 
 type 'cmd t
 
-(** [create ~id ~peers cfg ~send ~apply ~random] — [send dst msg] transmits
+(** [create ~id ~peers ~send ~apply ~random ()] — [send dst msg] transmits
     a message (the integration layer serializes it however it likes);
     [apply index cmd] is invoked exactly once per committed entry, in index
     order; [random n] returns a uniform int in [0, n) for election
@@ -68,10 +69,10 @@ val create :
   peers:int array ->
   ?stable:'cmd stable ->
   ?notify:(unit -> unit) ->
-  config ->
   send:(int -> 'cmd msg -> unit) ->
   apply:(int -> 'cmd -> unit) ->
   random:(int -> int) ->
+  unit ->
   'cmd t
 
 val id : 'cmd t -> int

@@ -4,10 +4,12 @@ type result = {
   miss_ratio : float;
 }
 
-let run ?(base_ns = 22.0) ?(miss_penalty_ns = 26.0) ?cache ?(ops = 400_000) ?(seed = 7L)
-    ~connections () =
+let base_ns = 22.0
+let miss_penalty_ns = 26.0
+
+let run ?(ops = 400_000) ?(seed = 7L) ~connections () =
   assert (connections > 0);
-  let cache = match cache with Some c -> c | None -> Nic.Conn_cache.create_default () in
+  let cache = Nic.Conn_cache.create_default () in
   let rng = Sim.Rng.create seed in
   (* Warm up the cache to steady state before measuring. *)
   for _ = 1 to min ops (4 * connections) do

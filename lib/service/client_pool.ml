@@ -1,7 +1,6 @@
 type t = { clients : Kv_client.t array; mutable cursor : int }
 
-let create ~fabric ~map ~rpcs ~base_client_id ~clients_per_rpc ?backoff_base_ns
-    ?backoff_max_ns ?attempt_timeout_ns () =
+let create ~fabric ~map ~rpcs ~base_client_id ~clients_per_rpc () =
   if Array.length rpcs = 0 then invalid_arg "Client_pool.create: no rpcs";
   if clients_per_rpc <= 0 then invalid_arg "Client_pool.create: clients_per_rpc <= 0";
   let hosts = Array.length rpcs in
@@ -10,8 +9,7 @@ let create ~fabric ~map ~rpcs ~base_client_id ~clients_per_rpc ?backoff_base_ns
         (* Host-major cycling: slot i lives on rpc (i mod hosts), so the
            round-robin cursor alternates source hosts. *)
         Kv_client.create ~fabric ~rpc:rpcs.(i mod hosts) ~map
-          ~client_id:(base_client_id + i) ?backoff_base_ns ?backoff_max_ns
-          ?attempt_timeout_ns ())
+          ~client_id:(base_client_id + i) ())
   in
   { clients; cursor = 0 }
 

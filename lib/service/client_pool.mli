@@ -12,17 +12,13 @@ type t
 
 (** [create ~fabric ~map ~rpcs ~base_client_id ~clients_per_rpc ()] builds
     [Array.length rpcs * clients_per_rpc] clients, cycling hosts first so
-    consecutive operations leave different hosts. Optional knobs are passed
-    through to {!Kv_client.create}. *)
+    consecutive operations leave different hosts. *)
 val create :
   fabric:Erpc.Fabric.t ->
   map:Shard_map.t ->
   rpcs:Erpc.Rpc.t array ->
   base_client_id:int ->
   clients_per_rpc:int ->
-  ?backoff_base_ns:int ->
-  ?backoff_max_ns:int ->
-  ?attempt_timeout_ns:int ->
   unit ->
   t
 

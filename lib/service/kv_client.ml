@@ -8,6 +8,15 @@ module Int_tbl = Hashtbl.Make (Int)
    of simulated time. *)
 let connect_grace_ns = 2_000_000
 
+(* Retry backoff: the base doubles per attempt up to the cap, plus up to
+   one base of seeded jitter. *)
+let backoff_base_ns = 500_000
+let backoff_max_ns = 8_000_000
+
+(* Bounds an attempt wedged on a handshake to a dead host, which produces
+   no transport error. *)
+let attempt_timeout_ns = 5_000_000
+
 (* Request and response buffers of one attempt, pooled per client. *)
 type bufs = { req_buf : Erpc.Msgbuf.t; resp_buf : Erpc.Msgbuf.t }
 
@@ -17,9 +26,6 @@ type t = {
   engine : Sim.Engine.t;
   map : Shard_map.t;
   client_id : int;
-  backoff_base_ns : int;
-  backoff_max_ns : int;
-  attempt_timeout_ns : int;
   rng : Sim.Rng.t;
   mutable seq : int;
   sessions : (Erpc.Session.session * Sim.Time.t) Int_tbl.t;  (** by host *)
@@ -158,7 +164,7 @@ let rec attempt op n ~forced =
        and would otherwise sit wedged until the operation deadline. The
        late continuation, if any, finds the attempt settled and is ignored
        — a duplicate landing is what the (client_id, seq) dedup absorbs. *)
-    Sim.Engine.post_after t.engine t.attempt_timeout_ns t.timeout_h
+    Sim.Engine.post_after t.engine attempt_timeout_ns t.timeout_h
       ((op.id lsl attempt_bits) lor (n land attempt_mask));
     (* [~charge:false]: the service's handler-cost constants already
        model (de)serialization; double-charging would shift every chaos
@@ -229,9 +235,9 @@ and backoff op n =
   let t = op.cl in
   op.chase <- 0;
   t.retries <- t.retries + 1;
-  let exp = t.backoff_base_ns lsl min n 16 in
+  let exp = backoff_base_ns lsl min n 16 in
   let delay =
-    min t.backoff_max_ns (max t.backoff_base_ns exp) + Sim.Rng.int t.rng t.backoff_base_ns
+    min backoff_max_ns (max backoff_base_ns exp) + Sim.Rng.int t.rng backoff_base_ns
   in
   Sim.Engine.schedule_after t.engine delay (fun () -> attempt op n ~forced:None)
 
@@ -245,8 +251,7 @@ let on_timeout_event t arg =
       on_attempt_timeout op op.live
   | _ -> ()
 
-let create ~fabric ~rpc ~map ~client_id ?(backoff_base_ns = 500_000)
-    ?(backoff_max_ns = 8_000_000) ?(attempt_timeout_ns = 5_000_000) () =
+let create ~fabric ~rpc ~map ~client_id () =
   if client_id < 0 || client_id >= 1 lsl 31 then
     invalid_arg "Kv_client.create: client_id must be in [0, 2^31)";
   let engine = Erpc.Fabric.engine fabric in
@@ -257,9 +262,6 @@ let create ~fabric ~rpc ~map ~client_id ?(backoff_base_ns = 500_000)
       engine;
       map;
       client_id;
-      backoff_base_ns;
-      backoff_max_ns;
-      attempt_timeout_ns;
       rng = Sim.Rng.split (Sim.Engine.rng engine);
       seq = 0;
       sessions = Int_tbl.create 8;

@@ -25,21 +25,11 @@ type t
     across clients of the same service for dedup to be sound, and in
     [\[0, 2^31)] (replicas key applied writes by
     [(client_id lsl 32) lor seq]); other values raise [Invalid_argument].
-
-    [?backoff_base_ns] (default 500 µs) and [?backoff_max_ns] (default
-    8 ms) bound the retry backoff. *)
+    Retries back off from 500 µs, doubling up to 8 ms, plus jitter; an
+    attempt that gets no outcome in 5 ms is abandoned (one wedged on a
+    handshake to a dead host produces no transport error). *)
 val create :
-  fabric:Erpc.Fabric.t ->
-  rpc:Erpc.Rpc.t ->
-  map:Shard_map.t ->
-  client_id:int ->
-  ?backoff_base_ns:int ->
-  ?backoff_max_ns:int ->
-  ?attempt_timeout_ns:int ->
-  (* per-attempt timeout (default 5 ms): bounds attempts wedged on a
-     handshake to a dead host, which produce no transport error *)
-  unit ->
-  t
+  fabric:Erpc.Fabric.t -> rpc:Erpc.Rpc.t -> map:Shard_map.t -> client_id:int -> unit -> t
 
 type error = [ `Deadline | `Failed of string ]
 

@@ -44,7 +44,6 @@ type t = {
   engine : Sim.Engine.t;
   map : Shard_map.t;
   rng : Sim.Rng.t;
-  raft_cfg : Raft.Core.config;
   shard_states : shard_state array;  (** ascending shard order *)
   peer_sessions : Erpc.Session.session Int_tbl.t;  (** keyed by host *)
   mutable pending_reply : (int * string Raft.Core.msg) option;
@@ -243,8 +242,6 @@ let send_raft t st dst msg =
           Erpc.Rpc.enqueue_request t.rpc sess ~req_type:Kv_proto.raft_req_type
             ~req:call.frame ~resp:call.reply ~cont:call.on_reply)
 
-let raft_config t = t.raft_cfg
-
 let make_core t st ?stable () =
   let peers =
     Array.of_list
@@ -253,10 +250,10 @@ let make_core t st ?stable () =
   in
   Raft.Core.create ~id:st.self_id ~peers ?stable
     ~notify:(fun () -> on_leadership_change t st)
-    (raft_config t)
     ~send:(fun dst msg -> send_raft t st dst msg)
     ~apply:(fun index cmd -> apply_cmd t st index cmd)
     ~random:(fun n -> Sim.Rng.int t.rng n)
+    ()
 
 (* Crash: every piece of volatile state is gone — stores, dedup tables,
    sessions, client handles. Only each core's stable record (the modeled
@@ -351,8 +348,7 @@ let register_handlers t =
                 | Error (`Not_leader _) ->
                     respond h ~status:(Kv_proto.Not_leader (hint_host st)) ~value:None)))
 
-let create ~fabric ~nexus ~rpc ~map ~host ?(raft_config = Raft.Core.default_config) ()
-    =
+let create ~fabric ~nexus ~rpc ~map ~host () =
   let engine = Erpc.Fabric.engine fabric in
   let my_shards = Shard_map.shards_on map ~host in
   if my_shards = [] then
@@ -389,7 +385,6 @@ let create ~fabric ~nexus ~rpc ~map ~host ?(raft_config = Raft.Core.default_conf
       engine;
       map;
       rng = Sim.Rng.split (Sim.Engine.rng engine);
-      raft_cfg = raft_config;
       shard_states;
       peer_sessions = Int_tbl.create 8;
       pending_reply = None;
@@ -408,7 +403,7 @@ let create ~fabric ~nexus ~rpc ~map ~host ?(raft_config = Raft.Core.default_conf
   (* Every command a replica submits is [Kv_proto.cmd_size] bytes, so an
      AppendEntries frame is at most this large. *)
   let frame_capacity =
-    Kv_proto.raft_frame_capacity ~max_entries:raft_config.Raft.Core.max_entries_per_msg
+    Kv_proto.raft_frame_capacity ~max_entries:Raft.Core.max_entries_per_msg
   in
   t.calls <- Pool.create (fun () -> new_call t ~frame_capacity);
   Array.iter (fun st -> st.core <- Some (make_core t st ())) t.shard_states;

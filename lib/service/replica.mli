@@ -30,15 +30,13 @@ type t
 
 (** [create ~fabric ~nexus ~rpc ~map ~host ()] builds the node and
     registers the service's two request handlers on [nexus]. Only call on
-    hosts the map actually places shards on. [?raft_config] overrides
-    election/heartbeat timing (default {!Raft.Core.default_config}). *)
+    hosts the map actually places shards on. *)
 val create :
   fabric:Erpc.Fabric.t ->
   nexus:Erpc.Nexus.t ->
   rpc:Erpc.Rpc.t ->
   map:Shard_map.t ->
   host:int ->
-  ?raft_config:Raft.Core.config ->
   unit ->
   t
 

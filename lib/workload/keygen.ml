@@ -49,8 +49,6 @@ let rec next_at t rng ~now_ns =
       let shift = now_ns / period_ns mod n * stride mod n in
       (next_at base rng ~now_ns + shift) mod n
 
-let next t rng = next_at t rng ~now_ns:0
-
 let encode ?(width = 16) k =
   if k < 0 then invalid_arg "Keygen.encode: negative id";
   (* Ids wider than [width] keep all their digits (see the .mli): padding

@@ -25,9 +25,6 @@ val space : t -> int
     simulation time [now_ns] (which only [hot_shift] inspects). *)
 val next_at : t -> Sim.Rng.t -> now_ns:int -> int
 
-(** [next t rng] = [next_at t rng ~now_ns:0]. *)
-val next : t -> Sim.Rng.t -> int
-
 (** Fixed-width printable key encoding (16 bytes by default, like the
     paper's 16 B keys): the decimal rendering of [k], zero-padded on the
     left to [width] bytes. [width] is a minimum, not a truncation: an id

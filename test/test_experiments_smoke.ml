@@ -127,6 +127,42 @@ let test_cluster_load_coverage () =
       check_bool (Printf.sprintf "%s: 0 < coverage %.3f <= 1" name c) true (0. < c && c <= 1.))
     Workload.Traffic_spec.builtin
 
+(* Fault plans run under multi-tenant load: a cluster-load scenario with a
+   ToR partition and a leader crash inside its horizon stays clean (the
+   fabric audit, the service invariants, every tenant making progress) and
+   reruns identically. *)
+let test_cluster_load_under_faults () =
+  let module T = Workload.Traffic_spec in
+  let ms n = n * 1_000_000 in
+  let s =
+    {
+      (Option.get (T.of_name ~scale:0.25 ~horizon_ms:20.0 "steady-poisson")) with
+      faults =
+        [
+          Scheduled
+            {
+              at_ns = ms 4;
+              fault = Faults.Schedule.Partition { tor_a = 0; tor_b = 1; heal_ns = ms 6 };
+            };
+          Crash_leader { at_ns = ms 12; shard = 1; down_ns = ms 4 };
+        ];
+    }
+  in
+  let run () = Experiments.Exp_cluster_load.run ~seed:42L s in
+  let a = run () and b = run () in
+  Alcotest.(check (list string)) "no violations" [] a.violations;
+  check_bool "the crash restarted a replica" true (a.restarts >= 1);
+  let has w =
+    let n = String.length w in
+    let rec go i = i + n <= String.length a.trace && (String.sub a.trace i n = w || go (i + 1)) in
+    go 0
+  in
+  check_bool "the fault trace holds the partition and the crash" true
+    (has "inject partition" && has "crash-leader shard=1");
+  Alcotest.(check string) "same digest" a.digest b.digest;
+  Alcotest.(check string) "same fault trace" a.trace b.trace;
+  Alcotest.(check int) "same events" a.events b.events
+
 let test_cluster_load_deterministic () =
   (* Same seed => byte-identical event traces, across all three builtin
      scenarios (the kv-chaos determinism contract, extended to the
@@ -235,8 +271,11 @@ let test_open_loop_driver () =
           (1 + Option.value ~default:0 (Hashtbl.find_opt completions id));
         k (if id mod 3 = 2 then Obs.Op.Failed else Obs.Op.Ok_))
   in
-  let every = H.Every { gap_ns = 1_000; count = 10 } in
-  let drv = H.driver ~engine ~slots:2 ~warmup_ns:5_000 (Open [| every; every |]) send in
+  let drv =
+    H.driver ~engine ~slots:2 ~warmup_ns:5_000
+      (Open { arrival = Every 1_000; sources = 2; until_ns = 10_000 })
+      send
+  in
   H.start_driver drv;
   Sim.Engine.run engine;
   let t = H.driver_tally drv in
@@ -269,7 +308,9 @@ let test_open_loop_driver () =
     Sim.Engine.schedule_after engine 50_000 (fun () -> k Obs.Op.Ok_)
   in
   let drv =
-    H.driver ~engine ~slots:1_000 (Open [| Process { spec; until_ns = 100_000 } |]) send
+    H.driver ~engine ~slots:1_000
+      (Open { arrival = Process spec; sources = 1; until_ns = 100_000 })
+      send
   in
   H.start_driver drv;
   Sim.Engine.run engine;
@@ -310,6 +351,7 @@ let suite =
     Alcotest.test_case "fig1 band" `Quick test_rdma_fig1_band;
     Alcotest.test_case "cluster-load smoke" `Quick test_cluster_load_smoke;
     Alcotest.test_case "cluster-load determinism" `Quick test_cluster_load_deterministic;
+    Alcotest.test_case "cluster-load under a fault plan" `Quick test_cluster_load_under_faults;
     Alcotest.test_case "cluster-load coverage" `Quick test_cluster_load_coverage;
     Alcotest.test_case "typed small-rate pinned" `Quick test_typed_small_rate_pinned;
     Alcotest.test_case "sequential driver" `Quick test_sequential_driver;

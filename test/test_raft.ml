@@ -20,12 +20,13 @@ let make_cluster ?(n = 3) () =
   cluster.nodes <-
     Array.init n (fun id ->
         let peers = Array.of_list (List.filter (fun p -> p <> id) (List.init n Fun.id)) in
-        Raft.Core.create ~id ~peers Raft.Core.default_config
+        Raft.Core.create ~id ~peers
           ~send:(fun dst msg ->
             if not (List.mem (id, dst) cluster.cut) then Queue.add (dst, msg) cluster.inbox)
           ~apply:(fun index cmd ->
             cluster.applied.(id) <- (index, cmd) :: cluster.applied.(id))
-          ~random:(fun bound -> Sim.Rng.int rng bound));
+          ~random:(fun bound -> Sim.Rng.int rng bound)
+          ());
   cluster
 
 (* Deliver queued messages until quiescent (sends may trigger sends). *)
@@ -41,7 +42,7 @@ let deliver c =
 (* Expire node [id]'s election timeout. *)
 let force_election c id =
   Raft.Core.periodic c.nodes.(id)
-    ~elapsed_ns:(Raft.Core.default_config.election_timeout_max_ns + 1)
+    ~elapsed_ns:(Raft.Core.election_timeout_max_ns + 1)
 
 let elect c id =
   force_election c id;
@@ -52,7 +53,7 @@ let elect c id =
     (Raft.Core.role c.nodes.(id) = Raft.Core.Leader)
 
 let heartbeat c id =
-  Raft.Core.periodic c.nodes.(id) ~elapsed_ns:(Raft.Core.default_config.heartbeat_ns + 1);
+  Raft.Core.periodic c.nodes.(id) ~elapsed_ns:(Raft.Core.heartbeat_ns + 1);
   deliver c
 
 let leaders c =

@@ -33,13 +33,14 @@ let make_world n seed =
     Array.init n (fun id ->
         Hashtbl.replace w.applied id (ref []);
         let peers = Array.of_list (List.filter (fun p -> p <> id) (List.init n Fun.id)) in
-        Raft.Core.create ~id ~peers Raft.Core.default_config
+        Raft.Core.create ~id ~peers
           ~send:(fun dst msg ->
             if w.reachable.(id).(dst) then Queue.add (dst, msg) w.pending)
           ~apply:(fun index cmd ->
             let l = Hashtbl.find w.applied id in
             l := (index, cmd) :: !l)
-          ~random:(fun bound -> Sim.Rng.int rng bound));
+          ~random:(fun bound -> Sim.Rng.int rng bound)
+          ());
   w
 
 let observe_leaders w =
@@ -117,12 +118,12 @@ let run_chaos ~seed ~steps ~n =
         (* someone's election timer expires *)
         Raft.Core.periodic
           w.nodes.(Sim.Rng.int rng n)
-          ~elapsed_ns:(Raft.Core.default_config.election_timeout_max_ns + 1)
+          ~elapsed_ns:(Raft.Core.election_timeout_max_ns + 1)
     | 2 ->
         (* heartbeats *)
         Array.iter
           (fun node ->
-            Raft.Core.periodic node ~elapsed_ns:(Raft.Core.default_config.heartbeat_ns + 1))
+            Raft.Core.periodic node ~elapsed_ns:(Raft.Core.heartbeat_ns + 1))
           w.nodes
     | 3 -> random_partition w rng n
     | 4 | 5 | 6 ->
@@ -141,7 +142,7 @@ let run_chaos ~seed ~steps ~n =
   for _ = 1 to 20 do
     Array.iter
       (fun node ->
-        Raft.Core.periodic node ~elapsed_ns:(Raft.Core.default_config.heartbeat_ns + 1))
+        Raft.Core.periodic node ~elapsed_ns:(Raft.Core.heartbeat_ns + 1))
       w.nodes;
     deliver_some w rng 10_000
   done;

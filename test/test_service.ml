@@ -217,7 +217,7 @@ let test_chaos_run_clean_and_deterministic () =
   check_str "same seed, byte-identical fault trace" r1.trace r2.trace;
   check_int "same seed, same ack count" r1.acked r2.acked;
   check_bool "run JSON is well-formed" true
-    (Obs.Json.validate (Obs.Json.to_string r1.timeline))
+    (Obs.Json.validate (Obs.Json.to_string (Experiments.Exp_kv_chaos.run_to_json r1)))
 
 (* Golden fault-trace digests captured before the codec refactor moved
    Kv_proto and Raft.Wire onto schema combinators. Equality here proves
@@ -250,6 +250,46 @@ let test_chaos_golden_digests () =
         1187 );
     ]
 
+(* The runner's per-operation history on the default 20-seed suite's
+   index 5 (seed 563645, tor-partition): one entry per issued operation,
+   unique PUT values, and every value a GET read written to its key by a
+   PUT invoked before the GET completed. This is a necessary condition of
+   linearizability, not the whole of it. *)
+let test_kv_history () =
+  let module K = Experiments.Kv_runner in
+  let r =
+    Experiments.Exp_kv_chaos.run_one ~scenario:Experiments.Exp_kv_chaos.Tor_partition
+      ~seed:563_645L ()
+  in
+  check_int "one entry per issued operation" r.issued (List.length r.history);
+  let puts = Hashtbl.create 1024 in
+  List.iter
+    (fun (e : K.entry) ->
+      match (e.kind, e.value) with
+      | K.Put, Some v ->
+          check_bool (Printf.sprintf "PUT value %s is unique" v) false (Hashtbl.mem puts v);
+          Hashtbl.replace puts v e
+      | K.Put, None -> Alcotest.fail "a PUT without its value"
+      | K.Get, _ -> ())
+    r.history;
+  let reads = ref 0 in
+  List.iter
+    (fun (e : K.entry) ->
+      match (e.kind, e.value) with
+      | K.Get, Some v -> (
+          incr reads;
+          match Hashtbl.find_opt puts v with
+          | Some (p : K.entry) ->
+              check_bool
+                (Printf.sprintf "GET of %s at %d read %s, written to %s at %d" e.key
+                   e.complete_ns v p.key p.invoke_ns)
+                true
+                (p.key = e.key && p.invoke_ns < e.complete_ns)
+          | None -> Alcotest.failf "GET of %s read %S, which no PUT wrote" e.key v)
+      | _ -> ())
+    r.history;
+  check_bool (Printf.sprintf "GETs read values (%d)" !reads) true (!reads > 100)
+
 let suite =
   [
     Alcotest.test_case "shard map: placement" `Quick test_shard_map_placement;
@@ -266,4 +306,5 @@ let suite =
     Alcotest.test_case "kv-chaos: clean and deterministic" `Quick
       test_chaos_run_clean_and_deterministic;
     Alcotest.test_case "kv-chaos: golden trace digests" `Quick test_chaos_golden_digests;
+    Alcotest.test_case "kv runner: per-op history" `Quick test_kv_history;
   ]

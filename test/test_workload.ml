@@ -6,7 +6,7 @@ let test_uniform_bounds () =
   let g = Workload.Keygen.uniform ~n:100 in
   let rng = Sim.Rng.create 1L in
   for _ = 1 to 10_000 do
-    let k = Workload.Keygen.next g rng in
+    let k = Workload.Keygen.next_at g rng ~now_ns:0 in
     check_bool "bounds" true (k >= 0 && k < 100)
   done
 
@@ -15,7 +15,7 @@ let test_uniform_covers_space () =
   let rng = Sim.Rng.create 2L in
   let seen = Array.make 10 false in
   for _ = 1 to 1_000 do
-    seen.(Workload.Keygen.next g rng) <- true
+    seen.(Workload.Keygen.next_at g rng ~now_ns:0) <- true
   done;
   check_bool "all keys seen" true (Array.for_all Fun.id seen)
 
@@ -23,7 +23,7 @@ let test_zipf_bounds () =
   let g = Workload.Keygen.zipf ~n:1_000 ~theta:0.99 in
   let rng = Sim.Rng.create 3L in
   for _ = 1 to 10_000 do
-    let k = Workload.Keygen.next g rng in
+    let k = Workload.Keygen.next_at g rng ~now_ns:0 in
     check_bool "bounds" true (k >= 0 && k < 1_000)
   done
 
@@ -34,7 +34,7 @@ let test_zipf_is_skewed () =
   let counts = Array.make n 0 in
   let total = 100_000 in
   for _ = 1 to total do
-    let k = Workload.Keygen.next g rng in
+    let k = Workload.Keygen.next_at g rng ~now_ns:0 in
     counts.(k) <- counts.(k) + 1
   done;
   (* YCSB zipf(0.99): the hottest key draws far more than uniform share
@@ -93,7 +93,7 @@ let test_zipf_matches_analytic_cdf () =
   let rng = Sim.Rng.create 7L in
   let counts = Array.make n 0 in
   for _ = 1 to draws do
-    let k = Workload.Keygen.next g rng in
+    let k = Workload.Keygen.next_at g rng ~now_ns:0 in
     counts.(k) <- counts.(k) + 1
   done;
   let pmf = zipf_pmf n theta in
