@@ -53,11 +53,9 @@ type t = {
   mutable rtt_probe : (int -> unit) option;
   mutable invoke : sslot -> server_info -> int -> unit;  (* the upcall, set once by {!Rpc} *)
   (* Hot-path event handlers and the RX callback, registered once, so the
-     steady-state loop schedules no closures. A deferred post carries its
-     packet's handle. *)
+     steady-state loop schedules no closures. *)
   mutable activate_ev : Sim.Engine.handler;
   mutable wake_ev : Sim.Engine.handler;
-  mutable tx_deferred_ev : Sim.Engine.handler;
   mutable rx_each : Netsim.Packet.t -> unit;
   mutable wheel_fire_fn : int -> unit;
   trace : Obs.Trace.t;
@@ -244,14 +242,12 @@ let limiter t =
       t.limiter <- Some lim;
       lim
 
-(* Post a packet to the transport at the time the dispatch thread's charged
-   work completes — the packet leaves the host when the CPU has actually
-   built it. The server direction posts directly. *)
+(* Post a packet to the transport as of the time the dispatch thread's
+   charged work completes — the packet leaves the host when the CPU has
+   actually built it. *)
 let post_pkt t pkt =
   t.stats.Rpc_stats.tx_pkts <- t.stats.Rpc_stats.tx_pkts + 1;
-  let at = Sim.Cpu.next_free t.cpu in
-  if at <= Sim.Engine.now t.engine then Transport.Iface.tx_burst t.transport pkt
-  else Sim.Engine.post t.engine at t.tx_deferred_ev (Netsim.Packet.intern t.packets pkt)
+  Transport.Iface.tx_burst t.transport ~at:(Sim.Cpu.next_free t.cpu) pkt
 
 (* Client-side transmission honoring the Carousel rate limiter. *)
 let transmit_cc t slot pkt ~wire_bytes ~tx_item ~is_retx =
@@ -1045,7 +1041,6 @@ let create ~engine ~host ~cfg ~cost ~cpu ~transport ~process ~packets ~stats ~ti
       invoke = (fun _ _ _ -> ());
       activate_ev = Sim.Engine.no_handler;
       wake_ev = Sim.Engine.no_handler;
-      tx_deferred_ev = Sim.Engine.no_handler;
       rx_each = ignore;
       wheel_fire_fn = ignore;
       trace = Sim.Engine.trace engine;
@@ -1055,9 +1050,6 @@ let create ~engine ~host ~cfg ~cost ~cpu ~transport ~process ~packets ~stats ~ti
   in
   t.activate_ev <- Sim.Engine.handler engine ~layer:Rpc (fun _ -> activate t);
   t.wake_ev <- Sim.Engine.handler engine ~layer:Rpc (fun _ -> wake t);
-  t.tx_deferred_ev <-
-    Sim.Engine.handler engine ~layer:Rpc (fun h ->
-        Transport.Iface.tx_burst transport (Netsim.Packet.get packets h));
   t.rx_each <- (fun pkt -> rx_pkt t pkt);
   t.wheel_fire_fn <- (fun entry -> wheel_fire t entry);
   Transport.Iface.set_rx_notify transport (fun () -> wake t);

@@ -1,15 +1,19 @@
 (** Timing wheel (Carousel, SIGCOMM '17): the rate limiter's data
     structure.
 
-    Fixed-granularity circular array of slots; entries are inserted at
-    their scheduled transmission time and drained in slot order by [poll].
-    Entries beyond the horizon are clamped to the farthest slot — callers
-    pick a horizon larger than the maximum pacing gap (MTU at the minimum
-    Timely rate), so clamping is a safety net, not a steady-state path.
+    Behaves as a fixed-granularity circular array of [num_slots] slots:
+    entries are inserted at their scheduled transmission time and drained
+    in slot order by [poll]. Entries beyond the horizon are clamped to the
+    farthest slot — callers pick a horizon larger than the maximum pacing
+    gap (MTU at the minimum Timely rate), so clamping is a safety net, not
+    a steady-state path.
 
-    Entries are ints (the RPC endpoint's index into its own table of
-    paced packets), kept in intrusive per-slot lists of int cells: in
-    steady state the wheel allocates nothing and stores no pointer. *)
+    The ring's order is kept in an int min-heap keyed by the slot at which
+    the ring's cursor would deliver each entry, then by insertion order,
+    so memory is proportional to the most entries pending at once, not to
+    [num_slots]. Entries are ints (the RPC endpoint's index into its own
+    table of paced packets): in steady state the wheel allocates nothing
+    and stores no pointer. *)
 
 type t
 

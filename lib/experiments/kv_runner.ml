@@ -157,6 +157,133 @@ let check_invariants ~fabric ~map ~replicas ~history ~applied add =
         shard client_id seq n)
     (List.sort compare dups)
 
+(* {2 Linearizability}
+
+   Each key is a register that starts absent, and keys are independent,
+   so each key's operations are checked on their own (Wing & Gong's
+   search with Lowe's memo of visited (linearized set, state) pairs, as in
+   Knossos and Porcupine). A PUT takes effect at one instant between its
+   invoke and its completion; a failed PUT may have taken effect at any
+   instant after its invoke, or never, so it stays open to the end of
+   time. A GET reads the register (a miss reads it absent); a failed GET
+   constrains nothing. *)
+
+(* Whether [ops] has a linearization, else the op whose completion the
+   longest partial linearization could not reach. *)
+let linearize (ops : entry array) =
+  let n = Array.length ops in
+  let return_ns i =
+    if ops.(i).kind = Put && ops.(i).result = Obs.Op.Failed then max_int else ops.(i).complete_ns
+  in
+  (* Entries [0, n) are invocations, [n, 2n) completions, in time order
+     with invocations first on ties: ops that touch at one instant
+     overlap. Positions [0, 2n) form a circular doubly linked list through
+     the sentinel [2n]. *)
+  let time e = if e < n then (ops.(e).invoke_ns, 0) else (return_ns (e - n), 1) in
+  let entries = Array.init (2 * n) Fun.id in
+  Array.stable_sort (fun a b -> compare (time a) (time b)) entries;
+  let pos = Array.make (2 * n) 0 in
+  Array.iteri (fun p e -> pos.(e) <- p) entries;
+  let head = 2 * n in
+  let next = Array.init ((2 * n) + 1) (fun p -> (p + 1) mod ((2 * n) + 1)) in
+  let prev = Array.init ((2 * n) + 1) (fun p -> (p + (2 * n)) mod ((2 * n) + 1)) in
+  let unlink p =
+    next.(prev.(p)) <- next.(p);
+    prev.(next.(p)) <- prev.(p)
+  in
+  let relink p =
+    next.(prev.(p)) <- p;
+    prev.(next.(p)) <- p
+  in
+  (* The state is the index of the PUT whose value the register holds, or
+     -1 while it is absent. *)
+  let step i state =
+    match ops.(i).kind with
+    | Put -> Some i
+    | Get ->
+        let holds = if state < 0 then None else ops.(state).value in
+        if holds = ops.(i).value then Some state else None
+  in
+  let linearized = Bytes.make ((n + 7) / 8) '\000' in
+  let flip i =
+    Bytes.set linearized (i / 8)
+      (Char.chr (Char.code (Bytes.get linearized (i / 8)) lxor (1 lsl (i mod 8))))
+  in
+  let seen = Hashtbl.create 64 in
+  let stack = ref [] and depth = ref 0 and state = ref (-1) in
+  let deepest = ref (-1) and stuck = ref 0 in
+  let cur = ref next.(head) and outcome = ref None in
+  while !outcome = None do
+    if next.(head) = head then outcome := Some None
+    else
+      let p = !cur in
+      let e = entries.(p) in
+      if e < n then begin
+        match step e !state with
+        | Some s' ->
+            flip e;
+            let memo = (Bytes.to_string linearized, s') in
+            if Hashtbl.mem seen memo then begin
+              flip e;
+              cur := next.(p)
+            end
+            else begin
+              Hashtbl.add seen memo ();
+              stack := (e, !state) :: !stack;
+              incr depth;
+              state := s';
+              unlink p;
+              unlink pos.(e + n);
+              cur := next.(head)
+            end
+        | None -> cur := next.(p)
+      end
+      else begin
+        if !depth > !deepest then begin
+          deepest := !depth;
+          stuck := e - n
+        end;
+        match !stack with
+        | [] -> outcome := Some (Some ops.(!stuck))
+        | (i, s) :: rest ->
+            stack := rest;
+            decr depth;
+            flip i;
+            state := s;
+            relink pos.(i + n);
+            relink pos.(i);
+            cur := next.(pos.(i))
+      end
+  done;
+  Option.get !outcome
+
+let linearizability_violations history =
+  let by_key = Hashtbl.create 256 in
+  List.iter
+    (fun e ->
+      if not (e.kind = Get && e.result = Obs.Op.Failed) then
+        Hashtbl.replace by_key e.key
+          (e :: Option.value ~default:[] (Hashtbl.find_opt by_key e.key)))
+    history;
+  Hashtbl.fold (fun key ops acc -> (key, ops) :: acc) by_key []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.filter_map (fun (key, ops) ->
+         let ops = Array.of_list (List.rev ops) in
+         if not (Array.exists (fun e -> e.kind = Get) ops) then None
+         else
+           Option.map
+             (fun e ->
+               Printf.sprintf
+                 "not linearizable: key %s (%d ops); no order reaches the %s c%d/%d \
+                  completing at %d ns"
+                 key (Array.length ops)
+                 (match (e.kind, e.value) with
+                 | Get, Some v -> "GET reading " ^ v
+                 | Get, None -> "GET missing"
+                 | Put, _ -> "PUT")
+                 e.client_id e.seq e.complete_ns)
+             (linearize ops))
+
 let run ~seed (s : T.scenario) =
   let l = s.layout in
   let violations = ref [] in
@@ -356,6 +483,7 @@ let run ~seed (s : T.scenario) =
   audit "at quiescence";
   let history = List.rev !history in
   check_invariants ~fabric:d.fabric ~map ~replicas ~history ~applied (violate "%s");
+  List.iter (violate "%s") (linearizability_violations history);
   let reports =
     List.map
       (fun ((t : T.tenant), drv, timeline) ->

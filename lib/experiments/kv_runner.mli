@@ -18,7 +18,8 @@
       logs, fully applied, and every replica's store byte-equal to a
       dedup-replay of the committed log;
     - every replica host is up and every tenant that issued operations
-      had one succeed.
+      had one succeed;
+    - the KV history is linearizable ({!linearizability_violations}).
 
     Determinism: the same seed reproduces the byte-identical fault trace
     and, on a traced run, the identical event trace. *)
@@ -84,6 +85,15 @@ type result = {
           [quiesce] line (byte-comparable) *)
   history : entry list;  (** every KV operation, in completion order *)
 }
+
+(** [linearizability_violations history] is one message per key whose
+    operations have no linearization as a register that starts absent
+    (empty if the history is linearizable; keys are checked on their
+    own). A successful PUT takes effect between its invoke and its
+    completion; a failed PUT at any instant after its invoke, or never. A
+    GET reads the register (a [Miss] reads it absent); a failed GET
+    constrains nothing. *)
+val linearizability_violations : entry list -> string list
 
 (** The shard placement the runner deploys on a layout. *)
 val shard_map : Workload.Traffic_spec.layout -> Service.Shard_map.t

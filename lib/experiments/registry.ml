@@ -27,6 +27,7 @@ type result = {
   cpu_s : float;
   wall_s : float;
   minor_words_per_event : float;
+  peak_heap_mb : float;
   violations : string list;
 }
 
@@ -39,6 +40,9 @@ let run ~wall_clock ?(rerun = false) (e : _ entry) ~seed p =
   let outcome, census = Sim.Engine.counting (fun () -> e.run ~seed p) in
   let wall_s = wall_clock () -. t0 and cpu_s = Sys.time () -. c0 in
   let words = Gc.minor_words () -. w0 in
+  let peak_heap_mb =
+    float_of_int ((Gc.quick_stat ()).top_heap_words * (Sys.word_size / 8)) /. 1_048_576.
+  in
   let events = List.fold_left (fun acc (_, n) -> acc + n) 0 census in
   let d = digest outcome.rows in
   let rerun_violations =
@@ -64,6 +68,7 @@ let run ~wall_clock ?(rerun = false) (e : _ entry) ~seed p =
     cpu_s;
     wall_s;
     minor_words_per_event = (if events > 0 then words /. float_of_int events else 0.);
+    peak_heap_mb;
     violations = outcome.violations @ rerun_violations;
   }
 
@@ -83,6 +88,7 @@ let envelope r =
       ("cpu_s", Float r.cpu_s);
       ("wall_s", Float r.wall_s);
       ("minor_words_per_event", Float r.minor_words_per_event);
+      ("peak_heap_mb", Float r.peak_heap_mb);
       ("host_cores", Int (Domain.recommended_domain_count ()));
       ("violations", Arr (List.map (fun v -> Str v) r.violations));
       ("rows", Arr r.outcome.rows);

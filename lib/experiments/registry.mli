@@ -39,6 +39,9 @@ type result = {
   cpu_s : float;  (** process CPU seconds ([Sys.time]; sums across domains) *)
   wall_s : float;  (** elapsed real seconds, read from the caller's clock *)
   minor_words_per_event : float;  (** this domain's minor-heap words per event *)
+  peak_heap_mb : float;
+      (** the process's largest major heap so far, in MiB
+          ([Gc.quick_stat]'s [top_heap_words]) *)
   violations : string list;  (** the outcome's, then any [~rerun] mismatch *)
 }
 

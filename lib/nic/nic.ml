@@ -36,8 +36,11 @@ type t = {
   rng : Sim.Rng.t;
   conn_cache : Conn_cache.t option;  (* [Some] selects RDMA RC mode *)
   mutable rx_last_delivery : Sim.Time.t;
-  mutable tx_pending : int;
   mutable tx_last_done : Sim.Time.t;
+  (* (entry time at the NIC, wire-entry time) of every descriptor whose
+     DMA has not completed, in post order. A descriptor counts as posted
+     only from its entry time on. *)
+  tx_inflight : Sim.Ring.t;
   rx_ring : Sim.Ring.t;  (* packet handles *)
   (* Handlers of the DMA pipeline completions, which carry their packet's
      handle. *)
@@ -95,7 +98,8 @@ let receive t pkt =
   Sim.Engine.post t.engine at t.rx_done (Netsim.Packet.intern t.packets pkt)
 
 let tx_complete t h =
-  t.tx_pending <- t.tx_pending - 1;
+  ignore (Sim.Ring.take t.tx_inflight);
+  ignore (Sim.Ring.take t.tx_inflight);
   Netsim.Network.send t.net (Netsim.Packet.get t.packets h)
 
 let create ?conn_cache engine net ~host cfg =
@@ -120,8 +124,8 @@ let create ?conn_cache engine net ~host cfg =
         | Some _ -> Sim.Rng.create 0L);
       conn_cache;
       rx_last_delivery = Sim.Time.zero;
-      tx_pending = 0;
       tx_last_done = Sim.Time.zero;
+      tx_inflight = Sim.Ring.create ();
       rx_ring = Sim.Ring.create ~capacity:64 ();
       rx_done = Sim.Engine.no_handler;
       tx_done = Sim.Engine.no_handler;
@@ -140,32 +144,46 @@ let create ?conn_cache engine net ~host cfg =
   t.tx_done <- Sim.Engine.handler engine ~layer:Nic (fun h -> tx_complete t h);
   t
 
-let tx_burst t pkt =
+let tx_burst t ~at pkt =
+  let at = Int.max at (Sim.Engine.now t.engine) in
   let lat =
     match t.conn_cache with
     | Some cache when not (Conn_cache.access cache ((t.host * 65_537) + pkt.Netsim.Packet.dst)) ->
         t.cfg.tx_latency_ns + conn_miss_ns
     | _ -> t.cfg.tx_latency_ns
   in
-  t.tx_pending <- t.tx_pending + 1;
   t.tx_packets <- t.tx_packets + 1;
   if Obs.Trace.enabled t.trace then
-    Obs.Trace.instant t.trace ~ts:(Sim.Engine.now t.engine) ~cat:"nic" ~name:"tx"
+    Obs.Trace.instant t.trace ~ts:at ~cat:"nic" ~name:"tx"
       ~pid:t.pid ~tid:t.tid
       [ ("id", Obs.Trace.I pkt.Netsim.Packet.trace_id) ];
   (* Descriptors enter the wire in post order even when an RC cache hit
      follows a miss: the send queue is FIFO. At a constant latency the
      clamp never binds, so [tx_last_done] is always the last entry time. *)
-  let enter = Int.max (Sim.Time.add (Sim.Engine.now t.engine) lat) t.tx_last_done in
+  let enter = Int.max (Sim.Time.add at lat) t.tx_last_done in
   t.tx_last_done <- enter;
+  Sim.Ring.push t.tx_inflight at;
+  Sim.Ring.push t.tx_inflight enter;
   Sim.Engine.post t.engine enter t.tx_done (Netsim.Packet.intern t.packets pkt)
 
-let tx_pending t = t.tx_pending
+(* The descriptors posted by now whose DMA has not completed: their count
+   and the last one's wire-entry time. *)
+let posted_by_now t =
+  let now = Sim.Engine.now t.engine in
+  let count = ref 0 and last_enter = ref now in
+  for k = 0 to (Sim.Ring.length t.tx_inflight / 2) - 1 do
+    if Sim.Ring.get t.tx_inflight (2 * k) <= now then begin
+      incr count;
+      last_enter := Sim.Ring.get t.tx_inflight ((2 * k) + 1)
+    end
+  done;
+  (!count, !last_enter)
+
+let tx_pending t = fst (posted_by_now t)
 
 let flush_time_ns t =
-  let now = Sim.Engine.now t.engine in
-  let wait = if t.tx_pending > 0 then Int.max 0 (Sim.Time.sub t.tx_last_done now) else 0 in
-  wait + t.cfg.tx_flush_ns
+  let _, last_enter = posted_by_now t in
+  Int.max 0 (Sim.Time.sub last_enter (Sim.Engine.now t.engine)) + t.cfg.tx_flush_ns
 
 let rx_burst t ~max f =
   let n = ref 0 in

@@ -71,12 +71,16 @@ val receive : t -> Netsim.Packet.t -> unit
 
 (** {2 TX path} *)
 
-(** Post a packet for transmission (unsignaled). It enters the wire after
-    [tx_latency_ns] (plus any RC cache-miss stall) and the NIC TX port's
-    own queueing. *)
-val tx_burst : t -> Netsim.Packet.t -> unit
+(** [tx_burst t ~at pkt] posts a packet for transmission (unsignaled) as
+    of time [at] (clamped to now): the moment the sender's CPU has built
+    it. It enters the wire [tx_latency_ns] (plus any RC cache-miss stall)
+    after [at], and no earlier than the descriptor posted before it, then
+    queues at the NIC TX port. A descriptor with [at] in the future counts
+    in {!tx_pending} and {!flush_time_ns} only from [at] on. *)
+val tx_burst : t -> at:Sim.Time.t -> Netsim.Packet.t -> unit
 
-(** Number of TX descriptors whose DMA has not yet completed. *)
+(** Number of TX descriptors posted by now whose DMA has not yet
+    completed. *)
 val tx_pending : t -> int
 
 (** [flush_time_ns t] is the simulated time needed to flush the TX DMA

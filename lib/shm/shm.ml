@@ -67,6 +67,7 @@ type endpoint = {
   fly_seals : Sim.Ring.t;
   mutable rx_done : Sim.Engine.handler;
   mutable tx_done : Sim.Engine.handler;
+  mutable tx_deferred : Sim.Engine.handler;
   mutable rx_notify : unit -> unit;
   mutable rx_last_delivery : Sim.Time.t;
   mutable tx_last_done : Sim.Time.t;
@@ -215,18 +216,26 @@ let shm_tx t dst pkt (v : view) =
 let kind _ = "shm"
 let rq_size t = Nic.rq_size t.inner
 
-let tx_burst t pkt =
-  if t.colocated pkt.Netsim.Packet.dst then
-    match t.hub.hooks.view pkt with
-    | Some v -> (
-        match Hashtbl.find_opt t.hub.endpoints (pkt.Netsim.Packet.dst, v.dst_rpc) with
-        | Some dst -> shm_tx t dst pkt v
-        | None ->
-            (* Co-located, but the peer never mapped a ring (e.g. it runs
-               with shm disabled): fall back to the wire. *)
-            Nic.tx_burst t.inner pkt)
-    | None -> Nic.tx_burst t.inner pkt
-  else Nic.tx_burst t.inner pkt
+let colocated_tx t pkt =
+  let now = Sim.Engine.now t.engine in
+  match t.hub.hooks.view pkt with
+  | Some v -> (
+      match Hashtbl.find_opt t.hub.endpoints (pkt.Netsim.Packet.dst, v.dst_rpc) with
+      | Some dst -> shm_tx t dst pkt v
+      | None ->
+          (* Co-located, but the peer never mapped a ring (e.g. it runs
+             with shm disabled): fall back to the wire. *)
+          Nic.tx_burst t.inner ~at:now pkt)
+  | None -> Nic.tx_burst t.inner ~at:now pkt
+
+(* The wire device takes a future entry time itself. A co-located packet
+   waits for its entry time in an event of its own, because the
+   receiver's ring interleaves several senders in delivery order. *)
+let tx_burst t ~at pkt =
+  if not (t.colocated pkt.Netsim.Packet.dst) then Nic.tx_burst t.inner ~at pkt
+  else if at > Sim.Engine.now t.engine then
+    Sim.Engine.post t.engine at t.tx_deferred (Netsim.Packet.intern t.hub.packets pkt)
+  else colocated_tx t pkt
 
 let tx_pending t = t.shm_tx_pending + Nic.tx_pending t.inner
 
@@ -322,6 +331,7 @@ let create engine ~hub ~host ~rpc_id ~inner ~colocated ~cpu ~mode ~slots ~hop_ns
       fly_seals = Sim.Ring.create ();
       rx_done = Sim.Engine.no_handler;
       tx_done = Sim.Engine.no_handler;
+      tx_deferred = Sim.Engine.no_handler;
       rx_notify = (fun () -> ());
       rx_last_delivery = Sim.Time.zero;
       tx_last_done = Sim.Time.zero;
@@ -342,6 +352,9 @@ let create engine ~hub ~host ~rpc_id ~inner ~colocated ~cpu ~mode ~slots ~hop_ns
   t.rx_done <- Sim.Engine.handler engine ~layer:Shm (fun h -> rx_complete t h);
   t.tx_done <-
     Sim.Engine.handler engine ~layer:Shm (fun _ -> t.shm_tx_pending <- t.shm_tx_pending - 1);
+  t.tx_deferred <-
+    Sim.Engine.handler engine ~layer:Shm (fun h ->
+        colocated_tx t (Netsim.Packet.get hub.packets h));
   (* Restart-friendly: a re-created endpoint at the same address simply
      remaps the ring (the old one died with its process). *)
   Hashtbl.replace hub.endpoints (host, rpc_id) t;

@@ -100,7 +100,7 @@ val create :
 
 val kind : endpoint -> string
 val rq_size : endpoint -> int
-val tx_burst : endpoint -> Netsim.Packet.t -> unit
+val tx_burst : endpoint -> at:Sim.Time.t -> Netsim.Packet.t -> unit
 val tx_pending : endpoint -> int
 val flush_time_ns : endpoint -> int
 val rx_burst : endpoint -> max:int -> (Netsim.Packet.t -> unit) -> int

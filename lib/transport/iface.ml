@@ -6,7 +6,7 @@ module type S = sig
 
   val kind : t -> string
   val rq_size : t -> int
-  val tx_burst : t -> Netsim.Packet.t -> unit
+  val tx_burst : t -> at:Sim.Time.t -> Netsim.Packet.t -> unit
   val tx_pending : t -> int
   val flush_time_ns : t -> int
   val rx_burst : t -> max:int -> (Netsim.Packet.t -> unit) -> int
@@ -33,7 +33,8 @@ type t = Wire of Nic.t | Mux of Shm.endpoint
 
 let kind = function Wire n -> Nic.kind n | Mux m -> Shm.kind m
 let rq_size = function Wire n -> Nic.rq_size n | Mux m -> Shm.rq_size m
-let tx_burst t pkt = match t with Wire n -> Nic.tx_burst n pkt | Mux m -> Shm.tx_burst m pkt
+let tx_burst t ~at pkt =
+  match t with Wire n -> Nic.tx_burst n ~at pkt | Mux m -> Shm.tx_burst m ~at pkt
 let tx_pending = function Wire n -> Nic.tx_pending n | Mux m -> Shm.tx_pending m
 let flush_time_ns = function Wire n -> Nic.flush_time_ns n | Mux m -> Shm.flush_time_ns m
 

@@ -31,8 +31,10 @@ module type S = sig
       [sessions * credits <= rq_size] can never overflow the RQ (§4.3.1). *)
   val rq_size : t -> int
 
-  (** Post one packet for transmission (unsignaled descriptor). *)
-  val tx_burst : t -> Netsim.Packet.t -> unit
+  (** [tx_burst t ~at pkt] posts one packet for transmission (unsignaled
+      descriptor) as of time [at], clamped to now: the moment the
+      sender's CPU has built it. *)
+  val tx_burst : t -> at:Sim.Time.t -> Netsim.Packet.t -> unit
 
   (** TX descriptors whose DMA has not completed yet. *)
   val tx_pending : t -> int

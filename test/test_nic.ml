@@ -87,12 +87,33 @@ let test_unsignaled_tx_and_flush () =
   Netsim.Network.attach net ~host:0 ~rx:(fun _ -> ());
   check_int "flush on empty queue costs only the fixed overhead"
     Nic.default_config.tx_flush_ns (Nic.flush_time_ns nic);
-  Nic.tx_burst nic (mk_pkt ~src:0 ~dst:1 ());
-  Nic.tx_burst nic (mk_pkt ~src:0 ~dst:1 ());
+  Nic.tx_burst nic ~at:(Sim.Engine.now e) (mk_pkt ~src:0 ~dst:1 ());
+  Nic.tx_burst nic ~at:(Sim.Engine.now e) (mk_pkt ~src:0 ~dst:1 ());
   check_int "two DMAs pending" 2 (Nic.tx_pending nic);
   (* Flush must wait for the last pending DMA plus the fixed cost. *)
   check_int "flush waits for DMA" (400 + Nic.default_config.tx_flush_ns) (Nic.flush_time_ns nic);
   Sim.Engine.run e;
+  check_int "drained" 0 (Nic.tx_pending nic)
+
+let test_tx_posted_ahead () =
+  (* A descriptor posted for a future entry time is not pending, and
+     costs a flush nothing, until that time. *)
+  let e = Sim.Engine.create () in
+  let net = two_host_net e in
+  let nic = Nic.create e net ~host:0 { Nic.default_config with tx_latency_ns = 400 } in
+  Netsim.Network.attach net ~host:1 ~rx:(fun _ -> ());
+  Netsim.Network.attach net ~host:0 ~rx:(fun _ -> ());
+  let flush = Nic.default_config.tx_flush_ns in
+  Nic.tx_burst nic ~at:0 (mk_pkt ~src:0 ~dst:1 ());
+  Nic.tx_burst nic ~at:1_000 (mk_pkt ~src:0 ~dst:1 ());
+  check_int "only the entered DMA is pending" 1 (Nic.tx_pending nic);
+  check_int "flush waits for the entered DMA only" (400 + flush) (Nic.flush_time_ns nic);
+  let seen = ref [] in
+  Sim.Engine.schedule e 1_000 (fun () ->
+      seen := (Nic.tx_pending nic, Nic.flush_time_ns nic) :: !seen);
+  Sim.Engine.run e;
+  Alcotest.(check (list (pair int int))) "at its entry time it counts"
+    [ (1, 400 + flush) ] !seen;
   check_int "drained" 0 (Nic.tx_pending nic)
 
 let test_rx_notify_fires_on_empty_ring_only () =
@@ -147,7 +168,7 @@ let test_rc_miss_penalty () =
   let e, nic, arrivals = rc_sender () in
   let one_way () =
     let t0 = Sim.Engine.now e in
-    Nic.tx_burst nic (mk_pkt ~src:0 ~dst:1 ());
+    Nic.tx_burst nic ~at:(Sim.Engine.now e) (mk_pkt ~src:0 ~dst:1 ());
     Sim.Engine.run e;
     fst (List.hd !arrivals) - t0
   in
@@ -159,8 +180,8 @@ let test_rc_hit_after_miss_keeps_order () =
   let e, nic, arrivals = rc_sender () in
   (* The first post misses the cold cache; the second, at the same
      instant and to the same peer, hits. *)
-  Nic.tx_burst nic (mk_pkt ~size:101 ~src:0 ~dst:1 ());
-  Nic.tx_burst nic (mk_pkt ~size:102 ~src:0 ~dst:1 ());
+  Nic.tx_burst nic ~at:(Sim.Engine.now e) (mk_pkt ~size:101 ~src:0 ~dst:1 ());
+  Nic.tx_burst nic ~at:(Sim.Engine.now e) (mk_pkt ~size:102 ~src:0 ~dst:1 ());
   check_int "the hit enters the wire no earlier than the miss"
     (Nic.default_config.tx_latency_ns + 120 + Nic.default_config.tx_flush_ns)
     (Nic.flush_time_ns nic);
@@ -175,6 +196,7 @@ let suite =
     Alcotest.test_case "RC: RQ exhaustion never drops" `Quick test_rc_rq_exhaustion_no_drops;
     Alcotest.test_case "multi-packet RQ amortization" `Quick test_multi_packet_rq_amortization;
     Alcotest.test_case "unsignaled TX + flush" `Quick test_unsignaled_tx_and_flush;
+    Alcotest.test_case "TX posted ahead of its entry time" `Quick test_tx_posted_ahead;
     Alcotest.test_case "rx notify on empty ring" `Quick test_rx_notify_fires_on_empty_ring_only;
     Alcotest.test_case "jitter preserves FIFO" `Quick test_jitter_preserves_fifo;
     Alcotest.test_case "RC: connection-cache miss penalty" `Quick test_rc_miss_penalty;

@@ -255,12 +255,17 @@ let test_chaos_golden_digests () =
    unique PUT values, and every value a GET read written to its key by a
    PUT invoked before the GET completed. This is a necessary condition of
    linearizability, not the whole of it. *)
+(* tor-partition at seed 563645 cuts a shard leader off from its
+   followers while clients still reach it: the old leader serves two
+   stale GETs (keys 167 and 299) during the two-leader window. *)
+let stale_read_run =
+  lazy
+    (Experiments.Exp_kv_chaos.run_one ~scenario:Experiments.Exp_kv_chaos.Tor_partition
+       ~seed:563_645L ())
+
 let test_kv_history () =
   let module K = Experiments.Kv_runner in
-  let r =
-    Experiments.Exp_kv_chaos.run_one ~scenario:Experiments.Exp_kv_chaos.Tor_partition
-      ~seed:563_645L ()
-  in
+  let r = Lazy.force stale_read_run in
   check_int "one entry per issued operation" r.issued (List.length r.history);
   let puts = Hashtbl.create 1024 in
   List.iter
@@ -290,6 +295,62 @@ let test_kv_history () =
     r.history;
   check_bool (Printf.sprintf "GETs read values (%d)" !reads) true (!reads > 100)
 
+let test_linearizability_flags_stale_reads () =
+  let r = Lazy.force stale_read_run in
+  let flagged =
+    List.filter_map
+      (fun v ->
+        if String.starts_with ~prefix:"not linearizable: key " v then
+          Some (int_of_string (String.sub v 22 16))
+        else None)
+      r.violations
+  in
+  Alcotest.(check (list int)) "the two stale keys, and only they" [ 167; 299 ] flagged
+
+(* Hand-built single-key histories. *)
+let kv_op ?(result = Obs.Op.Ok_) kind value invoke_ns complete_ns =
+  {
+    Experiments.Kv_runner.client_id = 1;
+    seq = invoke_ns;
+    key = "k";
+    kind;
+    value;
+    invoke_ns;
+    complete_ns;
+    result;
+  }
+
+let linearizable h = Experiments.Kv_runner.linearizability_violations h = []
+
+let test_linearizability_hand_built () =
+  let module K = Experiments.Kv_runner in
+  let put ?result v = kv_op ?result K.Put (Some v) and get ?result v = kv_op ?result K.Get v in
+  let failed = Obs.Op.Failed in
+  check_bool "a failed PUT may take effect after it failed" true
+    (linearizable
+       [
+         put "a" 0 10;
+         put ~result:failed "b" 20 30;
+         get (Some "a") 40 50;
+         get (Some "b") 60 70;
+       ]);
+  check_bool "a failed PUT may never take effect" true
+    (linearizable [ put "a" 0 10; put ~result:failed "b" 20 30; get (Some "a") 40 50 ]);
+  check_bool "a read of a failed PUT's value before its invoke" false
+    (linearizable [ get (Some "b") 0 10; put ~result:failed "b" 20 30 ]);
+  check_bool "stale read after an acked overwrite" false
+    (linearizable [ put "a" 0 10; put "b" 20 30; get (Some "a") 40 50 ]);
+  check_bool "miss after an acked PUT" false
+    (linearizable [ put "a" 0 10; get ~result:Obs.Op.Miss None 20 30 ]);
+  check_bool "a miss before any PUT reads the absent register" true
+    (linearizable [ get ~result:Obs.Op.Miss None 0 5; put "a" 10 20; get (Some "a") 30 40 ]);
+  check_bool "a failed GET constrains nothing" true
+    (linearizable [ put "a" 0 10; put "b" 20 30; get ~result:failed None 40 50 ]);
+  check_bool "reads overlapping a PUT may see either value" true
+    (linearizable [ put "a" 0 10; put "b" 20 60; get (Some "b") 30 40; get (Some "b") 45 50 ]);
+  check_bool "but not new, then old" false
+    (linearizable [ put "a" 0 10; put "b" 20 60; get (Some "b") 30 40; get (Some "a") 45 50 ])
+
 let suite =
   [
     Alcotest.test_case "shard map: placement" `Quick test_shard_map_placement;
@@ -307,4 +368,8 @@ let suite =
       test_chaos_run_clean_and_deterministic;
     Alcotest.test_case "kv-chaos: golden trace digests" `Quick test_chaos_golden_digests;
     Alcotest.test_case "kv runner: per-op history" `Quick test_kv_history;
+    Alcotest.test_case "linearizability: stale reads flagged" `Quick
+      test_linearizability_flags_stale_reads;
+    Alcotest.test_case "linearizability: hand-built histories" `Quick
+      test_linearizability_hand_built;
   ]

@@ -141,6 +141,85 @@ let test_exactly_once =
          List.length ats = Hashtbl.length got
          && Hashtbl.fold (fun _ c acc -> acc && c = 1) got true))
 
+(* The heap-ordered wheel against the slot ring it replaces
+   ([Wheel_ring]): the same inserts and polls must deliver the same
+   sequence, with the same counts and [pending]. The script covers
+   inserts in the past and beyond the horizon, many entries per slot,
+   time advancing without a poll (a cursor lagging [now]) and inserts made
+   from inside the poll callback, as the RPC endpoint's pacer does. *)
+type wheel_op = Advance of int | Insert of int | Poll
+
+let wheel_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (2, map (fun d -> Advance d) (int_range 0 20_000));
+        (5, map (fun off -> Insert off) (int_range (-30_000) 30_000));
+        (2, pure Poll);
+      ])
+
+module type WHEEL = sig
+  type t
+
+  val create : slot_ns:int -> num_slots:int -> t
+  val insert : t -> now:int -> at:int -> int -> unit
+  val poll : t -> now:int -> (int -> unit) -> int
+  val pending : t -> int
+end
+
+let run_script (module W : WHEEL) ops =
+  let w = W.create ~slot_ns:1_000 ~num_slots:8 in
+  let now = ref 0 and next = ref 0 and log = ref [] in
+  let record x = log := x :: !log in
+  let deliver x =
+    record x;
+    (* Every third delivery paces a follow-up from inside the callback,
+       some due in the slot being drained. *)
+    if x mod 3 = 0 then begin
+      incr next;
+      W.insert w ~now:!now ~at:(!now + (x mod 5_000) - 2_000) (1_000_000 + !next)
+    end
+  in
+  List.iter
+    (function
+      | Advance d -> now := !now + d
+      | Insert off ->
+          incr next;
+          W.insert w ~now:!now ~at:(!now + off) !next
+      | Poll ->
+          let n = W.poll w ~now:!now deliver in
+          record (-n);
+          record (-1_000 - W.pending w))
+    ops;
+  let n = W.poll w ~now:(!now + 1_000_000) deliver in
+  record (-n);
+  (List.rev !log, W.pending w)
+
+let test_matches_slot_ring =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"wheel delivers exactly the slot ring's sequence" ~count:300
+       QCheck2.Gen.(list_size (int_range 1 200) wheel_op_gen)
+       (fun ops -> run_script (module Erpc.Wheel) ops = run_script (module Wheel_ring) ops))
+
+let test_memory_follows_pending () =
+  let slot_ns = Erpc.Config.wheel_slot_ns and num_slots = Erpc.Config.wheel_num_slots in
+  let words k =
+    let w = Erpc.Wheel.create ~slot_ns ~num_slots in
+    for i = 1 to k do
+      Erpc.Wheel.insert w ~now:0 ~at:(i * slot_ns) i
+    done;
+    Obj.reachable_words (Obj.repr w)
+  in
+  let ring = Wheel_ring.create ~slot_ns ~num_slots in
+  Alcotest.(check bool) "the slot ring holds 2 words per slot" true
+    (Obj.reachable_words (Obj.repr ring) > 2 * num_slots);
+  List.iter
+    (fun k ->
+      let used = words k in
+      if used > 64 + (8 * k) then
+        Alcotest.failf "%d pending entries hold %d words, not O(k)" k used)
+    [ 0; 1; 10; 100; 1_000 ]
+
 let suite =
   [
     Alcotest.test_case "delivery order" `Quick test_delivery_order;
@@ -154,4 +233,6 @@ let suite =
     Alcotest.test_case "rollover: horizon boundary" `Quick test_rollover_horizon_boundary;
     test_exactly_once;
     test_exactly_once_across_revolutions;
+    test_matches_slot_ring;
+    Alcotest.test_case "memory follows pending entries" `Quick test_memory_follows_pending;
   ]

@@ -7,16 +7,17 @@ A and B are envelopes written by `erpc_sim <experiment> --out FILE`
 (usually a committed baseline under bench/baseline/ and a fresh run).
 Simulated content must match exactly: any difference in `digest`,
 `events_by_layer` or `rows` is printed and makes the exit status 1.
-Host measurements (`cpu_s`, `wall_s`, every number in the `host`
-section) are printed as B/A ratios; a ratio outside 1/TOLERANCE..TOLERANCE
-is flagged, but never fails the comparison, since host time depends on
-the machine (compare `host_cores`).
+Host measurements (`cpu_s`, `wall_s`, `peak_heap_mb`, every number in
+the `host` section) are printed as B/A ratios; a ratio outside
+1/TOLERANCE..TOLERANCE is flagged, but never fails the comparison, since
+host time and memory depend on the machine (compare `host_cores`).
 """
 
 import json
 import sys
 
 TOLERANCE = 1.5
+HOST_KEYS = ("cpu_s", "wall_s", "peak_heap_mb")
 
 
 def numbers(v, path=""):
@@ -75,12 +76,12 @@ def main():
     if a.get("params") != b.get("params"):
         print(f"note: params differ: {a.get('params')} -> {b.get('params')}")
     print(f"host_cores {a.get('host_cores')} -> {b.get('host_cores')}")
-    host_a = dict(numbers({k: a.get(k) for k in ("cpu_s", "wall_s")} | {"host": a.get("host")}))
-    host_b = dict(numbers({k: b.get(k) for k in ("cpu_s", "wall_s")} | {"host": b.get("host")}))
+    host_a = dict(numbers({k: a.get(k) for k in HOST_KEYS} | {"host": a.get("host")}))
+    host_b = dict(numbers({k: b.get(k) for k in HOST_KEYS} | {"host": b.get("host")}))
     for key in sorted(set(host_a) & set(host_b)):
         x, y = host_a[key], host_b[key]
         ratio = y / x if x else float("inf") if y else 1.0
-        flag = "  SLOWER" if ratio > TOLERANCE else "  FASTER" if ratio < 1 / TOLERANCE else ""
+        flag = "  HIGHER" if ratio > TOLERANCE else "  LOWER" if ratio < 1 / TOLERANCE else ""
         print(f"  {key}: {x:.4g} -> {y:.4g} ({ratio:.2f}x){flag}")
     print(f"{'FAIL' if failed else 'ok'}: {name} simulated content "
           f"{'differs' if failed else 'identical'}")
