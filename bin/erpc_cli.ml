@@ -298,7 +298,10 @@ let raft =
           J.Obj
             [
               ("row", J.Str "sharded_baseline");
-              ("detail", Experiments.Exp_kv_chaos.baseline_json ~seed ());
+              ( "detail",
+                Experiments.Kv_runner.to_json
+                  (Experiments.Kv_runner.run ~seed (Workload.Traffic_spec.kv_chaos ~seed None))
+              );
             ];
         ]
         ~report:
@@ -325,10 +328,9 @@ let masstree =
         ])
     Arg.(value & opt bool true & info [ "workers" ] ~docv:"BOOL" ~doc:"Run scans in workers.")
 
-(* A seeded suite's report: one line per run (plus its fault trace with
-   --trace), then the clean count; each run's violations, tagged with its
-   seed. *)
-let suite ~pp ~seed_of ~violations_of ~trace_of ~verbose runs =
+(* A seeded suite's report: each run's report (plus its fault trace with
+   --trace), then the clean count; each run's violations, tagged. *)
+let suite ~pp ~tag_of ~violations_of ~trace_of ~verbose runs =
   let b = Buffer.create 4096 in
   List.iter
     (fun r ->
@@ -341,7 +343,7 @@ let suite ~pp ~seed_of ~violations_of ~trace_of ~verbose runs =
     (List.length runs);
   ( Buffer.contents b,
     List.concat_map
-      (fun r -> List.map (Printf.sprintf "seed %Ld: %s" (seed_of r)) (violations_of r))
+      (fun r -> List.map (Printf.sprintf "%s: %s" (tag_of r)) (violations_of r))
       bad )
 
 let chaos =
@@ -360,7 +362,7 @@ let chaos =
       let runs = C.run_suite ~seed ~seeds ~events ~requests ~jobs () in
       let report, violations =
         suite ~pp:C.pp_run ~verbose runs
-          ~seed_of:(fun (r : C.run_result) -> r.seed)
+          ~tag_of:(fun (r : C.run_result) -> Printf.sprintf "seed %Ld" r.seed)
           ~violations_of:(fun r -> r.violations)
           ~trace_of:(fun r -> r.trace)
       in
@@ -391,8 +393,20 @@ let chaos =
       $ flag_arg "trace" "Print the full event trace."
       $ jobs_arg)
 
+(* Every KV entry sweeps its (seed, scenario) runs through the one
+   runner, report and row. *)
+let kv_suite ~verbose ~jobs runs =
+  let module K = Experiments.Kv_runner in
+  let runs = K.sweep ~jobs runs in
+  let report, violations =
+    suite ~pp:K.pp ~verbose runs
+      ~tag_of:(fun (r : K.result) -> Printf.sprintf "seed %Ld %s" r.seed r.scenario)
+      ~violations_of:(fun r -> r.violations)
+      ~trace_of:(fun r -> r.trace)
+  in
+  outcome ~violations ~report (List.map K.to_json runs)
+
 let kv_chaos =
-  let module K = Experiments.Exp_kv_chaos in
   entry ~name:"kv-chaos"
     ~doc:
       "Replicated-KV failover chaos: availability timeline, tail latency and exactly-once \
@@ -400,14 +414,7 @@ let kv_chaos =
     ~benchmark:"kv_chaos" ~unit:"us"
     ~params:(fun (seeds, _, jobs) -> [ ("seeds", J.Int seeds); ("jobs", J.Int jobs) ])
     (fun ~seed (seeds, verbose, jobs) ->
-      let runs = K.run_suite ~seed ~seeds ~jobs () in
-      let report, violations =
-        suite ~pp:K.pp_run ~verbose runs
-          ~seed_of:(fun (r : K.run_result) -> r.seed)
-          ~violations_of:(fun r -> r.violations)
-          ~trace_of:(fun r -> r.trace)
-      in
-      outcome ~violations ~report (List.map K.run_to_json runs))
+      kv_suite ~verbose ~jobs (Workload.Traffic_spec.kv_chaos_suite ~seed ~seeds))
     Term.(
       const (fun s v j -> (s, v, j))
       $ int_arg "seeds" 20 "N" "Seeded fault schedules to run."
@@ -415,7 +422,6 @@ let kv_chaos =
       $ jobs_arg)
 
 let cluster_load =
-  let module L = Experiments.Exp_cluster_load in
   let names = List.map fst Workload.Traffic_spec.builtin in
   entry ~name:"cluster-load"
     ~doc:
@@ -430,17 +436,10 @@ let cluster_load =
         ("jobs", J.Int jobs);
       ])
     (fun ~seed (scenario, scale, horizon_ms, jobs) ->
-      let results =
-        if scenario = "all" then L.run_all ~seed ~scale ~horizon_ms ~jobs ()
-        else [ L.run_named ~seed ~scale ~horizon_ms scenario ]
-      in
-      outcome
-        ~violations:
-          (List.concat_map
-             (fun (r : L.result) -> List.map (fun v -> r.scenario ^ ": " ^ v) r.violations)
-             results)
-        ~report:(String.concat "" (List.map (Format.asprintf "%a@." L.pp_result) results))
-        (List.map L.result_to_json results))
+      kv_suite ~verbose:false ~jobs
+        (List.map
+           (fun n -> (seed, Option.get (Workload.Traffic_spec.of_name ~scale ~horizon_ms n)))
+           (if scenario = "all" then names else [ scenario ])))
     Term.(
       const (fun s sc h j -> (s, sc, h, j))
       $ Arg.(

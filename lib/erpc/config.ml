@@ -56,7 +56,6 @@ type t = {
   opts : opts;
   cc : cc;
   codec_backend : Codec.backend;
-  shm_enabled : bool;
   shm_mode : Shm.mode;
   shm_slots : int;
   shm_hop_ns : int;
@@ -89,7 +88,6 @@ let of_cluster ?credits (cluster : Transport.Cluster.t) =
     opts = all_opts_on;
     cc = default_cc ~min_rtt_ns;
     codec_backend = Codec.Compact;
-    shm_enabled = false;
     shm_mode = Shm.Auto;
     shm_slots = 512;
     shm_hop_ns = 150;

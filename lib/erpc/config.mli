@@ -94,10 +94,6 @@ type t = {
   cc : cc;
   codec_backend : Codec.backend;
       (** wire format typed RPCs use by default (see {!Typed}) *)
-  shm_enabled : bool;
-      (** wrap the wire transport in the {!Shm} intra-host mux: packets to
-          co-located destinations (see {!Transport.Cluster.colocate}) take
-          the shared-memory ring path instead of the NIC *)
   shm_mode : Shm.mode;  (** ring handoff discipline (default [Auto]) *)
   shm_slots : int;  (** ring capacity before senders stall (default 512) *)
   shm_hop_ns : int;

@@ -34,9 +34,9 @@ val config : t -> Config.t
 val cost : t -> Cost_model.t
 
 (** The fabric-wide shared-memory segment directory (one per deployment;
-    endpoints register their rings when [shm_enabled]). Its liveness gate
-    tracks {!host_dead}, so ring deliveries into a crashed process vanish
-    like network deliveries. *)
+    endpoints register their rings when the cluster co-locates hosts).
+    Its liveness gate tracks {!host_dead}, so ring deliveries into a
+    crashed process vanish like network deliveries. *)
 val shm_hub : t -> Shm.hub
 
 (** [colocated t a b]: hosts [a] and [b] are processes on the same

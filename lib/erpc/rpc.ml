@@ -251,7 +251,7 @@ let create nexus_ ~rpc_id =
           { nic_cfg with tx_latency_ns = qp.nic_tx_ns; rx_latency_ns = qp.nic_rx_ns; rx_jitter_ns = 0 }
   in
   let transport_ =
-    if not cfg.shm_enabled then Transport.Iface.Wire nic
+    if cluster.colocation_groups = [] then Transport.Iface.Wire nic
     else
       Transport.Iface.Mux
         (Shm.create engine ~hub:(Fabric.shm_hub fabric) ~host:host_ ~rpc_id ~inner:nic

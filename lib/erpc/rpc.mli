@@ -29,13 +29,15 @@ val create : Nexus.t -> rpc_id:int -> t
 val nexus : t -> Nexus.t
 val cpu : t -> Sim.Cpu.t
 
-(** The endpoint's datapath, selected by [Config.transport] (wrapped in
-    the {!Shm} intra-host mux when [Config.shm_enabled]). *)
+(** The endpoint's datapath, selected by [Config.transport], wrapped in
+    the {!Shm} intra-host mux when the cluster has a co-located group
+    ({!Transport.Cluster.colocate}): packets to a co-located destination
+    take the shared-memory rings instead of the NIC. *)
 val transport : t -> Transport.Iface.t
 
-(** The endpoint's shared-memory ring state when [Config.shm_enabled]
-    (the [Mux] case of {!transport}; [None] otherwise); exposes
-    serialize/share/guard-fault counters. *)
+(** The endpoint's shared-memory ring state on a cluster with a
+    co-located group (the [Mux] case of {!transport}; [None] otherwise);
+    exposes serialize/share/guard-fault counters. *)
 val shm_endpoint : t -> Shm.endpoint option
 
 (** {2 Sessions} *)

@@ -24,9 +24,8 @@ let run ?seed ?trace ?(samples = 32) ?(req_size = 32) ?(typed = false)
   let config = { (Erpc.Config.of_cluster cluster) with codec_backend = backend } in
   let config =
     match transport with
-    | `Raw_eth -> config
+    | `Raw_eth | `Shm -> config
     | `Rdma_rc -> { config with Erpc.Config.transport = Erpc.Config.Rdma_rc }
-    | `Shm -> { config with Erpc.Config.shm_enabled = true }
   in
   let register nx =
     if typed then Harness.register_typed_echo Harness.schema_fixed nx

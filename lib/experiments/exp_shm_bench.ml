@@ -58,7 +58,7 @@ let run_cell ~seed ~samples ~payload ~(mode : Shm.mode) ~mode_name () =
     Transport.Cluster.colocate (Transport.Cluster.cx3 ~nodes:2 ()) [ [ 0; 1 ] ]
   in
   let config =
-    { (Erpc.Config.of_cluster cluster) with shm_enabled = true; shm_mode = mode }
+    { (Erpc.Config.of_cluster cluster) with shm_mode = mode }
   in
   let trace = Obs.Trace.create ~capacity:(1 lsl 15) () in
   let d =

@@ -121,7 +121,7 @@ let factor_analysis ?seed () =
     let shm_cluster =
       Transport.Cluster.colocate cluster [ [ 0; 1 ]; [ 2; 3 ]; [ 4; 5 ]; [ 6; 7 ]; [ 8; 9 ] ]
     in
-    let shm_config = { (of_cluster shm_cluster) with shm_enabled = true } in
+    let shm_config = of_cluster shm_cluster in
     [
       ( "Transport: RDMA RC (lossless)",
         run ?seed ~config:rdma_config ~cluster ~batch:3 () );

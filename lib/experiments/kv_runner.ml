@@ -47,8 +47,6 @@ type result = {
   history : entry list;
 }
 
-let shards = 4
-let replication = 3
 let trace_capacity = 1 lsl 18
 let echo_req_type_base = 16
 
@@ -57,9 +55,6 @@ let echo_req_type_base = 16
    after the start of cluster-load at full scale and 7 ms after it at a
    quarter of it. Operations issued from here on are the steady state. *)
 let warmup_ns = 10_000_000
-
-let shard_map (l : T.layout) =
-  Service.Shard_map.create ~shards ~replication ~replica_hosts:l.replica_hosts
 
 (* Stored values are zero-padded to the service's fixed value size. *)
 let unpad v = match String.index_opt v '\000' with Some i -> String.sub v 0 i | None -> v
@@ -79,7 +74,7 @@ let check_invariants ~fabric ~map ~replicas ~history ~applied add =
     (fun h ->
       if Erpc.Fabric.host_dead fabric h then violate "host %d still dead after settle" h)
     (Service.Shard_map.replica_hosts map);
-  for shard = 0 to shards - 1 do
+  for shard = 0 to T.kv_shards - 1 do
     let group = Service.Shard_map.group map ~shard in
     let members =
       Array.map
@@ -291,15 +286,15 @@ let run ~seed (s : T.scenario) =
   let cluster =
     Transport.Cluster.colocate (Transport.Cluster.cx4 ~nodes:l.nodes ()) l.colocated
   in
-  let config =
-    { (Erpc.Config.of_cluster cluster) with Erpc.Config.shm_enabled = l.colocated <> [] }
-  in
+  let config = Erpc.Config.of_cluster cluster in
   let trace =
     if s.traced then Obs.Trace.create ~capacity:trace_capacity () else Obs.Trace.disabled
   in
   let d = Harness.deploy ~seed ~config ~trace cluster ~threads_per_host:1 in
   let engine = Erpc.Fabric.engine d.fabric in
-  let map = shard_map l in
+  let map =
+    Service.Shard_map.create ~shards:T.kv_shards ~replication:3 ~replica_hosts:l.replica_hosts
+  in
   (* Bootstrap: every shard elects before the measured window opens. *)
   let replicas, elected = Harness.start_replicas d ~map in
   if not elected then violate "bootstrap: not every shard elected a leader";
@@ -549,3 +544,162 @@ let run ~seed (s : T.scenario) =
     trace = Faults.Trace.to_string ftrace;
     history;
   }
+
+(* Runs are independent (each builds its own cluster and engine), so
+   [~jobs] fans them across domains; Par_sweep keeps their order, so the
+   results are identical for any [jobs]. *)
+let sweep ~jobs runs =
+  let runs = Array.of_list runs in
+  Par_sweep.list ~jobs (Array.length runs) (fun i ->
+      let seed, s = runs.(i) in
+      run ~seed s)
+
+(* {2 Report} *)
+
+let coverage r =
+  if r.issued_rpcs = 0 then 0. else float_of_int r.analyzed_rpcs /. float_of_int r.issued_rpcs
+
+let kv_tenants r = List.filter (fun t -> t.service = "kv") r.tenants
+
+(* Availability over the KV tenants: windows without a success, summed,
+   and the longest run of them in any one tenant. *)
+let gap_windows r = List.fold_left (fun a t -> a + Obs.Timeline.gaps t.timeline) 0 (kv_tenants r)
+
+let longest_gap_ms r =
+  float_of_int
+    (List.fold_left (fun a t -> max a (Obs.Timeline.longest_gap_ns t.timeline)) 0 (kv_tenants r))
+  /. 1e6
+
+let warmup_tagged t = Array.map2 ( - ) t.whole.tagged t.steady_tagged
+let tags_text a = String.concat "/" (Array.to_list (Array.map string_of_int a))
+
+let pp fmt r =
+  Format.fprintf fmt
+    "seed=%Ld %s: issued=%d acked=%d failed=%d drops=%d dedup=%d restarts=%d commit \
+     p50=%.1fus p99=%.1fus gaps=%d(max %.0fms); %d events, %d RPCs analyzed of %d \
+     issued (coverage %.3f) %s@."
+    r.seed r.scenario r.issued r.acked r.failed r.raft_drops r.dedup_hits r.restarts
+    (Harness.us_at r.commit 50.) (Harness.us_at r.commit 99.) (gap_windows r)
+    (longest_gap_ms r) r.events r.analyzed_rpcs r.issued_rpcs (coverage r)
+    (if r.violations = [] then "PASS" else "FAIL");
+  List.iter
+    (fun t ->
+      let line (s : Harness.tally) =
+        let lat = Harness.merged s.lat in
+        Format.sprintf
+          "issued=%-6d ok=%-6d failed=%-4d shed=%-4d p50=%.1fus p99=%.1fus p99.9=%.1fus"
+          s.issued s.ok s.failed s.shed (Harness.us_at lat 50.) (Harness.us_at lat 99.)
+          (Harness.us_at lat 99.9)
+      in
+      Format.fprintf fmt "  %-14s %-5s %3d src %8.0f rps  %s@." t.tname t.service t.sources
+        t.offered_rps (line t.whole);
+      Option.iter (fun s -> Format.fprintf fmt "  %31s steady %s@." "" (line s)) t.steady;
+      if t.service = "kv" then begin
+        let get = t.whole.lat.(0) and put = t.whole.lat.(1) in
+        Format.fprintf fmt
+          "  %31s GET p50=%.1fus p99=%.1fus (%d misses), PUT p50=%.1fus p99=%.1fus; \
+           retries=%d redirects=%d@."
+          "" (Harness.us_at get 50.) (Harness.us_at get 99.) t.whole.misses
+          (Harness.us_at put 50.) (Harness.us_at put 99.) t.whole.backoffs t.whole.redirects;
+        Format.fprintf fmt
+          "  %31s ops tagged %s: %s in the warmup, %s after; untagged p99.9=%.1fus@." ""
+          (String.concat "/" (Array.to_list Obs.Op.phase_names))
+          (tags_text (warmup_tagged t)) (tags_text t.steady_tagged)
+          (Harness.us_at t.whole.untagged 99.9)
+      end)
+    r.tenants;
+  Option.iter
+    (fun (a : Obs.Anatomy.attribution) ->
+      Format.fprintf fmt
+        "  tail: p50=%.1fus (%s) p99=%.1fus (%s) p99.9=%.1fus over %d samples@."
+        (float_of_int a.p50_total_ns /. 1e3)
+        a.p50_dominant
+        (float_of_int a.p99_total_ns /. 1e3)
+        a.p99_dominant
+        (float_of_int a.p999_total_ns /. 1e3)
+        a.samples)
+    r.attribution;
+  if r.violations <> [] then
+    Format.fprintf fmt "  VIOLATIONS: %s@." (String.concat "; " r.violations)
+
+let tally_fields (s : Harness.tally) =
+  let lat = Harness.merged s.lat in
+  [
+    ("issued", Obs.Json.Int s.issued);
+    ("ok", Obs.Json.Int s.ok);
+    ("failed", Obs.Json.Int s.failed);
+    ("shed", Obs.Json.Int s.shed);
+    ("mean_us", Obs.Json.Float (Stats.Hist.mean lat /. 1e3));
+    ("p50_us", Obs.Json.Float (Harness.us_at lat 50.));
+    ("p99_us", Obs.Json.Float (Harness.us_at lat 99.));
+    ("p999_us", Obs.Json.Float (Harness.us_at lat 99.9));
+    ("retries", Obs.Json.Int s.backoffs);
+    ("redirects", Obs.Json.Int s.redirects);
+    ("untagged_p999_us", Obs.Json.Float (Harness.us_at s.untagged 99.9));
+  ]
+
+let tenant_json t =
+  let kv =
+    if t.service <> "kv" then []
+    else
+      let get = t.whole.lat.(0) and put = t.whole.lat.(1) in
+      [
+        ("get_p50_us", Obs.Json.Float (Harness.us_at get 50.));
+        ("get_p99_us", Obs.Json.Float (Harness.us_at get 99.));
+        ("put_p50_us", Obs.Json.Float (Harness.us_at put 50.));
+        ("put_p99_us", Obs.Json.Float (Harness.us_at put 99.));
+        ("get_hits", Obs.Json.Int (Stats.Hist.count get - t.whole.misses));
+        ("get_misses", Obs.Json.Int t.whole.misses);
+      ]
+  in
+  Obs.Json.Obj
+    ([
+       ("tenant", Obs.Json.Str t.tname);
+       ("service", Obs.Json.Str t.service);
+       ("sources", Obs.Json.Int t.sources);
+       ("offered_rps", Obs.Json.Float t.offered_rps);
+     ]
+    @ tally_fields t.whole
+    @ [
+        ( "steady",
+          match t.steady with Some s -> Obs.Json.Obj (tally_fields s) | None -> Obs.Json.Null );
+        ( "tags",
+          Obs.Json.Obj
+            [
+              ("whole", Harness.tags_json t.whole.tagged);
+              ("warmup", Harness.tags_json (warmup_tagged t));
+              ("steady", Harness.tags_json t.steady_tagged);
+            ] );
+      ]
+    @ kv
+    @ [ ("timeline", Obs.Timeline.to_json t.timeline) ])
+
+let to_json r =
+  Obs.Json.Obj
+    [
+      ("scenario", Obs.Json.Str r.scenario);
+      ("seed", Obs.Json.Int (Int64.to_int r.seed));
+      ("horizon_ns", Obs.Json.Int r.horizon_ns);
+      ("issued", Obs.Json.Int r.issued);
+      ("acked", Obs.Json.Int r.acked);
+      ("failed", Obs.Json.Int r.failed);
+      ("raft_drops", Obs.Json.Int r.raft_drops);
+      ("dedup_hits", Obs.Json.Int r.dedup_hits);
+      ("restarts", Obs.Json.Int r.restarts);
+      ("commit_p50_us", Obs.Json.Float (Harness.us_at r.commit 50.));
+      ("commit_p99_us", Obs.Json.Float (Harness.us_at r.commit 99.));
+      ("gap_windows", Obs.Json.Int (gap_windows r));
+      ("longest_gap_ms", Obs.Json.Float (longest_gap_ms r));
+      ("trace_digest", Obs.Json.Str (Digest.to_hex (Digest.string r.trace)));
+      ("digest", Obs.Json.Str r.digest);
+      ("events", Obs.Json.Int r.events);
+      ("analyzed_rpcs", Obs.Json.Int r.analyzed_rpcs);
+      ("issued_rpcs", Obs.Json.Int r.issued_rpcs);
+      ("coverage", Obs.Json.Float (coverage r));
+      ("tenants", Obs.Json.Arr (List.map tenant_json r.tenants));
+      ( "attribution",
+        match r.attribution with
+        | Some a -> Obs.Anatomy.attribution_to_json a
+        | None -> Obs.Json.Null );
+      ("violations", Obs.Json.Arr (List.map (fun v -> Obs.Json.Str v) r.violations));
+    ]

@@ -1,5 +1,5 @@
-(** The one runner behind every replicated-KV experiment (cluster-load,
-    kv-chaos and Table 6's sharded baseline).
+(** The one runner, report and row behind every replicated-KV experiment
+    (cluster-load, kv-chaos and Table 6's sharded baseline).
 
     [run ~seed scenario] deploys the scenario's {!Workload.Traffic_spec.layout}
     on a CX4 two-tier cluster (4 Raft shards x 3-way replication on the
@@ -22,7 +22,9 @@
     - the KV history is linearizable ({!linearizability_violations}).
 
     Determinism: the same seed reproduces the byte-identical fault trace
-    and, on a traced run, the identical event trace. *)
+    and, on a traced run, the identical event trace. Every result prints
+    through {!pp} and serializes through {!to_json}, whichever scenario
+    it ran. *)
 
 type kind = Get | Put
 
@@ -95,7 +97,31 @@ type result = {
     constrains nothing. *)
 val linearizability_violations : entry list -> string list
 
-(** The shard placement the runner deploys on a layout. *)
-val shard_map : Workload.Traffic_spec.layout -> Service.Shard_map.t
-
 val run : seed:int64 -> Workload.Traffic_spec.scenario -> result
+
+(** [sweep ~jobs runs] runs each (seed, scenario) pair, fanned across up
+    to [jobs] OCaml domains ({!Par_sweep}); results stay in the order of
+    [runs], so they are identical for any [jobs]. *)
+val sweep : jobs:int -> (int64 * Workload.Traffic_spec.scenario) list -> result list
+
+(** [analyzed_rpcs / issued_rpcs]: the share of client RPCs the tail
+    attribution covers (0 when none were issued). *)
+val coverage : result -> float
+
+(** The run's report: a line of scenario totals (KV counters, commit
+    latency, availability gaps over the KV tenants, event count, attribution
+    coverage, PASS or FAIL), then per tenant its whole-run and steady-state
+    tallies (a KV tenant also its GET and PUT percentiles apart and its
+    phase tags), the tail attribution of a traced run, and the
+    violations. *)
+val pp : Format.formatter -> result -> unit
+
+(** The run's row. Per scenario: seed, KV issued/acked/failed, the Raft
+    counters, commit P50/P99, [gap_windows] (summed) and [longest_gap_ms]
+    over the KV tenants, the fault trace's digest [trace_digest], the
+    event trace's [digest], [events], coverage, [attribution] (or null)
+    and [violations]. Per tenant ([tenants]): the whole-run tally, the
+    [steady] one (or null), phase [tags] over the whole run, the warmup
+    and after it, GET and PUT P50/P99 apart (KV tenants), and the
+    timeline. Every scenario's row has the same keys. *)
+val to_json : result -> Obs.Json.t

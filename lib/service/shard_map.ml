@@ -18,7 +18,7 @@ let group t ~shard =
   let n = Array.length t.replica_hosts in
   Array.init t.replication (fun i -> t.replica_hosts.((shard + i) mod n))
 
-let shard_of_key t ~key = Workload.Keygen.fnv1a key mod t.shards
+let shard_of_key t ~key = Workload.Keygen.shard ~shards:t.shards key
 
 let shards_on t ~host =
   List.filter

@@ -73,3 +73,5 @@ let fnv1a s =
   (* Mask to OCaml's 63-bit native int: [Int64.to_int] of anything in
      [2^62, 2^63) would wrap negative. *)
   Int64.to_int !h land max_int
+
+let shard ~shards key = fnv1a key mod shards

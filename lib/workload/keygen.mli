@@ -40,3 +40,7 @@ val encode : ?width:int -> int -> string
     stable, seed-independent hash for key-to-partition placement, so
     clients and replicas agree on shard ownership by construction. *)
 val fnv1a : string -> int
+
+(** [shard ~shards key] is the one placement of a key on [shards]
+    partitions: [fnv1a key mod shards]. *)
+val shard : shards:int -> string -> int

@@ -188,3 +188,106 @@ let builtin =
 
 let of_name ?scale ?horizon_ms name =
   List.assoc_opt name builtin |> Option.map (fun f -> f ?scale ?horizon_ms ())
+
+(* {2 kv-chaos} *)
+
+let kv_shards = 4
+
+type chaos_plan = Leader_crash | Tor_partition | Rolling_restart | Hot_shard
+
+let chaos_plans =
+  [
+    (Leader_crash, "leader-crash");
+    (Tor_partition, "tor-partition");
+    (Rolling_restart, "rolling-restart");
+    (Hot_shard, "hot-shard");
+  ]
+
+(* Two hosts per ToR: replica hosts 0-5 span ToRs 0-2, so a ToR partition
+   cuts real quorums; clients live on ToR 3. *)
+let chaos_layout =
+  {
+    nodes = 10;
+    replica_hosts = [| 0; 1; 2; 3; 4; 5 |];
+    echo_hosts = [||];
+    client_hosts = [| 6; 7 |];
+    colocated = [];
+  }
+
+let chaos_horizon_ns = 300_000_000
+let chaos_op_gap_ns = 500_000
+
+let chaos_faults ~seed = function
+  | Leader_crash ->
+      (* One slow crash (detected by the management plane) and one fast
+         restart (invisible to it: peers must recover via bounded
+         retransmission), on different groups, both mid-load. *)
+      let shard = Int64.to_int (Int64.rem seed (Int64.of_int kv_shards)) in
+      [
+        Crash_leader { at_ns = ms 60.0; shard; down_ns = ms 30.0 };
+        Crash_leader
+          { at_ns = ms 150.0; shard = (shard + 1) mod kv_shards; down_ns = ms 4.0 };
+      ]
+  | Tor_partition ->
+      [
+        Scheduled
+          { at_ns = ms 60.0; fault = Partition { tor_a = 0; tor_b = 1; heal_ns = ms 50.0 } };
+        Scheduled
+          { at_ns = ms 150.0; fault = Partition { tor_a = 1; tor_b = 2; heal_ns = ms 40.0 } };
+      ]
+  | Rolling_restart ->
+      List.init (Array.length chaos_layout.replica_hosts) (fun i ->
+          Scheduled
+            {
+              at_ns = (40 + (25 * i)) * 1_000_000;
+              fault =
+                Crash
+                  {
+                    host = chaos_layout.replica_hosts.(i);
+                    down_ns = (if i mod 2 = 0 then ms 8.0 else ms 4.0);
+                  };
+            })
+  | Hot_shard ->
+      (* Load is Zipfian; crash the group that owns the hottest key, rank
+         0, while it soaks the skew. *)
+      let shard = Keygen.shard ~shards:kv_shards (Keygen.encode 0) in
+      [ Crash_leader { at_ns = ms 70.0; shard; down_ns = ms 30.0 } ]
+
+(* Each client host issues one operation every [chaos_op_gap_ns]; every
+   fifth of a client's operations is a GET, the rest PUTs. *)
+let kv_chaos ~seed plan =
+  {
+    sname = Option.fold ~none:"none" ~some:(fun p -> List.assoc p chaos_plans) plan;
+    layout = chaos_layout;
+    tenants =
+      [
+        {
+          tname = "kv";
+          sources = Array.length chaos_layout.client_hosts;
+          arrival = Every chaos_op_gap_ns;
+          service =
+            Kv
+              {
+                keygen =
+                  (if plan = Some Hot_shard then Keygen.zipf ~n:400 ~theta:0.99
+                   else Keygen.uniform ~n:400);
+                mix = Get_every 5;
+                deadline_ns = ms 40.0;
+              };
+          (* A slot per operation: none is ever shed. *)
+          max_outstanding =
+            Array.length chaos_layout.client_hosts * chaos_horizon_ns / chaos_op_gap_ns;
+        };
+      ];
+    horizon_ns = chaos_horizon_ns;
+    window_ns = ms 10.0;
+    settle_ns = ms 80.0;
+    traced = false;
+    faults = Option.fold ~none:[] ~some:(chaos_faults ~seed) plan;
+  }
+
+let kv_chaos_suite ~seed ~seeds =
+  let plans = Array.of_list (List.map fst chaos_plans) in
+  List.init seeds (fun i ->
+      let seed = Int64.add (Int64.sub seed 42L) (Int64.of_int (40_000 + (104_729 * i))) in
+      (seed, kv_chaos ~seed (Some plans.(i mod Array.length plans))))

@@ -106,3 +106,36 @@ val builtin : (string * (?scale:float -> ?horizon_ms:float -> unit -> scenario))
 
 (** Look up a builtin by scenario name. *)
 val of_name : ?scale:float -> ?horizon_ms:float -> string -> scenario option
+
+(** {2 kv-chaos: failover under a fault plan}
+
+    One KV tenant on an untraced 10-host layout: six replica hosts across
+    ToRs 0-2 carrying the Raft groups, two client hosts on ToR 3. Each
+    client host issues one operation every 500 us for 300 ms, every fifth
+    of its operations a GET, over 400 keys, with a 40 ms deadline; the
+    timeline has 10 ms windows and the run settles for 80 ms. *)
+
+(** Raft groups of every KV deployment (the runner's shard map). *)
+val kv_shards : int
+
+(** The fault plans, each inside the 300 ms horizon:
+    - [Leader_crash]: crash the leader of shard [seed mod kv_shards] for
+      30 ms at 60 ms, and of the next shard for 4 ms (below the failure
+      detector's timeout) at 150 ms;
+    - [Tor_partition]: sever ToRs 0-1 for 50 ms at 60 ms, then ToRs 1-2
+      for 40 ms at 150 ms;
+    - [Rolling_restart]: crash-restart every replica host in turn, 25 ms
+      apart from 40 ms, down 8 or 4 ms;
+    - [Hot_shard]: Zipf(0.99) keys, and at 70 ms a 30 ms crash of the
+      leader of the shard that owns the hottest key. *)
+type chaos_plan = Leader_crash | Tor_partition | Rolling_restart | Hot_shard
+
+(** [kv_chaos ~seed plan] is the kv-chaos scenario named after [plan]
+    ("leader-crash", "tor-partition", "rolling-restart", "hot-shard"), or
+    its fault-free baseline "none". *)
+val kv_chaos : seed:int64 -> chaos_plan option -> scenario
+
+(** [kv_chaos_suite ~seed ~seeds] is the kv-chaos sweep: run [i] has seed
+    [40000 + 104729 i + (seed - 42)] and cycles through the four plans in
+    the order above, so seed 42 gives the suite's historical runs. *)
+val kv_chaos_suite : seed:int64 -> seeds:int -> (int64 * scenario) list

@@ -77,15 +77,18 @@ let test_rdma_fig1_band () =
   check_bool "collapse by ~half" true
     (many.rate_mops < 0.6 *. few.rate_mops && many.rate_mops > 0.3 *. few.rate_mops)
 
+(* A builtin cluster-load scenario, run by the KV runner. *)
+let cluster_load ~seed ~scale ~horizon_ms name =
+  Experiments.Kv_runner.run ~seed
+    (Option.get (Workload.Traffic_spec.of_name ~scale ~horizon_ms name))
+
 let test_cluster_load_smoke () =
   (* Scaled-down steady-Poisson scenario: every tenant makes progress,
      SLO percentiles are ordered, and the tail attribution is present. *)
-  let r = Experiments.Exp_cluster_load.run_named ~seed:7L ~scale:0.25 ~horizon_ms:15.0
-      "steady-poisson"
-  in
+  let r = cluster_load ~seed:7L ~scale:0.25 ~horizon_ms:15.0 "steady-poisson" in
   Alcotest.(check (list string)) "no violations" [] r.violations;
   List.iter
-    (fun (t : Experiments.Exp_cluster_load.tenant_report) ->
+    (fun (t : Experiments.Kv_runner.tenant_report) ->
       let w = t.whole in
       check_bool (t.tname ^ " made progress") true (w.ok > 0);
       (* Every operation completes inside the settle period. *)
@@ -109,17 +112,15 @@ let test_cluster_load_smoke () =
   check_bool "attribution present" true (r.attribution <> None);
   check_bool "JSON validates" true
     (Obs.Json.validate
-       (Obs.Json.to_string (Experiments.Exp_cluster_load.result_to_json r)))
+       (Obs.Json.to_string (Experiments.Kv_runner.to_json r)))
 
 (* The tail attribution reports how much of the client traffic it saw:
    every analyzed RPC is one the client hosts issued. *)
 let test_cluster_load_coverage () =
   List.iter
     (fun (name, _) ->
-      let r =
-        Experiments.Exp_cluster_load.run_named ~seed:7L ~scale:0.2 ~horizon_ms:10.0 name
-      in
-      let c = Experiments.Exp_cluster_load.coverage r in
+      let r = cluster_load ~seed:7L ~scale:0.2 ~horizon_ms:10.0 name in
+      let c = Experiments.Kv_runner.coverage r in
       check_bool
         (Printf.sprintf "%s: analyzed %d <= issued %d" name r.analyzed_rpcs r.issued_rpcs)
         true
@@ -148,7 +149,7 @@ let test_cluster_load_under_faults () =
         ];
     }
   in
-  let run () = Experiments.Exp_cluster_load.run ~seed:42L s in
+  let run () = Experiments.Kv_runner.run ~seed:42L s in
   let a = run () and b = run () in
   Alcotest.(check (list string)) "no violations" [] a.violations;
   check_bool "the crash restarted a replica" true (a.restarts >= 1);
@@ -163,6 +164,43 @@ let test_cluster_load_under_faults () =
   Alcotest.(check string) "same fault trace" a.trace b.trace;
   Alcotest.(check int) "same events" a.events b.events
 
+(* A kv-chaos run and a cluster-load run serialize to one row schema: the
+   same keys in the row and in its KV tenant, so the kv-chaos row carries
+   its GET and PUT percentiles apart. *)
+let test_kv_rows_one_schema () =
+  let module T = Workload.Traffic_spec in
+  let module K = Experiments.Kv_runner in
+  let fields = function
+    | Obs.Json.Obj f -> f
+    | _ -> Alcotest.fail "row is not an object"
+  in
+  let kv_tenant row =
+    match List.assoc "tenants" (fields row) with
+    | Obs.Json.Arr ts ->
+        fields
+          (List.find (fun t -> List.assoc "service" (fields t) = Obs.Json.Str "kv") ts)
+    | _ -> Alcotest.fail "tenants is not an array"
+  in
+  let chaos =
+    K.to_json (K.run ~seed:40_000L (T.kv_chaos ~seed:40_000L (Some T.Leader_crash)))
+  in
+  let load = K.to_json (cluster_load ~seed:7L ~scale:0.2 ~horizon_ms:10.0 "steady-poisson") in
+  Alcotest.(check (list string))
+    "same row keys" (List.map fst (fields load)) (List.map fst (fields chaos));
+  Alcotest.(check (list string))
+    "same KV tenant keys"
+    (List.map fst (kv_tenant load))
+    (List.map fst (kv_tenant chaos));
+  let us k =
+    match List.assoc k (kv_tenant chaos) with
+    | Obs.Json.Float f -> f
+    | _ -> Alcotest.failf "kv-chaos %s is not a float" k
+  in
+  check_bool "kv-chaos GET and PUT percentiles apart" true
+    (0. < us "get_p50_us" && us "get_p50_us" <= us "get_p99_us"
+     && 0. < us "put_p50_us" && us "put_p50_us" <= us "put_p99_us"
+     && us "get_p50_us" <> us "put_p50_us")
+
 let test_cluster_load_deterministic () =
   (* Same seed => byte-identical event traces, across all three builtin
      scenarios (the kv-chaos determinism contract, extended to the
@@ -171,17 +209,13 @@ let test_cluster_load_deterministic () =
   List.iter
     (fun (name, _) ->
       let digest () =
-        (Experiments.Exp_cluster_load.run_named ~seed:11L ~scale:0.2 ~horizon_ms:10.0
-           name)
-          .digest
+        (cluster_load ~seed:11L ~scale:0.2 ~horizon_ms:10.0 name).digest
       in
       Alcotest.(check string) (name ^ " digest stable") (digest ()) (digest ()))
     Workload.Traffic_spec.builtin;
   (* And a different seed takes a different path. *)
   let d seed =
-    (Experiments.Exp_cluster_load.run_named ~seed ~scale:0.2 ~horizon_ms:10.0
-       "steady-poisson")
-      .digest
+    (cluster_load ~seed ~scale:0.2 ~horizon_ms:10.0 "steady-poisson").digest
   in
   check_bool "seed changes trace" true (d 11L <> d 12L)
 
@@ -353,6 +387,8 @@ let suite =
     Alcotest.test_case "cluster-load determinism" `Quick test_cluster_load_deterministic;
     Alcotest.test_case "cluster-load under a fault plan" `Quick test_cluster_load_under_faults;
     Alcotest.test_case "cluster-load coverage" `Quick test_cluster_load_coverage;
+    Alcotest.test_case "kv-chaos and cluster-load rows: one schema" `Quick
+      test_kv_rows_one_schema;
     Alcotest.test_case "typed small-rate pinned" `Quick test_typed_small_rate_pinned;
     Alcotest.test_case "sequential driver" `Quick test_sequential_driver;
     Alcotest.test_case "open-loop driver" `Quick test_open_loop_driver;

@@ -201,7 +201,7 @@ let test_anatomy_sums_under_open_loop_load () =
      64 kB transfers guarantee switch queueing) and re-check every
      client-host breakdown. *)
   let scenario = Workload.Traffic_spec.bursty_mixed ~scale:0.25 ~horizon_ms:10.0 () in
-  let r = Experiments.Exp_cluster_load.run ~seed:5L scenario in
+  let r = Experiments.Kv_runner.run ~seed:5L scenario in
   check_bool
     (Printf.sprintf "enough RPCs analyzed (%d)" r.analyzed_rpcs)
     true (r.analyzed_rpcs >= 50);
@@ -220,7 +220,7 @@ let test_anatomy_sums_under_open_loop_load () =
 
 let test_anatomy_attribution () =
   let scenario = Workload.Traffic_spec.bursty_mixed ~scale:0.25 ~horizon_ms:10.0 () in
-  let r = Experiments.Exp_cluster_load.run ~seed:5L scenario in
+  let r = Experiments.Kv_runner.run ~seed:5L scenario in
   match r.attribution with
   | None -> Alcotest.fail "no attribution from a loaded run"
   | Some a ->

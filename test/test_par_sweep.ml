@@ -37,8 +37,9 @@ let test_chaos_jobs_equality () =
 let test_kv_chaos_jobs_equality () =
   let run jobs =
     List.map
-      (fun (r : Experiments.Exp_kv_chaos.run_result) -> (r.seed, r.trace))
-      (Experiments.Exp_kv_chaos.run_suite ~seeds:5 ~jobs ())
+      (fun (r : Experiments.Kv_runner.result) -> (r.seed, r.trace))
+      (Experiments.Kv_runner.sweep ~jobs
+         (Workload.Traffic_spec.kv_chaos_suite ~seed:42L ~seeds:5))
   in
   let s1 = run 1 and sn = run forced_domains in
   check_int "same run count" (List.length s1) (List.length sn);
@@ -52,11 +53,15 @@ let test_cluster_load_jobs_equality () =
   List.iter
     (fun seed ->
       let run jobs =
-        Experiments.Exp_cluster_load.run_all ~seed ~scale:0.2 ~horizon_ms:5.0 ~jobs ()
+        Experiments.Kv_runner.sweep ~jobs
+          (List.map
+             (fun (name, _) ->
+               ( seed,
+                 Option.get (Workload.Traffic_spec.of_name ~scale:0.2 ~horizon_ms:5.0 name) ))
+             Workload.Traffic_spec.builtin)
       in
       List.iter2
-        (fun (a : Experiments.Exp_cluster_load.result)
-             (b : Experiments.Exp_cluster_load.result) ->
+        (fun (a : Experiments.Kv_runner.result) (b : Experiments.Kv_runner.result) ->
           check_string
             (Printf.sprintf "seed %Ld %s: identical digest" seed a.scenario)
             a.digest b.digest)

@@ -202,22 +202,20 @@ let test_timeline_windows_and_gaps () =
 
 (* {2 Chaos harness} *)
 
+(* One kv-chaos run: the scenario built from [seed] with [plan]. *)
+let kv_chaos plan ~seed =
+  Experiments.Kv_runner.run ~seed (Workload.Traffic_spec.kv_chaos ~seed (Some plan))
+
 let test_chaos_run_clean_and_deterministic () =
-  let r1 =
-    Experiments.Exp_kv_chaos.run_one ~scenario:Experiments.Exp_kv_chaos.Leader_crash
-      ~seed:7L ()
-  in
+  let r1 = kv_chaos Workload.Traffic_spec.Leader_crash ~seed:7L in
   Alcotest.(check (list string)) "no invariant violations" [] r1.violations;
   check_bool "made progress under faults" true (r1.acked > r1.issued / 2);
   check_bool "observed the injected crashes" true (r1.restarts >= 1);
-  let r2 =
-    Experiments.Exp_kv_chaos.run_one ~scenario:Experiments.Exp_kv_chaos.Leader_crash
-      ~seed:7L ()
-  in
+  let r2 = kv_chaos Workload.Traffic_spec.Leader_crash ~seed:7L in
   check_str "same seed, byte-identical fault trace" r1.trace r2.trace;
   check_int "same seed, same ack count" r1.acked r2.acked;
   check_bool "run JSON is well-formed" true
-    (Obs.Json.validate (Obs.Json.to_string (Experiments.Exp_kv_chaos.run_to_json r1)))
+    (Obs.Json.validate (Obs.Json.to_string (Experiments.Kv_runner.to_json r1)))
 
 (* Golden fault-trace digests captured before the codec refactor moved
    Kv_proto and Raft.Wire onto schema combinators. Equality here proves
@@ -233,7 +231,7 @@ let test_chaos_run_clean_and_deterministic () =
 let test_chaos_golden_digests () =
   List.iter
     (fun (seed, scenario, digest, acked) ->
-      let r = Experiments.Exp_kv_chaos.run_one ~scenario ~seed () in
+      let r = kv_chaos scenario ~seed in
       check_str
         (Printf.sprintf "seed %Ld trace digest" seed)
         digest
@@ -241,11 +239,11 @@ let test_chaos_golden_digests () =
       check_int (Printf.sprintf "seed %Ld acked" seed) acked r.acked)
     [
       ( 40_000L,
-        Experiments.Exp_kv_chaos.Leader_crash,
+        Workload.Traffic_spec.Leader_crash,
         "9c84f5553b29d90dfd06d5b7f3722bf9",
         1200 );
       ( 40_001L,
-        Experiments.Exp_kv_chaos.Tor_partition,
+        Workload.Traffic_spec.Tor_partition,
         "f11fa629f027f52ad545b953c24f0dc9",
         1187 );
     ]
@@ -260,8 +258,7 @@ let test_chaos_golden_digests () =
    stale GETs (keys 167 and 299) during the two-leader window. *)
 let stale_read_run =
   lazy
-    (Experiments.Exp_kv_chaos.run_one ~scenario:Experiments.Exp_kv_chaos.Tor_partition
-       ~seed:563_645L ())
+    (kv_chaos Workload.Traffic_spec.Tor_partition ~seed:563_645L)
 
 let test_kv_history () =
   let module K = Experiments.Kv_runner in

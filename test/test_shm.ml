@@ -1,7 +1,7 @@
-(* Intra-host shared-memory transport: mux routing, disabled fallback,
-   crash-restart ring reset, ownership-guard faults, backpressure, the
-   serialize-vs-share cost-model crossover, and the zero wire/switch
-   anatomy invariant. *)
+(* Intra-host shared-memory transport: mux routing, the wire-only
+   endpoint of a cluster without co-location, crash-restart ring reset,
+   ownership-guard faults, backpressure, the serialize-vs-share cost-model
+   crossover, and the zero wire/switch anatomy invariant. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -15,12 +15,10 @@ let shm_stats rpc =
   | Some ep -> Shm.stats ep
   | None -> Alcotest.fail "expected a shm endpoint"
 
-(* Same-host session with shm disabled: the config gate keeps the plain
-   wire transport, and the RPC still completes over the NIC loopback. *)
-let test_disabled_same_host_falls_back () =
-  let cluster =
-    Transport.Cluster.colocate (Transport.Cluster.cx5 ~nodes:2 ()) [ [ 0; 1 ] ]
-  in
+(* A cluster with no co-located group: the endpoint gets the plain wire
+   transport, no mux, and the RPC completes over the NIC. *)
+let test_no_colocation_stays_on_wire () =
+  let cluster = Transport.Cluster.cx5 ~nodes:2 () in
   let fabric, client, _server =
     Transport_testkit.make_pair ~cluster ~config:(Erpc.Config.of_cluster cluster) ()
   in
@@ -39,7 +37,7 @@ let test_mux_routes_local_and_remote () =
   let cluster =
     Transport.Cluster.colocate (Transport.Cluster.cx5 ~nodes:3 ()) [ [ 0; 1 ] ]
   in
-  let config = { (Erpc.Config.of_cluster cluster) with shm_enabled = true } in
+  let config = Erpc.Config.of_cluster cluster in
   let fabric = Erpc.Fabric.create ~config cluster in
   let nexuses = Array.init 3 (fun host -> Erpc.Nexus.create fabric ~host ()) in
   Array.iter
@@ -84,7 +82,7 @@ let test_crash_restart_colocated_peer () =
   let cluster =
     Transport.Cluster.colocate (Transport.Cluster.cx5 ~nodes:2 ()) [ [ 0; 1 ] ]
   in
-  let config = { (Erpc.Config.of_cluster cluster) with shm_enabled = true } in
+  let config = Erpc.Config.of_cluster cluster in
   let fabric, client, server =
     Transport_testkit.make_pair ~cluster ~config ()
   in
@@ -126,7 +124,6 @@ let test_guard_fault_detected_and_recovered () =
   let config =
     {
       (Erpc.Config.of_cluster cluster) with
-      shm_enabled = true;
       shm_mode = Shm.Share;
       (* Widen the in-flight window so the mutation lands mid-transit. *)
       shm_hop_ns = 10_000;
@@ -170,7 +167,7 @@ let test_backpressure_stalls_not_drops () =
     Transport.Cluster.colocate (Transport.Cluster.cx5 ~nodes:2 ()) [ [ 0; 1 ] ]
   in
   let config =
-    { (Erpc.Config.of_cluster cluster) with shm_enabled = true; shm_slots = 2 }
+    { (Erpc.Config.of_cluster cluster) with shm_slots = 2 }
   in
   let fabric, client, _server = Transport_testkit.make_pair ~cluster ~config () in
   let sess = connect fabric client in
@@ -218,8 +215,8 @@ let test_anatomy_intra_host_zero_wire () =
 
 let suite =
   [
-    Alcotest.test_case "disabled: same-host falls back to the wire" `Quick
-      test_disabled_same_host_falls_back;
+    Alcotest.test_case "no co-located group: the wire, no mux" `Quick
+      test_no_colocation_stays_on_wire;
     Alcotest.test_case "mux routes local and remote sessions" `Quick
       test_mux_routes_local_and_remote;
     Alcotest.test_case "crash-restart of co-located peer" `Quick

@@ -27,10 +27,8 @@ let cluster_for ?(nodes = 2) tp =
 
 let config_for tp (cfg : Erpc.Config.t) =
   match tp with
-  | Raw_eth -> { cfg with Erpc.Config.transport = Erpc.Config.Raw_eth }
+  | Raw_eth | Shm -> { cfg with Erpc.Config.transport = Erpc.Config.Raw_eth }
   | Rdma_rc -> { cfg with Erpc.Config.transport = Erpc.Config.Rdma_rc }
-  | Shm ->
-      { cfg with Erpc.Config.transport = Erpc.Config.Raw_eth; shm_enabled = true }
 
 let echo = Test_erpc_basic.echo_req_type
 
