@@ -487,7 +487,7 @@ and rx_pkt t pkt =
                not yet noticed that the session it knew died (typically a
                crash-restart it could not observe). Without this check the
                packet would be matched to an unrelated session's slot. *)
-            t.stats.Rpc_stats.rx_stale <- t.stats.Rpc_stats.rx_stale + 1
+            ()
         | Some sess -> (
             let slot = Session.slot sess (hdr.req_num mod Config.req_window) in
             match (hdr.pkt_type, sess.role) with
@@ -1011,7 +1011,6 @@ let clear_on_crash t =
   t.limiter <- None;
   Transport.Iface.reset_rx t.transport
 
-let wheel_depth t = match t.limiter with Some lim -> Wheel.pending lim.wheel | None -> 0
 let set_rtt_probe t probe = t.rtt_probe <- Some probe
 let set_invoke t f = t.invoke <- f
 

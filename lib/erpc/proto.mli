@@ -114,9 +114,6 @@ val armed_rto_count : t -> int
 (** Rate updates performed across all session controllers. *)
 val cc_updates : t -> int
 
-(** Packets waiting in the rate limiter. *)
-val wheel_depth : t -> int
-
 (** Drop all datapath state on a local host crash: sessions, queues,
     paced packets and the device's RX ring. *)
 val clear_on_crash : t -> unit

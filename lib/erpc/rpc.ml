@@ -97,18 +97,10 @@ let check_session_budget t =
          (Proto.n_sessions t.proto + 1) t.cfg.session_credits rq)
 
 let make_cc t ~sn =
-  if t.cfg.opts.congestion_control then begin
-    let controller =
-      Cc.create ~phase:((t.host_ * 7) + sn) t.cfg.cc
-        ~link_gbps:(Fabric.cluster (Nexus.fabric t.nexus_)).link_gbps
-    in
-    Obs.Metrics.gauge
-      (Sim.Engine.metrics t.engine)
-      ~name:"cc.rate_gbps"
-      ~labels:[ ("host", string_of_int t.host_); ("sn", string_of_int sn) ]
-      (fun () -> Cc.rate_bps controller /. 1e9);
-    Some controller
-  end
+  if t.cfg.opts.congestion_control then
+    Some
+      (Cc.create ~phase:((t.host_ * 7) + sn) t.cfg.cc
+         ~link_gbps:(Fabric.cluster (Nexus.fabric t.nexus_)).link_gbps)
   else None
 
 let create_session t ~remote_host ~remote_rpc_id ?(on_connect = fun _ -> ()) () =
@@ -276,26 +268,10 @@ let create nexus_ ~rpc_id =
     { nexus_; rpc_id; host_; engine; cfg; cost; cpu_; transport_; proto; stats_; trace; pid; tid }
   in
   Proto.set_invoke proto (invoke_handler t);
-  let m = Sim.Engine.metrics engine in
-  let labels = [ ("host", string_of_int host_); ("rpc", string_of_int rpc_id) ] in
-  Obs.Metrics.counter m ~name:"rpc.tx_pkts" ~labels (fun () -> stats_.Rpc_stats.tx_pkts);
-  Obs.Metrics.counter m ~name:"rpc.rx_pkts" ~labels (fun () -> stats_.Rpc_stats.rx_pkts);
-  Obs.Metrics.counter m ~name:"rpc.rx_corrupt" ~labels (fun () -> stats_.Rpc_stats.rx_corrupt);
-  Obs.Metrics.counter m ~name:"rpc.retransmits" ~labels (fun () -> stats_.Rpc_stats.retransmits);
-  Obs.Metrics.counter m ~name:"rpc.retx_warnings" ~labels (fun () ->
-      stats_.Rpc_stats.retx_warnings);
-  Obs.Metrics.counter m ~name:"rpc.session_resets" ~labels (fun () ->
-      stats_.Rpc_stats.session_resets);
-  Obs.Metrics.counter m ~name:"rpc.completed" ~labels (fun () -> stats_.Rpc_stats.completed);
-  Obs.Metrics.counter m ~name:"rpc.handled" ~labels (fun () -> stats_.Rpc_stats.handled);
-  Obs.Metrics.counter m ~name:"rpc.wheel_inserts" ~labels (fun () ->
-      stats_.Rpc_stats.wheel_inserts);
-  Obs.Metrics.counter m ~name:"nic.rx_pkts" ~labels (fun () -> Nic.rx_packets nic);
-  Obs.Metrics.counter m ~name:"nic.tx_pkts" ~labels (fun () -> Nic.tx_packets nic);
-  Obs.Metrics.counter m ~name:"nic.rx_dropped_no_desc" ~labels (fun () -> Nic.rx_dropped nic);
-  Obs.Metrics.gauge m ~name:"rpc.wheel_depth" ~labels (fun () ->
-      float_of_int (Proto.wheel_depth proto));
   Nexus.register_rx nexus_ ~rpc_id transport_;
+  Obs.Metrics.counter (Sim.Engine.metrics engine) ~name:"nic.rx_dropped_no_desc"
+    ~labels:[ ("host", string_of_int host_); ("rpc", string_of_int rpc_id) ]
+    (fun () -> Nic.rx_dropped nic);
   Fabric.register_sm fabric ~host:host_ ~rpc_id (fun msg ->
       if not (dead t) then handle_sm t msg);
   Fabric.on_host_failure fabric (fun failed ->

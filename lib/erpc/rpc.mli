@@ -3,9 +3,10 @@
     The endpoint is the control plane: it builds the dispatch thread's
     CPU timeline and its device ({!Transport.Iface.t}), runs session
     management, handles failures, invokes request handlers and registers
-    metrics. The datapath — the wire protocol with go-back-N loss
-    recovery, congestion control, the Carousel rate limiter and the
-    event loop — lives in {!Proto}, which the endpoint calls directly.
+    its device's [nic.rx_dropped_no_desc] metric. The datapath — the wire
+    protocol with go-back-N loss recovery, congestion control, the
+    Carousel rate limiter and the event loop — lives in {!Proto}, which
+    the endpoint calls directly.
     The "event loop" the paper's user threads run is driven by the
     simulation: any arriving work wakes the loop, which then runs
     activations back-to-back (charging modeled CPU) until idle —

@@ -2,7 +2,6 @@ type t = {
   mutable rx_pkts : int;
   mutable tx_pkts : int;
   mutable rx_corrupt : int;
-  mutable rx_stale : int;
   mutable retransmits : int;
   mutable retx_warnings : int;
   mutable session_resets : int;
@@ -17,7 +16,6 @@ let create () =
     rx_pkts = 0;
     tx_pkts = 0;
     rx_corrupt = 0;
-    rx_stale = 0;
     retransmits = 0;
     retx_warnings = 0;
     session_resets = 0;

@@ -8,9 +8,6 @@ type t = {
   mutable rx_pkts : int;  (** packets polled off the transport *)
   mutable tx_pkts : int;  (** packets posted to the transport *)
   mutable rx_corrupt : int;  (** packets dropped for checksum failure *)
-  mutable rx_stale : int;
-      (** packets dropped for a session-token mismatch (stale traffic
-          addressed to a recycled session number) *)
   mutable retransmits : int;  (** go-back-N rollbacks performed (§5.3) *)
   mutable retx_warnings : int;
       (** times a slot's consecutive-RTO count crossed half the

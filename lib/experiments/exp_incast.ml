@@ -75,17 +75,11 @@ let run ?seed ?trace ?credits ?algo ?(warmup_ms = 20.0) ?(measure_ms = 40.0) ~de
   let bytes0 = Netsim.Port.tx_bytes port in
   Harness.run_ms d measure_ms;
   let bytes1 = Netsim.Port.tx_bytes port in
-  (* Pull congestion evidence from the metrics registry: the deepest any
-     switch buffer pool got, and total client retransmissions. *)
-  let metrics = Sim.Engine.metrics engine in
+  (* The deepest any switch buffer pool got, from the metrics registry. *)
   let switch_buffer_peak_bytes =
-    int_of_float (Obs.Metrics.max_gauge metrics ~name:"switch.buffer_max")
+    int_of_float (Obs.Metrics.max_gauge (Sim.Engine.metrics engine) ~name:"switch.buffer_max")
   in
-  let retransmits =
-    Obs.Metrics.fold_counters metrics ~name:"rpc.retransmits"
-      (fun acc _labels v -> acc + v)
-      0
-  in
+  let retransmits = Harness.sum_stats d (fun s -> s.Erpc.Rpc_stats.retransmits) in
   {
     degree;
     cc;

@@ -36,6 +36,7 @@ type result = {
   dedup_hits : int;
   restarts : int;
   commit : Stats.Hist.t;
+  traced : bool;
   attribution : Obs.Anatomy.attribution option;
   analyzed_rpcs : int;
   issued_rpcs : int;
@@ -531,6 +532,7 @@ let run ~seed (s : T.scenario) =
     dedup_hits = sum Service.Replica.dedup_hits;
     restarts = sum Service.Replica.restarts;
     commit = Harness.merged (Array.map Service.Replica.commit_latencies replicas);
+    traced = s.traced;
     attribution = Obs.Anatomy.attribute breakdowns;
     analyzed_rpcs = List.length breakdowns;
     issued_rpcs =
@@ -576,12 +578,14 @@ let tags_text a = String.concat "/" (Array.to_list (Array.map string_of_int a))
 let pp fmt r =
   Format.fprintf fmt
     "seed=%Ld %s: issued=%d acked=%d failed=%d drops=%d dedup=%d restarts=%d commit \
-     p50=%.1fus p99=%.1fus gaps=%d(max %.0fms); %d events, %d RPCs analyzed of %d \
-     issued (coverage %.3f) %s@."
+     p50=%.1fus p99=%.1fus gaps=%d(max %.0fms); %d events"
     r.seed r.scenario r.issued r.acked r.failed r.raft_drops r.dedup_hits r.restarts
     (Harness.us_at r.commit 50.) (Harness.us_at r.commit 99.) (gap_windows r)
-    (longest_gap_ms r) r.events r.analyzed_rpcs r.issued_rpcs (coverage r)
-    (if r.violations = [] then "PASS" else "FAIL");
+    (longest_gap_ms r) r.events;
+  if r.traced then
+    Format.fprintf fmt ", %d RPCs analyzed of %d issued (coverage %.3f)" r.analyzed_rpcs
+      r.issued_rpcs (coverage r);
+  Format.fprintf fmt " %s@." (if r.violations = [] then "PASS" else "FAIL");
   List.iter
     (fun t ->
       let line (s : Harness.tally) =
@@ -675,6 +679,7 @@ let tenant_json t =
     @ [ ("timeline", Obs.Timeline.to_json t.timeline) ])
 
 let to_json r =
+  let if_traced v = if r.traced then v else Obs.Json.Null in
   Obs.Json.Obj
     [
       ("scenario", Obs.Json.Str r.scenario);
@@ -691,11 +696,11 @@ let to_json r =
       ("gap_windows", Obs.Json.Int (gap_windows r));
       ("longest_gap_ms", Obs.Json.Float (longest_gap_ms r));
       ("trace_digest", Obs.Json.Str (Digest.to_hex (Digest.string r.trace)));
-      ("digest", Obs.Json.Str r.digest);
+      ("digest", if_traced (Obs.Json.Str r.digest));
       ("events", Obs.Json.Int r.events);
-      ("analyzed_rpcs", Obs.Json.Int r.analyzed_rpcs);
+      ("analyzed_rpcs", if_traced (Obs.Json.Int r.analyzed_rpcs));
       ("issued_rpcs", Obs.Json.Int r.issued_rpcs);
-      ("coverage", Obs.Json.Float (coverage r));
+      ("coverage", if_traced (Obs.Json.Float (coverage r)));
       ("tenants", Obs.Json.Arr (List.map tenant_json r.tenants));
       ( "attribution",
         match r.attribution with

@@ -67,6 +67,10 @@ type result = {
   dedup_hits : int;  (** duplicate submissions/entries suppressed *)
   restarts : int;  (** replica crash-restart cycles observed *)
   commit : Stats.Hist.t;  (** leader commit latency, all groups merged *)
+  traced : bool;
+      (** whether the run recorded its event trace; [attribution],
+          [analyzed_rpcs], [breakdowns] and [digest] describe that trace,
+          so an untraced run's row writes null for them *)
   attribution : Obs.Anatomy.attribution option;
       (** client-host RPC tail attribution; [None] if the run is untraced
           or its trace retained no complete single-packet RPCs *)
@@ -104,24 +108,26 @@ val run : seed:int64 -> Workload.Traffic_spec.scenario -> result
     [runs], so they are identical for any [jobs]. *)
 val sweep : jobs:int -> (int64 * Workload.Traffic_spec.scenario) list -> result list
 
-(** [analyzed_rpcs / issued_rpcs]: the share of client RPCs the tail
-    attribution covers (0 when none were issued). *)
+(** [analyzed_rpcs / issued_rpcs]: the share of client RPCs a traced
+    run's tail attribution covers (0 when none were issued). *)
 val coverage : result -> float
 
 (** The run's report: a line of scenario totals (KV counters, commit
-    latency, availability gaps over the KV tenants, event count, attribution
-    coverage, PASS or FAIL), then per tenant its whole-run and steady-state
-    tallies (a KV tenant also its GET and PUT percentiles apart and its
-    phase tags), the tail attribution of a traced run, and the
-    violations. *)
+    latency, availability gaps over the KV tenants, event count, a traced
+    run's attribution coverage, PASS or FAIL), then per tenant its
+    whole-run and steady-state tallies (a KV tenant also its GET and PUT
+    percentiles apart and its phase tags), the tail attribution of a
+    traced run, and the violations. *)
 val pp : Format.formatter -> result -> unit
 
 (** The run's row. Per scenario: seed, KV issued/acked/failed, the Raft
     counters, commit P50/P99, [gap_windows] (summed) and [longest_gap_ms]
     over the KV tenants, the fault trace's digest [trace_digest], the
-    event trace's [digest], [events], coverage, [attribution] (or null)
-    and [violations]. Per tenant ([tenants]): the whole-run tally, the
-    [steady] one (or null), phase [tags] over the whole run, the warmup
-    and after it, GET and PUT P50/P99 apart (KV tenants), and the
-    timeline. Every scenario's row has the same keys. *)
+    event trace's [digest], [events], [analyzed_rpcs], [issued_rpcs],
+    [coverage], [attribution] and [violations]. An untraced run writes
+    null for [digest], [analyzed_rpcs], [coverage] and [attribution].
+    Per tenant ([tenants]): the whole-run tally, the [steady] one (or
+    null), phase [tags] over the whole run, the warmup and after it, GET
+    and PUT P50/P99 apart (KV tenants), and the timeline. Every
+    scenario's row has the same keys. *)
 val to_json : result -> Obs.Json.t

@@ -28,7 +28,6 @@ type t = {
   mutable dropped_packets : int;
   mutable dropped_bytes : int;
   mutable pause_events : int;
-  mutable max_queued_bytes : int;
   trace : Obs.Trace.t;
   tid : int;  (* this port's thread track under the network pid *)
 }
@@ -116,22 +115,15 @@ let create engine ~packets ~name ~rate_gbps ~extra_delay_ns ?pool ?ecn ?(lossles
       dropped_packets = 0;
       dropped_bytes = 0;
       pause_events = 0;
-      max_queued_bytes = 0;
       trace;
       tid;
     }
   in
   t.arrive <- Sim.Engine.handler engine ~layer:Link (fun h -> sink (Packet.get packets h));
   Obs.Trace.on_read trace (fun () -> settle t ~before:(Sim.Engine.now engine));
-  let m = Sim.Engine.metrics engine in
-  let labels = [ ("port", name) ] in
-  Obs.Metrics.counter m ~name:"port.tx_pkts" ~labels (fun () -> tx_packets t);
-  Obs.Metrics.counter m ~name:"port.dropped_pkts" ~labels (fun () -> t.dropped_packets);
-  Obs.Metrics.counter m ~name:"port.pause_events" ~labels (fun () -> t.pause_events);
-  Obs.Metrics.gauge m ~name:"port.queued_bytes" ~labels (fun () ->
-      float_of_int (queued_bytes t));
-  Obs.Metrics.gauge m ~name:"port.max_queued_bytes" ~labels (fun () ->
-      float_of_int t.max_queued_bytes);
+  Obs.Metrics.counter (Sim.Engine.metrics engine) ~name:"port.tx_pkts"
+    ~labels:[ ("port", name) ]
+    (fun () -> tx_packets t);
   t
 
 let send t pkt =
@@ -187,7 +179,6 @@ let send t pkt =
     t.queued_bytes <- t.queued_bytes + size;
     t.admitted_packets <- t.admitted_packets + 1;
     t.admitted_bytes <- t.admitted_bytes + size;
-    if t.queued_bytes > t.max_queued_bytes then t.max_queued_bytes <- t.queued_bytes;
     if Obs.Trace.enabled t.trace then begin
       Obs.Trace.instant t.trace ~ts:now ~cat:"net" ~name:"enq" ~pid:Obs.Trace.net_pid
         ~tid:t.tid

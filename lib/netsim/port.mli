@@ -17,9 +17,9 @@
     byte count, the transmit counters and the pool's occupancy are
     settled from the ring lazily. An admission at [T] settles departures
     before [T], so a packet departing at [T] still counts as queued;
-    readers ({!queued_bytes}, {!tx_packets}, {!tx_bytes}, the metrics and
-    {!audit}) count departures through [T] without consuming the ones at
-    [T]. With tracing on, a departure's queue sample is emitted when it
+    readers ({!queued_bytes}, {!tx_packets}, {!tx_bytes}, the
+    [port.tx_pkts] metric and {!audit}) count departures through [T]
+    without consuming the ones at [T]. With tracing on, a departure's queue sample is emitted when it
     settles, stamped with its departure time, and carries [queued_bytes]
     only: by then the shared pool may hold later admissions. Every read
     of the trace settles the port first ({!Obs.Trace.on_read}), so a

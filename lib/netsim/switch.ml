@@ -21,12 +21,9 @@ let create engine ~name ~buffer_bytes ~alpha =
       routes = [||];
     }
   in
-  let m = Sim.Engine.metrics engine in
-  let labels = [ ("switch", name) ] in
-  Obs.Metrics.gauge m ~name:"switch.buffer_used" ~labels (fun () ->
-      float_of_int (Buffer_pool.used_through t.pool (Sim.Engine.now engine)));
-  Obs.Metrics.gauge m ~name:"switch.buffer_max" ~labels (fun () ->
-      float_of_int (Buffer_pool.max_used t.pool));
+  Obs.Metrics.gauge (Sim.Engine.metrics engine) ~name:"switch.buffer_max"
+    ~labels:[ ("switch", name) ]
+    (fun () -> float_of_int (Buffer_pool.max_used t.pool));
   t
 
 let name t = t.name

@@ -412,14 +412,6 @@ let create ~fabric ~nexus ~rpc ~map ~host () =
       if h = t.host then on_killed t else Int_tbl.remove t.peer_sessions h);
   Erpc.Fabric.on_host_restart fabric (fun h ->
       if h = t.host then on_restarted t else Int_tbl.remove t.peer_sessions h);
-  let metrics = Sim.Engine.metrics engine in
-  let labels = [ ("host", string_of_int host) ] in
-  Obs.Metrics.counter metrics ~name:"service.raft_drops" ~labels (fun () ->
-      t.raft_drops);
-  Obs.Metrics.counter metrics ~name:"service.dedup_hits" ~labels (fun () ->
-      t.dedup_hits);
-  Obs.Metrics.counter metrics ~name:"service.restarts" ~labels (fun () -> t.restarts);
-  Obs.Metrics.histogram metrics ~name:"service.commit_ns" ~labels t.commit_lat;
   (* Drive Raft time (LibRaft's raft_periodic). One perpetual loop per
      node: it no-ops while the host is down — the *new* incarnation's
      cores need the very next tick after restart — and stops only when the

@@ -20,11 +20,7 @@
       index is re-learned from the group;
     - Raft messages that cannot be sent because the peer is dead or the
       session is gone are *counted* ([raft_drops]) and traced, never
-      silently dropped.
-
-    Metrics (registered on the engine's registry): [service.raft_drops],
-    [service.dedup_hits], [service.restarts] (counters, labeled by host)
-    and [service.commit_ns] (histogram per host). *)
+      silently dropped. *)
 
 type t
 

@@ -69,20 +69,12 @@ let create ?(seed = 42L) () =
   let q = t.queue in
   ignore (register t closure_layer (fun _ -> (Timing_wheel.take_ptr q) ()));
   ignore (register t closure_layer unset_handler);
-  (* Queue-shape gauges: pending event count, the wheel's occupied-slot
-     load factor, and how many events wait in the overflow heap instead of
-     the wheel. *)
-  Obs.Metrics.gauge t.metrics ~name:"sim.queue_depth" (fun () ->
-      float_of_int (Timing_wheel.length t.queue));
+  (* Wheel-window gauges: the wheel's occupied-slot count, and how many
+     events wait in the overflow heap instead of the wheel. *)
   Obs.Metrics.gauge t.metrics ~name:"sim.wheel_occupancy" (fun () ->
       float_of_int (Timing_wheel.occupied_slots t.queue));
   Obs.Metrics.gauge t.metrics ~name:"sim.queue_overflow" (fun () ->
       float_of_int (Timing_wheel.overflow_length t.queue));
-  Array.iteri
-    (fun l name ->
-      Obs.Metrics.counter t.metrics ~name:"sim.events" ~labels:[ ("layer", name) ] (fun () ->
-          t.by_layer.(l)))
-    layer_names;
   t
 
 let now t = t.clock

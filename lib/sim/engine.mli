@@ -38,10 +38,10 @@ val trace : t -> Obs.Trace.t
 
 val set_trace : t -> Obs.Trace.t -> unit
 
-(** Engine-scoped metrics registry; components register counters, gauges
-    and histograms into it at creation time. The engine itself registers
-    the queue-shape gauges and one [sim.events{layer=...}] counter per
-    census layer. *)
+(** Engine-scoped metrics registry; components register counters and
+    gauges into it at creation time. The engine itself registers the
+    [sim.wheel_occupancy] and [sim.queue_overflow] gauges; the per-layer
+    event counts are {!census}. *)
 val metrics : t -> Obs.Metrics.t
 
 (** [handler t ~layer f] registers [f] and returns its id; an event

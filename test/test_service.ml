@@ -214,8 +214,16 @@ let test_chaos_run_clean_and_deterministic () =
   let r2 = kv_chaos Workload.Traffic_spec.Leader_crash ~seed:7L in
   check_str "same seed, byte-identical fault trace" r1.trace r2.trace;
   check_int "same seed, same ack count" r1.acked r2.acked;
-  check_bool "run JSON is well-formed" true
-    (Obs.Json.validate (Obs.Json.to_string (Experiments.Kv_runner.to_json r1)))
+  let row = Experiments.Kv_runner.to_json r1 in
+  check_bool "run JSON is well-formed" true (Obs.Json.validate (Obs.Json.to_string row));
+  (* kv-chaos runs record no event trace, so the row carries no trace
+     digest or attribution coverage, not the empty trace's. *)
+  match row with
+  | Obs.Json.Obj fields ->
+      List.iter
+        (fun k -> check_bool (k ^ " is null untraced") true (List.assoc k fields = Obs.Json.Null))
+        [ "digest"; "analyzed_rpcs"; "coverage"; "attribution" ]
+  | _ -> Alcotest.fail "row is not an object"
 
 (* Golden fault-trace digests captured before the codec refactor moved
    Kv_proto and Raft.Wire onto schema combinators. Equality here proves

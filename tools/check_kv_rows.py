@@ -14,13 +14,16 @@ in every envelope:
 - every tenant's P50 <= P99 <= P99.9, every operation completed
   (ok + failed = issued), and its steady-state tally is present and
   within the whole run's counts.
-With --traced every row must also carry a tail attribution with some
-component's P99 above zero (cluster-load runs record the event trace;
-kv-chaos runs do not).
+With --traced every row must also carry a hex event-trace digest, a
+coverage and a tail attribution with some component's P99 above zero
+(cluster-load runs record the event trace). Without it every row must
+write null for those and for analyzed_rpcs (kv-chaos runs record no
+event trace).
 """
 
 import argparse
 import json
+import re
 
 ROW_KEYS = [
     "scenario", "seed", "horizon_ns", "issued", "acked", "failed",
@@ -48,8 +51,13 @@ def check(path, nrows, traced):
         assert list(r) == ROW_KEYS, (name, list(r))
         assert r["violations"] == [], (name, r["violations"])
         if traced:
+            assert re.fullmatch(r"[0-9a-f]{16}", r["digest"] or ""), (name, r["digest"])
+            assert r["coverage"] is not None and r["analyzed_rpcs"] is not None, name
             assert r["attribution"] is not None, name
             assert any(c["p99_ns"] > 0 for c in r["attribution"]["components"]), name
+        else:
+            for k in ("digest", "analyzed_rpcs", "coverage", "attribution"):
+                assert r[k] is None, (name, k, r[k])
         for t in r["tenants"]:
             kv = KV_KEYS if t["service"] == "kv" else []
             assert list(t) == TENANT_KEYS + kv + ["timeline"], (name, list(t))
@@ -62,7 +70,7 @@ def check(path, nrows, traced):
                 assert s[k] <= t[k], (name, t["tenant"], k)
     print(f"{path}: {len(rows)} clean runs,",
           sum(t["ok"] for r in rows for t in r["tenants"]), "ops ok, coverage",
-          [round(r["coverage"], 3) for r in rows])
+          [None if r["coverage"] is None else round(r["coverage"], 3) for r in rows])
 
 
 def main():

@@ -30,6 +30,12 @@ forwards the enclosing toplevel function's own optional parameter of the
 same name (`?name`, `~name`, `?name:name`, `~name:name`) counts as passed
 only if that parameter is itself passed. Such a parameter should become
 a constant. Exits 1 if anything is printed.
+
+    python3 tools/dead_exports.py --no-tests
+
+lists instead the vals and optional parameters that only test/ uses:
+those the same rules report with test/ left out of the use scan, less
+those they report with it. It ends with their count and always exits 0.
 """
 
 import os
@@ -47,8 +53,8 @@ QUALIFIED = re.compile(r"(?<![A-Za-z0-9_'.])(" + PATH + r")\.([a-z_][A-Za-z0-9_'
 IDENT = re.compile(r"(?<![A-Za-z0-9_'.])([a-z_][A-Za-z0-9_']*)")
 
 
-def sources():
-    for d in DIRS:
+def sources(dirs):
+    for d in dirs:
         for dirpath, dirnames, filenames in os.walk(os.path.join(ROOT, d)):
             dirnames[:] = [n for n in dirnames if n != "_build"]
             for f in filenames:
@@ -302,8 +308,9 @@ def unpassed_optionals(paths, libs):
     )
 
 
-def main():
-    paths = list(sources())
+def unused(dirs):
+    """Unused vals and unpassed optional parameters, given the uses in [dirs]."""
+    paths = list(sources(dirs))
     libs = {
         os.path.relpath(p, ROOT).split(os.sep)[1]
         for p in paths
@@ -329,6 +336,21 @@ def main():
             if not files - own:
                 dead.append("%s: val %s" % (rel, name))
     dead += ["lib/" + line + " is never passed" for line in unpassed_optionals(paths, libs)]
+    return dead
+
+
+def main():
+    if sys.argv[1:] == ["--no-tests"]:
+        everywhere = set(unused(DIRS))
+        test_only = [line for line in unused([d for d in DIRS if d != "test"]) if line not in everywhere]
+        for line in test_only:
+            print(line)
+        params = sum(line.endswith(" is never passed") for line in test_only)
+        print("%d vals and %d optional parameters only test/ uses" % (len(test_only) - params, params))
+        return 0
+    if sys.argv[1:]:
+        sys.exit("usage: dead_exports.py [--no-tests]")
+    dead = unused(DIRS)
     for line in dead:
         print(line)
     return 1 if dead else 0
