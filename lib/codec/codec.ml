@@ -6,51 +6,12 @@ let backend_name = function Compact -> "compact" | Flat -> "flat"
 
 let fail msg = raise (Decode_error msg)
 
-(* FNV-1a over bytes, truncated to OCaml's int (the 64-bit offset basis
-   loses its top bit to the tag): the 32-bit check [with_checksum] frames
-   carry. *)
-let fnv_offset = 0x4bf29ce484222325
-let fnv_prime = 0x100000001b3
-let fnv_step h v = (h lxor v) * fnv_prime land max_int
-
-let bytes_checksum b ~off ~len =
-  let h = ref fnv_offset in
-  for i = off to off + len - 1 do
-    h := fnv_step !h (Char.code (Bytes.unsafe_get b i))
-  done;
-  !h
-
-(* {2 Leaf metadata}
-
-   A "leaf" is one primitive field as seen by the cost model: encoding or
-   decoding a message costs per-leaf work plus bulk byte movement. Flat
-   layouts additionally record each leaf's fixed offset, which is what makes
-   lazy positional access possible. *)
-
-type leaf_kind =
-  | L_u8
-  | L_u16
-  | L_u32
-  | L_u64
-  | L_bool
-  | L_fixed of int
-  | L_bounded of int  (* u32 length + [cap] bytes of storage *)
-
-type leaf = { l_off : int; l_kind : leaf_kind }
-
-let leaf_width = function
-  | L_u8 | L_bool -> 1
-  | L_u16 -> 2
-  | L_u32 -> 4
-  | L_u64 -> 8
-  | L_fixed n -> n
-  | L_bounded cap -> 4 + cap
-
+(* A flat layout puts every field at a statically known offset, so its
+   footprint is fixed. *)
 type 'a flat = {
   f_size : int;  (* fixed wire footprint *)
   f_write : bytes -> int -> 'a -> unit;  (* bounds pre-checked by caller *)
   f_read : bytes -> int -> 'a;  (* bounds pre-checked; content may still fail *)
-  f_leaves : leaf array;  (* declaration order, offsets relative to base *)
 }
 
 (* Compact readers advance a cursor over [cbuf] and never read at or past
@@ -60,12 +21,14 @@ type cursor = { cbuf : bytes; climit : int; mutable cpos : int }
 
 (* A codec is an exact-size function, limit-aware writers/readers over a
    bytes buffer (compact backend), a per-value leaf count for the cost
-   model, a static compact-size bound when one exists, and optionally a
-   fixed-offset flat layout. Writers return the next offset. [fixed_size]
-   and [fixed_leaves] are the compact size and leaf count shared by every
+   model — a "leaf" is one primitive field, and encoding or decoding costs
+   per-leaf work plus bulk byte movement — and optionally a fixed-offset
+   flat layout. Writers return the next offset. [fixed_size] and
+   [fixed_leaves] are the compact size and leaf count shared by every
    value, or -1 when they depend on the value: [size] and [leaves] of a
    fixed codec answer without looking at (or, through [map], rebuilding)
-   the value. *)
+   the value. Every flat-capable codec has a fixed leaf count, which both
+   backends charge. *)
 type 'a t = {
   size : 'a -> int;
   write : bytes -> int -> 'a -> int;
@@ -73,7 +36,6 @@ type 'a t = {
   leaves : 'a -> int;
   fixed_size : int;
   fixed_leaves : int;
-  bound : int option;
   flat : 'a flat option;
 }
 
@@ -91,7 +53,7 @@ let const_fn n = fun _ -> n
 
 (* {2 Primitives} *)
 
-let prim ~kind ~n ~what ~wr ~rd =
+let prim ~n ~what ~wr ~rd =
   {
     size = const_fn n;
     write =
@@ -107,38 +69,24 @@ let prim ~kind ~n ~what ~wr ~rd =
     leaves = const_fn 1;
     fixed_size = n;
     fixed_leaves = 1;
-    bound = Some n;
-    flat = Some { f_size = n; f_write = wr; f_read = rd; f_leaves = [| { l_off = 0; l_kind = kind } |] };
+    flat = Some { f_size = n; f_write = wr; f_read = rd };
   }
 
+(* Variant tags only. *)
 let u8 =
-  prim ~kind:L_u8 ~n:1 ~what:"u8"
-    ~wr:(fun b off v ->
-      if v < 0 || v > 0xFF then invalid_arg "Codec.u8: out of range";
-      Bytes.set_uint8 b off v)
+  prim ~n:1 ~what:"u8"
+    ~wr:(fun b off v -> Bytes.set_uint8 b off v)
     ~rd:(fun b off -> Bytes.get_uint8 b off)
 
-let u16 =
-  prim ~kind:L_u16 ~n:2 ~what:"u16"
-    ~wr:(fun b off v ->
-      if v < 0 || v > 0xFFFF then invalid_arg "Codec.u16: out of range";
-      Bytes.set_uint16_le b off v)
-    ~rd:(fun b off -> Bytes.get_uint16_le b off)
-
 let u32 =
-  prim ~kind:L_u32 ~n:4 ~what:"u32"
+  prim ~n:4 ~what:"u32"
     ~wr:(fun b off v ->
       if v < 0 || v > 0xFFFFFFFF then invalid_arg "Codec.u32: out of range";
       Bytes.set_int32_le b off (Int32.of_int v))
     ~rd:(fun b off -> Int32.to_int (Bytes.get_int32_le b off) land 0xFFFFFFFF)
 
-let u64 =
-  prim ~kind:L_u64 ~n:8 ~what:"u64"
-    ~wr:(fun b off v -> Bytes.set_int64_le b off (Int64.of_int v))
-    ~rd:(fun b off -> Int64.to_int (Bytes.get_int64_le b off))
-
 let bool =
-  prim ~kind:L_bool ~n:1 ~what:"bool"
+  prim ~n:1 ~what:"bool"
     ~wr:(fun b off v -> Bytes.set_uint8 b off (if v then 1 else 0))
     ~rd:(fun b off ->
       match Bytes.get_uint8 b off with
@@ -153,31 +101,7 @@ let fixed_string n =
         (Printf.sprintf "Codec.fixed_string: expected %d bytes, got %d" n (String.length s));
     Bytes.blit_string s 0 b off n
   in
-  {
-    size = const_fn n;
-    write =
-      (fun b off s ->
-        wr b off s;
-        off + n);
-    read =
-      (fun cur ->
-        need cur n "fixed_string";
-        let off = cur.cpos in
-        cur.cpos <- off + n;
-        Bytes.sub_string cur.cbuf off n);
-    leaves = const_fn 1;
-    fixed_size = n;
-    fixed_leaves = 1;
-    bound = Some n;
-    flat =
-      Some
-        {
-          f_size = n;
-          f_write = wr;
-          f_read = (fun b off -> Bytes.sub_string b off n);
-          f_leaves = [| { l_off = 0; l_kind = L_fixed n } |];
-        };
-  }
+  prim ~n ~what:"fixed_string" ~wr ~rd:(fun b off -> Bytes.sub_string b off n)
 
 (* A u32 length prefix followed by that many bytes; [cap] < 0 means no
    capacity. *)
@@ -204,7 +128,6 @@ let string =
     leaves = const_fn 1;
     fixed_size = -1;
     fixed_leaves = 1;
-    bound = None;
     flat = None;
   }
 
@@ -231,7 +154,6 @@ let bounded_string cap =
     leaves = const_fn 1;
     fixed_size = -1;
     fixed_leaves = 1;
-    bound = Some (4 + cap);
     flat =
       Some
         {
@@ -249,13 +171,10 @@ let bounded_string cap =
               if n > cap then
                 fail (Printf.sprintf "bounded_string length %d exceeds capacity %d" n cap);
               Bytes.sub_string b (off + 4) n);
-          f_leaves = [| { l_off = 0; l_kind = L_bounded cap } |];
         };
   }
 
 (* {2 Combinators} *)
-
-let shift_leaves d ls = Array.map (fun l -> { l with l_off = l.l_off + d }) ls
 
 let pair a b =
   let fixed_size = fixed_sum a.fixed_size b.fixed_size in
@@ -277,7 +196,6 @@ let pair a b =
        else fun (x, y) -> a.leaves x + b.leaves y);
     fixed_size;
     fixed_leaves;
-    bound = (match (a.bound, b.bound) with Some m, Some n -> Some (m + n) | _ -> None);
     flat =
       (match (a.flat, b.flat) with
       | Some fa, Some fb ->
@@ -293,7 +211,6 @@ let pair a b =
                   let x = fa.f_read buf off in
                   let y = fb.f_read buf (off + fa.f_size) in
                   (x, y));
-              f_leaves = Array.append fa.f_leaves (shift_leaves fa.f_size fb.f_leaves);
             }
       | _ -> None);
   }
@@ -307,7 +224,6 @@ let map ~into ~from c =
       (if c.fixed_leaves >= 0 then const_fn c.fixed_leaves else fun v -> c.leaves (from v));
     fixed_size = c.fixed_size;
     fixed_leaves = c.fixed_leaves;
-    bound = c.bound;
     flat =
       (match c.flat with
       | Some f ->
@@ -316,7 +232,6 @@ let map ~into ~from c =
               f_size = f.f_size;
               f_write = (fun buf off v -> f.f_write buf off (from v));
               f_read = (fun buf off -> into (f.f_read buf off));
-              f_leaves = f.f_leaves;
             }
       | None -> None);
   }
@@ -373,9 +288,6 @@ let rec write_all elt buf off = function
    entry) need no reversal. *)
 let rev_short = function ([] | [ _ ]) as l -> l | l -> List.rev l
 
-let rec read_n elt cur acc i =
-  if i = 0 then rev_short acc else read_n elt cur (elt.read cur :: acc) (i - 1)
-
 let rec read_to_limit elt cur acc =
   let off = cur.cpos in
   if off >= cur.climit then rev_short acc
@@ -384,21 +296,6 @@ let rec read_to_limit elt cur acc =
     if cur.cpos <= off then fail "tail_list: element consumed no bytes";
     read_to_limit elt cur (x :: acc)
   end
-
-let list elt =
-  {
-    size = (fun xs -> 4 + sum_sizes elt xs);
-    write = (fun buf off xs -> write_all elt buf (u32.write buf off (List.length xs)) xs);
-    read =
-      (fun cur ->
-        let n = u32.read cur in
-        read_n elt cur [] n);
-    leaves = (fun xs -> 1 + sum_leaves elt xs);
-    fixed_size = -1;
-    fixed_leaves = -1;
-    bound = None;
-    flat = None;
-  }
 
 (* No count prefix: elements are read until the message limit. Only valid as
    the final field of a message. *)
@@ -410,50 +307,7 @@ let tail_list elt =
     leaves = sum_leaves elt;
     fixed_size = -1;
     fixed_leaves = -1;
-    bound = None;
     flat = None;
-  }
-
-let option elt =
-  {
-    size = (fun v -> match v with None -> 1 | Some x -> 1 + elt.size x);
-    write =
-      (fun buf off v ->
-        match v with
-        | None -> bool.write buf off false
-        | Some x ->
-            let off = bool.write buf off true in
-            elt.write buf off x);
-    read = (fun cur -> if bool.read cur then Some (elt.read cur) else None);
-    leaves = (fun v -> match v with None -> 1 | Some x -> 1 + elt.leaves x);
-    fixed_size = -1;
-    fixed_leaves = -1;
-    bound = (match elt.bound with Some n -> Some (1 + n) | None -> None);
-    flat =
-      (match elt.flat with
-      | Some f ->
-          Some
-            {
-              f_size = 1 + f.f_size;
-              f_write =
-                (fun buf off v ->
-                  match v with
-                  | None ->
-                      Bytes.set_uint8 buf off 0;
-                      Bytes.fill buf (off + 1) f.f_size '\000'
-                  | Some x ->
-                      Bytes.set_uint8 buf off 1;
-                      f.f_write buf (off + 1) x);
-              f_read =
-                (fun buf off ->
-                  match Bytes.get_uint8 buf off with
-                  | 0 -> None
-                  | 1 -> Some (f.f_read buf (off + 1))
-                  | n -> fail (Printf.sprintf "invalid option byte %d" n));
-              f_leaves =
-                Array.append [| { l_off = 0; l_kind = L_bool } |] (shift_leaves 1 f.f_leaves);
-            }
-      | None -> None);
   }
 
 (* Presence encoded by message length: the value is present iff any bytes
@@ -468,13 +322,8 @@ let tail_option elt =
     leaves = (fun v -> match v with None -> 0 | Some x -> elt.leaves x);
     fixed_size = -1;
     fixed_leaves = -1;
-    bound = elt.bound;
     flat = None;
   }
-
-let array elt =
-  let as_list = list elt in
-  map ~into:Array.of_list ~from:Array.to_list as_list
 
 (* {2 Tagged unions} *)
 
@@ -535,95 +384,24 @@ let variant ~name cases =
     leaves = (fun v -> case_leaves name v cases);
     fixed_size = -1;
     fixed_leaves = -1;
-    bound =
-      List.fold_left
-        (fun acc (Case c) ->
-          match (acc, c.c_payload.bound) with
-          | Some m, Some n -> Some (max m (1 + n))
-          | _ -> None)
-        (Some 0) cases;
     flat = None;
-  }
-
-(* {2 Integrity} *)
-
-let with_checksum c =
-  let fixed_size = fixed_sum c.fixed_size 4 in
-  let fixed_leaves = fixed_sum c.fixed_leaves 1 in
-  {
-    size = (if fixed_size >= 0 then const_fn fixed_size else fun v -> c.size v + 4);
-    write =
-      (fun b off v ->
-        let body_end = c.write b off v in
-        let sum = bytes_checksum b ~off ~len:(body_end - off) land 0xFFFFFFFF in
-        u32.write b body_end sum);
-    read =
-      (fun cur ->
-        let off = cur.cpos in
-        let v = c.read cur in
-        let body_end = cur.cpos in
-        let stored = u32.read cur in
-        let sum = bytes_checksum cur.cbuf ~off ~len:(body_end - off) land 0xFFFFFFFF in
-        if stored <> sum then
-          fail (Printf.sprintf "checksum mismatch (stored %#x, computed %#x)" stored sum);
-        v);
-    leaves = (if fixed_leaves >= 0 then const_fn fixed_leaves else fun v -> c.leaves v + 1);
-    fixed_size;
-    fixed_leaves;
-    bound = (match c.bound with Some n -> Some (n + 4) | None -> None);
-    flat =
-      (match c.flat with
-      | Some f ->
-          Some
-            {
-              f_size = f.f_size + 4;
-              f_write =
-                (fun b off v ->
-                  f.f_write b off v;
-                  ignore
-                    (u32.write b (off + f.f_size)
-                       (bytes_checksum b ~off ~len:f.f_size land 0xFFFFFFFF)));
-              f_read =
-                (fun b off ->
-                  let stored =
-                    Int32.to_int (Bytes.get_int32_le b (off + f.f_size)) land 0xFFFFFFFF
-                  in
-                  let sum = bytes_checksum b ~off ~len:f.f_size land 0xFFFFFFFF in
-                  if stored <> sum then
-                    fail
-                      (Printf.sprintf "checksum mismatch (stored %#x, computed %#x)" stored sum);
-                  f.f_read b off);
-              (* Lazy per-leaf access deliberately bypasses verification;
-                 [decode] (eager) always verifies. *)
-              f_leaves = f.f_leaves;
-            }
-      | None -> None);
   }
 
 (* {2 Sizes and backend entry points} *)
 
 let size c v = if c.fixed_size >= 0 then c.fixed_size else c.size v
-let bound c = c.bound
-let leaf_count c v = if c.fixed_leaves >= 0 then c.fixed_leaves else c.leaves v
-let flat_capable c = c.flat <> None
 
 let flat_exn c what =
   match c.flat with
   | Some f -> f
   | None -> invalid_arg (what ^ ": codec has no flat layout (unbounded field?)")
 
-let flat_size c = (flat_exn c "Codec.flat_size").f_size
-let flat_leaves c = Array.length (flat_exn c "Codec.flat_leaves").f_leaves
-
 let encoded_size ~backend c v =
   match backend with Compact -> size c v | Flat -> (flat_exn c "Codec.encoded_size").f_size
 
 let encoded_leaves ~backend c v =
-  match backend with
-  | Compact -> leaf_count c v
-  | Flat ->
-      let f = flat_exn c "Codec.encoded_leaves" in
-      if Array.length f.f_leaves > 0 then Array.length f.f_leaves else leaf_count c v
+  if backend = Flat then ignore (flat_exn c "Codec.encoded_leaves");
+  if c.fixed_leaves >= 0 then c.fixed_leaves else c.leaves v
 
 let encode ~backend c b off v =
   match backend with
@@ -651,52 +429,10 @@ let decode ~backend c b ~off ~len =
         fail (Printf.sprintf "flat message size %d, expected %d" len f.f_size);
       f.f_read b off
 
-let to_bytes ?(backend = Compact) c v =
-  let b = Bytes.create (encoded_size ~backend c v) in
-  let final = encode ~backend c b 0 v in
+let to_bytes c v =
+  let b = Bytes.create (size c v) in
+  let final = c.write b 0 v in
   assert (final = Bytes.length b);
   b
 
-let of_bytes ?(backend = Compact) c b = decode ~backend c b ~off:0 ~len:(Bytes.length b)
-
-(* {2 Lazy positional access (flat layouts)} *)
-
-let leaf_ c b ~base ~leaf what =
-  let f = flat_exn c what in
-  if leaf < 0 || leaf >= Array.length f.f_leaves then
-    invalid_arg (Printf.sprintf "%s: leaf %d out of range (codec has %d)" what leaf
-                   (Array.length f.f_leaves));
-  let l = f.f_leaves.(leaf) in
-  let off = base + l.l_off in
-  if base < 0 || off + leaf_width l.l_kind > Bytes.length b then
-    fail (Printf.sprintf "%s: leaf %d outside buffer" what leaf);
-  (l, off)
-
-let get_leaf_int c b ~base ~leaf =
-  let l, off = leaf_ c b ~base ~leaf "Codec.get_leaf_int" in
-  match l.l_kind with
-  | L_u8 -> Bytes.get_uint8 b off
-  | L_u16 -> Bytes.get_uint16_le b off
-  | L_u32 -> Int32.to_int (Bytes.get_int32_le b off) land 0xFFFFFFFF
-  | L_u64 -> Int64.to_int (Bytes.get_int64_le b off)
-  | L_bool -> (
-      match Bytes.get_uint8 b off with
-      | (0 | 1) as n -> n
-      | n -> fail (Printf.sprintf "invalid bool byte %d" n))
-  | L_fixed _ | L_bounded _ -> invalid_arg "Codec.get_leaf_int: leaf is not an integer"
-
-let get_leaf_string c b ~base ~leaf =
-  let l, off = leaf_ c b ~base ~leaf "Codec.get_leaf_string" in
-  match l.l_kind with
-  | L_fixed n -> Bytes.sub_string b off n
-  | L_bounded cap ->
-      let n = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFFFFFF in
-      if n > cap then fail (Printf.sprintf "bounded_string length %d exceeds capacity %d" n cap);
-      Bytes.sub_string b (off + 4) n
-  | _ -> invalid_arg "Codec.get_leaf_string: leaf is not a string"
-
-let leaf_bytes c ~leaf =
-  let f = flat_exn c "Codec.leaf_bytes" in
-  if leaf < 0 || leaf >= Array.length f.f_leaves then
-    invalid_arg "Codec.leaf_bytes: leaf out of range";
-  leaf_width f.f_leaves.(leaf).l_kind
+let of_bytes c b = decode ~backend:Compact c b ~off:0 ~len:(Bytes.length b)

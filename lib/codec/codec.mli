@@ -1,4 +1,4 @@
-(** Typed wire codecs with pluggable backends.
+(** Typed wire codecs with two backends.
 
     The paper deliberately keeps eRPC's API at the level of opaque
     DMA-capable buffers: "a library that provides marshalling and
@@ -8,23 +8,22 @@
 
     - {!Compact}: the length-prefixed little-endian binary layout.
       Variable-size fields cost only what they use; every codec supports
-      it, and its wire bytes are identical to the pre-refactor codec.
-    - {!Flat}: a fixed-offset layout in which every field (a "leaf") lives
-      at a statically known offset, enabling {e lazy} per-field access via
-      {!get_leaf_int}/{!get_leaf_string} without decoding the whole
-      message. Only codecs built purely from bounded pieces support it
-      (see {!flat_capable}).
+      it.
+    - {!Flat}: a fixed-offset layout in which every field lives at a
+      statically known offset, so the wire size is constant. Only codecs
+      built purely from bounded pieces support it.
 
-    Codecs also report a per-value {e leaf count} — the number of
-    primitive fields touched by an encode or decode — which is what the
-    simulator's cost model charges per field, plus the byte footprint for
-    bulk-copy charges.
+    Decoding is always eager: a message is decoded whole. Codecs also
+    report a per-value {e leaf count} — the number of primitive fields
+    touched by an encode or decode — which is what the simulator's cost
+    model charges per field, plus the byte footprint for bulk-copy
+    charges.
 
-    Decoding failures (truncation, bad tags, checksum mismatch, trailing
-    bytes) raise {!Decode_error}; they never raise [Invalid_argument] or
-    return garbage. [Invalid_argument] is reserved for caller bugs: values
-    out of range for their field, codecs used with a backend they don't
-    support, leaf indices out of range.
+    Decoding failures (truncation, bad tags, trailing bytes) raise
+    {!Decode_error}; they never raise [Invalid_argument] or return
+    garbage. [Invalid_argument] is reserved for caller bugs: values out of
+    range for their field, codecs used with a backend they don't
+    support.
 
     Msgbuf integration lives in [Erpc.Typed] (this library is beneath the
     transport so both [erpc] and plain data code can use it). *)
@@ -39,10 +38,7 @@ type 'a t
 
 (** {1 Primitives} *)
 
-val u8 : int t
-val u16 : int t
 val u32 : int t
-val u64 : int t
 val bool : bool t
 
 val fixed_string : int -> string t
@@ -66,18 +62,9 @@ val triple : 'a t -> 'b t -> 'c t -> ('a * 'b * 'c) t
 val map : into:('a -> 'b) -> from:('b -> 'a) -> 'a t -> 'b t
 (** [map ~into ~from c] builds a codec for a richer type from codec [c]. *)
 
-val list : 'a t -> 'a list t
-(** u32-count-prefixed list. Compact only. *)
-
-val array : 'a t -> 'a array t
-
 val tail_list : 'a t -> 'a list t
 (** Elements with {e no} count prefix, read until the end of the message.
     Only valid as the final field of a schema. Compact only. *)
-
-val option : 'a t -> 'a option t
-(** Presence byte + payload. The flat layout zero-fills the payload region
-    when absent, keeping the footprint fixed. *)
 
 val tail_option : 'a t -> 'a option t
 (** Presence encoded by message length: [Some] iff any bytes remain before
@@ -96,35 +83,16 @@ val case : tag:int -> 'b t -> inj:('b -> 'a) -> proj:('a -> 'b option) -> 'a cas
 val variant : name:string -> 'a case list -> 'a t
 (** Compact only. Decoding an unknown tag raises {!Decode_error}. *)
 
-(** {1 Integrity} *)
-
-val with_checksum : 'a t -> 'a t
-(** [with_checksum c] appends a u32 FNV-1a checksum of the encoded body;
-    eager decodes verify it and raise {!Decode_error} on mismatch —
-    app-level end-to-end integrity on top of the per-packet wire checksum.
-    Wire bytes are identical to the pre-refactor codec. Note: lazy leaf
-    access on a flat checksummed message deliberately skips verification —
-    only full {!decode} checks. *)
-
 (** {1 Sizes} *)
 
 val size : 'a t -> 'a -> int
 (** Exact compact encoded size of a value. *)
 
-val bound : 'a t -> int option
-(** Static upper bound on the compact size, when one exists. *)
-
 val encoded_size : backend:backend -> 'a t -> 'a -> int
-val leaf_count : 'a t -> 'a -> int
+
 val encoded_leaves : backend:backend -> 'a t -> 'a -> int
-val flat_capable : 'a t -> bool
-
-val flat_size : 'a t -> int
-(** Fixed wire footprint under {!Flat}. Raises [Invalid_argument] if the
-    codec has no flat layout. *)
-
-val flat_leaves : 'a t -> int
-(** Number of addressable leaves under {!Flat}. *)
+(** The value's leaf count; the same under both backends. Raises
+    [Invalid_argument] under [Flat] if the codec has no flat layout. *)
 
 (** {1 Encode / decode} *)
 
@@ -137,26 +105,11 @@ val encode : backend:backend -> 'a t -> bytes -> int -> 'a -> int
 val decode : backend:backend -> 'a t -> bytes -> off:int -> len:int -> 'a
 (** Decodes exactly the [len] bytes at [off]. [Compact] requires full
     consumption — trailing bytes raise {!Decode_error}, as does any
-    truncated or malformed prefix. [Flat] requires [len = flat_size]. *)
+    truncated or malformed prefix. [Flat] requires [len] to be the flat
+    layout's fixed size. *)
 
-val to_bytes : ?backend:backend -> 'a t -> 'a -> bytes
-val of_bytes : ?backend:backend -> 'a t -> bytes -> 'a
+val to_bytes : 'a t -> 'a -> bytes
+(** The compact encoding of a value. *)
 
-(** {1 Lazy field access} (flat layouts only)
-
-    Fields are addressed positionally by leaf index, in declaration
-    order. [base] is the offset of the message within [b]. Access
-    validates bounds and field content, raising {!Decode_error} on
-    corrupt data — but touches only that field's bytes, which is the
-    point: the cost model charges one leaf, not the whole message. *)
-
-val get_leaf_int : 'a t -> bytes -> base:int -> leaf:int -> int
-(** Integer leaves ([u8]/[u16]/[u32]/[u64]/[bool] — bool reads as 0/1). *)
-
-val get_leaf_string : 'a t -> bytes -> base:int -> leaf:int -> string
-(** String leaves ([fixed_string]/[bounded_string]). *)
-
-val leaf_bytes : 'a t -> leaf:int -> int
-(** Wire footprint of one leaf — what a lazy access's byte charge is
-    based on. *)
-
+val of_bytes : 'a t -> bytes -> 'a
+(** Decodes a whole compact message. *)

@@ -97,15 +97,6 @@ let make pool ~src_host ~dst_host ~dst_rpc ~wire_overhead ~flow ~req_type ~msg_s
 
 let verify pkt = not pkt.Netsim.Packet.corrupted
 
-let corrupt ?bit pkt =
-  (* The payload is a zero-copy slice of the sender's live msgbuf, so bit
-     flips cannot be applied to the backing bytes without corrupting the
-     sender's memory. Modeled instead as a per-frame error flag, which is
-     what the wire checksum reduces to in a simulator that models error
-     detection rather than adversarial collisions. *)
-  ignore bit;
-  pkt.Netsim.Packet.corrupted <- true
-
 let flow_hash ~src_host ~dst_host ~sn =
   let h = (src_host * 1_000_003) + (dst_host * 7_919) + (sn * 131) in
   h land max_int

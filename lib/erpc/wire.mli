@@ -56,14 +56,9 @@ val make :
   len:int ->
   Netsim.Packet.t
 
-(** Wire-checksum verification: [false] for packets mangled in flight. *)
+(** Wire-checksum verification: [false] for packets the network flagged
+    {!Netsim.Packet.t.corrupted} in flight. *)
 val verify : Netsim.Packet.t -> bool
-
-(** Corrupt the frame so checksum verification fails. [bit] is accepted
-    for injector compatibility; which bit flips does not change the
-    modeled outcome. This is the corrupter the fault injector installs via
-    {!Netsim.Network.set_corrupter}. *)
-val corrupt : ?bit:int -> Netsim.Packet.t -> unit
 
 (** Flow-hash for ECMP: all packets of a session take one path. *)
 val flow_hash : src_host:int -> dst_host:int -> sn:int -> int

@@ -9,34 +9,23 @@ type t = {
   mutable dup_active : float list;
   mutable reorder_active : (float * int) list;
   jitter_active : (int, int list) Hashtbl.t;
-  mutable corrupt_seq : int;
   mutable injected : int;
 }
 
 let create ?(trace = Trace.create ()) fabric =
-  let net = Erpc.Fabric.net fabric in
-  let t =
-    {
-      fabric;
-      net;
-      engine = Erpc.Fabric.engine fabric;
-      trace;
-      link_depth = Hashtbl.create 8;
-      partition_depth = Hashtbl.create 8;
-      corrupt_active = [];
-      dup_active = [];
-      reorder_active = [];
-      jitter_active = Hashtbl.create 8;
-      corrupt_seq = 0;
-      injected = 0;
-    }
-  in
-  (* Payload-aware corruption: flip a real payload bit (varying per packet)
-     so the wire checksum is genuinely exercised, not just a flag check. *)
-  Netsim.Network.set_corrupter net (fun pkt ->
-      t.corrupt_seq <- t.corrupt_seq + 1;
-      Erpc.Wire.corrupt ~bit:(7 * t.corrupt_seq) pkt);
-  t
+  {
+    fabric;
+    net = Erpc.Fabric.net fabric;
+    engine = Erpc.Fabric.engine fabric;
+    trace;
+    link_depth = Hashtbl.create 8;
+    partition_depth = Hashtbl.create 8;
+    corrupt_active = [];
+    dup_active = [];
+    reorder_active = [];
+    jitter_active = Hashtbl.create 8;
+    injected = 0;
+  }
 
 let trace t = t.trace
 let injected t = t.injected

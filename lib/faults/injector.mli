@@ -9,10 +9,9 @@
     refcounted and probability knobs keep the strongest active interval
     until the last one expires.
 
-    Creating an injector installs a payload-aware corrupter into the
-    network (see {!Netsim.Network.set_corrupter}): chosen packets get a
-    real payload bit flipped — varying per packet — so receivers' wire
-    checksums are exercised rather than a mere "corrupted" flag. *)
+    A corruption fault raises the network's corruption probability
+    ({!Netsim.Network.set_corrupt_prob}): chosen packets are flagged
+    corrupted, which receivers' wire-checksum verification rejects. *)
 
 type t
 

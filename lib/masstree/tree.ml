@@ -122,18 +122,6 @@ let insert t ~key ~value =
       root.icount <- 1;
       t.root <- Internal root
 
-let delete t ~key =
-  let l = find_leaf t.root key in
-  let i = lower_bound l.lkeys l.lcount key in
-  if i < l.lcount && String.equal l.lkeys.(i) key then begin
-    Array.blit l.lkeys (i + 1) l.lkeys i (l.lcount - i - 1);
-    Array.blit l.lvals (i + 1) l.lvals i (l.lcount - i - 1);
-    l.lcount <- l.lcount - 1;
-    t.count <- t.count - 1;
-    true
-  end
-  else false
-
 let scan t ~start ~n =
   let acc = ref [] in
   let taken = ref 0 in

@@ -3,10 +3,7 @@
 
     Implemented as a B+tree with linked leaves: point GETs descend the
     tree; SCANs walk the leaf chain, which is what makes the paper's
-    128-key range sums cheap after the initial descent. Deletion removes
-    the key from its leaf without rebalancing (leaves may underflow);
-    lookups and scans remain correct, matching how log-structured stores
-    tolerate sparse leaves.
+    128-key range sums cheap after the initial descent.
 
     [lookup_cost_ns]/[scan_cost_ns] model the CPU time of the operations
     when they run inside simulated RPC handlers. *)
@@ -17,7 +14,6 @@ val create : unit -> t
 
 val insert : t -> key:string -> value:string -> unit
 val get : t -> key:string -> string option
-val delete : t -> key:string -> bool
 
 (** [scan t ~start ~n] returns up to [n] key-value pairs with key >=
     [start], in ascending order. *)

@@ -60,21 +60,6 @@ let get t ~key =
   let idx = fnv1a key land t.mask in
   match find_cell t.table.(idx) key with Some c -> Some c.value | None -> None
 
-let delete t ~key =
-  let idx = fnv1a key land t.mask in
-  let rec remove = function
-    | None -> (None, false)
-    | Some c when String.equal c.key key -> (c.next, true)
-    | Some c ->
-        let rest, removed = remove c.next in
-        c.next <- rest;
-        (Some c, removed)
-  in
-  let chain, removed = remove t.table.(idx) in
-  t.table.(idx) <- chain;
-  if removed then t.count <- t.count - 1;
-  removed
-
 let size t = t.count
 let buckets t = Array.length t.table
 

@@ -15,7 +15,6 @@ val create : ?initial_buckets:int -> unit -> t
 
 val put : t -> key:string -> value:string -> unit
 val get : t -> key:string -> string option
-val delete : t -> key:string -> bool
 val size : t -> int
 val buckets : t -> int
 

@@ -53,7 +53,6 @@ type t = {
   partitions : (int * int, unit) Hashtbl.t;  (* severed ToR pairs *)
   extra_delay_ns : int array;  (* per-host delivery delay spike *)
   mutable corrupt_prob : float;
-  mutable corrupter : Packet.t -> unit;
   mutable dup_prob : float;
   mutable reorder_prob : float;
   mutable reorder_max_ns : int;
@@ -120,7 +119,7 @@ let deliver t host_id pkt =
   end
   else begin
     if t.corrupt_prob > 0. && Sim.Rng.bool_with_prob t.rng t.corrupt_prob then
-      t.corrupter pkt;
+      pkt.Packet.corrupted <- true;
     let delay = ref t.extra_delay_ns.(host_id) in
     if t.reorder_prob > 0. && Sim.Rng.bool_with_prob t.rng t.reorder_prob then begin
       (* Bounded reordering: hold this packet back so later packets of the
@@ -283,7 +282,6 @@ let create engine cfg =
          partitions = Hashtbl.create 4;
          extra_delay_ns = Array.make (Array.length hosts) 0;
          corrupt_prob = 0.;
-         corrupter = (fun pkt -> pkt.Packet.corrupted <- true);
          dup_prob = 0.;
          reorder_prob = 0.;
          reorder_max_ns = 0;
@@ -329,8 +327,6 @@ let set_partition t ~tor_a ~tor_b severed =
   else Hashtbl.remove t.partitions key
 
 let set_corrupt_prob t p = t.corrupt_prob <- p
-
-let set_corrupter t f = t.corrupter <- f
 
 let set_dup_prob t p = t.dup_prob <- p
 

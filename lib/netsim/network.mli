@@ -86,16 +86,11 @@ val host_link_up : t -> host:int -> bool
     ([tor_a = tor_b]) isolates intra-rack traffic too. *)
 val set_partition : t -> tor_a:int -> tor_b:int -> bool -> unit
 
-(** Per-delivery corruption probability. A corrupted packet is mangled by
-    the installed corrupter ({!set_corrupter}; the default sets
-    {!Packet.t.corrupted}) and still delivered — receivers must detect it
-    with a wire checksum. *)
+(** Per-delivery corruption probability. A corrupted packet gets
+    {!Packet.t.corrupted} set and is still delivered — receivers must
+    detect it, as a wire checksum would. No payload byte changes: the
+    payload is a zero-copy slice of the sender's live msgbuf. *)
 val set_corrupt_prob : t -> float -> unit
-
-(** Install the function that mangles a packet chosen for corruption.
-    Higher layers install a payload-aware corrupter that flips real bits so
-    wire checksums are genuinely exercised. *)
-val set_corrupter : t -> (Packet.t -> unit) -> unit
 
 (** Per-delivery duplication probability; the duplicate arrives 50 ns after
     the original. *)

@@ -96,7 +96,7 @@ let cmd_codec : (int * int * string * string) Codec.t =
     (pair (pair u32 u32) (pair (fixed_string key_size) (fixed_string value_size)))
 
 let encode_cmd ~client_id ~seq ~key ~value =
-  Bytes.unsafe_to_string (Codec.to_bytes ~backend cmd_codec (client_id, seq, key, value))
+  Bytes.unsafe_to_string (Codec.to_bytes cmd_codec (client_id, seq, key, value))
 
 let zero_cmd = String.make cmd_size '\000'
 
@@ -108,7 +108,7 @@ let noop_cmd ~seq =
     ~value:zero_value
 
 (* The decode only reads the bytes, so the command is not copied. *)
-let decode_cmd s = Codec.of_bytes ~backend cmd_codec (Bytes.unsafe_of_string s)
+let decode_cmd s = Codec.of_bytes cmd_codec (Bytes.unsafe_of_string s)
 
 (* Raft frame: shard(4) ^ message bytes. *)
 let raft_frame_codec : (int * string Raft.Core.msg) Codec.t =

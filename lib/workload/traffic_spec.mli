@@ -84,23 +84,20 @@ val offered_rps : tenant -> float
 
 (** {2 Standard scenarios}
 
-    Each takes [?scale] (default 1.0) multiplying every tenant's source
-    count (floored at 1) and [?horizon_ms] (default 100.0) — CI smokes run
-    scaled down, benchmarks at full scale. All four run on one traced
-    12-host layout without faults: replicas on ToRs 0-2, echo servers on
-    ToR 3, clients on ToRs 4-5. Besides the one below, {!builtin} holds
-    "steady-poisson" (small-RPC KV with uniform keys and small echo, both
-    Poisson: the baseline the bursty scenarios are read against),
-    "hot-key-shift" (a Zipf(0.99)-skewed KV tenant whose hot spot rotates
-    through the keyspace every 25 ms, over a background echo tenant) and
-    "local-mesh" (a microservice-mesh echo tenant whose first two client
-    hosts share machines with the echo servers, beside a remote KV
-    tenant). *)
-
-(** "bursty-mixed": on-off (MMPP-style) KV and small-echo tenants with
-    synchronized burst windows, plus a large-transfer tenant whose 64 kB
-    requests collide with the small-RPC tail. *)
-val bursty_mixed : ?scale:float -> ?horizon_ms:float -> unit -> scenario
+    {!builtin} holds four scenarios: "steady-poisson" (small-RPC KV with
+    uniform keys and small echo, both Poisson: the baseline the bursty
+    scenarios are read against), "hot-key-shift" (a Zipf(0.99)-skewed KV
+    tenant whose hot spot rotates through the keyspace every 25 ms, over a
+    background echo tenant), "bursty-mixed" (on-off (MMPP-style) KV and
+    small-echo tenants with synchronized burst windows, plus a
+    large-transfer tenant whose 64 kB requests collide with the small-RPC
+    tail) and "local-mesh" (a microservice-mesh echo tenant whose first
+    two client hosts share machines with the echo servers, beside a remote
+    KV tenant). Each takes [?scale] (default 1.0) multiplying every
+    tenant's source count (floored at 1) and [?horizon_ms] (default 100.0)
+    — CI smokes run scaled down, benchmarks at full scale. All four run on
+    one traced 12-host layout without faults: replicas on ToRs 0-2, echo
+    servers on ToR 3, clients on ToRs 4-5. *)
 
 val builtin : (string * (?scale:float -> ?horizon_ms:float -> unit -> scenario)) list
 

@@ -187,8 +187,11 @@ let test_worker_init_response_charges_worker () =
 let codec = Experiments.Harness.schema_fixed
 
 let issue_typed client sess k =
+  let value = Experiments.Harness.value_fixed in
+  let n = Codec.encoded_size ~backend:(Erpc.Rpc.codec_backend client) codec value in
   Erpc.Typed.enqueue_request client sess ~req_type:long_req ~req_codec:codec ~resp_codec:codec
-    Experiments.Harness.value_fixed ~cont:(fun r -> k (Result.is_ok r))
+    ~req_buf:(Erpc.Msgbuf.alloc ~max_size:n) ~resp_buf:(Erpc.Msgbuf.alloc ~max_size:n) value
+    ~cont:(fun r -> k (Result.is_ok r))
 
 (* Typed handlers charge their codec work to the thread they run on: in
    Worker mode the dispatch CPU never sees it, in Dispatch mode it does.

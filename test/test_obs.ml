@@ -182,12 +182,17 @@ let test_anatomy_typed_nonzero_codec_terms () =
       check_int "untyped: no deser" 0 (b.req_deser_ns + b.resp_ser_ns + b.resp_deser_ns))
     u.breakdowns
 
+(* The bursty mixed-size scenario, scaled down, looked up by name as the
+   CLI does. *)
+let bursty_mixed () =
+  Option.get (Workload.Traffic_spec.of_name ~scale:0.25 ~horizon_ms:10.0 "bursty-mixed")
+
 let test_anatomy_sums_under_open_loop_load () =
   (* The exact-sum invariant must survive pacing and queueing: drive the
      bursty mixed-size scenario open-loop (synchronized on-off bursts +
      64 kB transfers guarantee switch queueing) and re-check every
      client-host breakdown. *)
-  let scenario = Workload.Traffic_spec.bursty_mixed ~scale:0.25 ~horizon_ms:10.0 () in
+  let scenario = bursty_mixed () in
   let r = Experiments.Kv_runner.run ~seed:5L scenario in
   check_bool
     (Printf.sprintf "enough RPCs analyzed (%d)" r.analyzed_rpcs)
@@ -206,7 +211,7 @@ let test_anatomy_sums_under_open_loop_load () =
     (List.exists (fun (b : Obs.Anatomy.breakdown) -> b.switch_ns > 0) r.breakdowns)
 
 let test_anatomy_attribution () =
-  let scenario = Workload.Traffic_spec.bursty_mixed ~scale:0.25 ~horizon_ms:10.0 () in
+  let scenario = bursty_mixed () in
   let r = Experiments.Kv_runner.run ~seed:5L scenario in
   match r.attribution with
   | None -> Alcotest.fail "no attribution from a loaded run"

@@ -11,8 +11,11 @@ through its module:
 
 - a qualified path, `Mod.name` or `Lib.Mod.name`;
 - a module alias, `module M = Lib.Mod` (or `let module`), then `M.name`;
-- an open, `open Lib.Mod` or `let open Lib.Mod in`, then bare `name`
-  anywhere after it in that file;
+- an open, `open Lib.Mod`, then bare `name` anywhere after it in that
+  file, or `let open Lib.Mod in`, then bare `name` after it up to the end
+  of its toplevel item (the next line that starts with `let`, `and`,
+  `type`, `module`, `open`, `include`, `exception`, `external` or
+  `class`);
 - a local open, `Mod.( ... name ... )`, then bare `name` inside the
   parentheses.
 
@@ -48,6 +51,7 @@ VAL = re.compile(r"^\s*val\s+([a-z_][A-Za-z0-9_']*)\s*:", re.M)
 PATH = r"[A-Z][A-Za-z0-9_']*(?:\.[A-Z][A-Za-z0-9_']*)*"
 ALIAS = re.compile(r"\bmodule\s+([A-Z][A-Za-z0-9_']*)\s*=\s*(" + PATH + r")\b(?!\s*\()")
 OPEN = re.compile(r"\bopen!?\s+(" + PATH + r")")
+ITEM = re.compile(r"^(?:let|and|type|module|open|include|exception|external|class)\b", re.M)
 LOCAL_OPEN = re.compile(r"(?<![A-Za-z0-9_'.])(" + PATH + r")\.\(")
 QUALIFIED = re.compile(r"(?<![A-Za-z0-9_'.])(" + PATH + r")\.([a-z_][A-Za-z0-9_']*)")
 IDENT = re.compile(r"(?<![A-Za-z0-9_'.])([a-z_][A-Za-z0-9_']*)")
@@ -140,6 +144,20 @@ def resolver(text, libs):
     return resolve
 
 
+def opens(text):
+    """(start, end, path) of every open in the stripped source: the span
+    of text whose bare names it brings into scope."""
+    out = []
+    for m in OPEN.finditer(text):
+        end = len(text)
+        if re.search(r"\blet\s+$", text[max(0, m.start() - 8):m.start()]):
+            item = ITEM.search(text, m.end())
+            if item:
+                end = item.start()
+        out.append((m.end(), end, m.group(1)))
+    return out
+
+
 def uses(text, libs):
     """(lib or None, module, name) triples the stripped source refers to."""
     resolve = resolver(text, libs)
@@ -147,9 +165,9 @@ def uses(text, libs):
     for path, name in QUALIFIED.findall(text):
         for lib, mod in resolve(path):
             found.add((lib, mod, name))
-    for m in OPEN.finditer(text):
-        names = IDENT.findall(text[m.end():])
-        for lib, mod in resolve(m.group(1)):
+    for start, end, path in opens(text):
+        names = IDENT.findall(text[start:end])
+        for lib, mod in resolve(path):
             found.update((lib, mod, name) for name in names)
     for m in LOCAL_OPEN.finditer(text):
         names = IDENT.findall(paren_span(text, m.end()))
@@ -236,7 +254,7 @@ def sites(text, libs, own, own_names):
             if bound:
                 for use in re.finditer(r"(?<![A-Za-z0-9_'.~?])%s\b" % bound.group(1), text[m.end():]):
                     yield lib, mod, m.group(2), m.end() + use.end()
-    opened = [(m.end(), list(resolve(m.group(1)))) for m in OPEN.finditer(text)]
+    opened = [(start, end, list(resolve(path))) for start, end, path in opens(text)]
     for m in IDENT.finditer(text):
         before = text[max(0, m.start() - 8):m.start()]
         if before.endswith(("~", "?")) or DEFINED.search(before):
@@ -244,8 +262,8 @@ def sites(text, libs, own, own_names):
         name = m.group(1)
         if name in own_names:
             yield own + (name, m.end())
-        for start, targets in opened:
-            if start < m.start():
+        for start, end, targets in opened:
+            if start < m.start() < end:
                 for lib, mod in targets:
                     yield lib, mod, name, m.end()
 
