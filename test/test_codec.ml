@@ -145,6 +145,37 @@ let test_flat_wrong_length_raises () =
        false
      with Codec.Decode_error _ -> true)
 
+(* The flat layout reserves every field's capacity whatever the value; the
+   compact one pays only for what the value uses. *)
+let test_bounds () =
+  let flat c v = Codec.encoded_size ~backend:Codec.Flat c v in
+  check_int "fixed_string" 8 (flat (Codec.fixed_string 8) "12345678");
+  check_int "pair" 5 (flat Codec.(pair u32 bool) (1, true));
+  check_int "bounded_string reserves its capacity" 14 (flat (Codec.bounded_string 10) "");
+  check_int "compact bounded_string" 4
+    (Codec.encoded_size ~backend:Codec.Compact (Codec.bounded_string 10) "");
+  check_bool "over-capacity length rejected" true
+    (try
+       ignore (Codec.of_bytes (Codec.bounded_string 10) (Codec.to_bytes Codec.string "eleven char"));
+       false
+     with Codec.Decode_error _ -> true);
+  Alcotest.check_raises "tail_list has no flat layout"
+    (Invalid_argument "Codec.encoded_size: codec has no flat layout (unbounded field?)")
+    (fun () -> ignore (flat Codec.(tail_list u32) [ 1 ]))
+
+(* The leaf count the cost model charges belongs to the value, not to the
+   backend. *)
+let test_leaf_count () =
+  check_int "flat" 4 (Codec.encoded_leaves ~backend:Codec.Flat flat_schema flat_value);
+  check_int "compact" 4 (Codec.encoded_leaves ~backend:Codec.Compact flat_schema flat_value);
+  let leaves c v = Codec.encoded_leaves ~backend:Codec.Compact c v in
+  check_int "tail_list counts its elements" 3 (leaves Codec.(tail_list u32) [ 1; 2; 3 ]);
+  check_int "tail_option None" 0 (leaves Codec.(tail_option u32) None);
+  check_int "variant tag + payload" 2 (leaves shape_codec (Label "x"));
+  Alcotest.check_raises "flat on unbounded"
+    (Invalid_argument "Codec.encoded_leaves: codec has no flat layout (unbounded field?)")
+    (fun () -> ignore (Codec.encoded_leaves ~backend:Codec.Flat Codec.string "x"))
+
 (* {2 QCheck: roundtrips and fuzzing} *)
 
 let qcheck_roundtrip =
@@ -493,6 +524,29 @@ let sized_cases =
   let open QCheck2.Gen in
   let u32v = int_range 0 0xFFFFFFFF in
   let str = small_string ~gen:printable in
+  let raft_msg =
+    let entry = map (fun (term, cmd) -> { Raft.Log.term; cmd }) (pair u32v str) in
+    oneof
+      [
+        map4
+          (fun term candidate_id last_log_index last_log_term ->
+            Raft.Core.Request_vote { term; candidate_id; last_log_index; last_log_term })
+          u32v u32v u32v u32v;
+        map3
+          (fun term vote_granted from -> Raft.Core.Request_vote_resp { term; vote_granted; from })
+          u32v bool u32v;
+        map3
+          (fun (term, leader_id) (prev_log_index, prev_log_term) (leader_commit, entries) ->
+            Raft.Core.Append_entries
+              { term; leader_id; prev_log_index; prev_log_term; leader_commit; entries })
+          (pair u32v u32v) (pair u32v u32v)
+          (pair u32v (list_size (int_range 0 5) entry));
+        map4
+          (fun term success from match_index ->
+            Raft.Core.Append_entries_resp { term; success; from; match_index })
+          u32v bool u32v u32v;
+      ]
+  in
   [
     S ("u32", Codec.u32, u32v);
     S ("bool", Codec.bool, bool);
@@ -531,6 +585,31 @@ let sized_cases =
              [ Service.Kv_proto.Ok_; Service.Kv_proto.Not_found; Service.Kv_proto.Retry None;
                Service.Kv_proto.Not_leader (Some 2) ])
           (option (string_size ~gen:printable (return 64))) );
+    S ("tail_list variable", Codec.(tail_list string), list_size (int_range 0 10) str);
+    S ("tail_option variable", Codec.(tail_option string), option str);
+    S ("nested pair", Codec.(pair (pair u32 string) (pair bool string)), pair (pair u32v str) (pair bool str));
+    S
+      ( "variant in pair",
+        Codec.pair shape_codec Codec.string,
+        pair (oneof [ return Dot; map (fun n -> Line n) u32v; map (fun s -> Label s) str ]) str );
+    S
+      ( "map over tail_list",
+        Codec.map ~into:Array.of_list ~from:Array.to_list Codec.(tail_list u32),
+        array_size (int_range 0 20) u32v );
+    S
+      ( "bounded triple",
+        Codec.(triple (bounded_string 8) u32 (fixed_string 2)),
+        triple (string_size ~gen:printable (int_range 0 8)) u32v (string_size ~gen:printable (return 2)) );
+    S
+      ( "kv cmd",
+        Service.Kv_proto.cmd_codec,
+        map4
+          (fun client_id seq key value -> (client_id, seq, key, value))
+          u32v u32v
+          (string_size ~gen:printable (return 16))
+          (string_size ~gen:printable (return 64)) );
+    S ("raft msg", Raft.Wire.msg_codec, raft_msg);
+    S ("raft frame", Service.Kv_proto.raft_frame_codec, pair u32v raft_msg);
   ]
 
 let qcheck_size_is_encoded_length =
@@ -586,6 +665,41 @@ let test_typed_write_within () =
   Erpc.Msgbuf.return_to_app view;
   Alcotest.check_raises "view" (Invalid_argument "Typed.write_within: msgbuf is a view")
     (fun () -> Erpc.Typed.write_within ~backend:Codec.Compact c view (1, ""))
+
+(* Under [Flat] a write sizes the buffer to the fixed layout, whatever the
+   value and however large the buffer. *)
+let test_typed_write_flat () =
+  let m = Erpc.Msgbuf.alloc ~max_size:256 in
+  Erpc.Typed.write ~backend:Codec.Flat flat_schema m flat_value;
+  check_int "sized to the flat layout" (4 + 1 + 8 + 4 + 12) (Erpc.Msgbuf.size m);
+  check_bool "read back" true (Erpc.Typed.read ~backend:Codec.Flat flat_schema m = flat_value);
+  let small = Erpc.Msgbuf.alloc ~max_size:16 in
+  check_bool "capacity raise" true
+    (try
+       Erpc.Typed.write ~backend:Codec.Flat flat_schema small flat_value;
+       false
+     with Invalid_argument _ -> true);
+  check_int "untouched" 16 (Erpc.Msgbuf.size small)
+
+(* [read] decodes exactly the msgbuf's current size: a cut message is a
+   decode error under either backend. *)
+let test_typed_read_malformed () =
+  let c = Codec.(pair u32 string) in
+  let m = Erpc.Msgbuf.alloc ~max_size:64 in
+  Erpc.Typed.write ~backend:Codec.Compact c m (7, "payload");
+  Erpc.Msgbuf.resize m (Erpc.Msgbuf.size m - 1);
+  check_bool "truncated compact" true
+    (try
+       ignore (Erpc.Typed.read ~backend:Codec.Compact c m);
+       false
+     with Codec.Decode_error _ -> true);
+  Erpc.Typed.write ~backend:Codec.Flat flat_schema m flat_value;
+  Erpc.Msgbuf.resize m (Erpc.Msgbuf.size m - 1);
+  check_bool "truncated flat" true
+    (try
+       ignore (Erpc.Typed.read ~backend:Codec.Flat flat_schema m);
+       false
+     with Codec.Decode_error _ -> true)
 
 (* {2 Typed RPC end-to-end} *)
 
@@ -647,6 +761,33 @@ let test_typed_rpc_flat () =
   Sim.Engine.run_until engine (Sim.Time.add (Sim.Engine.now engine) (Sim.Time.ms 5.0));
   check_int "flat RPC answer" 42 !answer
 
+(* A response that does not decode as [resp_codec] completes the request
+   with a session error rather than raising in the client. *)
+let test_typed_rpc_undecodable_response () =
+  let cluster = Transport.Cluster.cx5 ~nodes:2 () in
+  let fabric = Erpc.Fabric.create cluster in
+  let nx0 = Erpc.Nexus.create fabric ~host:0 () in
+  let nx1 = Erpc.Nexus.create fabric ~host:1 () in
+  Erpc.Nexus.register_handler nx1 ~req_type:7 ~mode:Erpc.Nexus.Dispatch (fun h ->
+      ignore (Erpc.Typed.read_request h Codec.u32);
+      Erpc.Typed.respond h Codec.string "not a u32");
+  let client = Erpc.Rpc.create nx0 ~rpc_id:0 in
+  let _server = Erpc.Rpc.create nx1 ~rpc_id:0 in
+  let sess = Erpc.Rpc.create_session client ~remote_host:1 ~remote_rpc_id:0 () in
+  let engine = Erpc.Fabric.engine fabric in
+  Sim.Engine.run_until engine (Sim.Time.ms 1.0);
+  let answer = ref None in
+  Erpc.Typed.enqueue_request client sess ~req_type:7 ~req_codec:Codec.u32 ~resp_codec:Codec.u32
+    ~req_buf:(Erpc.Msgbuf.alloc ~max_size:4) ~resp_buf:(Erpc.Msgbuf.alloc ~max_size:64) 1
+    ~cont:(fun r -> answer := Some r);
+  Sim.Engine.run_until engine (Sim.Time.add (Sim.Engine.now engine) (Sim.Time.ms 5.0));
+  match !answer with
+  | Some (Error (Erpc.Err.Session_error e)) ->
+      check_bool "names the decode failure" true (contains e "response decode")
+  | Some (Ok v) -> Alcotest.failf "decoded %d from a string response" v
+  | Some (Error e) -> Alcotest.failf "unexpected error: %s" (Erpc.Err.to_string e)
+  | None -> Alcotest.fail "request never completed"
+
 let suite =
   [
     Alcotest.test_case "primitives" `Quick test_primitives;
@@ -654,11 +795,13 @@ let suite =
     Alcotest.test_case "combinators" `Quick test_combinators;
     Alcotest.test_case "map" `Quick test_map;
     Alcotest.test_case "sizes exact" `Quick test_sizes_exact;
+    Alcotest.test_case "bounds" `Quick test_bounds;
     Alcotest.test_case "truncation raises" `Quick test_truncation_raises;
     Alcotest.test_case "trailing bytes raise" `Quick test_trailing_bytes_raise;
     Alcotest.test_case "variant" `Quick test_variant;
     Alcotest.test_case "flat roundtrip" `Quick test_flat_roundtrip;
     Alcotest.test_case "flat wrong length" `Quick test_flat_wrong_length_raises;
+    Alcotest.test_case "leaf count" `Quick test_leaf_count;
     qcheck_roundtrip;
     qcheck_nested;
     qcheck_flat_roundtrip;
@@ -678,5 +821,8 @@ let suite =
     Alcotest.test_case "tail_list zero progress" `Quick test_tail_list_zero_progress;
     Alcotest.test_case "fixed size short-circuit" `Quick test_fixed_size_short_circuit;
     Alcotest.test_case "typed write_within" `Quick test_typed_write_within;
+    Alcotest.test_case "typed write flat" `Quick test_typed_write_flat;
+    Alcotest.test_case "typed read malformed" `Quick test_typed_read_malformed;
+    Alcotest.test_case "typed RPC undecodable response" `Quick test_typed_rpc_undecodable_response;
   ]
   @ qcheck_size_is_encoded_length

@@ -46,10 +46,12 @@ let test_checksum_accepts_clean_packet () =
 
 (* Corruption in flight is the packet's error flag, on data packets and on
    header-only ones (CR) alike. *)
-let test_checksum_rejects_flagged_packets () =
+let test_checksum_detects_payload_corruption () =
   let data = mk_pkt ~payload:(Bytes.of_string "hello wire") () in
   data.Netsim.Packet.corrupted <- true;
-  check_bool "corrupted data packet rejected" false (Erpc.Wire.verify data);
+  check_bool "corrupted data packet rejected" false (Erpc.Wire.verify data)
+
+let test_checksum_detects_header_corruption () =
   let cr = mk_pkt ~pkt_type:Erpc.Pkthdr.Cr () in
   check_bool "clean CR verifies" true (Erpc.Wire.verify cr);
   cr.Netsim.Packet.corrupted <- true;
@@ -347,8 +349,10 @@ let test_schedule_random_is_deterministic () =
 let suite =
   [
     Alcotest.test_case "checksum accepts clean packet" `Quick test_checksum_accepts_clean_packet;
-    Alcotest.test_case "checksum rejects flagged packets" `Quick
-      test_checksum_rejects_flagged_packets;
+    Alcotest.test_case "checksum detects payload corruption" `Quick
+      test_checksum_detects_payload_corruption;
+    Alcotest.test_case "checksum detects header corruption" `Quick
+      test_checksum_detects_header_corruption;
     Alcotest.test_case "rpc survives corruption" `Quick test_rpc_survives_corruption;
     Alcotest.test_case "drop-nth is deterministic" `Quick test_drop_nth_deterministic;
     Alcotest.test_case "duplication keeps at-most-once" `Quick test_duplication_at_most_once;

@@ -67,6 +67,16 @@ let test_scan_past_end () =
   Masstree.Tree.insert t ~key:"a" ~value:"1";
   check_int "empty tail" 0 (List.length (Masstree.Tree.scan t ~start:"z" ~n:10))
 
+(* A scan pays the point lookup's descent once, then a per-key leaf walk. *)
+let test_scan_cost_model () =
+  check_int "empty scan = lookup" (Masstree.Tree.lookup_cost_ns ~depth:3)
+    (Masstree.Tree.scan_cost_ns ~depth:3 ~n:0);
+  check_bool "deeper lookups cost more" true
+    (Masstree.Tree.lookup_cost_ns ~depth:4 > Masstree.Tree.lookup_cost_ns ~depth:3);
+  let scan n = Masstree.Tree.scan_cost_ns ~depth:3 ~n in
+  let per_key n = scan n - scan (n - 1) in
+  check_bool "per-key cost is constant" true (per_key 1 > 0 && per_key 1 = per_key 128)
+
 let model_based =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"masstree agrees with Map model" ~count:60
@@ -104,5 +114,6 @@ let suite =
     Alcotest.test_case "scan from middle" `Quick test_scan_from_middle;
     Alcotest.test_case "scan from absent key" `Quick test_scan_nonexistent_start;
     Alcotest.test_case "scan past end" `Quick test_scan_past_end;
+    Alcotest.test_case "scan cost model" `Quick test_scan_cost_model;
     model_based;
   ]

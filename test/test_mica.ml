@@ -43,6 +43,18 @@ let test_chain_collisions () =
     (fun k -> check_bool k true (Mica.Store.get s ~key:k = Some (k ^ k)))
     [ "x"; "y"; "z"; "w" ]
 
+(* Keys that share all but their last byte, NULs included, stay distinct. *)
+let test_shared_prefix_keys () =
+  let s = Mica.Store.create ~initial_buckets:4 () in
+  let key i = String.make 63 '\000' ^ String.make 1 (Char.chr i) in
+  for i = 0 to 255 do
+    Mica.Store.put s ~key:(key i) ~value:(string_of_int i)
+  done;
+  check_int "all distinct" 256 (Mica.Store.size s);
+  for i = 0 to 255 do
+    check_bool (string_of_int i) true (Mica.Store.get s ~key:(key i) = Some (string_of_int i))
+  done
+
 let test_empty_key_and_value () =
   let s = Mica.Store.create () in
   Mica.Store.put s ~key:"" ~value:"";
@@ -76,5 +88,6 @@ let suite =
     Alcotest.test_case "growth" `Quick test_growth_preserves_entries;
     Alcotest.test_case "collisions" `Quick test_chain_collisions;
     Alcotest.test_case "empty key/value" `Quick test_empty_key_and_value;
+    Alcotest.test_case "shared-prefix keys" `Quick test_shared_prefix_keys;
     model_based;
   ]
