@@ -240,28 +240,25 @@ let bandwidth =
 let incast =
   entry ~name:"incast" ~doc:"Table 5: incast congestion control" ~benchmark:"incast"
     ~unit:"Gbps"
-    ~params:(fun (degree, credits, cc, dcqcn, measure_ms) ->
+    ~params:(fun (degree, credits, cc, measure_ms) ->
       [
         ("degree", J.Int degree);
         ("credits", J.Int credits);
         ("cc", J.Bool cc);
-        ("dcqcn", J.Bool dcqcn);
         ("measure_ms", J.Float measure_ms);
       ])
-    (fun ~seed (degree, credits, cc, dcqcn, measure_ms) ->
-      let algo = if dcqcn then Erpc.Config.Dcqcn else Erpc.Config.Timely in
+    (fun ~seed (degree, credits, cc, measure_ms) ->
       outcome
         [
           J.Obj
             (incast_fields
-               (Experiments.Exp_incast.run ~seed ~credits ~algo ~degree ~cc ~measure_ms ()));
+               (Experiments.Exp_incast.run ~seed ~credits ~degree ~cc ~measure_ms ()));
         ])
     Term.(
-      const (fun d c cc dc m -> (d, c, cc, dc, m))
+      const (fun d c cc m -> (d, c, cc, m))
       $ int_arg "degree" 20 "N" "Incast degree."
       $ int_arg "credits" 32 "C" "Session credits."
       $ Arg.(value & opt bool true & info [ "cc" ] ~docv:"BOOL" ~doc:"Enable congestion control.")
-      $ flag_arg "dcqcn" "Use DCQCN instead of Timely."
       $ float_arg "measure-ms" 30.0 "MS" "Measured window.")
 
 let scalability =
@@ -859,24 +856,11 @@ module Paper = struct
           ])
         [ false; true ]
     in
-    let cc =
-      List.map
-        (fun (algo, name) ->
-          ("algo", J.Str name)
-          :: incast_fields
-               (X.Exp_incast.run ~seed ~algo ~degree:50 ~cc:true ~warmup_ms:15.0
-                  ~measure_ms:25.0 ()))
-        [ (Erpc.Config.Timely, "Timely"); (Erpc.Config.Dcqcn, "DCQCN") ]
-    in
     titled "Ablation: client-driven protocol (RFR latency penalty, §5.1)" rfr
     @ titled "Ablation: session credits = BDP/MTU (§4.3.1); incast is 20-way, cc off" credits
     @ titled "Ablation: go-back-N retransmission timeout (§5.2.3), 8 MB requests at 1e-4 loss"
         rto
     @ titled "Ablation: cumulative credit returns (§6.4 future work), 8 MB requests" crs
-    @ titled
-        "Ablation: Timely vs DCQCN in a 50-way incast (the extension the paper could not \
-         run, §5.2.1)"
-        cc
 
   let sections =
     [

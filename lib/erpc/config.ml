@@ -23,17 +23,14 @@ let all_opts_on =
 
 type transport_kind = Raw_eth | Rdma_rc
 
-type cc_algo = Timely | Dcqcn
-
 type cc = {
-  algo : cc_algo;
   min_rtt_ns : int;
   add_rate_bps : float;
   samples_per_update : int;
 }
 
 let default_cc ~min_rtt_ns =
-  { algo = Timely; min_rtt_ns; add_rate_bps = 50e6; samples_per_update = 8 }
+  { min_rtt_ns; add_rate_bps = 50e6; samples_per_update = 8 }
 
 let max_msg_size = 8 * 1024 * 1024
 let rx_batch = 32

@@ -24,16 +24,10 @@ type opts = {
     seam reproduces. *)
 type transport_kind = Raw_eth | Rdma_rc
 
-(** Which congestion-control algorithm client sessions run (§5.2.1): the
-    paper deploys Timely (RTT-based) because its clusters cannot ECN-mark;
-    our simulated switches can, so DCQCN is also available. *)
-type cc_algo = Timely | Dcqcn
-
-(** The congestion-control settings experiments and tests vary; the
-    algorithms' fixed parameters are constants of {!Timely} and {!Dcqcn}
-    (and {!min_rate_bps}, which both share). *)
+(** The congestion-control settings experiments and tests vary. Client
+    sessions run Timely (§5.2.1); its fixed parameters are constants of
+    {!Timely} (and {!min_rate_bps}). *)
 type cc = {
-  algo : cc_algo;
   min_rtt_ns : int;  (** base propagation RTT used to normalize gradients *)
   add_rate_bps : float;  (** Timely's additive increment per update (50 Mbps) *)
   samples_per_update : int;
@@ -64,8 +58,8 @@ val req_window : int
     paper leaves to future work. *)
 val cr_stride : int
 
-(** Floor of both congestion controllers' sending rate: 30 Mbps, this
-    model's value, so a session never stops transmitting entirely. *)
+(** Floor of Timely's sending rate: 30 Mbps, this model's value, so a
+    session never stops transmitting entirely. *)
 val min_rate_bps : float
 
 (** Consecutive RTOs without progress before the session is reset and

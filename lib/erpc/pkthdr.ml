@@ -8,7 +8,6 @@ type t = {
   mutable pkt_num : int;
   mutable req_num : int;
   mutable token : int;
-  mutable ecn_echo : bool;
 }
 
 let pkt_type_to_string = function

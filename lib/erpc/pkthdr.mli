@@ -29,10 +29,6 @@ type t = {
           fabric-unique token so a receiver can drop stale packets
           addressed to a recycled session number (e.g. from a peer that
           has not yet noticed a crash-restart) *)
-  mutable ecn_echo : bool;
-      (** server->client: the acknowledged client packet carried an ECN
-          mark (DCQCN's congestion notification, reflected by the
-          receiver) *)
 }
 
 val pp : Format.formatter -> t -> unit

@@ -176,23 +176,19 @@ let now_ts t =
     Sim.Engine.now t.engine
   end
 
-let cc_update t sess ~sample_rtt_ns ~marked =
+let cc_update t sess ~sample_rtt_ns =
   if t.cfg.opts.congestion_control then
     match sess.cc with
     | None -> ()
-    | Some controller ->
-        if
-          t.cfg.opts.timely_bypass
-          && Cc.bypassable controller ~rtt_ns:sample_rtt_ns ~marked
-        then () (* bypass: uncongested session with no congestion signal *)
+    | Some timely ->
+        if t.cfg.opts.timely_bypass && Timely.bypassable timely ~rtt_ns:sample_rtt_ns then ()
         else begin
           ch t t.cost.timely_update;
-          Cc.on_sample controller ~rtt_ns:sample_rtt_ns ~marked
-            ~now_ns:(Sim.Engine.now t.engine);
+          Timely.update timely ~sample_rtt_ns;
           if Obs.Trace.enabled t.trace then
             Obs.Trace.counter t.trace ~ts:(Sim.Engine.now t.engine) ~cat:"cc"
               ~name:(Printf.sprintf "cc_rate_sn%d" sess.sn) ~pid:t.pid
-              [ ("gbps", Obs.Trace.F (Cc.rate_bps controller /. 1e9)) ]
+              [ ("gbps", Obs.Trace.F (Timely.rate_bps timely /. 1e9)) ]
         end
 
 (* {2 Transmission and the Carousel rate limiter} *)
@@ -256,14 +252,14 @@ let transmit_cc t slot pkt ~wire_bytes ~tx_item ~is_retx =
   else
     match sess.cc with
     | None -> post_pkt t pkt
-    | Some controller ->
+    | Some timely ->
         ch t t.cost.cc_check;
-        if t.cfg.opts.rate_limiter_bypass && Cc.uncongested controller then post_pkt t pkt
+        if t.cfg.opts.rate_limiter_bypass && Timely.uncongested timely then post_pkt t pkt
         else begin
           let now = Sim.Engine.now t.engine in
           let ts = Int.max now sess.next_tx_ts in
           sess.next_tx_ts <-
-            Sim.Time.add ts (Cc.pacing_delay_ns controller ~bytes:wire_bytes);
+            Sim.Time.add ts (Timely.pacing_delay_ns timely ~bytes:wire_bytes);
           ch t t.cost.wheel_insert;
           t.stats.Rpc_stats.wheel_inserts <- t.stats.Rpc_stats.wheel_inserts + 1;
           let lim = limiter t in
@@ -377,7 +373,7 @@ and send_tx_item t slot args cli =
       ( Wire.make t.pool ~src_host:t.host ~dst_host:sess.remote_host
           ~dst_rpc:sess.remote_rpc_id ~wire_overhead:t.cfg.wire_overhead ~flow
           ~req_type:args.req_type ~msg_size ~dest_session:sess.remote_sn ~pkt_type:Pkthdr.Req
-          ~pkt_num:k ~req_num:slot.req_num ~token:sess.token ~ecn_echo:false
+          ~pkt_num:k ~req_num:slot.req_num ~token:sess.token
           ~data:(Msgbuf.unsafe_bytes args.req)
           ~off:(Msgbuf.unsafe_offset args.req + (k * mtu))
           ~len,
@@ -390,7 +386,7 @@ and send_tx_item t slot args cli =
           ~dst_rpc:sess.remote_rpc_id ~wire_overhead:t.cfg.wire_overhead ~flow
           ~req_type:args.req_type ~msg_size:0 ~dest_session:sess.remote_sn ~pkt_type:Pkthdr.Rfr
           ~pkt_num:(k - cli.n_req_pkts + 1) ~req_num:slot.req_num ~token:sess.token
-          ~ecn_echo:false ~data:Bytes.empty ~off:0 ~len:0,
+          ~data:Bytes.empty ~off:0 ~len:0,
         t.cfg.wire_overhead )
     end
   in
@@ -477,7 +473,6 @@ and rx_pkt t pkt =
   | Wire.Pkt { hdr; data; off; len; _ } -> (
       t.stats.Rpc_stats.rx_pkts <- t.stats.Rpc_stats.rx_pkts + 1;
       ch t t.cost.rx_pkt;
-      let ecn = pkt.Netsim.Packet.ecn in
       let sn = hdr.Pkthdr.dest_session in
       if sn >= 0 && sn < Array.length t.sessions then
         match t.sessions.(sn) with
@@ -491,8 +486,8 @@ and rx_pkt t pkt =
         | Some sess -> (
             let slot = Session.slot sess (hdr.req_num mod Config.req_window) in
             match (hdr.pkt_type, sess.role) with
-            | (Pkthdr.Cr | Pkthdr.Resp), Client -> client_rx t sess slot hdr data off len ~ecn
-            | (Pkthdr.Req | Pkthdr.Rfr), Server -> server_rx t sess slot hdr data off len ~ecn
+            | (Pkthdr.Cr | Pkthdr.Resp), Client -> client_rx t sess slot hdr data off len
+            | (Pkthdr.Req | Pkthdr.Rfr), Server -> server_rx t sess slot hdr data off len
             | _ -> () (* role mismatch: corrupt/stale packet *)))
   | _ -> ());
   (* RX is the end of the packet's life: the payload has been copied into a
@@ -502,7 +497,7 @@ and rx_pkt t pkt =
 
 (* {2 Client RX} *)
 
-and accept_rx_item t slot (cli : client_info) ~marked =
+and accept_rx_item t slot (cli : client_info) =
   let sess = slot.session in
   let i = cli.num_rx in
   cli.num_rx <- i + 1;
@@ -520,14 +515,11 @@ and accept_rx_item t slot (cli : client_info) ~marked =
   (match t.rtt_probe with Some probe -> probe sample | None -> ());
   if t.cfg.opts.congestion_control then begin
     ch t t.cost.cc_check;
-    cc_update t sess ~sample_rtt_ns:sample ~marked
+    cc_update t sess ~sample_rtt_ns:sample
   end;
   arm_rto t slot
 
-and client_rx t sess slot hdr data off len ~ecn =
-  (* Congestion signal: this packet was marked on the reverse path, or it
-     acknowledges a marked forward-path packet. *)
-  let marked = ecn || hdr.Pkthdr.ecn_echo in
+and client_rx t sess slot hdr data off len =
   if slot.busy && hdr.Pkthdr.req_num = slot.req_num then
     match (slot.args, slot.cli) with
     | Some args, Some cli -> (
@@ -548,7 +540,7 @@ and client_rx t sess slot hdr data off len ~ecn =
                 cli.num_rx <- cli.num_rx + 1;
                 sess.credits <- sess.credits + 1
               done;
-              accept_rx_item t slot cli ~marked;
+              accept_rx_item t slot cli;
               if client_next_item_ready cli && sess.credits > 0 then begin
                 push_txq t slot;
                 wake t
@@ -575,7 +567,7 @@ and client_rx t sess slot hdr data off len ~ecn =
                     ~dst_off:(hdr.pkt_num * t.cfg.mtu) ~len;
                   charge_memcpy t len
                 end;
-                accept_rx_item t slot cli ~marked;
+                accept_rx_item t slot cli;
                 if cli.num_rx = cli.n_req_pkts - 1 + cli.n_resp_pkts then
                   complete_request t slot args
                 else if client_next_item_ready cli && sess.credits > 0 then begin
@@ -620,13 +612,12 @@ and admit_backlog t sess =
 
 (* {2 Server RX} *)
 
-and send_server_pkt t sess slot ~pkt_type ~pkt_num ~msg_size ~req_type ~ecn_echo ~data ~off
-    ~len =
+and send_server_pkt t sess slot ~pkt_type ~pkt_num ~msg_size ~req_type ~data ~off ~len =
   let flow = Wire.flow_hash ~src_host:t.host ~dst_host:sess.remote_host ~sn:sess.remote_sn in
   let pkt =
     Wire.make t.pool ~src_host:t.host ~dst_host:sess.remote_host ~dst_rpc:sess.remote_rpc_id
       ~wire_overhead:t.cfg.wire_overhead ~flow ~req_type ~msg_size ~dest_session:sess.remote_sn
-      ~pkt_type ~pkt_num ~req_num:slot.req_num ~token:sess.token ~ecn_echo ~data ~off ~len
+      ~pkt_type ~pkt_num ~req_num:slot.req_num ~token:sess.token ~data ~off ~len
   in
   (match pkt_type with
   | Pkthdr.Cr -> ch t t.cost.tx_ctrl_pkt
@@ -634,15 +625,15 @@ and send_server_pkt t sess slot ~pkt_type ~pkt_num ~msg_size ~req_type ~ecn_echo
   if Obs.Trace.enabled t.trace then tag_pkt t ~ssn:sess.sn pkt;
   post_pkt t pkt
 
-and send_cr t sess slot ~pkt_num ~req_type ~ecn_echo =
-  send_server_pkt t sess slot ~pkt_type:Pkthdr.Cr ~pkt_num ~msg_size:0 ~req_type ~ecn_echo
+and send_cr t sess slot ~pkt_num ~req_type =
+  send_server_pkt t sess slot ~pkt_type:Pkthdr.Cr ~pkt_num ~msg_size:0 ~req_type
     ~data:Bytes.empty ~off:0 ~len:0
 
-and send_resp_pkt t sess slot ~pkt_num ~ecn_echo =
+and send_resp_pkt t sess slot ~pkt_num =
   match slot.srv with
   | Some ({ resp_buf = Some resp; _ } as srv) when srv.handler_done ->
       let msg_size = Msgbuf.size resp in
-      send_server_pkt t sess slot ~pkt_type:Pkthdr.Resp ~pkt_num ~msg_size ~req_type:0 ~ecn_echo
+      send_server_pkt t sess slot ~pkt_type:Pkthdr.Resp ~pkt_num ~msg_size ~req_type:0
         ~data:(Msgbuf.unsafe_bytes resp)
         ~off:(Msgbuf.unsafe_offset resp + (pkt_num * t.cfg.mtu))
         ~len:(Pkthdr.chunk_bytes ~mtu:t.cfg.mtu ~msg_size pkt_num)
@@ -671,7 +662,7 @@ and begin_new_request t sess slot hdr =
   slot.busy <- true;
   ignore sess
 
-and server_rx t sess slot hdr data off len ~ecn =
+and server_rx t sess slot hdr data off len =
   match hdr.Pkthdr.pkt_type with
   | Pkthdr.Req ->
       if hdr.req_num < slot.req_num then () (* stale request: already superseded *)
@@ -688,9 +679,9 @@ and server_rx t sess slot hdr data off len ~ecn =
               if t.cfg.opts.cumulative_crs then Int.min (srv.num_rx - 1) (srv.n_req_pkts - 2)
               else p
             in
-            send_cr t sess slot ~pkt_num:ack ~req_type:hdr.req_type ~ecn_echo:ecn
+            send_cr t sess slot ~pkt_num:ack ~req_type:hdr.req_type
           end
-          else if srv.handler_done then send_resp_pkt t sess slot ~pkt_num:0 ~ecn_echo:ecn
+          else if srv.handler_done then send_resp_pkt t sess slot ~pkt_num:0
         end
         else if p > srv.num_rx then () (* reordered: treated as loss *)
         else begin
@@ -702,19 +693,14 @@ and server_rx t sess slot hdr data off len ~ecn =
               || (p + 1) mod Config.cr_stride = 0
               || p = srv.n_req_pkts - 2
             in
-            if send_now then send_cr t sess slot ~pkt_num:p ~req_type:hdr.req_type ~ecn_echo:ecn
+            if send_now then send_cr t sess slot ~pkt_num:p ~req_type:hdr.req_type
           end
-          else begin
-            (* The echo for the last request packet rides on response
-               packet 0, sent when the handler responds. *)
-            srv.ecn_pending <- ecn;
-            t.invoke slot srv hdr.req_type
-          end
+          else t.invoke slot srv hdr.req_type
         end
       end
   | Pkthdr.Rfr ->
       if hdr.req_num = slot.req_num then
-        send_resp_pkt t sess slot ~pkt_num:hdr.pkt_num ~ecn_echo:ecn
+        send_resp_pkt t sess slot ~pkt_num:hdr.pkt_num
   | Pkthdr.Cr | Pkthdr.Resp -> ()
 
 and store_req_data t _slot srv hdr data off len =
@@ -780,8 +766,7 @@ and start_request t slot args =
   wake t
 
 (* Completion of a server handler (possibly from a background worker):
-   record the response buffer and transmit response packet 0, carrying the
-   deferred ECN echo for the request's last packet. *)
+   record the response buffer and transmit response packet 0. *)
 let enqueue_response t slot srv resp =
   let sess = slot.session in
   srv.handler_running <- false;
@@ -790,7 +775,7 @@ let enqueue_response t slot srv resp =
     trace_sslot t ~name:"srv_resp" ~sn:sess.sn ~req:slot.req_num [];
   if Msgbuf.owner resp = Msgbuf.Owned_by_app then Msgbuf.take_for_erpc resp;
   srv.resp_buf <- Some resp;
-  send_resp_pkt t sess slot ~pkt_num:0 ~ecn_echo:srv.ecn_pending
+  send_resp_pkt t sess slot ~pkt_num:0
 
 (* {2 Request-handle support}
 
@@ -983,13 +968,13 @@ let armed_rto_count t =
             acc sess.slots)
     0 t.sessions
 
-(* Rate updates performed across all session controllers (both CC
-   algorithms), for the factor-analysis accounting. *)
+(* Timely rate updates performed across all sessions, for the
+   factor-analysis accounting. *)
 let cc_updates t =
   Array.fold_left
     (fun acc s ->
       match s with
-      | Some { cc = Some controller; _ } -> acc + Cc.updates controller
+      | Some { cc = Some timely; _ } -> acc + Timely.updates timely
       | _ -> acc)
     0 t.sessions
 

@@ -72,7 +72,7 @@ val enqueue_request_hooked :
     thread's, or a worker's. *)
 
 (** Complete a handler: store the response buffer and send response
-    packet 0 (with the deferred ECN echo). From a worker the response
+    packet 0. From a worker the response
     first returns to the dispatch thread through the background queue,
     once the worker's charged work has finished (§3.2). *)
 val respond :
@@ -111,7 +111,7 @@ val fresh_sn : t -> int
 (** Armed RTO timers across all sessions (zero once quiesced). *)
 val armed_rto_count : t -> int
 
-(** Rate updates performed across all session controllers. *)
+(** Timely rate updates performed across all sessions. *)
 val cc_updates : t -> int
 
 (** Drop all datapath state on a local host crash: sessions, queues,

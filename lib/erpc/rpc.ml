@@ -99,7 +99,7 @@ let check_session_budget t =
 let make_cc t ~sn =
   if t.cfg.opts.congestion_control then
     Some
-      (Cc.create ~phase:((t.host_ * 7) + sn) t.cfg.cc
+      (Timely.create ~phase:((t.host_ * 7) + sn) t.cfg.cc
          ~link_gbps:(Fabric.cluster (Nexus.fabric t.nexus_)).link_gbps)
   else None
 

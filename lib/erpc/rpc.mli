@@ -107,8 +107,8 @@ val charge_codec :
     always see the current values). *)
 val stats : t -> Rpc_stats.t
 
-(** Rate updates performed across all session controllers (both CC
-    algorithms), for the factor-analysis accounting. *)
+(** Timely rate updates performed across all sessions, for the
+    factor-analysis accounting. *)
 val cc_updates : t -> int
 
 (** Number of currently armed RTO timers across all sessions. Zero once

@@ -30,7 +30,6 @@ type server_info = {
   mutable req_buf : Msgbuf.t option;
   mutable spare_req_buf : Msgbuf.t option;
   mutable resp_buf : Msgbuf.t option;
-  mutable ecn_pending : bool;
 }
 
 type sslot = {
@@ -62,7 +61,7 @@ and session = {
   credit_limit : int;
   backlog : req_args Queue.t;
   credit_waiters : sslot Queue.t;
-  mutable cc : Cc.t option;
+  mutable cc : Timely.t option;
   mutable next_tx_ts : Sim.Time.t;
   mutable connect_cb : (unit, Err.t) result -> unit;
   mutable retransmits : int;
@@ -149,7 +148,6 @@ let server_info sslot =
           req_buf = None;
           spare_req_buf = None;
           resp_buf = None;
-          ecn_pending = false;
         }
       in
       sslot.srv <- Some s;

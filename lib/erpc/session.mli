@@ -65,9 +65,6 @@ type server_info = {
           request on this slot when large enough (eRPC pre-allocates
           per-sslot msgbufs rather than allocating per request) *)
   mutable resp_buf : Msgbuf.t option;
-  mutable ecn_pending : bool;
-      (** the request packet that triggered the handler carried an ECN
-          mark; echoed on response packet 0 *)
 }
 
 type sslot = {
@@ -104,7 +101,7 @@ and session = {
   credit_waiters : sslot Queue.t;
       (** slots with sendable packets blocked on credits; re-queued for TX
           when a credit returns *)
-  mutable cc : Cc.t option;  (** client sessions under congestion control *)
+  mutable cc : Timely.t option;  (** client sessions under congestion control *)
   mutable next_tx_ts : Sim.Time.t;  (** Carousel pacing cursor *)
   mutable connect_cb : (unit, Err.t) result -> unit;
   mutable retransmits : int;  (** cumulative, across all slots and requests *)

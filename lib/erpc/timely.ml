@@ -94,6 +94,8 @@ and run_update t ~sample_rtt_ns =
   in
   r.rate_bps <- clamp t new_rate
 
+let bypassable t ~rtt_ns = uncongested t && rtt_ns < t_low_ns
+
 let pacing_delay_ns t ~bytes =
   int_of_float (ceil (float_of_int (bytes * 8) /. t.r.rate_bps *. 1e9))
 

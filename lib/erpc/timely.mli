@@ -4,15 +4,12 @@
 
     A session whose computed rate sits at the link's maximum is
     {e uncongested}; eRPC's common-case optimizations (Timely bypass, rate
-    limiter bypass) key off this predicate. *)
+    limiter bypass) key off this predicate.
+
+    The fixed parameters are constants of the implementation, each
+    naming its source; the rate floor is {!Config.min_rate_bps}. *)
 
 type t
-
-(** Below this sample RTT a rate update increases additively: 50 µs, the
-    Timely paper's value. The other fixed parameters are constants of the
-    implementation, each naming its source; the rate floor is
-    {!Config.min_rate_bps}. *)
-val t_low_ns : int
 
 (** [phase] staggers the first rate update among sessions. *)
 val create : ?phase:int -> Config.cc -> link_gbps:float -> t
@@ -26,10 +23,17 @@ val uncongested : t -> bool
 (** Feed one acknowledgement's RTT sample. *)
 val update : t -> sample_rtt_ns:int -> unit
 
+(** The Timely-bypass test (§5.2.2): the session is uncongested and the
+    sample RTT is below 50 µs, the Timely paper's additive-increase
+    threshold, so an {!update} would leave the rate at the link's
+    maximum. *)
+val bypassable : t -> rtt_ns:int -> bool
+
 (** Time (ns) to serialize [bytes] at the current rate. *)
 val pacing_delay_ns : t -> bytes:int -> int
 
-(** Number of [update] calls, for the factor-analysis accounting. *)
+(** Rate computations performed (one per [samples_per_update] samples
+    fed to {!update}), for the factor-analysis accounting. *)
 val updates : t -> int
 
 (** Force the rate (tests/ablation). *)

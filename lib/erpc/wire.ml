@@ -50,7 +50,6 @@ let fresh_body () =
           pkt_num = 0;
           req_num = 0;
           token = 0;
-          ecn_echo = false;
         };
       data = Bytes.empty;
       off = 0;
@@ -58,7 +57,7 @@ let fresh_body () =
     }
 
 let make pool ~src_host ~dst_host ~dst_rpc ~wire_overhead ~flow ~req_type ~msg_size
-    ~dest_session ~pkt_type ~pkt_num ~req_num ~token ~ecn_echo ~data ~off ~len =
+    ~dest_session ~pkt_type ~pkt_num ~req_num ~token ~data ~off ~len =
   let size_bytes = len + wire_overhead in
   let pkt =
     if pool.n_parked > 0 then begin
@@ -88,7 +87,6 @@ let make pool ~src_host ~dst_host ~dst_rpc ~wire_overhead ~flow ~req_type ~msg_s
       h.pkt_num <- pkt_num;
       h.req_num <- req_num;
       h.token <- token;
-      h.ecn_echo <- ecn_echo;
       if r.data != data then r.data <- data;
       r.off <- off;
       r.len <- len

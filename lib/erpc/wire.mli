@@ -50,7 +50,6 @@ val make :
   pkt_num:int ->
   req_num:int ->
   token:int ->
-  ecn_echo:bool ->
   data:bytes ->
   off:int ->
   len:int ->

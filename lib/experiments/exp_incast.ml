@@ -10,35 +10,15 @@ type row = {
 
 let victim = 0
 
-let setup ?seed ?trace ?(credits = 32) ?(algo = Erpc.Config.Timely) ~degree ~cc () =
+let setup ?seed ?trace ?(credits = 32) ~degree ~cc () =
   (* Enough hosts for the victim plus [degree] clients; the CX4 profile
      spreads them over 5 ToRs, so most flows cross the spine and converge
      on the victim's ToR downlink. *)
   let nodes = max 16 (degree + 1) in
   let cluster = Transport.Cluster.cx4 ~nodes () in
-  (* DCQCN needs ECN-marking switches (the extension the paper could not
-     run, §5.2.1). *)
-  let cluster =
-    if algo = Erpc.Config.Dcqcn then
-      {
-        cluster with
-        net_config =
-          {
-            cluster.net_config with
-            ecn =
-              Some
-                { Netsim.Port.kmin_bytes = 50_000; kmax_bytes = 300_000; pmax = 0.01 };
-          };
-      }
-    else cluster
-  in
   let config =
     let base = Erpc.Config.of_cluster ~credits cluster in
-    {
-      base with
-      cc = { base.cc with algo };
-      opts = { base.opts with congestion_control = cc };
-    }
+    { base with opts = { base.opts with congestion_control = cc } }
   in
   let d =
     Harness.deploy ?seed ?trace ~config cluster ~threads_per_host:1
@@ -58,9 +38,8 @@ let incast_drivers (d : Harness.deployment) rng ~degree =
         ~payload:(Harness.Echo { req_size = 8 * 1024 * 1024; resp_size = 32 })
         ~rng:(Sim.Rng.split rng) ~rpc:client ~sessions:[| sess |] ~window:1 ())
 
-let run ?seed ?trace ?credits ?algo ?(warmup_ms = 20.0) ?(measure_ms = 40.0) ~degree ~cc
-    () =
-  let d = setup ?seed ?trace ?credits ?algo ~degree ~cc () in
+let run ?seed ?trace ?credits ?(warmup_ms = 20.0) ?(measure_ms = 40.0) ~degree ~cc () =
+  let d = setup ?seed ?trace ?credits ~degree ~cc () in
   let engine = Erpc.Fabric.engine d.fabric in
   let rng = Sim.Rng.split (Sim.Engine.rng engine) in
   let rtt_hist = Stats.Hist.create () in

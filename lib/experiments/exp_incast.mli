@@ -24,7 +24,6 @@ val run :
   ?seed:int64 ->
   ?trace:Obs.Trace.t ->
   ?credits:int ->
-  ?algo:Erpc.Config.cc_algo ->
   ?warmup_ms:float ->
   ?measure_ms:float ->
   degree:int ->

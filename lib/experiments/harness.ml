@@ -75,8 +75,8 @@ let typed_echo_req_type = 2
 
 (* Benchmark schemas. Both are flat-capable so every backend x schema
    combination is valid; [schema_fixed] is all fixed-width (the flat
-   backend's best case, lazy-access friendly), [schema_var] carries a
-   variable-length payload in a bounded field. *)
+   backend's best case), [schema_var] carries a variable-length payload
+   in a bounded field. *)
 let schema_fixed : ((int * int) * string) Codec.t =
   Codec.(pair (pair u32 u32) (fixed_string 16))
 

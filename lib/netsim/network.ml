@@ -15,7 +15,6 @@ type config = {
   switch_latency_ns : int;
   switch_buffer_bytes : int;
   buffer_alpha : float;
-  ecn : Port.ecn_config option;  (* ECN marking at switch egress ports *)
   lossless : bool;  (* PFC-style lossless fabric (InfiniBand) *)
 }
 
@@ -27,7 +26,6 @@ let default_config =
     switch_latency_ns = 300;
     switch_buffer_bytes = 12 * 1024 * 1024;
     buffer_alpha = 8.0;
-    ecn = None;
     lossless = false;
   }
 
@@ -169,7 +167,7 @@ let build_tor t_ref engine ~packets cfg ~name ~tor_index ~host_ids switch =
         Port.create engine ~packets
           ~name:(Printf.sprintf "%s->h%d" name host_id)
           ~rate_gbps:cfg.link_gbps ~extra_delay_ns:cfg.cable_ns
-          ~pool:(Switch.pool switch) ?ecn:cfg.ecn ~lossless:cfg.lossless
+          ~pool:(Switch.pool switch) ~lossless:cfg.lossless
           ~sink:(fun pkt -> deliver (Lazy.force t_ref) host_id pkt)
           ()
       in
@@ -234,7 +232,7 @@ let create engine cfg =
                          Port.create engine ~packets
                            ~name:(Printf.sprintf "tor%d-up%d" i u)
                            ~rate_gbps:uplink_gbps ~extra_delay_ns:(feed_delay_ns cfg)
-                           ~pool:(Switch.pool tor) ?ecn:cfg.ecn ~lossless:cfg.lossless
+                           ~pool:(Switch.pool tor) ~lossless:cfg.lossless
                            ~sink:(fun pkt -> Switch.forward spine pkt)
                            ()
                        in
@@ -242,7 +240,7 @@ let create engine cfg =
                          Port.create engine ~packets
                            ~name:(Printf.sprintf "%s->tor%d.%d" (Switch.name spine) i u)
                            ~rate_gbps:uplink_gbps ~extra_delay_ns:(feed_delay_ns cfg)
-                           ~pool:(Switch.pool spine) ?ecn:cfg.ecn ~lossless:cfg.lossless
+                           ~pool:(Switch.pool spine) ~lossless:cfg.lossless
                            ~sink:(fun pkt -> Switch.forward tor pkt)
                            ()
                        in

@@ -30,10 +30,6 @@ type config = {
           every link that feeds a switch *)
   switch_buffer_bytes : int;
   buffer_alpha : float;  (** dynamic-threshold alpha *)
-  ecn : Port.ecn_config option;
-      (** when set, switch egress ports ECN-mark packets (the paper's
-          clusters lacked this; our simulated switches support it, which is
-          what enables the DCQCN extension) *)
   lossless : bool;
       (** PFC-style lossless fabric: congested switch ports pause (modeled
           as forced buffer admission) instead of dropping — the InfiniBand

@@ -8,7 +8,6 @@ type t = {
   mutable flow_hash : int;
   mutable body : body;
   mutable sent_at : Sim.Time.t;
-  mutable ecn : bool;
   mutable corrupted : bool;
       (* physical-layer bit errors (modeled as a flag; see Erpc.Wire);
          receivers treat it as a checksum mismatch *)
@@ -36,7 +35,6 @@ let nil =
     flow_hash = 0;
     body = Empty;
     sent_at = 0;
-    ecn = false;
     corrupted = false;
     trace_id = 0;
     refs = 0;
@@ -53,7 +51,6 @@ let make ~src ~dst ~size_bytes ~flow_hash body =
     flow_hash;
     body;
     sent_at = Sim.Time.zero;
-    ecn = false;
     corrupted = false;
     trace_id = 0;
     refs = 1;
@@ -70,7 +67,6 @@ let reinit t ~src ~dst ~size_bytes ~flow_hash =
   t.size_bytes <- size_bytes;
   t.flow_hash <- flow_hash;
   t.sent_at <- Sim.Time.zero;
-  t.ecn <- false;
   t.corrupted <- false;
   t.trace_id <- 0;
   t.refs <- 1

@@ -24,7 +24,6 @@ type t = {
   mutable flow_hash : int;  (** ECMP key: packets of a flow take the same path *)
   mutable body : body;
   mutable sent_at : Sim.Time.t;  (** stamped by the network on first hop *)
-  mutable ecn : bool;  (** congestion-experienced mark (RED/ECN at switches) *)
   mutable corrupted : bool;
       (** physical-layer bit errors; receivers must treat the packet as
           failing its wire checksum *)
@@ -43,7 +42,7 @@ type t = {
 
 val make : src:int -> dst:int -> size_bytes:int -> flow_hash:int -> body -> t
 
-(** Reset transit state ([sent_at], [ecn], [corrupted], [trace_id]) and
+(** Reset transit state ([sent_at], [corrupted], [trace_id]) and
     addressing on a recycled packet; sets [refs] to 1. The caller rewrites
     the body contents itself. *)
 val reinit : t -> src:int -> dst:int -> size_bytes:int -> flow_hash:int -> unit

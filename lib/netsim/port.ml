@@ -1,5 +1,3 @@
-type ecn_config = { kmin_bytes : int; kmax_bytes : int; pmax : float }
-
 (* A departure is packed as [depart_ns lsl size_bits lor size_bytes]. *)
 let size_bits = 16
 let size_mask = (1 lsl size_bits) - 1
@@ -10,9 +8,7 @@ type t = {
   rate_gbps : float;
   extra_delay_ns : int;
   pool : Buffer_pool.t option;
-  ecn : ecn_config option;
   lossless : bool;
-  rng : Sim.Rng.t;
   packets : Packet.table;
   (* The packed departures of the admitted packets not yet settled, in
      FIFO order: the queue, as a closed-form FIFO server sees it. *)
@@ -88,11 +84,12 @@ let tx_bytes t =
   let leaving = departing_now t ~bytes:true in
   t.tx_bytes + leaving
 
-let create engine ~packets ~name ~rate_gbps ~extra_delay_ns ?pool ?ecn ?(lossless = false) ~sink
-    () =
+let create engine ~packets ~name ~rate_gbps ~extra_delay_ns ?pool ?(lossless = false) ~sink () =
   let trace = Sim.Engine.trace engine in
   Obs.Trace.register_process trace ~pid:Obs.Trace.net_pid "network";
   let tid = Obs.Trace.register_track trace ~pid:Obs.Trace.net_pid name in
+  (* Unused stream: every later split of the engine's RNG follows this draw. *)
+  ignore (Sim.Rng.split (Sim.Engine.rng engine));
   let t =
     {
       engine;
@@ -100,9 +97,7 @@ let create engine ~packets ~name ~rate_gbps ~extra_delay_ns ?pool ?ecn ?(lossles
       rate_gbps;
       extra_delay_ns;
       pool;
-      ecn;
       lossless;
-      rng = Sim.Rng.split (Sim.Engine.rng engine);
       packets;
       departures = Sim.Ring.create ~capacity:64 ();
       busy_until = Sim.Time.zero;
@@ -152,21 +147,6 @@ let send t pkt =
         else ok
   in
   if admitted then begin
-    (* RED-style ECN marking on the instantaneous queue (DCQCN's switch
-       side). *)
-    (match t.ecn with
-    | Some { kmin_bytes; kmax_bytes; pmax } ->
-        if t.queued_bytes > kmin_bytes then begin
-          let p =
-            if t.queued_bytes >= kmax_bytes then 1.0
-            else
-              pmax
-              *. (float_of_int (t.queued_bytes - kmin_bytes)
-                 /. float_of_int (Int.max 1 (kmax_bytes - kmin_bytes)))
-          in
-          if Sim.Rng.bool_with_prob t.rng p then pkt.Packet.ecn <- true
-        end
-    | None -> ());
     (* FIFO service in closed form: the packet starts serializing when the
        port frees up and reaches the far end [extra_delay_ns] after its
        last bit leaves. *)

@@ -27,12 +27,6 @@
 
 type t
 
-(** RED-style ECN marking thresholds: packets are marked with probability
-    rising from 0 at [kmin_bytes] to [pmax] at [kmax_bytes] (and always
-    beyond), based on the instantaneous queue — DCQCN's switch-side
-    configuration. *)
-type ecn_config = { kmin_bytes : int; kmax_bytes : int; pmax : float }
-
 (** [packets] is the network's packet-handle table: the port's queue and
     events carry handles from it. *)
 val create :
@@ -42,7 +36,6 @@ val create :
   rate_gbps:float ->
   extra_delay_ns:int ->
   ?pool:Buffer_pool.t ->
-  ?ecn:ecn_config ->
   ?lossless:bool ->
   sink:(Packet.t -> unit) ->
   unit ->

@@ -29,7 +29,6 @@ let cx3 ?(nodes = 11) () =
         switch_latency_ns = 200;
         switch_buffer_bytes = 12 * 1024 * 1024;
         buffer_alpha = 8.0;
-        ecn = None;
         (* CX3 is InfiniBand: link-level flow control, no congestion
            drops. *)
         lossless = true;
@@ -60,7 +59,6 @@ let cx4 ?(nodes = 100) () =
         switch_latency_ns = 300;
         switch_buffer_bytes = 12 * 1024 * 1024;
         buffer_alpha = 8.0;
-        ecn = None;
         lossless = false;
       };
     (* The deterministic NIC latency is set so that, with the uniform
@@ -96,7 +94,6 @@ let cx5 ?(nodes = 8) () =
         switch_latency_ns = 300;
         switch_buffer_bytes = 16 * 1024 * 1024;
         buffer_alpha = 8.0;
-        ecn = None;
         lossless = false;
       };
     nic_config =
@@ -129,7 +126,6 @@ let cx5_ib100 () =
         switch_latency_ns = 200;
         switch_buffer_bytes = 16 * 1024 * 1024;
         buffer_alpha = 8.0;
-        ecn = None;
         (* The Fig 6 testbed connects two nodes over InfiniBand. *)
         lossless = true;
       };

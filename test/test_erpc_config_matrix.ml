@@ -115,6 +115,70 @@ let test_cumulative_cr_packet_reduction () =
   check_int "per-packet CR count" 15 per_packet;
   check_int "cumulative CR count" 10 cumulative
 
+(* {2 Congestion-control fast paths (§5.2.2)} *)
+
+(* [n] sequential 32 B echoes on a quiet fabric, where every RTT sample
+   sits far below Timely's 50 µs additive-increase threshold. *)
+let quiet_echoes config ~n =
+  let fabric, client, sess = deploy config in
+  let engine = Erpc.Fabric.engine fabric in
+  let completed = ref 0 in
+  let rec issue i =
+    if i < n then begin
+      let req = Erpc.Msgbuf.alloc ~max_size:32 in
+      let resp = Erpc.Msgbuf.alloc ~max_size:32 in
+      Erpc.Rpc.enqueue_request client sess ~req_type:echo ~req ~resp ~cont:(fun r ->
+          if Result.is_ok r then incr completed;
+          issue (i + 1))
+    end
+  in
+  issue 0;
+  Sim.Engine.run_until engine (Sim.Time.add (Sim.Engine.now engine) (Sim.Time.ms 50.0));
+  check_int "all echoes completed" n !completed;
+  (client, sess)
+
+let with_opts f =
+  let base = Erpc.Config.of_cluster (Transport.Cluster.cx5 ~nodes:2 ()) in
+  { base with opts = f base.opts }
+
+let test_timely_bypass_skips_updates () =
+  let updates timely_bypass =
+    let client, sess =
+      quiet_echoes (with_opts (fun o -> { o with congestion_control = true; timely_bypass })) ~n:64
+    in
+    (match sess.Erpc.Session.cc with
+    | Some timely -> check_bool "stays uncongested" true (Erpc.Timely.uncongested timely)
+    | None -> Alcotest.fail "expected a Timely controller");
+    Erpc.Rpc.cc_updates client
+  in
+  check_int "bypass: no rate computation" 0 (updates true);
+  check_bool "no bypass: rate computed" true (updates false > 0)
+
+let test_rate_limiter_bypass_skips_wheel () =
+  let wheel_inserts rate_limiter_bypass =
+    let client, _ =
+      quiet_echoes
+        (with_opts (fun o -> { o with congestion_control = true; rate_limiter_bypass }))
+        ~n:16
+    in
+    (Erpc.Rpc.stats client).Erpc.Rpc_stats.wheel_inserts
+  in
+  check_int "bypass: uncongested packets skip the wheel" 0 (wheel_inserts true);
+  check_bool "no bypass: packets paced through the wheel" true (wheel_inserts false > 0)
+
+let test_session_cc_follows_config () =
+  let run congestion_control =
+    quiet_echoes
+      (with_opts (fun o -> { o with congestion_control; timely_bypass = false }))
+      ~n:16
+  in
+  let client, sess = run true in
+  check_bool "cc on: client session has Timely" true (Option.is_some sess.Erpc.Session.cc);
+  check_bool "cc on: samples reach Timely" true (Erpc.Rpc.cc_updates client > 0);
+  let client, sess = run false in
+  check_bool "cc off: no controller" true (Option.is_none sess.Erpc.Session.cc);
+  check_int "cc off: no rate computation" 0 (Erpc.Rpc.cc_updates client)
+
 let suite =
   [
     Alcotest.test_case "all optimization combinations (32 configs)" `Quick
@@ -122,4 +186,9 @@ let suite =
     Alcotest.test_case "combinations under loss" `Slow test_all_opt_combinations_with_loss;
     Alcotest.test_case "cumulative CRs reduce control packets" `Quick
       test_cumulative_cr_packet_reduction;
+    Alcotest.test_case "Timely bypass skips rate updates" `Quick test_timely_bypass_skips_updates;
+    Alcotest.test_case "rate limiter bypass skips the wheel" `Quick
+      test_rate_limiter_bypass_skips_wheel;
+    Alcotest.test_case "session cc follows congestion_control" `Quick
+      test_session_cc_follows_config;
   ]

@@ -61,8 +61,8 @@ let test_rate_limited_retransmissions tp () =
   let fabric, client, sess, handler_runs = deploy ~transport:tp ~config () in
   (* Pin the session's rate to 100 Mbps so every packet is wheeled. *)
   (match sess.Erpc.Session.cc with
-  | Some (Erpc.Cc.Timely_cc tl) -> Erpc.Timely.set_rate_bps tl 100e6
-  | _ -> Alcotest.fail "expected a Timely controller");
+  | Some timely -> Erpc.Timely.set_rate_bps timely 100e6
+  | None -> Alcotest.fail "expected a Timely controller");
   Netsim.Network.set_loss_prob (Erpc.Fabric.net fabric) 0.05;
   let n = 10 in
   let completed = ref 0 in

@@ -93,7 +93,6 @@ let test_pkthdr_pp_and_data_bytes () =
       pkt_num = 2;
       req_num = 8;
       token = 0;
-      ecn_echo = false;
     }
   in
   (* Third packet of a 2500-byte message at MTU 1024: 452 bytes. *)
@@ -102,6 +101,48 @@ let test_pkthdr_pp_and_data_bytes () =
     (Erpc.Pkthdr.data_bytes { hdr with pkt_type = Erpc.Pkthdr.Cr } ~mtu:1024);
   check_bool "pp renders" true
     (String.length (Format.asprintf "%a" Erpc.Pkthdr.pp hdr) > 0)
+
+let test_wire_make_stamps_header () =
+  let pool = Erpc.Wire.create_pool (Netsim.Packet.create_table ()) in
+  let data = Bytes.make 64 'x' in
+  let make ~pkt_type ~pkt_num ~len =
+    Erpc.Wire.make pool ~src_host:2 ~dst_host:5 ~dst_rpc:3 ~wire_overhead:60 ~flow:11
+      ~req_type:4 ~msg_size:2_500 ~dest_session:6 ~pkt_type ~pkt_num ~req_num:8 ~token:9 ~data
+      ~off:16 ~len
+  in
+  let hdr_of pkt =
+    match pkt.Netsim.Packet.body with
+    | Erpc.Wire.Pkt p -> (p.dst_rpc, p.hdr, p.off, p.len)
+    | _ -> Alcotest.fail "not a wire packet"
+  in
+  let p = make ~pkt_type:Erpc.Pkthdr.Req ~pkt_num:2 ~len:32 in
+  let dst_rpc, hdr, off, len = hdr_of p in
+  check_int "src" 2 p.Netsim.Packet.src;
+  check_int "dst" 5 p.Netsim.Packet.dst;
+  check_int "flow" 11 p.Netsim.Packet.flow_hash;
+  check_int "wire size = payload + overhead" 92 p.Netsim.Packet.size_bytes;
+  check_int "dst_rpc" 3 dst_rpc;
+  check_int "slice off" 16 off;
+  check_int "slice len" 32 len;
+  check_bool "header fields" true
+    (hdr
+    = {
+        Erpc.Pkthdr.req_type = 4;
+        msg_size = 2_500;
+        dest_session = 6;
+        pkt_type = Erpc.Pkthdr.Req;
+        pkt_num = 2;
+        req_num = 8;
+        token = 9;
+      });
+  check_bool "intact packet verifies" true (Erpc.Wire.verify p);
+  Netsim.Packet.free p;
+  let q = make ~pkt_type:Erpc.Pkthdr.Cr ~pkt_num:1 ~len:0 in
+  let _, hdr', _, _ = hdr_of q in
+  check_bool "pooled header rewritten in place" true (hdr' == hdr);
+  check_bool "control packet type" true (hdr'.Erpc.Pkthdr.pkt_type = Erpc.Pkthdr.Cr);
+  check_int "control packet pkt_num" 1 hdr'.Erpc.Pkthdr.pkt_num;
+  check_int "control packet is header-only" 60 q.Netsim.Packet.size_bytes
 
 let suite =
   [
@@ -114,4 +155,5 @@ let suite =
     Alcotest.test_case "engine counters" `Quick test_engine_counters;
     Alcotest.test_case "zero-delay schedule" `Quick test_schedule_now_runs;
     Alcotest.test_case "pkthdr helpers" `Quick test_pkthdr_pp_and_data_bytes;
+    Alcotest.test_case "wire make stamps header" `Quick test_wire_make_stamps_header;
   ]

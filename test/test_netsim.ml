@@ -333,6 +333,25 @@ let test_cross_tor_slower_than_same_tor () =
     (Printf.sprintf "cross-ToR %d > same-ToR %d" t_cross t_same)
     true (t_cross > t_same)
 
+(* Each port takes one split of the engine's RNG and uses none of it; the
+   draw stays so that every stream split after it keeps its values. *)
+let test_port_create_draws_one_split () =
+  let after_port =
+    let e = Sim.Engine.create ~seed:7L () in
+    ignore
+      (Netsim.Port.create e ~packets:(Netsim.Packet.create_table ()) ~name:"p" ~rate_gbps:10.0
+         ~extra_delay_ns:0 ~sink:(fun _ -> ()) ());
+    Sim.Rng.next (Sim.Engine.rng e)
+  in
+  let after_split =
+    let e = Sim.Engine.create ~seed:7L () in
+    ignore (Sim.Rng.split (Sim.Engine.rng e));
+    Sim.Rng.next (Sim.Engine.rng e)
+  in
+  let untouched = Sim.Rng.next (Sim.Engine.rng (Sim.Engine.create ~seed:7L ())) in
+  Alcotest.(check int64) "port advances the RNG by one split" after_split after_port;
+  check_bool "the draw is not a no-op" true (after_port <> untouched)
+
 let test_loss_injection () =
   let e = Sim.Engine.create () in
   let cfg =
@@ -416,7 +435,7 @@ let test_packet_handle_lifecycle () =
   let pooled () =
     Erpc.Wire.make pool ~src_host:0 ~dst_host:5 ~dst_rpc:0 ~wire_overhead:60 ~flow:3
       ~req_type:1 ~msg_size:0 ~dest_session:0 ~pkt_type:Erpc.Pkthdr.Cr ~pkt_num:0 ~req_num:0
-      ~token:0 ~ecn_echo:false ~data:Bytes.empty ~off:0 ~len:0
+      ~token:0 ~data:Bytes.empty ~off:0 ~len:0
   in
   let p = pooled () in
   let h = p.Netsim.Packet.handle in
@@ -469,6 +488,7 @@ let suite =
     Alcotest.test_case "port departure ties" `Quick test_port_departure_ties;
     Alcotest.test_case "pool timed releases" `Quick test_pool_timed_releases;
     Alcotest.test_case "cross-ToR latency" `Quick test_cross_tor_slower_than_same_tor;
+    Alcotest.test_case "port create draws one RNG split" `Quick test_port_create_draws_one_split;
     Alcotest.test_case "loss injection" `Quick test_loss_injection;
     Alcotest.test_case "victim port accessor" `Quick test_victim_port_accessor;
     Alcotest.test_case "echo RPC event count" `Quick test_echo_event_count;

@@ -82,6 +82,47 @@ let test_gradient_response_proportional () =
   check_bool "steeper gradient, lower rate" true
     (Erpc.Timely.rate_bps fast < Erpc.Timely.rate_bps slow)
 
+let test_bypass_needs_uncongested () =
+  let t = Erpc.Timely.create (cc ()) ~link_gbps:25.0 in
+  Erpc.Timely.set_rate_bps t 10e9;
+  check_bool "congested session never bypasses" false (Erpc.Timely.bypassable t ~rtt_ns:10_000);
+  Erpc.Timely.set_rate_bps t 25e9;
+  check_bool "bypasses again at link rate" true (Erpc.Timely.bypassable t ~rtt_ns:10_000)
+
+let test_bypass_threshold_is_t_low () =
+  let t = Erpc.Timely.create (cc ()) ~link_gbps:25.0 in
+  check_bool "just below 50 us" true (Erpc.Timely.bypassable t ~rtt_ns:49_999);
+  check_bool "at 50 us" false (Erpc.Timely.bypassable t ~rtt_ns:50_000)
+
+(* The bypass is sound only if skipping the update changes nothing: from
+   any prior RTT, an update with a bypassable sample leaves the rate at
+   the link's maximum. *)
+let bypass_skips_only_noop_updates =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"bypassable sample leaves rate at max" ~count:200
+       QCheck2.Gen.(pair (int_range 1_000 3_000_000) (int_range 0 120_000))
+       (fun (prev_rtt, rtt) ->
+         let t = Erpc.Timely.create (cc ()) ~link_gbps:25.0 in
+         Erpc.Timely.update t ~sample_rtt_ns:prev_rtt;
+         Erpc.Timely.set_rate_bps t 25e9;
+         (not (Erpc.Timely.bypassable t ~rtt_ns:rtt))
+         ||
+         (Erpc.Timely.update t ~sample_rtt_ns:rtt;
+          Erpc.Timely.uncongested t && Erpc.Timely.rate_bps t = 25e9)))
+
+let test_phase_staggers_first_update () =
+  let t = Erpc.Timely.create ~phase:3 (cc ~samples_per_update:8 ()) ~link_gbps:25.0 in
+  for _ = 1 to 4 do
+    Erpc.Timely.update t ~sample_rtt_ns:2_000_000
+  done;
+  Alcotest.(check int) "no update after 4 samples" 0 (Erpc.Timely.updates t);
+  Erpc.Timely.update t ~sample_rtt_ns:2_000_000;
+  Alcotest.(check int) "first update at the 5th sample" 1 (Erpc.Timely.updates t);
+  for _ = 1 to 8 do
+    Erpc.Timely.update t ~sample_rtt_ns:2_000_000
+  done;
+  Alcotest.(check int) "then every 8 samples" 2 (Erpc.Timely.updates t)
+
 let suite =
   [
     Alcotest.test_case "starts uncongested" `Quick test_starts_uncongested;
@@ -93,4 +134,8 @@ let suite =
     Alcotest.test_case "pacing delay" `Quick test_pacing_delay;
     Alcotest.test_case "sample batching" `Quick test_samples_per_update_batching;
     Alcotest.test_case "gradient proportionality" `Quick test_gradient_response_proportional;
+    Alcotest.test_case "bypass needs uncongested" `Quick test_bypass_needs_uncongested;
+    Alcotest.test_case "bypass threshold is t_low" `Quick test_bypass_threshold_is_t_low;
+    bypass_skips_only_noop_updates;
+    Alcotest.test_case "phase staggers first update" `Quick test_phase_staggers_first_update;
   ]

@@ -53,37 +53,18 @@ let test_session_budget_formula () =
         (c.nic_config.rq_size / cfg.session_credits >= 1_000))
     [ Transport.Cluster.cx4 () ]
 
-let test_cc_dispatch () =
-  let cc_timely = Erpc.Config.default_cc ~min_rtt_ns:5_000 in
-  let cc_dcqcn = { cc_timely with algo = Erpc.Config.Dcqcn } in
-  let t = Erpc.Cc.create cc_timely ~link_gbps:25.0 in
-  let d = Erpc.Cc.create cc_dcqcn ~link_gbps:25.0 in
-  check_bool "timely variant" true (match t with Erpc.Cc.Timely_cc _ -> true | _ -> false);
-  check_bool "dcqcn variant" true (match d with Erpc.Cc.Dcqcn_cc _ -> true | _ -> false);
-  (* Timely reacts to RTT, ignores marks below its threshold logic; DCQCN
-     reacts to marks, ignores RTT. *)
-  Erpc.Cc.on_sample t ~rtt_ns:2_000_000 ~marked:false ~now_ns:0;
+let test_cc_high_rtt_cuts_rate () =
+  let t = Erpc.Timely.create (Erpc.Config.default_cc ~min_rtt_ns:5_000) ~link_gbps:25.0 in
+  Erpc.Timely.update t ~sample_rtt_ns:2_000_000;
   for i = 1 to 16 do
-    Erpc.Cc.on_sample t ~rtt_ns:(2_000_000 + (i * 100_000)) ~marked:false ~now_ns:(i * 1_000)
+    Erpc.Timely.update t ~sample_rtt_ns:(2_000_000 + (i * 100_000))
   done;
-  check_bool "timely cut on high RTT" true (Erpc.Cc.rate_bps t < 25e9);
-  Erpc.Cc.on_sample d ~rtt_ns:2_000_000 ~marked:false ~now_ns:0;
-  check_bool "dcqcn ignores RTT" true (Erpc.Cc.uncongested d);
-  Erpc.Cc.on_sample d ~rtt_ns:10_000 ~marked:true ~now_ns:100_000;
-  check_bool "dcqcn cut on mark" true (Erpc.Cc.rate_bps d < 25e9)
+  check_bool "timely cut on high RTT" true (Erpc.Timely.rate_bps t < 25e9)
 
 let test_cc_bypass_predicate () =
-  let cc = Erpc.Config.default_cc ~min_rtt_ns:5_000 in
-  let t = Erpc.Cc.create cc ~link_gbps:25.0 in
-  check_bool "uncongested low RTT bypassable" true
-    (Erpc.Cc.bypassable t ~rtt_ns:10_000 ~marked:false);
-  check_bool "high RTT not bypassable" false
-    (Erpc.Cc.bypassable t ~rtt_ns:90_000 ~marked:false);
-  let d = Erpc.Cc.create { cc with algo = Erpc.Config.Dcqcn } ~link_gbps:25.0 in
-  check_bool "unmarked bypassable for DCQCN" true
-    (Erpc.Cc.bypassable d ~rtt_ns:90_000 ~marked:false);
-  check_bool "marked not bypassable" false
-    (Erpc.Cc.bypassable d ~rtt_ns:10_000 ~marked:true)
+  let t = Erpc.Timely.create (Erpc.Config.default_cc ~min_rtt_ns:5_000) ~link_gbps:25.0 in
+  check_bool "uncongested low RTT bypassable" true (Erpc.Timely.bypassable t ~rtt_ns:10_000);
+  check_bool "high RTT not bypassable" false (Erpc.Timely.bypassable t ~rtt_ns:90_000)
 
 let test_config_min_rtt_reasonable () =
   List.iter
@@ -109,7 +90,7 @@ let suite =
     Alcotest.test_case "credits = BDP/MTU" `Quick test_default_credits_is_bdp_over_mtu;
     Alcotest.test_case "InfiniBand profiles lossless" `Quick test_infiniband_profiles_lossless;
     Alcotest.test_case "session budget formula" `Quick test_session_budget_formula;
-    Alcotest.test_case "cc dispatch" `Quick test_cc_dispatch;
+    Alcotest.test_case "cc high RTT cuts rate" `Quick test_cc_high_rtt_cuts_rate;
     Alcotest.test_case "cc bypass predicate" `Quick test_cc_bypass_predicate;
     Alcotest.test_case "min RTT reasonable" `Quick test_config_min_rtt_reasonable;
     Alcotest.test_case "wire overhead" `Quick test_wire_overhead_matches_paper;
