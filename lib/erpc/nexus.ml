@@ -1,8 +1,7 @@
 type handler_mode = Dispatch | Worker
 type handler = Req_handle.t -> unit
 
-(* Keyed by request type; looked up on every request, so monomorphic. *)
-module Int_tbl = Hashtbl.Make (Int)
+module Int_tbl = Proto.Int_tbl
 
 type worker = {
   cpu : Sim.Cpu.t;
@@ -36,7 +35,7 @@ let create fabric ~host ?(num_workers = 1) () =
               inflight = 0;
             });
       rx_routes = [||];
-      process = { Proto.dead = false; dispatch_types = Hashtbl.create 16 };
+      process = { Proto.dead = false; dispatch_types = Int_tbl.create 16 };
     }
   in
   Netsim.Network.attach (Fabric.net fabric) ~host ~rx:(fun pkt ->
@@ -61,7 +60,7 @@ let register_handler t ~req_type ~mode handler =
   if Int_tbl.mem t.handlers req_type then
     invalid_arg (Printf.sprintf "Nexus.register_handler: req_type %d already registered" req_type);
   Int_tbl.replace t.handlers req_type (mode, handler);
-  if mode = Dispatch then Hashtbl.replace t.process.dispatch_types req_type ()
+  if mode = Dispatch then Int_tbl.replace t.process.dispatch_types req_type ()
 
 let handler t req_type = Int_tbl.find_opt t.handlers req_type
 

@@ -6,8 +6,16 @@
    Devices are reached through [Transport.Iface]; the one call back into
    {!Rpc} is [invoke], which runs a request handler. *)
 
+(* Keyed by request type and probed per request: with the identity hash a
+   lookup calls neither [caml_hash] nor [compare_val]. *)
+module Int_tbl = Hashtbl.Make (struct
+  include Int
+
+  let hash x = x land max_int
+end)
+
 (* Written by {!Nexus}, shared by every Proto of the host. *)
-type process = { mutable dead : bool; dispatch_types : (int, unit) Hashtbl.t }
+type process = { mutable dead : bool; dispatch_types : unit Int_tbl.t }
 
 (* The rate limiter: the Carousel wheel and the packets it paces. The
    wheel holds entry indices; entry [e] is a packet handle with the slot,
@@ -374,7 +382,7 @@ and send_tx_item t slot args cli =
           ~dst_rpc:sess.remote_rpc_id ~wire_overhead:t.cfg.wire_overhead ~flow
           ~req_type:args.req_type ~msg_size ~dest_session:sess.remote_sn ~pkt_type:Pkthdr.Req
           ~pkt_num:k ~req_num:slot.req_num ~token:sess.token
-          ~data:(Msgbuf.unsafe_bytes args.req)
+          ~data:(Msgbuf.payload args.req)
           ~off:(Msgbuf.unsafe_offset args.req + (k * mtu))
           ~len,
         len + t.cfg.wire_overhead )
@@ -634,7 +642,7 @@ and send_resp_pkt t sess slot ~pkt_num =
   | Some ({ resp_buf = Some resp; _ } as srv) when srv.handler_done ->
       let msg_size = Msgbuf.size resp in
       send_server_pkt t sess slot ~pkt_type:Pkthdr.Resp ~pkt_num ~msg_size ~req_type:0
-        ~data:(Msgbuf.unsafe_bytes resp)
+        ~data:(Msgbuf.payload resp)
         ~off:(Msgbuf.unsafe_offset resp + (pkt_num * t.cfg.mtu))
         ~len:(Pkthdr.chunk_bytes ~mtu:t.cfg.mtu ~msg_size pkt_num)
   | _ -> ()
@@ -706,7 +714,7 @@ and server_rx t sess slot hdr data off len =
 and store_req_data t _slot srv hdr data off len =
   let single_pkt = srv.n_req_pkts = 1 in
   let zero_copy_ok =
-    single_pkt && t.cfg.opts.zero_copy_rx && Hashtbl.mem t.process.dispatch_types hdr.Pkthdr.req_type
+    single_pkt && t.cfg.opts.zero_copy_rx && Int_tbl.mem t.process.dispatch_types hdr.Pkthdr.req_type
   in
   if zero_copy_ok then
     (* Dispatch handler runs directly on the RX ring buffer (§4.2.3). *)

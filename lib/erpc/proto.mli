@@ -17,11 +17,15 @@
 
 type t
 
+(** Tables keyed by request type, probed on every request: monomorphic,
+    with an identity hash. *)
+module Int_tbl : Hashtbl.S with type key = int
+
 (** What the protocol reads of its host process, written by {!Nexus} and
     shared by every Rpc of the host: [dead] gates the event loop and RTO
     timers; [dispatch_types] holds the request types whose handler may
     run on the RX ring buffer (dispatch mode, zero-copy RX §4.2.3). *)
-type process = { mutable dead : bool; dispatch_types : (int, unit) Hashtbl.t }
+type process = { mutable dead : bool; dispatch_types : unit Int_tbl.t }
 
 (** [cpu] is the dispatch thread's timeline; [packets] the network's
     packet-handle table; [tid] the owning endpoint's trace thread track

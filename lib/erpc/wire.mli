@@ -3,12 +3,14 @@
     [dst_rpc] plays the role of the UDP destination port used for NIC flow
     steering to the right Rpc's receive queue. Data packets carry a
     zero-copy [(data, off, len)] slice of the sender's msgbuf (the "DMA
-    read" references the buffer in place); control packets (CR/RFR) carry
-    none. Corruption injected in flight is modeled as a per-frame error
-    flag ({!Netsim.Packet.t.corrupted}) rather than real bit flips, since
-    flipping shared payload bytes would corrupt the sender's memory; the
-    observable behavior — the receiver's checksum verification fails and
-    the packet is dropped — is identical. *)
+    read" references the buffer in place), or the same slice over
+    {!Netsim.Packet.length_only} when the msgbuf has no storage yet;
+    control packets (CR/RFR) carry none. Corruption injected in flight is
+    modeled as a per-frame error flag ({!Netsim.Packet.t.corrupted})
+    rather than real bit flips, since flipping shared payload bytes would
+    corrupt the sender's memory; the observable behavior — the receiver's
+    checksum verification fails and the packet is dropped — is
+    identical. *)
 
 type Netsim.Packet.body +=
   | Pkt of {

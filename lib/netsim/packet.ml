@@ -58,6 +58,10 @@ let make ~src ~dst ~size_bytes ~flow_hash body =
     handle = no_handle;
   }
 
+(* A fresh empty block, physically distinct from [Bytes.empty], so a
+   length-only slice cannot be mistaken for a control packet's. *)
+let length_only = Bytes.create 0
+
 (* Reset the transit state of a recycled packet. The caller has already
    rewritten [body]'s contents in place. *)
 let reinit t ~src ~dst ~size_bytes ~flow_hash =

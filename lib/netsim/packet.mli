@@ -42,6 +42,13 @@ type t = {
 
 val make : src:int -> dst:int -> size_bytes:int -> flow_hash:int -> body -> t
 
+(** The payload store of bytes nobody has written: a packet body whose
+    slice [(data, off, len)] has [data == length_only] carries [len]
+    bytes that read as zeros, with no host memory behind them. It is
+    empty, so any [Bytes] access to such a slice with [len > 0] raises
+    rather than reading something else; test for it with [==]. *)
+val length_only : bytes
+
 (** Reset transit state ([sent_at], [corrupted], [trace_id]) and
     addressing on a recycled packet; sets [refs] to 1. The caller rewrites
     the body contents itself. *)

@@ -104,7 +104,9 @@ let set_alive hub f = hub.alive <- f
 
    FNV-1a over the payload slice, truncated to a nonnegative int. The
    seal is recorded when the descriptor is published and re-derived at
-   unseal time; any in-flight mutation of a shared buffer changes it. *)
+   unseal time; any in-flight mutation of a shared buffer changes it. A
+   length-only payload ({!Netsim.Packet.length_only}) seals as that many
+   zero bytes. *)
 
 (* The 64-bit FNV offset basis truncated to OCaml's 63-bit int. *)
 let fnv_offset = 0x4bf29ce484222325
@@ -115,9 +117,14 @@ let copied = -1
 
 let seal_of { data; off; len; _ } =
   let h = ref fnv_offset in
-  for i = off to off + len - 1 do
-    h := (!h lxor Char.code (Bytes.unsafe_get data i)) * fnv_prime
-  done;
+  if data == Netsim.Packet.length_only then
+    for _ = 1 to len do
+      h := !h * fnv_prime
+    done
+  else
+    for i = off to off + len - 1 do
+      h := (!h lxor Char.code (Bytes.unsafe_get data i)) * fnv_prime
+    done;
   !h land max_int
 
 (* {2 The ring path} *)
@@ -155,9 +162,12 @@ let rx_complete t h =
     if was_empty then t.rx_notify ()
   end
 
+(* A length-only payload has no sender memory to copy from: it stays
+   length-only, and the receiver reads the same zeros. *)
 let serialize_tx t pkt (v : view) =
   t.serialized_tx <- t.serialized_tx + 1;
-  if v.len > 0 then t.hub.hooks.set_payload pkt (Bytes.sub v.data v.off v.len)
+  if v.len > 0 && v.data != Netsim.Packet.length_only then
+    t.hub.hooks.set_payload pkt (Bytes.sub v.data v.off v.len)
 
 let shm_tx t dst pkt (v : view) =
   let share =

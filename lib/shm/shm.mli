@@ -32,7 +32,9 @@ type costs = {
 }
 
 (** What the ring path needs to know about a packet: destination Rpc id
-    and the payload slice (for copy/seal). *)
+    and the payload slice (for copy/seal). A slice over
+    {!Netsim.Packet.length_only} seals as [len] zero bytes and is not
+    copied by the serialize path. *)
 type view = { dst_rpc : int; data : bytes; off : int; len : int }
 
 (** Injected by the fabric — this library cannot see eRPC's packet body

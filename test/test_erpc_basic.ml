@@ -240,6 +240,47 @@ let test_stored_handle_answers_own_request () =
   Alcotest.(check (option (pair int int)))
     "late response answers its own request" (Some (1000, 0xABCD)) !parked_answer
 
+(* Msgbufs get storage on first access, so a request nobody wrote
+   travels length-only: the server reassembles it without storage, and
+   the response it never wrote comes back the same way. A written request
+   on the same slot then arrives intact in the recycled reassembly
+   buffer, and an unwritten one after it reads as zeros there. *)
+let length_only_req_type = 4
+
+let test_unwritten_request_stays_length_only () =
+  let n = 3_000 (* three packets each way at the CX5 MTU *) in
+  let seen = ref [] in
+  let fabric, client, _server =
+    make_custom_pair (fun nx ->
+        Erpc.Nexus.register_handler nx ~req_type:length_only_req_type
+          ~mode:Erpc.Nexus.Dispatch (fun h ->
+            let req = Erpc.Req_handle.get_request h in
+            let no_storage = Erpc.Msgbuf.payload req == Netsim.Packet.length_only in
+            seen := (no_storage, Erpc.Msgbuf.read_string req ~off:0 ~len:n) :: !seen;
+            Erpc.Req_handle.enqueue_response h (Erpc.Req_handle.init_response h ~size:n)))
+  in
+  let sess = connect fabric client in
+  let send write =
+    let req = Erpc.Msgbuf.alloc ~max_size:n and resp = Erpc.Msgbuf.alloc ~max_size:n in
+    Option.iter (fun s -> Erpc.Msgbuf.write_string req ~off:0 s) write;
+    let resp_has_storage = ref None in
+    Erpc.Rpc.enqueue_request client sess ~req_type:length_only_req_type ~req ~resp
+      ~cont:(fun r ->
+        Alcotest.(check bool) "rpc ok" true (Result.is_ok r);
+        resp_has_storage := Some (Erpc.Msgbuf.payload resp != Netsim.Packet.length_only));
+    run_for fabric 1.0;
+    Alcotest.(check (option bool)) "response arrived without storage" (Some false) !resp_has_storage
+  in
+  let zeros = String.make n '\000' in
+  let pattern = String.init n (fun i -> Char.chr ((i * 13) land 0xff)) in
+  send None;
+  send (Some pattern);
+  send None;
+  Alcotest.(check (list (pair bool string)))
+    "what the handler saw"
+    [ (true, zeros); (false, pattern); (false, zeros) ]
+    (List.rev !seen)
+
 let suite =
   [
     Alcotest.test_case "connect" `Quick test_connect;
@@ -252,4 +293,6 @@ let suite =
     Alcotest.test_case "double response raises" `Quick test_double_response_raises;
     Alcotest.test_case "stored handle answers its own request" `Quick
       test_stored_handle_answers_own_request;
+    Alcotest.test_case "unwritten request stays length-only" `Quick
+      test_unwritten_request_stays_length_only;
   ]

@@ -36,6 +36,27 @@ let test_bandwidth_band () =
   check_bool "eRPC within 70-100% of RDMA write" true
     (p.goodput_gbps /. r.goodput_gbps > 0.7 && p.goodput_gbps < r.goodput_gbps)
 
+(* Bulk payloads nobody reads cost no host memory: at a fixed request
+   count, a 1 MiB run allocates on the major heap directly (where every
+   buffer above 2 KiB goes) less than 64 KiB more than a 64 KiB run does.
+   Eager buffers would add about three request sizes. Promotions are
+   left out: they follow minor-heap timing, not request size. *)
+let test_bandwidth_allocation_flat_in_size () =
+  let direct_major_bytes req_size =
+    let direct () =
+      let _, promoted, major = Gc.counters () in
+      (major -. promoted) *. float_of_int (Sys.word_size / 8)
+    in
+    let a0 = direct () in
+    ignore (Experiments.Exp_bandwidth.erpc_goodput ~requests:4 ~req_size ());
+    direct () -. a0
+  in
+  let small = direct_major_bytes 65_536 and large = direct_major_bytes 1_048_576 in
+  check_bool
+    (Printf.sprintf "1 MiB run allocates %.0f B, 64 KiB run %.0f B" large small)
+    true
+    (large -. small < 65_536.)
+
 let test_loss_collapse () =
   let clean = Experiments.Exp_bandwidth.erpc_goodput ~requests:3 ~req_size:(4 * 1024 * 1024) () in
   let lossy =
@@ -378,6 +399,8 @@ let suite =
     Alcotest.test_case "fig4 band" `Quick test_small_rate_band;
     Alcotest.test_case "fig4 FaSST ordering" `Quick test_fasst_faster_than_erpc;
     Alcotest.test_case "fig6 band" `Quick test_bandwidth_band;
+    Alcotest.test_case "bandwidth allocation flat in size" `Quick
+      test_bandwidth_allocation_flat_in_size;
     Alcotest.test_case "table4 collapse" `Quick test_loss_collapse;
     Alcotest.test_case "table5 cc effect" `Quick test_incast_cc_reduces_queueing;
     Alcotest.test_case "fig5 scaled-down" `Quick test_scalability_small;

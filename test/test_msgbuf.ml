@@ -1,5 +1,5 @@
 (* Tests for message buffers: bounds, ownership transitions, zero-copy
-   views, data accessors. *)
+   views, data accessors, storage on first access. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -100,6 +100,64 @@ let test_unsafe_set_size () =
   Erpc.Msgbuf.unsafe_set_size m 7;
   check_int "internal resize" 7 (Erpc.Msgbuf.size m)
 
+(* Storage on first access: an untouched buffer has none and reads as
+   zeros. The minor heap is first filled with 0xff so that storage made
+   with [Bytes.create] rather than zeroed would show through. *)
+let test_untouched_reads_zeros () =
+  Gc.minor ();
+  for _ = 1 to 4_096 do
+    ignore (Sys.opaque_identity (Bytes.make 64 '\xff'))
+  done;
+  Gc.minor ();
+  let m = Erpc.Msgbuf.alloc ~max_size:64 in
+  check_bool "no storage yet" true (Erpc.Msgbuf.payload m == Netsim.Packet.length_only);
+  check_str "zeros" (String.make 64 '\000') (Erpc.Msgbuf.read_string m ~off:0 ~len:64);
+  check_int "u64 zero" 0 (Erpc.Msgbuf.get_u64 m ~off:8)
+
+let test_first_access_makes_storage () =
+  let fresh () =
+    let m = Erpc.Msgbuf.alloc ~max_size:16 in
+    check_bool "no storage before" true (Erpc.Msgbuf.payload m == Netsim.Packet.length_only);
+    m
+  in
+  let has_storage what m =
+    check_bool (what ^ " makes storage") false
+      (Erpc.Msgbuf.payload m == Netsim.Packet.length_only)
+  in
+  let m = fresh () in
+  Erpc.Msgbuf.write_string m ~off:4 "abcd";
+  has_storage "write_string" m;
+  check_str "written over zeros" "\000abcd\000" (Erpc.Msgbuf.read_string m ~off:3 ~len:6);
+  let m = fresh () in
+  Erpc.Msgbuf.set_u32 m ~off:0 7;
+  has_storage "set_u32" m;
+  let m = fresh () in
+  ignore (Erpc.Msgbuf.unsafe_bytes m);
+  has_storage "unsafe_bytes" m;
+  check_bool "payload is that storage" true
+    (Erpc.Msgbuf.payload m == Erpc.Msgbuf.unsafe_bytes m)
+
+let test_blit_without_storage () =
+  let a = Erpc.Msgbuf.alloc ~max_size:(1 lsl 20) in
+  let b = Erpc.Msgbuf.alloc ~max_size:(1 lsl 20) in
+  Erpc.Msgbuf.blit ~src:a ~src_off:0 ~dst:b ~dst_off:0 ~len:(1 lsl 20);
+  check_bool "src still has none" true (Erpc.Msgbuf.payload a == Netsim.Packet.length_only);
+  check_bool "dst still has none" true (Erpc.Msgbuf.payload b == Netsim.Packet.length_only);
+  (* Into a buffer with storage, the unwritten source range is zeros. *)
+  let c = Erpc.Msgbuf.alloc ~max_size:8 in
+  Erpc.Msgbuf.write_string c ~off:0 "abcdefgh";
+  Erpc.Msgbuf.blit ~src:a ~src_off:5 ~dst:c ~dst_off:2 ~len:4;
+  check_str "range zero-filled" "ab\000\000\000\000gh" (Erpc.Msgbuf.read_string c ~off:0 ~len:8);
+  check_bool "src untouched by the copy" true
+    (Erpc.Msgbuf.payload a == Netsim.Packet.length_only)
+
+let test_view_without_storage () =
+  let v = Erpc.Msgbuf.view Netsim.Packet.length_only ~off:3_072 ~len:100 in
+  check_int "view size" 100 (Erpc.Msgbuf.size v);
+  check_bool "no storage" true (Erpc.Msgbuf.payload v == Netsim.Packet.length_only);
+  check_int "reads zero" 0 (Erpc.Msgbuf.get_u32 v ~off:96);
+  check_int "storage starts at 0" 0 (Erpc.Msgbuf.unsafe_offset v)
+
 let suite =
   [
     Alcotest.test_case "alloc defaults" `Quick test_alloc_defaults;
@@ -113,4 +171,8 @@ let suite =
     Alcotest.test_case "view semantics" `Quick test_view_semantics;
     Alcotest.test_case "blit" `Quick test_blit;
     Alcotest.test_case "unsafe_set_size" `Quick test_unsafe_set_size;
+    Alcotest.test_case "untouched buffer reads zeros" `Quick test_untouched_reads_zeros;
+    Alcotest.test_case "first access makes storage" `Quick test_first_access_makes_storage;
+    Alcotest.test_case "blit without storage" `Quick test_blit_without_storage;
+    Alcotest.test_case "view without storage" `Quick test_view_without_storage;
   ]

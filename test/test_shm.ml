@@ -160,6 +160,31 @@ let test_guard_fault_detected_and_recovered () =
   check_bool "handoff really was by pointer" true
     ((shm_stats client).Shm.shared_tx >= 1)
 
+(* A payload nobody wrote crosses the rings length-only under both
+   handoff disciplines: the share path seals it as that many zero bytes
+   and unseals it without a guard fault, the serialize path has nothing
+   to copy, and the echo comes back without storage. *)
+let test_length_only_payload mode () =
+  let cluster =
+    Transport.Cluster.colocate (Transport.Cluster.cx5 ~nodes:2 ()) [ [ 0; 1 ] ]
+  in
+  let config = { (Erpc.Config.of_cluster cluster) with shm_mode = mode } in
+  let fabric, client, server = Transport_testkit.make_pair ~cluster ~config () in
+  let sess = connect fabric client in
+  List.iter
+    (fun size ->
+      let resp = Transport_testkit.do_rpc fabric client sess ~req_size:size ~resp_cap:size in
+      check_int "echo size" size (Erpc.Msgbuf.size resp);
+      check_bool "echo has no storage" true
+        (Erpc.Msgbuf.payload resp == Netsim.Packet.length_only);
+      check_bool "echo reads as zeros" true
+        (Erpc.Msgbuf.read_string resp ~off:0 ~len:size = String.make size '\000'))
+    [ 64; 3_000 ];
+  check_int "no guard fault" 0 (shm_stats server).Shm.guard_faults;
+  let s = shm_stats client in
+  check_bool "handed off in this mode" true
+    (match mode with Shm.Share -> s.shared_tx > 0 | _ -> s.serialized_tx > 0)
+
 (* A full destination ring stalls the sender (bounded slots, modeled
    wait) — it never drops. *)
 let test_backpressure_stalls_not_drops () =
@@ -226,6 +251,9 @@ let suite =
     Alcotest.test_case "full ring stalls, never drops" `Quick
       test_backpressure_stalls_not_drops;
     Alcotest.test_case "serialize-vs-share crossover" `Quick test_cost_model_crossover;
+    Alcotest.test_case "length-only payload, share" `Quick (test_length_only_payload Shm.Share);
+    Alcotest.test_case "length-only payload, serialize" `Quick
+      (test_length_only_payload Shm.Serialize);
     Alcotest.test_case "intra-host anatomy: zero wire/switch" `Quick
       test_anatomy_intra_host_zero_wire;
   ]

@@ -91,8 +91,10 @@ let test_bypass_needs_uncongested () =
 
 let test_bypass_threshold_is_t_low () =
   let t = Erpc.Timely.create (cc ()) ~link_gbps:25.0 in
+  check_bool "10 us" true (Erpc.Timely.bypassable t ~rtt_ns:10_000);
   check_bool "just below 50 us" true (Erpc.Timely.bypassable t ~rtt_ns:49_999);
-  check_bool "at 50 us" false (Erpc.Timely.bypassable t ~rtt_ns:50_000)
+  check_bool "at 50 us" false (Erpc.Timely.bypassable t ~rtt_ns:50_000);
+  check_bool "90 us" false (Erpc.Timely.bypassable t ~rtt_ns:90_000)
 
 (* The bypass is sound only if skipping the update changes nothing: from
    any prior RTT, an update with a bypassable sample leaves the rate at

@@ -1,4 +1,4 @@
-(* Sanity checks on the calibrated cluster profiles and the CC dispatch. *)
+(* Sanity checks on the calibrated cluster profiles. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -53,19 +53,6 @@ let test_session_budget_formula () =
         (c.nic_config.rq_size / cfg.session_credits >= 1_000))
     [ Transport.Cluster.cx4 () ]
 
-let test_cc_high_rtt_cuts_rate () =
-  let t = Erpc.Timely.create (Erpc.Config.default_cc ~min_rtt_ns:5_000) ~link_gbps:25.0 in
-  Erpc.Timely.update t ~sample_rtt_ns:2_000_000;
-  for i = 1 to 16 do
-    Erpc.Timely.update t ~sample_rtt_ns:(2_000_000 + (i * 100_000))
-  done;
-  check_bool "timely cut on high RTT" true (Erpc.Timely.rate_bps t < 25e9)
-
-let test_cc_bypass_predicate () =
-  let t = Erpc.Timely.create (Erpc.Config.default_cc ~min_rtt_ns:5_000) ~link_gbps:25.0 in
-  check_bool "uncongested low RTT bypassable" true (Erpc.Timely.bypassable t ~rtt_ns:10_000);
-  check_bool "high RTT not bypassable" false (Erpc.Timely.bypassable t ~rtt_ns:90_000)
-
 let test_config_min_rtt_reasonable () =
   List.iter
     (fun (c : Transport.Cluster.t) ->
@@ -90,8 +77,6 @@ let suite =
     Alcotest.test_case "credits = BDP/MTU" `Quick test_default_credits_is_bdp_over_mtu;
     Alcotest.test_case "InfiniBand profiles lossless" `Quick test_infiniband_profiles_lossless;
     Alcotest.test_case "session budget formula" `Quick test_session_budget_formula;
-    Alcotest.test_case "cc high RTT cuts rate" `Quick test_cc_high_rtt_cuts_rate;
-    Alcotest.test_case "cc bypass predicate" `Quick test_cc_bypass_predicate;
     Alcotest.test_case "min RTT reasonable" `Quick test_config_min_rtt_reasonable;
     Alcotest.test_case "wire overhead" `Quick test_wire_overhead_matches_paper;
   ]
