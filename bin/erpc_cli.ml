@@ -14,7 +14,8 @@ open Cmdliner
 module R = Experiments.Registry
 module J = Obs.Json
 
-type entry = Entry : 'p R.entry * 'p Term.t -> entry
+type parsed = (seed:int64 -> R.outcome) * (string * J.t) list
+type entry = Entry of parsed R.entry * parsed Term.t
 
 (* {2 Shared flags} *)
 
@@ -33,10 +34,7 @@ let out_arg =
   Arg.(
     value
     & opt (some string) None
-    & info [ "out" ] ~docv:"FILE"
-        ~doc:
-          "Write the result envelope to $(docv) ($(b,trace) writes its Chrome trace \
-           there).")
+    & info [ "out" ] ~docv:"FILE" ~doc:"Write the result envelope to $(docv).")
 
 let rerun_arg =
   Arg.(
@@ -45,14 +43,6 @@ let rerun_arg =
         ~doc:
           "Run the experiment twice and fail (exit 1) unless the same seed reproduces the \
            same digest and event census.")
-
-let jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "jobs" ] ~docv:"N"
-        ~doc:
-          "OCaml domains to fan independent runs across (results are identical to \
-           --jobs 1; see Par_sweep).")
 
 let execute (e : _ R.entry) seed json out rerun p =
   let r = R.run ~wall_clock:Unix.gettimeofday ~rerun e ~seed p in
@@ -74,21 +64,60 @@ let command (Entry (e, params)) =
   Cmd.v (Cmd.info e.name ~doc:e.doc)
     Term.(const (execute e) $ seed_arg $ json_arg $ out_arg $ rerun_arg $ params)
 
-(* {2 Parameter helpers} *)
+(* {2 Parameters}
 
-let int_arg name default docv doc = Arg.(value & opt int default & info [ name ] ~docv ~doc)
-let float_arg name default docv doc = Arg.(value & opt float default & info [ name ] ~docv ~doc)
-let flag_arg name doc = Arg.(value & flag & info [ name ] ~doc)
+   Each entry flag is declared once: its term parses the value together
+   with the envelope [params] field that records it, keyed by the flag
+   name with [-] replaced by [_]. An entry combines its flags with
+   [let+ ... and+ ...], so its params are exactly its recorded flags, in
+   order. *)
 
-let clusters = [ ("cx3", `Cx3); ("cx4", `Cx4); ("cx5", `Cx5); ("cx5-ib100", `Cx5_ib100) ]
+type 'a param = ('a * (string * J.t) list) Term.t
+
+let ( let+ ) (p : _ param) f : _ param = Term.(const (fun (v, ps) -> (f v, ps)) $ p)
+
+let ( and+ ) (a : _ param) (b : _ param) : _ param =
+  Term.(const (fun (x, px) (y, py) -> ((x, y), px @ py)) $ a $ b)
+
+(* The flag [name]'s term, recorded under [name] with [-] replaced by [_]. *)
+let recorded name to_json arg : _ param =
+  let key = String.map (function '-' -> '_' | c -> c) name in
+  Term.(const (fun v -> (v, [ (key, to_json v) ])) $ arg)
+
+(* A flag that only shapes the report, not the run, stays out of params. *)
+let unrecorded arg : _ param = Term.(const (fun v -> (v, [])) $ arg)
+
+(* [Error msg] refuses the command line with [msg]. *)
+let refusing (p : (_, string) result param) : _ param =
+  Term.(term_result' ~usage:true (const (fun (r, ps) -> Result.map (fun v -> (v, ps)) r) $ p))
+
+let opt_arg to_json conv name default docv doc =
+  recorded name to_json (Arg.value (Arg.opt conv default (Arg.info [ name ] ~docv ~doc)))
+
+let int_arg = opt_arg (fun n -> J.Int n) Arg.int
+let float_arg = opt_arg (fun f -> J.Float f) Arg.float
+let bool_arg name default doc = opt_arg (fun b -> J.Bool b) Arg.bool name default "BOOL" doc
+let flag_arg name doc = recorded name (fun b -> J.Bool b) Arg.(value & flag & info [ name ] ~doc)
+
+let enum_arg name choices =
+  opt_arg (fun v -> J.Str (fst (List.find (fun (_, c) -> c = v) choices))) (Arg.enum choices) name
+
+let names ns = List.map (fun n -> (n, n)) ns
+
+let jobs_arg =
+  int_arg "jobs" 1 "N"
+    "OCaml domains to fan independent runs across (results are identical to --jobs 1; see \
+     Par_sweep)."
 
 let cluster_arg default =
-  Arg.(
-    value & opt (enum clusters) default
-    & info [ "cluster" ] ~docv:"NAME" ~doc:"Cluster profile.")
+  enum_arg "cluster"
+    [ ("cx3", `Cx3); ("cx4", `Cx4); ("cx5", `Cx5); ("cx5-ib100", `Cx5_ib100) ]
+    default "NAME" "Cluster profile."
 
 let nodes_arg =
-  Arg.(value & opt (some int) None & info [ "nodes" ] ~docv:"N" ~doc:"Override node count.")
+  opt_arg
+    (function Some n -> J.Int n | None -> J.Null)
+    Arg.(some int) "nodes" None "N" "Override node count."
 
 let build_cluster ?nodes = function
   | `Cx3 -> Transport.Cluster.cx3 ?nodes ()
@@ -96,19 +125,38 @@ let build_cluster ?nodes = function
   | `Cx5 -> Transport.Cluster.cx5 ?nodes ()
   | `Cx5_ib100 -> Transport.Cluster.cx5_ib100 ()
 
-let cluster_params c nodes =
-  [
-    ("cluster", J.Str (fst (List.find (fun (_, v) -> v = c) clusters)));
-    ("nodes", match nodes with Some n -> J.Int n | None -> J.Null);
-  ]
+(* --trace-out FILE records the run's events in a trace of default
+   capacity and writes it as Chrome/Perfetto JSON. Tracing only observes:
+   rows, digest and census stay the untraced run's, except anatomy's above
+   about 2,259 samples, where its own untraced 2^16-event ring evicts. *)
+let trace_out_arg =
+  unrecorded
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace-out" ] ~docv:"FILE"
+          ~doc:"Write the run's event trace to $(docv) as Chrome/Perfetto JSON.")
+
+let traced file run =
+  match file with
+  | None -> run None
+  | Some file ->
+      let tr = Obs.Trace.create () in
+      let (o : R.outcome) = run (Some tr) in
+      Obs.Trace.write_chrome_file tr file;
+      let n, evicted = (Obs.Trace.length tr, Obs.Trace.dropped tr) in
+      let line = Printf.sprintf "wrote %s: %d trace events, %d evicted\n" file n evicted in
+      { o with report = o.report ^ line }
 
 (* Without [report], the rows are flat and {!R.table} renders them. *)
 let outcome ?(violations = []) ?(host = []) ?report rows =
   let report = match report with Some r -> r | None -> R.table rows in
   { R.rows; report; violations; host }
 
-let entry ~name ~doc ~benchmark ~unit ~params run term =
-  Entry ({ R.name; doc; benchmark; unit; params; run }, term)
+let entry ~name ~doc ~benchmark ~unit term =
+  Entry
+    ( { R.name; doc; benchmark; unit; params = snd; run = (fun ~seed (run, _) -> run ~seed) },
+      term )
 
 (* {2 Rows}
 
@@ -168,162 +216,146 @@ let read_rate_fields ~seed connections =
 let latency =
   entry ~name:"latency" ~doc:"Table 2: median 32 B RPC vs RDMA-read latency"
     ~benchmark:"latency" ~unit:"us"
-    ~params:(fun (c, nodes, samples) ->
-      cluster_params c nodes @ [ ("samples", J.Int samples) ])
-    (fun ~seed (c, nodes, samples) ->
-      outcome
-        [
-          J.Obj
-            (latency_fields
-               (Experiments.Exp_latency.measure ~seed ~samples (build_cluster ?nodes c)));
-        ])
-    Term.(
-      const (fun c n s -> (c, n, s))
-      $ cluster_arg `Cx5 $ nodes_arg
-      $ int_arg "samples" 2_000 "N" "RPCs to measure.")
+    (let+ c = cluster_arg `Cx5
+     and+ nodes = nodes_arg
+     and+ samples = int_arg "samples" 2_000 "N" "RPCs to measure." in
+     fun ~seed ->
+       outcome
+         [
+           J.Obj
+             (latency_fields
+                (Experiments.Exp_latency.measure ~seed ~samples (build_cluster ?nodes c)));
+         ])
 
 let rate =
   entry ~name:"rate" ~doc:"Figure 4: single-core small-RPC rate" ~benchmark:"small_rate"
     ~unit:"Mrps"
-    ~params:(fun (c, nodes, batch, window, fasst) ->
-      cluster_params c nodes
-      @ [ ("batch", J.Int batch); ("window", J.Int window); ("fasst", J.Bool fasst) ])
-    (fun ~seed (c, nodes, batch, window, fasst) ->
-      let c = build_cluster ?nodes c in
-      let r =
-        if fasst then Experiments.Exp_small_rate.run_fasst ~seed ~cluster:c ~batch ()
-        else Experiments.Exp_small_rate.run ~seed ~cluster:c ~window ~batch ()
-      in
-      outcome
-        [
-          J.Obj
-            [
-              ("cluster", J.Str c.name);
-              ("batch", J.Int batch);
-              ("per_thread_mrps", J.Float r.per_thread_mrps);
-              ("total_rpcs", J.Int r.total_rpcs);
-              ("retransmits", J.Int r.retransmits);
-            ];
-        ])
-    Term.(
-      const (fun c n b w f -> (c, n, b, w, f))
-      $ cluster_arg `Cx4 $ nodes_arg
-      $ int_arg "batch" 3 "B" "Requests per batch."
-      $ int_arg "window" 60 "N" "Requests in flight per thread."
-      $ flag_arg "fasst" "Run the FaSST-like specialized baseline.")
+    (refusing
+       (let+ c = cluster_arg `Cx4
+        and+ nodes = nodes_arg
+        and+ batch = int_arg "batch" 3 "B" "Requests per batch."
+        and+ window = int_arg "window" 60 "N" "Requests in flight per thread."
+        and+ fasst = flag_arg "fasst" "Run the FaSST-like specialized baseline."
+        and+ measure_ms = float_arg "measure-ms" 4.0 "MS" "Measured window."
+        and+ trace_out = trace_out_arg in
+        if fasst && trace_out <> None then Error "--trace-out traces the eRPC run, not --fasst"
+        else
+          Ok
+            (fun ~seed ->
+              let c = build_cluster ?nodes c in
+              traced trace_out (fun trace ->
+                  let r =
+                    if fasst then
+                      Experiments.Exp_small_rate.run_fasst ~seed ~cluster:c ~batch ~measure_ms ()
+                    else
+                      Experiments.Exp_small_rate.run ~seed ?trace ~cluster:c ~window ~batch
+                        ~measure_ms ()
+                  in
+                  outcome
+                    [
+                      J.Obj
+                        [
+                          ("cluster", J.Str c.name);
+                          ("batch", J.Int batch);
+                          ("per_thread_mrps", J.Float r.per_thread_mrps);
+                          ("total_rpcs", J.Int r.total_rpcs);
+                          ("retransmits", J.Int r.retransmits);
+                        ];
+                    ]))))
 
 let bandwidth =
   entry ~name:"bandwidth" ~doc:"Figure 6 / Table 4: large-RPC goodput over 100 Gbps"
     ~benchmark:"bandwidth" ~unit:"Gbps"
-    ~params:(fun (req_size, credits, loss, requests) ->
-      [
-        ("size", J.Int req_size);
-        ("credits", J.Int credits);
-        ("loss", J.Float loss);
-        ("requests", J.Int requests);
-      ])
-    (fun ~seed (req_size, credits, loss, requests) ->
-      outcome
-        [
-          J.Obj
-            (bandwidth_fields ~loss
-               (Experiments.Exp_bandwidth.erpc_goodput ~seed ~credits ~requests ~loss
-                  ~req_size ()));
-        ])
-    Term.(
-      const (fun s c l r -> (s, c, l, r))
-      $ int_arg "size" (8 * 1024 * 1024) "BYTES" "Request size."
-      $ int_arg "credits" 32 "C" "Session credits."
-      $ float_arg "loss" 0.0 "P" "Injected packet-loss rate."
-      $ int_arg "requests" 8 "N" "Requests to measure.")
+    (let+ req_size = int_arg "size" (8 * 1024 * 1024) "BYTES" "Request size."
+     and+ credits = int_arg "credits" 32 "C" "Session credits."
+     and+ loss = float_arg "loss" 0.0 "P" "Injected packet-loss rate."
+     and+ requests = int_arg "requests" 8 "N" "Requests to measure."
+     and+ trace_out = trace_out_arg in
+     fun ~seed ->
+       traced trace_out (fun trace ->
+           outcome
+             [
+               J.Obj
+                 (bandwidth_fields ~loss
+                    (Experiments.Exp_bandwidth.erpc_goodput ~seed ?trace ~credits ~requests ~loss
+                       ~req_size ()));
+             ]))
 
 let incast =
   entry ~name:"incast" ~doc:"Table 5: incast congestion control" ~benchmark:"incast"
     ~unit:"Gbps"
-    ~params:(fun (degree, credits, cc, measure_ms) ->
-      [
-        ("degree", J.Int degree);
-        ("credits", J.Int credits);
-        ("cc", J.Bool cc);
-        ("measure_ms", J.Float measure_ms);
-      ])
-    (fun ~seed (degree, credits, cc, measure_ms) ->
-      outcome
-        [
-          J.Obj
-            (incast_fields
-               (Experiments.Exp_incast.run ~seed ~credits ~degree ~cc ~measure_ms ()));
-        ])
-    Term.(
-      const (fun d c cc m -> (d, c, cc, m))
-      $ int_arg "degree" 20 "N" "Incast degree."
-      $ int_arg "credits" 32 "C" "Session credits."
-      $ Arg.(value & opt bool true & info [ "cc" ] ~docv:"BOOL" ~doc:"Enable congestion control.")
-      $ float_arg "measure-ms" 30.0 "MS" "Measured window.")
+    (let+ degree = int_arg "degree" 20 "N" "Incast degree."
+     and+ credits = int_arg "credits" 32 "C" "Session credits."
+     and+ cc = bool_arg "cc" true "Enable congestion control."
+     and+ warmup_ms = float_arg "warmup-ms" 20.0 "MS" "Warmup window."
+     and+ measure_ms = float_arg "measure-ms" 30.0 "MS" "Measured window."
+     and+ trace_out = trace_out_arg in
+     fun ~seed ->
+       traced trace_out (fun trace ->
+           outcome
+             [
+               J.Obj
+                 (incast_fields
+                    (Experiments.Exp_incast.run ~seed ?trace ~credits ~degree ~cc ~warmup_ms
+                       ~measure_ms ()));
+             ]))
 
 let scalability =
   entry ~name:"scalability" ~doc:"Figure 5: 100-node scalability" ~benchmark:"scalability"
     ~unit:"Mrps"
-    ~params:(fun (nodes, threads) ->
-      [
-        ("nodes", match nodes with Some n -> J.Int n | None -> J.Null);
-        ("threads", J.Int threads);
-      ])
-    (fun ~seed (nodes, threads) ->
-      let r = Experiments.Exp_scalability.run ~seed ?nodes ~threads () in
-      outcome [ J.Obj (scalability_fields r) ])
-    Term.(const (fun n t -> (n, t)) $ nodes_arg $ int_arg "threads" 1 "T" "Threads per node.")
+    (let+ nodes = nodes_arg and+ threads = int_arg "threads" 1 "T" "Threads per node." in
+     fun ~seed ->
+       let r = Experiments.Exp_scalability.run ~seed ?nodes ~threads () in
+       outcome [ J.Obj (scalability_fields r) ])
 
 let raft =
   entry ~name:"raft" ~doc:"Table 6: 3-way replicated PUT latency (Raft over eRPC)"
     ~benchmark:"raft_kv" ~unit:"us"
-    ~params:(fun samples -> [ ("samples", J.Int samples) ])
-    (fun ~seed samples ->
-      let r = Experiments.Exp_raft.run ~seed ~samples () in
-      outcome
-        [
-          J.Obj
-            [
-              ("row", J.Str "table6");
-              ("client_p50_us", J.Float r.client_p50_us);
-              ("client_p99_us", J.Float r.client_p99_us);
-              ("leader_p50_us", J.Float r.leader_p50_us);
-              ("leader_p99_us", J.Float r.leader_p99_us);
-              ("puts", J.Int r.puts);
-              ("errors", J.Int r.errors);
-            ];
-          J.Obj
-            [
-              ("row", J.Str "sharded_baseline");
-              ( "detail",
-                Experiments.Kv_runner.to_json
-                  (Experiments.Kv_runner.run ~seed (Workload.Traffic_spec.kv_chaos ~seed None))
-              );
-            ];
-        ]
-        ~report:
-          (Printf.sprintf
-             "replicated PUT: client p50=%.1f p99=%.1f us; leader commit p50=%.1f p99=%.1f \
-              us (%d puts, %d errors)\n"
-             r.client_p50_us r.client_p99_us r.leader_p50_us r.leader_p99_us r.puts r.errors))
-    (int_arg "samples" 3_000 "N" "PUTs.")
+    (let+ samples = int_arg "samples" 3_000 "N" "PUTs." in
+     fun ~seed ->
+       let r = Experiments.Exp_raft.run ~seed ~samples () in
+       outcome
+         [
+           J.Obj
+             [
+               ("row", J.Str "table6");
+               ("client_p50_us", J.Float r.client_p50_us);
+               ("client_p99_us", J.Float r.client_p99_us);
+               ("leader_p50_us", J.Float r.leader_p50_us);
+               ("leader_p99_us", J.Float r.leader_p99_us);
+               ("puts", J.Int r.puts);
+               ("errors", J.Int r.errors);
+             ];
+           J.Obj
+             [
+               ("row", J.Str "sharded_baseline");
+               ( "detail",
+                 Experiments.Kv_runner.to_json
+                   (Experiments.Kv_runner.run ~seed (Workload.Traffic_spec.kv_chaos ~seed None))
+               );
+             ];
+         ]
+         ~report:
+           (Printf.sprintf
+              "replicated PUT: client p50=%.1f p99=%.1f us; leader commit p50=%.1f p99=%.1f \
+               us (%d puts, %d errors)\n"
+              r.client_p50_us r.client_p99_us r.leader_p50_us r.leader_p99_us r.puts r.errors))
 
 let masstree =
   entry ~name:"masstree" ~doc:"§7.2: Masstree over eRPC" ~benchmark:"masstree" ~unit:"us"
-    ~params:(fun workers -> [ ("workers", J.Bool workers) ])
-    (fun ~seed workers ->
-      let r = Experiments.Exp_masstree.run ~seed ~workers () in
-      outcome
-        [
-          J.Obj
-            [
-              ("gets_per_sec_m", J.Float r.gets_per_sec_m);
-              ("get_p50_us", J.Float r.get_p50_us);
-              ("get_p99_us", J.Float r.get_p99_us);
-              ("scan_p99_us", J.Float r.scan_p99_us);
-            ];
-        ])
-    Arg.(value & opt bool true & info [ "workers" ] ~docv:"BOOL" ~doc:"Run scans in workers.")
+    (let+ workers = bool_arg "workers" true "Run scans in workers." in
+     fun ~seed ->
+       let r = Experiments.Exp_masstree.run ~seed ~workers () in
+       outcome
+         [
+           J.Obj
+             [
+               ("gets_per_sec_m", J.Float r.gets_per_sec_m);
+               ("get_p50_us", J.Float r.get_p50_us);
+               ("get_p99_us", J.Float r.get_p99_us);
+               ("scan_p99_us", J.Float r.scan_p99_us);
+             ];
+         ])
 
 (* A seeded suite's report: each run's report (plus its fault trace with
    --trace), then the clean count; each run's violations, tagged. *)
@@ -343,52 +375,45 @@ let suite ~pp ~tag_of ~violations_of ~trace_of ~verbose runs =
       (fun r -> List.map (Printf.sprintf "%s: %s" (tag_of r)) (violations_of r))
       bad )
 
+let verbose_arg doc = unrecorded Arg.(value & flag & info [ "trace" ] ~doc)
+
 let chaos =
   let module C = Experiments.Chaos in
   entry ~name:"chaos"
     ~doc:"Fault-injection chaos suite: invariants under seeded fault schedules"
     ~benchmark:"chaos" ~unit:"runs"
-    ~params:(fun (seeds, events, requests, _, jobs) ->
-      [
-        ("seeds", J.Int seeds);
-        ("events", J.Int events);
-        ("requests", J.Int requests);
-        ("jobs", J.Int jobs);
-      ])
-    (fun ~seed (seeds, events, requests, verbose, jobs) ->
-      let runs = C.run_suite ~seed ~seeds ~events ~requests ~jobs () in
-      let report, violations =
-        suite ~pp:C.pp_run ~verbose runs
-          ~tag_of:(fun (r : C.run_result) -> Printf.sprintf "seed %Ld" r.seed)
-          ~violations_of:(fun r -> r.violations)
-          ~trace_of:(fun r -> r.trace)
-      in
-      outcome ~violations
-        (List.map
-           (fun (r : C.run_result) ->
-             J.Obj
-               [
-                 ("seed", J.Int (Int64.to_int r.seed));
-                 ("issued", J.Int r.issued);
-                 ("ok", J.Int r.ok);
-                 ("failed", J.Int r.failed);
-                 ("injected", J.Int r.injected);
-                 ("fault_kinds", J.Int r.fault_kinds);
-                 ("retransmits", J.Int r.retransmits);
-                 ("session_resets", J.Int r.session_resets);
-                 ("rx_corrupt", J.Int r.rx_corrupt);
-                 ("violations", J.Arr (List.map (fun v -> J.Str v) r.violations));
-                 ("trace_digest", J.Str (Digest.to_hex (Digest.string r.trace)));
-               ])
-           runs)
-        ~report)
-    Term.(
-      const (fun s e r v j -> (s, e, r, v, j))
-      $ int_arg "seeds" 20 "N" "Seeded schedules to run."
-      $ int_arg "events" 12 "N" "Fault events per schedule."
-      $ int_arg "requests" 120 "N" "RPCs issued per run."
-      $ flag_arg "trace" "Print the full event trace."
-      $ jobs_arg)
+    (let+ seeds = int_arg "seeds" 20 "N" "Seeded schedules to run."
+     and+ events = int_arg "events" 12 "N" "Fault events per schedule."
+     and+ requests = int_arg "requests" 120 "N" "RPCs issued per run."
+     and+ verbose = verbose_arg "Print the full event trace."
+     and+ jobs = jobs_arg in
+     fun ~seed ->
+       let runs = C.run_suite ~seed ~seeds ~events ~requests ~jobs () in
+       let report, violations =
+         suite ~pp:C.pp_run ~verbose runs
+           ~tag_of:(fun (r : C.run_result) -> Printf.sprintf "seed %Ld" r.seed)
+           ~violations_of:(fun r -> r.violations)
+           ~trace_of:(fun r -> r.trace)
+       in
+       outcome ~violations
+         (List.map
+            (fun (r : C.run_result) ->
+              J.Obj
+                [
+                  ("seed", J.Int (Int64.to_int r.seed));
+                  ("issued", J.Int r.issued);
+                  ("ok", J.Int r.ok);
+                  ("failed", J.Int r.failed);
+                  ("injected", J.Int r.injected);
+                  ("fault_kinds", J.Int r.fault_kinds);
+                  ("retransmits", J.Int r.retransmits);
+                  ("session_resets", J.Int r.session_resets);
+                  ("rx_corrupt", J.Int r.rx_corrupt);
+                  ("violations", J.Arr (List.map (fun v -> J.Str v) r.violations));
+                  ("trace_digest", J.Str (Digest.to_hex (Digest.string r.trace)));
+                ])
+            runs)
+         ~report)
 
 (* Every KV entry sweeps its (seed, scenario) runs through the one
    runner, report and row. *)
@@ -409,44 +434,31 @@ let kv_chaos =
       "Replicated-KV failover chaos: availability timeline, tail latency and exactly-once \
        invariants under leader crashes, partitions and rolling restarts"
     ~benchmark:"kv_chaos" ~unit:"us"
-    ~params:(fun (seeds, _, jobs) -> [ ("seeds", J.Int seeds); ("jobs", J.Int jobs) ])
-    (fun ~seed (seeds, verbose, jobs) ->
-      kv_suite ~verbose ~jobs (Workload.Traffic_spec.kv_chaos_suite ~seed ~seeds))
-    Term.(
-      const (fun s v j -> (s, v, j))
-      $ int_arg "seeds" 20 "N" "Seeded fault schedules to run."
-      $ flag_arg "trace" "Print each run's fault trace."
-      $ jobs_arg)
+    (let+ seeds = int_arg "seeds" 20 "N" "Seeded fault schedules to run."
+     and+ verbose = verbose_arg "Print each run's fault trace."
+     and+ jobs = jobs_arg in
+     fun ~seed -> kv_suite ~verbose ~jobs (Workload.Traffic_spec.kv_chaos_suite ~seed ~seeds))
 
 let cluster_load =
-  let names = List.map fst Workload.Traffic_spec.builtin in
+  let scenarios = List.map fst Workload.Traffic_spec.builtin in
   entry ~name:"cluster-load"
     ~doc:
       "Multi-tenant open-loop traffic (Poisson/bursty/hot-key-shift tenants over KV + echo) \
        with per-tenant P50/P99/P99.9 SLOs and P99 tail attribution"
     ~benchmark:"cluster_load" ~unit:"us"
-    ~params:(fun (scenario, scale, horizon_ms, jobs) ->
-      [
-        ("scenario", J.Str scenario);
-        ("scale", J.Float scale);
-        ("horizon_ms", J.Float horizon_ms);
-        ("jobs", J.Int jobs);
-      ])
-    (fun ~seed (scenario, scale, horizon_ms, jobs) ->
-      kv_suite ~verbose:false ~jobs
-        (List.map
-           (fun n -> (seed, Option.get (Workload.Traffic_spec.of_name ~scale ~horizon_ms n)))
-           (if scenario = "all" then names else [ scenario ])))
-    Term.(
-      const (fun s sc h j -> (s, sc, h, j))
-      $ Arg.(
-          value
-          & opt (enum (List.map (fun n -> (n, n)) ("all" :: names))) "all"
-          & info [ "scenario" ] ~docv:"NAME"
-              ~doc:("Scenario: " ^ String.concat "|" ("all" :: names) ^ "."))
-      $ float_arg "scale" 1.0 "F" "Population scale factor on tenant source counts."
-      $ float_arg "horizon-ms" 100.0 "MS" "Measured open-loop window per scenario."
-      $ jobs_arg)
+    (let+ scenario =
+       enum_arg "scenario"
+         (names ("all" :: scenarios))
+         "all" "NAME"
+         ("Scenario: " ^ String.concat "|" ("all" :: scenarios) ^ ".")
+     and+ scale = float_arg "scale" 1.0 "F" "Population scale factor on tenant source counts."
+     and+ horizon_ms = float_arg "horizon-ms" 100.0 "MS" "Measured open-loop window per scenario."
+     and+ jobs = jobs_arg in
+     fun ~seed ->
+       kv_suite ~verbose:false ~jobs
+         (List.map
+            (fun n -> (seed, Option.get (Workload.Traffic_spec.of_name ~scale ~horizon_ms n)))
+            (if scenario = "all" then scenarios else [ scenario ])))
 
 let shm_bench =
   let module S = Experiments.Exp_shm_bench in
@@ -455,76 +467,70 @@ let shm_bench =
       "Intra-host serialize-vs-share benchmark: payload sweep over the shared-memory rings \
        with crossover, anatomy-zero and determinism checks"
     ~benchmark:"shm" ~unit:"ns"
-    ~params:(fun samples -> [ ("samples", J.Int samples) ])
-    (fun ~seed samples ->
-      let r = S.run ~seed ~samples () in
-      outcome ~violations:r.violations
-        ~report:(Format.asprintf "%a" S.pp_result r)
-        (List.map S.row_json r.rows))
-    (int_arg "samples" 24 "N" "Sequential RPCs per (payload, mode) cell.")
+    (let+ samples = int_arg "samples" 24 "N" "Sequential RPCs per (payload, mode) cell." in
+     fun ~seed ->
+       let r = S.run ~seed ~samples () in
+       outcome ~violations:r.violations
+         ~report:(Format.asprintf "%a" S.pp_result r)
+         (List.map S.row_json r.rows))
 
 let anatomy =
   let transports = [ ("raw_eth", `Raw_eth); ("rdma_rc", `Rdma_rc); ("shm", `Shm) ] in
   entry ~name:"anatomy"
     ~doc:"Latency anatomy: decompose quiet-network RPC latency into components"
     ~benchmark:"anatomy" ~unit:"ns"
-    ~params:(fun (samples, req_size, typed, backend, transport) ->
-      [
-        ("samples", J.Int samples);
-        ("size", J.Int req_size);
-        ("typed", J.Bool typed);
-        ("backend", J.Str (if backend = Codec.Flat then "flat" else "compact"));
-        ("transport", J.Str transport);
-      ])
-    (fun ~seed (samples, req_size, typed, backend, transport) ->
-      let results =
-        List.map
-          (fun (name, tp) ->
-            ( name,
-              (Experiments.Exp_anatomy.run ~seed ~samples ~req_size ~typed ~backend ~transport:tp
-                 ())
-                .breakdowns ))
-          (if transport = "all" then transports
-           else [ (transport, List.assoc transport transports) ])
-      in
-      outcome
-        ~report:
-          (String.concat ""
-             (List.map
-                (fun (name, breakdowns) ->
-                  Format.asprintf "transport %s:@.%a" name Obs.Anatomy.pp_table breakdowns)
-                results))
-        (List.concat_map
-           (fun (name, breakdowns) ->
-             List.map
-               (fun (b : Obs.Anatomy.breakdown) ->
-                 J.Obj
-                   (("transport", J.Str name)
-                   :: ("req", J.Int b.req)
-                   :: ("total_ns", J.Int b.total_ns)
-                   :: List.map
-                        (fun (label, v) -> (label, J.Int v))
-                        (Obs.Anatomy.components b)))
-               breakdowns)
-           results))
-    Term.(
-      const (fun s r t b tp -> (s, r, t, b, tp))
-      $ int_arg "samples" 32 "N" "Sequential RPCs to sample."
-      $ int_arg "size" 32 "BYTES" "Request size."
-      $ flag_arg "typed" "Issue typed (schema-carrying) echoes so ser/deser appear."
-      $ Arg.(
-          value
-          & opt (enum [ ("compact", Codec.Compact); ("flat", Codec.Flat) ]) Codec.Compact
-          & info [ "backend" ] ~docv:"B" ~doc:"Codec backend for --typed (compact|flat).")
-      $ Arg.(
-          value
-          & opt
-              (enum (List.map (fun n -> (n, n)) [ "raw_eth"; "rdma_rc"; "shm"; "all" ]))
-              "raw_eth"
-          & info [ "transport" ] ~docv:"T"
-              ~doc:
-                "Datapath: raw_eth|rdma_rc|shm, or all to run the three-transport anatomy in \
-                 one command."))
+    (refusing
+       (let+ samples = int_arg "samples" 32 "N" "Sequential RPCs to sample."
+        and+ req_size = int_arg "size" 32 "BYTES" "Request size."
+        and+ typed = flag_arg "typed" "Issue typed (schema-carrying) echoes so ser/deser appear."
+        and+ backend =
+          enum_arg "backend"
+            [ ("compact", Codec.Compact); ("flat", Codec.Flat) ]
+            Codec.Compact "B" "Codec backend for --typed (compact|flat)."
+        and+ transport =
+          enum_arg "transport"
+            (names [ "raw_eth"; "rdma_rc"; "shm"; "all" ])
+            "raw_eth" "T"
+            "Datapath: raw_eth|rdma_rc|shm, or all to run the three-transport anatomy in one \
+             command."
+        and+ trace_out = trace_out_arg in
+        if transport = "all" && trace_out <> None then
+          Error "--trace-out traces one transport; pick raw_eth, rdma_rc or shm, not all"
+        else
+          Ok
+            (fun ~seed ->
+              traced trace_out (fun trace ->
+                  let results =
+                    List.map
+                      (fun (name, tp) ->
+                        ( name,
+                          (Experiments.Exp_anatomy.run ~seed ?trace ~samples ~req_size ~typed
+                             ~backend ~transport:tp ())
+                            .breakdowns ))
+                      (if transport = "all" then transports
+                       else [ (transport, List.assoc transport transports) ])
+                  in
+                  outcome
+                    ~report:
+                      (String.concat ""
+                         (List.map
+                            (fun (name, breakdowns) ->
+                              Format.asprintf "transport %s:@.%a" name Obs.Anatomy.pp_table
+                                breakdowns)
+                            results))
+                    (List.concat_map
+                       (fun (name, breakdowns) ->
+                         List.map
+                           (fun (b : Obs.Anatomy.breakdown) ->
+                             J.Obj
+                               (("transport", J.Str name)
+                               :: ("req", J.Int b.req)
+                               :: ("total_ns", J.Int b.total_ns)
+                               :: List.map
+                                    (fun (label, v) -> (label, J.Int v))
+                                    (Obs.Anatomy.components b)))
+                           breakdowns)
+                       results)))))
 
 let codec_bench =
   let module C = Experiments.Exp_codec_bench in
@@ -533,64 +539,49 @@ let codec_bench =
       "Typed-codec cost: encode/decode ns/op, modeled charge, and simulated Mrps per backend x \
        schema"
     ~benchmark:"codec" ~unit:"ns/op"
-    ~params:(fun (iters, measure_ms) ->
-      [ ("iters", J.Int iters); ("measure_ms", J.Float measure_ms) ])
-    (fun ~seed (iters, measure_ms) ->
-      let rows = C.run ~seed ~iters ~measure_ms () in
-      outcome
-        ~host:[ ("ns_per_op", J.Arr (List.map C.host_json rows)) ]
-        ~report:(Format.asprintf "%a" C.pp_table rows)
-        (List.map C.row_json rows))
-    Term.(
-      const (fun i m -> (i, m))
-      $ int_arg "iters" 100_000 "N" "Wall-clock encode/decode iterations per row."
-      $ float_arg "measure-ms" 2.0 "MS" "Simulated measurement window per row.")
+    (let+ iters = int_arg "iters" 100_000 "N" "Wall-clock encode/decode iterations per row."
+     and+ measure_ms = float_arg "measure-ms" 2.0 "MS" "Simulated measurement window per row." in
+     fun ~seed ->
+       let rows = C.run ~seed ~iters ~measure_ms () in
+       outcome
+         ~host:[ ("ns_per_op", J.Arr (List.map C.host_json rows)) ]
+         ~report:(Format.asprintf "%a" C.pp_table rows)
+         (List.map C.row_json rows))
 
 let session_scale =
   let module S = Experiments.Exp_session_scale in
   entry ~name:"session-scale"
     ~doc:"Fig. 7: one Rpc serving up to 20,000 sessions at constant per-session state"
     ~benchmark:"session_scale" ~unit:"Mrps"
-    ~params:(fun (sessions, sweep, measure_ms, window) ->
-      [
-        ("sessions", J.Int sessions);
-        ("sweep", J.Bool sweep);
-        ("measure_ms", J.Float measure_ms);
-        ("window", J.Int window);
-      ])
-    (fun ~seed (sessions, sweep, measure_ms, window) ->
-      let rs =
-        if sweep then S.sweep ~seed ~window ~measure_ms ()
-        else [ S.run ~seed ~window ~measure_ms ~sessions () ]
-      in
-      outcome
-        ~host:[ ("cpu_s", J.Arr (List.map (fun (r : S.result) -> J.Float r.cpu_s) rs)) ]
-        (List.map
-           (fun (r : S.result) ->
-             J.Obj
-               [
-                 ("sessions", J.Int r.sessions);
-                 ("completed", J.Int r.completed);
-                 ("mrps", J.Float r.mrps);
-                 ("lat_p50_us", J.Float r.lat_p50_us);
-                 ("lat_p99_us", J.Float r.lat_p99_us);
-                 ("events", J.Int r.events);
-               ])
-           rs))
-    Term.(
-      const (fun s sw m w -> (s, sw, m, w))
-      $ int_arg "sessions" 20_000 "N" "Sessions to open."
-      $ flag_arg "sweep" "Sweep 100..20,000 sessions instead."
-      $ float_arg "measure-ms" 2.0 "MS" "Measured window."
-      $ int_arg "window" 64 "N" "Requests in flight.")
+    (let+ sessions = int_arg "sessions" 20_000 "N" "Sessions to open."
+     and+ sweep = flag_arg "sweep" "Sweep 100..20,000 sessions instead."
+     and+ measure_ms = float_arg "measure-ms" 2.0 "MS" "Measured window."
+     and+ window = int_arg "window" 64 "N" "Requests in flight." in
+     fun ~seed ->
+       let rs =
+         if sweep then S.sweep ~seed ~window ~measure_ms ()
+         else [ S.run ~seed ~window ~measure_ms ~sessions () ]
+       in
+       outcome
+         ~host:[ ("cpu_s", J.Arr (List.map (fun (r : S.result) -> J.Float r.cpu_s) rs)) ]
+         (List.map
+            (fun (r : S.result) ->
+              J.Obj
+                [
+                  ("sessions", J.Int r.sessions);
+                  ("completed", J.Int r.completed);
+                  ("mrps", J.Float r.mrps);
+                  ("lat_p50_us", J.Float r.lat_p50_us);
+                  ("lat_p99_us", J.Float r.lat_p99_us);
+                  ("events", J.Int r.events);
+                ])
+            rs))
 
 let rdma_scalability =
   entry ~name:"rdma-scalability" ~doc:"Figure 1: RDMA read rate vs connection count"
     ~benchmark:"rdma_read_rate" ~unit:"Mops"
-    ~params:(fun connections -> [ ("connections", J.Int connections) ])
-    (fun ~seed connections ->
-      outcome [ J.Obj (read_rate_fields ~seed connections) ])
-    (int_arg "connections" 5_000 "N" "Connections per NIC.")
+    (let+ connections = int_arg "connections" 5_000 "N" "Connections per NIC." in
+     fun ~seed -> outcome [ J.Obj (read_rate_fields ~seed connections) ])
 
 (* {2 paper}
 
@@ -887,16 +878,19 @@ module Paper = struct
 end
 
 let paper =
-  let names = List.map fst Paper.sections in
+  let sections = List.map fst Paper.sections in
   entry ~name:"paper"
     ~doc:"The paper's tables and figures (§6-§7), measured beside the values it reports"
     ~benchmark:"paper" ~unit:"mixed"
-    ~params:(fun section -> [ ("section", J.Str section) ])
-    (fun ~seed section -> outcome ((List.assoc section Paper.sections) ~seed))
-    Arg.(
-      required
-      & pos 0 (some (enum (List.map (fun n -> (n, n)) names))) None
-      & info [] ~docv:"SECTION" ~doc:("Section: " ^ String.concat "|" names ^ "."))
+    (let+ section =
+       recorded "section"
+         (fun s -> J.Str s)
+         Arg.(
+           required
+           & pos 0 (some (enum (names sections))) None
+           & info [] ~docv:"SECTION" ~doc:("Section: " ^ String.concat "|" sections ^ "."))
+     in
+     fun ~seed -> outcome ((List.assoc section Paper.sections) ~seed))
 
 let entries =
   [
@@ -918,83 +912,9 @@ let entries =
     paper;
   ]
 
-(* {2 trace}
-
-   Not an experiment: it re-runs one with event tracing on and writes the
-   Chrome/Perfetto trace to --out, so it reuses the shared flags but
-   reports no envelope. *)
-
-let trace =
-  let run exp out capacity seed degree warmup_ms measure_ms =
-    let out = Option.value out ~default:"trace.json" in
-    let tr = Obs.Trace.create ~capacity () in
-    (match exp with
-    | `Incast ->
-        let r =
-          Experiments.Exp_incast.run ~seed ~trace:tr ~degree ~warmup_ms ~measure_ms ~cc:true ()
-        in
-        Printf.printf "incast degree=%d: %.1f Gbps, buffer peak %d kB, %d retransmits\n" r.degree
-          r.total_gbps
-          (r.switch_buffer_peak_bytes / 1024)
-          r.retransmits
-    | `Rate ->
-        let c = Transport.Cluster.cx4 ~nodes:11 () in
-        let r =
-          Experiments.Exp_small_rate.run ~seed ~trace:tr ~cluster:c ~batch:3 ~measure_ms ()
-        in
-        Printf.printf "rate: %.2f Mrps/thread\n" r.per_thread_mrps
-    | `Bandwidth ->
-        let p =
-          Experiments.Exp_bandwidth.erpc_goodput ~seed ~trace:tr ~requests:4
-            ~req_size:(1024 * 1024) ()
-        in
-        Printf.printf "bandwidth: %.1f Gbps\n" p.goodput_gbps
-    | `Anatomy ->
-        let r = Experiments.Exp_anatomy.run ~seed ~trace:tr () in
-        Format.printf "%a" Obs.Anatomy.pp_table r.breakdowns);
-    Obs.Trace.write_chrome_file tr out;
-    if not (J.validate (In_channel.with_open_bin out In_channel.input_all)) then begin
-      Printf.eprintf "error: %s is not well-formed JSON\n" out;
-      exit 1
-    end;
-    let by_cat = Hashtbl.create 16 in
-    Obs.Trace.iter tr (fun e ->
-        Hashtbl.replace by_cat e.cat
-          (1 + Option.value ~default:0 (Hashtbl.find_opt by_cat e.cat)));
-    List.iter
-      (fun (c, n) -> Printf.printf "  %-8s %d events\n" c n)
-      (List.sort compare (Hashtbl.fold (fun c n acc -> (c, n) :: acc) by_cat []));
-    Printf.printf "wrote %s: %d events (%d evicted), valid JSON\n" out (Obs.Trace.length tr)
-      (Obs.Trace.dropped tr)
-  in
-  let exp =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("incast", `Incast);
-               ("rate", `Rate);
-               ("bandwidth", `Bandwidth);
-               ("anatomy", `Anatomy);
-             ])
-          `Incast
-      & info [ "exp" ] ~docv:"NAME" ~doc:"Experiment to trace.")
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:"Run an experiment with event tracing on and write a Chrome/Perfetto trace")
-    Term.(
-      const run $ exp $ out_arg
-      $ int_arg "capacity" (1 lsl 20) "N" "Trace ring capacity (events)."
-      $ seed_arg
-      $ int_arg "degree" 10 "N" "Incast degree."
-      $ float_arg "warmup-ms" 5.0 "MS" "Warmup window."
-      $ float_arg "measure-ms" 5.0 "MS" "Measured window.")
-
 let main () =
   let info =
     Cmd.info "erpc_sim" ~version:"1.0"
       ~doc:"Run eRPC-reproduction experiments with open parameters"
   in
-  exit (Cmd.eval (Cmd.group info (trace :: List.map command entries)))
+  exit (Cmd.eval (Cmd.group info (List.map command entries)))

@@ -4,9 +4,11 @@ type result = {
   retransmits : int;
 }
 
-let run ?seed ?config ?cost ?trace ?(window = 60) ?(measure_ms = 4.0)
-    ?(per_batch_cost_ns = 0) ?(payload = Harness.Echo { req_size = 32; resp_size = 32 })
-    ~(cluster : Transport.Cluster.t) ~batch () =
+(* [cost] and [per_batch_cost_ns] (charged to each client once per batch)
+   model the FaSST baseline's leaner datapath; eRPC runs use neither. *)
+let run_mesh ?seed ?config ?cost ?trace ?(window = 60) ?(measure_ms = 4.0) ~per_batch_cost_ns
+    ?(payload = Harness.Echo { req_size = 32; resp_size = 32 }) ~(cluster : Transport.Cluster.t)
+    ~batch () =
   let register nx =
     match payload with
     | Harness.Echo { resp_size; _ } -> Harness.register_echo ~resp_size nx
@@ -45,6 +47,8 @@ let run ?seed ?config ?cost ?trace ?(window = 60) ?(measure_ms = 4.0)
     retransmits = Harness.sum_stats d (fun s -> s.Erpc.Rpc_stats.retransmits);
   }
 
+let run = run_mesh ?cost:None ~per_batch_cost_ns:0
+
 (* FaSST is specialized: no congestion control, no large-message or
    generality machinery. We model that as eRPC with CC off and a leaner
    datapath cost profile (measured FaSST costs are lower per packet since
@@ -68,7 +72,7 @@ let run_fasst ?seed ?measure_ms ~(cluster : Transport.Cluster.t) ~batch () =
   in
   (* FaSST rings one doorbell per batch of B requests; the fixed cost
      amortizes with B, which is why its rate grows with batch size. *)
-  run ?seed ~config ~cost:(fasst_cost cluster) ?measure_ms ~per_batch_cost_ns:210 ~cluster
+  run_mesh ?seed ~config ~cost:(fasst_cost cluster) ?measure_ms ~per_batch_cost_ns:210 ~cluster
     ~batch ()
 
 let factor_analysis ?seed () =

@@ -18,11 +18,9 @@ type result = {
 val run :
   ?seed:int64 ->
   ?config:Erpc.Config.t ->
-  ?cost:Erpc.Cost_model.t ->
   ?trace:Obs.Trace.t ->
   ?window:int ->
   ?measure_ms:float ->
-  ?per_batch_cost_ns:int ->
   ?payload:Harness.payload ->
   cluster:Transport.Cluster.t ->
   batch:int ->

@@ -26,7 +26,7 @@ type result = {
   events : int;
   cpu_s : float;
   wall_s : float;
-  minor_words_per_event : float;
+  minor_words_per_event : float option;
   peak_heap_mb : float;
   violations : string list;
 }
@@ -37,7 +37,9 @@ let digest rows = Digest.to_hex (Digest.string (Obs.Json.to_string (Obs.Json.Arr
 let run ~wall_clock ?(rerun = false) (e : _ entry) ~seed p =
   Gc.full_major ();
   let w0 = Gc.minor_words () and c0 = Sys.time () and t0 = wall_clock () in
-  let outcome, census = Sim.Engine.counting (fun () -> e.run ~seed p) in
+  let outcome, ({ census; off_domain } : Sim.Engine.counted) =
+    Sim.Engine.counting (fun () -> e.run ~seed p)
+  in
   let wall_s = wall_clock () -. t0 and cpu_s = Sys.time () -. c0 in
   let words = Gc.minor_words () -. w0 in
   let peak_heap_mb =
@@ -48,7 +50,9 @@ let run ~wall_clock ?(rerun = false) (e : _ entry) ~seed p =
   let rerun_violations =
     if not rerun then []
     else
-      let again, census2 = Sim.Engine.counting (fun () -> e.run ~seed p) in
+      let again, ({ census = census2; _ } : Sim.Engine.counted) =
+        Sim.Engine.counting (fun () -> e.run ~seed p)
+      in
       let d2 = digest again.rows in
       (if d2 <> d then [ Printf.sprintf "%s: rerun digest %s <> %s" e.name d2 d ] else [])
       @
@@ -67,7 +71,11 @@ let run ~wall_clock ?(rerun = false) (e : _ entry) ~seed p =
     events;
     cpu_s;
     wall_s;
-    minor_words_per_event = (if events > 0 then words /. float_of_int events else 0.);
+    (* [words] counts this domain's allocations only: a ratio to events
+       that other domains ran would fall with --jobs. *)
+    minor_words_per_event =
+      (if off_domain then None
+       else Some (if events > 0 then words /. float_of_int events else 0.));
     peak_heap_mb;
     violations = outcome.violations @ rerun_violations;
   }
@@ -87,7 +95,8 @@ let envelope r =
       ("events_by_layer", Obj (List.map (fun (l, n) -> (l, Int n)) r.census));
       ("cpu_s", Float r.cpu_s);
       ("wall_s", Float r.wall_s);
-      ("minor_words_per_event", Float r.minor_words_per_event);
+      ( "minor_words_per_event",
+        match r.minor_words_per_event with Some w -> Float w | None -> Null );
       ("peak_heap_mb", Float r.peak_heap_mb);
       ("host_cores", Int (Domain.recommended_domain_count ()));
       ("violations", Arr (List.map (fun v -> Str v) r.violations));

@@ -38,7 +38,10 @@ type result = {
   events : int;  (** sum of [census] *)
   cpu_s : float;  (** process CPU seconds ([Sys.time]; sums across domains) *)
   wall_s : float;  (** elapsed real seconds, read from the caller's clock *)
-  minor_words_per_event : float;  (** this domain's minor-heap words per event *)
+  minor_words_per_event : float option;
+      (** this domain's minor-heap words per event; [None] (written [null])
+          when the run created an engine on another domain, whose
+          allocations this domain's counter does not see *)
   peak_heap_mb : float;
       (** the process's largest major heap so far, in MiB
           ([Gc.quick_stat]'s [top_heap_words]) *)

@@ -1,8 +1,7 @@
-(** Minimal JSON builder and validator (no external dependency).
+(** Minimal JSON builder (no external dependency).
 
-    The builder renders deterministically: object fields in the order
-    given, floats via ["%.6g"]. The validator is a strict recursive-descent
-    check used by tests and the [erpc_sim trace] smoke step. *)
+    It renders deterministically: object fields in the order given, floats
+    via ["%.6g"]. *)
 
 type t =
   | Null
@@ -19,7 +18,3 @@ val escape_to : Buffer.t -> string -> unit
 
 val float_repr : float -> string
 (** Deterministic JSON number rendering of a float. *)
-
-val validate : string -> bool
-(** [validate s] is true iff [s] is one complete, well-formed JSON value
-    (surrounding whitespace allowed). *)

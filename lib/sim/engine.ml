@@ -46,7 +46,8 @@ let register t layer f =
 let handler t ~layer f = register t (layer_index layer) f
 
 (* The census arrays of the engines created inside {!counting}, from any
-   domain. Engines are created once per run, so a mutex costs nothing. *)
+   domain, each with the domain that created it. Engines are created once
+   per run, so a mutex costs nothing. *)
 let counting_on = Atomic.make false
 let counted = ref []
 let counted_lock = Mutex.create ()
@@ -65,7 +66,7 @@ let create ?(seed = 42L) () =
     }
   in
   if Atomic.get counting_on then
-    Mutex.protect counted_lock (fun () -> counted := t.by_layer :: !counted);
+    Mutex.protect counted_lock (fun () -> counted := (Domain.self (), t.by_layer) :: !counted);
   let q = t.queue in
   ignore (register t closure_layer (fun _ -> (Timing_wheel.take_ptr q) ()));
   ignore (register t closure_layer unset_handler);
@@ -134,14 +135,21 @@ let census_of by_layer =
   Array.to_list (Array.mapi (fun l name -> (name, by_layer.(l))) layer_names)
 let census t = census_of t.by_layer
 
+type counted = { census : (string * int) list; off_domain : bool }
+
 let counting f =
   if Atomic.exchange counting_on true then invalid_arg "Engine.counting: already counting";
   counted := [];
   let r = Fun.protect ~finally:(fun () -> Atomic.set counting_on false) f in
+  let engines =
+    Mutex.protect counted_lock (fun () ->
+        let l = !counted in
+        counted := [];
+        l)
+  in
   let sum = Array.make n_layers 0 in
-  Mutex.protect counted_lock (fun () ->
-      List.iter (Array.iteri (fun l n -> sum.(l) <- sum.(l) + n)) !counted;
-      counted := []);
-  (r, census_of sum)
+  List.iter (fun (_, by_layer) -> Array.iteri (fun l n -> sum.(l) <- sum.(l) + n) by_layer) engines;
+  let self = Domain.self () in
+  (r, { census = census_of sum; off_domain = List.exists (fun (d, _) -> d <> self) engines })
 
 let pending t = Timing_wheel.length t.queue

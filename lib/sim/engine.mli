@@ -96,11 +96,17 @@ val events_processed : t -> int
     {!events_processed}. *)
 val census : t -> (string * int) list
 
+(** What {!counting} saw of the engines created while its function ran. *)
+type counted = {
+  census : (string * int) list;  (** their summed {!census} *)
+  off_domain : bool;  (** some of them were created on another domain than the caller's *)
+}
+
 (** [counting f] runs [f] and returns its result with the summed
     {!census} of every engine created while it ran, on any domain: the
     census of a whole experiment, however many engines it builds. Calls
     do not nest. *)
-val counting : (unit -> 'a) -> 'a * (string * int) list
+val counting : (unit -> 'a) -> 'a * counted
 
 (** Number of events pending. *)
 val pending : t -> int

@@ -434,29 +434,3 @@ let pop t =
     Some (time, id)
   end
 
-let peek_time t =
-  if is_empty t then None
-  else begin
-    let hm = if t.heap_size > 0 then t.time.(t.heap.(0)) else max_int in
-    let wm = if t.wheel_count > 0 then t.time.(t.head.(wheel_min_slot t)) else max_int in
-    Some (Int.min hm wm)
-  end
-
-let clear t =
-  if t.wheel_count > 0 then begin
-    Array.fill t.head 0 wheel_size nil;
-    Array.fill t.tail 0 wheel_size nil
-  end;
-  Array.fill t.l0 0 l0_words 0;
-  Array.fill t.l1 0 l1_words 0;
-  t.l2 <- 0;
-  t.wheel_count <- 0;
-  t.heap_size <- 0;
-  let n = Array.length t.time in
-  Array.fill t.ptr 0 n (empty ());
-  t.free <- nil;
-  t.popped <- nil;
-  free_range t 0 n;
-  t.base <- Time.zero;
-  t.next_seq <- 0;
-  t.last <- Time.zero

@@ -115,14 +115,6 @@ val take_ptr : 'a t -> 'a
 (** Timestamp of the most recently popped event. *)
 val last_time : 'a t -> Time.t
 
-val peek_time : 'a t -> Time.t option
-
-(** [clear t] drops every pending event and resets the queue to its
-    freshly created state: the window restarts at [Time.zero], tie-break
-    seqs restart at 0 and {!last_time} reads [Time.zero]. The cell arrays
-    keep their capacity. *)
-val clear : 'a t -> unit
-
 val occupied_slots : 'a t -> int
 (** Number of non-empty wheel slots (excludes the overflow heap) — the
     calendar-queue load factor backing the [sim.wheel_occupancy] gauge.

@@ -52,27 +52,6 @@ let test_same_time_fifo () =
   Alcotest.(check (list int)) "t=500 FIFO" expect_500 (at 500);
   check_int "drained" 300 (List.length got)
 
-let test_clear () =
-  let q = Q.create () in
-  for i = 0 to 50 do
-    Q.push q (i * 7) i 0;
-    (* Some far beyond the wheel window, to land in the overflow heap. *)
-    Q.push q ((i * 7) + 1_000_000) i 0
-  done;
-  ignore (Q.pop q);
-  ignore (Q.pop q);
-  check_int "last_time before clear" 7 (Q.last_time q);
-  Q.clear q;
-  Alcotest.(check bool) "empty after clear" true (Q.is_empty q);
-  check_int "last_time reset" 0 (Q.last_time q);
-  check_int "length 0" 0 (Q.length q);
-  check_int "overflow 0" 0 (Q.overflow_length q);
-  Alcotest.(check bool) "no pop" true (Q.pop q = None);
-  (* The queue must be fully usable after clear. *)
-  Q.push q 9 1 0;
-  Q.push q 3 2 0;
-  Alcotest.(check (list (pair int int))) "reusable" [ (3, 2); (9, 1) ] (drain q)
-
 (* The bitmap scan, exhaustively through the public API: for every
    distance [d] the window can hold, the next pop must find a slot [d]
    past the last popped one. [cur] moves on by [d + 1] each round, so the
@@ -640,7 +619,6 @@ let suite =
     Alcotest.test_case "same-time FIFO, with and without arguments" `Quick
       test_same_time_fifo_mixed;
     Alcotest.test_case "wheel occupancy gauge" `Quick test_wheel_occupancy_gauge;
-    Alcotest.test_case "clear semantics" `Quick test_clear;
     Alcotest.test_case "scan every distance" `Quick test_scan_every_distance;
     Alcotest.test_case "pop_if_before" `Quick test_pop_if_before;
     Alcotest.test_case "wheel window boundary" `Quick test_window_boundary;

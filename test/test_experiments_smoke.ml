@@ -132,7 +132,7 @@ let test_cluster_load_smoke () =
     r.tenants;
   check_bool "attribution present" true (r.attribution <> None);
   check_bool "JSON validates" true
-    (Obs.Json.validate
+    (Json_check.validate
        (Obs.Json.to_string (Experiments.Kv_runner.to_json r)))
 
 (* The tail attribution reports how much of the client traffic it saw:

@@ -37,7 +37,7 @@ let test_chrome_export_validates () =
   Obs.Trace.counter tr ~ts:3_000 ~cat:"net" ~name:"queue" ~pid:0
     [ ("bytes", Obs.Trace.I 4096) ];
   let s = Obs.Trace.to_chrome_string tr in
-  check_bool "chrome trace is well-formed JSON" true (Obs.Json.validate s);
+  check_bool "chrome trace is well-formed JSON" true (Json_check.validate s);
   check_bool "ns as fixed-point us" true
     (let sub = {|"ts":1.234|} in
      let rec find i =
@@ -59,13 +59,13 @@ let test_json_builder_and_validator () =
         ])
   in
   let s = Obs.Json.to_string j in
-  check_bool "builder output validates" true (Obs.Json.validate s);
+  check_bool "builder output validates" true (Json_check.validate s);
   check_string "non-finite floats clamp to 0" "0" (Obs.Json.float_repr nan);
   List.iter
-    (fun ok -> check_bool ("valid: " ^ ok) true (Obs.Json.validate ok))
+    (fun ok -> check_bool ("valid: " ^ ok) true (Json_check.validate ok))
     [ "null"; " [1,2,3] "; {|{"a":[{"b":-1.5e-3}]}|}; {|""|}; "[]" ];
   List.iter
-    (fun bad -> check_bool ("invalid: " ^ bad) false (Obs.Json.validate bad))
+    (fun bad -> check_bool ("invalid: " ^ bad) false (Json_check.validate bad))
     [
       "";
       "{";
@@ -236,7 +236,7 @@ let test_anatomy_attribution () =
       check_bool "p50 dominant maximal" true (is_max a.p50_ns a.p50_dominant);
       check_bool "p99 dominant maximal" true (is_max a.p99_ns a.p99_dominant);
       check_bool "attribution JSON validates" true
-        (Obs.Json.validate (Obs.Json.to_string (Obs.Anatomy.attribution_to_json a)))
+        (Json_check.validate (Obs.Json.to_string (Obs.Anatomy.attribution_to_json a)))
 
 let test_trace_digest () =
   let mk () =

@@ -198,7 +198,7 @@ let test_timeline_windows_and_gaps () =
       check_int "w1 fail" 2 fail1
   | _ -> Alcotest.fail "missing windows");
   check_bool "timeline JSON is well-formed" true
-    (Obs.Json.validate (Obs.Json.to_string (Obs.Timeline.to_json tl)))
+    (Json_check.validate (Obs.Json.to_string (Obs.Timeline.to_json tl)))
 
 (* {2 Chaos harness} *)
 
@@ -215,7 +215,7 @@ let test_chaos_run_clean_and_deterministic () =
   check_str "same seed, byte-identical fault trace" r1.trace r2.trace;
   check_int "same seed, same ack count" r1.acked r2.acked;
   let row = Experiments.Kv_runner.to_json r1 in
-  check_bool "run JSON is well-formed" true (Obs.Json.validate (Obs.Json.to_string row));
+  check_bool "run JSON is well-formed" true (Json_check.validate (Obs.Json.to_string row));
   (* kv-chaos runs record no event trace, so the row carries no trace
      digest or attribution coverage, not the empty trace's. *)
   match row with

@@ -133,13 +133,6 @@ let test_event_queue_fifo_ties () =
     | _ -> Alcotest.fail "wrong pop"
   done
 
-let test_event_queue_peek () =
-  let q = Sim.Timing_wheel.create () in
-  check_bool "peek empty" true (Sim.Timing_wheel.peek_time q = None);
-  Sim.Timing_wheel.push q 5 0 0;
-  Sim.Timing_wheel.push q 3 0 0;
-  check_bool "peek min" true (Sim.Timing_wheel.peek_time q = Some 3)
-
 let test_event_queue_interleaved () =
   (* Property: popping after interleaved pushes still yields sorted order. *)
   let prop =
@@ -476,7 +469,6 @@ let suite =
     Alcotest.test_case "rng golden stream" `Quick test_rng_golden;
     Alcotest.test_case "event queue ordering" `Quick test_event_queue_ordering;
     Alcotest.test_case "event queue FIFO ties" `Quick test_event_queue_fifo_ties;
-    Alcotest.test_case "event queue peek" `Quick test_event_queue_peek;
     test_event_queue_interleaved ();
     Alcotest.test_case "engine order" `Quick test_engine_runs_in_order;
     Alcotest.test_case "engine rejects past" `Quick test_engine_schedule_past_raises;

@@ -32,7 +32,11 @@ labels that follow it before the expression ends. A label that only
 forwards the enclosing toplevel function's own optional parameter of the
 same name (`?name`, `~name`, `?name:name`, `~name:name`) counts as passed
 only if that parameter is itself passed. Such a parameter should become
-a constant. Exits 1 if anything is printed.
+a constant. An optional parameter that only call sites inside the val's
+own module pass (directly, or by forwarding a parameter that is itself
+passed only from inside) is printed too: it should leave the .mli, the
+module keeping it on an internal function. Exits 1 if anything is
+printed.
 
     python3 tools/dead_exports.py --no-tests
 
@@ -190,6 +194,8 @@ OPT_DEF = re.compile(r"\?\(?\s*([a-z_][A-Za-z0-9_']*)")
 LOCAL_BIND = re.compile(r"\blet\s+([a-z_][A-Za-z0-9_']*)\s*=\s*$")
 DEFINED = re.compile(r"\b(?:let|and|rec|val)\s+$")
 OPT_VAL = re.compile(r"\?([a-z_][A-Za-z0-9_']*)\s*:")
+NEVER = " is never passed"
+OWN = " is only passed by its own module"
 
 
 def depth_at(text, pos):
@@ -285,7 +291,9 @@ def unpassed_optionals(paths, libs):
             vals[key + (m.group(1),)] = {
                 o.group(1) for o in OPT_VAL.finditer(sig) if depth_at(sig, o.start()) == 0
             }
-    passed, forwards = set(), []
+    # [passed]: some call site passes the label; [outside]: one outside
+    # the val's own module does, directly or through a forward.
+    passed, outside, forwards = set(), set(), []
     for path in paths:
         if not path.endswith(".ml"):
             continue
@@ -301,28 +309,36 @@ def unpassed_optionals(paths, libs):
             for start, top, opts in tops:
                 if start < pos:
                     encl = (top, opts)
+            inside = mod == own[1] and lib in (None, own[0])
             for label, var in call_labels(text, pos):
                 callee = (lib, mod, name, label)
                 if var is not None and encl and label in encl[1]:
-                    forwards.append((callee, own + (encl[0], label)))
+                    forwards.append((callee, own + (encl[0], label), inside))
                 else:
                     passed.add(callee)
+                    if not inside:
+                        outside.add(callee)
 
-    def is_passed(lib, mod, name, label):
-        return (lib, mod, name, label) in passed or (None, mod, name, label) in passed
+    def is_in(found, lib, mod, name, label):
+        return (lib, mod, name, label) in found or (None, mod, name, label) in found
 
     changed = True
     while changed:
         changed = False
-        for (lib, mod, name, label), outer in forwards:
-            if not is_passed(lib, mod, name, label) and is_passed(*outer):
-                passed.add((lib, mod, name, label))
-                changed = True
+        for callee, outer, inside in forwards:
+            for found, reached in (
+                (passed, is_in(passed, *outer)),
+                (outside, is_in(outside, *outer) or (not inside and is_in(passed, *outer))),
+            ):
+                if reached and not is_in(found, *callee):
+                    found.add(callee)
+                    changed = True
     return sorted(
-        "%s/%s.mli: val %s ?%s" % (lib, mod.lower(), name, label)
+        "%s/%s.mli: val %s ?%s%s"
+        % (lib, mod.lower(), name, label, NEVER if not is_in(passed, lib, mod, name, label) else OWN)
         for (lib, mod, name), labels in vals.items()
         for label in labels
-        if not is_passed(lib, mod, name, label)
+        if not is_in(outside, lib, mod, name, label)
     )
 
 
@@ -353,7 +369,7 @@ def unused(dirs):
             files = users.get((lib, mod, name), set()) | users.get((None, mod, name), set())
             if not files - own:
                 dead.append("%s: val %s" % (rel, name))
-    dead += ["lib/" + line + " is never passed" for line in unpassed_optionals(paths, libs)]
+    dead += ["lib/" + line for line in unpassed_optionals(paths, libs)]
     return dead
 
 
@@ -363,7 +379,7 @@ def main():
         test_only = [line for line in unused([d for d in DIRS if d != "test"]) if line not in everywhere]
         for line in test_only:
             print(line)
-        params = sum(line.endswith(" is never passed") for line in test_only)
+        params = sum(line.endswith((NEVER, OWN)) for line in test_only)
         print("%d vals and %d optional parameters only test/ uses" % (len(test_only) - params, params))
         return 0
     if sys.argv[1:]:
