@@ -127,8 +127,7 @@ let build_cluster ?nodes = function
 
 (* --trace-out FILE records the run's events in a trace of default
    capacity and writes it as Chrome/Perfetto JSON. Tracing only observes:
-   rows, digest and census stay the untraced run's, except anatomy's above
-   about 2,259 samples, where its own untraced 2^16-event ring evicts. *)
+   rows, digest and census stay the untraced run's. *)
 let trace_out_arg =
   unrecorded
     Arg.(
@@ -246,7 +245,8 @@ let rate =
               traced trace_out (fun trace ->
                   let r =
                     if fasst then
-                      Experiments.Exp_small_rate.run_fasst ~seed ~cluster:c ~batch ~measure_ms ()
+                      Experiments.Exp_small_rate.run_fasst ~seed ~window ~cluster:c ~batch
+                        ~measure_ms ()
                     else
                       Experiments.Exp_small_rate.run ~seed ?trace ~cluster:c ~window ~batch
                         ~measure_ms ()
@@ -357,76 +357,37 @@ let masstree =
              ];
          ])
 
-(* A seeded suite's report: each run's report (plus its fault trace with
-   --trace), then the clean count; each run's violations, tagged. *)
-let suite ~pp ~tag_of ~violations_of ~trace_of ~verbose runs =
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun r ->
-      Buffer.add_string b (Format.asprintf "%a@." pp r);
-      if verbose then Buffer.add_string b (trace_of r))
-    runs;
-  let bad = List.filter (fun r -> violations_of r <> []) runs in
-  Printf.bprintf b "%d/%d schedules clean\n"
-    (List.length runs - List.length bad)
-    (List.length runs);
-  ( Buffer.contents b,
-    List.concat_map
-      (fun r -> List.map (Printf.sprintf "%s: %s" (tag_of r)) (violations_of r))
-      bad )
-
 let verbose_arg doc = unrecorded Arg.(value & flag & info [ "trace" ] ~doc)
 
-let chaos =
-  let module C = Experiments.Chaos in
-  entry ~name:"chaos"
-    ~doc:"Fault-injection chaos suite: invariants under seeded fault schedules"
-    ~benchmark:"chaos" ~unit:"runs"
-    (let+ seeds = int_arg "seeds" 20 "N" "Seeded schedules to run."
-     and+ events = int_arg "events" 12 "N" "Fault events per schedule."
-     and+ requests = int_arg "requests" 120 "N" "RPCs issued per run."
-     and+ verbose = verbose_arg "Print the full event trace."
-     and+ jobs = jobs_arg in
-     fun ~seed ->
-       let runs = C.run_suite ~seed ~seeds ~events ~requests ~jobs () in
-       let report, violations =
-         suite ~pp:C.pp_run ~verbose runs
-           ~tag_of:(fun (r : C.run_result) -> Printf.sprintf "seed %Ld" r.seed)
-           ~violations_of:(fun r -> r.violations)
-           ~trace_of:(fun r -> r.trace)
-       in
-       outcome ~violations
-         (List.map
-            (fun (r : C.run_result) ->
-              J.Obj
-                [
-                  ("seed", J.Int (Int64.to_int r.seed));
-                  ("issued", J.Int r.issued);
-                  ("ok", J.Int r.ok);
-                  ("failed", J.Int r.failed);
-                  ("injected", J.Int r.injected);
-                  ("fault_kinds", J.Int r.fault_kinds);
-                  ("retransmits", J.Int r.retransmits);
-                  ("session_resets", J.Int r.session_resets);
-                  ("rx_corrupt", J.Int r.rx_corrupt);
-                  ("violations", J.Arr (List.map (fun v -> J.Str v) r.violations));
-                  ("trace_digest", J.Str (Digest.to_hex (Digest.string r.trace)));
-                ])
-            runs)
-         ~report)
-
-(* Every KV entry sweeps its (seed, scenario) runs through the one
-   runner, report and row. *)
+(* Every scenario entry sweeps its (seed, scenario) runs through the one
+   runner, report and row: each run's report (plus its fault trace with
+   --trace), then the clean count; each run's violations, tagged. *)
 let kv_suite ~verbose ~jobs runs =
   let module K = Experiments.Kv_runner in
   let runs = K.sweep ~jobs runs in
-  let report, violations =
-    suite ~pp:K.pp ~verbose runs
-      ~tag_of:(fun (r : K.result) -> Printf.sprintf "seed %Ld %s" r.seed r.scenario)
-      ~violations_of:(fun r -> r.violations)
-      ~trace_of:(fun r -> r.trace)
-  in
-  outcome ~violations ~report (List.map K.to_json runs)
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (r : K.result) ->
+      Buffer.add_string b (Format.asprintf "%a@." K.pp r);
+      if verbose then Buffer.add_string b r.trace)
+    runs;
+  let clean = List.filter (fun (r : K.result) -> r.violations = []) runs in
+  Printf.bprintf b "%d/%d schedules clean\n" (List.length clean) (List.length runs);
+  let tagged (r : K.result) = List.map (Printf.sprintf "seed %Ld %s: %s" r.seed r.scenario) in
+  outcome ~report:(Buffer.contents b) (List.map K.to_json runs)
+    ~violations:(List.concat_map (fun (r : K.result) -> tagged r r.violations) runs)
+
+let chaos =
+  entry ~name:"chaos"
+    ~doc:
+      "Fault-injection chaos suite: echo traffic under seeded fault schedules, with the wire \
+       protocol's invariants audited at quiescence"
+    ~benchmark:"chaos" ~unit:"runs"
+    (let+ seeds = int_arg "seeds" 20 "N" "Seeded schedules to run."
+     and+ verbose = verbose_arg "Print each run's fault trace."
+     and+ jobs = jobs_arg in
+     fun ~seed ->
+       kv_suite ~verbose ~jobs (Workload.Traffic_spec.echo_chaos_suite ~seed ~seeds))
 
 let kv_chaos =
   entry ~name:"kv-chaos"
@@ -475,6 +436,7 @@ let shm_bench =
          (List.map S.row_json r.rows))
 
 let anatomy =
+  let module A = Experiments.Exp_anatomy in
   let transports = [ ("raw_eth", `Raw_eth); ("rdma_rc", `Rdma_rc); ("shm", `Shm) ] in
   entry ~name:"anatomy"
     ~doc:"Latency anatomy: decompose quiet-network RPC latency into components"
@@ -500,17 +462,24 @@ let anatomy =
           Ok
             (fun ~seed ->
               traced trace_out (fun trace ->
-                  let results =
-                    List.map
-                      (fun (name, tp) ->
-                        ( name,
-                          (Experiments.Exp_anatomy.run ~seed ?trace ~samples ~req_size ~typed
-                             ~backend ~transport:tp ())
-                            .breakdowns ))
+                  let run (name, transport) =
+                    (name, A.run ~seed ?trace ~samples ~req_size ~typed ~backend ~transport ())
+                  in
+                  let runs =
+                    List.map run
                       (if transport = "all" then transports
                        else [ (transport, List.assoc transport transports) ])
                   in
-                  outcome
+                  let results =
+                    List.map (fun (name, (r : A.result)) -> (name, r.breakdowns)) runs
+                  in
+                  (* A ring that dropped records lost RPCs from the analysis. *)
+                  let dropped (name, (r : A.result)) =
+                    match Obs.Trace.dropped r.trace with
+                    | 0 -> []
+                    | n -> [ Printf.sprintf "%s: the trace ring dropped %d records" name n ]
+                  in
+                  outcome ~violations:(List.concat_map dropped runs)
                     ~report:
                       (String.concat ""
                          (List.map
@@ -624,7 +593,9 @@ module Paper = struct
     titled "Figure 4: single-core small-RPC rate (Mrps), B requests/batch"
       (List.map
          (fun (batch, paper) ->
-           let fasst = S.run_fasst ~seed ~cluster:(Transport.Cluster.cx3 ()) ~batch () in
+           let fasst =
+             S.run_fasst ~seed ~window:60 ~cluster:(Transport.Cluster.cx3 ()) ~batch ()
+           in
            let erpc_cx3 = S.run ~seed ~cluster:(Transport.Cluster.cx3 ()) ~batch () in
            let erpc_cx4 = S.run ~seed ~cluster:(Transport.Cluster.cx4 ~nodes:11 ()) ~batch () in
            let mrps = List.map (fun (r : S.result) -> r.per_thread_mrps) in

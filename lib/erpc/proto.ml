@@ -959,23 +959,6 @@ let fresh_sn t =
   t.sn_hint <- sn;
   sn
 
-(* Armed RTO timers across all sessions. The chaos harness checks this is
-   zero after quiesce: any armed timer on a completed/failed request is a
-   leak. *)
-let armed_rto_count t =
-  Array.fold_left
-    (fun acc s ->
-      match s with
-      | None -> acc
-      | Some sess ->
-          Array.fold_left
-            (fun acc slot ->
-              match slot with
-              | Some { rto = Some timer; _ } when Sim.Timer.is_armed timer -> acc + 1
-              | _ -> acc)
-            acc sess.slots)
-    0 t.sessions
-
 (* Timely rate updates performed across all sessions, for the
    factor-analysis accounting. *)
 let cc_updates t =

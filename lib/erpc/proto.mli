@@ -112,9 +112,6 @@ val remove_session : t -> int -> unit
 val iter_sessions : t -> (Session.session -> unit) -> unit
 val fresh_sn : t -> int
 
-(** Armed RTO timers across all sessions (zero once quiesced). *)
-val armed_rto_count : t -> int
-
 (** Timely rate updates performed across all sessions. *)
 val cc_updates : t -> int
 

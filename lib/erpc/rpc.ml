@@ -23,8 +23,24 @@ let shm_endpoint t = match t.transport_ with Transport.Iface.Mux m -> Some m | W
 let stats t = t.stats_
 let cc_updates t = Proto.cc_updates t.proto
 let num_sessions t = Proto.n_sessions t.proto
-let armed_rto_count t = Proto.armed_rto_count t.proto
 let set_rtt_probe t probe = Proto.set_rtt_probe t.proto probe
+
+(* Once nothing is in flight, every credit a client session lent out has
+   come back and no slot's retransmission timer is armed. *)
+let audit t =
+  let v = ref [] in
+  Proto.iter_sessions t.proto (fun sess ->
+      let at = Printf.sprintf "host %d rpc %d session sn=%d: " t.host_ t.rpc_id sess.sn in
+      if sess.role = Client && sess.credits <> sess.credit_limit then
+        v := Printf.sprintf "%scredits %d <> limit %d" at sess.credits sess.credit_limit :: !v;
+      Array.iter
+        (function
+          | Some { index; rto = Some timer; _ } when Sim.Timer.is_armed timer ->
+              v := Printf.sprintf "%sslot %d: RTO armed" at index :: !v
+          | _ -> ())
+        sess.slots);
+  List.rev !v
+
 let dead t = Nexus.dead t.nexus_
 let codec_backend t = t.cfg.codec_backend
 

@@ -111,10 +111,13 @@ val stats : t -> Rpc_stats.t
     factor-analysis accounting. *)
 val cc_updates : t -> int
 
-(** Number of currently armed RTO timers across all sessions. Zero once
-    every request has completed or failed — anything else is a timer
-    leak. *)
-val armed_rto_count : t -> int
+(** Protocol audit of a quiescent endpoint, built on {!Proto.iter_sessions}:
+    one line per client session whose [credits] differ from its
+    [credit_limit] (a credit leaked or returned twice), and one per slot
+    whose RTO timer is still armed (a timer leak). Empty once every
+    request has completed or failed; mid-run, in-flight requests hold
+    credits and timers. *)
+val audit : t -> string list
 
 (** Install a probe invoked with every per-packet RTT sample (ns) measured
     at this client — the paper's proxy for switch queue length (§6.5). *)

@@ -18,10 +18,16 @@ let run ?seed ?trace ?(samples = 32) ?(req_size = 32) ?(typed = false)
     | `Shm -> Transport.Cluster.colocate cluster [ [ 0; 1 ] ]
     | `Raw_eth | `Rdma_rc -> cluster
   in
-  let trace =
-    match trace with Some tr -> tr | None -> Obs.Trace.create ~capacity:(1 lsl 16) ()
-  in
   let config = { (Erpc.Config.of_cluster cluster) with codec_backend = backend } in
+  (* Room for every sample: an RPC leaves at most 64 records per request
+     packet (33 for a one-packet typed echo). *)
+  let trace =
+    match trace with
+    | Some tr -> tr
+    | None ->
+        let pkts = max 1 ((req_size + config.mtu - 1) / config.mtu) in
+        Obs.Trace.create ~capacity:(64 * pkts * max 1 samples) ()
+  in
   let config =
     match transport with
     | `Raw_eth | `Shm -> config

@@ -7,7 +7,10 @@
 
 type result = {
   breakdowns : Obs.Anatomy.breakdown list;
-  trace : Obs.Trace.t;  (** the full event trace, exportable to Chrome JSON *)
+  trace : Obs.Trace.t;
+      (** the event trace, exportable to Chrome JSON: the caller's, or a
+          private one sized for [samples]; if it dropped records
+          ({!Obs.Trace.dropped}), [breakdowns] miss the earliest RPCs *)
   predicted_wire_ns : int -> int;
       (** one-direction fabric time for a packet of the given wire size *)
 }

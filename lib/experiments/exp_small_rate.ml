@@ -65,15 +65,15 @@ let fasst_cost (cluster : Transport.Cluster.t) =
     credit_logic = 2;
   }
 
-let run_fasst ?seed ?measure_ms ~(cluster : Transport.Cluster.t) ~batch () =
+let run_fasst ?seed ?measure_ms ~window ~(cluster : Transport.Cluster.t) ~batch () =
   let config =
     let base = Erpc.Config.of_cluster cluster in
     { base with opts = { base.opts with congestion_control = false } }
   in
   (* FaSST rings one doorbell per batch of B requests; the fixed cost
      amortizes with B, which is why its rate grows with batch size. *)
-  run_mesh ?seed ~config ~cost:(fasst_cost cluster) ?measure_ms ~per_batch_cost_ns:210 ~cluster
-    ~batch ()
+  run_mesh ?seed ~config ~cost:(fasst_cost cluster) ~window ?measure_ms ~per_batch_cost_ns:210
+    ~cluster ~batch ()
 
 let factor_analysis ?seed () =
   let cluster = Transport.Cluster.cx4 ~nodes:11 () in

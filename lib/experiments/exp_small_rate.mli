@@ -29,9 +29,16 @@ val run :
 
 (** A FaSST-like specialized RPC baseline: same substrate, congestion
     control off, and a cost model stripped of eRPC's generality (no msgbuf
-    machinery, no CC hooks, no preallocation checks). *)
+    machinery, no CC hooks, no preallocation checks), with [window]
+    requests in flight per thread. *)
 val run_fasst :
-  ?seed:int64 -> ?measure_ms:float -> cluster:Transport.Cluster.t -> batch:int -> unit -> result
+  ?seed:int64 ->
+  ?measure_ms:float ->
+  window:int ->
+  cluster:Transport.Cluster.t ->
+  batch:int ->
+  unit ->
+  result
 
 (** Table 3 factor analysis on CX4 with B=3: optimizations disabled
     cumulatively, in the paper's order, starting with the baseline.

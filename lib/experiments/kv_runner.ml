@@ -35,6 +35,9 @@ type result = {
   raft_drops : int;
   dedup_hits : int;
   restarts : int;
+  retransmits : int;
+  session_resets : int;
+  rx_corrupt : int;
   commit : Stats.Hist.t;
   traced : bool;
   attribution : Obs.Anatomy.attribution option;
@@ -152,6 +155,36 @@ let check_invariants ~fabric ~map ~replicas ~history ~applied add =
       violate "double apply: host=%d inc=%d shard=%d c%d/%d applied %d times" host inc
         shard client_id seq n)
     (List.sort compare dups)
+
+(* An echo tenant's hook: round robin over [endpoints], each buffer pair
+   reused once its request completes. A request whose response can hold it
+   carries its op's id, which the echo must bring back; a second
+   completion is a violation. *)
+let echo_send ~req_type ~req_size ~resp_size endpoints add =
+  let violate fmt = Printf.ksprintf add fmt in
+  let stamped = resp_size >= req_size && req_size >= 4 in
+  let free = ref [] and cursor = ref 0 in
+  fun (op : Obs.Op.t) k ->
+    let ((req, resp) as bufs) =
+      match !free with
+      | b :: rest ->
+          free := rest;
+          b
+      | [] -> (Erpc.Msgbuf.alloc ~max_size:req_size, Erpc.Msgbuf.alloc ~max_size:resp_size)
+    in
+    let rpc, sess = endpoints.(!cursor) in
+    cursor := (!cursor + 1) mod Array.length endpoints;
+    let id = op.id and completed = ref false in
+    if stamped then Erpc.Msgbuf.set_u32 req ~off:0 id;
+    Erpc.Rpc.enqueue_request rpc sess ~req_type ~req ~resp ~cont:(fun r ->
+        if !completed then violate "echo op %d completed twice" id
+        else begin
+          completed := true;
+          if stamped && r = Ok () && Erpc.Msgbuf.get_u32 resp ~off:0 <> id then
+            violate "echo op %d: response carries id %d" id (Erpc.Msgbuf.get_u32 resp ~off:0);
+          free := bufs :: !free;
+          k (Harness.ok_or_failed r)
+        end)
 
 (* {2 Linearizability}
 
@@ -293,12 +326,18 @@ let run ~seed (s : T.scenario) =
   in
   let d = Harness.deploy ~seed ~config ~trace cluster ~threads_per_host:1 in
   let engine = Erpc.Fabric.engine d.fabric in
-  let map =
-    Service.Shard_map.create ~shards:T.kv_shards ~replication:3 ~replica_hosts:l.replica_hosts
+  (* Bootstrap: every shard elects before the measured window opens. A
+     layout without replica hosts carries echo tenants only: no shard map,
+     no replicas, no KV invariants. *)
+  let map, replicas =
+    if l.replica_hosts = [||] then (None, [||])
+    else
+      let replica_hosts = l.replica_hosts in
+      let map = Service.Shard_map.create ~shards:T.kv_shards ~replication:3 ~replica_hosts in
+      let replicas, elected = Harness.start_replicas d ~map in
+      if not elected then violate "bootstrap: not every shard elected a leader";
+      (Some map, replicas)
   in
-  (* Bootstrap: every shard elects before the measured window opens. *)
-  let replicas, elected = Harness.start_replicas d ~map in
-  if not elected then violate "bootstrap: not every shard elected a leader";
   (* Apply observer: counts effective store mutations per incarnation. *)
   let applied = Hashtbl.create 4096 in
   Array.iter
@@ -309,19 +348,6 @@ let run ~seed (s : T.scenario) =
           let n = Option.value ~default:0 (Hashtbl.find_opt applied k) in
           Hashtbl.replace applied k (n + 1)))
     replicas;
-  (* Echo service: one req_type per echo tenant, so each tenant gets its
-     own response size (a 64 kB transfer is acked with 32 B, not echoed). *)
-  List.iteri
-    (fun ti (t : T.tenant) ->
-      match t.service with
-      | Echo { resp_size; _ } ->
-          Array.iter
-            (fun h ->
-              Harness.register_echo ~req_type:(echo_req_type_base + ti) ~resp_size
-                d.nexuses.(h))
-            l.echo_hosts
-      | Kv _ -> ())
-    s.tenants;
   (* The fault trace: fault applications, leader crashes and one line per
      completed KV operation. *)
   let ftrace = Faults.Trace.create () in
@@ -331,6 +357,7 @@ let run ~seed (s : T.scenario) =
   let history = ref [] in
   let t0 = ref 0 in
   let kv_send ti keygen mix deadline_ns =
+    let map = Option.get map in
     let clients =
       Array.mapi
         (fun i h ->
@@ -413,24 +440,27 @@ let run ~seed (s : T.scenario) =
           match t.service with
           | Kv { keygen; mix; deadline_ns } -> (kv_send ti keygen mix deadline_ns, 2)
           | Echo { req_size; resp_size } ->
-              (* Sessions from every client host to every echo server,
-                 taken round robin, so both source and destination
-                 alternate. *)
+              (* One req_type per echo tenant, so each tenant gets its own
+                 response size (a 64 kB transfer is acked with 32 B, not
+                 echoed). Sessions from every client host to every other
+                 echo server, taken round robin, so both source and
+                 destination alternate. *)
+              let req_type = echo_req_type_base + ti in
+              Array.iter
+                (fun h -> Harness.register_echo ~req_type ~resp_size d.nexuses.(h))
+                l.echo_hosts;
               let endpoints =
-                Array.concat
-                  (List.map
+                Array.of_list
+                  (List.concat_map
                      (fun ch ->
                        let rpc = d.rpcs.(ch).(0) in
-                       Array.map
+                       List.map
                          (fun eh ->
                            (rpc, Harness.connect d rpc ~remote_host:eh ~remote_rpc_id:0))
-                         l.echo_hosts)
+                         (List.filter (( <> ) ch) (Array.to_list l.echo_hosts)))
                      (Array.to_list l.client_hosts))
               in
-              ( Harness.erpc_send
-                  ~payload:(Harness.Echo { req_size; resp_size })
-                  ~req_type:(echo_req_type_base + ti) endpoints,
-                1 )
+              (echo_send ~req_type ~req_size ~resp_size endpoints (violate "%s"), 1)
         in
         let timeline = Obs.Timeline.create ~window_ns:s.window_ns ~horizon_ns:s.horizon_ns in
         let drv =
@@ -449,7 +479,7 @@ let run ~seed (s : T.scenario) =
     let h =
       match Array.find_opt (fun r -> Service.Replica.is_leader r ~shard) replicas with
       | Some r -> Service.Replica.host r
-      | None -> (Service.Shard_map.group map ~shard).(0)
+      | None -> (Service.Shard_map.group (Option.get map) ~shard).(0)
     in
     note "crash-leader shard=%d host=%d down_ns=%d" shard h down_ns;
     Erpc.Fabric.crash_host d.fabric h ~down_ns
@@ -477,8 +507,21 @@ let run ~seed (s : T.scenario) =
   Array.iter Service.Replica.stop replicas;
   Sim.Engine.run engine;
   audit "at quiescence";
+  (* The protocol at quiescence: credits home, no RTO armed, and no
+     request handled more often than requests were issued. *)
+  Array.iter
+    (Array.iter (fun rpc -> List.iter (violate "erpc: %s") (Erpc.Rpc.audit rpc)))
+    d.rpcs;
+  let stat = Harness.sum_stats d in
+  let handled = stat (fun s -> s.handled) and rpcs_issued = stat (fun s -> s.issued) in
+  if handled > rpcs_issued then
+    violate "erpc: handlers ran %d times for %d issued requests (at-most-once broken)" handled
+      rpcs_issued;
   let history = List.rev !history in
-  check_invariants ~fabric:d.fabric ~map ~replicas ~history ~applied (violate "%s");
+  Option.iter
+    (fun map ->
+      check_invariants ~fabric:d.fabric ~map ~replicas ~history ~applied (violate "%s"))
+    map;
   List.iter (violate "%s") (linearizability_violations history);
   let reports =
     List.map
@@ -489,6 +532,9 @@ let run ~seed (s : T.scenario) =
            successes is a real outage. *)
         if whole.issued > 0 && whole.ok = 0 then
           violate "tenant %s: issued %d operations, none succeeded" t.tname whole.issued;
+        if whole.ok + whole.failed <> whole.issued then
+          violate "tenant %s: issued %d operations, %d completed" t.tname whole.issued
+            (whole.ok + whole.failed);
         {
           tname = t.tname;
           service = (match t.service with Kv _ -> "kv" | Echo _ -> "echo");
@@ -531,6 +577,9 @@ let run ~seed (s : T.scenario) =
     raft_drops = sum Service.Replica.raft_drops;
     dedup_hits = sum Service.Replica.dedup_hits;
     restarts = sum Service.Replica.restarts;
+    retransmits = stat (fun s -> s.retransmits);
+    session_resets = stat (fun s -> s.session_resets);
+    rx_corrupt = stat (fun s -> s.rx_corrupt);
     commit = Harness.merged (Array.map Service.Replica.commit_latencies replicas);
     traced = s.traced;
     attribution = Obs.Anatomy.attribute breakdowns;
@@ -578,10 +627,10 @@ let tags_text a = String.concat "/" (Array.to_list (Array.map string_of_int a))
 let pp fmt r =
   Format.fprintf fmt
     "seed=%Ld %s: issued=%d acked=%d failed=%d drops=%d dedup=%d restarts=%d commit \
-     p50=%.1fus p99=%.1fus gaps=%d(max %.0fms); %d events"
+     p50=%.1fus p99=%.1fus gaps=%d(max %.0fms) retx=%d resets=%d corrupt=%d; %d events"
     r.seed r.scenario r.issued r.acked r.failed r.raft_drops r.dedup_hits r.restarts
     (Harness.us_at r.commit 50.) (Harness.us_at r.commit 99.) (gap_windows r)
-    (longest_gap_ms r) r.events;
+    (longest_gap_ms r) r.retransmits r.session_resets r.rx_corrupt r.events;
   if r.traced then
     Format.fprintf fmt ", %d RPCs analyzed of %d issued (coverage %.3f)" r.analyzed_rpcs
       r.issued_rpcs (coverage r);
@@ -691,6 +740,9 @@ let to_json r =
       ("raft_drops", Obs.Json.Int r.raft_drops);
       ("dedup_hits", Obs.Json.Int r.dedup_hits);
       ("restarts", Obs.Json.Int r.restarts);
+      ("retransmits", Obs.Json.Int r.retransmits);
+      ("session_resets", Obs.Json.Int r.session_resets);
+      ("rx_corrupt", Obs.Json.Int r.rx_corrupt);
       ("commit_p50_us", Obs.Json.Float (Harness.us_at r.commit 50.));
       ("commit_p99_us", Obs.Json.Float (Harness.us_at r.commit 99.));
       ("gap_windows", Obs.Json.Int (gap_windows r));

@@ -1,14 +1,28 @@
-(** The one runner, report and row behind every replicated-KV experiment
-    (cluster-load, kv-chaos and Table 6's sharded baseline).
+(** The one runner, report and row behind every scenario experiment:
+    cluster-load, kv-chaos, the echo-chaos suite behind [erpc_sim chaos]
+    and Table 6's sharded baseline.
 
     [run ~seed scenario] deploys the scenario's {!Workload.Traffic_spec.layout}
     on a CX4 two-tier cluster (4 Raft shards x 3-way replication on the
-    replica hosts, echo servers beside them), waits for every shard to
-    elect, installs the scenario's fault plan, then drives its tenants
-    open-loop through {!Harness.driver} for the horizon plus the settle
-    window, stops the replicas and drains the engine. It then audits the
-    fabric ({!Netsim.Network.audit}, also at the horizon on an untraced
-    run) and checks the service invariants on every run:
+    replica hosts, if it has any; echo servers beside them), waits for
+    every shard to elect, installs the scenario's fault plan, then drives
+    its tenants open-loop through {!Harness.driver} for the horizon plus
+    the settle window, stops the replicas and drains the engine. It then
+    audits the fabric ({!Netsim.Network.audit}, also at the horizon on an
+    untraced run) and checks, on every run, the wire protocol's
+    invariants:
+
+    - every client session's credits are back at its credit limit, and
+      no RTO timer is armed ({!Erpc.Rpc.audit}, on every Rpc);
+    - at most once: handlers ran no more often than requests were
+      issued, summed over every Rpc;
+    - every tenant's operations each completed exactly once
+      (issued = ok + failed, and no echo completes twice), and a tenant
+      that issued operations had one succeed;
+    - an echo whose response holds its whole request returns the
+      operation's id intact;
+
+    and, on a layout with replicas, the service's:
 
     - no acknowledged write lost: every client-acked (client id, seq) is
       in the committed log of {e all} its group's replicas;
@@ -17,8 +31,7 @@
     - convergence: per group, equal commit indexes, byte-equal committed
       logs, fully applied, and every replica's store byte-equal to a
       dedup-replay of the committed log;
-    - every replica host is up and every tenant that issued operations
-      had one succeed;
+    - every replica host is up;
     - the KV history is linearizable ({!linearizability_violations}).
 
     Determinism: the same seed reproduces the byte-identical fault trace
@@ -66,6 +79,9 @@ type result = {
   raft_drops : int;  (** Raft sends suppressed while peers were down *)
   dedup_hits : int;  (** duplicate submissions/entries suppressed *)
   restarts : int;  (** replica crash-restart cycles observed *)
+  retransmits : int;  (** go-back-N rollbacks, summed over every Rpc *)
+  session_resets : int;  (** sessions reset by bounded retransmission, over every Rpc *)
+  rx_corrupt : int;  (** packets dropped for a failed checksum, over every Rpc *)
   commit : Stats.Hist.t;  (** leader commit latency, all groups merged *)
   traced : bool;
       (** whether the run recorded its event trace; [attribution],
@@ -113,7 +129,8 @@ val sweep : jobs:int -> (int64 * Workload.Traffic_spec.scenario) list -> result 
 val coverage : result -> float
 
 (** The run's report: a line of scenario totals (KV counters, commit
-    latency, availability gaps over the KV tenants, event count, a traced
+    latency, availability gaps over the KV tenants, the protocol
+    counters, event count, a traced
     run's attribution coverage, PASS or FAIL), then per tenant its
     whole-run and steady-state tallies (a KV tenant also its GET and PUT
     percentiles apart and its phase tags), the tail attribution of a
@@ -121,7 +138,8 @@ val coverage : result -> float
 val pp : Format.formatter -> result -> unit
 
 (** The run's row. Per scenario: seed, KV issued/acked/failed, the Raft
-    counters, commit P50/P99, [gap_windows] (summed) and [longest_gap_ms]
+    counters, [retransmits], [session_resets] and [rx_corrupt], commit
+    P50/P99, [gap_windows] (summed) and [longest_gap_ms]
     over the KV tenants, the fault trace's digest [trace_digest], the
     event trace's [digest], [events], [analyzed_rpcs], [issued_rpcs],
     [coverage], [attribution] and [violations]. An untraced run writes

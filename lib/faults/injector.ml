@@ -9,7 +9,6 @@ type t = {
   mutable dup_active : float list;
   mutable reorder_active : (float * int) list;
   jitter_active : (int, int list) Hashtbl.t;
-  mutable injected : int;
 }
 
 let create ?(trace = Trace.create ()) fabric =
@@ -24,11 +23,8 @@ let create ?(trace = Trace.create ()) fabric =
     dup_active = [];
     reorder_active = [];
     jitter_active = Hashtbl.create 8;
-    injected = 0;
   }
 
-let trace t = t.trace
-let injected t = t.injected
 let note t msg = Trace.record t.trace ~at_ns:(Sim.Engine.now t.engine) msg
 let after t d f = Sim.Engine.schedule_after t.engine d f
 
@@ -88,7 +84,6 @@ let refresh_jitter t host =
   Netsim.Network.set_host_extra_delay t.net ~host (List.fold_left Stdlib.max 0 extras)
 
 let apply t (ev : Schedule.event) =
-  t.injected <- t.injected + 1;
   note t ("inject " ^ Schedule.fault_to_string ev.fault);
   match ev.fault with
   | Link_down { host; down_ns } ->

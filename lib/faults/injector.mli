@@ -20,7 +20,4 @@ val create : ?trace:Trace.t -> Erpc.Fabric.t -> t
 (** Schedule every event of the fault schedule, relative to now. *)
 val install : t -> Schedule.t -> unit
 
-val trace : t -> Trace.t
 
-(** Schedule events applied so far. *)
-val injected : t -> int

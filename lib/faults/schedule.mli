@@ -3,7 +3,7 @@
     A schedule is data, not behavior — the {!Injector} compiles it into
     simulator events against a deployment. Keeping the two separate makes
     schedules printable, comparable and generatable from a seed, which is
-    what the chaos harness's determinism contract is built on. *)
+    what the chaos suites' determinism contract is built on. *)
 
 type fault =
   | Link_down of { host : int; down_ns : int }

@@ -14,11 +14,6 @@ let create () = Obs.Trace.create ~capacity:(1 lsl 16) ()
 let record t ~at_ns msg =
   Obs.Trace.instant t ~ts:at_ns ~cat:"faults" ~name:msg ~pid:0 ~tid:0 []
 
-let length t =
-  let n = ref 0 in
-  Obs.Trace.iter t (fun e -> if e.cat = "faults" then incr n);
-  !n
-
 let to_string t =
   let buf = Buffer.create 1024 in
   Obs.Trace.iter t (fun e ->

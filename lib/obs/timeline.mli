@@ -1,7 +1,7 @@
 (** Availability timeline: fixed-width time windows counting operation
     outcomes, with a latency histogram per window.
 
-    The chaos harnesses use this to answer "was the service up *through*
+    The scenario runner uses this to answer "was the service up *through*
     the fault?" rather than only "did it recover?": each completed
     operation is bucketed by completion time into a window (10 ms by
     default), and every window reports successes, failures, and P50/P99

@@ -63,8 +63,8 @@ val dedup_hits : t -> int
 val restarts : t -> int
 
 (** Observer invoked on every *effective* store application (duplicates
-    excluded), with the incarnation that performed it — chaos harnesses
-    use it to prove no write applies twice within an incarnation. *)
+    excluded), with the incarnation that performed it — the scenario
+    runner uses it to prove no write applies twice within an incarnation. *)
 val set_on_apply :
   t -> (shard:int -> incarnation:int -> client_id:int -> seq:int -> unit) -> unit
 

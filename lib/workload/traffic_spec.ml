@@ -291,3 +291,49 @@ let kv_chaos_suite ~seed ~seeds =
   List.init seeds (fun i ->
       let seed = Int64.add (Int64.sub seed 42L) (Int64.of_int (40_000 + (104_729 * i))) in
       (seed, kv_chaos ~seed (Some plans.(i mod Array.length plans))))
+
+(* {2 echo-chaos} *)
+
+(* Draw a schedule that actually mixes fault kinds: a handful of events
+   over nine kinds occasionally collapses onto two or three, which would
+   leave recovery paths untested. The retry is a deterministic function of
+   the seed, so reruns stay reproducible. *)
+let pick_schedule ~seed ~horizon_ns ~events ~hosts ~tors =
+  let rec go s tries =
+    let sched = Faults.Schedule.random ~seed:s ~horizon_ns ~events ~hosts ~tors in
+    if Faults.Schedule.num_kinds sched >= 4 || tries = 0 then sched
+    else go (Int64.add s 1_000_003L) (tries - 1)
+  in
+  go seed 100
+
+let echo_chaos ~seed =
+  let ops = 120 and horizon_ns = ms 45.0 and settle_ns = ms 15.0 in
+  let schedule =
+    pick_schedule ~seed ~horizon_ns:(horizon_ns + settle_ns) ~events:12 ~hosts:10 ~tors:5
+  in
+  (* kv-chaos's ten hosts, each both echo server and client. *)
+  let all = Array.init chaos_layout.nodes Fun.id in
+  {
+    sname = "echo-chaos";
+    layout = { chaos_layout with replica_hosts = [||]; echo_hosts = all; client_hosts = all };
+    tenants =
+      [
+        {
+          tname = "echo";
+          sources = 1;
+          arrival = Every (horizon_ns / ops);
+          service = Echo { req_size = 32; resp_size = 32 };
+          max_outstanding = ops;
+        };
+      ];
+    horizon_ns;
+    window_ns = ms 5.0;
+    settle_ns;
+    traced = true;
+    faults = List.map (fun e -> Scheduled e) schedule;
+  }
+
+let echo_chaos_suite ~seed ~seeds =
+  List.init seeds (fun i ->
+      let seed = Int64.add (Int64.sub seed 42L) (Int64.of_int (1_000 + (7_919 * i))) in
+      (seed, echo_chaos ~seed))

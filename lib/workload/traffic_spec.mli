@@ -136,3 +136,23 @@ val kv_chaos : seed:int64 -> chaos_plan option -> scenario
     [40000 + 104729 i + (seed - 42)] and cycles through the four plans in
     the order above, so seed 42 gives the suite's historical runs. *)
 val kv_chaos_suite : seed:int64 -> seeds:int -> (int64 * scenario) list
+
+(** {2 echo-chaos: the wire protocol under random fault schedules}
+
+    One echo tenant on a traced 10-host layout without replicas, where
+    every host is both echo server and client: 120 32 B/32 B echoes, one
+    every 375 us over 45 ms, each with its own slot, round robin over
+    every (client, other host) session. The fault plan is
+    {!Faults.Schedule.random}'s 12 events over the 60 ms of horizon and
+    settle window, across the 10 hosts and 5 ToRs; a schedule mixing
+    fewer than 4 fault kinds is redrawn from the seed plus 1,000,003, up
+    to 100 times. *)
+
+(** [echo_chaos ~seed] is the scenario "echo-chaos" with [seed]'s fault
+    plan. *)
+val echo_chaos : seed:int64 -> scenario
+
+(** [echo_chaos_suite ~seed ~seeds]: run [i] has seed
+    [1000 + 7919 i + (seed - 42)], so seed 42 gives the suite's
+    historical schedules. *)
+val echo_chaos_suite : seed:int64 -> seeds:int -> (int64 * scenario) list

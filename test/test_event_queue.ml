@@ -399,22 +399,16 @@ let test_same_time_fifo_mixed () =
 
 (* {2 Whole-simulator properties} *)
 
-(* Event order on a full chaos run is pinned by its trace digest, captured
-   when the engine could still run on the binheap oracle and shown
-   byte-identical between the two. A scheduler change that reorders any
-   event — same-time ties included — changes this digest. The event count
-   fell from 4011 to 3352 when the switch's cut-through latency moved onto
-   the links that feed it (one event per switch traversal instead of two),
-   from 3352 to 2436 when ports began computing departures in closed form
-   (one event per packet hop instead of two), and to 2176 when the NIC
-   took a packet's future entry time directly instead of through a
-   deferred-post event; the trace digest did not change any time. *)
+(* Event order on a full chaos run is pinned by its event-trace digest: a
+   scheduler change that reorders any event — same-time ties included —
+   changes it. The event count moves with any change to how many events a
+   packet costs. *)
 let test_chaos_golden_digest () =
-  let r = Experiments.Chaos.run_one ~seed:4242L () in
-  Alcotest.(check string)
-    "trace digest" "a1553404991d49dd9e4aed4d746357cd"
-    (Digest.to_hex (Digest.string r.Experiments.Chaos.trace));
-  check_int "event count" 2176 r.events;
+  let r =
+    Experiments.Kv_runner.run ~seed:4242L (Workload.Traffic_spec.echo_chaos ~seed:4242L)
+  in
+  Alcotest.(check string) "event-trace digest" "a23e67281a5da1c2" r.digest;
+  check_int "event count" 2495 r.events;
   Alcotest.(check (list string)) "no invariant violations" [] r.violations
 
 (* Closed-loop echo: 3 client hosts, one session each to a fourth host,

@@ -25,7 +25,9 @@ let test_small_rate_band () =
 let test_fasst_faster_than_erpc () =
   let cluster = Transport.Cluster.cx3 () in
   let erpc = Experiments.Exp_small_rate.run ~measure_ms:1.0 ~cluster ~batch:11 () in
-  let fasst = Experiments.Exp_small_rate.run_fasst ~measure_ms:1.0 ~cluster ~batch:11 () in
+  let fasst =
+    Experiments.Exp_small_rate.run_fasst ~measure_ms:1.0 ~window:60 ~cluster ~batch:11 ()
+  in
   check_bool "specialized system leads at large B" true
     (fasst.per_thread_mrps > erpc.per_thread_mrps)
 

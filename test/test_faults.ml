@@ -216,11 +216,35 @@ let test_bounded_retx_resets_session () =
   check_bool "retransmit count bounded" true
     ((Erpc.Rpc.stats client).Erpc.Rpc_stats.retransmits < Erpc.Config.max_retransmits);
   check_int "one session reset" 1 ((Erpc.Rpc.stats client).Erpc.Rpc_stats.session_resets);
-  check_int "no leaked RTO timers" 0 (Erpc.Rpc.armed_rto_count client);
+  Alcotest.(check (list string)) "protocol audit clean" [] (Erpc.Rpc.audit client);
   check_int "credits restored" sess.Erpc.Session.credit_limit sess.Erpc.Session.credits;
   (* Buffers are back with the application. *)
   Erpc.Msgbuf.write_string req ~off:0 "mine";
   Erpc.Msgbuf.write_string resp ~off:0 "mine"
+
+(* The protocol audit is clean on a quiet endpoint and names what is
+   out of place: a session whose credit went missing, and an armed RTO
+   while a request is in flight. *)
+let test_audit_names_session () =
+  let fabric, client, _server = make_pair () in
+  let _quiet = connect fabric client in
+  let sess = connect fabric client in
+  Alcotest.(check (list string)) "quiet endpoint: clean" [] (Erpc.Rpc.audit client);
+  let limit = sess.Erpc.Session.credit_limit in
+  sess.credits <- limit - 1;
+  let at = Printf.sprintf "host 0 rpc 0 session sn=%d: " sess.Erpc.Session.sn in
+  let credits_line = Printf.sprintf "%scredits %d <> limit %d" at in
+  Alcotest.(check (list string)) "the session missing a credit, named"
+    [ credits_line (limit - 1) limit ]
+    (Erpc.Rpc.audit client);
+  sess.credits <- limit;
+  Netsim.Network.set_host_link (Erpc.Fabric.net fabric) ~host:1 false;
+  let req = Erpc.Msgbuf.alloc ~max_size:32 and resp = Erpc.Msgbuf.alloc ~max_size:32 in
+  Erpc.Rpc.enqueue_request client sess ~req_type:echo ~req ~resp ~cont:(fun _ -> ());
+  run fabric 0.1;
+  Alcotest.(check (list string)) "in flight: a credit out, the RTO armed"
+    [ credits_line (limit - 1) limit; at ^ "slot 0: RTO armed" ]
+    (Erpc.Rpc.audit client)
 
 let test_retx_warning_counter () =
   let fabric, client, _server = make_pair () in
@@ -264,7 +288,7 @@ let test_crash_restart_peer_unreachable () =
     (!done_at - issued_at <= (Erpc.Config.max_retransmits * cfg.rto_ns) + cfg.rto_ns);
   check_bool "host is back up" false (Erpc.Fabric.host_dead fabric 1);
   check_int "restarted server lost its sessions" 0 (Erpc.Rpc.num_sessions server);
-  check_int "no leaked RTO timers" 0 (Erpc.Rpc.armed_rto_count client)
+  Alcotest.(check (list string)) "protocol audit clean" [] (Erpc.Rpc.audit client)
 
 let test_crash_fails_local_pending () =
   let fabric, client, _server = make_pair () in
@@ -283,7 +307,7 @@ let test_crash_fails_local_pending () =
   check_int "all continuations ran" 4 (List.length !results);
   check_bool "all failed" true (List.for_all Result.is_error !results);
   check_int "crashed client wiped its sessions" 0 (Erpc.Rpc.num_sessions client);
-  check_int "no leaked RTO timers" 0 (Erpc.Rpc.armed_rto_count client)
+  Alcotest.(check (list string)) "protocol audit clean" [] (Erpc.Rpc.audit client)
 
 let test_crash_restart_new_session_works () =
   let fabric, client, _server = make_pair () in
@@ -313,7 +337,8 @@ let test_injector_refcounts_overlapping_faults () =
   let fabric = Erpc.Fabric.create cluster in
   let net = Erpc.Fabric.net fabric in
   let engine = Erpc.Fabric.engine fabric in
-  let inj = Faults.Injector.create fabric in
+  let trace = Faults.Trace.create () in
+  let inj = Faults.Injector.create ~trace fabric in
   (* Two overlapping link-down windows: the link must come back only when
      the *second* one expires. *)
   Faults.Injector.install inj
@@ -330,8 +355,10 @@ let test_injector_refcounts_overlapping_faults () =
   check_bool "down inside first window" false up_at.(0);
   check_bool "still down after first window expires" false up_at.(1);
   check_bool "up after the overlapping window expires" true up_at.(2);
-  check_bool "trace recorded injections and reversions" true
-    (Faults.Trace.length (Faults.Injector.trace inj) >= 4)
+  Alcotest.(check string) "trace recorded injections and reversions"
+    "1000 inject link_down host=0 down=10000\n5000 inject link_down host=0 down=20000\n\
+     11000 restore link host=0\n25000 restore link host=0\n"
+    (Faults.Trace.to_string trace)
 
 let test_schedule_random_is_deterministic () =
   let gen () =
@@ -361,6 +388,7 @@ let suite =
     Alcotest.test_case "partition heals" `Quick test_partition_heals;
     Alcotest.test_case "bounded retx resets session" `Quick test_bounded_retx_resets_session;
     Alcotest.test_case "retx warning counter" `Quick test_retx_warning_counter;
+    Alcotest.test_case "protocol audit names the session" `Quick test_audit_names_session;
     Alcotest.test_case "crash+restart -> peer unreachable" `Quick
       test_crash_restart_peer_unreachable;
     Alcotest.test_case "crash fails local pending" `Quick test_crash_fails_local_pending;

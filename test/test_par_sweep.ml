@@ -19,35 +19,28 @@ let forced_domains =
 (* {2 Par_sweep: jobs=1 vs jobs=N equality for the replication suites} *)
 
 (* Each side runs twice, so "both deterministic" checks same-seed trace
-   identity within a side before the sides are compared. *)
+   identity within a side before the sides are compared. The kv-chaos
+   runs and the echo-chaos ones behind [erpc_sim chaos] go through the
+   same sweep. *)
 let test_chaos_jobs_equality () =
-  let run jobs =
-    List.map
-      (fun (r : Experiments.Chaos.run_result) -> (r.seed, r.trace))
-      (Experiments.Chaos.run_suite ~seeds:5 ~jobs ())
-  in
-  let s1 = run 1 and sn = run forced_domains in
-  check_int "same run count" (List.length s1) (List.length sn);
-  check_bool "both deterministic" true (s1 = run 1 && sn = run forced_domains);
-  List.iter2
-    (fun (seed, a) (_, b) ->
-      check_string (Printf.sprintf "seed %Ld: identical trace" seed) a b)
-    s1 sn
-
-let test_kv_chaos_jobs_equality () =
-  let run jobs =
-    List.map
-      (fun (r : Experiments.Kv_runner.result) -> (r.seed, r.trace))
-      (Experiments.Kv_runner.sweep ~jobs
-         (Workload.Traffic_spec.kv_chaos_suite ~seed:42L ~seeds:5))
-  in
-  let s1 = run 1 and sn = run forced_domains in
-  check_int "same run count" (List.length s1) (List.length sn);
-  check_bool "both deterministic" true (s1 = run 1 && sn = run forced_domains);
-  List.iter2
-    (fun (seed, a) (_, b) ->
-      check_string (Printf.sprintf "seed %Ld: identical trace" seed) a b)
-    s1 sn
+  List.iter
+    (fun runs ->
+      let run jobs =
+        List.map
+          (fun (r : Experiments.Kv_runner.result) -> (r.seed, r.trace ^ r.digest))
+          (Experiments.Kv_runner.sweep ~jobs runs)
+      in
+      let s1 = run 1 and sn = run forced_domains in
+      check_int "same run count" (List.length s1) (List.length sn);
+      check_bool "both deterministic" true (s1 = run 1 && sn = run forced_domains);
+      List.iter2
+        (fun (seed, a) (_, b) ->
+          check_string (Printf.sprintf "seed %Ld: identical trace" seed) a b)
+        s1 sn)
+    [
+      Workload.Traffic_spec.kv_chaos_suite ~seed:42L ~seeds:5;
+      Workload.Traffic_spec.echo_chaos_suite ~seed:42L ~seeds:5;
+    ]
 
 let test_cluster_load_jobs_equality () =
   List.iter
@@ -183,10 +176,8 @@ let test_par_sweep_engine_tasks () =
 
 let suite =
   [
-    Alcotest.test_case "chaos suite identical under --jobs (5 seeds)" `Quick
+    Alcotest.test_case "kv-chaos and chaos suites identical under --jobs (5 seeds)" `Quick
       test_chaos_jobs_equality;
-    Alcotest.test_case "kv-chaos suite identical under --jobs (5 seeds)" `Quick
-      test_kv_chaos_jobs_equality;
     Alcotest.test_case "cluster-load identical under --jobs (5 seeds)" `Quick
       test_cluster_load_jobs_equality;
     Alcotest.test_case "Par_sweep order and exception plumbing" `Quick

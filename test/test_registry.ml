@@ -21,7 +21,7 @@ let tiny =
     ("scalability", [ "--nodes"; "4" ]);
     ("raft", [ "--samples"; "20" ]);
     ("masstree", []);
-    ("chaos", [ "--seeds"; "2"; "--requests"; "20"; "--jobs"; "2" ]);
+    ("chaos", [ "--seeds"; "2"; "--jobs"; "2" ]);
     ("kv-chaos", [ "--seeds"; "1" ]);
     ("codec-bench", [ "--iters"; "100"; "--measure-ms"; "0.2" ]);
     ("session-scale", [ "--sessions"; "50"; "--measure-ms"; "0.2" ]);
@@ -83,7 +83,7 @@ let tiny_params =
     ("scalability", {|{"nodes":4,"threads":1}|});
     ("raft", {|{"samples":20}|});
     ("masstree", {|{"workers":true}|});
-    ("chaos", {|{"seeds":2,"events":12,"requests":20,"jobs":2}|});
+    ("chaos", {|{"seeds":2,"jobs":2}|});
     ("kv-chaos", {|{"seeds":1,"jobs":1}|});
     ("codec-bench", {|{"iters":100,"measure_ms":0.2}|});
     ("session-scale", {|{"sessions":50,"sweep":false,"measure_ms":0.2,"window":64}|});
@@ -106,7 +106,7 @@ let test_params () =
     tiny_params;
   (* Flags that only shape the report are not recorded. *)
   Alcotest.(check string) "chaos --trace: not a param"
-    {|{"seeds":2,"events":12,"requests":120,"jobs":1}|}
+    {|{"seeds":2,"jobs":1}|}
     (params_json "chaos" [ "--seeds"; "2"; "--trace" ]);
   Alcotest.(check string) "incast --trace-out: not a param"
     {|{"degree":20,"credits":32,"cc":true,"warmup_ms":20,"measure_ms":30}|}
@@ -184,7 +184,7 @@ let test_minor_words_jobs () =
     match find "chaos" with
     | Erpc_cli.Entry (e, term) ->
         R.run ~wall_clock:Sys.time e ~seed:42L
-          (parse "chaos" term [ "--seeds"; "2"; "--requests"; "20"; "--jobs"; jobs ])
+          (parse "chaos" term [ "--seeds"; "2"; "--jobs"; jobs ])
   in
   let one = chaos "1" and two = chaos "2" in
   Alcotest.(check string) "same digest" one.digest two.digest;

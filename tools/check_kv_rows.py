@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Check KV result envelopes against the one KV row schema.
+"""Check scenario result envelopes against the one Kv_runner row schema.
 
     python3 tools/check_kv_rows.py --rows N [--traced] ENVELOPE...
 
-Each ENVELOPE is written by `erpc_sim kv-chaos|cluster-load --out FILE`;
-every row is a `Kv_runner.to_json` row. The check fails (exit 1) unless,
-in every envelope:
-- the benchmark is kv_chaos or cluster_load;
+Each ENVELOPE is written by `erpc_sim chaos|kv-chaos|cluster-load --out
+FILE`; every row is a `Kv_runner.to_json` row. The check fails (exit 1)
+unless, in every envelope:
+- the benchmark is chaos, kv_chaos or cluster_load;
 - there are exactly N rows, and neither the envelope nor any row has a
   violation;
 - every row has exactly the row keys below, and every tenant the tenant
@@ -16,9 +16,9 @@ in every envelope:
   within the whole run's counts.
 With --traced every row must also carry a hex event-trace digest, a
 coverage and a tail attribution with some component's P99 above zero
-(cluster-load runs record the event trace). Without it every row must
-write null for those and for analyzed_rpcs (kv-chaos runs record no
-event trace).
+(chaos and cluster-load runs record the event trace). Without it every
+row must write null for those and for analyzed_rpcs (kv-chaos runs
+record no event trace).
 """
 
 import argparse
@@ -27,7 +27,8 @@ import re
 
 ROW_KEYS = [
     "scenario", "seed", "horizon_ns", "issued", "acked", "failed",
-    "raft_drops", "dedup_hits", "restarts", "commit_p50_us", "commit_p99_us",
+    "raft_drops", "dedup_hits", "restarts", "retransmits", "session_resets",
+    "rx_corrupt", "commit_p50_us", "commit_p99_us",
     "gap_windows", "longest_gap_ms", "trace_digest", "digest", "events",
     "analyzed_rpcs", "issued_rpcs", "coverage", "tenants", "attribution",
     "violations",
@@ -42,7 +43,7 @@ KV_KEYS = ["get_p50_us", "get_p99_us", "put_p50_us", "put_p99_us", "get_hits", "
 
 def check(path, nrows, traced):
     d = json.load(open(path))
-    assert d["benchmark"] in ("kv_chaos", "cluster_load"), (path, d["benchmark"])
+    assert d["benchmark"] in ("chaos", "kv_chaos", "cluster_load"), (path, d["benchmark"])
     assert d["violations"] == [], (path, d["violations"])
     rows = d["rows"]
     assert len(rows) == nrows, (path, [r["scenario"] for r in rows])

@@ -19,11 +19,14 @@ through its module:
 - a local open, `Mod.( ... name ... )`, then bare `name` inside the
   parentheses.
 
-Comments and string literals are ignored. A path whose qualifier is a
-library name must name the value's own library; module names shared by
-two libraries (`Trace`, `Wire`) are otherwise told apart only by that
-prefix. Prints each unused value: such a value should be deleted, or
-dropped from the interface when its module uses it internally.
+A record field label reached through its module (`{ Mod.name = e }`,
+`{ Mod.name; _ }`, `{ r with Mod.name = e }`) is not a use of a val of
+that name. Comments and string literals are ignored. A path whose
+qualifier is a library name must name the value's own library; module
+names shared by two libraries (`Trace`, `Wire`) are otherwise told apart
+only by that prefix. Prints each unused value: such a value should be
+deleted, or dropped from the interface when its module uses it
+internally.
 
 It also prints every optional parameter (`?name:` in the val's type) of
 a `lib/**/*.mli` val that no call site passes. A call site is a use as
@@ -162,13 +165,39 @@ def opens(text):
     return out
 
 
+FIELD_BEFORE = re.compile(r"(?:[{;]|\bwith)\s*$")
+FIELD_AFTER = re.compile(r"\s*(?:[;}:]|=(?!=))")
+
+
+def is_field(text, m):
+    """Whether the qualified name matched at [m] is a record field label:
+    it follows `{`, `;` or `with` directly inside braces, and `=`, `;`,
+    `:` or `}` follows it."""
+    if not (FIELD_BEFORE.search(text, max(0, m.start() - 40), m.start())
+            and FIELD_AFTER.match(text, m.end())):
+        return False
+    depth, i = 0, m.start() - 1
+    while i >= 0:
+        c = text[i]
+        if c in ")]}":
+            depth += 1
+        elif c in "([{":
+            if depth == 0:
+                return c == "{"
+            depth -= 1
+        i -= 1
+    return False
+
+
 def uses(text, libs):
     """(lib or None, module, name) triples the stripped source refers to."""
     resolve = resolver(text, libs)
     found = set()
-    for path, name in QUALIFIED.findall(text):
-        for lib, mod in resolve(path):
-            found.add((lib, mod, name))
+    for m in QUALIFIED.finditer(text):
+        if is_field(text, m):
+            continue
+        for lib, mod in resolve(m.group(1)):
+            found.add((lib, mod, m.group(2)))
     for start, end, path in opens(text):
         names = IDENT.findall(text[start:end])
         for lib, mod in resolve(path):
@@ -253,6 +282,8 @@ def sites(text, libs, own, own_names):
     through a module, and bare uses of [own]'s toplevel [own_names]."""
     resolve = resolver(text, libs)
     for m in QUALIFIED.finditer(text):
+        if is_field(text, m):
+            continue
         for lib, mod in resolve(m.group(1)):
             yield lib, mod, m.group(2), m.end()
             # [let f = Mod.name ~a in ... f ~b]: later uses of [f] are sites too.
