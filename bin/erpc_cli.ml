@@ -97,7 +97,9 @@ let opt_arg to_json conv name default docv doc =
 let int_arg = opt_arg (fun n -> J.Int n) Arg.int
 let float_arg = opt_arg (fun f -> J.Float f) Arg.float
 let bool_arg name default doc = opt_arg (fun b -> J.Bool b) Arg.bool name default "BOOL" doc
-let flag_arg name doc = recorded name (fun b -> J.Bool b) Arg.(value & flag & info [ name ] ~doc)
+(* A bare [--name] means true; [--name=false] is how an envelope replays it. *)
+let flag_arg name doc =
+  recorded name (fun b -> J.Bool b) Arg.(value & opt ~vopt:true bool false & info [ name ] ~doc)
 
 let enum_arg name choices =
   opt_arg (fun v -> J.Str (fst (List.find (fun (_, c) -> c = v) choices))) (Arg.enum choices) name
@@ -473,13 +475,24 @@ let anatomy =
                   let results =
                     List.map (fun (name, (r : A.result)) -> (name, r.breakdowns)) runs
                   in
-                  (* A ring that dropped records lost RPCs from the analysis. *)
-                  let dropped (name, (r : A.result)) =
-                    match Obs.Trace.dropped r.trace with
+                  (* A ring that dropped records lost RPCs from the analysis,
+                     and an intra-host RPC spends nothing in the NIC, on the
+                     wire or in the switch: its transit is the ring. *)
+                  let check (name, (r : A.result)) =
+                    (match Obs.Trace.dropped r.trace with
                     | 0 -> []
-                    | n -> [ Printf.sprintf "%s: the trace ring dropped %d records" name n ]
+                    | n -> [ Printf.sprintf "%s: the trace ring dropped %d records" name n ])
+                    @ List.filter_map
+                        (fun (b : Obs.Anatomy.breakdown) ->
+                          if b.nic_ns = 0 && b.wire_ns = 0 && b.switch_ns = 0 && b.ring_ns > 0
+                          then None
+                          else
+                            Some
+                              (Printf.sprintf "shm: req %d has NIC %d, wire %d, switch %d, ring %d ns"
+                                 b.req b.nic_ns b.wire_ns b.switch_ns b.ring_ns))
+                        (if name = "shm" then r.breakdowns else [])
                   in
-                  outcome ~violations:(List.concat_map dropped runs)
+                  outcome ~violations:(List.concat_map check runs)
                     ~report:
                       (String.concat ""
                          (List.map

@@ -101,6 +101,8 @@ let run_cell ~seed ~samples ~payload ~(mode : Shm.mode) ~mode_name () =
     digest = Obs.Trace.digest trace;
   }
 
+(* Every cell keeps the intra-host anatomy and its mode's handoff, and the
+   sweep straddles the crossover: some Auto cells copy, some share. *)
 let check ~crossover rows =
   List.concat_map
     (fun r ->
@@ -119,6 +121,11 @@ let check ~crossover rows =
             (if r.payload >= crossover then r.shared_tx > 0 else r.shared_tx = 0)
             (Printf.sprintf "Auto disagrees with model crossover (%d B)" crossover))
     rows
+  @
+  let auto = List.filter (fun r -> r.mode = "auto") rows in
+  if List.exists (fun r -> r.shared_tx > 0) auto && List.exists (fun r -> r.shared_tx = 0) auto
+  then []
+  else [ Printf.sprintf "the sweep does not straddle the crossover (%d B)" crossover ]
 
 let run ?(seed = 1L) ?(samples = 24) () =
   let cost =

@@ -2,12 +2,16 @@
 
     Each schedule event is scheduled (relative to install time) to apply
     its fault and, where the fault has a duration, to revert it. Every
-    application and reversion is stamped into the injector's {!Trace}, so
-    two runs of the same seed can be compared byte-for-byte.
+    application is stamped into the injector's {!Trace}, so two runs of
+    the same seed can be compared byte-for-byte.
 
     Overlapping events on the same resource compose safely: link state is
     refcounted and probability knobs keep the strongest active interval
-    until the last one expires.
+    until the last one expires. A reversion is stamped only when it
+    changes the state in force: [restore link], [heal partition] and
+    [... off] once nothing of that kind holds, or the weaker value now in
+    force (e.g. [reorder p=0.155 max_delay=2092]) when a stronger
+    interval ends inside a weaker one.
 
     A corruption fault raises the network's corruption probability
     ({!Netsim.Network.set_corrupt_prob}): chosen packets are flagged

@@ -1,22 +1,18 @@
-(** Fault-event trace with simulated-time stamps — a "faults"-category view
-    over the unified {!Obs.Trace} event log.
+(** Fault-event trace with simulated-time stamps: a plain line log that
+    keeps every entry.
 
     The determinism contract of the fault framework is expressed over
     traces: running the same schedule against the same seeded deployment
     must produce a byte-identical [to_string]. Both the {!Injector} (fault
     applications and reversions) and the scenario runner (leader crashes,
-    KV completions, the quiesce line) write into the same trace; because the type is
-    an {!Obs.Trace.t}, the same buffer can simultaneously collect packet,
-    sslot and CC events and export everything as one Chrome trace. *)
+    KV completions, the quiesce line) write into the same trace. *)
 
-type t = Obs.Trace.t
+type t
 
 val create : unit -> t
-(** An enabled event trace of 2^16 events. *)
 
 val record : t -> at_ns:int -> string -> unit
-(** Record a fault event: an instant in category ["faults"]. *)
+(** Append the line ["<at_ns> <message>"]. *)
 
-(** Canonical one-entry-per-line rendering, used for byte equality. *)
+(** Every entry, one ["<ns> <message>\n"] line each, in recording order. *)
 val to_string : t -> string
-

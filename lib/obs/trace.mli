@@ -95,8 +95,6 @@ val on_read : t -> (unit -> unit) -> unit
 val events : t -> ev list
 (** Buffered events, oldest first. *)
 
-val iter : t -> (ev -> unit) -> unit
-
 val digest : t -> string
 (** Hex FNV-1a 64 digest over every buffered event's fields (plus the
     eviction count), rendered in ring order. Two traces digest equally iff

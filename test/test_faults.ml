@@ -340,11 +340,19 @@ let test_injector_refcounts_overlapping_faults () =
   let trace = Faults.Trace.create () in
   let inj = Faults.Injector.create ~trace fabric in
   (* Two overlapping link-down windows: the link must come back only when
-     the *second* one expires. *)
+     the *second* one expires. Three overlapping reorder windows: the
+     weakest ends under the strongest (no line), then the strongest under
+     the middle one (the middle one's values are now in force). *)
+  let reorder at_ns prob max_delay_ns duration_ns =
+    { Faults.Schedule.at_ns; fault = Reorder { prob; max_delay_ns; duration_ns } }
+  in
   Faults.Injector.install inj
     [
       { Faults.Schedule.at_ns = 1_000; fault = Link_down { host = 0; down_ns = 10_000 } };
       { Faults.Schedule.at_ns = 5_000; fault = Link_down { host = 0; down_ns = 20_000 } };
+      reorder 2_000 0.5 1_000 10_000;
+      reorder 4_000 0.2 3_000 20_000;
+      reorder 6_000 0.1 500 2_000;
     ];
   let probe at f = Sim.Engine.schedule engine at f in
   let up_at = Array.make 3 true in
@@ -355,10 +363,26 @@ let test_injector_refcounts_overlapping_faults () =
   check_bool "down inside first window" false up_at.(0);
   check_bool "still down after first window expires" false up_at.(1);
   check_bool "up after the overlapping window expires" true up_at.(2);
-  Alcotest.(check string) "trace recorded injections and reversions"
-    "1000 inject link_down host=0 down=10000\n5000 inject link_down host=0 down=20000\n\
-     11000 restore link host=0\n25000 restore link host=0\n"
+  Alcotest.(check string) "trace records injections and effective reversions"
+    "1000 inject link_down host=0 down=10000\n\
+     2000 inject reorder p=0.500 max_delay=1000 dur=10000\n\
+     4000 inject reorder p=0.200 max_delay=3000 dur=20000\n\
+     5000 inject link_down host=0 down=20000\n\
+     6000 inject reorder p=0.100 max_delay=500 dur=2000\n\
+     12000 reorder p=0.200 max_delay=3000\n\
+     24000 reorder off\n\
+     25000 restore link host=0\n"
     (Faults.Trace.to_string trace)
+
+(* The fault trace keeps every line, however many a run records. *)
+let test_trace_keeps_every_line () =
+  let trace = Faults.Trace.create () in
+  for i = 1 to 70_000 do
+    Faults.Trace.record trace ~at_ns:i "kv"
+  done;
+  let s = Faults.Trace.to_string trace in
+  check_int "every line kept" 70_000 (List.length (String.split_on_char '\n' s) - 1);
+  check_bool "first line kept" true (String.starts_with ~prefix:"1 kv\n2 kv\n" s)
 
 let test_schedule_random_is_deterministic () =
   let gen () =
@@ -396,6 +420,7 @@ let suite =
       test_crash_restart_new_session_works;
     Alcotest.test_case "injector refcounts overlaps" `Quick
       test_injector_refcounts_overlapping_faults;
+    Alcotest.test_case "fault trace keeps every line" `Quick test_trace_keeps_every_line;
     Alcotest.test_case "random schedules deterministic" `Quick
       test_schedule_random_is_deterministic;
   ]

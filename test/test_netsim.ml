@@ -257,12 +257,14 @@ let test_trace_holds_every_departure () =
   done;
   Sim.Engine.run e;
   let samples = Hashtbl.create 16 in
-  Obs.Trace.iter tr (fun ev ->
+  List.iter
+    (fun (ev : Obs.Trace.ev) ->
       match (ev.phase, ev.args) with
       | Obs.Trace.Counter, [ ("queued_bytes", _) ] ->
           Hashtbl.replace samples ev.name
             (1 + Option.value ~default:0 (Hashtbl.find_opt samples ev.name))
-      | _ -> ());
+      | _ -> ())
+    (Obs.Trace.events tr);
   List.iter
     (fun p ->
       let name = Netsim.Port.name p in

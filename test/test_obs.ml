@@ -299,7 +299,7 @@ let test_trace_covers_categories () =
   in
   check_bool "buffer peak observed" true (r.switch_buffer_peak_bytes > 0);
   let seen = Hashtbl.create 8 in
-  Obs.Trace.iter tr (fun e -> Hashtbl.replace seen e.cat ());
+  List.iter (fun (e : Obs.Trace.ev) -> Hashtbl.replace seen e.cat ()) (Obs.Trace.events tr);
   List.iter
     (fun cat -> check_bool ("category " ^ cat) true (Hashtbl.mem seen cat))
     [ "pkt"; "sslot"; "cc"; "net"; "nic"; "rpc" ]

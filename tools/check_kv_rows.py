@@ -4,7 +4,9 @@
     python3 tools/check_kv_rows.py --rows N [--traced] ENVELOPE...
 
 Each ENVELOPE is written by `erpc_sim chaos|kv-chaos|cluster-load --out
-FILE`; every row is a `Kv_runner.to_json` row. The check fails (exit 1)
+FILE`; every row is a `Kv_runner.to_json` row. tools/bench_diff.py runs
+this check on every replayed chaos, kv_chaos and cluster_load baseline,
+with the baseline's row count and tracing. The check fails (exit 1)
 unless, in every envelope:
 - the benchmark is chaos, kv_chaos or cluster_load;
 - there are exactly N rows, and neither the envelope nor any row has a
