@@ -46,8 +46,6 @@ let sm_failure_timeout_ns = 5_000_000
 
 type t = {
   transport : transport_kind;
-  mtu : int;
-  wire_overhead : int;
   session_credits : int;
   rto_ns : int;
   opts : opts;
@@ -78,8 +76,6 @@ let of_cluster ?credits (cluster : Transport.Cluster.t) =
   in
   {
     transport = Raw_eth;
-    mtu = cluster.mtu;
-    wire_overhead = cluster.wire_overhead;
     session_credits = credits;
     rto_ns = 5_000_000;
     opts = all_opts_on;

@@ -8,7 +8,9 @@ type opts = {
   batched_timestamps : bool;  (** one rdtsc per RX/TX batch, not per packet *)
   timely_bypass : bool;  (** skip rate update when uncongested and RTT < t_low *)
   rate_limiter_bypass : bool;  (** transmit directly when uncongested *)
-  multi_packet_rq : bool;  (** 512-way RQ descriptors *)
+  multi_packet_rq : bool;
+      (** 512-way RQ descriptors; {!Rpc.create} passes it to [Nic.create],
+          and no cluster profile holds a copy *)
   preallocated_responses : bool;  (** per-slot MTU-sized response msgbuf *)
   zero_copy_rx : bool;  (** run dispatch handlers on the RX ring buffer *)
   congestion_control : bool;  (** master switch for Timely + rate limiter *)
@@ -80,8 +82,6 @@ val sm_failure_timeout_ns : int
 
 type t = {
   transport : transport_kind;  (** datapath the endpoint runs over *)
-  mtu : int;
-  wire_overhead : int;
   session_credits : int;
   rto_ns : int;  (** retransmission timeout (5 ms, §5.2.3) *)
   opts : opts;
@@ -94,6 +94,7 @@ type t = {
       (** one cache-coherent interconnect crossing (default 150 ns) *)
 }
 
-(** Config derived from a cluster profile: MTU, credits = BDP/MTU, Timely
-    min RTT from the profile. *)
+(** Config derived from a cluster profile: credits = BDP/MTU and the Timely
+    min RTT from the profile. The profile, not the config, holds the MTU
+    packets are cut by ([Transport.Cluster.t.mtu]). *)
 val of_cluster : ?credits:int -> Transport.Cluster.t -> t

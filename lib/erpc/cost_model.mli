@@ -46,15 +46,15 @@ type t = {
       (** receiver-side ownership-transfer validation per shared buffer *)
 }
 
-val default : t
-
 (** Apply the cluster scale to a cost. *)
 val scaled : t -> int -> int
 
 (** Cost of copying [bytes] bytes. *)
 val memcpy_cost : t -> int -> int
 
-(** Profile for a cluster: [default] with the profile's [cpu_scale]. *)
+(** Profile for a cluster: the model's per-operation costs, as calibrated
+    on the CX4 cluster ([cpu_scale] 1.0), scaled by the profile's
+    [cpu_scale]. *)
 val for_cluster : Transport.Cluster.t -> t
 
 (** Full scaled cost of one encode ([deser:false]) or decode
@@ -66,5 +66,5 @@ val codec_cost : t -> deser:bool -> backend:Codec.backend -> leaves:int -> bytes
     serialize path composes the slot publish with {!memcpy_cost}; the
     share path pays flat descriptor + seal/unseal/ownership-check terms.
     The serialize-vs-share crossover payload size is emergent from these
-    values (~1 KB at defaults). *)
+    values (~1 KB at [cpu_scale] 1.0). *)
 val shm_costs : t -> Shm.costs

@@ -31,12 +31,6 @@ type t = {
           has not yet noticed a crash-restart) *)
 }
 
-val pp : Format.formatter -> t -> unit
-
 (** [chunk_bytes ~mtu ~msg_size k]: bytes in the [k]-th MTU-sized chunk
     of an [msg_size]-byte message (0 past its end). *)
 val chunk_bytes : mtu:int -> msg_size:int -> int -> int
-
-(** Payload bytes carried by a data packet: the [pkt_num]-th chunk of its
-    [msg_size]-byte message. Zero for CR/RFR. *)
-val data_bytes : t -> mtu:int -> int

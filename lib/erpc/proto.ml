@@ -40,6 +40,7 @@ type t = {
   engine : Sim.Engine.t;
   host : int;
   cfg : Config.t;
+  mtu : int;  (* the cluster profile's: packets are cut by it *)
   cost : Cost_model.t;
   cpu : Sim.Cpu.t;  (* the dispatch thread *)
   transport : Transport.Iface.t;
@@ -371,7 +372,7 @@ and send_tx_item t slot args cli =
   cli.tx_ts.(k mod Array.length cli.tx_ts) <- stamp;
   sess.credits <- sess.credits - 1;
   ch t t.cost.credit_logic;
-  let mtu = t.cfg.mtu in
+  let mtu = t.mtu in
   let flow = Wire.flow_hash ~src_host:t.host ~dst_host:sess.remote_host ~sn:sess.sn in
   let pkt, wire_bytes =
     if k < cli.n_req_pkts then begin
@@ -379,23 +380,23 @@ and send_tx_item t slot args cli =
       let len = Pkthdr.chunk_bytes ~mtu ~msg_size k in
       ch t t.cost.tx_data_pkt;
       ( Wire.make t.pool ~src_host:t.host ~dst_host:sess.remote_host
-          ~dst_rpc:sess.remote_rpc_id ~wire_overhead:t.cfg.wire_overhead ~flow
+          ~dst_rpc:sess.remote_rpc_id ~flow
           ~req_type:args.req_type ~msg_size ~dest_session:sess.remote_sn ~pkt_type:Pkthdr.Req
           ~pkt_num:k ~req_num:slot.req_num ~token:sess.token
           ~data:(Msgbuf.payload args.req)
           ~off:(Msgbuf.unsafe_offset args.req + (k * mtu))
           ~len,
-        len + t.cfg.wire_overhead )
+        len + Transport.Cluster.wire_overhead )
     end
     else begin
       (* Request-for-response for response packet (k - N + 1). *)
       ch t t.cost.tx_ctrl_pkt;
       ( Wire.make t.pool ~src_host:t.host ~dst_host:sess.remote_host
-          ~dst_rpc:sess.remote_rpc_id ~wire_overhead:t.cfg.wire_overhead ~flow
+          ~dst_rpc:sess.remote_rpc_id ~flow
           ~req_type:args.req_type ~msg_size:0 ~dest_session:sess.remote_sn ~pkt_type:Pkthdr.Rfr
           ~pkt_num:(k - cli.n_req_pkts + 1) ~req_num:slot.req_num ~token:sess.token
           ~data:Bytes.empty ~off:0 ~len:0,
-        t.cfg.wire_overhead )
+        Transport.Cluster.wire_overhead )
     end
   in
   (* Only retransmitted REQUEST DATA packets reference the request msgbuf
@@ -566,13 +567,13 @@ and client_rx t sess slot hdr data off len =
                   if hdr.msg_size > Msgbuf.max_size args.resp then
                     invalid_arg "eRPC: response larger than client's response msgbuf";
                   Msgbuf.unsafe_set_size args.resp hdr.msg_size;
-                  cli.n_resp_pkts <- Int.max 1 ((hdr.msg_size + t.cfg.mtu - 1) / t.cfg.mtu)
+                  cli.n_resp_pkts <- Int.max 1 ((hdr.msg_size + t.mtu - 1) / t.mtu)
                 end;
                 (* Copy response data into the client's response msgbuf
                    (§3.1); this copy is a real CPU cost (§6.4). *)
                 if len > 0 then begin
                   Msgbuf.blit_from_bytes data ~src_off:off args.resp
-                    ~dst_off:(hdr.pkt_num * t.cfg.mtu) ~len;
+                    ~dst_off:(hdr.pkt_num * t.mtu) ~len;
                   charge_memcpy t len
                 end;
                 accept_rx_item t slot cli;
@@ -624,7 +625,7 @@ and send_server_pkt t sess slot ~pkt_type ~pkt_num ~msg_size ~req_type ~data ~of
   let flow = Wire.flow_hash ~src_host:t.host ~dst_host:sess.remote_host ~sn:sess.remote_sn in
   let pkt =
     Wire.make t.pool ~src_host:t.host ~dst_host:sess.remote_host ~dst_rpc:sess.remote_rpc_id
-      ~wire_overhead:t.cfg.wire_overhead ~flow ~req_type ~msg_size ~dest_session:sess.remote_sn
+      ~flow ~req_type ~msg_size ~dest_session:sess.remote_sn
       ~pkt_type ~pkt_num ~req_num:slot.req_num ~token:sess.token ~data ~off ~len
   in
   (match pkt_type with
@@ -643,8 +644,8 @@ and send_resp_pkt t sess slot ~pkt_num =
       let msg_size = Msgbuf.size resp in
       send_server_pkt t sess slot ~pkt_type:Pkthdr.Resp ~pkt_num ~msg_size ~req_type:0
         ~data:(Msgbuf.payload resp)
-        ~off:(Msgbuf.unsafe_offset resp + (pkt_num * t.cfg.mtu))
-        ~len:(Pkthdr.chunk_bytes ~mtu:t.cfg.mtu ~msg_size pkt_num)
+        ~off:(Msgbuf.unsafe_offset resp + (pkt_num * t.mtu))
+        ~len:(Pkthdr.chunk_bytes ~mtu:t.mtu ~msg_size pkt_num)
   | _ -> ()
 
 and begin_new_request t sess slot hdr =
@@ -665,7 +666,7 @@ and begin_new_request t sess slot hdr =
   srv.req_buf <- None;
   srv.handler_done <- false;
   srv.num_rx <- 0;
-  srv.n_req_pkts <- Int.max 1 ((hdr.Pkthdr.msg_size + t.cfg.mtu - 1) / t.cfg.mtu);
+  srv.n_req_pkts <- Int.max 1 ((hdr.Pkthdr.msg_size + t.mtu - 1) / t.mtu);
   slot.req_num <- hdr.req_num;
   slot.busy <- true;
   ignore sess
@@ -742,7 +743,7 @@ and store_req_data t _slot srv hdr data off len =
     if len > 0 then begin
       match srv.req_buf with
       | Some buf ->
-          Msgbuf.blit_from_bytes data ~src_off:off buf ~dst_off:(hdr.pkt_num * t.cfg.mtu) ~len;
+          Msgbuf.blit_from_bytes data ~src_off:off buf ~dst_off:(hdr.pkt_num * t.mtu) ~len;
           charge_memcpy t len
       | None -> assert false
     end
@@ -767,7 +768,7 @@ and start_request t slot args =
   cli.num_rx <- 0;
   cli.max_tx <- 0;
   cli.consec_retx <- 0;
-  cli.n_req_pkts <- Msgbuf.num_pkts args.req ~mtu:t.cfg.mtu;
+  cli.n_req_pkts <- Msgbuf.num_pkts args.req ~mtu:t.mtu;
   cli.n_resp_pkts <- -1;
   arm_rto t slot;
   push_txq t slot;
@@ -809,12 +810,12 @@ let respond t cpu ~req_type slot srv resp =
 (* The slot's preallocated MTU-sized msgbuf when the response fits (§4.3);
    otherwise a fresh one, whose allocation the handler's thread pays. *)
 let init_response t cpu slot size =
-  if t.cfg.opts.preallocated_responses && size <= t.cfg.mtu then begin
+  if t.cfg.opts.preallocated_responses && size <= t.mtu then begin
     let buf =
       match slot.prealloc_resp with
       | Some b -> b
       | None ->
-          let b = Msgbuf.alloc ~max_size:t.cfg.mtu in
+          let b = Msgbuf.alloc ~max_size:t.mtu in
           slot.prealloc_resp <- Some b;
           b
     in
@@ -990,12 +991,13 @@ let clear_on_crash t =
 let set_rtt_probe t probe = t.rtt_probe <- Some probe
 let set_invoke t f = t.invoke <- f
 
-let create ~engine ~host ~cfg ~cost ~cpu ~transport ~process ~packets ~stats ~tid =
+let create ~engine ~host ~cfg ~mtu ~cost ~cpu ~transport ~process ~packets ~stats ~tid =
   let t =
     {
       engine;
       host;
       cfg;
+      mtu;
       cost;
       cpu;
       transport;

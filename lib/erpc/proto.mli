@@ -27,7 +27,8 @@ module Int_tbl : Hashtbl.S with type key = int
     run on the RX ring buffer (dispatch mode, zero-copy RX §4.2.3). *)
 type process = { mutable dead : bool; dispatch_types : unit Int_tbl.t }
 
-(** [cpu] is the dispatch thread's timeline; [packets] the network's
+(** [mtu] is the cluster profile's, the size packets are cut by; [cpu] is
+    the dispatch thread's timeline; [packets] the network's
     packet-handle table; [tid] the owning endpoint's trace thread track
     (0 when tracing is disabled). Registers the event loop's engine
     handlers and the device's RX notification. *)
@@ -35,6 +36,7 @@ val create :
   engine:Sim.Engine.t ->
   host:int ->
   cfg:Config.t ->
+  mtu:int ->
   cost:Cost_model.t ->
   cpu:Sim.Cpu.t ->
   transport:Transport.Iface.t ->

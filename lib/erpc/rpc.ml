@@ -246,17 +246,15 @@ let create nexus_ ~rpc_id =
   let cfg = Fabric.config fabric in
   let cluster = Fabric.cluster fabric in
   let cpu_ = Sim.Cpu.create engine ~name:(Printf.sprintf "h%d-rpc%d" host_ rpc_id) in
-  let nic_cfg = { cluster.nic_config with multi_packet_rq = cfg.opts.multi_packet_rq } in
+  let multi_packet_rq = cfg.opts.multi_packet_rq in
   let nic =
     match cfg.transport with
-    | Config.Raw_eth -> Nic.create engine (Fabric.net fabric) ~host:host_ nic_cfg
+    | Config.Raw_eth ->
+        Nic.create engine (Fabric.net fabric) ~host:host_ ~multi_packet_rq cluster.nic_config
     | Config.Rdma_rc ->
-        (* The verbs pipeline latencies, deterministic (RX jitter at its
-           mean), behind a private 450-entry connection cache. *)
-        let qp = Rdma.Qp.default_config cluster in
+        (* The verbs pipeline behind a private 450-entry connection cache. *)
         Nic.create ~conn_cache:(Nic.Conn_cache.create_default ()) engine (Fabric.net fabric)
-          ~host:host_
-          { nic_cfg with tx_latency_ns = qp.nic_tx_ns; rx_latency_ns = qp.nic_rx_ns; rx_jitter_ns = 0 }
+          ~host:host_ ~multi_packet_rq (Rdma.Qp.nic_config cluster)
   in
   let transport_ =
     if cluster.colocation_groups = [] then Transport.Iface.Wire nic
@@ -275,7 +273,7 @@ let create nexus_ ~rpc_id =
   Obs.Trace.register_process trace ~pid (Printf.sprintf "host%d" host_);
   let tid = Obs.Trace.register_track trace ~pid (Printf.sprintf "rpc%d" rpc_id) in
   let proto =
-    Proto.create ~engine ~host:host_ ~cfg ~cost ~cpu:cpu_ ~transport:transport_
+    Proto.create ~engine ~host:host_ ~cfg ~mtu:cluster.mtu ~cost ~cpu:cpu_ ~transport:transport_
       ~process:(Nexus.process nexus_)
       ~packets:(Netsim.Network.packets (Fabric.net fabric))
       ~stats:stats_ ~tid

@@ -10,14 +10,3 @@ type msg =
   | Disconnect of { server_sn : int; client_sn : int }
   | Disconnect_ack of { client_sn : int }
 
-let pp fmt = function
-  | Connect_req { client_host; client_rpc; client_sn; token; credits } ->
-      Format.fprintf fmt "ConnectReq(h%d/r%d sn=%d tok=%d credits=%d)" client_host client_rpc
-        client_sn token credits
-  | Connect_resp { client_sn; result = Ok sn } ->
-      Format.fprintf fmt "ConnectResp(csn=%d ssn=%d)" client_sn sn
-  | Connect_resp { client_sn; result = Error e } ->
-      Format.fprintf fmt "ConnectResp(csn=%d error=%s)" client_sn e
-  | Disconnect { server_sn; client_sn } ->
-      Format.fprintf fmt "Disconnect(ssn=%d csn=%d)" server_sn client_sn
-  | Disconnect_ack { client_sn } -> Format.fprintf fmt "DisconnectAck(csn=%d)" client_sn

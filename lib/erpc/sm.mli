@@ -17,5 +17,3 @@ type msg =
       (** [result] carries the server-side session number on success *)
   | Disconnect of { server_sn : int; client_sn : int }
   | Disconnect_ack of { client_sn : int }
-
-val pp : Format.formatter -> msg -> unit

@@ -56,9 +56,9 @@ let fresh_body () =
       len = 0;
     }
 
-let make pool ~src_host ~dst_host ~dst_rpc ~wire_overhead ~flow ~req_type ~msg_size
+let make pool ~src_host ~dst_host ~dst_rpc ~flow ~req_type ~msg_size
     ~dest_session ~pkt_type ~pkt_num ~req_num ~token ~data ~off ~len =
-  let size_bytes = len + wire_overhead in
+  let size_bytes = len + Transport.Cluster.wire_overhead in
   let pkt =
     if pool.n_parked > 0 then begin
       pool.n_parked <- pool.n_parked - 1;

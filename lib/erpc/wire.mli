@@ -35,7 +35,7 @@ val create_pool : Netsim.Packet.table -> pool
     [Pkthdr.t] fields of the same names, and its payload is the slice
     [(data, off, len)] of the sender's msgbuf — referenced, never copied;
     control packets pass [Bytes.empty], 0, 0. The wire size is [len] plus
-    [wire_overhead]. In steady state this allocates nothing: the packet
+    {!Transport.Cluster.wire_overhead}. In steady state this allocates nothing: the packet
     record, its [Pkt] body and its header come off the free-list and are
     filled in place, and {!Netsim.Packet.free} returns them to it. *)
 val make :
@@ -43,7 +43,6 @@ val make :
   src_host:int ->
   dst_host:int ->
   dst_rpc:int ->
-  wire_overhead:int ->
   flow:int ->
   req_type:int ->
   msg_size:int ->

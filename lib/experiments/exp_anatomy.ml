@@ -25,7 +25,7 @@ let run ?seed ?trace ?(samples = 32) ?(req_size = 32) ?(typed = false)
     match trace with
     | Some tr -> tr
     | None ->
-        let pkts = max 1 ((req_size + config.mtu - 1) / config.mtu) in
+        let pkts = max 1 ((req_size + cluster.mtu - 1) / cluster.mtu) in
         Obs.Trace.create ~capacity:(64 * pkts * max 1 samples) ()
   in
   let config =

@@ -38,13 +38,13 @@ let erpc_goodput ?(credits = 32) ?config ?(requests = 8) ?(loss = 0.) ?seed ?tra
     server_tx_pkts = (Erpc.Rpc.stats d.rpcs.(1).(0)).Erpc.Rpc_stats.tx_pkts;
   }
 
-let rdma_write_goodput ?(requests = 8) ?seed ~req_size () =
+let rdma_write_goodput ?seed ~req_size () =
+  let requests = 8 in
   let cluster = Transport.Cluster.cx5_ib100 () in
   let engine = Sim.Engine.create ?seed () in
   let net = Transport.Cluster.build engine cluster in
-  let cfg = Rdma.Qp.default_config cluster in
-  let ep0 = Rdma.Qp.create engine net ~host:0 cfg in
-  let _ep1 = Rdma.Qp.create engine net ~host:1 cfg in
+  let ep0 = Rdma.Qp.create engine net ~host:0 cluster in
+  let _ep1 = Rdma.Qp.create engine net ~host:1 cluster in
   (* One warmup write; the span runs from its completion to the last. *)
   let drv =
     Harness.driver ~engine ~slots:1

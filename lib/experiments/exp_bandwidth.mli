@@ -29,5 +29,6 @@ val erpc_goodput :
   unit ->
   point
 
-(** RDMA-write goodput for one request size (one outstanding write). *)
-val rdma_write_goodput : ?requests:int -> ?seed:int64 -> req_size:int -> unit -> point
+(** RDMA-write goodput for one request size (one outstanding write),
+    timed like {!erpc_goodput} at its default 8 requests. *)
+val rdma_write_goodput : ?seed:int64 -> req_size:int -> unit -> point

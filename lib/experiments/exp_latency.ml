@@ -22,9 +22,8 @@ let measure_erpc ?seed ?(samples = 2_000) cluster =
 let measure_rdma ?seed ?(samples = 2_000) (cluster : Transport.Cluster.t) =
   let engine = Sim.Engine.create ?seed () in
   let net = Transport.Cluster.build engine cluster in
-  let cfg = Rdma.Qp.default_config cluster in
-  let ep0 = Rdma.Qp.create engine net ~host:0 cfg in
-  let _ep1 = Rdma.Qp.create engine net ~host:1 cfg in
+  let ep0 = Rdma.Qp.create engine net ~host:0 cluster in
+  let _ep1 = Rdma.Qp.create engine net ~host:1 cluster in
   let drv =
     Harness.driver ~engine ~slots:1
       (Closed { batch = 1; count = samples })

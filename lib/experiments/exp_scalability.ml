@@ -8,7 +8,8 @@ type row = {
   retransmits_per_node_per_sec : float;
 }
 
-let run ?seed ?(nodes = 100) ?(measure_us = 700.) ~threads () =
+let run ?seed ?(nodes = 100) ~threads () =
+  let measure_us = 700. in
   let cluster = Transport.Cluster.cx4 ~nodes () in
   let config = Erpc.Config.of_cluster ~credits:32 cluster in
   let d =

@@ -5,8 +5,8 @@
     [T * (100T - 1)] client sessions and as many server sessions — 19 980
     at T = 10, the paper's "20000 connections per node". Threads keep 60
     requests of 32 B in flight in batches of 3 (as in Fig 4), to uniformly
-    random remote threads; 32 credits per session. Latencies are measured
-    after a 300 µs warmup. *)
+    random remote threads; 32 credits per session. Rate and latencies are
+    measured over 700 µs after a 300 µs warmup. *)
 
 type row = {
   threads_per_node : int;
@@ -18,4 +18,4 @@ type row = {
   retransmits_per_node_per_sec : float;
 }
 
-val run : ?seed:int64 -> ?nodes:int -> ?measure_us:float -> threads:int -> unit -> row
+val run : ?seed:int64 -> ?nodes:int -> threads:int -> unit -> row

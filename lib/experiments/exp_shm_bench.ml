@@ -8,9 +8,9 @@
    shared/serialized counters, so the Auto rows exhibit the crossover:
    below it every message is copied, above it handed off by pointer.
 
-   The crossover is also derived analytically from the cost model (the
-   smallest payload whose flat share cost undercuts the per-byte copy),
-   and the measured Auto rows must agree with it cell by cell. The sweep
+   The crossover is also derived from the cost model, as the smallest
+   payload [Shm.prefers_share] shares, and the measured Auto rows must
+   agree with it cell by cell. The sweep
    runs on a 4096 B MTU profile so payloads straddling the ~1 KB
    crossover stay single-packet (the share decision is per packet). *)
 
@@ -41,15 +41,11 @@ type result = {
 let payloads = [ 64; 256; 512; 1024; 1536; 2048; 4096 ]
 let modes = [ (Shm.Serialize, "serialize"); (Shm.Share, "share"); (Shm.Auto, "auto") ]
 
-(* Mirror of the Auto decision in [Shm.shm_tx]: share iff the flat
-   descriptor + guard cost does not exceed the modeled copy. *)
+(* The smallest payload Auto shares under [cost]. *)
 let model_crossover cost =
   let costs = Erpc.Cost_model.shm_costs cost in
-  let share = costs.Shm.share_tx_ns + costs.Shm.share_rx_ns in
   let rec find b =
-    if b > 1 lsl 20 then max_int
-    else if share <= costs.Shm.serialize_ns b then b
-    else find (b + 1)
+    if b > 1 lsl 20 then max_int else if Shm.prefers_share costs b then b else find (b + 1)
   in
   find 1
 

@@ -25,16 +25,12 @@ type row = {
 type result = {
   rows : row list;
   crossover_payload : int;
-      (** smallest payload where the cost model prefers sharing *)
+      (** smallest payload {!Shm.prefers_share} shares under the sweep's
+          cost model *)
   measured_crossover : int option;
       (** smallest swept payload whose Auto cell actually shared *)
   violations : string list;  (** empty on a clean run *)
 }
-
-(** The analytic crossover: smallest payload whose flat share cost
-    (descriptor + seal + unseal + ownership check) does not exceed the
-    modeled per-byte copy. Mirrors the [Auto] decision in {!Shm}. *)
-val model_crossover : Erpc.Cost_model.t -> int
 
 (** [run ()] sweeps payloads of 64 B to 4 KiB x (serialize | share | auto). Each row
     carries its cell's trace digest, so a same-seed rerun

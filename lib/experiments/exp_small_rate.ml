@@ -47,7 +47,7 @@ let run_mesh ?seed ?config ?cost ?trace ?(window = 60) ?(measure_ms = 4.0) ~per_
     retransmits = Harness.sum_stats d (fun s -> s.Erpc.Rpc_stats.retransmits);
   }
 
-let run = run_mesh ?cost:None ~per_batch_cost_ns:0
+let run = run_mesh ?cost:None ~per_batch_cost_ns:0 ?payload:None
 
 (* FaSST is specialized: no congestion control, no large-message or
    generality machinery. We model that as eRPC with CC off and a leaner
@@ -110,7 +110,7 @@ let factor_analysis ?seed () =
     List.map
       (fun (label, codec_backend) ->
         let config = { base with codec_backend } in
-        (label, run ?seed ~config ~payload ~cluster ~batch:3 ()))
+        (label, run_mesh ?seed ~config ~per_batch_cost_ns:0 ~payload ~cluster ~batch:3 ()))
       [
         ("Typed codec: compact backend", Codec.Compact);
         ("Typed codec: flat backend", Codec.Flat);

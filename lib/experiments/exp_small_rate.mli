@@ -5,9 +5,8 @@
     and server; each thread keeps [window] (60) 32 B requests in flight,
     issued in batches of [batch] to uniformly random remote threads. The
     rate is measured over [measure_ms] (default 4) after a 1 ms warmup.
-    [payload] (default: 32 B echoes) picks what every request carries; a
-    {!Harness.Typed} payload runs the same mesh with serialization on the
-    datapath, under [config]'s codec backend. *)
+    Every request is a 32 B echo; {!factor_analysis}'s typed rows run the
+    same mesh with serialization on the datapath. *)
 
 type result = {
   per_thread_mrps : float;  (** client request rate per thread *)
@@ -21,7 +20,6 @@ val run :
   ?trace:Obs.Trace.t ->
   ?window:int ->
   ?measure_ms:float ->
-  ?payload:Harness.payload ->
   cluster:Transport.Cluster.t ->
   batch:int ->
   unit ->

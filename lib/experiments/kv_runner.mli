@@ -124,10 +124,6 @@ val run : seed:int64 -> Workload.Traffic_spec.scenario -> result
     [runs], so they are identical for any [jobs]. *)
 val sweep : jobs:int -> (int64 * Workload.Traffic_spec.scenario) list -> result list
 
-(** [analyzed_rpcs / issued_rpcs]: the share of client RPCs a traced
-    run's tail attribution covers (0 when none were issued). *)
-val coverage : result -> float
-
 (** The run's report: a line of scenario totals (KV counters, commit
     latency, availability gaps over the KV tenants, the protocol
     counters, event count, a traced
@@ -142,7 +138,9 @@ val pp : Format.formatter -> result -> unit
     P50/P99, [gap_windows] (summed) and [longest_gap_ms]
     over the KV tenants, the fault trace's digest [trace_digest], the
     event trace's [digest], [events], [analyzed_rpcs], [issued_rpcs],
-    [coverage], [attribution] and [violations]. An untraced run writes
+    [coverage] (their ratio: the share of client RPCs the tail
+    attribution covers, 0 when none were issued), [attribution] and
+    [violations]. An untraced run writes
     null for [digest], [analyzed_rpcs], [coverage] and [attribution].
     Per tenant ([tenants]): the whole-run tally, the [steady] one (or
     null), phase [tags] over the whole run, the warmup and after it, GET

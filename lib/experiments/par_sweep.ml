@@ -1,6 +1,6 @@
 (* Domain-parallel replication: fan independent seeded replications of
-   existing experiments across OCaml domains ([erpc_sim sweep], and the
-   [--domains] flag on chaos/kv-chaos/cluster-load).
+   existing experiments across OCaml domains (the [--jobs] flag on
+   chaos/kv-chaos/cluster-load).
 
    Parallelism is per seed, never inside one simulation: each task
    builds its own engine, cluster and trace, so tasks share no mutable
@@ -9,9 +9,9 @@
    the caller receives them in task order — so reports and digests are
    identical to a sequential run, just computed on more cores. *)
 
-let map ?(jobs = 1) n f =
-  if n < 0 then invalid_arg "Par_sweep.map: negative task count";
-  if jobs <= 1 || n <= 1 then Array.init n f
+let list ?(jobs = 1) n f =
+  if n < 0 then invalid_arg "Par_sweep.list: negative task count";
+  if jobs <= 1 || n <= 1 then Array.to_list (Array.init n f)
   else begin
     let results = Array.make n None in
     let next = Atomic.make 0 in
@@ -28,12 +28,11 @@ let map ?(jobs = 1) n f =
     let spawned = Array.init (min jobs n - 1) (fun _ -> Domain.spawn worker) in
     worker ();
     Array.iter Domain.join spawned;
-    Array.map
-      (function
-        | Some (Ok v) -> v
-        | Some (Error e) -> raise e
-        | None -> assert false)
-      results
+    Array.to_list
+      (Array.map
+         (function
+           | Some (Ok v) -> v
+           | Some (Error e) -> raise e
+           | None -> assert false)
+         results)
   end
-
-let list ?jobs n f = Array.to_list (map ?jobs n f)

@@ -5,5 +5,4 @@
     library. [jobs <= 1] runs inline with no domains spawned. A task
     exception is re-raised in the caller after all workers join. *)
 
-val map : ?jobs:int -> int -> (int -> 'a) -> 'a array
 val list : ?jobs:int -> int -> (int -> 'a) -> 'a list

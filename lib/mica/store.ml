@@ -14,14 +14,10 @@ let fnv1a (s : string) =
   done;
   !h land max_int
 
-let create ?(initial_buckets = 64) () =
-  let n = max 4 initial_buckets in
-  (* round up to a power of two *)
-  let cap = ref 4 in
-  while !cap < n do
-    cap := !cap * 2
-  done;
-  { table = Array.make !cap None; mask = !cap - 1; count = 0 }
+(* Buckets of a new store; a power of two. *)
+let initial_buckets = 64
+
+let create () = { table = Array.make initial_buckets None; mask = initial_buckets - 1; count = 0 }
 
 let rec find_cell cell key =
   match cell with

@@ -11,7 +11,8 @@
 
 type t
 
-val create : ?initial_buckets:int -> unit -> t
+(** An empty store of 64 buckets. *)
+val create : unit -> t
 
 val put : t -> key:string -> value:string -> unit
 val get : t -> key:string -> string option

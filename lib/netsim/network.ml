@@ -14,7 +14,6 @@ type config = {
   cable_ns : int;
   switch_latency_ns : int;
   switch_buffer_bytes : int;
-  buffer_alpha : float;
   lossless : bool;  (* PFC-style lossless fabric (InfiniBand) *)
 }
 
@@ -25,9 +24,12 @@ let default_config =
     cable_ns = 100;
     switch_latency_ns = 300;
     switch_buffer_bytes = 12 * 1024 * 1024;
-    buffer_alpha = 8.0;
     lossless = false;
   }
+
+(* Every switch's dynamic-threshold alpha ({!Buffer_pool}): no profile
+   differs. *)
+let buffer_alpha = 8.0
 
 type host = {
   mutable rx : Packet.t -> unit;
@@ -193,7 +195,7 @@ let create engine cfg =
          | Single_switch { hosts = n } ->
              let sw =
                Switch.create engine ~name:"sw0" ~buffer_bytes:cfg.switch_buffer_bytes
-                 ~alpha:cfg.buffer_alpha
+                 ~alpha:buffer_alpha
              in
              let host_ids = List.init n Fun.id in
              let assoc = build_tor t engine ~packets cfg ~name:"sw0" ~tor_index:0 ~host_ids sw in
@@ -206,13 +208,13 @@ let create engine cfg =
                Array.init spines (fun s ->
                    Switch.create engine
                      ~name:(Printf.sprintf "spine%d" s)
-                     ~buffer_bytes:cfg.switch_buffer_bytes ~alpha:cfg.buffer_alpha)
+                     ~buffer_bytes:cfg.switch_buffer_bytes ~alpha:buffer_alpha)
              in
              let tor_switches =
                Array.init tors (fun i ->
                    Switch.create engine
                      ~name:(Printf.sprintf "tor%d" i)
-                     ~buffer_bytes:cfg.switch_buffer_bytes ~alpha:cfg.buffer_alpha)
+                     ~buffer_bytes:cfg.switch_buffer_bytes ~alpha:buffer_alpha)
              in
              let assoc = ref [] in
              Array.iteri

@@ -29,7 +29,9 @@ type config = {
       (** cut-through port-to-port latency, added to the flight time of
           every link that feeds a switch *)
   switch_buffer_bytes : int;
-  buffer_alpha : float;  (** dynamic-threshold alpha *)
+      (** each switch's shared buffer; a port may queue up to 8x what is
+          left free (the dynamic-threshold alpha, a constant of the
+          model) *)
   lossless : bool;
       (** PFC-style lossless fabric: congested switch ports pause (modeled
           as forced buffer admission) instead of dropping — the InfiniBand

@@ -4,24 +4,19 @@ type config = {
   tx_latency_ns : int;
   rx_latency_ns : int;
   rx_jitter_ns : int;
-  tx_flush_ns : int;
   rq_size : int;
-  multi_packet_rq : bool;
-  multi_packet_rq_stride : int;
-  rq_replenish_unit_ns : int;
 }
 
-let default_config =
-  {
-    tx_latency_ns = 300;
-    rx_latency_ns = 250;
-    rx_jitter_ns = 0;
-    tx_flush_ns = 2_000;
-    rq_size = 4096;
-    multi_packet_rq = true;
-    multi_packet_rq_stride = 512;
-    rq_replenish_unit_ns = 7;
-  }
+let default_config = { tx_latency_ns = 300; rx_latency_ns = 250; rx_jitter_ns = 0; rq_size = 4096 }
+
+(* Extra cost of a TX DMA queue flush: the paper's ~2 us. *)
+let tx_flush_ns = 2_000
+
+(* Packet buffers per multi-packet RQ descriptor. *)
+let multi_packet_rq_stride = 512
+
+(* CPU cost of re-posting one RQ descriptor. *)
+let rq_replenish_unit_ns = 7
 
 (* RC mode: a TX miss in the connection-state cache fetches ~375 B of RC
    state over PCIe before the descriptor can be processed. *)
@@ -33,6 +28,7 @@ type t = {
   packets : Netsim.Packet.table;
   host : int;
   cfg : config;
+  multi_packet_rq : bool;
   rng : Sim.Rng.t;
   conn_cache : Conn_cache.t option;  (* [Some] selects RDMA RC mode *)
   mutable rx_last_delivery : Sim.Time.t;
@@ -102,7 +98,7 @@ let tx_complete t h =
   ignore (Sim.Ring.take t.tx_inflight);
   Netsim.Network.send t.net (Netsim.Packet.get t.packets h)
 
-let create ?conn_cache engine net ~host cfg =
+let create ?conn_cache engine net ~host ~multi_packet_rq cfg =
   if Option.is_some conn_cache && cfg.rx_jitter_ns <> 0 then
     invalid_arg "Nic.create: RC mode has no RX jitter";
   let trace = Sim.Engine.trace engine in
@@ -116,6 +112,7 @@ let create ?conn_cache engine net ~host cfg =
       packets = Netsim.Network.packets net;
       host;
       cfg;
+      multi_packet_rq;
       (* Raw Ethernet splits its jitter stream off the engine's even at zero
          jitter; the deterministic RC pipeline leaves the engine's alone. *)
       rng =
@@ -183,7 +180,7 @@ let tx_pending t = fst (posted_by_now t)
 
 let flush_time_ns t =
   let _, last_enter = posted_by_now t in
-  Int.max 0 (Sim.Time.sub last_enter (Sim.Engine.now t.engine)) + t.cfg.tx_flush_ns
+  Int.max 0 (Sim.Time.sub last_enter (Sim.Engine.now t.engine)) + tx_flush_ns
 
 let rx_burst t ~max f =
   let n = ref 0 in
@@ -199,13 +196,13 @@ let set_rx_notify t f = t.rx_notify <- f
 let replenish_rx t n =
   assert (n >= 0);
   t.rq_available <- Int.min t.cfg.rq_size (t.rq_available + n);
-  if t.cfg.multi_packet_rq then begin
+  if t.multi_packet_rq then begin
     let total = t.replenish_partial + n in
-    let posts = total / t.cfg.multi_packet_rq_stride in
-    t.replenish_partial <- total mod t.cfg.multi_packet_rq_stride;
-    posts * t.cfg.rq_replenish_unit_ns
+    let posts = total / multi_packet_rq_stride in
+    t.replenish_partial <- total mod multi_packet_rq_stride;
+    posts * rq_replenish_unit_ns
   end
-  else n * t.cfg.rq_replenish_unit_ns
+  else n * rq_replenish_unit_ns
 
 let reset_rx t =
   (* Packets stranded in the ring die with the crashed process. *)

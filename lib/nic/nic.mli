@@ -11,15 +11,17 @@
     - an RX queue (RQ) of pre-posted descriptors: an arriving packet with no
       available descriptor is dropped, which is why eRPC sizes session
       credits against [rq_size];
-    - multi-packet RQ descriptors: with the optimization on, descriptor
-      replenishment costs CPU once per [multi_packet_rq_stride] packets
-      instead of per packet (the caller charges the cost {!replenish_rx}
-      returns);
+    - multi-packet RQ descriptors: with the optimization on, re-posting
+      descriptors costs 7 ns of CPU once per 512 packets instead of once
+      per packet (the caller charges the cost {!replenish_rx} returns);
     - an RX ring polled by the owner; a simulation-only [rx_notify] hook
       stands in for busy polling and lets the owner schedule its event loop
       activation.
 
     TX is unsignaled and RX is a ring: the model has no completion queue.
+    A TX queue flush costs 2 µs on top of the pending DMA. These costs, the
+    512-packet stride and the 7 ns per descriptor are constants of the
+    model: no profile differs in them.
 
     Fixed [tx_latency_ns]/[rx_latency_ns] model DMA + NIC processing and are
     part of the ~850 ns per-host latency adder the paper measures (§6.1).
@@ -36,15 +38,12 @@
 
 module Conn_cache = Conn_cache
 
+(** What differs across the cluster profiles' NICs. *)
 type config = {
   tx_latency_ns : int;  (** descriptor fetch + payload DMA read + pipeline *)
   rx_latency_ns : int;  (** payload DMA write + CQE *)
   rx_jitter_ns : int;  (** uniform extra RX delay in [0, jitter] (PCIe/DMA batching) *)
-  tx_flush_ns : int;  (** extra cost of a TX DMA queue flush (~2 µs) *)
   rq_size : int;  (** receive descriptors *)
-  multi_packet_rq : bool;
-  multi_packet_rq_stride : int;  (** packet buffers per RQ descriptor (512) *)
-  rq_replenish_unit_ns : int;  (** CPU cost of re-posting one descriptor *)
 }
 
 val default_config : config
@@ -55,10 +54,17 @@ type t
     packets into it with {!receive} (real deployments steer flows to
     per-Rpc queues by UDP port; our {!Erpc.Nexus} plays that role).
     [conn_cache] selects RDMA RC mode; its [rx_jitter_ns] must be 0.
-    Raw-Ethernet mode splits its jitter stream off the engine's RNG at
-    create; RC mode draws none. *)
+    [multi_packet_rq] turns on multi-packet RQ descriptors (the owner's
+    [Erpc.Config.opts.multi_packet_rq]). Raw-Ethernet mode splits its
+    jitter stream off the engine's RNG at create; RC mode draws none. *)
 val create :
-  ?conn_cache:Conn_cache.t -> Sim.Engine.t -> Netsim.Network.t -> host:int -> config -> t
+  ?conn_cache:Conn_cache.t ->
+  Sim.Engine.t ->
+  Netsim.Network.t ->
+  host:int ->
+  multi_packet_rq:bool ->
+  config ->
+  t
 
 (** ["raw_eth"] or ["rdma_rc"]. *)
 val kind : t -> string

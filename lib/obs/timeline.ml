@@ -48,29 +48,23 @@ let longest_gap_ns t =
     t.oks;
   !best * t.window_ns
 
-let windows t =
-  List.init (num_windows t) (fun i ->
-      let p50, p99 =
-        if t.oks.(i) = 0 then (0, 0)
-        else (Stats.Hist.median t.lat.(i), Stats.Hist.percentile t.lat.(i) 99.)
-      in
-      (i * t.window_ns, t.oks.(i), t.fails.(i), p50, p99))
-
 let to_json t =
   Json.Obj
     [
       ("window_ns", Json.Int t.window_ns);
       ( "windows",
         Json.Arr
-          (List.map
-             (fun (t_ns, ok, fail, p50, p99) ->
+          (List.init (num_windows t) (fun i ->
+               let p50, p99 =
+                 if t.oks.(i) = 0 then (0, 0)
+                 else (Stats.Hist.median t.lat.(i), Stats.Hist.percentile t.lat.(i) 99.)
+               in
                Json.Obj
                  [
-                   ("t_ns", Json.Int t_ns);
-                   ("ok", Json.Int ok);
-                   ("fail", Json.Int fail);
+                   ("t_ns", Json.Int (i * t.window_ns));
+                   ("ok", Json.Int t.oks.(i));
+                   ("fail", Json.Int t.fails.(i));
                    ("p50_ns", Json.Int p50);
                    ("p99_ns", Json.Int p99);
-                 ])
-             (windows t)) );
+                 ])) );
     ]

@@ -32,10 +32,7 @@ val gaps : t -> int
 (** Longest run of consecutive gap windows, in ns. *)
 val longest_gap_ns : t -> int
 
-(** Per-window view: [(start_ns, ok, fail, p50_ns, p99_ns)]; percentiles
-    are 0 for windows without successes. *)
-val windows : t -> (int * int * int * int * int) list
-
 (** [{"window_ns":..,"windows":[{"t_ns":..,"ok":..,"fail":..,
-    "p50_ns":..,"p99_ns":..},..]}] *)
+    "p50_ns":..,"p99_ns":..},..]}]: one entry per window, from its start
+    time; percentiles are 0 for windows without successes. *)
 val to_json : t -> Json.t

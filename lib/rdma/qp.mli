@@ -6,24 +6,25 @@
     delay. Large operations stream MTU-sized packets at line rate. Reliable
     Connection semantics are approximated: writes complete at the requester
     after the remote NIC acks the last packet; reads complete when all
-    response data has arrived. *)
+    response data has arrived.
 
-type config = {
-  post_ns : int;  (** CPU cost to post a work request + doorbell *)
-  poll_ns : int;  (** CPU cost to poll the completion *)
-  remote_read_ns : int;  (** remote NIC's processing of an inbound READ *)
-  remote_write_ns : int;  (** remote NIC's processing of inbound WRITE data *)
-  nic_tx_ns : int;
-  nic_rx_ns : int;
-  mtu : int;
-  wire_overhead : int;
-}
+    Posting a work request costs 75 ns of CPU and polling its completion
+    40 ns; the remote NIC serves a READ in 150 ns and WRITE data in 60 ns.
+    These four costs are constants of the model: no profile differs in
+    them. *)
 
-val default_config : Transport.Cluster.t -> config
+(** The cluster's NIC as the RDMA RC hardware path sees it: TX and RX
+    latencies [rdma_delta_ns] lower than eRPC's UD-verbs path, RX jitter
+    folded in at its mean, so the pipeline is deterministic. Endpoints
+    cross it on each side; an [Erpc.Rpc] in RC mode runs its NIC with it. *)
+val nic_config : Transport.Cluster.t -> Nic.config
 
 type endpoint
 
-val create : Sim.Engine.t -> Netsim.Network.t -> host:int -> config -> endpoint
+(** An endpoint on [host] of a network built from the cluster profile:
+    it streams the profile's MTU and adds {!Transport.Cluster.wire_overhead}
+    to every packet. *)
+val create : Sim.Engine.t -> Netsim.Network.t -> host:int -> Transport.Cluster.t -> endpoint
 
 (** [post_read ep ~dst ~len ~completion] issues a [len]-byte RDMA read;
     [completion] fires when the data is in local memory. *)

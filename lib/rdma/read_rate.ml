@@ -7,7 +7,10 @@ type result = {
 let base_ns = 22.0
 let miss_penalty_ns = 26.0
 
-let run ?(ops = 400_000) ?(seed = 7L) ~connections () =
+(* Reads timed per run. *)
+let ops = 400_000
+
+let run ?(seed = 7L) ~connections () =
   assert (connections > 0);
   let cache = Nic.Conn_cache.create_default () in
   let rng = Sim.Rng.create seed in

@@ -4,7 +4,8 @@
     connection state is in its default cache; a cache miss adds 26 ns of
     (pipelined, amortized) PCIe state-fetch time. Reads target uniformly
     random connections, so the measured rate reflects the LRU cache's true
-    hit ratio at each connection count. *)
+    hit ratio at each connection count. A run times 400 000 reads after
+    warming the cache with up to 4 per connection. *)
 
 type result = {
   connections : int;
@@ -12,4 +13,4 @@ type result = {
   miss_ratio : float;
 }
 
-val run : ?ops:int -> ?seed:int64 -> connections:int -> unit -> result
+val run : ?seed:int64 -> connections:int -> unit -> result

@@ -169,15 +169,12 @@ let serialize_tx t pkt (v : view) =
   if v.len > 0 && v.data != Netsim.Packet.length_only then
     t.hub.hooks.set_payload pkt (Bytes.sub v.data v.off v.len)
 
+let prefers_share costs len = costs.share_tx_ns + costs.share_rx_ns <= costs.serialize_ns len
+
 let shm_tx t dst pkt (v : view) =
   let share =
     v.len > 0
-    &&
-    match t.mode with
-    | Serialize -> false
-    | Share -> true
-    | Auto ->
-        t.costs.share_tx_ns + t.costs.share_rx_ns <= t.costs.serialize_ns v.len
+    && match t.mode with Serialize -> false | Share -> true | Auto -> prefers_share t.costs v.len
   in
   let tx_work, rx_guard =
     if share then (t.costs.share_tx_ns, t.costs.share_rx_ns)

@@ -31,6 +31,10 @@ type costs = {
   ring_post_ns : int;  (** re-arm one consumed ring slot *)
 }
 
+(** [Auto]'s rule: share a [len]-byte payload iff the flat share cost
+    (both sides) does not exceed copying it. *)
+val prefers_share : costs -> int -> bool
+
 (** What the ring path needs to know about a packet: destination Rpc id
     and the payload slice (for copy/seal). A slice over
     {!Netsim.Packet.length_only} seals as [len] zero bytes and is not

@@ -133,7 +133,6 @@ let run t =
 let events_processed t = Array.fold_left ( + ) 0 t.by_layer
 let census_of by_layer =
   Array.to_list (Array.mapi (fun l name -> (name, by_layer.(l))) layer_names)
-let census t = census_of t.by_layer
 
 type counted = { census : (string * int) list; off_domain : bool }
 

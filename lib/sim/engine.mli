@@ -13,7 +13,7 @@
 type t
 
 (** The simulator layer a handler belongs to, for the event census
-    ({!census}): ["netsim.link"] (a packet reaching the far end of a
+    ({!counting}): ["netsim.link"] (a packet reaching the far end of a
     link: one event per packet hop, since ports compute departures in
     closed form), ["nic"], ["rpc"], ["shm"] and ["timer"]. One-shot
     closures count as ["closure"]. *)
@@ -41,7 +41,7 @@ val set_trace : t -> Obs.Trace.t -> unit
 (** Engine-scoped metrics registry; components register counters and
     gauges into it at creation time. The engine itself registers the
     [sim.wheel_occupancy] and [sim.queue_overflow] gauges; the per-layer
-    event counts are {!census}. *)
+    event counts are {!counting}'s census. *)
 val metrics : t -> Obs.Metrics.t
 
 (** [handler t ~layer f] registers [f] and returns its id; an event
@@ -91,19 +91,17 @@ val run_until : t -> Time.t -> unit
 (** Number of events executed so far. *)
 val events_processed : t -> int
 
-(** Events executed so far by layer, in a fixed order: ["netsim.link"],
-    ["nic"], ["rpc"], ["shm"], ["timer"], ["closure"]. The counts sum to
-    {!events_processed}. *)
-val census : t -> (string * int) list
-
 (** What {!counting} saw of the engines created while its function ran. *)
 type counted = {
-  census : (string * int) list;  (** their summed {!census} *)
+  census : (string * int) list;
+      (** the events they executed by layer, in a fixed order:
+          ["netsim.link"], ["nic"], ["rpc"], ["shm"], ["timer"],
+          ["closure"]; the counts sum to their {!events_processed} *)
   off_domain : bool;  (** some of them were created on another domain than the caller's *)
 }
 
 (** [counting f] runs [f] and returns its result with the summed
-    {!census} of every engine created while it ran, on any domain: the
+    census of every engine created while it ran, on any domain: the
     census of a whole experiment, however many engines it builds. Calls
     do not nest. *)
 val counting : (unit -> 'a) -> 'a * counted

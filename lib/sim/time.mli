@@ -7,13 +7,10 @@
 type t = int
 
 val zero : t
-val ns : int -> t
 val us : float -> t
 val ms : float -> t
-val s : float -> t
 
 val to_us : t -> float
-val to_ms : t -> float
 
 val add : t -> t -> t
 val sub : t -> t -> t

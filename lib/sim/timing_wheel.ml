@@ -108,7 +108,6 @@ let create () =
   free_range t 0 initial_cells;
   t
 
-let is_empty t = t.wheel_count = 0 && t.heap_size = 0
 let length t = t.wheel_count + t.heap_size
 let overflow_length t = t.heap_size
 let last_time t = t.last

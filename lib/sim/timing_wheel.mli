@@ -58,7 +58,6 @@
 type 'a t
 
 val create : unit -> 'a t
-val is_empty : 'a t -> bool
 val length : 'a t -> int
 
 (** [push t time id arg] queues an int event. It stores no pointer. *)

@@ -4,7 +4,6 @@ type t = {
   nic_config : Nic.config;
   num_hosts : int;
   mtu : int;
-  wire_overhead : int;
   link_gbps : float;
   cpu_scale : float;
   bdp_bytes : int;
@@ -12,9 +11,6 @@ type t = {
   colocation_groups : int list list;
 }
 
-(* All profiles share the per-packet wire overhead the paper implies: 32 B
-   RPCs appear as 92 B packets (§6.3), i.e. 60 B of headers (16 B eRPC
-   header + transport framing). *)
 let wire_overhead = 60
 
 let cx3 ?(nodes = 11) () =
@@ -28,7 +24,6 @@ let cx3 ?(nodes = 11) () =
         cable_ns = 100;
         switch_latency_ns = 200;
         switch_buffer_bytes = 12 * 1024 * 1024;
-        buffer_alpha = 8.0;
         (* CX3 is InfiniBand: link-level flow control, no congestion
            drops. *)
         lossless = true;
@@ -36,7 +31,6 @@ let cx3 ?(nodes = 11) () =
     nic_config = { Nic.default_config with tx_latency_ns = 250; rx_latency_ns = 230; rq_size = 65536 };
     num_hosts = nodes;
     mtu = 4096;
-    wire_overhead;
     link_gbps;
     cpu_scale = 1.28;
     bdp_bytes = 22 * 1024;
@@ -58,23 +52,15 @@ let cx4 ?(nodes = 100) () =
         cable_ns = 250;
         switch_latency_ns = 300;
         switch_buffer_bytes = 12 * 1024 * 1024;
-        buffer_alpha = 8.0;
         lossless = false;
       };
     (* The deterministic NIC latency is set so that, with the uniform
        [0,1us] RX jitter's 0.5us mean included, the same-ToR eRPC median
        RTT lands on the paper's 3.7us. *)
     nic_config =
-      {
-        Nic.default_config with
-        tx_latency_ns = 200;
-        rx_latency_ns = 150;
-        rx_jitter_ns = 1_000;
-        rq_size = 1 lsl 20;
-      };
+      { Nic.tx_latency_ns = 200; rx_latency_ns = 150; rx_jitter_ns = 1_000; rq_size = 1 lsl 20 };
     num_hosts = nodes;
     mtu = 1024;
-    wire_overhead;
     link_gbps;
     cpu_scale = 1.0;
     bdp_bytes = 19 * 1024;
@@ -93,20 +79,12 @@ let cx5 ?(nodes = 8) () =
         cable_ns = 100;
         switch_latency_ns = 300;
         switch_buffer_bytes = 16 * 1024 * 1024;
-        buffer_alpha = 8.0;
         lossless = false;
       };
     nic_config =
-      {
-        Nic.default_config with
-        tx_latency_ns = 250;
-        rx_latency_ns = 65;
-        rx_jitter_ns = 300;
-        rq_size = 65536;
-      };
+      { Nic.tx_latency_ns = 250; rx_latency_ns = 65; rx_jitter_ns = 300; rq_size = 65536 };
     num_hosts = nodes;
     mtu = 1024;
-    wire_overhead;
     link_gbps;
     cpu_scale = 0.92;
     bdp_bytes = 12 * 1024;
@@ -125,14 +103,12 @@ let cx5_ib100 () =
         cable_ns = 100;
         switch_latency_ns = 200;
         switch_buffer_bytes = 16 * 1024 * 1024;
-        buffer_alpha = 8.0;
         (* The Fig 6 testbed connects two nodes over InfiniBand. *)
         lossless = true;
       };
     nic_config = { Nic.default_config with tx_latency_ns = 250; rx_latency_ns = 215; rq_size = 65536 };
     num_hosts = 2;
     mtu = 4096;
-    wire_overhead;
     link_gbps;
     cpu_scale = 0.92;
     bdp_bytes = 25 * 1024;

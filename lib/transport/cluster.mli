@@ -1,8 +1,9 @@
 (** Evaluation-cluster profiles (paper Table 1).
 
     A profile bundles everything that differed across the paper's testbeds:
-    topology, link rate, MTU, per-packet wire overhead, NIC latencies, and a
-    CPU speed scale. The three paper clusters are modeled, plus the 2-node
+    topology, link rate, MTU, NIC latencies, and a CPU speed scale. The
+    per-packet wire overhead did not differ, so it is the constant
+    {!wire_overhead}. The three paper clusters are modeled, plus the 2-node
     100 Gbps setup used for the large-message experiment (Fig 6).
 
     Latency calibration: NIC TX/RX latencies and cable delays are chosen so
@@ -15,18 +16,26 @@ type t = {
   net_config : Netsim.Network.config;
   nic_config : Nic.config;
   num_hosts : int;
-  mtu : int;  (** max payload bytes per packet (data + eRPC header) *)
-  wire_overhead : int;  (** transport framing bytes added on the wire *)
+  mtu : int;
+      (** max payload bytes per packet (data + eRPC header): the one MTU
+          eRPC packetizes by, sizes credits by ({!default_credits}) and
+          the RDMA baseline streams by *)
   link_gbps : float;
   cpu_scale : float;  (** multiplier on all modeled CPU costs *)
   bdp_bytes : int;  (** network bandwidth-delay product *)
   rdma_delta_ns : int;
       (** per-NIC-crossing latency advantage of the hardware RDMA path over
-          eRPC's UD-verbs path; used by {!Rdma.Qp.default_config} *)
+          eRPC's UD-verbs path; used by {!Rdma.Qp.nic_config} *)
   colocation_groups : int list list;
       (** sets of host ids modeled as processes on one physical machine;
           empty in every stock profile (see {!colocate}) *)
 }
+
+(** Transport framing bytes every packet adds on the wire, in every
+    profile: 60 B, as the paper implies (32 B RPCs appear as 92 B packets,
+    §6.3: a 16 B eRPC header plus transport framing). eRPC's wire packets
+    and the RDMA baseline's both add it. *)
+val wire_overhead : int
 
 (** 11 nodes, InfiniBand 56 Gbps, one switch (Emulab). *)
 val cx3 : ?nodes:int -> unit -> t

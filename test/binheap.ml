@@ -31,7 +31,7 @@ let create () =
     popped = None;
   }
 
-let is_empty t = t.size = 0
+let length t = t.size
 let last_time t = t.last
 
 let entry_before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)

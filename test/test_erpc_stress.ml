@@ -173,7 +173,7 @@ let test_bidirectional_churn_with_loss tp () =
   in
   spin rpcs.(0) s01 done0;
   spin rpcs.(1) s10 done1;
-  Sim.Engine.run_until engine (Sim.Time.add (Sim.Engine.now engine) (Sim.Time.s 3.0));
+  Sim.Engine.run_until engine (Sim.Time.add (Sim.Engine.now engine) (Sim.Time.ms 3_000.));
   check_int "direction 0->1 all done" n !done0;
   check_int "direction 1->0 all done" n !done1
 

@@ -22,7 +22,7 @@ module type QUEUE = sig
   type 'a t
 
   val create : unit -> 'a t
-  val is_empty : 'a t -> bool
+  val length : 'a t -> int
   val push : 'a t -> int -> int -> int -> unit
   val push_ptr : 'a t -> int -> int -> 'a -> unit
   val reserve_seq : 'a t -> int
@@ -69,7 +69,7 @@ let test_scan_every_distance () =
      | _ -> Alcotest.failf "distance %d from %d: wrong pop" d t0);
     cur := t1 + 1
   done;
-  Alcotest.(check bool) "drained" true (Q.is_empty q)
+  Alcotest.(check int) "drained" 0 (Q.length q)
 
 let test_pop_if_before () =
   let q = Q.create () in
@@ -87,7 +87,7 @@ let test_pop_if_before () =
   check_int "tie 2" 3 (Q.pop_if_before q 25);
   check_int "above horizon" (-1) (Q.pop_if_before q 25);
   check_int "final" 4 (Q.pop_if_before q 1_000_000);
-  Alcotest.(check bool) "drained" true (Q.is_empty q)
+  Alcotest.(check int) "drained" 0 (Q.length q)
 
 let test_window_boundary () =
   (* The wheel covers a 16384 ns window past the last popped time; events
@@ -228,7 +228,7 @@ let test_equivalence_qcheck =
            in
            (* [mid] runs between the pop and the taking of its pointer. *)
            let pop_then mid =
-             if M.is_empty q then log := (-1, -1, -1, "") :: !log
+             if M.length q = 0 then log := (-1, -1, -1, "") :: !log
              else begin
                let v = M.pop_if_before q max_int in
                let t = M.last_time q in
@@ -241,9 +241,9 @@ let test_equivalence_qcheck =
            (* Times are relative to the last popped time so pushes stay
               valid (an engine never schedules in the past) while still
               straddling the window. *)
-           let now () = if M.is_empty q then 0 else M.last_time q in
+           let now () = if M.length q = 0 then 0 else M.last_time q in
            let drain () =
-             while not (M.is_empty q) do
+             while not (M.length q = 0) do
                pop ()
              done
            in
@@ -370,18 +370,26 @@ let test_no_retention_after_pop () =
    point scheduled them, and each handler gets its own argument. The
    census counts each event under its handler's layer. *)
 let test_same_time_fifo_mixed () =
-  let e = Sim.Engine.create ~seed:1L () in
   let log = ref [] in
   let note s = log := s :: !log in
-  let h_s = Sim.Engine.handler e ~layer:Sim.Engine.Rpc (fun n -> note (Printf.sprintf "s%d" n)) in
-  let h_i = Sim.Engine.handler e ~layer:Sim.Engine.Timer (fun n -> note (Printf.sprintf "i%d" n)) in
-  for i = 0 to 9 do
-    if i mod 3 = 0 then Sim.Engine.schedule e 100 (fun () -> note (Printf.sprintf "u%d" i))
-    else if i mod 3 = 1 then Sim.Engine.post e 100 h_s i
-    else Sim.Engine.post e 100 h_i i
-  done;
-  Sim.Engine.post_after e 0 h_s (-1);
-  Sim.Engine.run e;
+  let e, counted =
+    Sim.Engine.counting (fun () ->
+        let e = Sim.Engine.create ~seed:1L () in
+        let h_s =
+          Sim.Engine.handler e ~layer:Sim.Engine.Rpc (fun n -> note (Printf.sprintf "s%d" n))
+        in
+        let h_i =
+          Sim.Engine.handler e ~layer:Sim.Engine.Timer (fun n -> note (Printf.sprintf "i%d" n))
+        in
+        for i = 0 to 9 do
+          if i mod 3 = 0 then Sim.Engine.schedule e 100 (fun () -> note (Printf.sprintf "u%d" i))
+          else if i mod 3 = 1 then Sim.Engine.post e 100 h_s i
+          else Sim.Engine.post e 100 h_i i
+        done;
+        Sim.Engine.post_after e 0 h_s (-1);
+        Sim.Engine.run e;
+        e)
+  in
   Alcotest.(check (list string))
     "schedule order"
     [ "s-1"; "u0"; "s1"; "i2"; "u3"; "s4"; "i5"; "u6"; "s7"; "i8"; "u9" ]
@@ -390,7 +398,7 @@ let test_same_time_fifo_mixed () =
     "census"
     [ ("netsim.link", 0); ("nic", 0); ("rpc", 4); ("shm", 0);
       ("timer", 3); ("closure", 4) ]
-    (Sim.Engine.census e);
+    counted.census;
   check_int "events" 11 (Sim.Engine.events_processed e);
   Alcotest.check_raises "no_handler raises" (Invalid_argument "Engine: event posted to no_handler")
     (fun () ->

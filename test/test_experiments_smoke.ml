@@ -34,7 +34,7 @@ let test_fasst_faster_than_erpc () =
 let test_bandwidth_band () =
   let p = Experiments.Exp_bandwidth.erpc_goodput ~requests:3 ~req_size:(2 * 1024 * 1024) () in
   in_band "2 MB goodput (Gbps)" 60.0 90.0 p.goodput_gbps;
-  let r = Experiments.Exp_bandwidth.rdma_write_goodput ~requests:3 ~req_size:(2 * 1024 * 1024) () in
+  let r = Experiments.Exp_bandwidth.rdma_write_goodput ~req_size:(2 * 1024 * 1024) () in
   check_bool "eRPC within 70-100% of RDMA write" true
     (p.goodput_gbps /. r.goodput_gbps > 0.7 && p.goodput_gbps < r.goodput_gbps)
 
@@ -84,7 +84,7 @@ let test_incast_cc_reduces_queueing () =
 
 let test_scalability_small () =
   (* A scaled-down Fig 5: 20 nodes, 2 threads each, all-to-all. *)
-  let r = Experiments.Exp_scalability.run ~nodes:20 ~threads:2 ~measure_us:400. () in
+  let r = Experiments.Exp_scalability.run ~nodes:20 ~threads:2 () in
   check_bool "throughput positive" true (r.per_node_mrps > 1.0);
   in_band "median latency (us)" 8.0 25.0 r.lat_p50_us
 
@@ -95,8 +95,8 @@ let test_raft_band () =
   check_bool "client latency > leader commit" true (r.client_p50_us > r.leader_p50_us)
 
 let test_rdma_fig1_band () =
-  let few = Rdma.Read_rate.run ~ops:100_000 ~connections:100 () in
-  let many = Rdma.Read_rate.run ~ops:100_000 ~connections:5_000 () in
+  let few = Rdma.Read_rate.run ~connections:100 () in
+  let many = Rdma.Read_rate.run ~connections:5_000 () in
   check_bool "collapse by ~half" true
     (many.rate_mops < 0.6 *. few.rate_mops && many.rate_mops > 0.3 *. few.rate_mops)
 
@@ -138,17 +138,29 @@ let test_cluster_load_smoke () =
        (Obs.Json.to_string (Experiments.Kv_runner.to_json r)))
 
 (* The tail attribution reports how much of the client traffic it saw:
-   every analyzed RPC is one the client hosts issued. *)
+   every analyzed RPC is one the client hosts issued, and the row's
+   [coverage] is their share. *)
 let test_cluster_load_coverage () =
   List.iter
     (fun (name, _) ->
       let r = cluster_load ~seed:7L ~scale:0.2 ~horizon_ms:10.0 name in
-      let c = Experiments.Kv_runner.coverage r in
+      let c =
+        match Experiments.Kv_runner.to_json r with
+        | Obs.Json.Obj row -> (
+            match List.assoc "coverage" row with
+            | Obs.Json.Float c -> c
+            | _ -> Alcotest.fail "coverage is not a float")
+        | _ -> Alcotest.fail "row is not an object"
+      in
       check_bool
         (Printf.sprintf "%s: analyzed %d <= issued %d" name r.analyzed_rpcs r.issued_rpcs)
         true
         (r.analyzed_rpcs <= r.issued_rpcs);
-      check_bool (Printf.sprintf "%s: 0 < coverage %.3f <= 1" name c) true (0. < c && c <= 1.))
+      check_bool (Printf.sprintf "%s: 0 < coverage %.3f <= 1" name c) true (0. < c && c <= 1.);
+      Alcotest.(check (float 1e-12))
+        (name ^ ": coverage = analyzed / issued")
+        (float_of_int r.analyzed_rpcs /. float_of_int r.issued_rpcs)
+        c)
     Workload.Traffic_spec.builtin
 
 (* Fault plans run under multi-tenant load: a cluster-load scenario with a
@@ -242,27 +254,23 @@ let test_cluster_load_deterministic () =
   in
   check_bool "seed changes trace" true (d 11L <> d 12L)
 
-(* The typed small-rate path (Table 3's "Typed codec" rows) at the default
-   seed, CX4 with 11 nodes, B = 3: exact RPC counts, so any change to the
-   typed datapath or to the driver's issue instants shows. The flat count
-   went 20 912 -> 20 904 when ports began posting a packet's arrival at
-   admission: same-nanosecond arrivals take their FIFO place then, not at
-   departure. *)
+(* The typed datapath at the codec benchmark's default seed: a 2-node
+   CX5 typed echo per backend and schema, 0.5 ms measured. Exact RPC
+   counts, so any change to the typed datapath or to the driver's issue
+   instants shows. *)
 let test_typed_small_rate_pinned () =
-  let cluster = Transport.Cluster.cx4 ~nodes:11 () in
-  List.iter
-    (fun (name, codec_backend, expect) ->
-      let config = { (Erpc.Config.of_cluster cluster) with codec_backend } in
-      let r =
-        Experiments.Exp_small_rate.run ~config
-          ~payload:
-            (Experiments.Harness.Typed
-               (Experiments.Harness.schema_fixed, Experiments.Harness.value_fixed))
-          ~measure_ms:0.5 ~cluster ~batch:3 ()
-      in
-      Alcotest.(check int) (name ^ " total_rpcs") expect r.total_rpcs;
-      Alcotest.(check int) (name ^ " retransmits") 0 r.retransmits)
-    [ ("compact", Codec.Compact, 16_728); ("flat", Codec.Flat, 20_904) ]
+  let rpcs (r : Experiments.Exp_codec_bench.row) =
+    (r.backend, r.schema, Float.to_int (Float.round (r.sim_mrps *. 500.)))
+  in
+  Alcotest.(check (list (triple string string int)))
+    "typed echoes completed in 0.5 ms"
+    [
+      ("compact", "fixed24", 1_614);
+      ("flat", "fixed24", 1_663);
+      ("compact", "var64", 1_624);
+      ("flat", "var64", 1_643);
+    ]
+    (List.map rpcs (Experiments.Exp_codec_bench.run ~iters:1 ~measure_ms:0.5 ()))
 
 (* A closed-loop driver with a count issues exactly [n] requests and
    never has more than [window] in flight. A window-1 driver is a

@@ -36,7 +36,7 @@ let connect fabric client =
 
 let mk_pkt ?(pkt_type = Erpc.Pkthdr.Req) ?(payload = Bytes.empty) () =
   Erpc.Wire.make (Erpc.Wire.create_pool (Netsim.Packet.create_table ())) ~src_host:0 ~dst_host:1 ~dst_rpc:0
-    ~wire_overhead:60 ~flow:7 ~req_type:1 ~msg_size:(Bytes.length payload) ~dest_session:3
+    ~flow:7 ~req_type:1 ~msg_size:(Bytes.length payload) ~dest_session:3
     ~pkt_type ~pkt_num:0 ~req_num:8 ~token:0 ~data:payload ~off:0
     ~len:(Bytes.length payload)
 

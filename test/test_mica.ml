@@ -21,13 +21,13 @@ let test_overwrite () =
   check_int "size unchanged" 1 (Mica.Store.size s)
 
 let test_growth_preserves_entries () =
-  let s = Mica.Store.create ~initial_buckets:4 () in
+  let s = Mica.Store.create () in
   let n = 10_000 in
   for i = 0 to n - 1 do
     Mica.Store.put s ~key:(string_of_int i) ~value:(string_of_int (i * 3))
   done;
   check_int "all inserted" n (Mica.Store.size s);
-  check_bool "buckets grew" true (Mica.Store.buckets s > 4);
+  check_bool "buckets grew" true (Mica.Store.buckets s > 64);
   let ok = ref true in
   for i = 0 to n - 1 do
     if Mica.Store.get s ~key:(string_of_int i) <> Some (string_of_int (i * 3)) then ok := false
@@ -35,17 +35,17 @@ let test_growth_preserves_entries () =
   check_bool "all retrievable after growth" true !ok
 
 let test_chain_collisions () =
-  (* With 4 buckets and no growth until count > buckets, short keys chain;
-     all remain reachable. *)
-  let s = Mica.Store.create ~initial_buckets:4 () in
-  List.iter (fun k -> Mica.Store.put s ~key:k ~value:(k ^ k)) [ "x"; "y"; "z"; "w" ];
-  List.iter
-    (fun k -> check_bool k true (Mica.Store.get s ~key:k = Some (k ^ k)))
-    [ "x"; "y"; "z"; "w" ]
+  (* 64 keys fill the 64 buckets without growth, so some keys chain; all
+     remain reachable. *)
+  let s = Mica.Store.create () in
+  let keys = List.init 64 string_of_int in
+  List.iter (fun k -> Mica.Store.put s ~key:k ~value:(k ^ k)) keys;
+  check_int "no growth" 64 (Mica.Store.buckets s);
+  List.iter (fun k -> check_bool k true (Mica.Store.get s ~key:k = Some (k ^ k))) keys
 
 (* Keys that share all but their last byte, NULs included, stay distinct. *)
 let test_shared_prefix_keys () =
-  let s = Mica.Store.create ~initial_buckets:4 () in
+  let s = Mica.Store.create () in
   let key i = String.make 63 '\000' ^ String.make 1 (Char.chr i) in
   for i = 0 to 255 do
     Mica.Store.put s ~key:(key i) ~value:(string_of_int i)
@@ -65,9 +65,9 @@ let model_based =
     (QCheck2.Test.make ~name:"mica agrees with Hashtbl model" ~count:100
        QCheck2.Gen.(
          list_size (int_range 1 400)
-           (triple (int_range 0 1) (int_range 0 50) (small_string ~gen:printable)))
+           (triple (int_range 0 1) (int_range 0 200) (small_string ~gen:printable)))
        (fun ops ->
-         let s = Mica.Store.create ~initial_buckets:4 () in
+         let s = Mica.Store.create () in
          let model = Hashtbl.create 16 in
          List.for_all
            (fun (op, k, v) ->

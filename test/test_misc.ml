@@ -83,30 +83,20 @@ let test_schedule_now_runs () =
   Sim.Engine.run e;
   check_bool "zero-delay event" true !ran
 
-let test_pkthdr_pp_and_data_bytes () =
-  let hdr =
-    {
-      Erpc.Pkthdr.req_type = 1;
-      msg_size = 2_500;
-      dest_session = 0;
-      pkt_type = Erpc.Pkthdr.Req;
-      pkt_num = 2;
-      req_num = 8;
-      token = 0;
-    }
-  in
-  (* Third packet of a 2500-byte message at MTU 1024: 452 bytes. *)
-  check_int "tail packet bytes" 452 (Erpc.Pkthdr.data_bytes hdr ~mtu:1024);
-  check_int "ctrl packets carry no data" 0
-    (Erpc.Pkthdr.data_bytes { hdr with pkt_type = Erpc.Pkthdr.Cr } ~mtu:1024);
-  check_bool "pp renders" true
-    (String.length (Format.asprintf "%a" Erpc.Pkthdr.pp hdr) > 0)
+let test_pkthdr_chunk_bytes () =
+  (* A 2500-byte message at MTU 1024: two full chunks, a 452-byte tail,
+     nothing past its end. *)
+  let chunk = Erpc.Pkthdr.chunk_bytes ~mtu:1024 ~msg_size:2_500 in
+  check_int "full chunk" 1024 (chunk 1);
+  check_int "tail chunk bytes" 452 (chunk 2);
+  check_int "past the end" 0 (chunk 3);
+  check_int "empty message" 0 (Erpc.Pkthdr.chunk_bytes ~mtu:1024 ~msg_size:0 0)
 
 let test_wire_make_stamps_header () =
   let pool = Erpc.Wire.create_pool (Netsim.Packet.create_table ()) in
   let data = Bytes.make 64 'x' in
   let make ~pkt_type ~pkt_num ~len =
-    Erpc.Wire.make pool ~src_host:2 ~dst_host:5 ~dst_rpc:3 ~wire_overhead:60 ~flow:11
+    Erpc.Wire.make pool ~src_host:2 ~dst_host:5 ~dst_rpc:3 ~flow:11
       ~req_type:4 ~msg_size:2_500 ~dest_session:6 ~pkt_type ~pkt_num ~req_num:8 ~token:9 ~data
       ~off:16 ~len
   in
@@ -154,6 +144,6 @@ let suite =
     Alcotest.test_case "flow hash" `Quick test_flow_hash_properties;
     Alcotest.test_case "engine counters" `Quick test_engine_counters;
     Alcotest.test_case "zero-delay schedule" `Quick test_schedule_now_runs;
-    Alcotest.test_case "pkthdr helpers" `Quick test_pkthdr_pp_and_data_bytes;
+    Alcotest.test_case "pkthdr helpers" `Quick test_pkthdr_chunk_bytes;
     Alcotest.test_case "wire make stamps header" `Quick test_wire_make_stamps_header;
   ]

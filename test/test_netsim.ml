@@ -435,7 +435,7 @@ let test_packet_handle_lifecycle () =
   done;
   let pool = Erpc.Wire.create_pool tbl in
   let pooled () =
-    Erpc.Wire.make pool ~src_host:0 ~dst_host:5 ~dst_rpc:0 ~wire_overhead:60 ~flow:3
+    Erpc.Wire.make pool ~src_host:0 ~dst_host:5 ~dst_rpc:0 ~flow:3
       ~req_type:1 ~msg_size:0 ~dest_session:0 ~pkt_type:Erpc.Pkthdr.Cr ~pkt_num:0 ~req_num:0
       ~token:0 ~data:Bytes.empty ~off:0 ~len:0
   in

@@ -64,14 +64,14 @@ let test_cluster_load_jobs_equality () =
 (* {2 Par_sweep mechanics} *)
 
 let test_par_sweep_order_and_exn () =
-  Alcotest.(check (array int))
-    "results in task order" [| 0; 10; 20; 30; 40; 50; 60 |]
-    (Experiments.Par_sweep.map ~jobs:forced_domains 7 (fun i -> i * 10));
-  Alcotest.(check (array int)) "empty" [||] (Experiments.Par_sweep.map ~jobs:4 0 (fun i -> i));
-  Alcotest.(check (array int))
-    "more jobs than tasks" [| 0; 1; 4 |]
-    (Experiments.Par_sweep.map ~jobs:8 3 (fun i -> i * i));
-  match Experiments.Par_sweep.map ~jobs:forced_domains 5 (fun i ->
+  Alcotest.(check (list int))
+    "results in task order" [ 0; 10; 20; 30; 40; 50; 60 ]
+    (Experiments.Par_sweep.list ~jobs:forced_domains 7 (fun i -> i * 10));
+  Alcotest.(check (list int)) "empty" [] (Experiments.Par_sweep.list ~jobs:4 0 (fun i -> i));
+  Alcotest.(check (list int))
+    "more jobs than tasks" [ 0; 1; 4 ]
+    (Experiments.Par_sweep.list ~jobs:8 3 (fun i -> i * i));
+  match Experiments.Par_sweep.list ~jobs:forced_domains 5 (fun i ->
             if i = 3 then failwith "task-3" else i)
   with
   | _ -> Alcotest.fail "expected task exception to propagate"
@@ -85,24 +85,24 @@ let test_par_sweep_inline () =
     (fun (label, jobs, n) ->
       let order = ref [] in
       let r =
-        Experiments.Par_sweep.map ~jobs n (fun i ->
+        Experiments.Par_sweep.list ~jobs n (fun i ->
             order := (i, (Domain.self () :> int)) :: !order;
             i + 1)
       in
-      Alcotest.(check (array int)) (label ^ ": results") (Array.init n (fun i -> i + 1)) r;
+      Alcotest.(check (list int)) (label ^ ": results") (List.init n (fun i -> i + 1)) r;
       Alcotest.(check (list (pair int int)))
         (label ^ ": ran in order on the caller")
         (List.init n (fun i -> (i, self)))
         (List.rev !order))
     [ ("jobs 1", 1, 5); ("jobs 0", 0, 4); ("jobs -3", -3, 3); ("one task", 8, 1) ];
   let order = ref [] in
-  ignore (Experiments.Par_sweep.map 4 (fun i -> order := i :: !order));
+  ignore (Experiments.Par_sweep.list 4 (fun i -> order := i :: !order));
   Alcotest.(check (list int)) "omitted ~jobs is sequential" [ 0; 1; 2; 3 ] (List.rev !order)
 
 let test_par_sweep_negative_count () =
   Alcotest.check_raises "negative task count"
-    (Invalid_argument "Par_sweep.map: negative task count") (fun () ->
-      ignore (Experiments.Par_sweep.map ~jobs:forced_domains (-1) (fun i -> i)))
+    (Invalid_argument "Par_sweep.list: negative task count") (fun () ->
+      ignore (Experiments.Par_sweep.list ~jobs:forced_domains (-1) (fun i -> i)))
 
 (* Every task runs exactly once however the cursor deals them, including
    when workers outnumber tasks. *)
@@ -110,10 +110,10 @@ let test_par_sweep_each_task_once () =
   List.iter
     (fun (jobs, n) ->
       let runs = Array.init n (fun _ -> Atomic.make 0) in
-      let r = Experiments.Par_sweep.map ~jobs n (fun i -> Atomic.incr runs.(i); i) in
-      Alcotest.(check (array int))
+      let r = Experiments.Par_sweep.list ~jobs n (fun i -> Atomic.incr runs.(i); i) in
+      Alcotest.(check (list int))
         (Printf.sprintf "jobs %d n %d: results" jobs n)
-        (Array.init n Fun.id) r;
+        (List.init n Fun.id) r;
       Array.iteri
         (fun i c ->
           check_int (Printf.sprintf "jobs %d n %d: task %d ran once" jobs n i) 1
@@ -126,18 +126,17 @@ let test_par_sweep_each_task_once () =
 let test_par_sweep_lowest_exn_wins () =
   for _ = 1 to 5 do
     match
-      Experiments.Par_sweep.map ~jobs:(Stdlib.max 2 forced_domains) 12 (fun i ->
+      Experiments.Par_sweep.list ~jobs:(Stdlib.max 2 forced_domains) 12 (fun i ->
           if i = 2 || i = 5 || i = 11 then failwith (Printf.sprintf "task-%d" i) else i)
     with
     | _ -> Alcotest.fail "expected a task exception"
     | exception Failure m -> check_string "lowest failing task re-raised" "task-2" m
   done
 
-let test_par_sweep_list_matches_map () =
+let test_par_sweep_list_matches_sequential () =
   let f i = Printf.sprintf "t%d:%d" i (i * i) in
   Alcotest.(check (list string))
-    "list = map in order"
-    (Array.to_list (Experiments.Par_sweep.map ~jobs:1 9 f))
+    "list = List.init in order" (List.init 9 f)
     (Experiments.Par_sweep.list ~jobs:forced_domains 9 f);
   Alcotest.(check (list string)) "empty list" []
     (Experiments.Par_sweep.list ~jobs:forced_domains 0 f)
@@ -155,7 +154,7 @@ let test_par_sweep_engine_tasks () =
       if depth < 50 then
         for _ = 1 to 1 + Sim.Rng.int rng 2 do
           if !fired < 400 then
-            Sim.Engine.schedule_after e (Sim.Time.ns (1 + Sim.Rng.int rng 5_000))
+            Sim.Engine.schedule_after e (1 + Sim.Rng.int rng 5_000)
               (tick (depth + 1))
         done
     in
@@ -163,16 +162,15 @@ let test_par_sweep_engine_tasks () =
     Sim.Engine.run e;
     (Sim.Engine.events_processed e, Sim.Engine.now e, !acc)
   in
-  let seq = Experiments.Par_sweep.map ~jobs:1 16 task in
-  let par = Experiments.Par_sweep.map ~jobs:forced_domains 16 task in
-  Array.iteri
-    (fun i (ev, now, acc) ->
-      let ev', now', acc' = par.(i) in
+  let seq = Experiments.Par_sweep.list ~jobs:1 16 task in
+  let par = Experiments.Par_sweep.list ~jobs:forced_domains 16 task in
+  List.iteri
+    (fun i ((ev, now, acc), (ev', now', acc')) ->
       check_int (Printf.sprintf "task %d events" i) ev ev';
       check_int (Printf.sprintf "task %d clock" i) now now';
       check_int (Printf.sprintf "task %d digest" i) acc acc';
       check_bool (Printf.sprintf "task %d ran events" i) true (ev > 1))
-    seq
+    (List.combine seq par)
 
 let suite =
   [
@@ -189,8 +187,8 @@ let suite =
       test_par_sweep_each_task_once;
     Alcotest.test_case "Par_sweep lowest-index exception wins" `Quick
       test_par_sweep_lowest_exn_wins;
-    Alcotest.test_case "Par_sweep list matches map" `Quick
-      test_par_sweep_list_matches_map;
+    Alcotest.test_case "Par_sweep list matches a sequential List.init" `Quick
+      test_par_sweep_list_matches_sequential;
     Alcotest.test_case "Par_sweep engine tasks identical across domains" `Quick
       test_par_sweep_engine_tasks;
   ]

@@ -56,9 +56,8 @@ let two_node_setup () =
   let cluster = Transport.Cluster.cx5_ib100 () in
   let engine = Sim.Engine.create () in
   let net = Transport.Cluster.build engine cluster in
-  let cfg = Rdma.Qp.default_config cluster in
-  let ep0 = Rdma.Qp.create engine net ~host:0 cfg in
-  let ep1 = Rdma.Qp.create engine net ~host:1 cfg in
+  let ep0 = Rdma.Qp.create engine net ~host:0 cluster in
+  let ep1 = Rdma.Qp.create engine net ~host:1 cluster in
   (engine, ep0, ep1)
 
 let test_read_completes () =

@@ -186,16 +186,28 @@ let test_timeline_windows_and_gaps () =
   Obs.Timeline.ok tl ~at_ns:(4 * w) ~latency_ns:2_000;
   check_int "gap windows" 1 (Obs.Timeline.gaps tl);
   check_int "longest gap" w (Obs.Timeline.longest_gap_ns tl);
-  let windows = Obs.Timeline.windows tl in
+  let window = function
+    | Obs.Json.Obj f ->
+        List.map (function k, Obs.Json.Int v -> (k, v) | k, _ -> Alcotest.failf "%s not an int" k) f
+    | _ -> Alcotest.fail "window is not an object"
+  in
+  let windows =
+    match Obs.Timeline.to_json tl with
+    | Obs.Json.Obj [ ("window_ns", Obs.Json.Int wn); ("windows", Obs.Json.Arr ws) ] ->
+        check_int "window_ns" w wn;
+        List.map window ws
+    | _ -> Alcotest.fail "unexpected timeline JSON"
+  in
   check_int "window count" 5 (List.length windows);
   (match windows with
-  | (t0, ok0, fail0, p50, _) :: (_, ok1, fail1, _, _) :: _ ->
-      check_int "w0 start" 0 t0;
-      check_int "w0 ok" 2 ok0;
-      check_int "w0 fail" 0 fail0;
+  | w0 :: w1 :: _ ->
+      check_int "w0 start" 0 (List.assoc "t_ns" w0);
+      check_int "w0 ok" 2 (List.assoc "ok" w0);
+      check_int "w0 fail" 0 (List.assoc "fail" w0);
+      let p50 = List.assoc "p50_ns" w0 in
       check_bool "w0 p50 sane" true (p50 >= 1_000 && p50 <= 3_000);
-      check_int "w1 ok" 0 ok1;
-      check_int "w1 fail" 2 fail1
+      check_int "w1 ok" 0 (List.assoc "ok" w1);
+      check_int "w1 fail" 2 (List.assoc "fail" w1)
   | _ -> Alcotest.fail "missing windows");
   check_bool "timeline JSON is well-formed" true
     (Json_check.validate (Obs.Json.to_string (Obs.Timeline.to_json tl)))

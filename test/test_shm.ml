@@ -213,15 +213,19 @@ let test_backpressure_stalls_not_drops () =
 
 (* The serialize-vs-share crossover is an emergent property of the cost
    model: flat share cost vs per-byte copy, consistent on both sides of
-   the boundary and landing near 1 KB with the default constants. *)
+   the boundary and landing near 1 KB on the shm-bench profile (CX3), whose
+   Auto cells flip exactly there. *)
 let test_cost_model_crossover () =
-  let cost = Erpc.Cost_model.default in
-  let c = Experiments.Exp_shm_bench.model_crossover cost in
-  let costs = Erpc.Cost_model.shm_costs cost in
+  let r = Experiments.Exp_shm_bench.run ~samples:2 () in
+  let c = r.crossover_payload in
+  let costs =
+    Erpc.Cost_model.(shm_costs (for_cluster (Transport.Cluster.cx3 ~nodes:2 ())))
+  in
   let share = costs.Shm.share_tx_ns + costs.Shm.share_rx_ns in
   check_bool "crossover lands near 1 KB" true (c >= 512 && c <= 4096);
   check_bool "below: copying is cheaper" true (costs.Shm.serialize_ns (c - 1) < share);
-  check_bool "at crossover: sharing wins" true (share <= costs.Shm.serialize_ns c)
+  check_bool "at crossover: sharing wins" true (share <= costs.Shm.serialize_ns c);
+  Alcotest.(check (list string)) "Auto cells agree with it" [] r.violations
 
 (* Intra-host anatomy: NIC/wire/switch exactly zero, transit in the
    ring/guard component, and the exact-sum invariant intact. *)

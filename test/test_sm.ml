@@ -110,22 +110,6 @@ let test_destroy_transitions () =
   run fabric 1.0;
   check_str "destroyed once acked" "destroyed" (state_name sess.state)
 
-let test_sm_message_formatting () =
-  let fmt m = Format.asprintf "%a" Erpc.Sm.pp m in
-  check_str "connect req"
-    "ConnectReq(h3/r1 sn=4 tok=17 credits=8)"
-    (fmt
-       (Erpc.Sm.Connect_req
-          { client_host = 3; client_rpc = 1; client_sn = 4; token = 17; credits = 8 }));
-  check_str "connect resp ok" "ConnectResp(csn=4 ssn=9)"
-    (fmt (Erpc.Sm.Connect_resp { client_sn = 4; result = Ok 9 }));
-  check_str "connect resp err" "ConnectResp(csn=4 error=budget)"
-    (fmt (Erpc.Sm.Connect_resp { client_sn = 4; result = Error "budget" }));
-  check_str "disconnect" "Disconnect(ssn=9 csn=4)"
-    (fmt (Erpc.Sm.Disconnect { server_sn = 9; client_sn = 4 }));
-  check_str "disconnect ack" "DisconnectAck(csn=4)"
-    (fmt (Erpc.Sm.Disconnect_ack { client_sn = 4 }))
-
 let suite =
   [
     Alcotest.test_case "handshake transitions" `Quick test_handshake_transitions;
@@ -134,5 +118,4 @@ let suite =
     Alcotest.test_case "peer failure -> error" `Quick test_peer_failure_transitions_to_error;
     Alcotest.test_case "local crash -> error" `Quick test_local_crash_transitions_to_error;
     Alcotest.test_case "destroy transitions" `Quick test_destroy_transitions;
-    Alcotest.test_case "sm message formatting" `Quick test_sm_message_formatting;
   ]
