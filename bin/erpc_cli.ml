@@ -424,18 +424,18 @@ let cluster_load =
             (if scenario = "all" then scenarios else [ scenario ])))
 
 let shm_bench =
-  let module S = Experiments.Exp_shm_bench in
+  let module A = Experiments.Exp_anatomy in
   entry ~name:"shm-bench"
     ~doc:
-      "Intra-host serialize-vs-share benchmark: payload sweep over the shared-memory rings \
-       with crossover, anatomy-zero and determinism checks"
+      "Intra-host serialize-vs-share benchmark: the anatomy's probe swept over payloads on the \
+       shared-memory rings, with crossover, anatomy-zero and determinism checks"
     ~benchmark:"shm" ~unit:"ns"
     (let+ samples = int_arg "samples" 24 "N" "Sequential RPCs per (payload, mode) cell." in
      fun ~seed ->
-       let r = S.run ~seed ~samples () in
+       let r = A.shm_sweep ~seed ~samples in
        outcome ~violations:r.violations
-         ~report:(Format.asprintf "%a" S.pp_result r)
-         (List.map S.row_json r.rows))
+         ~report:(Format.asprintf "%a" A.pp_shm_sweep r)
+         (List.map A.shm_row_json r.rows))
 
 let anatomy =
   let module A = Experiments.Exp_anatomy in
@@ -464,44 +464,27 @@ let anatomy =
           Ok
             (fun ~seed ->
               traced trace_out (fun trace ->
-                  let run (name, transport) =
-                    (name, A.run ~seed ?trace ~samples ~req_size ~typed ~backend ~transport ())
-                  in
                   let runs =
-                    List.map run
+                    List.map
+                      (fun (name, transport) ->
+                        (name, A.run ~seed ?trace ~samples ~req_size ~typed ~backend ~transport ()))
                       (if transport = "all" then transports
                        else [ (transport, List.assoc transport transports) ])
                   in
-                  let results =
-                    List.map (fun (name, (r : A.result)) -> (name, r.breakdowns)) runs
-                  in
-                  (* A ring that dropped records lost RPCs from the analysis,
-                     and an intra-host RPC spends nothing in the NIC, on the
-                     wire or in the switch: its transit is the ring. *)
-                  let check (name, (r : A.result)) =
-                    (match Obs.Trace.dropped r.trace with
-                    | 0 -> []
-                    | n -> [ Printf.sprintf "%s: the trace ring dropped %d records" name n ])
-                    @ List.filter_map
-                        (fun (b : Obs.Anatomy.breakdown) ->
-                          if b.nic_ns = 0 && b.wire_ns = 0 && b.switch_ns = 0 && b.ring_ns > 0
-                          then None
-                          else
-                            Some
-                              (Printf.sprintf "shm: req %d has NIC %d, wire %d, switch %d, ring %d ns"
-                                 b.req b.nic_ns b.wire_ns b.switch_ns b.ring_ns))
-                        (if name = "shm" then r.breakdowns else [])
-                  in
-                  outcome ~violations:(List.concat_map check runs)
+                  outcome
+                    ~violations:
+                      (List.concat_map
+                         (fun (name, (r : A.result)) -> List.map (( ^ ) (name ^ ": ")) r.violations)
+                         runs)
                     ~report:
                       (String.concat ""
                          (List.map
-                            (fun (name, breakdowns) ->
+                            (fun (name, (r : A.result)) ->
                               Format.asprintf "transport %s:@.%a" name Obs.Anatomy.pp_table
-                                breakdowns)
-                            results))
+                                r.breakdowns)
+                            runs))
                     (List.concat_map
-                       (fun (name, breakdowns) ->
+                       (fun (name, (r : A.result)) ->
                          List.map
                            (fun (b : Obs.Anatomy.breakdown) ->
                              J.Obj
@@ -511,8 +494,8 @@ let anatomy =
                                :: List.map
                                     (fun (label, v) -> (label, J.Int v))
                                     (Obs.Anatomy.components b)))
-                           breakdowns)
-                       results)))))
+                           r.breakdowns)
+                       runs)))))
 
 let codec_bench =
   let module C = Experiments.Exp_codec_bench in

@@ -69,6 +69,21 @@ let memcpy_cost t bytes =
 
 let for_cluster (cluster : Transport.Cluster.t) = { default with scale = cluster.cpu_scale }
 
+(* FaSST is specialized: no congestion control, no large-message or
+   generality machinery. Measured FaSST costs are lower per packet since
+   there is no header generality, no msgbuf layering, no CC hooks. *)
+let fasst cluster =
+  {
+    (for_cluster cluster) with
+    rx_pkt = 24;
+    tx_data_pkt = 22;
+    enqueue_request = 10;
+    handler_dispatch = 10;
+    continuation = 8;
+    memcpy_fixed = 6;
+    credit_logic = 2;
+  }
+
 (* Full scaled cost of one encode or decode: per touched field (branchier
    on decode: validation) plus the bulk byte movement. *)
 let codec_cost t ~deser ~(backend : Codec.backend) ~leaves ~bytes =

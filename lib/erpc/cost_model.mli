@@ -9,9 +9,10 @@
 
     Values are calibrated (see bench/table3) so the CX4 baseline lands at
     the paper's 4.96 Mrps per thread; other clusters scale all costs by
-    their [cpu_scale]. *)
+    their [cpu_scale]. The type is private: a profile comes from
+    {!for_cluster} or {!fasst}, and no other code can set its fields. *)
 
-type t = {
+type t = private {
   scale : float;  (** cluster CPU-speed multiplier *)
   loop_overhead : int;  (** per event-loop activation *)
   rx_pkt : int;  (** poll + header parse + sslot bookkeeping per packet *)
@@ -56,6 +57,11 @@ val memcpy_cost : t -> int -> int
     on the CX4 cluster ([cpu_scale] 1.0), scaled by the profile's
     [cpu_scale]. *)
 val for_cluster : Transport.Cluster.t -> t
+
+(** The FaSST baseline's leaner datapath on a cluster: {!for_cluster}
+    with cheaper per-packet, request and continuation costs (no header
+    generality, no msgbuf layering, no CC hooks). *)
+val fasst : Transport.Cluster.t -> t
 
 (** Full scaled cost of one encode ([deser:false]) or decode
     ([deser:true]) of a message with [leaves] primitive fields and [bytes]

@@ -49,22 +49,8 @@ let run_mesh ?seed ?config ?cost ?trace ?(window = 60) ?(measure_ms = 4.0) ~per_
 
 let run = run_mesh ?cost:None ~per_batch_cost_ns:0 ?payload:None
 
-(* FaSST is specialized: no congestion control, no large-message or
-   generality machinery. We model that as eRPC with CC off and a leaner
-   datapath cost profile (measured FaSST costs are lower per packet since
-   there is no header generality, no msgbuf layering, no CC hooks). *)
-let fasst_cost (cluster : Transport.Cluster.t) =
-  {
-    (Erpc.Cost_model.for_cluster cluster) with
-    rx_pkt = 24;
-    tx_data_pkt = 22;
-    enqueue_request = 10;
-    handler_dispatch = 10;
-    continuation = 8;
-    memcpy_fixed = 6;
-    credit_logic = 2;
-  }
-
+(* FaSST is specialized: we model it as eRPC with CC off and the cost
+   model's leaner FaSST profile. *)
 let run_fasst ?seed ?measure_ms ~window ~(cluster : Transport.Cluster.t) ~batch () =
   let config =
     let base = Erpc.Config.of_cluster cluster in
@@ -72,8 +58,8 @@ let run_fasst ?seed ?measure_ms ~window ~(cluster : Transport.Cluster.t) ~batch 
   in
   (* FaSST rings one doorbell per batch of B requests; the fixed cost
      amortizes with B, which is why its rate grows with batch size. *)
-  run_mesh ?seed ~config ~cost:(fasst_cost cluster) ~window ?measure_ms ~per_batch_cost_ns:210
-    ~cluster ~batch ()
+  run_mesh ?seed ~config ~cost:(Erpc.Cost_model.fasst cluster) ~window ?measure_ms
+    ~per_batch_cost_ns:210 ~cluster ~batch ()
 
 let factor_analysis ?seed () =
   let cluster = Transport.Cluster.cx4 ~nodes:11 () in

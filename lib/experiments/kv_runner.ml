@@ -566,6 +566,15 @@ let run ~seed (s : T.scenario) =
       (fun (b : Obs.Anatomy.breakdown) -> Array.mem b.host l.client_hosts)
       (Obs.Anatomy.analyze ~wire_ns:(Exp_anatomy.predictor cluster) (Obs.Trace.events trace))
   in
+  let issued_rpcs =
+    Array.fold_left
+      (fun acc h -> acc + (Erpc.Rpc.stats d.rpcs.(h).(0)).Erpc.Rpc_stats.issued)
+      0 l.client_hosts
+  in
+  (* A traced run attributes its tail: client RPCs with none analyzed
+     means the trace lost them or the analysis broke. *)
+  if s.traced && issued_rpcs > 0 && breakdowns = [] then
+    violate "obs: traced run issued %d client RPCs, analyzed none" issued_rpcs;
   {
     scenario = s.sname;
     seed;
@@ -584,10 +593,7 @@ let run ~seed (s : T.scenario) =
     traced = s.traced;
     attribution = Obs.Anatomy.attribute breakdowns;
     analyzed_rpcs = List.length breakdowns;
-    issued_rpcs =
-      Array.fold_left
-        (fun acc h -> acc + (Erpc.Rpc.stats d.rpcs.(h).(0)).Erpc.Rpc_stats.issued)
-        0 l.client_hosts;
+    issued_rpcs;
     breakdowns;
     digest = Obs.Trace.digest trace;
     events = Sim.Engine.events_processed engine;

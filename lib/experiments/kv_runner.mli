@@ -21,6 +21,8 @@
       that issued operations had one succeed;
     - an echo whose response holds its whole request returns the
       operation's id intact;
+    - a traced run whose client hosts issued RPCs analyzed some of them
+      (its row's [attribution] is not null);
 
     and, on a layout with replicas, the service's:
 

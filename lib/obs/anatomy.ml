@@ -313,24 +313,11 @@ let pp_table fmt bds =
     Format.fprintf fmt "Latency anatomy over %d sampled RPCs (mean %.0f ns):@." n total;
     Format.fprintf fmt "  %-16s %10s %7s@." "component" "mean(ns)" "share";
     List.iter
-      (fun (label, f) ->
-        let m = mean f in
+      (fun (label, _) ->
+        let m = mean (fun b -> List.assoc label (components b)) in
         Format.fprintf fmt "  %-16s %10.1f %6.1f%%@." label m
           (if total > 0. then 100. *. m /. total else 0.))
-      [
-        ("req serialize", fun b -> b.req_ser_ns);
-        ("client tx", fun b -> b.client_tx_ns);
-        ("pacing wheel", fun b -> b.pacing_ns);
-        ("NIC", fun b -> b.nic_ns);
-        ("wire", fun b -> b.wire_ns);
-        ("switch queue", fun b -> b.switch_ns);
-        ("ring/guard", fun b -> b.ring_ns);
-        ("req deserialize", fun b -> b.req_deser_ns);
-        ("resp serialize", fun b -> b.resp_ser_ns);
-        ("server", fun b -> b.server_ns);
-        ("resp deserialize", fun b -> b.resp_deser_ns);
-        ("client rx", fun b -> b.client_rx_ns);
-      ];
+      (components (List.hd bds));
     Format.fprintf fmt "  %-16s %10.1f %6.1f%%@." "total" total 100.
   end
 

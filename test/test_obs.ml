@@ -182,6 +182,27 @@ let test_anatomy_typed_nonzero_codec_terms () =
       check_int "untyped: no deser" 0 (b.req_deser_ns + b.resp_ser_ns + b.resp_deser_ns))
     u.breakdowns
 
+(* Every transport's probe passes its own check: nothing dropped, and the
+   shm breakdowns carry their transit in the ring. *)
+let test_anatomy_clean_on_every_transport () =
+  List.iter
+    (fun transport ->
+      let r = Experiments.Exp_anatomy.run ~samples:8 ~transport () in
+      check_bool "sampled RPCs analyzed" true (r.breakdowns <> []);
+      Alcotest.(check (list string)) "no violation" [] r.violations)
+    [ `Raw_eth; `Rdma_rc; `Shm ]
+
+(* A caller's ring too small for the samples loses records, and the run
+   says so once. *)
+let test_anatomy_reports_dropped_records () =
+  let trace = Obs.Trace.create ~capacity:64 () in
+  let r = Experiments.Exp_anatomy.run ~trace ~samples:8 () in
+  check_bool "the ring dropped records" true (Obs.Trace.dropped trace > 0);
+  Alcotest.(check (list string))
+    "one dropped-records violation"
+    [ Printf.sprintf "the trace ring dropped %d records" (Obs.Trace.dropped trace) ]
+    r.violations
+
 (* The bursty mixed-size scenario, scaled down, looked up by name as the
    CLI does. *)
 let bursty_mixed () =
@@ -318,6 +339,10 @@ let suite =
     Alcotest.test_case "anatomy sums under open-loop load" `Quick
       test_anatomy_sums_under_open_loop_load;
     Alcotest.test_case "anatomy tail attribution" `Quick test_anatomy_attribution;
+    Alcotest.test_case "anatomy clean on every transport" `Quick
+      test_anatomy_clean_on_every_transport;
+    Alcotest.test_case "anatomy reports dropped records" `Quick
+      test_anatomy_reports_dropped_records;
     Alcotest.test_case "trace digest" `Quick test_trace_digest;
     Alcotest.test_case "same-seed trace identical" `Quick test_same_seed_traces_identical;
     Alcotest.test_case "same-seed incast identical" `Quick
